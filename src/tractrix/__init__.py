@@ -48,15 +48,9 @@ from .functionals import (
 from .manifold import (
     ManifoldModel,
     PoleGeodesic,
-    connect,
-    distance,
-    exp_map,
-    geodesic_shoot,
     jacobi_reference,
     jacobi_reference_integral,
-    jacobi_scalar,
     model_from_config,
-    parallel_transport,
     space_form,
     surface_model,
 )
@@ -87,7 +81,6 @@ from .tractrix_sim import (
     analytic_tractor,
     orthogonal_attachment,
     polyline_tractor,
-    pushed_simulate,
     reversed_tractor,
     simulate,
     tractor_from_config,

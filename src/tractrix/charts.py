@@ -51,13 +51,9 @@ class SurfaceChart:
         raise NotImplementedError
 
     def check_domain(self, u, v):
-        (ulo, uhi), (vlo, vhi) = self.domain
-        if (ulo is not None and u < ulo) or (uhi is not None and u > uhi):
-            raise OutOfDomainError(
-                f"{self.name}: u={u!r} outside domain {self.domain[0]}")
-        if (vlo is not None and v < vlo) or (vhi is not None and v > vhi):
-            raise OutOfDomainError(
-                f"{self.name}: v={v!r} outside domain {self.domain[1]}")
+        if not self.contains(u, v):
+            raise OutOfDomainError(f"{self.name}: ({u!r}, {v!r}) outside "
+                                   f"domain {self.domain}")
 
     def contains(self, u, v):
         (ulo, uhi), (vlo, vhi) = self.domain

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input validation, 2 numeric failure during a run,
 3 verification report with failed checks. Outputs are deterministic for a
-fixed config and seed.
+fixed config.
 """
 
 import argparse
@@ -61,12 +61,6 @@ def _out_dir(args, cfg=None, default="out"):
     return outputs.ensure_dir(root)
 
 
-def _seed_rng(args, cfg=None):
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    np.random.seed(seed % (2 ** 32))
-    return seed
-
-
 def _build_sim(cfg):
     """Model, tractor, gamma0, SimParams for a simulation scenario."""
     model = model_from_config(cfg.model)
@@ -102,7 +96,6 @@ def cmd_simulate(args):
     cfg = load_scenario(args.config)
     if cfg.kind != "simulate":
         raise ConfigError(f"{args.config}: scenario has no tractor section")
-    _seed_rng(args, cfg)
     out = _out_dir(args, cfg, default=f"out/{cfg.name}")
     _, trace = _run_simulation(cfg)
     _write_simulation(cfg, trace, out)
@@ -137,7 +130,6 @@ def cmd_shorten(args):
     cfg = load_scenario(args.config)
     if cfg.kind != "shorten":
         raise ConfigError(f"{args.config}: scenario has no shorten section")
-    _seed_rng(args, cfg)
     out = _out_dir(args, cfg, default=f"out/{cfg.name}")
     model = model_from_config(cfg.model)
     spec = cfg.shorten
@@ -193,7 +185,6 @@ def cmd_verify(args):
     if cfg.kind != "simulate":
         raise ConfigError(f"{args.config}: verification needs a simulation "
                           f"scenario")
-    _seed_rng(args, cfg)
     out = _out_dir(args, cfg, default=f"out/{cfg.name}")
     model, trace = _run_simulation(cfg)
     report = _verify_report(cfg, model, trace)
@@ -202,16 +193,15 @@ def cmd_verify(args):
     return 0 if report.passed else 3
 
 
-def _run_gallery_entry(name, out_root, seed):
+def _run_gallery_entry(name, out_root):
     """One bundled scenario end to end; returns (name, exit_code, note)."""
     try:
         cfg = bundled_scenario(name)
-        np.random.seed((seed if seed is not None else cfg.seed) % (2 ** 32))
         out = outputs.ensure_dir(Path(out_root) / name)
         if cfg.kind == "shorten":
             ns = argparse.Namespace(config=str(Path(cfg.base_dir)
                                                / f"{name}.yaml"),
-                                    out=str(out), seed=seed)
+                                    out=str(out))
             return name, cmd_shorten(ns), "shortened"
         model, trace = _run_simulation(cfg)
         _write_simulation(cfg, trace, out)
@@ -239,11 +229,11 @@ def cmd_gallery(args):
     results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_gallery_entry, n, out_root, args.seed)
+            futures = [pool.submit(_run_gallery_entry, n, out_root)
                        for n in names]
             results = [f.result() for f in futures]
     else:
-        results = [_run_gallery_entry(n, out_root, args.seed) for n in names]
+        results = [_run_gallery_entry(n, out_root) for n in names]
     worst = 0
     for name, code, note in results:
         status = "ok" if code == 0 else f"exit {code}: {note}"
@@ -263,8 +253,6 @@ def build_parser():
             p.add_argument("--config", required=True,
                            help="scenario YAML file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
 
     p = sub.add_parser("simulate", help="run one scenario and "
                        "write trace.csv, sweep.txt, cusps.txt")

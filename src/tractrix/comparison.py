@@ -162,8 +162,8 @@ def certify_bounds(model, trace, method="auto", widen=1e-3):
     the tractrix and tractor tracks, with a 5% safety margin on the
     spread.
     """
-    if getattr(model, "kind", "") == "spaceform":
-        K = model.K
+    K = model.K  # None unless the curvature is constant
+    if K is not None:
         w = max(widen, abs(K) * widen)
         return CurvatureBounds(K - w, K + w, "constant")
     rect = _visited_rect(model.chart, trace)
@@ -196,9 +196,15 @@ def rauch_length_area_check(trace, sweep, bounds, scenario=""):
     _require_certified(bounds)
     L_g, L_e = sweep.L_gamma, sweep.L_eta
     A, ell = sweep.area, sweep.ell
-    # Cusp atoms turn the tangent by pi while the pole neither advances the
-    # tractor nor sweeps area, so they drop out of both sides here.
-    atoms = sum(abs(c.turning_angle) for c in trace.cusps)
+    # A cusp's turning angle is pi for the reversal of the tractrix tangent
+    # plus the pole swing across the stall window. The reversal is an atom:
+    # the tangent flips in place, so it moves no tractor and sweeps no area,
+    # and it drops out of both sides here. The swing is a real rotation of
+    # the pole: it sweeps the area K_swing * int_0^ell J and moves the
+    # tractor end by J(ell) * K_swing, exactly as regular turning does, so
+    # it stays in K_total. Hence pi is subtracted once per sign-flipping
+    # cusp, and nothing for a cusp without a flip.
+    atoms = math.pi * sum(1 for c in trace.cusps if c.sign_flip)
     KT = max(sweep.K_total - atoms, 0.0)
     conj = bool(np.any(trace.pole_conjugate))
     checks = []

@@ -19,7 +19,7 @@ _METHODS = ("auto", "constant", "analytic", "grid")
 _CHECKS = ("rauch", "toponogov", "le")
 _SIM_KEYS = ("dt", "pole_step", "cusp_speed_eps", "max_records")
 _TOP_KEYS = ("name", "model", "tractor", "gamma0", "ell", "sim",
-             "functionals", "comparison", "shorten", "out", "seed")
+             "functionals", "comparison", "shorten", "out")
 
 
 def _fail(path, message):
@@ -243,7 +243,6 @@ def _normalize(raw, name, base_dir):
         if not isinstance(raw["out"], str):
             _fail("out", "expected a directory path string")
         out["out"] = raw["out"]
-    out["seed"] = _as_int(raw.get("seed", 0), "seed", minimum=0)
     return out
 
 
@@ -299,10 +298,6 @@ class ScenarioConfig:
     @property
     def out(self):
         return self.data.get("out")
-
-    @property
-    def seed(self):
-        return self.data["seed"]
 
     def to_dict(self):
         return dict(self.data)

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import MissingJacobiError, NonPositiveSampleError
-from .manifold import jacobi_reference_integral
 
 _R2_GATE = 0.999
 _FIT_MIN_SAMPLES = 20
@@ -43,31 +42,23 @@ def _require_jacobi(trace):
 
 def _jacobi_integrals(trace):
     """∫₀^ℓ J_s(u) du per record."""
-    if trace.model.kind == "spaceform":
-        val = jacobi_reference_integral(trace.model.K, trace.ell)
-        return np.full(len(trace.t), val)
     if trace.jacobi is None or np.any(np.isnan(trace.jacobi)):
         raise MissingJacobiError("trace lacks Jacobi profiles along poles")
-    return simpson(trace.jacobi, x=trace.pole_u, axis=1)
+    return trace.model.jacobi_integrals(trace.pole_u, trace.jacobi)
 
 
 def polyline_length(model, points, closed=False):
     """Metric length of a sampled curve.
 
-    Space forms use the exact pairwise distance; surfaces use midpoint
-    metric chords, which are second-order in the sample spacing.
+    Sums the model's edge lengths: the exact pairwise distance on space
+    forms, midpoint metric chords on surfaces (second-order in the sample
+    spacing).
     """
     pts = np.asarray(points, dtype=float)
     if closed:
         pts = np.vstack([pts, pts[0]])
-    if model.kind == "spaceform":
-        return float(sum(model.distance_closed(pts[i], pts[i + 1])
-                         for i in range(len(pts) - 1)))
-    total = 0.0
-    for i in range(len(pts) - 1):
-        mid = 0.5 * (pts[i] + pts[i + 1])
-        total += model.norm(mid, pts[i + 1] - pts[i])
-    return float(total)
+    return float(sum(model.edge_length(pts[i], pts[i + 1])
+                     for i in range(len(pts) - 1)))
 
 
 def tractor_length(trace):

@@ -1,12 +1,20 @@
-"""Manifold models and geodesic machinery.
+"""Manifold models and their geodesy.
 
-Two model kinds share one interface: constant-curvature space forms in
-standard charts (colatitude/longitude for K > 0, Cartesian for K = 0,
-Poincare disk for K < 0) and embedded parametric surfaces F(u, v) in R^3.
-Geodesics integrate x'' + Gamma(x', x') = 0 with a fixed-step classical
-Runge-Kutta scheme; the scalar Jacobi equation j'' + K j = 0 rides along,
-which is exact in dimension two. Space forms additionally expose closed-form
-exp/log/distance used as warm starts and by the simulator's inner loop.
+Every model answers the same questions, which are all that the
+tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
+and Gauss curvature at a point; geodesics from a point (`exp_point`, the
+sampled pole `exp_map`); two-point geodesics (`connect`, `distance`);
+parallel transport; the Jacobi profile j'' + K j = 0 along a pole; and the
+edge length and discrete geodesic acceleration of a polyline.
+
+The defaults on ManifoldModel are numerical. Geodesics integrate
+x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
+the scalar Jacobi equation rides along, which is exact in dimension two.
+Two-point geodesics are solved by damped Newton. Embedded parametric
+surfaces F(u, v) in R^3 (SurfaceModel) use these defaults. The
+constant-curvature space forms, in standard charts (colatitude/longitude
+for K > 0, Cartesian for K = 0, Poincare disk for K < 0), override them
+with closed forms.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -15,9 +23,10 @@ Gauss curvature from the second fundamental form for embedded charts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import simpson
 
 from .charts import SurfaceChart
 from .errors import (
@@ -42,12 +51,6 @@ __all__ = [
     "model_from_config",
     "jacobi_reference",
     "jacobi_reference_integral",
-    "exp_map",
-    "geodesic_shoot",
-    "connect",
-    "parallel_transport",
-    "jacobi_scalar",
-    "distance",
 ]
 
 _DET_EPS = 1e-12
@@ -55,7 +58,6 @@ _DRIFT_TOL = 1e-6
 # sin(pi) rounds to ~1.2e-16, so a conjugate point is flagged by a small
 # positive threshold rather than an exact sign change.
 _CONJ_TOL = 1e-12
-_SHOOT_TOL = 1e-9
 _SHOOT_MAX_ITER = 50
 _SHOOT_FD_H = 1e-6
 
@@ -83,6 +85,17 @@ def jacobi_reference_integral(K, ell):
         k = math.sqrt(-K)
         return (math.cosh(k * ell) - 1.0) / (-K)
     return 0.5 * ell * ell
+
+
+def _has_conjugate(jacobi):
+    return bool(jacobi is not None and np.any(jacobi[1:] <= _CONJ_TOL))
+
+
+def _curve_samples(points):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or len(pts) < 1:
+        raise ValueError("points must be a (m, dim) sample array")
+    return pts
 
 
 @dataclass
@@ -114,10 +127,11 @@ class PoleGeodesic:
 
 
 class ManifoldModel:
-    """Common interface: metric, Christoffels, curvature, geodesic RHS."""
+    """Common interface; the geodesy defaults integrate (RK4, Newton)."""
 
-    kind = "abstract"
     dim = 2
+    # Constant Gauss curvature, or None where it varies.
+    K = None
     # Positive curvature bound sup K, used to gate pole lengths; None if free.
     conjugate_scale = None
 
@@ -186,18 +200,188 @@ class ManifoldModel:
         return self.tangent_from_angle(
             p, self.angle_of(p, v, frame) + angle, frame)
 
-    # -- optional closed-form geodesy (space forms override) ---------------
+    # -- geodesy -----------------------------------------------------------
 
-    has_closed_geodesy = False
+    def exp_map(self, p, v, length, steps=None, want_jacobi=True,
+                allow_long_pole=False, check_drift=True):
+        """Shoot a unit-speed geodesic of given length; return sampled pole.
 
-    def exp_point(self, p, v, length):
-        raise NotImplementedError
+        steps defaults to 200 samples. The scalar Jacobi profile comes along
+        when `want_jacobi` (j(0)=0, j'(0)=1); the flag `conjugate` is set
+        when j dips to zero or below inside (0, length].
+        """
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        self.check_point(p)
+        nv = self.norm(p, v)
+        if abs(nv - 1.0) > 1e-8:
+            raise ValueError(
+                f"exp_map needs a unit tangent (|v|_g = {nv!r}); "
+                "normalize first")
+        if length < 0:
+            raise ValueError("pole length must be nonnegative")
+        if (self.conjugate_scale is not None and not allow_long_pole
+                and length >= self.conjugate_scale):
+            raise ValueError(
+                f"pole length {length!r} reaches the conjugate scale "
+                f"{self.conjugate_scale!r}; pass allow_long_pole=True if "
+                "intended")
+        if steps is None:
+            steps = 200
+        steps = max(4, int(steps))
+        if length == 0.0:
+            return PoleGeodesic(np.array([0.0]), p[None, :].copy(),
+                                v[None, :].copy(), 0.0,
+                                jacobi=np.array([0.0]), conjugate=False)
+        u = np.linspace(0.0, length, steps + 1)
+        pts, tans, jac = self._pole_samples(p, v, length, u, want_jacobi,
+                                            check_drift)
+        return PoleGeodesic(u, pts, tans, float(length), jacobi=jac,
+                            conjugate=_has_conjugate(jac))
 
-    def log_map(self, p, q):
-        raise NotImplementedError
+    def _pole_samples(self, p, v, length, u, want_jacobi, check_drift):
+        """(points, tangents, jacobi or None) at the parameters u."""
+        steps = len(u) - 1
+        xs, vs, js = _rk4_geodesic(self, p, v, length, steps, want_jacobi,
+                                   collect=True)
+        pts = np.vstack(xs)
+        tans = np.vstack(vs)
+        if check_drift:
+            drift = max(abs(self.norm(pts[i], tans[i]) - 1.0)
+                        for i in range(0, steps + 1, max(1, steps // 16)))
+            if drift > _DRIFT_TOL:
+                raise StepTooLargeError(
+                    f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
+                    "reduce the pole step")
+        return pts, tans, np.array(js) if want_jacobi else None
 
-    def distance_closed(self, p, q):
-        raise NotImplementedError
+    def exp_point(self, p, v, length, steps=None):
+        """Endpoint and end tangent of the unit-speed geodesic p, v, length."""
+        pole = self.exp_map(p, v, length, steps=steps, want_jacobi=False)
+        return pole.endpoint, pole.end_tangent
+
+    def connect(self, p, q, v_guess=None, L_guess=None, steps=48,
+                tol=1e-11, max_iter=_SHOOT_MAX_ITER):
+        """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
+
+        Solves for (direction angle, length) jointly by damped Newton on the
+        fixed-step endpoint map; the length column of the Jacobian is the
+        endpoint velocity, the angle column is a forward difference
+        (h = 1e-6). The start is v_guess, else the chart chord.
+        """
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        frame = self.frame_at(p)
+        g = self.metric_at(p)
+        d = q - p
+        chord = math.sqrt(max(float(d @ g @ d), 1e-300))
+        if v_guess is not None:
+            alpha = self.angle_of(p, np.asarray(v_guess, float), frame)
+        else:
+            alpha = self.angle_of(p, d / chord, frame)
+        L = float(L_guess) if L_guess else chord
+
+        def endpoint(a, ell):
+            v = self.tangent_from_angle(p, a, frame)
+            return _rk4_geodesic(self, p, v, ell, steps, False,
+                                 collect=False)
+
+        end, t_end = endpoint(alpha, L)
+        r = end - q
+        rn = float(np.linalg.norm(r))
+        scale = max(1.0, float(np.linalg.norm(q - p)))
+        for _ in range(max_iter):
+            if rn < tol * scale:
+                break
+            da = (endpoint(alpha + _SHOOT_FD_H, L)[0] - end) / _SHOOT_FD_H
+            J = np.column_stack([da, t_end])
+            try:
+                delta = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"connect Jacobian singular: {exc}")
+            damp = 1.0
+            while True:
+                a_new = alpha + damp * delta[0]
+                L_new = max(L + damp * delta[1], 1e-12)
+                end_new, t_new = endpoint(a_new, L_new)
+                r_new = end_new - q
+                rn_new = float(np.linalg.norm(r_new))
+                if rn_new <= rn or damp < 1e-6:
+                    break
+                damp *= 0.5
+            alpha, L, end, t_end, r, rn = (a_new, L_new, end_new, t_new,
+                                           r_new, rn_new)
+        if rn >= max(tol * scale, 1e-9):
+            raise NoConvergenceError(
+                f"connect stalled at residual {rn:.3e} between {p} and {q}")
+        v = self.tangent_from_angle(p, alpha, frame)
+        t_end = t_end / max(self.norm(q, t_end), 1e-300)
+        return v, L, t_end
+
+    def distance(self, p, q, v_guess=None, L_guess=None):
+        """Geodesic distance; the guesses warm-start the Newton solve."""
+        return self.connect(p, q, v_guess=v_guess, L_guess=L_guess)[1]
+
+    def parallel_transport(self, points, w0, substeps=4):
+        """Transport w0 along a sampled curve; returns w at every sample.
+
+        The curve is taken piecewise-linear in chart coordinates; on each
+        segment dw/dt = -Gamma(xdot, w) is integrated with RK4 substeps.
+        """
+        pts = _curve_samples(points)
+        w = np.asarray(w0, dtype=float).copy()
+        out = [w.copy()]
+
+        def rhs(x, wv, xdot):
+            G = self.christoffel_at(x)
+            return -np.einsum("kij,i,j->k", G, xdot, wv)
+
+        for a, b in zip(pts[:-1], pts[1:]):
+            seg = b - a
+            h = 1.0 / substeps
+            for m in range(substeps):
+                t0 = m * h
+                x0 = a + t0 * seg
+                k1 = rhs(x0, w, seg)
+                k2 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k1, seg)
+                k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2, seg)
+                k4 = rhs(a + (t0 + h) * seg, w + h * k3, seg)
+                w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            out.append(w.copy())
+        return np.vstack(out)
+
+    def jacobi_profile(self, length, steps):
+        """Jacobi profiles of poles of one length, sampled at steps + 1 points.
+
+        Returns profile(p, v) -> (j, conjugate) for the pole from p along
+        the unit tangent v. Here each pole is integrated; space forms
+        compute their one profile once.
+        """
+        def profile(p, v):
+            pole = self.exp_map(p, v, length, steps=steps, want_jacobi=True,
+                                allow_long_pole=True, check_drift=False)
+            return pole.jacobi, pole.conjugate
+
+        return profile
+
+    def jacobi_integrals(self, u, jacobi):
+        """Integral over [0, u[-1]] of each sampled profile (rows of jacobi)."""
+        return simpson(jacobi, x=u, axis=1)
+
+    def edge_length(self, a, b):
+        """Length of a polyline edge: the metric chord at its midpoint."""
+        return self.norm(0.5 * (a + b), b - a)
+
+    def discrete_acceleration(self, prev, x, nxt, h_prev, h_next):
+        """Covariant acceleration at polyline vertex x taken as unit speed.
+
+        h_prev and h_next are the metric lengths of the adjacent edges.
+        """
+        vm = (x - prev) / h_prev
+        vp = (nxt - x) / h_next
+        vbar = 0.5 * (vm + vp)
+        return ((vp - vm) / (0.5 * (h_prev + h_next))
+                + np.einsum("kij,i,j->k", self.christoffel_at(x), vbar, vbar))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +389,44 @@ class ManifoldModel:
 
 
 class SpaceFormModel(ManifoldModel):
-    kind = "spaceform"
-    has_closed_geodesy = True
+    """Constant curvature: closed-form geodesy from exp_point and log_map."""
 
     def __init__(self, K, dim=2, periods=None):
         self.K = float(K)
         self.dim = int(dim)
         self.periods = periods
+
+    def log_map(self, p, q):
+        """(unit v at p, length) of the minimizing geodesic from p to q."""
+        raise NotImplementedError
+
+    def _pole_samples(self, p, v, length, u, want_jacobi, check_drift):
+        ends = [self.exp_point(p, v, x) for x in u]
+        jac = jacobi_reference(self.K, u) if want_jacobi else None
+        return (np.array([q for q, _ in ends]),
+                np.array([t for _, t in ends]), jac)
+
+    def connect(self, p, q, **_):
+        """Closed form; the Newton hints and settings do not apply."""
+        v, L = self.log_map(p, q)
+        return v, L, self.exp_point(p, v, L)[1]
+
+    def jacobi_profile(self, length, steps):
+        # constant curvature: one profile serves every pole
+        j = jacobi_reference(self.K, np.linspace(0.0, length, steps + 1))
+        conj = _has_conjugate(j)
+        return lambda p, v: (j, conj)
+
+    def jacobi_integrals(self, u, jacobi):
+        return np.full(len(jacobi), jacobi_reference_integral(self.K, u[-1]))
+
+    def edge_length(self, a, b):
+        return self.distance(a, b)
+
+    def discrete_acceleration(self, prev, x, nxt, h_prev, h_next):
+        v_out, _ = self.log_map(x, nxt)
+        v_in, _ = self.log_map(x, prev)
+        return (v_out + v_in) / (0.5 * (h_prev + h_next))
 
 
 class FlatModel(SpaceFormModel):
@@ -238,7 +453,11 @@ class FlatModel(SpaceFormModel):
     def _geo_rhs(self, x, v):
         return (0.0,) * self.dim
 
-    def exp_point(self, p, v, length):
+    def inner(self, p, a, b):
+        # identical to a @ I @ b, without building I
+        return float(np.dot(a, b))
+
+    def exp_point(self, p, v, length, steps=None):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         q = p + length * v
@@ -251,8 +470,18 @@ class FlatModel(SpaceFormModel):
             raise ValueError("log map undefined for coincident points")
         return d / L, L
 
-    def distance_closed(self, p, q):
+    def connect(self, p, q, **_):
+        v, L = self.log_map(p, q)
+        return v, L, v
+
+    def distance(self, p, q, **_):
         return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
+
+    def parallel_transport(self, points, w0, substeps=4):
+        # straight chart lines: transport is the identity
+        pts = _curve_samples(points)
+        return np.repeat(np.asarray(w0, dtype=float)[None, :], len(pts),
+                         axis=0)
 
     def fold(self, p):
         """Fold a covering-space point into the fundamental domain."""
@@ -305,7 +534,8 @@ class SphereModel(SpaceFormModel):
         th = x[0]
         s, c = math.sin(th), math.cos(th)
         if abs(s) < 1e-9:
-            raise SingularChartError(f"geodesic hit chart pole (theta={th!r})")
+            raise SingularChartError(
+                f"geodesic hit chart pole (theta={float(th)!r})")
         return (s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1])
 
     # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
@@ -346,7 +576,7 @@ class SphereModel(SpaceFormModel):
         b = float(t3 @ e_ph) / (s * self.radius)
         return p, np.array([a, b])
 
-    def exp_point(self, p, v, length):
+    def exp_point(self, p, v, length, steps=None):
         X = self._embed(p)
         W = self._tangent3(p, np.asarray(v, dtype=float))
         psi = self.k * length
@@ -367,7 +597,7 @@ class SphereModel(SpaceFormModel):
         # _tangent_chart normalizes against radius; W is unit in R^3 here
         return v, psi * self.radius
 
-    def distance_closed(self, p, q):
+    def distance(self, p, q, **_):
         c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
         return math.acos(c) * self.radius
 
@@ -421,7 +651,7 @@ class HyperbolicModel(SpaceFormModel):
         a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
         return (a1, a2)
 
-    def exp_point(self, p, v, length):
+    def exp_point(self, p, v, length, steps=None):
         z = complex(p[0], p[1])
         vc = complex(v[0], v[1])
         r2 = 1.0 - abs(z) ** 2
@@ -451,7 +681,7 @@ class HyperbolicModel(SpaceFormModel):
         vc = (zeta / az) * (1.0 - abs(z) ** 2) * (self.k / 2.0)
         return np.array([vc.real, vc.imag]), L
 
-    def distance_closed(self, p, q):
+    def distance(self, p, q, **_):
         z = complex(p[0], p[1])
         w = complex(q[0], q[1])
         num = 2.0 * abs(z - w) ** 2
@@ -475,43 +705,43 @@ def space_form(K, dim=2, periods=None):
 # Embedded surfaces
 
 
+def _singular_metric(chart, u, v):
+    return SingularChartError(
+        f"{chart.name}: metric singular at ({float(u)!r}, {float(v)!r})")
+
+
 class SurfaceModel(ManifoldModel):
-    kind = "surface"
-    dim = 2
+    """Embedded surface F(u, v) in R^3; geometry from the chart derivatives."""
 
     def __init__(self, chart: SurfaceChart):
         self.chart = chart
-        self.K = None
 
     def check_point(self, p):
         self.chart.check_domain(float(p[0]), float(p[1]))
 
     def _forms(self, u, v):
+        """First derivatives, E, F, G and det at (u, v); raises if singular."""
         ch = self.chart
         fu, fv = ch.du(u, v), ch.dv(u, v)
         E = fu[0] * fu[0] + fu[1] * fu[1] + fu[2] * fu[2]
         F = fu[0] * fv[0] + fu[1] * fv[1] + fu[2] * fv[2]
         G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
-        return fu, fv, E, F, G
+        det = E * G - F * F
+        if det < _DET_EPS:
+            raise _singular_metric(ch, u, v)
+        return fu, fv, E, F, G, det
 
     def metric_at(self, p):
         u, v = float(p[0]), float(p[1])
         self.check_point(p)
-        _, _, E, F, G = self._forms(u, v)
-        if E * G - F * F < _DET_EPS:
-            raise SingularChartError(
-                f"{self.chart.name}: metric singular at ({u!r}, {v!r})")
+        _, _, E, F, G, _ = self._forms(u, v)
         return np.array([[E, F], [F, G]])
 
     def christoffel_at(self, p):
         u, v = float(p[0]), float(p[1])
         self.check_point(p)
         ch = self.chart
-        fu, fv, E, F, G = self._forms(u, v)
-        det = E * G - F * F
-        if det < _DET_EPS:
-            raise SingularChartError(
-                f"{self.chart.name}: metric singular at ({u!r}, {v!r})")
+        fu, fv, E, F, G, det = self._forms(u, v)
         iuu, iuv, ivv = G / det, -F / det, E / det
         out = np.zeros((2, 2, 2))
         for idx, second in ((0, ch.duu(u, v)), (1, ch.duv(u, v)),
@@ -532,11 +762,7 @@ class SurfaceModel(ManifoldModel):
     def gauss_at(self, p):
         u, v = float(p[0]), float(p[1])
         ch = self.chart
-        fu, fv, E, F, G = self._forms(u, v)
-        det = E * G - F * F
-        if det < _DET_EPS:
-            raise SingularChartError(
-                f"{self.chart.name}: metric singular at ({u!r}, {v!r})")
+        fu, fv, _, _, _, det = self._forms(u, v)
         nx = fu[1] * fv[2] - fu[2] * fv[1]
         ny = fu[2] * fv[0] - fu[0] * fv[2]
         nz = fu[0] * fv[1] - fu[1] * fv[0]
@@ -549,6 +775,7 @@ class SurfaceModel(ManifoldModel):
         return (L * N - M * M) / det
 
     def _geo_rhs(self, x, v):
+        # the hottest call: _forms and christoffel_at stay inlined here
         u, w = x[0], x[1]
         ch = self.chart
         if not ch.contains(u, w):
@@ -561,8 +788,7 @@ class SurfaceModel(ManifoldModel):
         G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
         det = E * G - F * F
         if det < _DET_EPS:
-            raise SingularChartError(
-                f"{ch.name}: metric singular at ({u!r}, {w!r})")
+            raise _singular_metric(ch, u, w)
         iuu, iuv, ivv = G / det, -F / det, E / det
         suu, suv, svv = ch.duu(u, w), ch.duv(u, w), ch.dvv(u, w)
         cu1 = suu[0] * fu[0] + suu[1] * fu[1] + suu[2] * fu[2]
@@ -664,262 +890,3 @@ def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
     if collect:
         return samples
     return np.array(x), np.array(v)
-
-
-def exp_map(model, p, v, length, steps=None, want_jacobi=True,
-            allow_long_pole=False, check_drift=True):
-    """Shoot a unit-speed geodesic of given length; return sampled pole.
-
-    steps defaults to length/(length/200) = 200 fixed RK4 steps. The scalar
-    Jacobi equation is co-integrated on 2D models (j(0)=0, j'(0)=1); the flag
-    `conjugate` is set when j dips to zero or below inside (0, length].
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    model.check_point(p)
-    nv = model.norm(p, v)
-    if abs(nv - 1.0) > 1e-8:
-        raise ValueError(
-            f"exp_map needs a unit tangent (|v|_g = {nv!r}); normalize first")
-    if length < 0:
-        raise ValueError("pole length must be nonnegative")
-    if (model.conjugate_scale is not None and not allow_long_pole
-            and length >= model.conjugate_scale):
-        raise ValueError(
-            f"pole length {length!r} reaches the conjugate scale "
-            f"{model.conjugate_scale!r}; pass allow_long_pole=True if intended")
-    if steps is None:
-        steps = 200
-    steps = max(4, int(steps))
-    if length == 0.0:
-        u = np.array([0.0])
-        return PoleGeodesic(u, p[None, :].copy(), v[None, :].copy(), 0.0,
-                            jacobi=np.array([0.0]), conjugate=False)
-
-    want_j = want_jacobi and model.dim == 2
-    if isinstance(model, FlatModel):
-        # straight lines; RK4 on zero curvature is exact, sample directly
-        u = np.linspace(0.0, length, steps + 1)
-        pts = p[None, :] + u[:, None] * v[None, :]
-        tans = np.repeat(v[None, :], steps + 1, axis=0)
-        jac = u.copy() if model.dim == 2 else None
-        if want_jacobi and model.dim == 3:
-            jac = u.copy()  # flat scalar reduction holds in any flat chart
-        return PoleGeodesic(u, pts, tans, float(length), jacobi=jac,
-                            conjugate=False)
-
-    xs, vs, js = _rk4_geodesic(model, p, v, length, steps, want_j,
-                               collect=True)
-    u = np.linspace(0.0, length, steps + 1)
-    pts = np.vstack(xs)
-    tans = np.vstack(vs)
-    jac = np.array(js) if want_j else None
-    if check_drift:
-        drift = max(abs(model.norm(pts[i], tans[i]) - 1.0)
-                    for i in range(0, steps + 1, max(1, steps // 16)))
-        if drift > _DRIFT_TOL:
-            raise StepTooLargeError(
-                f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
-                "reduce the pole step")
-    conj = bool(want_j and steps > 0 and np.any(jac[1:] <= _CONJ_TOL))
-    return PoleGeodesic(u, pts, tans, float(length), jacobi=jac,
-                        conjugate=conj)
-
-
-def _endpoint(model, p, v, length, steps):
-    if isinstance(model, FlatModel):
-        q = np.asarray(p, float) + length * np.asarray(v, float)
-        return q, np.asarray(v, float)
-    x, vv = _rk4_geodesic(model, p, v, length, steps, False, collect=False)
-    return x, vv
-
-
-def geodesic_shoot(model, p, q, length, v_guess=None, tol=_SHOOT_TOL,
-                   max_iter=_SHOOT_MAX_ITER, steps=None,
-                   allow_long_pole=False):
-    """Solve exp_p(length * v) = q for the unit tangent v.
-
-    Damped Newton on the direction angle with a forward-difference Jacobian
-    (h = 1e-6); a closed-form warm start is used on space forms, v_guess on
-    surfaces. Residual is measured on the same fixed-step endpoint map that
-    exp_map uses, in chart coordinates.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    model.check_point(p)
-    model.check_point(q)
-    if steps is None:
-        steps = 200
-    if isinstance(model, FlatModel):
-        d = q - p
-        L = float(np.linalg.norm(d))
-        if abs(L - length) > max(tol, 1e-9 * max(1.0, L)):
-            raise NoConvergenceError(
-                f"flat shoot: |q-p| = {L!r} does not match length {length!r}")
-        return d / L
-
-    frame = model.frame_at(p)
-    if model.has_closed_geodesy:
-        v0, _ = model.log_map(p, q)
-        alpha = model.angle_of(p, v0, frame)
-    elif v_guess is not None:
-        alpha = model.angle_of(p, np.asarray(v_guess, float), frame)
-    else:
-        # chart chord as a last-resort start
-        g = model.metric_at(p)
-        d = q - p
-        nn = math.sqrt(max(float(d @ g @ d), 1e-300))
-        alpha = model.angle_of(p, d / nn, frame)
-
-    def residual(a):
-        v = model.tangent_from_angle(p, a, frame)
-        end, _ = _endpoint(model, p, v, length, steps)
-        return end - q
-
-    r = residual(alpha)
-    rn = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rn < tol:
-            break
-        jcol = (residual(alpha + _SHOOT_FD_H) - r) / _SHOOT_FD_H
-        denom = float(jcol @ jcol)
-        if denom < 1e-300:
-            raise NoConvergenceError("shooting Jacobian vanished")
-        step = -float(jcol @ r) / denom
-        damp = 1.0
-        while True:
-            r_new = residual(alpha + damp * step)
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new <= rn or damp < 1e-6:
-                break
-            damp *= 0.5
-        alpha += damp * step
-        r, rn = r_new, rn_new
-    if rn >= tol:
-        raise NoConvergenceError(
-            f"shooting stalled at residual {rn:.3e} (tol {tol:g})")
-    return model.tangent_from_angle(p, alpha, frame)
-
-
-def connect(model, p, q, v_guess=None, L_guess=None, steps=48,
-            tol=1e-11, max_iter=_SHOOT_MAX_ITER):
-    """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
-
-    Space forms use closed forms. Surfaces solve for (direction angle,
-    length) jointly by damped Newton; the length column of the Jacobian is
-    the endpoint velocity, the angle column is a forward difference.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if model.has_closed_geodesy:
-        v, L = model.log_map(p, q)
-        if isinstance(model, FlatModel):
-            return v, L, v.copy()
-        _, t_end = model.exp_point(p, v, L)
-        return v, L, t_end
-
-    frame = model.frame_at(p)
-    g = model.metric_at(p)
-    d = q - p
-    chord = math.sqrt(max(float(d @ g @ d), 1e-300))
-    if v_guess is not None:
-        alpha = model.angle_of(p, np.asarray(v_guess, float), frame)
-    else:
-        alpha = model.angle_of(p, d / chord, frame)
-    L = float(L_guess) if L_guess else chord
-
-    def endpoint(a, ell):
-        v = model.tangent_from_angle(p, a, frame)
-        return _endpoint(model, p, v, ell, steps)
-
-    end, t_end = endpoint(alpha, L)
-    r = end - q
-    rn = float(np.linalg.norm(r))
-    scale = max(1.0, float(np.linalg.norm(q - p)))
-    for _ in range(max_iter):
-        if rn < tol * scale:
-            break
-        da = (endpoint(alpha + _SHOOT_FD_H, L)[0] - end) / _SHOOT_FD_H
-        J = np.column_stack([da, t_end])
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"connect Jacobian singular: {exc}")
-        damp = 1.0
-        while True:
-            a_new = alpha + damp * delta[0]
-            L_new = max(L + damp * delta[1], 1e-12)
-            end_new, t_new = endpoint(a_new, L_new)
-            r_new = end_new - q
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new <= rn or damp < 1e-6:
-                break
-            damp *= 0.5
-        alpha, L, end, t_end, r, rn = a_new, L_new, end_new, t_new, r_new, rn_new
-    if rn >= max(tol * scale, 1e-9):
-        raise NoConvergenceError(
-            f"connect stalled at residual {rn:.3e} between {p} and {q}")
-    v = model.tangent_from_angle(p, alpha, frame)
-    t_end = t_end / max(model.norm(q, t_end), 1e-300)
-    return v, L, t_end
-
-
-def distance(model, p, q, **kw):
-    """Geodesic distance; closed form on space forms, connect otherwise."""
-    if model.has_closed_geodesy:
-        return model.distance_closed(p, q)
-    return connect(model, p, q, **kw)[1]
-
-
-def parallel_transport(model, points, w0, substeps=4):
-    """Transport w0 along a sampled curve; returns w at every sample.
-
-    The curve is taken piecewise-linear in chart coordinates; on each
-    segment dw/dt = -Gamma(xdot, w) is integrated with RK4 substeps.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) < 1:
-        raise ValueError("points must be a (m, dim) sample array")
-    n = model.dim
-    w = np.asarray(w0, dtype=float).copy()
-    out = [w.copy()]
-    if isinstance(model, FlatModel):
-        return np.repeat(w[None, :], len(pts), axis=0)
-
-    def rhs(x, wv, xdot):
-        G = model.christoffel_at(x)
-        return -np.einsum("kij,i,j->k", G, xdot, wv)
-
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        h = 1.0 / substeps
-        for m in range(substeps):
-            t0 = m * h
-            x0 = a + t0 * seg
-            k1 = rhs(x0, w, seg)
-            k2 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k1, seg)
-            k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2, seg)
-            k4 = rhs(a + (t0 + h) * seg, w + h * k3, seg)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(w.copy())
-    return np.vstack(out)
-
-
-def jacobi_scalar(model, p, v, length, steps=None, allow_long_pole=False):
-    """Scalar Jacobi profile along the pole from p in direction v.
-
-    Returns (u, j, conjugate). Uses the closed form on space forms and the
-    co-integrated j'' + K(x(u)) j = 0 reduction on surfaces (exact in 2D).
-    """
-    if model.dim != 2 and not isinstance(model, FlatModel):
-        raise ValueError("scalar Jacobi reduction needs a 2D model")
-    if model.kind == "spaceform":
-        if steps is None:
-            steps = 200
-        u = np.linspace(0.0, length, int(steps) + 1)
-        j = jacobi_reference(model.K, u)
-        conj = bool(np.any(j[1:] <= _CONJ_TOL))
-        return u, j, conj
-    pole = exp_map(model, p, v, length, steps=steps,
-                   allow_long_pole=allow_long_pole)
-    return pole.u, pole.jacobi, pole.conjugate

@@ -100,20 +100,3 @@ def write_iterate_csv(path, points):
 def write_report_txt(path, report):
     with open(path, "w") as fh:
         fh.write(report.text() + "\n")
-
-
-def read_csv_columns(path):
-    """Columns of a CSV written by this module; empty cells become NaN."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rows.append([float(c) if c else math.nan
-                         for c in line.split(",")])
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return {name: data[:, i] for i, name in enumerate(header)}

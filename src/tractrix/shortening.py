@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NotClosedError, PoleTooLongError
 from .functionals import polyline_length
-from .manifold import FlatModel, connect, distance, exp_map, space_form
+from .manifold import FlatModel, space_form
 from .tractrix_sim import SimParams, polyline_tractor, simulate
 
 _TARGET_KNOTS = 200
@@ -62,15 +62,8 @@ class ShorteningRun:
 
 
 def _edge_lengths(model, pts):
-    if model.has_closed_geodesy:
-        return np.array([model.distance_closed(a, b)
-                         for a, b in zip(pts[:-1], pts[1:])])
-    out = np.empty(len(pts) - 1)
-    for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-        g = model.metric_at(0.5 * (a + b))
-        d = b - a
-        out[i] = math.sqrt(max(float(d @ g @ d), 0.0))
-    return out
+    return np.array([model.edge_length(a, b)
+                     for a, b in zip(pts[:-1], pts[1:])])
 
 
 def geodesic_residual(model, points, closed=False):
@@ -94,17 +87,7 @@ def geodesic_residual(model, points, closed=False):
         if hm < 1e-12 or hp < 1e-12:
             continue
         x = pts[i]
-        if model.has_closed_geodesy:
-            v_out, _ = model.log_map(x, pts[i + 1])
-            v_in, _ = model.log_map(x, pts[i - 1])
-            acc = (v_out + v_in) / (0.5 * (hm + hp))
-        else:
-            vm = (x - pts[i - 1]) / hm
-            vp = (pts[i + 1] - x) / hp
-            vbar = 0.5 * (vm + vp)
-            gamma = model.christoffel_at(x)
-            acc = ((vp - vm) / (0.5 * (hm + hp))
-                   + np.einsum("kij,i,j->k", gamma, vbar, vbar))
+        acc = model.discrete_acceleration(pts[i - 1], x, pts[i + 1], hm, hp)
         worst = max(worst, model.norm(x, acc))
     return worst
 
@@ -128,13 +111,8 @@ def _downsample(pts, target=_TARGET_KNOTS):
 
 
 def _geodesic_points(model, a, b, samples=_POLE_SAMPLES):
-    if model.has_closed_geodesy:
-        v, L = model.log_map(a, b)
-        fr = np.linspace(0.0, L, samples + 1)
-        return np.array([model.exp_point(a, v, f)[0] for f in fr])
-    v, L, _ = connect(model, a, b)
-    pole = exp_map(model, a, v, L, steps=samples, want_jacobi=False)
-    return pole.points
+    v, L, _ = model.connect(a, b)
+    return model.exp_map(a, v, L, steps=samples, want_jacobi=False).points
 
 
 def _arclength_point(model, pts, target):
@@ -161,13 +139,8 @@ def _splice_head(model, wagon, pts, ell, reach=None):
     iterate lengths stay monotone for any reach.
     """
     x, cut = _arclength_point(model, pts, ell if reach is None else reach)
-    if model.has_closed_geodesy:
-        v, _ = model.log_map(wagon, x)
-        p1 = model.exp_point(wagon, v, ell)[0]
-    else:
-        v, _, _ = connect(model, wagon, x)
-        p1 = exp_map(model, wagon, v, ell, steps=24,
-                     want_jacobi=False).endpoint
+    v, _, _ = model.connect(wagon, x)
+    p1 = model.exp_point(wagon, v, ell, steps=24)[0]
     eta = _downsample(np.vstack([p1[None, :], x[None, :], pts[cut + 1:]]))
     if len(eta) < 2:
         raise PoleTooLongError(
@@ -208,6 +181,10 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
             "supported; use loop_repeated for free classes")
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
+    for key, end in (("P", P), ("Q", Q)):
+        if end.shape != (model.dim,):
+            raise ConfigError(f"shorten.{key}: expected {model.dim} "
+                              f"coordinates, got {end.size}")
     pts = np.asarray(initial, dtype=float)
     if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] != model.dim:
         raise ConfigError("initial curve must be a (m >= 2, dim) polyline")
@@ -215,7 +192,7 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
             or np.linalg.norm(pts[-1] - Q) > _ENDPOINT_TOL):
         raise ConfigError("initial curve must connect P to Q")
     pts = np.vstack([P[None, :], pts[1:-1], Q[None, :]])
-    dPQ = distance(model, P, Q)
+    dPQ = model.distance(P, Q)
     if dPQ < ell:
         raise PoleTooLongError(
             f"dist(P, Q) = {dPQ!r} is below the pole length {ell!r}")

@@ -29,16 +29,7 @@ from .errors import (
     RecordOverflowError,
     ShootingLostError,
 )
-from .manifold import (
-    FlatModel,
-    HyperbolicModel,
-    SphereModel,
-    connect,
-    distance,
-    exp_map,
-    jacobi_reference,
-    parallel_transport,
-)
+from .manifold import FlatModel, HyperbolicModel, SphereModel
 
 _POLE_DRIFT_LIMIT = 1e-6
 # kappa is masked where the pole comes this close to lying along a geodesic
@@ -162,10 +153,7 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
     def point(t):
         p = np.asarray(gamma.point(t), dtype=float)
         v = model.unit(p, gamma.velocity(t))
-        if model.has_closed_geodesy:
-            q, _ = model.exp_point(p, sign * v, ell)
-            return q
-        return exp_map(model, p, sign * v, ell, want_jacobi=False).endpoint
+        return model.exp_point(p, sign * v, ell)[0]
 
     h = 1e-6
 
@@ -243,8 +231,9 @@ class TractrixTrace:
     def check_invariants(self):
         """Raise if a trace invariant is violated (used by the test suite)."""
         for i in range(len(self.t)):
-            L = distance(self.model, self.gamma[i], self.eta[i],
-                         v_guess=self.pole_dir[i], L_guess=self.ell)
+            L = self.model.distance(self.gamma[i], self.eta[i],
+                                    v_guess=self.pole_dir[i],
+                                    L_guess=self.ell)
             if abs(L - self.ell) > _POLE_DRIFT_LIMIT:
                 raise PoleLengthDriftError(
                     f"record {i}: pole length {L!r} vs {self.ell!r}")
@@ -261,79 +250,29 @@ class TractrixTrace:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides
-
-
-def euclidean_rhs(eta, eta_prime, gamma, ell):
-    """Constraint-preserving tractrix velocity in flat space.
-
-    gamma' is the projection of eta' onto the unit pole chord, which keeps
-    |eta - gamma| constant and gamma' parallel to the pole.
-    """
-    eta = np.asarray(eta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    chord = eta - gamma
-    L = float(np.linalg.norm(chord))
-    if abs(L - ell) > _POLE_DRIFT_LIMIT:
-        raise PoleLengthDriftError(
-            f"pole length {L!r} drifted from {ell!r}")
-    v = chord / L
-    speed = float(np.asarray(eta_prime, float) @ v)
-    return speed * v
-
-
-def _flat_stage(eta, eta_prime, gamma, ell):
-    chord = eta - gamma
-    L = float(np.linalg.norm(chord))
-    v = chord / L
-    speed = float(eta_prime @ v)
-    return v, L, v, speed
-
-
-class _GeneralStage:
-    """Per-stage pole solve with a warm-started direction."""
-
-    def __init__(self, model, ell, n_pole):
-        self.model = model
-        self.ell = ell
-        self.n_pole = n_pole
-        self.v_prev = None
-
-    def __call__(self, eta, eta_prime, gamma, ell):
-        try:
-            v, L, t_end = connect(self.model, gamma, eta,
-                                  v_guess=self.v_prev, L_guess=self.ell,
-                                  steps=self.n_pole)
-        except NoConvergenceError as exc:
-            raise ShootingLostError(
-                f"pole solve left the solvable regime: {exc}") from exc
-        self.v_prev = v
-        speed = self.model.inner(eta, eta_prime, t_end)
-        return v, L, t_end, speed
-
-
-# ---------------------------------------------------------------------------
 # The simulation proper
 
 
-def simulate(model, tractor, gamma0, ell, params=None, *,
-             force_general=False):
+def simulate(model, tractor, gamma0, ell, params=None):
     """Propagate the tractrix for `tractor` with a pole of length `ell`.
 
-    Flat models use the explicit projection ODE; other models re-solve the
-    two-point pole at every integration stage (warm-started).  The pull or
-    push character is emergent from the attachment geometry and recorded
-    per record as sigma.
+    Every integration stage re-solves the two-point pole with
+    `model.connect`: closed forms on space forms, Newton warm-started from
+    the previous direction on surfaces.  The pull or push character is
+    emergent from the attachment geometry and recorded per record as sigma.
     """
     if params is None:
         params = SimParams()
     if ell <= 0:
         raise ConfigError("pole length must be positive")
     gamma0 = np.asarray(gamma0, dtype=float)
+    if gamma0.shape != (model.dim,):
+        raise ConfigError(f"gamma0: expected {model.dim} coordinates, got "
+                          f"{gamma0.size}")
     model.check_point(gamma0)
 
     eta0 = np.asarray(tractor.point(tractor.t0), dtype=float)
-    L0 = distance(model, gamma0, eta0, L_guess=ell)
+    L0 = model.distance(gamma0, eta0, L_guess=ell)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
@@ -343,16 +282,26 @@ def simulate(model, tractor, gamma0, ell, params=None, *,
         raise RecordOverflowError(
             f"{n_steps + 1} records exceed max_records {params.max_records}")
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
-    h = t_grid[1] - t_grid[0] if n_steps else 0.0
 
-    flat = isinstance(model, FlatModel) and not force_general
     n_pole = max(8, int(math.ceil(ell / params.pole_step)))
-    stage = _flat_stage if flat else _GeneralStage(model, ell, n_pole)
+    v_prev = None  # warm start of the next pole solve
+
+    def stage(eta, eta_prime, gamma):
+        """Pole direction, length, end tangent and projected speed."""
+        nonlocal v_prev
+        try:
+            v, L, t_end = model.connect(gamma, eta, v_guess=v_prev,
+                                        L_guess=ell, steps=n_pole)
+        except NoConvergenceError as exc:
+            raise ShootingLostError(
+                f"pole solve left the solvable regime: {exc}") from exc
+        v_prev = v
+        return v, L, t_end, model.inner(eta, eta_prime, t_end)
 
     def rhs(t, gamma):
         eta = np.asarray(tractor.point(t), dtype=float)
         etap = np.asarray(tractor.velocity(t), dtype=float)
-        v, _, _, speed = stage(eta, etap, gamma, ell)
+        v, _, _, speed = stage(eta, etap, gamma)
         return speed * v, abs(speed)
 
     dim = model.dim
@@ -372,16 +321,12 @@ def simulate(model, tractor, gamma0, ell, params=None, *,
     max_drift = 0.0
     br = np.asarray(tractor.breaks, dtype=float)
     br = br[(br > t_grid[0]) & (br < t_grid[-1])]
-    spaceform = model.kind == "spaceform"
-    if spaceform:
-        # constant curvature: one profile serves every record
-        ref_profile = jacobi_reference(model.K, pole_u)
-        ref_conj = bool(np.any(ref_profile[1:] <= 1e-12))
+    jacobi_profile = model.jacobi_profile(ell, n_pole)
 
     for i, t in enumerate(t_grid):
         eta = np.asarray(tractor.point(t), dtype=float)
         etap = np.asarray(tractor.velocity(t), dtype=float)
-        v, L, t_end, speed = stage(eta, etap, gamma, ell)
+        v, L, t_end, speed = stage(eta, etap, gamma)
         drift = abs(L - ell)
         if drift > _POLE_DRIFT_LIMIT:
             raise PoleLengthDriftError(
@@ -394,15 +339,7 @@ def simulate(model, tractor, gamma0, ell, params=None, *,
         pole_end[i] = t_end
         speeds[i] = speed
         s_arr[i] = s
-        if spaceform:
-            jac_prof[i] = ref_profile
-            conj[i] = ref_conj
-        else:
-            pole = exp_map(model, gamma, v, ell, steps=n_pole,
-                           want_jacobi=True, allow_long_pole=True,
-                           check_drift=False)
-            jac_prof[i] = pole.jacobi
-            conj[i] = pole.conjugate
+        jac_prof[i], conj[i] = jacobi_profile(gamma, v)
 
         if i == n - 1:
             break
@@ -437,16 +374,6 @@ def simulate(model, tractor, gamma0, ell, params=None, *,
     return trace
 
 
-def pushed_simulate(model, tractor, gamma0, ell, params=None, **kw):
-    """Simulate against the reversed tractor motion.
-
-    A pole that pulled under the forward motion pushes under the reversed
-    one; the trace is the time reversal of the corresponding pull.
-    """
-    return simulate(model, reversed_tractor(tractor), gamma0, ell, params,
-                    **kw)
-
-
 def _fill_signs(speeds, eps):
     sigma = np.sign(speeds).astype(np.int8)
     # carry the sign through near-cusp records; default to pull if all stall
@@ -472,21 +399,6 @@ def _fill_signs(speeds, eps):
 # Cusps
 
 
-def detect_cusp(window):
-    """Examine three consecutive (t, speed) records for a cusp crossing.
-
-    Returns the interpolated crossing parameter or None.  `window` is a
-    sequence of three (t, speed) pairs.
-    """
-    if len(window) != 3:
-        raise ValueError("detect_cusp expects exactly three records")
-    (t0, v0), _, (t2, v2) = window
-    if v0 * v2 < 0.0:
-        # linear interpolation over the outer pair
-        return t0 + (t2 - t0) * v0 / (v0 - v2)
-    return None
-
-
 def _angle_between(model, p, a, b):
     c = model.inner(p, a, b) / max(
         model.norm(p, a) * model.norm(p, b), 1e-300)
@@ -498,11 +410,8 @@ def _pole_swing(trace, a, b):
     model = trace.model
     total = 0.0
     for i in range(a, b):
-        if isinstance(model, FlatModel):
-            w = trace.pole_dir[i]
-        else:
-            w = parallel_transport(model, trace.gamma[i:i + 2],
-                                   trace.pole_dir[i], substeps=2)[-1]
+        w = model.parallel_transport(trace.gamma[i:i + 2], trace.pole_dir[i],
+                                     substeps=2)[-1]
         total += _angle_between(model, trace.gamma[i + 1], w,
                                 trace.pole_dir[i + 1])
     return total
@@ -563,7 +472,6 @@ def _fill_curvature(trace, params):
     if trace.tractor.is_geodesic:
         masked |= np.abs(trace.d - trace.ell) < _CUSP_DIST_BAND
 
-    flat = isinstance(model, FlatModel)
     tangents = trace.sigma[:, None] * trace.pole_dir
     for i in range(1, n - 1):
         if masked[i]:
@@ -571,15 +479,10 @@ def _fill_curvature(trace, params):
         ds = trace.s[i + 1] - trace.s[i - 1]
         if ds < 1e-10:
             continue
-        if flat:
-            w_plus, w_minus = tangents[i + 1], tangents[i - 1]
-        else:
-            w_plus = parallel_transport(
-                model, trace.gamma[[i + 1, i]], tangents[i + 1],
-                substeps=2)[-1]
-            w_minus = parallel_transport(
-                model, trace.gamma[[i - 1, i]], tangents[i - 1],
-                substeps=2)[-1]
+        w_plus = model.parallel_transport(
+            trace.gamma[[i + 1, i]], tangents[i + 1], substeps=2)[-1]
+        w_minus = model.parallel_transport(
+            trace.gamma[[i - 1, i]], tangents[i - 1], substeps=2)[-1]
         dv = (w_plus - w_minus) / ds
         trace.kappa[i] = model.norm(trace.gamma[i], dv)
 
@@ -602,8 +505,8 @@ def _fill_orthogonal_distance(trace):
         gamma = trace.gamma[i]
 
         def gap(tau):
-            return distance(model, gamma,
-                            np.asarray(tractor.point(tau), float))
+            return model.distance(gamma,
+                                  np.asarray(tractor.point(tau), float))
 
         center = trace.t[i] if hint is None else hint
         width = 1.8 * trace.ell if hint is None else 0.35 * trace.ell
@@ -645,12 +548,10 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
             return f
         tang = model.unit(f, tractor.velocity(tau))
         normal = model.rotate(f, tang, side * 0.5 * math.pi)
-        if model.has_closed_geodesy:
-            return model.exp_point(f, normal, d0)[0]
-        return exp_map(model, f, normal, d0, want_jacobi=False).endpoint
+        return model.exp_point(f, normal, d0)[0]
 
     def gap(tau):
-        return distance(model, gamma_at(tau), eta0, L_guess=ell) - ell
+        return model.distance(gamma_at(tau), eta0, L_guess=ell) - ell
 
     reach = math.sqrt(max(ell * ell - d0 * d0, 0.0)) + d0
     speed0 = model.norm(eta0, tractor.velocity(tractor.t0))
@@ -684,6 +585,18 @@ def _req(spec, key, kind):
         raise ConfigError(f"tractor.{key}: required for kind {kind!r}")
 
 
+def _req_points(spec, key, kind, dim, single=True):
+    """Coordinates of a required field: one point, or a list of points."""
+    try:
+        pts = np.asarray(_req(spec, key, kind), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"tractor.{key}: expected numeric coordinates")
+    if pts.ndim != (1 if single else 2) or pts.shape[-1] != dim:
+        raise ConfigError(f"tractor.{key}: expected points with {dim} "
+                          f"coordinates for this model")
+    return pts
+
+
 def tractor_from_config(model, spec):
     """Build a TractorCurve from a scenario mapping."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -695,8 +608,8 @@ def tractor_from_config(model, spec):
         raise ConfigError("tractor.t1: must exceed t0")
 
     if kind in ("line", "chart_line"):
-        start = np.asarray(_req(spec, "start", kind), dtype=float)
-        direction = np.asarray(_req(spec, "direction", kind), dtype=float)
+        start = _req_points(spec, "start", kind, model.dim)
+        direction = _req_points(spec, "direction", kind, model.dim)
         nn = float(np.linalg.norm(direction))
         if nn < 1e-14:
             raise ConfigError("tractor.direction: must be nonzero")
@@ -710,7 +623,9 @@ def tractor_from_config(model, spec):
             lambda t: direction.copy(),
             t0, t1, is_geodesic=geo, label=kind)
     elif kind in ("circle", "chart_circle"):
-        center = np.asarray(_req(spec, "center", kind), dtype=float)
+        if model.dim != 2:
+            raise ConfigError(f"tractor.kind: {kind!r} needs a 2-D model")
+        center = _req_points(spec, "center", kind, 2)
         radius = float(_req(spec, "radius", kind))
         if radius <= 0:
             raise ConfigError("tractor.radius: must be positive")
@@ -821,7 +736,7 @@ def tractor_from_config(model, spec):
         curve = analytic_tractor(wpoint, wvel, t0, t1, closed=True,
                                  is_geodesic=False, label=kind)
     elif kind == "polyline":
-        pts = _req(spec, "points", kind)
+        pts = _req_points(spec, "points", kind, model.dim, single=False)
         curve = polyline_tractor(pts, closed=bool(spec.get("closed", False)),
                                  is_geodesic=bool(spec.get("geodesic",
                                                            False)),

@@ -22,7 +22,11 @@ from tractrix.errors import (
 )
 from tractrix.functionals import sweep_result
 from tractrix.manifold import space_form, surface_model
-from tractrix.spaceform import leading_exponent, solve_from_d0
+from tractrix.spaceform import (
+    classical_tractrix,
+    leading_exponent,
+    solve_from_d0,
+)
 from tractrix.tractrix_sim import (
     SimParams,
     orthogonal_attachment,
@@ -176,6 +180,24 @@ def test_non_geodesic_margins_are_not_equalities(flat_trace):
         flat_trace, sw, CurvatureBounds(-0.1, 0.1, "constant"))
     assert rep.passed
     assert all(c.margin > 1e-4 for c in rep.checks)
+
+
+def test_flat_cusp_run_passes_rauch():
+    # through a cusp the tangent reverses in place: pi per sign flip turns
+    # without sweeping, and the remaining turning sweeps K_eff * ell^2 / 2
+    cl = classical_tractrix(2.0)
+    line = tractor_from_config(FLAT2, {"kind": "line", "start": [0.0, 0.0],
+                                       "direction": [1.0, 0.0],
+                                       "t0": -4.0, "t1": 6.0})
+    trace = simulate(FLAT2, line, cl.gamma(-4.0), 2.0, SimParams(dt=0.01))
+    flips = sum(c.sign_flip for c in trace.cusps)
+    assert flips == 1
+    sw = sweep_result(trace)
+    K_eff = sw.K_total - math.pi * flips
+    assert sw.area == pytest.approx(K_eff * 2.0 ** 2 / 2, abs=1e-4)
+    rep = rauch_length_area_check(trace, sw, certify_bounds(FLAT2, trace))
+    assert rep.passed
+    assert not any(c.skipped for c in rep.checks)
 
 
 def test_rauch_on_ellipsoid_with_grid_bounds(ellipsoid_setup):

@@ -10,14 +10,9 @@ from tractrix.errors import (
     SingularChartError,
 )
 from tractrix.manifold import (
-    connect,
-    distance,
-    exp_map,
-    geodesic_shoot,
+    _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
-    jacobi_scalar,
-    parallel_transport,
     space_form,
     surface_model,
 )
@@ -135,7 +130,7 @@ def test_embedded_sphere_matches_spaceform_curvature():
 
 
 def test_exp_map_flat_line():
-    pole = exp_map(FLAT2, [1.0, 2.0], [0.6, 0.8], 5.0)
+    pole = FLAT2.exp_map([1.0, 2.0], [0.6, 0.8], 5.0)
     assert np.allclose(pole.endpoint, [4.0, 6.0])
     assert np.allclose(pole.end_tangent, [0.6, 0.8])
     assert pole.jacobi is not None
@@ -144,38 +139,44 @@ def test_exp_map_flat_line():
 
 def test_exp_map_rejects_non_unit_tangent():
     with pytest.raises(ValueError):
-        exp_map(FLAT2, [0.0, 0.0], [1.0, 1.0], 1.0)
+        FLAT2.exp_map([0.0, 0.0], [1.0, 1.0], 1.0)
 
 
 def test_exp_map_sphere_meridian_and_equator():
-    pole = exp_map(SPHERE, [math.pi / 2, 0.0], [-1.0, 0.0], math.pi / 4)
+    pole = SPHERE.exp_map([math.pi / 2, 0.0], [-1.0, 0.0], math.pi / 4)
     assert np.allclose(pole.endpoint, [math.pi / 4, 0.0], atol=1e-9)
-    pole = exp_map(SPHERE, [math.pi / 2, 0.0], [0.0, 1.0], 1.3)
+    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], 1.3)
     assert np.allclose(pole.endpoint, [math.pi / 2, 1.3], atol=1e-9)
+
+
+# space forms sample their poles in closed form; their _geo_rhs is the
+# reference that checks the RK4 integrator itself
 
 
 def test_exp_map_sphere_matches_closed_form():
     p = np.array([1.1, 0.4])
     v = SPHERE.unit(p, [0.3, 0.8])
-    pole = exp_map(SPHERE, p, v, 1.0, steps=200)
+    end, end_tangent = _rk4_geodesic(SPHERE, p, v, 1.0, 200, False,
+                                     collect=False)
     q, t = SPHERE.exp_point(p, v, 1.0)
-    assert np.allclose(pole.endpoint, q, atol=1e-8)
-    assert np.allclose(pole.end_tangent, t, atol=1e-8)
+    assert np.allclose(end, q, atol=1e-8)
+    assert np.allclose(end_tangent, t, atol=1e-8)
 
 
 def test_exp_map_hyperbolic_matches_closed_form():
     p = np.array([0.2, -0.1])
     v = HYP.unit(p, [1.0, 0.5])
-    pole = exp_map(HYP, p, v, 1.5, steps=200)
+    end, end_tangent = _rk4_geodesic(HYP, p, v, 1.5, 200, False,
+                                     collect=False)
     q, t = HYP.exp_point(p, v, 1.5)
-    assert np.allclose(pole.endpoint, q, atol=1e-8)
-    assert np.allclose(pole.end_tangent, t, atol=1e-8)
+    assert np.allclose(end, q, atol=1e-8)
+    assert np.allclose(end_tangent, t, atol=1e-8)
 
 
 def test_exp_map_unit_speed_drift():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    pole = exp_map(PARAB, p, v, 2.0, steps=200)
+    pole = PARAB.exp_map(p, v, 2.0, steps=200)
     norms = [PARAB.norm(pole.points[i], pole.tangents[i])
              for i in range(0, len(pole.u), 10)]
     assert max(abs(n - 1.0) for n in norms) < 1e-6
@@ -184,16 +185,16 @@ def test_exp_map_unit_speed_drift():
 def test_exp_map_self_convergence_on_paraboloid():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    coarse = exp_map(PARAB, p, v, 2.0, steps=200)
-    fine = exp_map(PARAB, p, v, 2.0, steps=2000)
+    coarse = PARAB.exp_map(p, v, 2.0, steps=200)
+    fine = PARAB.exp_map(p, v, 2.0, steps=2000)
     assert np.linalg.norm(coarse.endpoint - fine.endpoint) < 1e-7
 
 
 def test_exp_map_gates_conjugate_scale():
     with pytest.raises(ValueError):
-        exp_map(SPHERE, [math.pi / 2, 0.0], [0.0, 1.0], math.pi + 0.1)
-    pole = exp_map(SPHERE, [math.pi / 2, 0.0], [0.0, 1.0], math.pi - 0.05,
-                   allow_long_pole=True)
+        SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi + 0.1)
+    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 0.05,
+                          allow_long_pole=True)
     assert not pole.conjugate
 
 
@@ -213,8 +214,9 @@ def test_jacobi_reference_values():
 
 
 def test_jacobi_scalar_sphere_closed_form():
-    u, j, conj = jacobi_scalar(SPHERE, [math.pi / 2, 0.0], [0.0, 1.0],
-                               math.pi, steps=100)
+    u = np.linspace(0.0, math.pi, 101)
+    j, conj = SPHERE.jacobi_profile(math.pi, 100)([math.pi / 2, 0.0],
+                                                  [0.0, 1.0])
     assert np.allclose(j, np.sin(u), atol=1e-12)
     assert conj  # first conjugate point sits exactly at u = pi
 
@@ -223,7 +225,7 @@ def test_jacobi_scalar_constant_negative_surface():
     # pseudosphere has K = -1: numeric j(1) must match sinh(1)
     p = np.array([1.2, 0.0])
     v = PSEUDO.unit(p, [0.0, 1.0])
-    u, j, conj = jacobi_scalar(PSEUDO, p, v, 1.0, steps=200)
+    j, conj = PSEUDO.jacobi_profile(1.0, 200)(p, v)
     assert j[-1] == pytest.approx(math.sinh(1.0), abs=1e-8)
     assert not conj
 
@@ -231,50 +233,54 @@ def test_jacobi_scalar_constant_negative_surface():
 def test_jacobi_normalization_small_u():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    u, j, _ = jacobi_scalar(PARAB, p, v, 0.5, steps=100)
+    u = np.linspace(0.0, 0.5, 101)
+    j, _ = PARAB.jacobi_profile(0.5, 100)(p, v)
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
     taylor = 1.0 - PARAB.gauss_at(p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)
 
 
-# -- shooting -----------------------------------------------------------------
+# -- shooting (two-point connect) ---------------------------------------------
 
 
 def test_shoot_flat_direct():
-    v = geodesic_shoot(FLAT2, [0.0, 0.0], [3.0, 4.0], 5.0)
+    v, L, _ = FLAT2.connect([0.0, 0.0], [3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8])
+    assert L == 5.0
+    # a Newton connect that may not iterate cannot meet its tolerance
     with pytest.raises(NoConvergenceError):
-        geodesic_shoot(FLAT2, [0.0, 0.0], [3.0, 4.0], 2.0)
+        PARAB.connect([0.3, -0.1], [0.9, 0.4], max_iter=0)
 
 
 def test_shoot_sphere_quarter_circle():
-    v = geodesic_shoot(SPHERE, [math.pi / 2, 0.0], [math.pi / 2, math.pi / 2],
-                       math.pi / 2)
+    v, L, _ = SPHERE.connect([math.pi / 2, 0.0], [math.pi / 2, math.pi / 2])
     assert np.allclose(v, [0.0, 1.0], atol=1e-7)
+    assert L == pytest.approx(math.pi / 2)
 
 
 @pytest.mark.parametrize("model", [SPHERE, HYP, PARAB],
                          ids=lambda m: m.__class__.__name__)
 def test_shoot_roundtrip_random(model):
     rng = np.random.default_rng(11)
-    n = 100 if model.has_closed_geodesy else 30
+    n = 30 if model is PARAB else 100
     steps = 96
     for _ in range(n):
         p = random_point(model, rng)
         ang = rng.uniform(0, math.tau)
         v = model.tangent_from_angle(p, ang)
         ell = rng.uniform(0.2, 0.9)
-        pole = exp_map(model, p, v, ell, steps=steps, want_jacobi=False)
-        v_rec = geodesic_shoot(model, p, pole.endpoint, ell,
-                               v_guess=v, steps=steps)
+        pole = model.exp_map(p, v, ell, steps=steps, want_jacobi=False)
+        v_rec, L, _ = model.connect(p, pole.endpoint, v_guess=v, L_guess=ell,
+                                    steps=steps)
         assert np.linalg.norm(v_rec - v) < 1e-6
+        assert L == pytest.approx(ell, abs=1e-9)
 
 
 def test_connect_matches_closed_forms():
     p = np.array([1.0, 0.2])
     q = np.array([1.4, 1.1])
-    v, L, t_end = connect(SPHERE, p, q)
-    assert L == pytest.approx(SPHERE.distance_closed(p, q), rel=1e-12)
+    v, L, t_end = SPHERE.connect(p, q)
+    assert L == pytest.approx(SPHERE.distance(p, q), rel=1e-12)
     q2, t2 = SPHERE.exp_point(p, v, L)
     assert np.allclose(q2, q, atol=1e-12)
     assert np.allclose(t2, t_end, atol=1e-12)
@@ -283,23 +289,23 @@ def test_connect_matches_closed_forms():
 def test_connect_on_surface_roundtrip():
     p = np.array([0.3, -0.1])
     q = np.array([0.9, 0.4])
-    v, L, t_end = connect(PARAB, p, q, steps=64)
-    pole = exp_map(PARAB, p, v, L, steps=64, want_jacobi=False)
+    v, L, t_end = PARAB.connect(p, q, steps=64)
+    pole = PARAB.exp_map(p, v, L, steps=64, want_jacobi=False)
     assert np.allclose(pole.endpoint, q, atol=1e-8)
     assert abs(PARAB.norm(q, t_end) - 1.0) < 1e-9
     # symmetry of the induced distance
-    _, L_back, _ = connect(PARAB, q, p, steps=64)
+    _, L_back, _ = PARAB.connect(q, p, steps=64)
     assert L_back == pytest.approx(L, abs=1e-9)
 
 
 def test_distance_helpers():
-    assert distance(SPHERE, [math.pi / 2, 0.0], [math.pi / 2, 1.0]) == \
+    assert SPHERE.distance([math.pi / 2, 0.0], [math.pi / 2, 1.0]) == \
         pytest.approx(1.0)
-    assert distance(HYP, [0.0, 0.0], [0.5, 0.0]) == pytest.approx(
+    assert HYP.distance([0.0, 0.0], [0.5, 0.0]) == pytest.approx(
         1.0986122886681097, rel=1e-12)
-    assert distance(space_form(-4.0), [0.0, 0.0], [0.5, 0.0]) == pytest.approx(
+    assert space_form(-4.0).distance([0.0, 0.0], [0.5, 0.0]) == pytest.approx(
         0.54930614433405485, rel=1e-12)
-    assert distance(FLAT3, [0, 0, 0], [1, 2, 2]) == pytest.approx(3.0)
+    assert FLAT3.distance([0, 0, 0], [1, 2, 2]) == pytest.approx(3.0)
 
 
 # -- parallel transport -------------------------------------------------------
@@ -307,7 +313,7 @@ def test_distance_helpers():
 
 def test_transport_flat_is_constant():
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.3]])
-    out = parallel_transport(FLAT2, pts, [0.3, 0.7])
+    out = FLAT2.parallel_transport(pts, [0.3, 0.7])
     assert np.allclose(out, [0.3, 0.7])
 
 
@@ -321,7 +327,7 @@ def test_transport_preserves_norm(model):
     pts = np.stack([p0[0] + 0.25 * np.sin(2 * ts),
                     p0[1] + 0.25 * ts], axis=-1)
     w0 = model.tangent_from_angle(pts[0], 0.7)
-    out = parallel_transport(model, pts, w0, substeps=4)
+    out = model.parallel_transport(pts, w0, substeps=4)
     n0 = model.norm(pts[0], w0)
     nend = model.norm(pts[-1], out[-1])
     assert abs(nend - n0) < 1e-8
@@ -335,7 +341,7 @@ def test_transport_holonomy_latitude_circle():
     pts = np.stack([np.full_like(phis, theta0), phis], axis=-1)
     frame = SPHERE.frame_at(pts[0])
     w0 = frame[0]
-    out = parallel_transport(SPHERE, pts, w0, substeps=2)
+    out = SPHERE.parallel_transport(pts, w0, substeps=2)
     g = SPHERE.metric_at(pts[0])
     a = float(out[-1] @ g @ frame[0])
     b = float(out[-1] @ g @ frame[1])

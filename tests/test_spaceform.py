@@ -231,9 +231,9 @@ def test_long_pole_triangle_closes():
     sphere = space_form(1.0)
     for i in range(0, 120, 7):
         # hypotenuse of the right triangle must equal the pole length
-        assert sphere.distance_closed(tr.gamma[i], tr.eta[i]) == pytest.approx(
+        assert sphere.distance(tr.gamma[i], tr.eta[i]) == pytest.approx(
             tr.ell, abs=1e-12)
-        assert sphere.distance_closed(tr.gamma[i], tr.foot[i]) == \
+        assert sphere.distance(tr.gamma[i], tr.foot[i]) == \
             pytest.approx(tr.d[i], abs=1e-12)
 
 
@@ -244,8 +244,7 @@ def test_long_pole_tangent_points_along_pole():
     h = tr.s[1] - tr.s[0]
     for i in range(200, 2200, 400):
         dg = (tr.gamma[i + 1] - tr.gamma[i - 1]) / (2 * h)
-        v, L, _ = __import__("tractrix.manifold", fromlist=["connect"]).connect(
-            sphere, tr.gamma[i], tr.eta[i])
+        v, L, _ = sphere.connect(tr.gamma[i], tr.eta[i])
         assert L == pytest.approx(tr.ell, abs=1e-12)
         assert np.allclose(dg, v, atol=5e-4)
         assert sphere.norm(tr.gamma[i], dg) == pytest.approx(1.0, abs=5e-4)

@@ -15,11 +15,8 @@ from tractrix.spaceform import classical_tractrix, dist_at, kappa_at, \
 from tractrix.tractrix_sim import (
     SimParams,
     analytic_tractor,
-    detect_cusp,
-    euclidean_rhs,
     orthogonal_attachment,
     polyline_tractor,
-    pushed_simulate,
     reversed_tractor,
     simulate,
     tractor_from_config,
@@ -45,31 +42,37 @@ def equator(t1):
 
 
 # ---------------------------------------------------------------------------
-# Right-hand side
+# Right-hand side: the pole solve and the projected speed
+
+
+def flat_velocity(eta, eta_prime, gamma):
+    """Tractrix velocity <eta', T(ell)> v from the flat pole solve."""
+    v, _, t_end = FLAT2.connect(gamma, eta)
+    return FLAT2.inner(eta, eta_prime, t_end) * v
 
 
 def test_rhs_pull_along_axis():
-    vel = euclidean_rhs(np.array([2.0, 0.0]), np.array([1.0, 0.0]),
-                        np.array([0.0, 0.0]), 2.0)
+    vel = flat_velocity(np.array([2.0, 0.0]), np.array([1.0, 0.0]),
+                        np.array([0.0, 0.0]))
     assert vel == pytest.approx([1.0, 0.0])
 
 
 def test_rhs_orthogonal_pole_stalls():
-    vel = euclidean_rhs(np.array([0.0, 2.0]), np.array([1.0, 0.0]),
-                        np.array([0.0, 0.0]), 2.0)
+    vel = flat_velocity(np.array([0.0, 2.0]), np.array([1.0, 0.0]),
+                        np.array([0.0, 0.0]))
     assert np.linalg.norm(vel) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_push_points_backward():
-    vel = euclidean_rhs(np.array([2.0, 0.0]), np.array([-1.0, 0.0]),
-                        np.array([0.0, 0.0]), 2.0)
+    vel = flat_velocity(np.array([2.0, 0.0]), np.array([-1.0, 0.0]),
+                        np.array([0.0, 0.0]))
     assert vel == pytest.approx([-1.0, 0.0])
 
 
 def test_rhs_rejects_pole_length_drift():
+    # the pole solve reports the length; the run rejects a drifted one
     with pytest.raises(PoleLengthDriftError):
-        euclidean_rhs(np.array([2.1, 0.0]), np.array([1.0, 0.0]),
-                      np.array([0.0, 0.0]), 2.0)
+        simulate(FLAT2, x_line(0.0, 1.0), np.array([-2.1, 0.0]), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +179,21 @@ def test_circle_of_pole_radius_stalls_completely():
 
 
 def test_detect_cusp_interpolates_sign_change():
-    t_c = detect_cusp([(0.0, 0.2), (0.1, -0.02), (0.2, -0.22)])
-    assert t_c == pytest.approx(0.2 * 0.2 / 0.42, abs=1e-12)
-    assert detect_cusp([(0.0, 0.2), (0.1, 0.1), (0.2, 0.3)]) is None
-    with pytest.raises(ValueError):
-        detect_cusp([(0.0, 0.2), (0.1, -0.1)])
+    # the classical tractrix dragged from t = -4 reaches its cusp at t = 0
+    cl = classical_tractrix(2.0)
+    tr = simulate(FLAT2, x_line(-4.0, 1.0), cl.gamma(-4.0), 2.0,
+                  SimParams(dt=0.01))
+    flips = [c for c in tr.cusps if c.sign_flip]
+    assert len(flips) == 1
+    i = int(np.nonzero(tr.speed[:-1] * tr.speed[1:] < 0)[0][0])
+    sp, t = tr.speed, tr.t
+    t_c = t[i] + (t[i + 1] - t[i]) * sp[i] / (sp[i] - sp[i + 1])
+    assert flips[0].t == pytest.approx(t_c, abs=1e-12)
+    assert flips[0].t == pytest.approx(0.0, abs=1e-6)
+    # a run with no sign change records no crossing
+    pull = simulate(FLAT2, x_line(0.0, 1.0), np.array([0.0, 2.0]), 2.0,
+                    SimParams(dt=0.01))
+    assert not any(c.sign_flip for c in pull.cusps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +203,22 @@ def test_detect_cusp_interpolates_sign_change():
 def test_push_is_time_reversal_of_pull():
     pull = simulate(FLAT2, x_line(0.0, 8.0), np.array([0.0, 2.0]), 2.0,
                     SimParams(dt=0.01))
-    push = pushed_simulate(FLAT2, x_line(0.0, 8.0), pull.gamma[-1].copy(),
-                           2.0, SimParams(dt=0.01))
+    push = simulate(FLAT2, reversed_tractor(x_line(0.0, 8.0)),
+                    pull.gamma[-1].copy(), 2.0, SimParams(dt=0.01))
     assert np.max(np.abs(push.gamma - pull.gamma[::-1])) < 1e-9
     assert set(push.sigma.tolist()) == {-1}
 
 
-def test_force_general_matches_flat_path():
-    fast = simulate(FLAT2, x_line(0.0, 6.0), np.array([0.0, 1.5]), 1.5,
-                    SimParams(dt=0.01))
-    slow = simulate(FLAT2, x_line(0.0, 6.0), np.array([0.0, 1.5]), 1.5,
-                    SimParams(dt=0.01), force_general=True)
+def test_plane_surface_matches_flat_model():
+    # one simulation path: the plane as an embedded surface (RK4 poles,
+    # Newton connect) must reproduce the closed-form flat run
+    plane = surface_model("plane")
+    line = {"kind": "chart_line", "start": [0.0, 0.0],
+            "direction": [1.0, 0.0], "t1": 1.5}
+    fast = simulate(FLAT2, tractor_from_config(FLAT2, line),
+                    np.array([0.0, 1.5]), 1.5, SimParams(dt=0.01))
+    slow = simulate(plane, tractor_from_config(plane, line),
+                    np.array([0.0, 1.5]), 1.5, SimParams(dt=0.01))
     assert np.max(np.abs(fast.gamma - slow.gamma)) < 1e-7
     assert np.max(np.abs(fast.s - slow.s)) < 1e-7
 
@@ -282,7 +300,7 @@ def test_long_pole_duality_with_antipodal_push(long_pole_pull):
     push = simulate(SPHERE, eq, anti, math.pi / 4.0, SimParams(dt=0.01))
     mapped = np.column_stack([math.pi - pull.gamma[:, 0],
                               pull.gamma[:, 1] + math.pi])
-    gaps = [SPHERE.distance_closed(mapped[i], push.gamma[i])
+    gaps = [SPHERE.distance(mapped[i], push.gamma[i])
             for i in range(len(mapped))]
     assert max(gaps) < 1e-6
 
