@@ -1,5 +1,12 @@
 """Command-line front end: simulate, analytic, shorten, verify, gallery.
 
+`simulate`, `verify`, `shorten` and every `gallery` entry go through one
+runner, `run_scenario`: it runs a loaded scenario, writes its files into
+one folder and returns the exit code. A simulation writes trace.csv,
+sweep.txt and cusps.txt; `verify` and `gallery` add report.txt with the
+comparison checks (Rauch alone when the config has no comparison section).
+A shortening run writes history.csv and iter_<i>.csv.
+
 Exit codes: 0 success, 1 input validation, 2 numeric failure during a run,
 3 verification report with failed checks. Outputs are deterministic for a
 fixed config.
@@ -7,7 +14,6 @@ fixed config.
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +26,7 @@ from .comparison import (
     rauch_length_area_check,
     toponogov_sandwich_check,
 )
-from .config import ScenarioConfig, bundled_names, bundled_scenario, load_scenario
+from .config import bundled_names, bundled_scenario, load_scenario
 from .errors import (
     ConfigError,
     DomainViolationError,
@@ -51,8 +57,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _out_dir(args, cfg=None, default="out"):
-    if getattr(args, "out", None):
+def _out_dir(args, default, cfg=None):
+    if args.out:
         root = args.out
     elif cfg is not None and cfg.out:
         root = str(Path(cfg.base_dir) / cfg.out)
@@ -61,8 +67,15 @@ def _out_dir(args, cfg=None, default="out"):
     return outputs.ensure_dir(root)
 
 
-def _build_sim(cfg):
-    """Model, tractor, gamma0, SimParams for a simulation scenario."""
+def _exit_code(exc):
+    """The one table from a run-ending error to its exit code."""
+    if isinstance(exc, _VALIDATION_ERRORS + (OSError,)):
+        return 1
+    return 2
+
+
+def _simulate(cfg):
+    """Model and trace of a simulation scenario."""
     model = model_from_config(cfg.model)
     tractor_spec = dict(cfg.tractor)
     if tractor_spec.get("kind") == "polyline" and "file" in tractor_spec:
@@ -75,88 +88,29 @@ def _build_sim(cfg):
             side=cfg.gamma0["side"], mode=cfg.gamma0["mode"])
     else:
         gamma0 = np.asarray(cfg.gamma0, dtype=float)
-    return model, tractor, gamma0, SimParams(**cfg.sim)
+    return model, simulate(model, tractor, gamma0, cfg.ell,
+                           SimParams(**cfg.sim))
 
 
-def _run_simulation(cfg):
-    model, tractor, gamma0, params = _build_sim(cfg)
-    trace = simulate(model, tractor, gamma0, cfg.ell, params)
-    return model, trace
-
-
-def _write_simulation(cfg, trace, out):
-    outputs.write_trace_csv(Path(out) / "trace.csv", trace)
-    if cfg.functionals["sweep"]:
-        outputs.write_sweep_txt(Path(out) / "sweep.txt", sweep_result(trace))
-    if cfg.functionals["cusps"]:
-        outputs.write_cusps_txt(Path(out) / "cusps.txt", trace.cusps)
-
-
-def cmd_simulate(args):
-    cfg = load_scenario(args.config)
-    if cfg.kind != "simulate":
-        raise ConfigError(f"{args.config}: scenario has no tractor section")
-    out = _out_dir(args, cfg, default=f"out/{cfg.name}")
-    _, trace = _run_simulation(cfg)
-    _write_simulation(cfg, trace, out)
-    print(f"{cfg.name}: {trace.t.size} records, "
-          f"{len(trace.cusps)} cusps -> {out}")
-    return 0
-
-
-def cmd_analytic(args):
-    if args.samples < 2:
-        raise ConfigError("samples: need at least two grid points")
-    if args.s_max <= 0:
-        raise ConfigError("s-max: must be positive")
-    sol = spaceform.solve_from_d0(args.K, args.ell, args.d0,
-                                  long_pole=args.long_pole)
-    hi = args.s_max
-    if np.isfinite(sol.s_hi):
-        hi = min(hi, sol.s_hi * (1.0 - 1e-12))
-    s = np.linspace(0.0, hi, args.samples)
-    d = spaceform.dist_at(sol, s)
-    kappa = spaceform.kappa_at(sol, s)
-    out = _out_dir(args, default="out/analytic")
-    outputs.write_analytic_csv(Path(out) / "analytic.csv", s, d, kappa)
-    outputs.write_le_txt(Path(out) / "le.txt",
-                         [(args.K, args.ell,
-                           spaceform.leading_exponent(args.K, args.ell))])
-    print(f"analytic K={args.K} ell={args.ell} d0={args.d0} -> {out}")
-    return 0
-
-
-def cmd_shorten(args):
-    cfg = load_scenario(args.config)
-    if cfg.kind != "shorten":
-        raise ConfigError(f"{args.config}: scenario has no shorten section")
-    out = _out_dir(args, cfg, default=f"out/{cfg.name}")
+def _shorten(cfg):
     model = model_from_config(cfg.model)
     spec = cfg.shorten
     kw = {"tol": spec["tol"], "max_iter": spec["max_iter"]}
     if "steps_per_round" in spec:
         kw["steps_per_round"] = spec["steps_per_round"]
     if spec["mode"] == "self":
-        run = self_repeated(model, np.asarray(spec["P"], dtype=float),
-                            np.asarray(spec["Q"], dtype=float),
-                            cfg.resolve_polyline(spec["initial"]),
-                            cfg.ell, **kw)
-    else:
-        run = loop_repeated(model, cfg.resolve_polyline(spec["loop"]),
-                            cfg.ell, **kw)
-    outputs.write_history_csv(Path(out) / "history.csv", run)
-    for i, it in enumerate(run.iterates):
-        outputs.write_iterate_csv(Path(out) / f"iter_{i}.csv", it.points)
-    print(f"{cfg.name}: {len(run.iterates)} iterates, "
-          f"stop={run.stop_reason}, length={run.final.length!r} -> {out}")
-    return 0
+        return self_repeated(model, np.asarray(spec["P"], dtype=float),
+                             np.asarray(spec["Q"], dtype=float),
+                             cfg.resolve_polyline(spec["initial"]),
+                             cfg.ell, **kw)
+    return loop_repeated(model, cfg.resolve_polyline(spec["loop"]),
+                         cfg.ell, **kw)
 
 
-def _verify_report(cfg, model, trace):
-    comp = cfg.comparison or {"method": "auto", "checks": ["rauch"]}
-    bounds = certify_bounds(model, trace, method=comp["method"],
-                            widen=comp.get("widen", 1e-3))
-    sweep = sweep_result(trace)
+def _report(cfg, model, trace, sweep):
+    """Comparison checks of a simulation; Rauch alone without a section."""
+    comp = cfg.comparison or {"checks": ["rauch"]}
+    bounds = certify_bounds(model, trace, widen=comp.get("widen", 1e-3))
     reports = []
     for check in comp["checks"]:
         if check == "rauch":
@@ -180,41 +134,69 @@ def _verify_report(cfg, model, trace):
     return merge_reports(reports, scenario=cfg.name)
 
 
-def cmd_verify(args):
+def run_scenario(cfg, out, check=False):
+    """Run one scenario and write its files into `out`.
+
+    Returns (exit code, summary). With `check`, a simulation is also
+    verified: report.txt is written, the summary is the report, and a
+    failed check gives exit code 3.
+    """
+    path = Path(out)
+    if cfg.kind == "shorten":
+        run = _shorten(cfg)
+        outputs.write_history_csv(path / "history.csv", run)
+        for i, it in enumerate(run.iterates):
+            outputs.write_iterate_csv(path / f"iter_{i}.csv", it.points)
+        return 0, (f"{cfg.name}: {len(run.iterates)} iterates, "
+                   f"stop={run.stop_reason}, "
+                   f"length={run.final.length!r} -> {out}")
+    model, trace = _simulate(cfg)
+    sweep = sweep_result(trace)
+    outputs.write_trace_csv(path / "trace.csv", trace)
+    outputs.write_sweep_txt(path / "sweep.txt", sweep)
+    outputs.write_cusps_txt(path / "cusps.txt", trace.cusps)
+    if not check:
+        return 0, (f"{cfg.name}: {trace.t.size} records, "
+                   f"{len(trace.cusps)} cusps -> {out}")
+    report = _report(cfg, model, trace, sweep)
+    outputs.write_report_txt(path / "report.txt", report)
+    return (0 if report.passed else 3), report.text()
+
+
+def cmd_scenario(args):
+    """simulate, verify and shorten: one config into one folder."""
     cfg = load_scenario(args.config)
-    if cfg.kind != "simulate":
-        raise ConfigError(f"{args.config}: verification needs a simulation "
+    wanted = "shorten" if args.command == "shorten" else "simulate"
+    if cfg.kind != wanted:
+        noun = "shortening" if wanted == "shorten" else "simulation"
+        raise ConfigError(f"{args.config}: {args.command} needs a {noun} "
                           f"scenario")
-    out = _out_dir(args, cfg, default=f"out/{cfg.name}")
-    model, trace = _run_simulation(cfg)
-    report = _verify_report(cfg, model, trace)
-    outputs.write_report_txt(Path(out) / "report.txt", report)
-    print(report.text())
-    return 0 if report.passed else 3
+    code, summary = run_scenario(cfg, _out_dir(args, f"out/{cfg.name}", cfg),
+                                 check=args.command == "verify")
+    print(summary)
+    return code
 
 
-def _run_gallery_entry(name, out_root):
-    """One bundled scenario end to end; returns (name, exit_code, note)."""
-    try:
-        cfg = bundled_scenario(name)
-        out = outputs.ensure_dir(Path(out_root) / name)
-        if cfg.kind == "shorten":
-            ns = argparse.Namespace(config=str(Path(cfg.base_dir)
-                                               / f"{name}.yaml"),
-                                    out=str(out))
-            return name, cmd_shorten(ns), "shortened"
-        model, trace = _run_simulation(cfg)
-        _write_simulation(cfg, trace, out)
-        if cfg.comparison is not None:
-            report = _verify_report(cfg, model, trace)
-            outputs.write_report_txt(Path(out) / "report.txt", report)
-            if not report.passed:
-                return name, 3, "verification failed"
-        return name, 0, "ok"
-    except _VALIDATION_ERRORS as exc:
-        return name, 1, str(exc)
-    except TractrixError as exc:
-        return name, 2, str(exc)
+def cmd_analytic(args):
+    if args.samples < 2:
+        raise ConfigError("samples: need at least two grid points")
+    if args.s_max <= 0:
+        raise ConfigError("s-max: must be positive")
+    sol = spaceform.solve_from_d0(args.K, args.ell, args.d0,
+                                  long_pole=args.long_pole)
+    hi = args.s_max
+    if np.isfinite(sol.s_hi):
+        hi = min(hi, sol.s_hi * (1.0 - 1e-12))
+    s = np.linspace(0.0, hi, args.samples)
+    d = spaceform.dist_at(sol, s)
+    kappa = spaceform.kappa_at(sol, s)
+    out = _out_dir(args, "out/analytic")
+    outputs.write_analytic_csv(Path(out) / "analytic.csv", s, d, kappa)
+    outputs.write_le_txt(Path(out) / "le.txt",
+                         [(args.K, args.ell,
+                           spaceform.leading_exponent(args.K, args.ell))])
+    print(f"analytic K={args.K} ell={args.ell} d0={args.d0} -> {out}")
+    return 0
 
 
 def cmd_gallery(args):
@@ -225,19 +207,16 @@ def cmd_gallery(args):
         if missing:
             raise ConfigError(f"gallery: no bundled scenario {missing[0]!r}")
         names = [n for n in names if n in wanted]
-    out_root = outputs.ensure_dir(args.out or "out/gallery")
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_gallery_entry, n, out_root)
-                       for n in names]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_gallery_entry(n, out_root) for n in names]
+    out_root = Path(_out_dir(args, "out/gallery"))
     worst = 0
-    for name, code, note in results:
-        status = "ok" if code == 0 else f"exit {code}: {note}"
-        print(f"{name}: {status}")
+    for name in names:
+        try:
+            out = outputs.ensure_dir(out_root / name)
+            code, _ = run_scenario(bundled_scenario(name), out, check=True)
+            note = "verification failed"
+        except (TractrixError, OSError) as exc:
+            code, note = _exit_code(exc), str(exc)
+        print(f"{name}: " + ("ok" if code == 0 else f"exit {code}: {note}"))
         worst = max(worst, code)
     return worst
 
@@ -257,7 +236,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="run one scenario and "
                        "write trace.csv, sweep.txt, cusps.txt")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("analytic", help="closed-form constant-curvature "
                        "profile: analytic.csv and le.txt")
@@ -273,17 +252,17 @@ def build_parser():
     p = sub.add_parser("shorten", help="repeated pole-splice shortening; "
                        "writes history.csv and per-iterate polylines")
     common(p)
-    p.set_defaults(func=cmd_shorten)
+    p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("verify", help="re-run a scenario and evaluate its "
-                       "comparison checks")
+    p = sub.add_parser("verify", help="run one scenario, write its "
+                       "simulate files and report.txt with its comparison "
+                       "checks")
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("gallery", help="run every bundled scenario")
     p.add_argument("--only", default=None,
                    help="comma-separated scenario names")
-    p.add_argument("--jobs", type=int, default=1)
     common(p, config=False)
     p.set_defaults(func=cmd_gallery)
     return parser
@@ -296,15 +275,11 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except _VALIDATION_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except TractrixError as exc:
-        sys.stderr.write(f"numeric error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    except (TractrixError, OSError) as exc:
+        code = _exit_code(exc)
+        label = "numeric error" if code == 2 else "error"
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

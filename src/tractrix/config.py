@@ -7,6 +7,7 @@ fixed without reading tracebacks; parse -> serialize -> parse is the
 identity on the normalized mapping.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -15,11 +16,10 @@ import yaml
 
 from .errors import ConfigError
 
-_METHODS = ("auto", "constant", "analytic", "grid")
 _CHECKS = ("rauch", "toponogov", "le")
 _SIM_KEYS = ("dt", "pole_step", "cusp_speed_eps", "max_records")
 _TOP_KEYS = ("name", "model", "tractor", "gamma0", "ell", "sim",
-             "functionals", "comparison", "shorten", "out")
+             "comparison", "shorten", "out")
 
 
 def _fail(path, message):
@@ -30,6 +30,8 @@ def _as_float(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     out = float(value)
+    if not math.isfinite(out):
+        _fail(path, f"expected a finite number, got {value!r}")
     if positive and out <= 0:
         _fail(path, "must be positive")
     return out
@@ -85,6 +87,9 @@ def _normalize_model(raw):
             chart = {"name": chart}
         if not isinstance(chart, dict) or "name" not in chart:
             _fail("model.chart", "expected a chart name or mapping")
+        for key, value in chart.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                _fail(f"model.chart.{key}", "expected a finite number")
         return {"kind": "surface", "chart": dict(chart)}
     _fail("model.kind", f"unknown kind {kind!r}")
 
@@ -213,28 +218,18 @@ def _normalize(raw, name, base_dir):
         out["sim"]["max_records"] = _as_int(sim["max_records"],
                                             "sim.max_records", minimum=2)
 
-    fns = raw.get("functionals", {})
-    if not isinstance(fns, dict):
-        _fail("functionals", "expected a mapping")
-    _check_keys(fns, ("sweep", "cusps"), "functionals")
-    out["functionals"] = {"sweep": bool(fns.get("sweep", True)),
-                          "cusps": bool(fns.get("cusps", True))}
-
     if raw.get("comparison") is not None:
         comp = raw["comparison"]
         if not isinstance(comp, dict):
             _fail("comparison", "expected a mapping")
-        _check_keys(comp, ("method", "widen", "checks"), "comparison")
-        method = comp.get("method", "auto")
-        if method not in _METHODS:
-            _fail("comparison.method", f"must be one of {_METHODS}")
+        _check_keys(comp, ("widen", "checks"), "comparison")
         checks = comp.get("checks", ["rauch"])
         if not isinstance(checks, list) or not checks:
             _fail("comparison.checks", "expected a nonempty list")
         for c in checks:
             if c not in _CHECKS:
                 _fail("comparison.checks", f"unknown check {c!r}")
-        out["comparison"] = {"method": method, "checks": list(checks)}
+        out["comparison"] = {"checks": list(checks)}
         if "widen" in comp:
             out["comparison"]["widen"] = _as_float(
                 comp["widen"], "comparison.widen", positive=True)
@@ -284,10 +279,6 @@ class ScenarioConfig:
         return self.data["sim"]
 
     @property
-    def functionals(self):
-        return self.data["functionals"]
-
-    @property
     def comparison(self):
         return self.data.get("comparison")
 
@@ -299,16 +290,9 @@ class ScenarioConfig:
     def out(self):
         return self.data.get("out")
 
-    def to_dict(self):
-        return dict(self.data)
-
     def to_yaml(self):
         return yaml.safe_dump(self.data, sort_keys=False,
                               default_flow_style=None)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_yaml())
 
     def resolve_polyline(self, section):
         """Points array for a {'points': ...} or {'file': ...} mapping."""
@@ -330,7 +314,10 @@ class ScenarioConfig:
                             f"{path}: non-numeric row {line!r}")
         if len(rows) < 2:
             raise ConfigError(f"{path}: expected at least two points")
-        return np.asarray(rows, dtype=float)
+        pts = np.asarray(rows, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError(f"{path}: non-finite coordinate")
+        return pts
 
 
 def scenario_from_dict(raw, name="scenario", base_dir="."):

@@ -24,17 +24,6 @@ _R2_GATE = 0.999
 _FIT_MIN_SAMPLES = 20
 
 
-def _eta_speed(trace):
-    """Metric speed of the tractor at every record."""
-    model = trace.model
-    tractor = trace.tractor
-    out = np.empty(len(trace.t))
-    for i, t in enumerate(trace.t):
-        out[i] = model.norm(trace.eta[i],
-                            np.asarray(tractor.velocity(t), dtype=float))
-    return out
-
-
 def _require_jacobi(trace):
     if trace.jacobi_ell is None or np.any(np.isnan(trace.jacobi_ell)):
         raise MissingJacobiError("trace lacks Jacobi values at the pole end")
@@ -71,11 +60,10 @@ def tractor_length(trace):
     _require_jacobi(trace)
     if len(trace.t) < 2:
         raise MissingJacobiError("trace needs at least two records")
-    eta_speed = _eta_speed(trace)
     sdot = np.abs(trace.speed)
     integrand = np.where(
         np.isnan(trace.kappa),
-        eta_speed,
+        trace.eta_speed,
         sdot * np.sqrt(1.0 + np.nan_to_num(trace.kappa) ** 2
                        * trace.jacobi_ell ** 2))
     return float(simpson(integrand, x=trace.t))
@@ -90,8 +78,8 @@ def sweep_area(trace):
     """
     _require_jacobi(trace)
     pole_int = _jacobi_integrals(trace)
-    eta_speed = _eta_speed(trace)
-    swing_rate = np.sqrt(np.maximum(eta_speed ** 2 - trace.speed ** 2, 0.0))
+    swing_rate = np.sqrt(np.maximum(trace.eta_speed ** 2 - trace.speed ** 2,
+                                    0.0))
     kappa_ds = np.where(np.isnan(trace.kappa),
                         swing_rate / trace.jacobi_ell,
                         np.nan_to_num(trace.kappa) * np.abs(trace.speed))

@@ -91,13 +91,6 @@ def _has_conjugate(jacobi):
     return bool(jacobi is not None and np.any(jacobi[1:] <= _CONJ_TOL))
 
 
-def _curve_samples(points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) < 1:
-        raise ValueError("points must be a (m, dim) sample array")
-    return pts
-
-
 @dataclass
 class PoleGeodesic:
     """Sampled unit-speed geodesic segment (one pole position)."""
@@ -110,16 +103,8 @@ class PoleGeodesic:
     conjugate: bool = False
 
     @property
-    def start(self):
-        return self.points[0]
-
-    @property
     def endpoint(self):
         return self.points[-1]
-
-    @property
-    def start_tangent(self):
-        return self.tangents[0]
 
     @property
     def end_tangent(self):
@@ -203,7 +188,7 @@ class ManifoldModel:
     # -- geodesy -----------------------------------------------------------
 
     def exp_map(self, p, v, length, steps=None, want_jacobi=True,
-                allow_long_pole=False, check_drift=True):
+                check_drift=True):
         """Shoot a unit-speed geodesic of given length; return sampled pole.
 
         steps defaults to 200 samples. The scalar Jacobi profile comes along
@@ -220,12 +205,11 @@ class ManifoldModel:
                 "normalize first")
         if length < 0:
             raise ValueError("pole length must be nonnegative")
-        if (self.conjugate_scale is not None and not allow_long_pole
+        if (self.conjugate_scale is not None
                 and length >= self.conjugate_scale):
             raise ValueError(
                 f"pole length {length!r} reaches the conjugate scale "
-                f"{self.conjugate_scale!r}; pass allow_long_pole=True if "
-                "intended")
+                f"{self.conjugate_scale!r}")
         if steps is None:
             steps = 200
         steps = max(4, int(steps))
@@ -322,33 +306,28 @@ class ManifoldModel:
         """Geodesic distance; the guesses warm-start the Newton solve."""
         return self.connect(p, q, v_guess=v_guess, L_guess=L_guess)[1]
 
-    def parallel_transport(self, points, w0, substeps=4):
-        """Transport w0 along a sampled curve; returns w at every sample.
+    def parallel_transport(self, a, b, w):
+        """Transport w from a to b along the chart segment between them.
 
-        The curve is taken piecewise-linear in chart coordinates; on each
-        segment dw/dt = -Gamma(xdot, w) is integrated with RK4 substeps.
+        dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps.
         """
-        pts = _curve_samples(points)
-        w = np.asarray(w0, dtype=float).copy()
-        out = [w.copy()]
+        a = np.asarray(a, dtype=float)
+        seg = np.asarray(b, dtype=float) - a
+        w = np.asarray(w, dtype=float)
 
-        def rhs(x, wv, xdot):
+        def rhs(x, wv):
             G = self.christoffel_at(x)
-            return -np.einsum("kij,i,j->k", G, xdot, wv)
+            return -np.einsum("kij,i,j->k", G, seg, wv)
 
-        for a, b in zip(pts[:-1], pts[1:]):
-            seg = b - a
-            h = 1.0 / substeps
-            for m in range(substeps):
-                t0 = m * h
-                x0 = a + t0 * seg
-                k1 = rhs(x0, w, seg)
-                k2 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k1, seg)
-                k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2, seg)
-                k4 = rhs(a + (t0 + h) * seg, w + h * k3, seg)
-                w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            out.append(w.copy())
-        return np.vstack(out)
+        h = 0.5
+        for m in range(2):
+            t0 = m * h
+            k1 = rhs(a + t0 * seg, w)
+            k2 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k1)
+            k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2)
+            k4 = rhs(a + (t0 + h) * seg, w + h * k3)
+            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return w
 
     def jacobi_profile(self, length, steps):
         """Jacobi profiles of poles of one length, sampled at steps + 1 points.
@@ -359,7 +338,7 @@ class ManifoldModel:
         """
         def profile(p, v):
             pole = self.exp_map(p, v, length, steps=steps, want_jacobi=True,
-                                allow_long_pole=True, check_drift=False)
+                                check_drift=False)
             return pole.jacobi, pole.conjugate
 
         return profile
@@ -477,21 +456,9 @@ class FlatModel(SpaceFormModel):
     def distance(self, p, q, **_):
         return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
 
-    def parallel_transport(self, points, w0, substeps=4):
+    def parallel_transport(self, a, b, w):
         # straight chart lines: transport is the identity
-        pts = _curve_samples(points)
-        return np.repeat(np.asarray(w0, dtype=float)[None, :], len(pts),
-                         axis=0)
-
-    def fold(self, p):
-        """Fold a covering-space point into the fundamental domain."""
-        if self.periods is None:
-            return np.asarray(p, dtype=float)
-        out = np.asarray(p, dtype=float).copy()
-        for i, per in enumerate(self.periods):
-            if per is not None:
-                out[i] = out[i] % per
-        return out
+        return w
 
 
 class SphereModel(SpaceFormModel):

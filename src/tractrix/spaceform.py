@@ -323,17 +323,6 @@ class LongPoleTrace:
     kappa: np.ndarray
     s_cusp: float
 
-    @property
-    def dual_push_ell(self):
-        return math.pi - self.ell
-
-    @property
-    def eta_push(self):
-        """Antipodal tractor attachment of the dual push system."""
-        out = self.eta.copy()
-        out[:, 1] -= math.pi
-        return out
-
 
 def _adaptive_simpson(f, a, b, tol, fa=None, fm=None, fb=None, depth=24):
     if fa is None:

@@ -50,19 +50,15 @@ class TractorCurve:
     searches may look slightly beyond it).
     """
 
-    kind: str  # "analytic" | "polyline" | "closed_polyline"
     point: Callable[[float], np.ndarray]
     velocity: Callable[[float], np.ndarray]
     t0: float
     t1: float
+    closed: bool = False
     is_geodesic: bool = False
     label: str = ""
     # parameters where the velocity jumps; integration steps split there
     breaks: tuple = ()
-
-    @property
-    def closed(self):
-        return self.kind == "closed_polyline"
 
     @property
     def span(self):
@@ -71,14 +67,13 @@ class TractorCurve:
 
 def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
                      closed=False, label="analytic"):
-    kind = "closed_polyline" if closed else "analytic"
     if closed:
         gap = np.linalg.norm(np.asarray(point(t1)) - np.asarray(point(t0)))
         if gap > 1e-8:
             raise NotClosedError(
                 f"closed tractor has endpoint gap {gap:.3e}")
-    return TractorCurve(kind=kind, point=point, velocity=velocity,
-                        t0=float(t0), t1=float(t1),
+    return TractorCurve(point=point, velocity=velocity,
+                        t0=float(t0), t1=float(t1), closed=closed,
                         is_geodesic=is_geodesic, label=label)
 
 
@@ -118,9 +113,9 @@ def polyline_tractor(points, closed=False, *, is_geodesic=False,
         i, _ = locate(float(t))
         return dirs[i].copy()
 
-    return TractorCurve(kind="closed_polyline" if closed else "polyline",
-                        point=point, velocity=velocity, t0=0.0,
-                        t1=float(total), is_geodesic=is_geodesic, label=label,
+    return TractorCurve(point=point, velocity=velocity, t0=0.0,
+                        t1=float(total), closed=closed,
+                        is_geodesic=is_geodesic, label=label,
                         breaks=tuple(knots[1:-1]))
 
 
@@ -134,8 +129,8 @@ def reversed_tractor(curve):
     def velocity(t):
         return -curve.velocity(t0 + t1 - t)
 
-    return TractorCurve(kind=curve.kind, point=point, velocity=velocity,
-                        t0=t0, t1=t1, is_geodesic=curve.is_geodesic,
+    return TractorCurve(point=point, velocity=velocity, t0=t0, t1=t1,
+                        closed=curve.closed, is_geodesic=curve.is_geodesic,
                         label=curve.label + ":reversed",
                         breaks=tuple(sorted(t0 + t1 - b for b in curve.breaks)))
 
@@ -162,9 +157,8 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
 
     # exp along the base's own tangent keeps geodesic bases on themselves
     # (parameter-shifted), so the flag carries over.
-    kind = "closed_polyline" if gamma.closed else "analytic"
-    return TractorCurve(kind=kind, point=point, velocity=velocity,
-                        t0=gamma.t0, t1=gamma.t1,
+    return TractorCurve(point=point, velocity=velocity,
+                        t0=gamma.t0, t1=gamma.t1, closed=gamma.closed,
                         is_geodesic=gamma.is_geodesic,
                         label=f"tractrix_of:{gamma.label}",
                         breaks=gamma.breaks)
@@ -212,6 +206,7 @@ class TractrixTrace:
     pole_dir: np.ndarray
     pole_end: np.ndarray
     speed: np.ndarray  # signed projected speed <eta', T(ell)>
+    eta_speed: np.ndarray  # metric speed |eta'| of the tractor
     sigma: np.ndarray  # +1 pull / -1 push
     d: np.ndarray  # orthogonal distance to geodesic tractors, else NaN
     kappa: np.ndarray  # covariant finite-difference curvature, NaN masked
@@ -224,9 +219,6 @@ class TractrixTrace:
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
         default_factory=list)
-
-    def __len__(self):
-        return len(self.t)
 
     def check_invariants(self):
         """Raise if a trace invariant is violated (used by the test suite)."""
@@ -311,6 +303,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     pole_dir = np.empty((n, dim))
     pole_end = np.empty((n, dim))
     speeds = np.empty(n)
+    eta_speeds = np.empty(n)
     s_arr = np.empty(n)
     jac_prof = np.empty((n, n_pole + 1))
     conj = np.zeros(n, dtype=bool)
@@ -338,6 +331,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
         pole_dir[i] = v
         pole_end[i] = t_end
         speeds[i] = speed
+        eta_speeds[i] = model.norm(eta, etap)
         s_arr[i] = s
         jac_prof[i], conj[i] = jacobi_profile(gamma, v)
 
@@ -362,7 +356,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     trace = TractrixTrace(
         model=model, tractor=tractor, ell=float(ell), t=t_grid, s=s_arr,
         gamma=gam, eta=eta_pts, pole_dir=pole_dir, pole_end=pole_end,
-        speed=speeds, sigma=sigma, d=np.full(n, np.nan),
+        speed=speeds, eta_speed=eta_speeds, sigma=sigma, d=np.full(n, np.nan),
         kappa=np.full(n, np.nan), kappa_speed=np.full(n, np.nan),
         jacobi_ell=jac_prof[:, -1].copy(), pole_u=pole_u, jacobi=jac_prof,
         pole_conjugate=conj, max_drift=max_drift)
@@ -410,8 +404,8 @@ def _pole_swing(trace, a, b):
     model = trace.model
     total = 0.0
     for i in range(a, b):
-        w = model.parallel_transport(trace.gamma[i:i + 2], trace.pole_dir[i],
-                                     substeps=2)[-1]
+        w = model.parallel_transport(trace.gamma[i], trace.gamma[i + 1],
+                                     trace.pole_dir[i])
         total += _angle_between(model, trace.gamma[i + 1], w,
                                 trace.pole_dir[i + 1])
     return total
@@ -479,18 +473,15 @@ def _fill_curvature(trace, params):
         ds = trace.s[i + 1] - trace.s[i - 1]
         if ds < 1e-10:
             continue
-        w_plus = model.parallel_transport(
-            trace.gamma[[i + 1, i]], tangents[i + 1], substeps=2)[-1]
-        w_minus = model.parallel_transport(
-            trace.gamma[[i - 1, i]], tangents[i - 1], substeps=2)[-1]
+        w_plus = model.parallel_transport(trace.gamma[i + 1], trace.gamma[i],
+                                          tangents[i + 1])
+        w_minus = model.parallel_transport(trace.gamma[i - 1], trace.gamma[i],
+                                           tangents[i - 1])
         dv = (w_plus - w_minus) / ds
         trace.kappa[i] = model.norm(trace.gamma[i], dv)
 
-    eta_norm = np.array([
-        model.norm(trace.eta[i], trace.tractor.velocity(trace.t[i]))
-        for i in range(n)])
     with np.errstate(invalid="ignore", divide="ignore"):
-        excess = np.maximum(eta_norm ** 2 - trace.speed ** 2, 0.0)
+        excess = np.maximum(trace.eta_speed ** 2 - trace.speed ** 2, 0.0)
         ks = np.sqrt(excess) / (np.abs(trace.speed) * trace.jacobi_ell)
     ks[masked] = np.nan
     trace.kappa_speed = ks
@@ -585,12 +576,28 @@ def _req(spec, key, kind):
         raise ConfigError(f"tractor.{key}: required for kind {kind!r}")
 
 
+def _num(spec, key, kind, default=None):
+    """A finite number field; required unless a default is given."""
+    value = _req(spec, key, kind) if default is None else spec.get(key,
+                                                                   default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"tractor.{key}: expected a number, got {value!r}")
+    if not math.isfinite(out):
+        raise ConfigError(f"tractor.{key}: expected a finite number, got "
+                          f"{value!r}")
+    return out
+
+
 def _req_points(spec, key, kind, dim, single=True):
     """Coordinates of a required field: one point, or a list of points."""
     try:
         pts = np.asarray(_req(spec, key, kind), dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"tractor.{key}: expected numeric coordinates")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"tractor.{key}: expected finite coordinates")
     if pts.ndim != (1 if single else 2) or pts.shape[-1] != dim:
         raise ConfigError(f"tractor.{key}: expected points with {dim} "
                           f"coordinates for this model")
@@ -602,8 +609,8 @@ def tractor_from_config(model, spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("tractor: mapping with a 'kind' field expected")
     kind = spec["kind"]
-    t0 = float(spec.get("t0", 0.0))
-    t1 = float(spec.get("t1", 1.0))
+    t0 = _num(spec, "t0", kind, 0.0)
+    t1 = _num(spec, "t1", kind, 1.0)
     if kind != "polyline" and t1 <= t0:
         raise ConfigError("tractor.t1: must exceed t0")
 
@@ -626,7 +633,7 @@ def tractor_from_config(model, spec):
         if model.dim != 2:
             raise ConfigError(f"tractor.kind: {kind!r} needs a 2-D model")
         center = _req_points(spec, "center", kind, 2)
-        radius = float(_req(spec, "radius", kind))
+        radius = _num(spec, "radius", kind)
         if radius <= 0:
             raise ConfigError("tractor.radius: must be positive")
         if kind == "circle":
@@ -635,7 +642,7 @@ def tractor_from_config(model, spec):
                                   "model; use 'chart_circle' on surfaces")
             rate = 1.0 / radius  # arclength parameter
         else:
-            rate = float(spec.get("rate", 1.0))
+            rate = _num(spec, "rate", kind, 1.0)
         closed = bool(spec.get("closed", False))
         if closed and abs(math.remainder((t1 - t0) * rate, math.tau)) > 1e-9:
             raise NotClosedError("circle span is not a whole number of turns")
@@ -653,10 +660,10 @@ def tractor_from_config(model, spec):
     elif kind == "latitude":
         if not isinstance(model, SphereModel):
             raise ConfigError("tractor.kind: 'latitude' needs a sphere model")
-        th = float(_req(spec, "colatitude", kind))
+        th = _num(spec, "colatitude", kind)
         if not 0.0 < th < math.pi:
             raise ConfigError("tractor.colatitude: must lie in (0, pi)")
-        phi0 = float(spec.get("phi0", 0.0))
+        phi0 = _num(spec, "phi0", kind, 0.0)
         rate = 1.0 / (model.radius * math.sin(th))  # arclength parameter
         geo = bool(spec.get("geodesic", abs(th - math.pi / 2) < 1e-12))
 
@@ -672,7 +679,7 @@ def tractor_from_config(model, spec):
         if not isinstance(model, HyperbolicModel):
             raise ConfigError(
                 "tractor.kind: 'disk_ray' needs a hyperbolic model")
-        ang = float(spec.get("angle", 0.0))
+        ang = _num(spec, "angle", kind, 0.0)
         u = np.array([math.cos(ang), math.sin(ang)])
         k = model.k
 
@@ -687,8 +694,8 @@ def tractor_from_config(model, spec):
     elif kind == "helix":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError("tractor.kind: 'helix' needs flat dimension 3")
-        radius = float(_req(spec, "radius", kind))
-        pitch = float(_req(spec, "pitch", kind))
+        radius = _num(spec, "radius", kind)
+        pitch = _num(spec, "pitch", kind)
         w = 1.0 / math.hypot(radius, pitch)  # arclength parameter
 
         def hpoint(t, R=radius, p=pitch, w=w):
@@ -705,7 +712,7 @@ def tractor_from_config(model, spec):
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
                 "tractor.kind: 'circle3d' needs flat dimension 3")
-        radius = float(_req(spec, "radius", kind))
+        radius = _num(spec, "radius", kind)
         t0, t1 = 0.0, math.tau * radius
 
         def c3point(t, R=radius):
@@ -720,9 +727,9 @@ def tractor_from_config(model, spec):
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
                 "tractor.kind: 'wiggly_circle' needs flat dimension 3")
-        radius = float(_req(spec, "radius", kind))
-        amp = float(_req(spec, "amplitude", kind))
-        lobes = int(_req(spec, "lobes", kind))
+        radius = _num(spec, "radius", kind)
+        amp = _num(spec, "amplitude", kind)
+        lobes = int(_num(spec, "lobes", kind))
         t0, t1 = 0.0, math.tau
 
         def wpoint(t, R=radius, A=amp, m=lobes):
@@ -744,8 +751,8 @@ def tractor_from_config(model, spec):
     elif kind == "tractrix_of":
         base = tractor_from_config(model, _req(spec, "curve", kind))
         curve = tractor_from_tractrix(model, base,
-                                      float(_req(spec, "ell", kind)),
-                                      int(spec.get("sign", 1)))
+                                      _num(spec, "ell", kind),
+                                      int(_num(spec, "sign", kind, 1)))
     else:
         raise ConfigError(f"tractor.kind: unknown kind {kind!r}")
     return curve

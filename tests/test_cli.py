@@ -1,6 +1,8 @@
 import filecmp
+import math
 import os
 
+import pytest
 import yaml
 
 from tractrix import cli
@@ -8,6 +10,7 @@ from tractrix.comparison import Check, ComparisonReport
 from tractrix.config import bundled_dir
 
 FLAT_GEODESIC = os.path.join(bundled_dir(), "flat_geodesic.yaml")
+SHORTEN_SPHERE = os.path.join(bundled_dir(), "shorten_sphere.yaml")
 
 
 def write_config(tmp_path, raw, name="scenario"):
@@ -67,6 +70,47 @@ def test_unknown_field_exits_one(tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, value, field", [
+    (("sim", "dt"), math.nan, "sim.dt"),
+    (("gamma0",), [math.nan, 1.0], "gamma0[0]"),
+    (("tractor", "start"), [math.nan, 0.0], "tractor.start"),
+    (("ell",), math.inf, "ell"),
+    (("model", "K"), math.nan, "model.K"),
+], ids=["dt", "gamma0", "tractor.start", "ell", "K"])
+def test_non_finite_number_exits_one(tmp_path, capsys, keys, value, field):
+    raw = flat_line()
+    section = raw
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{field}: expected" in err and "finite" in err
+
+
+def test_removed_options_exit_one(tmp_path):
+    out = str(tmp_path / "out")
+    assert cli.main(["gallery", "--only", "flat_geodesic", "--jobs", "2",
+                     "--out", out]) == 1
+    for extra in ({"functionals": {"sweep": True}},
+                  {"comparison": {"method": "auto", "checks": ["rauch"]}}):
+        config = write_config(tmp_path, flat_line(**extra))
+        assert cli.main(["simulate", "--config", config, "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", SHORTEN_SPHERE),
+    ("verify", SHORTEN_SPHERE),
+    ("shorten", FLAT_GEODESIC),
+])
+def test_scenario_of_the_wrong_kind_exits_one(tmp_path, command, config):
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+
+
 def test_numeric_failure_exits_two(tmp_path, capsys):
     raw = {"model": {"kind": "spaceform", "K": -1.0},
            "tractor": {"kind": "disk_ray", "t1": 1.0},
@@ -99,3 +143,27 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
                                                shallow=False)
     assert match == names and not mismatch and not errors
 
+
+
+def assert_same_files(left, right):
+    names = sorted(os.listdir(left))
+    assert names == sorted(os.listdir(right))
+    match, mismatch, errors = filecmp.cmpfiles(left, right, names,
+                                               shallow=False)
+    assert match == names and not mismatch and not errors
+
+
+def test_gallery_matches_verify_and_shorten(tmp_path, capsys):
+    gallery = tmp_path / "gallery"
+    assert cli.main(["gallery", "--only", "flat_geodesic,shorten_sphere",
+                     "--out", str(gallery)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "flat_geodesic: ok", "shorten_sphere: ok"]
+    assert cli.main(["verify", "--config", FLAT_GEODESIC,
+                     "--out", str(tmp_path / "verify")]) == 0
+    assert cli.main(["shorten", "--config", SHORTEN_SPHERE,
+                     "--out", str(tmp_path / "shorten")]) == 0
+    assert sorted(os.listdir(tmp_path / "verify")) == [
+        "cusps.txt", "report.txt", "sweep.txt", "trace.csv"]
+    assert_same_files(gallery / "flat_geodesic", tmp_path / "verify")
+    assert_same_files(gallery / "shorten_sphere", tmp_path / "shorten")

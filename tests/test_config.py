@@ -58,12 +58,8 @@ common = {
         {}, optional={"dt": positive, "pole_step": positive,
                       "cusp_speed_eps": st.floats(1e-6, 0.999),
                       "max_records": st.integers(2, 10**7)}),
-    "functionals": st.fixed_dictionaries(
-        {}, optional={"sweep": st.booleans(), "cusps": st.booleans()}),
     "comparison": st.fixed_dictionaries(
-        {}, optional={"method": st.sampled_from(["auto", "constant",
-                                                 "analytic", "grid"]),
-                      "widen": positive,
+        {}, optional={"widen": positive,
                       "checks": st.lists(st.sampled_from(
                           ["rauch", "toponogov", "le"]), min_size=1)}),
     "out": st.text(max_size=12),

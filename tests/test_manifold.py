@@ -193,8 +193,7 @@ def test_exp_map_self_convergence_on_paraboloid():
 def test_exp_map_gates_conjugate_scale():
     with pytest.raises(ValueError):
         SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi + 0.1)
-    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 0.05,
-                          allow_long_pole=True)
+    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 0.05)
     assert not pole.conjugate
 
 
@@ -311,9 +310,17 @@ def test_distance_helpers():
 # -- parallel transport -------------------------------------------------------
 
 
+def transport_along(model, pts, w0):
+    """w0 carried edge by edge along the polyline pts."""
+    w = np.asarray(w0, dtype=float)
+    for a, b in zip(pts[:-1], pts[1:]):
+        w = model.parallel_transport(a, b, w)
+    return w
+
+
 def test_transport_flat_is_constant():
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.3]])
-    out = FLAT2.parallel_transport(pts, [0.3, 0.7])
+    out = transport_along(FLAT2, pts, [0.3, 0.7])
     assert np.allclose(out, [0.3, 0.7])
 
 
@@ -327,9 +334,9 @@ def test_transport_preserves_norm(model):
     pts = np.stack([p0[0] + 0.25 * np.sin(2 * ts),
                     p0[1] + 0.25 * ts], axis=-1)
     w0 = model.tangent_from_angle(pts[0], 0.7)
-    out = model.parallel_transport(pts, w0, substeps=4)
+    out = transport_along(model, pts, w0)
     n0 = model.norm(pts[0], w0)
-    nend = model.norm(pts[-1], out[-1])
+    nend = model.norm(pts[-1], out)
     assert abs(nend - n0) < 1e-8
 
 
@@ -341,9 +348,9 @@ def test_transport_holonomy_latitude_circle():
     pts = np.stack([np.full_like(phis, theta0), phis], axis=-1)
     frame = SPHERE.frame_at(pts[0])
     w0 = frame[0]
-    out = SPHERE.parallel_transport(pts, w0, substeps=2)
+    out = transport_along(SPHERE, pts, w0)
     g = SPHERE.metric_at(pts[0])
-    a = float(out[-1] @ g @ frame[0])
-    b = float(out[-1] @ g @ frame[1])
+    a = float(out @ g @ frame[0])
+    b = float(out @ g @ frame[1])
     angle = math.atan2(b, a)
     assert angle == pytest.approx(2.8883657975136401, abs=1e-6)
