@@ -178,6 +178,11 @@ def cmd_scenario(args):
 
 
 def cmd_analytic(args):
+    for flag, value in (("K", args.K), ("ell", args.ell), ("d0", args.d0),
+                        ("s-max", args.s_max)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag}: expected a finite number, got "
+                              f"{value!r}")
     if args.samples < 2:
         raise ConfigError("samples: need at least two grid points")
     if args.s_max <= 0:

@@ -301,17 +301,23 @@ class ScenarioConfig:
         path = os.path.join(self.base_dir, section["file"])
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 cells = line.replace(",", " ").split()
                 try:
-                    rows.append([float(c) for c in cells])
+                    row = [float(c) for c in cells]
                 except ValueError:
                     if rows:
                         raise ConfigError(
                             f"{path}: non-numeric row {line!r}")
+                    continue
+                if rows and len(row) != len(rows[0]):
+                    raise ConfigError(
+                        f"{path}: line {lineno} has {len(row)} coordinates, "
+                        f"the first point has {len(rows[0])}")
+                rows.append(row)
         if len(rows) < 2:
             raise ConfigError(f"{path}: expected at least two points")
         pts = np.asarray(rows, dtype=float)

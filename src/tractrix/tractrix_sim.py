@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -29,7 +29,13 @@ from .errors import (
     RecordOverflowError,
     ShootingLostError,
 )
-from .manifold import FlatModel, HyperbolicModel, SphereModel
+from .manifold import (
+    _SHOOT_FD_H,
+    _SHOOT_MAX_ITER,
+    FlatModel,
+    HyperbolicModel,
+    SphereModel,
+)
 
 _POLE_DRIFT_LIMIT = 1e-6
 # kappa is masked where the pole comes this close to lying along a geodesic
@@ -46,8 +52,8 @@ class TractorCurve:
     """Parametric driver curve with a chart-coordinate evaluator.
 
     `point`/`velocity` must accept parameters outside [t0, t1] as well
-    (the simulation only drives over the range, but projection-foot
-    searches may look slightly beyond it).
+    (the simulation only drives over the range, but the foot of gamma
+    on a geodesic tractor may lie up to a pole length outside it).
     """
 
     point: Callable[[float], np.ndarray]
@@ -487,32 +493,86 @@ def _fill_curvature(trace, params):
     trace.kappa_speed = ks
 
 
+def _quarter_turn(trace):
+    """Matrix E such that E @ g @ w is normal to w, turned by +pi/2.
+
+    On a surface E is [[0, -1], [1, 0]] (chart orientation).  Models of
+    higher dimension are flat, and the tractrix of a straight line stays
+    in the plane through the line and gamma0, so E turns in that plane.
+    """
+    if trace.model.dim == 2:
+        return np.array([[0.0, -1.0], [1.0, 0.0]])
+    a = trace.model.unit(trace.eta[0], trace.tractor.velocity(trace.t[0]))
+    b = trace.gamma[0] - trace.eta[0]
+    b = b - (b @ a) * a
+    if np.linalg.norm(b) < 1e-12 * trace.ell:
+        # gamma0 on the line: every plane through it will do
+        b = np.eye(len(a))[np.argmin(np.abs(a))]
+        b = b - (b @ a) * a
+    b = b / np.linalg.norm(b)
+    return np.outer(b, a) - np.outer(a, b)
+
+
 def _fill_orthogonal_distance(trace):
-    """Distance from gamma to its projection foot on a geodesic tractor."""
+    """Distance d from gamma to its projection foot on a geodesic tractor.
+
+    (tau, d) are the Fermi coordinates of gamma relative to the tractor
+    eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
+    normal to eta'(tau).  Damped Newton solves F(tau, d) = gamma for each
+    record; the d column of the Jacobian is the end tangent of the shot
+    and the tau column a forward difference.  Record 0 starts from d = 0
+    at the chord projection of the pole (exact in the plane), every later
+    record from the previous record's (tau, d).  F is regular at d = 0,
+    where the shot has length 0 and end tangent N, so a tractrix lying on
+    its tractor needs no special case and reads d = 0 exactly.  Shots
+    with d < 0 run along -N; the trace stores |d|.
+    """
     model = trace.model
     tractor = trace.tractor
-    hint = None
-    for i in range(len(trace.t)):
-        gamma = trace.gamma[i]
+    turn = _quarter_turn(trace)
+    tol = 1e-11 * max(1.0, trace.ell)
 
-        def gap(tau):
-            return model.distance(gamma,
-                                  np.asarray(tractor.point(tau), float))
+    def shoot(tau, d):
+        """F(tau, d) and its derivative in d."""
+        foot = np.asarray(tractor.point(tau), dtype=float)
+        g = model.metric_at(foot)
+        n = turn @ g @ np.asarray(tractor.velocity(tau), dtype=float)
+        n = n / math.sqrt(float(n @ g @ n))
+        sign = -1.0 if d < 0.0 else 1.0
+        end, tangent = model.exp_point(foot, sign * n, abs(d), steps=48)
+        return end, sign * tangent
 
-        center = trace.t[i] if hint is None else hint
-        width = 1.8 * trace.ell if hint is None else 0.35 * trace.ell
-        for _ in range(4):
-            res = minimize_scalar(
-                gap, bounds=(center - width, center + width),
-                method="bounded",
-                options={"xatol": 1e-10 * max(1.0, trace.ell)})
-            tau = float(res.x)
-            edge = min(tau - (center - width), (center + width) - tau)
-            if edge > 1e-6 * width:
+    tau = float(trace.t[0] - trace.speed[0] * trace.ell
+                / trace.eta_speed[0] ** 2)
+    d = 0.0
+    for i, gamma in enumerate(trace.gamma):
+        end, d_col = shoot(tau, d)
+        rn = float(np.linalg.norm(end - gamma))
+        for _ in range(_SHOOT_MAX_ITER):
+            if rn < tol:
                 break
-            center, width = tau, 2.0 * width
-        trace.d[i] = float(res.fun)
-        hint = tau
+            tau_col = (shoot(tau + _SHOOT_FD_H, d)[0] - end) / _SHOOT_FD_H
+            J = np.column_stack([tau_col, d_col])
+            # normal equations: the same step as solve(J, r) when J is
+            # square, and the in-plane step in higher dimension
+            try:
+                step = np.linalg.solve(J.T @ J, J.T @ (gamma - end))
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(
+                    f"foot solve at record {i}: singular Jacobian") from exc
+            damp = 1.0
+            while True:
+                tau_new, d_new = tau + damp * step[0], d + damp * step[1]
+                end_new, col_new = shoot(tau_new, d_new)
+                rn_new = float(np.linalg.norm(end_new - gamma))
+                if rn_new <= rn or damp < 1e-6:
+                    break
+                damp *= 0.5
+            tau, d, end, d_col, rn = tau_new, d_new, end_new, col_new, rn_new
+        if not rn < tol:
+            raise NoConvergenceError(
+                f"foot solve at record {i} stalled at residual {rn:.3e}")
+        trace.d[i] = abs(d)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,30 @@ def test_non_finite_number_exits_one(tmp_path, capsys, keys, value, field):
     assert f"{field}: expected" in err and "finite" in err
 
 
+@pytest.mark.parametrize("flag", ["--K", "--ell", "--d0", "--s-max"])
+def test_analytic_non_finite_flag_exits_one(tmp_path, capsys, flag):
+    values = {"--K": "1", "--ell": "1", "--d0": "0.5", "--s-max": "3"}
+    values[flag] = "nan"
+    out = tmp_path / "out"
+    argv = ["analytic", "--out", str(out)]
+    for key, value in values.items():
+        argv += [key, value]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{flag[2:]}: expected a finite number" in err
+    assert not out.exists()
+
+
+def test_ragged_polyline_file_exits_one(tmp_path, capsys):
+    (tmp_path / "ragged.txt").write_text("0 0\n1 0 5\n2 1\n")
+    config = write_config(tmp_path, flat_line(
+        tractor={"kind": "polyline", "file": "ragged.txt"}))
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ragged.txt: line 2 has 3 coordinates" in err
+
+
 def test_removed_options_exit_one(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["gallery", "--only", "flat_geodesic", "--jobs", "2",

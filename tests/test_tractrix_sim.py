@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from tractrix.errors import (
     ConfigError,
+    NoConvergenceError,
     NotClosedError,
     PoleLengthDriftError,
     RecordOverflowError,
@@ -227,8 +229,7 @@ def test_geodesic_aligned_start_stays_on_track():
     tr = simulate(FLAT2, x_line(0.0, 6.0), np.array([-1.5, 0.0]), 1.5,
                   SimParams(dt=0.01))
     assert np.max(np.abs(tr.gamma[:, 1])) < 1e-12
-    # foot search resolves the projection to about sqrt(eps)
-    assert np.max(np.abs(tr.d)) < 1e-6
+    assert np.max(np.abs(tr.d)) < 1e-12
     kap = tr.kappa[~np.isnan(tr.kappa)]
     assert np.max(np.abs(kap)) < 1e-8
     assert np.max(np.abs(tr.speed - 1.0)) < 1e-12
@@ -344,6 +345,75 @@ def test_helix_pull_crosses_one_cusp():
     flips = [c for c in tr.cusps if c.sign_flip]
     assert len(flips) == 1
     assert tr.sigma[0] == -1 and tr.sigma[-1] == 1
+
+
+# ---------------------------------------------------------------------------
+# Foot distance d on geodesic tractors
+
+
+def scan_foot(model, tractor, gamma, center, width):
+    """(d, tau) by a bounded scan of dist(gamma, eta(tau)) over tau."""
+    res = minimize_scalar(
+        lambda tau: model.distance(gamma, tractor.point(tau)),
+        bounds=(center - width, center + width), method="bounded",
+        options={"xatol": 1e-10})
+    return float(res.fun), float(res.x)
+
+
+def test_foot_solve_matches_distance_scan_on_ellipsoid(ellipsoid_setup):
+    model, tr = ellipsoid_setup
+
+    def foot_geodesic(tau, gamma):
+        """Length and cosine to the tractor of the geodesic foot -> gamma."""
+        foot = tr.tractor.point(tau)
+        v, length, _ = model.connect(foot, gamma)
+        return length, model.inner(foot, v, model.unit(
+            foot, tr.tractor.velocity(tau)))
+
+    for i in np.linspace(0, len(tr.t) - 1, 5).astype(int):
+        d, tau = scan_foot(model, tr.tractor, tr.gamma[i], tr.t[i],
+                           1.8 * tr.ell)
+        assert tr.d[i] == pytest.approx(d, abs=1e-9)
+        # the foot geodesic meets the tractor at a right angle
+        tau = brentq(lambda x: foot_geodesic(x, tr.gamma[i])[1],
+                     tau - 0.01, tau + 0.01, xtol=1e-14)
+        assert tr.d[i] == pytest.approx(foot_geodesic(tau, tr.gamma[i])[0],
+                                        abs=1e-9)
+
+
+def test_plane_surface_foot_distance_matches_flat_model():
+    plane = surface_model("plane")
+    line = {"kind": "chart_line", "start": [0.0, 0.0],
+            "direction": [1.0, 0.0], "t1": 1.0, "geodesic": True}
+    g0 = np.array([-1.2, 0.9])
+    flat = simulate(FLAT2, tractor_from_config(FLAT2, line), g0, 1.5,
+                    SimParams(dt=0.01))
+    surf = simulate(plane, tractor_from_config(plane, line), g0, 1.5,
+                    SimParams(dt=0.01))
+    assert np.max(np.abs(surf.d - flat.d)) < 1e-9
+
+
+def test_foot_distance_to_a_line_in_three_dimensions():
+    line = tractor_from_config(FLAT3, {"kind": "line",
+                                       "start": [0.0, 0.0, 0.0],
+                                       "direction": [1.0, 0.0, 0.0],
+                                       "t1": 2.0})
+    tr = simulate(FLAT3, line, np.array([-1.0, 0.6, 0.8]), math.sqrt(2.0),
+                  SimParams(dt=0.01))
+    assert np.max(np.abs(tr.d - np.hypot(tr.gamma[:, 1], tr.gamma[:, 2]))) \
+        < 1e-12
+    on_line = simulate(FLAT3, line, np.array([-1.5, 0.0, 0.0]), 1.5,
+                       SimParams(dt=0.01))
+    assert np.max(on_line.d) < 1e-12
+
+
+def test_singular_foot_jacobian_raises_no_convergence(monkeypatch):
+    model = space_form(0.0)
+    monkeypatch.setattr(model, "exp_point", lambda *a, **kw: (
+        np.zeros(2), np.array([0.0, 1.0])))
+    with pytest.raises(NoConvergenceError, match="singular"):
+        simulate(model, x_line(0.0, 1.0, model=model),
+                 np.array([-1.2, 0.9]), 1.5, SimParams(dt=0.1))
 
 
 # ---------------------------------------------------------------------------
