@@ -1,9 +1,10 @@
 """Embedded-surface chart catalog.
 
-A chart is an immersion F(u, v) -> R^3 with analytic first and second
-derivatives. Metric, Christoffel symbols and Gauss curvature are derived
-from these by the manifold layer; charts only know their own geometry.
-Evaluators return plain tuples because they sit inside integrator loops.
+A chart is an immersion F(u, v) -> R^3 given by two evaluators: `point`,
+the position, and `jet`, its first and second partial derivatives in one
+call. Metric, Christoffel symbols and Gauss curvature are derived from the
+jet by the manifold layer; charts only know their own geometry. Evaluators
+return plain tuples because they sit inside integrator loops.
 """
 
 from __future__ import annotations
@@ -26,28 +27,18 @@ __all__ = [
 
 
 class SurfaceChart:
-    """Base immersion. Subclasses fill in point/du/dv/duu/duv/dvv."""
+    """Base immersion. Subclasses fill in `point` and `jet`."""
 
     name = "chart"
     # ((umin, umax), (vmin, vmax)); None means unbounded on that side.
     domain = ((None, None), (None, None))
 
     def point(self, u, v):
+        """F(u, v) as a 3-tuple."""
         raise NotImplementedError
 
-    def du(self, u, v):
-        raise NotImplementedError
-
-    def dv(self, u, v):
-        raise NotImplementedError
-
-    def duu(self, u, v):
-        raise NotImplementedError
-
-    def duv(self, u, v):
-        raise NotImplementedError
-
-    def dvv(self, u, v):
+    def jet(self, u, v):
+        """(F_u, F_v, F_uu, F_uv, F_vv) at (u, v), each a 3-tuple."""
         raise NotImplementedError
 
     def check_domain(self, u, v):
@@ -88,35 +79,14 @@ class SphereChart(SurfaceChart):
                 r * math.sin(u) * math.sin(v),
                 r * math.cos(u))
 
-    def du(self, u, v):
+    def jet(self, u, v):
         r = self.radius
-        return (r * math.cos(u) * math.cos(v),
-                r * math.cos(u) * math.sin(v),
-                -r * math.sin(u))
-
-    def dv(self, u, v):
-        r = self.radius
-        return (-r * math.sin(u) * math.sin(v),
-                r * math.sin(u) * math.cos(v),
-                0.0)
-
-    def duu(self, u, v):
-        r = self.radius
-        return (-r * math.sin(u) * math.cos(v),
-                -r * math.sin(u) * math.sin(v),
-                -r * math.cos(u))
-
-    def duv(self, u, v):
-        r = self.radius
-        return (-r * math.cos(u) * math.sin(v),
-                r * math.cos(u) * math.cos(v),
-                0.0)
-
-    def dvv(self, u, v):
-        r = self.radius
-        return (-r * math.sin(u) * math.cos(v),
-                -r * math.sin(u) * math.sin(v),
-                0.0)
+        su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+        return ((r * cu * cv, r * cu * sv, -r * su),
+                (-r * su * sv, r * su * cv, 0.0),
+                (-r * su * cv, -r * su * sv, -r * cu),
+                (-r * cu * sv, r * cu * cv, 0.0),
+                (-r * su * cv, -r * su * sv, 0.0))
 
     def gauss_range(self, rect):
         k = 1.0 / self.radius ** 2
@@ -138,30 +108,14 @@ class EllipsoidChart(SurfaceChart):
                 self.b * math.sin(u) * math.sin(v),
                 self.c * math.cos(u))
 
-    def du(self, u, v):
-        return (self.a * math.cos(u) * math.cos(v),
-                self.b * math.cos(u) * math.sin(v),
-                -self.c * math.sin(u))
-
-    def dv(self, u, v):
-        return (-self.a * math.sin(u) * math.sin(v),
-                self.b * math.sin(u) * math.cos(v),
-                0.0)
-
-    def duu(self, u, v):
-        return (-self.a * math.sin(u) * math.cos(v),
-                -self.b * math.sin(u) * math.sin(v),
-                -self.c * math.cos(u))
-
-    def duv(self, u, v):
-        return (-self.a * math.cos(u) * math.sin(v),
-                self.b * math.cos(u) * math.cos(v),
-                0.0)
-
-    def dvv(self, u, v):
-        return (-self.a * math.sin(u) * math.cos(v),
-                -self.b * math.sin(u) * math.sin(v),
-                0.0)
+    def jet(self, u, v):
+        a, b, c = self.a, self.b, self.c
+        su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+        return ((a * cu * cv, b * cu * sv, -c * su),
+                (-a * su * sv, b * su * cv, 0.0),
+                (-a * su * cv, -b * su * sv, -c * cu),
+                (-a * cu * sv, b * cu * cv, 0.0),
+                (-a * su * cv, -b * su * sv, 0.0))
 
     def gauss_range(self, rect):
         # Closed form only for the revolution case: K = c^2 / (cos^2 u + c^2 sin^2 u)^2
@@ -206,37 +160,49 @@ class PseudosphereChart(SurfaceChart):
         return (a * se * math.cos(v), a * se * math.sin(v),
                 a * (u - math.tanh(u)))
 
-    def du(self, u, v):
+    def jet(self, u, v):
         a = self.a
         se, ta = 1.0 / math.cosh(u), math.tanh(u)
-        return (-a * se * ta * math.cos(v), -a * se * ta * math.sin(v),
-                a * ta * ta)
-
-    def dv(self, u, v):
-        a = self.a
-        se = 1.0 / math.cosh(u)
-        return (-a * se * math.sin(v), a * se * math.cos(v), 0.0)
-
-    def duu(self, u, v):
-        a = self.a
-        se, ta = 1.0 / math.cosh(u), math.tanh(u)
+        sv, cv = math.sin(v), math.cos(v)
         c = se * (ta * ta - se * se)
-        return (a * c * math.cos(v), a * c * math.sin(v),
-                2.0 * a * ta * se * se)
-
-    def duv(self, u, v):
-        a = self.a
-        se, ta = 1.0 / math.cosh(u), math.tanh(u)
-        return (a * se * ta * math.sin(v), -a * se * ta * math.cos(v), 0.0)
-
-    def dvv(self, u, v):
-        a = self.a
-        se = 1.0 / math.cosh(u)
-        return (-a * se * math.cos(v), -a * se * math.sin(v), 0.0)
+        return ((-a * se * ta * cv, -a * se * ta * sv, a * ta * ta),
+                (-a * se * sv, a * se * cv, 0.0),
+                (a * c * cv, a * c * sv, 2.0 * a * ta * se * se),
+                (a * se * ta * sv, -a * se * ta * cv, 0.0),
+                (-a * se * cv, -a * se * sv, 0.0))
 
     def gauss_range(self, rect):
         k = -1.0 / self.a ** 2
         return (k, k)
+
+
+# Derivative orders (du, dv) of the graph height: the value, then the jet.
+_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _poly_term(term):
+    """(i, j, c) with integral exponents >= 0 and a finite coefficient."""
+    try:
+        i, j, c = (float(x) for x in term)
+    except (TypeError, ValueError, OverflowError):
+        i = j = c = math.nan
+    if not (i.is_integer() and j.is_integer() and min(i, j) >= 0
+            and math.isfinite(c)):
+        raise ConfigError(f"graph poly term {term!r} must be (i, j, c) with "
+                          "integral exponents >= 0 and a finite c")
+    return int(i), int(j), c
+
+
+def _sinsin_term(term):
+    """(A, wu, pu, wv, pv), five finite numbers."""
+    try:
+        t = tuple(float(x) for x in term)
+    except (TypeError, ValueError, OverflowError):
+        t = ()
+    if len(t) != 5 or not all(math.isfinite(x) for x in t):
+        raise ConfigError(f"graph sinsin term {term!r} must be five finite "
+                          "numbers (A, wu, pu, wv, pv)")
+    return t
 
 
 class GraphChart(SurfaceChart):
@@ -244,57 +210,69 @@ class GraphChart(SurfaceChart):
 
     poly terms: (i, j, c) contributing c * u^i * v^j;
     sinsin terms: (A, wu, pu, wv, pv) contributing A sin(wu*u+pu) sin(wv*v+pv).
+    Both tables are compiled once into the coefficients of every derivative
+    order in _ORDERS.
     """
 
     name = "graph"
 
     def __init__(self, poly=(), sinsin=(), domain=((None, None), (None, None))):
-        self.poly = [(int(i), int(j), float(c)) for (i, j, c) in poly]
-        self.sinsin = [tuple(float(x) for x in t) for t in sinsin]
-        for t in self.sinsin:
-            if len(t) != 5:
-                raise ConfigError("sinsin term must be (A, wu, pu, wv, pv)")
+        poly = [_poly_term(t) for t in poly]
+        # per order: (c times falling factorials of i and j, i - du, j - dv)
+        self._poly = []
+        for du, dv in _ORDERS:
+            terms = []
+            for i, j, c in poly:
+                if du > i or dv > j:
+                    continue
+                cu = cv = 1.0
+                for k in range(du):
+                    cu *= i - k
+                for k in range(dv):
+                    cv *= j - k
+                terms.append((c * cu * cv, i - du, j - dv))
+            self._poly.append(terms)
+        # per sinsin term: (wu, pu, wv, pv, coefficient of each order); a
+        # derivative turns sin into cos and cos into -sin (see jet)
+        self._sinsin = [
+            (wu, pu, wv, pv, tuple(
+                amp * ((-1.0) ** (du // 2) * (-1.0) ** (dv // 2))
+                * (wu ** du) * (wv ** dv) for du, dv in _ORDERS))
+            for amp, wu, pu, wv, pv in map(_sinsin_term, sinsin)]
         self.domain = domain
 
-    def _f(self, u, v, du=0, dv=0):
-        # du, dv are derivative orders (0..2 each)
-        val = 0.0
-        for i, j, c in self.poly:
-            if du > i or dv > j:
-                continue
-            cu, e_u = 1.0, i
-            for _ in range(du):
-                cu *= e_u
-                e_u -= 1
-            cv, e_v = 1.0, j
-            for _ in range(dv):
-                cv *= e_v
-                e_v -= 1
-            val += c * cu * cv * (u ** e_u) * (v ** e_v)
-        for amp, wu, pu, wv, pv in self.sinsin:
-            su = math.sin(wu * u + pu) if du % 2 == 0 else math.cos(wu * u + pu)
-            sv = math.sin(wv * v + pv) if dv % 2 == 0 else math.cos(wv * v + pv)
-            sgn = (-1.0) ** (du // 2) * (-1.0) ** (dv // 2)
-            val += amp * sgn * (wu ** du) * (wv ** dv) * su * sv
-        return val
-
     def point(self, u, v):
-        return (u, v, self._f(u, v))
+        z = 0.0
+        for c, i, j in self._poly[0]:
+            z += c * u ** i * v ** j
+        for wu, pu, wv, pv, k in self._sinsin:
+            z += k[0] * math.sin(wu * u + pu) * math.sin(wv * v + pv)
+        return (u, v, z)
 
-    def du(self, u, v):
-        return (1.0, 0.0, self._f(u, v, du=1))
-
-    def dv(self, u, v):
-        return (0.0, 1.0, self._f(u, v, dv=1))
-
-    def duu(self, u, v):
-        return (0.0, 0.0, self._f(u, v, du=2))
-
-    def duv(self, u, v):
-        return (0.0, 0.0, self._f(u, v, du=1, dv=1))
-
-    def dvv(self, u, v):
-        return (0.0, 0.0, self._f(u, v, dv=2))
+    def jet(self, u, v):
+        # one loop per order: this sits under every geodesic stage
+        _, tu, tv, tuu, tuv, tvv = self._poly
+        zu = zv = zuu = zuv = zvv = 0.0
+        for c, i, j in tu:
+            zu += c * u ** i * v ** j
+        for c, i, j in tv:
+            zv += c * u ** i * v ** j
+        for c, i, j in tuu:
+            zuu += c * u ** i * v ** j
+        for c, i, j in tuv:
+            zuv += c * u ** i * v ** j
+        for c, i, j in tvv:
+            zvv += c * u ** i * v ** j
+        for wu, pu, wv, pv, k in self._sinsin:
+            su, cu = math.sin(wu * u + pu), math.cos(wu * u + pu)
+            sv, cv = math.sin(wv * v + pv), math.cos(wv * v + pv)
+            zu += k[1] * cu * sv
+            zv += k[2] * su * cv
+            zuu += k[3] * su * sv
+            zuv += k[4] * cu * cv
+            zvv += k[5] * su * sv
+        return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
+                (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
 
 class PlaneChart(GraphChart):
@@ -362,10 +340,10 @@ def chart_from_config(spec):
         raise ConfigError(
             f"unknown chart {name!r}; available: {sorted(_CATALOG)}")
     kwargs = {k: v for k, v in spec.items() if k != "name"}
-    if name == "graph" and "domain" in kwargs:
-        (u0, u1), (v0, v1) = kwargs["domain"]
-        kwargs["domain"] = ((u0, u1), (v0, v1))
     try:
+        if name == "graph" and "domain" in kwargs:
+            (u0, u1), (v0, v1) = kwargs["domain"]
+            kwargs["domain"] = ((u0, u1), (v0, v1))
         return _CATALOG[name](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for chart {name!r}: {exc}") from exc

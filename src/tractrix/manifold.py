@@ -687,32 +687,30 @@ class SurfaceModel(ManifoldModel):
         self.chart.check_domain(float(p[0]), float(p[1]))
 
     def _forms(self, u, v):
-        """First derivatives, E, F, G and det at (u, v); raises if singular."""
-        ch = self.chart
-        fu, fv = ch.du(u, v), ch.dv(u, v)
+        """Chart jet, E, F, G and det at (u, v); raises if singular."""
+        jet = self.chart.jet(u, v)
+        fu, fv = jet[0], jet[1]
         E = fu[0] * fu[0] + fu[1] * fu[1] + fu[2] * fu[2]
         F = fu[0] * fv[0] + fu[1] * fv[1] + fu[2] * fv[2]
         G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
         det = E * G - F * F
         if det < _DET_EPS:
-            raise _singular_metric(ch, u, v)
-        return fu, fv, E, F, G, det
+            raise _singular_metric(self.chart, u, v)
+        return jet, E, F, G, det
 
     def metric_at(self, p):
         u, v = float(p[0]), float(p[1])
         self.check_point(p)
-        _, _, E, F, G, _ = self._forms(u, v)
+        _, E, F, G, _ = self._forms(u, v)
         return np.array([[E, F], [F, G]])
 
     def christoffel_at(self, p):
         u, v = float(p[0]), float(p[1])
         self.check_point(p)
-        ch = self.chart
-        fu, fv, E, F, G, det = self._forms(u, v)
+        (fu, fv, suu, suv, svv), E, F, G, det = self._forms(u, v)
         iuu, iuv, ivv = G / det, -F / det, E / det
         out = np.zeros((2, 2, 2))
-        for idx, second in ((0, ch.duu(u, v)), (1, ch.duv(u, v)),
-                            (2, ch.dvv(u, v))):
+        for idx, second in ((0, suu), (1, suv), (2, svv)):
             c1 = second[0] * fu[0] + second[1] * fu[1] + second[2] * fu[2]
             c2 = second[0] * fv[0] + second[1] * fv[1] + second[2] * fv[2]
             g1 = iuu * c1 + iuv * c2
@@ -728,14 +726,12 @@ class SurfaceModel(ManifoldModel):
 
     def gauss_at(self, p):
         u, v = float(p[0]), float(p[1])
-        ch = self.chart
-        fu, fv, _, _, _, det = self._forms(u, v)
+        (fu, fv, suu, suv, svv), _, _, _, det = self._forms(u, v)
         nx = fu[1] * fv[2] - fu[2] * fv[1]
         ny = fu[2] * fv[0] - fu[0] * fv[2]
         nz = fu[0] * fv[1] - fu[1] * fv[0]
         nn = math.sqrt(nx * nx + ny * ny + nz * nz)
         nx, ny, nz = nx / nn, ny / nn, nz / nn
-        suu, suv, svv = ch.duu(u, v), ch.duv(u, v), ch.dvv(u, v)
         L = suu[0] * nx + suu[1] * ny + suu[2] * nz
         M = suv[0] * nx + suv[1] * ny + suv[2] * nz
         N = svv[0] * nx + svv[1] * ny + svv[2] * nz
@@ -749,21 +745,22 @@ class SurfaceModel(ManifoldModel):
             raise DomainExitError(
                 f"{ch.name}: geodesic left the chart domain",
                 point=np.array([u, w]))
-        fu, fv = ch.du(u, w), ch.dv(u, w)
-        E = fu[0] * fu[0] + fu[1] * fu[1] + fu[2] * fu[2]
-        F = fu[0] * fv[0] + fu[1] * fv[1] + fu[2] * fv[2]
-        G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
+        # unpacked once: indexing the tuples term by term costs more
+        ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+         (xvv, yvv, zvv)) = ch.jet(u, w)
+        E = xu * xu + yu * yu + zu * zu
+        F = xu * xv + yu * yv + zu * zv
+        G = xv * xv + yv * yv + zv * zv
         det = E * G - F * F
         if det < _DET_EPS:
             raise _singular_metric(ch, u, w)
         iuu, iuv, ivv = G / det, -F / det, E / det
-        suu, suv, svv = ch.duu(u, w), ch.duv(u, w), ch.dvv(u, w)
-        cu1 = suu[0] * fu[0] + suu[1] * fu[1] + suu[2] * fu[2]
-        cu2 = suu[0] * fv[0] + suu[1] * fv[1] + suu[2] * fv[2]
-        cm1 = suv[0] * fu[0] + suv[1] * fu[1] + suv[2] * fu[2]
-        cm2 = suv[0] * fv[0] + suv[1] * fv[1] + suv[2] * fv[2]
-        cv1 = svv[0] * fu[0] + svv[1] * fu[1] + svv[2] * fu[2]
-        cv2 = svv[0] * fv[0] + svv[1] * fv[1] + svv[2] * fv[2]
+        cu1 = xuu * xu + yuu * yu + zuu * zu
+        cu2 = xuu * xv + yuu * yv + zuu * zv
+        cm1 = xuv * xu + yuv * yu + zuv * zu
+        cm2 = xuv * xv + yuv * yv + zuv * zv
+        cv1 = xvv * xu + yvv * yu + zvv * zu
+        cv2 = xvv * xv + yvv * yv + zvv * zv
         g1uu, g2uu = iuu * cu1 + iuv * cu2, iuv * cu1 + ivv * cu2
         g1uv, g2uv = iuu * cm1 + iuv * cm2, iuv * cm1 + ivv * cm2
         g1vv, g2vv = iuu * cv1 + iuv * cv2, iuv * cv1 + ivv * cv2
@@ -808,52 +805,58 @@ def model_from_config(spec):
 
 
 def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
-    """Fixed-step RK4 on (x, v[, j, j']). Returns final state or samples."""
-    n = model.dim
+    """Fixed-step RK4 on (x, v[, j, j']). Returns final state or samples.
+
+    The state is two-dimensional and held in scalar locals: (x, y) for the
+    point, (p, q) for the velocity. Only surfaces reach this integrator,
+    because the space forms, the only models that can be three-dimensional,
+    override each of its callers (`_pole_samples`, `connect`, `exp_point`)
+    with closed forms. Samples are lists of points, velocities and j values;
+    the final state is (point, velocity) as arrays.
+    """
     h = length / n_steps if n_steps else 0.0
-    x = tuple(float(c) for c in x0)
-    v = tuple(float(c) for c in v0)
+    # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
+    hh, h6 = 0.5 * h, h / 6.0
+    x, y = float(x0[0]), float(x0[1])
+    p, q = float(v0[0]), float(v0[1])
     j, jp = 0.0, 1.0
     rhs = model._geo_rhs
-    if want_jacobi:
-        gauss = model.gauss_at
-    samples = None
+    gauss = model.gauss_at
+    K1 = K2 = K3 = K4 = 0.0
     if collect:
-        samples = ([np.array(x)], [np.array(v)], [j])
-
-    def stage(xs, vs):
-        a = rhs(xs, vs)
-        if want_jacobi:
-            return vs, a, gauss(xs)
-        return vs, a, 0.0
-
+        xs, vs, js = [np.array((x, y))], [np.array((p, q))], [j]
     for _ in range(n_steps):
-        k1x, k1v, K1 = stage(x, v)
-        x2 = tuple(x[i] + 0.5 * h * k1x[i] for i in range(n))
-        v2 = tuple(v[i] + 0.5 * h * k1v[i] for i in range(n))
-        k2x, k2v, K2 = stage(x2, v2)
-        x3 = tuple(x[i] + 0.5 * h * k2x[i] for i in range(n))
-        v3 = tuple(v[i] + 0.5 * h * k2v[i] for i in range(n))
-        k3x, k3v, K3 = stage(x3, v3)
-        x4 = tuple(x[i] + h * k3x[i] for i in range(n))
-        v4 = tuple(v[i] + h * k3v[i] for i in range(n))
-        k4x, k4v, K4 = stage(x4, v4)
-        x = tuple(x[i] + (h / 6.0) * (k1x[i] + 2 * k2x[i] + 2 * k3x[i] + k4x[i])
-                  for i in range(n))
-        v = tuple(v[i] + (h / 6.0) * (k1v[i] + 2 * k2v[i] + 2 * k3v[i] + k4v[i])
-                  for i in range(n))
+        a1, b1 = rhs((x, y), (p, q))
+        if want_jacobi:
+            K1 = gauss((x, y))
+        x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
+        a2, b2 = rhs((x2, y2), (p2, q2))
+        if want_jacobi:
+            K2 = gauss((x2, y2))
+        x3, y3, p3, q3 = x + hh * p2, y + hh * q2, p + hh * a2, q + hh * b2
+        a3, b3 = rhs((x3, y3), (p3, q3))
+        if want_jacobi:
+            K3 = gauss((x3, y3))
+        x4, y4, p4, q4 = x + h * p3, y + h * q3, p + h * a3, q + h * b3
+        a4, b4 = rhs((x4, y4), (p4, q4))
+        if want_jacobi:
+            K4 = gauss((x4, y4))
+        x, y, p, q = (x + h6 * (p + 2 * p2 + 2 * p3 + p4),
+                      y + h6 * (q + 2 * q2 + 2 * q3 + q4),
+                      p + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
+                      q + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
         if want_jacobi:
             # j'' = -K j integrated with the same stages
             k1j, k1jp = jp, -K1 * j
-            k2j, k2jp = jp + 0.5 * h * k1jp, -K2 * (j + 0.5 * h * k1j)
-            k3j, k3jp = jp + 0.5 * h * k2jp, -K3 * (j + 0.5 * h * k2j)
+            k2j, k2jp = jp + hh * k1jp, -K2 * (j + hh * k1j)
+            k3j, k3jp = jp + hh * k2jp, -K3 * (j + hh * k2j)
             k4j, k4jp = jp + h * k3jp, -K4 * (j + h * k3j)
-            j, jp = (j + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j),
-                     jp + (h / 6.0) * (k1jp + 2 * k2jp + 2 * k3jp + k4jp))
+            j, jp = (j + h6 * (k1j + 2 * k2j + 2 * k3j + k4j),
+                     jp + h6 * (k1jp + 2 * k2jp + 2 * k3jp + k4jp))
         if collect:
-            samples[0].append(np.array(x))
-            samples[1].append(np.array(v))
-            samples[2].append(j)
+            xs.append(np.array((x, y)))
+            vs.append(np.array((p, q)))
+            js.append(j)
     if collect:
-        return samples
-    return np.array(x), np.array(v)
+        return xs, vs, js
+    return np.array((x, y)), np.array((p, q))

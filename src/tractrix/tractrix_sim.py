@@ -263,6 +263,9 @@ def simulate(model, tractor, gamma0, ell, params=None):
         params = SimParams()
     if ell <= 0:
         raise ConfigError("pole length must be positive")
+    if model.conjugate_scale is not None and ell >= model.conjugate_scale:
+        raise ConfigError(f"pole length ell = {ell!r} reaches the conjugate "
+                          f"scale {model.conjugate_scale!r}")
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (model.dim,):
         raise ConfigError(f"gamma0: expected {model.dim} coordinates, got "

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from tractrix.manifold import surface_model
 from tractrix.tractrix_sim import (
@@ -9,6 +10,10 @@ from tractrix.tractrix_sim import (
     simulate,
     tractor_from_config,
 )
+
+# The same examples on every run, and no example database on disk.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractrix.charts import (
     EllipsoidChart,
@@ -37,11 +39,16 @@ def _central(f, u, v, h, wrt):
     return [(x - y) / (2 * h) for x, y in zip(a, b)]
 
 
+def _jet_entry(chart, k):
+    return lambda u, v: chart.jet(u, v)[k]
+
+
 @pytest.mark.parametrize("chart,pt", CHARTS, ids=lambda c: getattr(c, "name", str(c)))
 def test_first_derivatives_match_finite_differences(chart, pt):
     u, v = pt
     h = 1e-5
-    for wrt, an in (("u", chart.du(u, v)), ("v", chart.dv(u, v))):
+    fu, fv = chart.jet(u, v)[:2]
+    for wrt, an in (("u", fu), ("v", fv)):
         fd = _central(chart.point, u, v, h, wrt)
         assert np.allclose(an, fd, atol=5e-9, rtol=1e-7)
 
@@ -50,15 +57,42 @@ def test_first_derivatives_match_finite_differences(chart, pt):
 def test_second_derivatives_match_finite_differences(chart, pt):
     u, v = pt
     h = 1e-5
+    _, _, fuu, fuv, fvv = chart.jet(u, v)
+    du, dv = _jet_entry(chart, 0), _jet_entry(chart, 1)
     cases = [
-        (chart.duu(u, v), chart.du, "u"),
-        (chart.duv(u, v), chart.du, "v"),
-        (chart.duv(u, v), chart.dv, "u"),
-        (chart.dvv(u, v), chart.dv, "v"),
+        (fuu, du, "u"),
+        (fuv, du, "v"),
+        (fuv, dv, "u"),
+        (fvv, dv, "v"),
     ]
     for an, f, wrt in cases:
         fd = _central(f, u, v, h, wrt)
         assert np.allclose(an, fd, atol=5e-8, rtol=1e-6)
+
+
+coefficient = st.floats(-2.0, 2.0)
+poly_terms = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                coefficient), max_size=3)
+sinsin_terms = st.lists(st.tuples(st.floats(-1.0, 1.0), coefficient,
+                                  st.floats(-math.pi, math.pi), coefficient,
+                                  st.floats(-math.pi, math.pi)), max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_terms, sinsin_terms, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_graph_jet_matches_finite_differences(poly, sinsin, u, v):
+    chart = GraphChart(poly=poly, sinsin=sinsin)
+    h = 1e-4
+    f = lambda du, dv: np.array(chart.point(u + du * h, v + dv * h))
+    fd = [
+        (f(1, 0) - f(-1, 0)) / (2 * h),
+        (f(0, 1) - f(0, -1)) / (2 * h),
+        (f(1, 0) - 2 * f(0, 0) + f(-1, 0)) / h ** 2,
+        (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h * h),
+        (f(0, 1) - 2 * f(0, 0) + f(0, -1)) / h ** 2,
+    ]
+    for an, num, atol in zip(chart.jet(u, v), fd, (1e-7,) * 2 + (2e-5,) * 3):
+        assert np.allclose(an, num, atol=atol, rtol=1e-6)
 
 
 def test_sphere_domain_check():

@@ -114,6 +114,41 @@ def test_ragged_polyline_file_exits_one(tmp_path, capsys):
     assert "ragged.txt: line 2 has 3 coordinates" in err
 
 
+def test_pole_at_conjugate_scale_exits_one(tmp_path, capsys):
+    raw = {"model": {"kind": "spaceform", "K": 1.0},
+           "tractor": {"kind": "latitude", "colatitude": math.pi / 2,
+                       "t1": 1.0},
+           "gamma0": [math.pi / 2, math.pi], "ell": math.pi}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ell" in err and "conjugate scale" in err
+
+
+@pytest.mark.parametrize("chart, named", [
+    ({"name": "graph", "poly": [[-1, 0, 1.0]]}, "[-1, 0, 1.0]"),
+    ({"name": "graph", "poly": [[1.5, 0, 1.0]]}, "[1.5, 0, 1.0]"),
+    ({"name": "graph", "poly": [[2, 0, math.nan], [0, 2, 1.0]]},
+     "[2, 0, nan]"),
+    ({"name": "graph", "poly": [[2, 0]]}, "[2, 0]"),
+    ({"name": "graph", "sinsin": [[0.1, 1.0, 0.0, math.inf, 0.0]]},
+     "[0.1, 1.0, 0.0, inf, 0.0]"),
+    ({"name": "hilly", "amplitude": "abc"}, "'hilly'"),
+], ids=["negative-exponent", "fractional-exponent", "nan-coefficient",
+        "short-poly-term", "infinite-sinsin", "non-numeric-parameter"])
+def test_bad_chart_parameters_exit_one(tmp_path, capsys, chart, named):
+    raw = {"model": {"kind": "surface", "chart": chart},
+           "tractor": {"kind": "chart_line", "start": [0.6, 0.0],
+                       "direction": [0.0, 1.0], "t1": 0.2},
+           "gamma0": {"d0": 0.3, "side": 1, "mode": "behind"}, "ell": 0.5,
+           "sim": {"dt": 0.05, "pole_step": 0.05}}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_removed_options_exit_one(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["gallery", "--only", "flat_geodesic", "--jobs", "2",
