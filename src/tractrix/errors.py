@@ -43,10 +43,6 @@ class PoleLengthDriftError(TractrixError):
     """Simulated pole length drifted past the configured tolerance."""
 
 
-class ShootingLostError(TractrixError):
-    """Pole endpoint solve left the solvable regime during a simulation."""
-
-
 class RecordOverflowError(TractrixError):
     """Trace would exceed the configured maximum number of records."""
 

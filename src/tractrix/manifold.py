@@ -3,18 +3,20 @@
 Every model answers the same questions, which are all that the
 tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
 and Gauss curvature at a point; geodesics from a point (`exp_point`, the
-sampled pole `exp_map`); two-point geodesics (`connect`, `distance`);
-parallel transport; the Jacobi profile j'' + K j = 0 along a pole; and the
-edge length and discrete geodesic acceleration of a polyline.
+sampled pole `exp_map` with its Jacobi profile j'' + K j = 0); two-point
+geodesics (`connect`, `distance`); parallel transport; one stage of the
+tractrix propagation (`tractrix_start`, `tractrix_stage`); and the edge
+length and discrete geodesic acceleration of a polyline.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
 the scalar Jacobi equation rides along, which is exact in dimension two.
-Two-point geodesics are solved by damped Newton. Embedded parametric
-surfaces F(u, v) in R^3 (SurfaceModel) use these defaults. The
-constant-curvature space forms, in standard charts (colatitude/longitude
-for K > 0, Cartesian for K = 0, Poincare disk for K < 0), override them
-with closed forms.
+Two-point geodesics are solved by damped Newton. The tractrix state is the
+pole direction at the tractor, so a stage is one shot and no two-point
+solve. Embedded parametric surfaces F(u, v) in R^3 (SurfaceModel) use these
+defaults. The constant-curvature space forms, in standard charts
+(colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
+K < 0), override them with closed forms.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -91,6 +94,14 @@ def _has_conjugate(jacobi):
     return bool(jacobi is not None and np.any(jacobi[1:] <= _CONJ_TOL))
 
 
+@lru_cache(maxsize=8)
+def _reference_profile(K, length, steps):
+    """Read-only J^K at steps + 1 samples of [0, length] and its flag."""
+    j = jacobi_reference(K, np.linspace(0.0, length, steps + 1))
+    j.flags.writeable = False
+    return j, _has_conjugate(j)
+
+
 @dataclass
 class PoleGeodesic:
     """Sampled unit-speed geodesic segment (one pole position)."""
@@ -132,8 +143,11 @@ class ManifoldModel:
     def check_point(self, p):
         """Raise OutOfDomain/SingularChart when p is unusable."""
 
-    def _geo_rhs(self, x, v):
-        """Acceleration tuple -Gamma(v, v) at x; raises on bad points."""
+    def _geo_rhs(self, x, v, want_k=False):
+        """Acceleration tuple -Gamma(v, v) at x; raises on bad points.
+
+        With want_k the Gauss curvature at x follows as a third entry.
+        """
         raise NotImplementedError
 
     # -- metric helpers ----------------------------------------------------
@@ -187,8 +201,7 @@ class ManifoldModel:
 
     # -- geodesy -----------------------------------------------------------
 
-    def exp_map(self, p, v, length, steps=None, want_jacobi=True,
-                check_drift=True):
+    def exp_map(self, p, v, length, steps=None, want_jacobi=True):
         """Shoot a unit-speed geodesic of given length; return sampled pole.
 
         steps defaults to 200 samples. The scalar Jacobi profile comes along
@@ -218,26 +231,24 @@ class ManifoldModel:
                                 v[None, :].copy(), 0.0,
                                 jacobi=np.array([0.0]), conjugate=False)
         u = np.linspace(0.0, length, steps + 1)
-        pts, tans, jac = self._pole_samples(p, v, length, u, want_jacobi,
-                                            check_drift)
+        pts, tans, jac = self._pole_samples(p, v, length, u, want_jacobi)
         return PoleGeodesic(u, pts, tans, float(length), jacobi=jac,
                             conjugate=_has_conjugate(jac))
 
-    def _pole_samples(self, p, v, length, u, want_jacobi, check_drift):
+    def _pole_samples(self, p, v, length, u, want_jacobi):
         """(points, tangents, jacobi or None) at the parameters u."""
         steps = len(u) - 1
-        xs, vs, js = _rk4_geodesic(self, p, v, length, steps, want_jacobi,
-                                   collect=True)
-        pts = np.vstack(xs)
-        tans = np.vstack(vs)
-        if check_drift:
-            drift = max(abs(self.norm(pts[i], tans[i]) - 1.0)
-                        for i in range(0, steps + 1, max(1, steps // 16)))
-            if drift > _DRIFT_TOL:
-                raise StepTooLargeError(
-                    f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
-                    "reduce the pole step")
-        return pts, tans, np.array(js) if want_jacobi else None
+        shot = _rk4_geodesic(self, p, v, length, steps, want_jacobi,
+                             collect=True)
+        pts = np.vstack(shot[0])
+        tans = np.vstack(shot[1])
+        drift = max(abs(self.norm(pts[i], tans[i]) - 1.0)
+                    for i in range(0, steps + 1, max(1, steps // 16)))
+        if drift > _DRIFT_TOL:
+            raise StepTooLargeError(
+                f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
+                "reduce the pole step")
+        return pts, tans, np.array(shot[3]) if want_jacobi else None
 
     def exp_point(self, p, v, length, steps=None):
         """Endpoint and end tangent of the unit-speed geodesic p, v, length."""
@@ -329,19 +340,61 @@ class ManifoldModel:
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return w
 
-    def jacobi_profile(self, length, steps):
-        """Jacobi profiles of poles of one length, sampled at steps + 1 points.
+    # -- tractrix propagation ---------------------------------------------
 
-        Returns profile(p, v) -> (j, conjugate) for the pole from p along
-        the unit tangent v. Here each pole is integrated; space forms
-        compute their one profile once.
+    def tractrix_start(self, eta, gamma, ell, n_pole):
+        """(state, L): the propagated state of a tractrix at gamma, and L,
+        the distance from eta to gamma that it was solved at.
+
+        The state is the unit pole direction X at the tractor point eta,
+        from one n_pole-step `connect`.
         """
-        def profile(p, v):
-            pole = self.exp_map(p, v, length, steps=steps, want_jacobi=True,
-                                check_drift=False)
-            return pole.jacobi, pole.conjugate
+        X, L, _ = self.connect(eta, gamma, L_guess=ell, steps=n_pole)
+        return X, L
 
-        return profile
+    def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):
+        """One stage: (rate of the state, tractrix speed |ds/dt|, record).
+
+        The tractrix is gamma = exp_eta(ell X). Its velocity is the Jacobi
+        field J along the pole with J(0) = eta' and J'(0) = D_t X, taken at
+        gamma. J has no normal part there, so gamma moves along the pole
+        with speed <eta', X>, and
+
+            D_t X = -(c(ell) / s(ell)) (eta' - <eta', X> X),
+
+        with c and s the cosine and sine solutions of j'' + K j = 0 along
+        the pole. One RK4 shot of n_pole steps from eta along X carries them.
+        The chart rate is D_t X - Gamma(eta', X), extended to |X| != 1
+        homogeneously, so |X| is a first integral and the direction needs
+        no renormalizing.
+
+        The record is None unless asked for; it is (gamma, pole_dir at
+        gamma, pole_end at eta, signed speed, Jacobi profile from gamma,
+        conjugate flag, drift). The profile j(u) = s(ell) c(ell - u)
+        - c(ell) s(ell - u) follows from the Wronskian, and the drift is the
+        shot's unit-speed error |T(ell)|_g - 1 at gamma.
+        """
+        g = self.metric_at(eta)
+        size = math.sqrt(float(X @ g @ X))
+        unit = X / size
+        end, tangent, c, s = _rk4_geodesic(self, eta, unit, ell, n_pole,
+                                           True, collect=record)
+        c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
+        if s_ell <= _CONJ_TOL:
+            raise NoConvergenceError(
+                f"the pole of length {ell!r} from {eta} reaches a conjugate "
+                f"point (s(ell) = {s_ell:.3e})")
+        along = float(eta_prime @ g @ unit)
+        rate = ((c_ell / s_ell) * (along * X - size * eta_prime)
+                - self.christoffel_at(eta) @ X @ eta_prime)
+        if not record:
+            return rate, abs(along), None
+        gamma, tangent = end[-1], tangent[-1]
+        c, s = np.array(c), np.array(s)
+        jac = s_ell * c[::-1] - c_ell * s[::-1]
+        speed = self.norm(gamma, tangent)
+        return rate, abs(along), (gamma, -tangent / speed, -unit, -along, jac,
+                                  _has_conjugate(jac), abs(speed - 1.0))
 
     def jacobi_integrals(self, u, jacobi):
         """Integral over [0, u[-1]] of each sampled profile (rows of jacobi)."""
@@ -379,7 +432,7 @@ class SpaceFormModel(ManifoldModel):
         """(unit v at p, length) of the minimizing geodesic from p to q."""
         raise NotImplementedError
 
-    def _pole_samples(self, p, v, length, u, want_jacobi, check_drift):
+    def _pole_samples(self, p, v, length, u, want_jacobi):
         ends = [self.exp_point(p, v, x) for x in u]
         jac = jacobi_reference(self.K, u) if want_jacobi else None
         return (np.array([q for q, _ in ends]),
@@ -390,11 +443,26 @@ class SpaceFormModel(ManifoldModel):
         v, L = self.log_map(p, q)
         return v, L, self.exp_point(p, v, L)[1]
 
-    def jacobi_profile(self, length, steps):
-        # constant curvature: one profile serves every pole
-        j = jacobi_reference(self.K, np.linspace(0.0, length, steps + 1))
-        conj = _has_conjugate(j)
-        return lambda p, v: (j, conj)
+    def tractrix_start(self, eta, gamma, ell, n_pole):
+        # the closed-form pole solve is exact, so the state is gamma itself
+        return gamma.copy(), self.distance(gamma, eta, L_guess=ell)
+
+    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
+                       record=False):
+        """The same stage with gamma as the state: a closed-form pole solve.
+
+        gamma moves along the unit direction v towards eta with the speed
+        <eta', T(ell)>, T(ell) the pole tangent at eta. The drift is the
+        solved pole length's error |L - ell|, and one Jacobi profile serves
+        every pole.
+        """
+        v, L, t_end = self.connect(gamma, eta)
+        speed = self.inner(eta, eta_prime, t_end)
+        if not record:
+            return speed * v, abs(speed), None
+        jac, conj = _reference_profile(self.K, ell, n_pole)
+        return speed * v, abs(speed), (gamma, v, t_end, speed, jac, conj,
+                                       abs(L - ell))
 
     def jacobi_integrals(self, u, jacobi):
         return np.full(len(jacobi), jacobi_reference_integral(self.K, u[-1]))
@@ -429,8 +497,8 @@ class FlatModel(SpaceFormModel):
     def gauss_at(self, p):
         return 0.0
 
-    def _geo_rhs(self, x, v):
-        return (0.0,) * self.dim
+    def _geo_rhs(self, x, v, want_k=False):
+        return (0.0,) * (self.dim + 1 if want_k else self.dim)
 
     def inner(self, p, a, b):
         # identical to a @ I @ b, without building I
@@ -497,13 +565,14 @@ class SphereModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v):
+    def _geo_rhs(self, x, v, want_k=False):
         th = x[0]
         s, c = math.sin(th), math.cos(th)
         if abs(s) < 1e-9:
             raise SingularChartError(
                 f"geodesic hit chart pole (theta={float(th)!r})")
-        return (s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1])
+        acc = (s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1])
+        return acc + (self.K,) if want_k else acc
 
     # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
 
@@ -608,7 +677,7 @@ class HyperbolicModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v):
+    def _geo_rhs(self, x, v, want_k=False):
         f = 1.0 - x[0] * x[0] - x[1] * x[1]
         if f <= 0.0:
             raise DomainExitError("geodesic left the Poincare disk",
@@ -616,7 +685,7 @@ class HyperbolicModel(SpaceFormModel):
         px, py = 2.0 * x[0] / f, 2.0 * x[1] / f
         a1 = -(px * v[0] * v[0] + 2.0 * py * v[0] * v[1] - px * v[1] * v[1])
         a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
-        return (a1, a2)
+        return (a1, a2, self.K) if want_k else (a1, a2)
 
     def exp_point(self, p, v, length, steps=None):
         z = complex(p[0], p[1])
@@ -737,8 +806,8 @@ class SurfaceModel(ManifoldModel):
         N = svv[0] * nx + svv[1] * ny + svv[2] * nz
         return (L * N - M * M) / det
 
-    def _geo_rhs(self, x, v):
-        # the hottest call: _forms and christoffel_at stay inlined here
+    def _geo_rhs(self, x, v, want_k=False):
+        # the hottest call: _forms, christoffel_at and gauss_at stay inlined
         u, w = x[0], x[1]
         ch = self.chart
         if not ch.contains(u, w):
@@ -765,8 +834,17 @@ class SurfaceModel(ManifoldModel):
         g1uv, g2uv = iuu * cm1 + iuv * cm2, iuv * cm1 + ivv * cm2
         g1vv, g2vv = iuu * cv1 + iuv * cv2, iuv * cv1 + ivv * cv2
         a, b = v[0], v[1]
-        return (-(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b),
-                -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b))
+        acc_u = -(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b)
+        acc_v = -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b)
+        if not want_k:
+            return acc_u, acc_v
+        # K = (L N - M^2) / det against the unit normal; the unnormalized
+        # n = F_u x F_v has |n|^2 = det, so no square root is needed
+        nx, ny, nz = yu * zv - zu * yv, zu * xv - xu * zv, xu * yv - yu * xv
+        L = xuu * nx + yuu * ny + zuu * nz
+        M = xuv * nx + yuv * ny + zuv * nz
+        N = xvv * nx + yvv * ny + zvv * nz
+        return acc_u, acc_v, (L * N - M * M) / (det * det)
 
 
 def surface_model(chart):
@@ -804,59 +882,74 @@ def model_from_config(spec):
 # Geodesic integration
 
 
+def _jacobi_step(j, jp, K1, K2, K3, K4, h, hh, h6):
+    """One RK4 step of j'' = -K j with the geodesic step's stage values."""
+    k1, k1p = jp, -K1 * j
+    k2, k2p = jp + hh * k1p, -K2 * (j + hh * k1)
+    k3, k3p = jp + hh * k2p, -K3 * (j + hh * k2)
+    k4, k4p = jp + h * k3p, -K4 * (j + h * k3)
+    return (j + h6 * (k1 + 2 * k2 + 2 * k3 + k4),
+            jp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
 def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
-    """Fixed-step RK4 on (x, v[, j, j']). Returns final state or samples.
+    """Fixed-step RK4 on (x, v[, c, c', s, s']); final state or samples.
 
     The state is two-dimensional and held in scalar locals: (x, y) for the
     point, (p, q) for the velocity. Only surfaces reach this integrator,
     because the space forms, the only models that can be three-dimensional,
-    override each of its callers (`_pole_samples`, `connect`, `exp_point`)
-    with closed forms. Samples are lists of points, velocities and j values;
-    the final state is (point, velocity) as arrays.
+    override each of its callers (`_pole_samples`, `connect`, `exp_point`,
+    `tractrix_stage`) with closed forms. With want_jacobi the cosine and
+    sine solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and
+    s(0) = 0, s'(0) = 1, with K from the same chart jet as the acceleration.
+
+    The result is (x, v), followed by (c, s) with want_jacobi: lists of
+    samples when collect, else the final point and velocity as arrays and
+    the final c and s.
     """
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
     hh, h6 = 0.5 * h, h / 6.0
     x, y = float(x0[0]), float(x0[1])
     p, q = float(v0[0]), float(v0[1])
-    j, jp = 0.0, 1.0
+    c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
     rhs = model._geo_rhs
-    gauss = model.gauss_at
-    K1 = K2 = K3 = K4 = 0.0
     if collect:
-        xs, vs, js = [np.array((x, y))], [np.array((p, q))], [j]
+        xs, vs, cs, ss = [np.array((x, y))], [np.array((p, q))], [c], [s]
     for _ in range(n_steps):
-        a1, b1 = rhs((x, y), (p, q))
         if want_jacobi:
-            K1 = gauss((x, y))
+            a1, b1, K1 = rhs((x, y), (p, q), True)
+        else:
+            a1, b1 = rhs((x, y), (p, q))
         x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
-        a2, b2 = rhs((x2, y2), (p2, q2))
         if want_jacobi:
-            K2 = gauss((x2, y2))
+            a2, b2, K2 = rhs((x2, y2), (p2, q2), True)
+        else:
+            a2, b2 = rhs((x2, y2), (p2, q2))
         x3, y3, p3, q3 = x + hh * p2, y + hh * q2, p + hh * a2, q + hh * b2
-        a3, b3 = rhs((x3, y3), (p3, q3))
         if want_jacobi:
-            K3 = gauss((x3, y3))
+            a3, b3, K3 = rhs((x3, y3), (p3, q3), True)
+        else:
+            a3, b3 = rhs((x3, y3), (p3, q3))
         x4, y4, p4, q4 = x + h * p3, y + h * q3, p + h * a3, q + h * b3
-        a4, b4 = rhs((x4, y4), (p4, q4))
         if want_jacobi:
-            K4 = gauss((x4, y4))
+            a4, b4, K4 = rhs((x4, y4), (p4, q4), True)
+        else:
+            a4, b4 = rhs((x4, y4), (p4, q4))
         x, y, p, q = (x + h6 * (p + 2 * p2 + 2 * p3 + p4),
                       y + h6 * (q + 2 * q2 + 2 * q3 + q4),
                       p + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
                       q + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
         if want_jacobi:
-            # j'' = -K j integrated with the same stages
-            k1j, k1jp = jp, -K1 * j
-            k2j, k2jp = jp + hh * k1jp, -K2 * (j + hh * k1j)
-            k3j, k3jp = jp + hh * k2jp, -K3 * (j + hh * k2j)
-            k4j, k4jp = jp + h * k3jp, -K4 * (j + h * k3j)
-            j, jp = (j + h6 * (k1j + 2 * k2j + 2 * k3j + k4j),
-                     jp + h6 * (k1jp + 2 * k2jp + 2 * k3jp + k4jp))
+            c, cp = _jacobi_step(c, cp, K1, K2, K3, K4, h, hh, h6)
+            s, sp = _jacobi_step(s, sp, K1, K2, K3, K4, h, hh, h6)
         if collect:
             xs.append(np.array((x, y)))
             vs.append(np.array((p, q)))
-            js.append(j)
+            cs.append(c)
+            ss.append(s)
     if collect:
-        return xs, vs, js
+        return (xs, vs, cs, ss) if want_jacobi else (xs, vs)
+    if want_jacobi:
+        return np.array((x, y)), np.array((p, q)), c, s
     return np.array((x, y)), np.array((p, q))

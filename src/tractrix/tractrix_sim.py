@@ -1,15 +1,22 @@
 """Tractor/tractrix propagation.
 
 The tractor curve eta(t) drives the system; the tractrix gamma trails (or
-leads) it at the far end of a geodesic pole of fixed length ell.  The
-velocity of gamma is the projection of eta's velocity onto the pole,
-carried back along the pole to gamma:
+leads) it at the far end of a geodesic pole of fixed length ell:
+gamma = exp_eta(ell X) with X the unit pole direction at eta.  The velocity
+of gamma is the projection of eta's velocity onto the pole, carried along
+the pole to gamma:
 
-    dgamma/dt = <eta'(t), T(ell)>_g * v,      ds/dt = |<eta'(t), T(ell)>_g|
+    dgamma/dt = <eta'(t), X>_g * T(ell),      ds/dt = |<eta'(t), X>_g|
 
-with v the unit pole direction at gamma and T(ell) the pole tangent at
-eta.  The projected speed changes sign at cusps (pull <-> push); the ODE
-itself stays smooth in the tractor parameter, so cusps need no restart.
+with T(ell) the pole tangent at gamma.  The projected speed changes sign at
+cusps (pull <-> push); the ODE itself stays smooth in the tractor
+parameter, so cusps need no restart.
+
+`simulate` runs one RK4 loop over a state that the model chooses (see
+`ManifoldModel.tractrix_stage`).  On surfaces the state is X, which moves
+by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta,
+with no two-point solve.  On space forms the state is gamma, and each
+stage re-solves the pole in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .errors import (
     NotClosedError,
     PoleLengthDriftError,
     RecordOverflowError,
-    ShootingLostError,
 )
 from .manifold import (
     _SHOOT_FD_H,
@@ -211,7 +217,7 @@ class TractrixTrace:
     eta: np.ndarray
     pole_dir: np.ndarray
     pole_end: np.ndarray
-    speed: np.ndarray  # signed projected speed <eta', T(ell)>
+    speed: np.ndarray  # signed projected speed <eta', pole_end>
     eta_speed: np.ndarray  # metric speed |eta'| of the tractor
     sigma: np.ndarray  # +1 pull / -1 push
     d: np.ndarray  # orthogonal distance to geodesic tractors, else NaN
@@ -221,7 +227,7 @@ class TractrixTrace:
     pole_u: np.ndarray
     jacobi: np.ndarray  # (n, len(pole_u)) profiles J_s(u)
     pole_conjugate: np.ndarray
-    max_drift: float
+    max_drift: float  # largest record drift of `tractrix_stage`
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
         default_factory=list)
@@ -251,59 +257,52 @@ class TractrixTrace:
 # The simulation proper
 
 
-def simulate(model, tractor, gamma0, ell, params=None):
-    """Propagate the tractrix for `tractor` with a pole of length `ell`.
-
-    Every integration stage re-solves the two-point pole with
-    `model.connect`: closed forms on space forms, Newton warm-started from
-    the previous direction on surfaces.  The pull or push character is
-    emergent from the attachment geometry and recorded per record as sigma.
-    """
-    if params is None:
-        params = SimParams()
+def _require_pole(model, ell):
+    """Reject a pole length the propagation cannot use."""
     if ell <= 0:
         raise ConfigError("pole length must be positive")
     if model.conjugate_scale is not None and ell >= model.conjugate_scale:
         raise ConfigError(f"pole length ell = {ell!r} reaches the conjugate "
                           f"scale {model.conjugate_scale!r}")
+
+
+def simulate(model, tractor, gamma0, ell, params=None):
+    """Propagate the tractrix for `tractor` with a pole of length `ell`.
+
+    The model supplies the state and its rate (`tractrix_start`,
+    `tractrix_stage`): on surfaces the unit pole direction at the tractor,
+    moved by its Jacobi-field ODE with one geodesic shot per stage; on
+    space forms gamma itself, with the pole re-solved in closed form at
+    every stage.  Each record is read off its own stage.  The pull or push
+    character is emergent from the attachment geometry and recorded per
+    record as sigma.
+    """
+    if params is None:
+        params = SimParams()
+    _require_pole(model, ell)
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (model.dim,):
         raise ConfigError(f"gamma0: expected {model.dim} coordinates, got "
                           f"{gamma0.size}")
     model.check_point(gamma0)
 
-    eta0 = np.asarray(tractor.point(tractor.t0), dtype=float)
-    L0 = model.distance(gamma0, eta0, L_guess=ell)
-    if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
-        raise PoleLengthDriftError(
-            f"initial attachment distance {L0!r} does not match ell {ell!r}")
-
     n_steps = int(math.ceil(tractor.span / params.dt))
     if n_steps + 1 > params.max_records:
         raise RecordOverflowError(
             f"{n_steps + 1} records exceed max_records {params.max_records}")
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
-
     n_pole = max(8, int(math.ceil(ell / params.pole_step)))
-    v_prev = None  # warm start of the next pole solve
 
-    def stage(eta, eta_prime, gamma):
-        """Pole direction, length, end tangent and projected speed."""
-        nonlocal v_prev
-        try:
-            v, L, t_end = model.connect(gamma, eta, v_guess=v_prev,
-                                        L_guess=ell, steps=n_pole)
-        except NoConvergenceError as exc:
-            raise ShootingLostError(
-                f"pole solve left the solvable regime: {exc}") from exc
-        v_prev = v
-        return v, L, t_end, model.inner(eta, eta_prime, t_end)
+    eta0 = np.asarray(tractor.point(tractor.t0), dtype=float)
+    state, L0 = model.tractrix_start(eta0, gamma0, ell, n_pole)
+    if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
+        raise PoleLengthDriftError(
+            f"initial attachment distance {L0!r} does not match ell {ell!r}")
 
-    def rhs(t, gamma):
+    def rhs(t, y):
         eta = np.asarray(tractor.point(t), dtype=float)
         etap = np.asarray(tractor.velocity(t), dtype=float)
-        v, _, _, speed = stage(eta, etap, gamma)
-        return speed * v, abs(speed)
+        return model.tractrix_stage(eta, etap, y, ell, n_pole)[:2]
 
     dim = model.dim
     n = len(t_grid)
@@ -318,31 +317,25 @@ def simulate(model, tractor, gamma0, ell, params=None):
     conj = np.zeros(n, dtype=bool)
     pole_u = np.linspace(0.0, ell, n_pole + 1)
 
-    gamma = gamma0.copy()
     s = 0.0
     max_drift = 0.0
     br = np.asarray(tractor.breaks, dtype=float)
     br = br[(br > t_grid[0]) & (br < t_grid[-1])]
-    jacobi_profile = model.jacobi_profile(ell, n_pole)
 
     for i, t in enumerate(t_grid):
         eta = np.asarray(tractor.point(t), dtype=float)
         etap = np.asarray(tractor.velocity(t), dtype=float)
-        v, L, t_end, speed = stage(eta, etap, gamma)
-        drift = abs(L - ell)
+        rate, sdot, (gam[i], pole_dir[i], pole_end[i], speeds[i],
+                     jac_prof[i], conj[i], drift) = model.tractrix_stage(
+            eta, etap, state, ell, n_pole, record=True)
         if drift > _POLE_DRIFT_LIMIT:
             raise PoleLengthDriftError(
-                f"pole length drifted to {L!r} at t={t!r} "
-                f"(|L - ell| = {drift:.3e})")
+                f"pole drift {drift:.3e} exceeds {_POLE_DRIFT_LIMIT} at "
+                f"t={t!r}")
         max_drift = max(max_drift, drift)
-        gam[i] = gamma
         eta_pts[i] = eta
-        pole_dir[i] = v
-        pole_end[i] = t_end
-        speeds[i] = speed
         eta_speeds[i] = model.norm(eta, etap)
         s_arr[i] = s
-        jac_prof[i], conj[i] = jacobi_profile(gamma, v)
 
         if i == n - 1:
             break
@@ -352,13 +345,14 @@ def simulate(model, tractor, gamma0, ell, params=None):
         knots = [t, *br[lo:hi], t_next]
         for ta, tb in zip(knots[:-1], knots[1:]):
             hh = tb - ta
-            k1, q1 = rhs(ta, gamma)
-            k2, q2 = rhs(ta + hh / 2, gamma + (hh / 2) * k1)
-            k3, q3 = rhs(ta + hh / 2, gamma + (hh / 2) * k2)
+            # the record's own stage is the first piece's first stage
+            k1, q1 = (rate, sdot) if ta == t else rhs(ta, state)
+            k2, q2 = rhs(ta + hh / 2, state + (hh / 2) * k1)
+            k3, q3 = rhs(ta + hh / 2, state + (hh / 2) * k2)
             # evaluate just inside the piece so a kink at tb contributes
             # its left limit
-            k4, q4 = rhs(tb - 1e-9 * hh, gamma + hh * k3)
-            gamma = gamma + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k4, q4 = rhs(tb - 1e-9 * hh, state + hh * k3)
+            state = state + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             s = s + (hh / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
 
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
@@ -590,6 +584,7 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     (+1 is the tangent rotated by +pi/2), `mode` decides whether the foot
     lies behind or ahead of the tractor start (pull or push attachment).
     """
+    _require_pole(model, ell)
     if not 0.0 <= d0 < ell:
         raise ConfigError("need 0 <= d0 < ell for an orthogonal attachment")
     if mode not in ("behind", "ahead"):

@@ -126,6 +126,19 @@ def test_pole_at_conjugate_scale_exits_one(tmp_path, capsys):
     assert "ell" in err and "conjugate scale" in err
 
 
+def test_attached_pole_at_conjugate_scale_exits_one(tmp_path, capsys):
+    # the attachment meets the pole length before the simulation does
+    raw = {"model": {"kind": "spaceform", "K": 1.0},
+           "tractor": {"kind": "latitude", "colatitude": math.pi / 2,
+                       "t1": 1.0},
+           "gamma0": {"d0": 0.5, "side": 1, "mode": "behind"},
+           "ell": math.pi}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "conjugate scale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("chart, named", [
     ({"name": "graph", "poly": [[-1, 0, 1.0]]}, "[-1, 0, 1.0]"),
     ({"name": "graph", "poly": [[1.5, 0, 1.0]]}, "[1.5, 0, 1.0]"),

@@ -213,18 +213,21 @@ def test_jacobi_reference_values():
 
 
 def test_jacobi_scalar_sphere_closed_form():
-    u = np.linspace(0.0, math.pi, 101)
-    j, conj = SPHERE.jacobi_profile(math.pi, 100)([math.pi / 2, 0.0],
-                                                  [0.0, 1.0])
-    assert np.allclose(j, np.sin(u), atol=1e-12)
-    assert conj  # first conjugate point sits exactly at u = pi
+    # exp_map refuses the conjugate scale itself, so the pole stops 1e-13
+    # short of it, inside the flag's threshold
+    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 1e-13,
+                          steps=100, want_jacobi=True)
+    j, conj = pole.jacobi, pole.conjugate
+    assert np.allclose(j, np.sin(pole.u), atol=1e-12)
+    assert conj  # first conjugate point sits at u = pi
 
 
 def test_jacobi_scalar_constant_negative_surface():
     # pseudosphere has K = -1: numeric j(1) must match sinh(1)
     p = np.array([1.2, 0.0])
     v = PSEUDO.unit(p, [0.0, 1.0])
-    j, conj = PSEUDO.jacobi_profile(1.0, 200)(p, v)
+    pole = PSEUDO.exp_map(p, v, 1.0, steps=200, want_jacobi=True)
+    j, conj = pole.jacobi, pole.conjugate
     assert j[-1] == pytest.approx(math.sinh(1.0), abs=1e-8)
     assert not conj
 
@@ -233,7 +236,7 @@ def test_jacobi_normalization_small_u():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
     u = np.linspace(0.0, 0.5, 101)
-    j, _ = PARAB.jacobi_profile(0.5, 100)(p, v)
+    j = PARAB.exp_map(p, v, 0.5, steps=100, want_jacobi=True).jacobi
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
     taylor = 1.0 - PARAB.gauss_at(p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)

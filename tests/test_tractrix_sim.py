@@ -11,10 +11,12 @@ from tractrix.errors import (
     PoleLengthDriftError,
     RecordOverflowError,
 )
-from tractrix.manifold import space_form, surface_model
+from tractrix.config import bundled_scenario
+from tractrix.manifold import model_from_config, space_form, surface_model
 from tractrix.spaceform import classical_tractrix, dist_at, kappa_at, \
     long_pole_sphere, solve_from_d0
 from tractrix.tractrix_sim import (
+    _POLE_DRIFT_LIMIT,
     SimParams,
     analytic_tractor,
     orthogonal_attachment,
@@ -334,6 +336,63 @@ def test_paraboloid_ring_pull():
     rel = np.abs(tr.kappa[both] - tr.kappa_speed[both]) \
         / np.abs(tr.kappa_speed[both])
     assert np.max(rel) < 1e-3
+
+
+SURFACE_PULLS = ("paraboloid_pull", "hilly_pull")
+
+
+def bundled_run(name, span=None, dt=None):
+    """(model, trace, gamma0) of a bundled scenario, span and dt optional."""
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    spec = dict(cfg.tractor)
+    if span is not None:
+        spec["t1"] = spec.get("t0", 0.0) + span
+    tractor = tractor_from_config(model, spec)
+    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    sim = dict(cfg.sim, **({} if dt is None else {"dt": dt}))
+    return model, simulate(model, tractor, g0, cfg.ell, SimParams(**sim)), g0
+
+
+@pytest.fixture(scope="module", params=SURFACE_PULLS)
+def surface_pull(request):
+    return bundled_run(request.param)
+
+
+def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
+    # the Wronskian profile of the tractor-end shot equals the Jacobi
+    # profile integrated from gamma along the pole
+    model, tr, _ = surface_pull
+    n_pole = len(tr.pole_u) - 1
+    for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
+        pole = model.exp_map(tr.gamma[i], tr.pole_dir[i], tr.ell,
+                             steps=n_pole, want_jacobi=True)
+        assert np.max(np.abs(pole.jacobi - tr.jacobi[i])) < 1e-8
+        assert pole.endpoint == pytest.approx(tr.eta[i], abs=1e-6)
+
+
+def test_surface_first_record_lands_on_gamma0(surface_pull):
+    # record 0 is a length-ell shot along the direction solved at gamma0's
+    # own pole length, which differs from ell by the shot's RK4 error
+    _, tr, g0 = surface_pull
+    assert np.linalg.norm(tr.gamma[0] - g0) <= _POLE_DRIFT_LIMIT
+
+
+def test_surface_drift_is_measured(surface_pull):
+    _, tr, _ = surface_pull
+    tr.check_invariants()
+    assert 0.0 < tr.max_drift < _POLE_DRIFT_LIMIT
+
+
+@pytest.mark.parametrize("name", SURFACE_PULLS)
+def test_surface_pull_self_converges_at_fourth_order(name):
+    runs = [bundled_run(name, span=0.5, dt=dt)[1]
+            for dt in (0.05, 0.025, 0.0125, 0.00625)]
+    for value in (lambda tr: tr.gamma[-1], lambda tr: tr.s[-1] - tr.s[0]):
+        gaps = [np.linalg.norm(value(a) - value(b))
+                for a, b in zip(runs[:-1], runs[1:])]
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        assert np.all(orders >= 3.5), (gaps, orders)
 
 
 def test_helix_pull_crosses_one_cusp():
