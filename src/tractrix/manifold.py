@@ -4,19 +4,27 @@ Every model answers the same questions, which are all that the
 tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
 and Gauss curvature at a point; geodesics from a point (`exp_point`, the
 sampled pole `exp_map` with its Jacobi profile j'' + K j = 0); two-point
-geodesics (`connect`, `distance`); parallel transport; one stage of the
-tractrix propagation (`tractrix_start`, `tractrix_stage`); and the edge
-length and discrete geodesic acceleration of a polyline.
+geodesics (`connect`, `distance`); parallel transport along a chart
+segment; the distance of points to a geodesic (`distance_to_geodesic`);
+one stage of the tractrix propagation (`tractrix_start`,
+`tractrix_stage`); and the edge length and discrete geodesic acceleration
+of a polyline.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
 the scalar Jacobi equation rides along, which is exact in dimension two.
-Two-point geodesics are solved by damped Newton. The tractrix state is the
+Two-point geodesics are solved by damped Newton, and transport integrates
+dw/dt = -Gamma(b - a, w) in two RK4 substeps. The tractrix state is the
 pole direction at the tractor, so a stage is one shot and no two-point
-solve. Embedded parametric surfaces F(u, v) in R^3 (SurfaceModel) use these
-defaults. The constant-curvature space forms, in standard charts
-(colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
-K < 0), override them with closed forms.
+solve. There is no default distance to a geodesic: the foot-point solve
+for it lives with the tractrix post-passes. Embedded parametric surfaces
+F(u, v) in R^3 (SurfaceModel) use these defaults. The constant-curvature
+space forms, in standard charts (colatitude/longitude for K > 0, Cartesian
+for K = 0, Poincare disk for K < 0), override them with closed forms:
+transport is exact along the same chart segment (a rotation of the
+orthonormal frame on the sphere, a rotation and a conformal scaling in
+the disk, the identity in flat space), and the distance to a geodesic is
+one array expression over all points.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -317,6 +325,11 @@ class ManifoldModel:
         """Geodesic distance; the guesses warm-start the Newton solve."""
         return self.connect(p, q, v_guess=v_guess, L_guess=L_guess)[1]
 
+    def distance_to_geodesic(self, a, v, points):
+        """Distance from each of `points` to the geodesic through a along v,
+        as one array, or None where the model has no closed form for it."""
+        return None
+
     def parallel_transport(self, a, b, w):
         """Transport w from a to b along the chart segment between them.
 
@@ -512,7 +525,9 @@ class FlatModel(SpaceFormModel):
 
     def log_map(self, p, q):
         d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        L = float(np.linalg.norm(d))
+        # the same sqrt(d . d) that np.linalg.norm computes, without its
+        # dispatch
+        L = math.sqrt(float(d @ d))
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         return d / L, L
@@ -527,6 +542,13 @@ class FlatModel(SpaceFormModel):
     def parallel_transport(self, a, b, w):
         # straight chart lines: transport is the identity
         return w
+
+    def distance_to_geodesic(self, a, v, points):
+        # the part of points - a perpendicular to the line's direction
+        v = np.asarray(v, dtype=float)
+        v = v / math.sqrt(float(v @ v))
+        rel = np.asarray(points, dtype=float) - np.asarray(a, dtype=float)
+        return np.linalg.norm(rel - np.outer(rel @ v, v), axis=1)
 
 
 class SphereModel(SpaceFormModel):
@@ -637,6 +659,38 @@ class SphereModel(SpaceFormModel):
         c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
         return math.acos(c) * self.radius
 
+    def parallel_transport(self, a, b, w):
+        """Exact transport of w along the chart segment from a to b.
+
+        In the orthonormal frame (d_theta, d_phi / sin theta) a parallel
+        vector turns at the rate -cos(theta) phi'. Over the segment that is
+        the angle -dphi cos(theta_a + dtheta/2) sinc(dtheta/2).
+        """
+        self.check_point(a)
+        self.check_point(b)
+        # a, b and w are float arrays (trace rows): one tolist per vector
+        # is cheaper than float() of each entry
+        th_a, ph_a = a.tolist()
+        th_b, ph_b = b.tolist()
+        x, w_phi = w.tolist()
+        half = 0.5 * (th_b - th_a)
+        sinc = math.sin(half) / half if half else 1.0
+        angle = -(ph_b - ph_a) * math.cos(th_a + half) * sinc
+        c, s = math.cos(angle), math.sin(angle)
+        y = math.sin(th_a) * w_phi
+        return np.array([c * x - s * y, (s * x + c * y) / math.sin(th_b)])
+
+    def distance_to_geodesic(self, a, v, points):
+        # the great circle through a along v is the unit normal n's equator
+        n = np.cross(self._embed(a), self._tangent3(a, v))
+        n = n / np.linalg.norm(n)
+        th, ph = points[:, 0], points[:, 1]
+        st = np.sin(th)
+        X = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
+        h = X @ n
+        return (np.arctan2(np.abs(h), np.linalg.norm(X - np.outer(h, n),
+                                                      axis=1)) / self.k)
+
 
 class HyperbolicModel(SpaceFormModel):
     """Hyperbolic plane of curvature K = -k^2 in the Poincare disk."""
@@ -723,6 +777,42 @@ class HyperbolicModel(SpaceFormModel):
         num = 2.0 * abs(z - w) ** 2
         den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
         return math.acosh(1.0 + num / den) / self.k
+
+    def parallel_transport(self, a, b, w):
+        """Exact transport of w along the chart segment z(t) = a + t s.
+
+        The metric is conformal, lambda = 2 / (k f) with f = 1 - |z|^2, so
+        w scales by f(b) / f(a) and turns by -2 (a x s) I, where
+        I = int_0^1 dt / f(z(t)) = atanh(r) / (r (c - beta)) with c = f(a),
+        beta = a . s, q = |s|^2 and r = sqrt(beta^2 + q c) / (c - beta).
+        """
+        self.check_point(a)
+        self.check_point(b)
+        ax, ay = a.tolist()
+        bx, by = b.tolist()
+        sx, sy = bx - ax, by - ay
+        c = 1.0 - ax * ax - ay * ay
+        beta = ax * sx + ay * sy
+        den = c - beta
+        r = math.sqrt(beta * beta + (sx * sx + sy * sy) * c) / den
+        integral = math.atanh(r) / (r * den) if r else 1.0 / den
+        angle = -2.0 * (ax * sy - ay * sx) * integral
+        scale = (1.0 - bx * bx - by * by) / c
+        cs, sn = scale * math.cos(angle), scale * math.sin(angle)
+        x, y = w.tolist()
+        return np.array([cs * x - sn * y, sn * x + cs * y])
+
+    def distance_to_geodesic(self, a, v, points):
+        # the Moebius map m = (z - a) / (1 - conj(a) z) sends a to 0 and
+        # keeps the direction u of v there; the geodesic is then the
+        # diameter along u, at distance asinh(2 |Im(m conj u)| / (1 - |m|^2))
+        a = complex(a[0], a[1])
+        u = complex(v[0], v[1])
+        u = u / abs(u)
+        z = points[:, 0] + 1j * points[:, 1]
+        m = (z - a) / (1.0 - a.conjugate() * z)
+        return np.arcsinh(2.0 * np.abs((m * u.conjugate()).imag)
+                          / (1.0 - np.abs(m) ** 2)) / self.k
 
 
 def space_form(K, dim=2, periods=None):

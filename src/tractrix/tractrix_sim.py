@@ -21,6 +21,7 @@ stage re-solves the pole in closed form.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -109,11 +110,14 @@ def polyline_tractor(points, closed=False, *, is_geodesic=False,
     knots = np.concatenate([[0.0], np.cumsum(lens)])
     total = knots[-1]
     dirs = seg / lens[:, None]
+    # bisect on a list finds what np.searchsorted(side="right") finds,
+    # without the array round trip per call
+    knot_list = knots.tolist()
 
     def locate(t):
         if closed:
             t = t % total
-        i = int(np.searchsorted(knots, t, side="right") - 1)
+        i = bisect.bisect_right(knot_list, t) - 1
         i = min(max(i, 0), len(lens) - 1)
         return i, t
 
@@ -266,6 +270,25 @@ def _require_pole(model, ell):
                           f"scale {model.conjugate_scale!r}")
 
 
+def _require_geodesic(model, tractor, ell):
+    """Reject a tractor flagged geodesic that leaves its initial geodesic.
+
+    The closed-form foot distance trusts the flag, so on models that have
+    one, the midpoint and the end of the tractor must lie on the geodesic
+    through eta(t0) along eta'(t0).
+    """
+    t0, t1 = tractor.t0, tractor.t1
+    probes = np.array([tractor.point(0.5 * (t0 + t1)), tractor.point(t1)],
+                      dtype=float)
+    off = model.distance_to_geodesic(
+        np.asarray(tractor.point(t0), dtype=float),
+        np.asarray(tractor.velocity(t0), dtype=float), probes)
+    if off is not None and np.max(off) > 1e-9 * max(1.0, ell):
+        raise ConfigError(
+            f"tractor.geodesic: the tractor is flagged geodesic but lies "
+            f"{np.max(off):.3e} off the geodesic through its start")
+
+
 def simulate(model, tractor, gamma0, ell, params=None):
     """Propagate the tractrix for `tractor` with a pole of length `ell`.
 
@@ -280,6 +303,8 @@ def simulate(model, tractor, gamma0, ell, params=None):
     if params is None:
         params = SimParams()
     _require_pole(model, ell)
+    if tractor.is_geodesic:
+        _require_geodesic(model, tractor, ell)
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (model.dim,):
         raise ConfigError(f"gamma0: expected {model.dim} coordinates, got "
@@ -490,28 +515,27 @@ def _fill_curvature(trace, params):
     trace.kappa_speed = ks
 
 
-def _quarter_turn(trace):
-    """Matrix E such that E @ g @ w is normal to w, turned by +pi/2.
-
-    On a surface E is [[0, -1], [1, 0]] (chart orientation).  Models of
-    higher dimension are flat, and the tractrix of a straight line stays
-    in the plane through the line and gamma0, so E turns in that plane.
-    """
-    if trace.model.dim == 2:
-        return np.array([[0.0, -1.0], [1.0, 0.0]])
-    a = trace.model.unit(trace.eta[0], trace.tractor.velocity(trace.t[0]))
-    b = trace.gamma[0] - trace.eta[0]
-    b = b - (b @ a) * a
-    if np.linalg.norm(b) < 1e-12 * trace.ell:
-        # gamma0 on the line: every plane through it will do
-        b = np.eye(len(a))[np.argmin(np.abs(a))]
-        b = b - (b @ a) * a
-    b = b / np.linalg.norm(b)
-    return np.outer(b, a) - np.outer(a, b)
-
-
 def _fill_orthogonal_distance(trace):
     """Distance d from gamma to its projection foot on a geodesic tractor.
+
+    Space forms measure it in closed form for all records at once, as the
+    distance to the geodesic through eta(t0) along eta'(t0)
+    (`distance_to_geodesic`); `simulate` has checked that the tractor
+    stays on that geodesic.  Surfaces solve for the foot (`_foot_newton`).
+    """
+    tractor = trace.tractor
+    d = trace.model.distance_to_geodesic(
+        np.asarray(tractor.point(tractor.t0), dtype=float),
+        np.asarray(tractor.velocity(tractor.t0), dtype=float), trace.gamma)
+    trace.d[:] = _foot_newton(trace) if d is None else d
+
+
+# E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _foot_newton(trace):
+    """Foot distances |d| of every record on a 2-D model, by Newton.
 
     (tau, d) are the Fermi coordinates of gamma relative to the tractor
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
@@ -522,18 +546,19 @@ def _fill_orthogonal_distance(trace):
     record from the previous record's (tau, d).  F is regular at d = 0,
     where the shot has length 0 and end tangent N, so a tractrix lying on
     its tractor needs no special case and reads d = 0 exactly.  Shots
-    with d < 0 run along -N; the trace stores |d|.
+    with d < 0 run along -N.
     """
     model = trace.model
     tractor = trace.tractor
-    turn = _quarter_turn(trace)
     tol = 1e-11 * max(1.0, trace.ell)
+    out = np.empty(len(trace.gamma))
 
     def shoot(tau, d):
         """F(tau, d) and its derivative in d."""
         foot = np.asarray(tractor.point(tau), dtype=float)
         g = model.metric_at(foot)
-        n = turn @ g @ np.asarray(tractor.velocity(tau), dtype=float)
+        n = _QUARTER_TURN @ g @ np.asarray(tractor.velocity(tau),
+                                           dtype=float)
         n = n / math.sqrt(float(n @ g @ n))
         sign = -1.0 if d < 0.0 else 1.0
         end, tangent = model.exp_point(foot, sign * n, abs(d), steps=48)
@@ -550,8 +575,9 @@ def _fill_orthogonal_distance(trace):
                 break
             tau_col = (shoot(tau + _SHOOT_FD_H, d)[0] - end) / _SHOOT_FD_H
             J = np.column_stack([tau_col, d_col])
-            # normal equations: the same step as solve(J, r) when J is
-            # square, and the in-plane step in higher dimension
+            # normal equations: the same step as solve(J, r) for the
+            # square J, which rounds differently and would move the last
+            # digits of d on surfaces
             try:
                 step = np.linalg.solve(J.T @ J, J.T @ (gamma - end))
             except np.linalg.LinAlgError as exc:
@@ -569,7 +595,8 @@ def _fill_orthogonal_distance(trace):
         if not rn < tol:
             raise NoConvergenceError(
                 f"foot solve at record {i} stalled at residual {rn:.3e}")
-        trace.d[i] = abs(d)
+        out[i] = abs(d)
+    return out
 
 
 # ---------------------------------------------------------------------------

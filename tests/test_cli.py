@@ -139,6 +139,29 @@ def test_attached_pole_at_conjugate_scale_exits_one(tmp_path, capsys):
     assert "conjugate scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, tractor, gamma0", [
+    ({"kind": "spaceform", "K": 1.0},
+     {"kind": "latitude", "colatitude": 1.0, "t1": 1.0}, [1.5, 0.0]),
+    ({"kind": "spaceform", "K": 0.0},
+     {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0, "t1": 1.0},
+     [2.0, -1.0]),
+    ({"kind": "spaceform", "K": 0.0},
+     {"kind": "polyline", "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-6]]},
+     [-1.0, 0.0]),
+], ids=["latitude", "circle", "polyline"])
+def test_false_geodesic_flag_exits_one(tmp_path, capsys, model, tractor,
+                                       gamma0):
+    # the closed-form foot distance trusts the flag, so a curve that
+    # leaves its initial geodesic is refused before propagation, even by
+    # the polyline's 1e-6
+    raw = {"model": model, "tractor": dict(tractor, geodesic=True),
+           "gamma0": gamma0, "ell": 0.5, "sim": {"dt": 0.05}}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "tractor.geodesic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("chart, named", [
     ({"name": "graph", "poly": [[-1, 0, 1.0]]}, "[-1, 0, 1.0]"),
     ({"name": "graph", "poly": [[1.5, 0, 1.0]]}, "[1.5, 0, 1.0]"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractrix.charts import HillyChart, ParaboloidChart, PseudosphereChart
 from tractrix.errors import (
@@ -10,6 +12,7 @@ from tractrix.errors import (
     SingularChartError,
 )
 from tractrix.manifold import (
+    ManifoldModel,
     _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
@@ -341,6 +344,55 @@ def test_transport_preserves_norm(model):
     n0 = model.norm(pts[0], w0)
     nend = model.norm(pts[-1], out)
     assert abs(nend - n0) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.3, math.pi - 0.3), st.floats(-3.0, 3.0),
+       st.floats(0.0, math.tau), st.floats(1e-6, 1e-3),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_sphere_transport_matches_rk4_on_short_segments(th, ph, turn, length,
+                                                        wx, wy):
+    # the closed form follows the same chart segment as the integration,
+    # so they agree to the integration's O(length^5) error
+    a = np.array([th, ph])
+    b = a + length * np.array([math.cos(turn), math.sin(turn)])
+    w = np.array([wx, wy + 2.0])
+    ref = ManifoldModel.parallel_transport(SPHERE, a, b, w)
+    assert np.linalg.norm(SPHERE.parallel_transport(a, b, w) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 0.7), st.floats(0.0, math.tau),
+       st.floats(0.0, math.tau), st.floats(1e-6, 1e-3),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_disk_transport_matches_rk4_on_short_segments(r, arg, turn, length,
+                                                      wx, wy):
+    a = r * np.array([math.cos(arg), math.sin(arg)])
+    # a chart step of length * f(a) is a hyperbolic step of about 2 length
+    b = a + length * (1.0 - r * r) * np.array([math.cos(turn),
+                                               math.sin(turn)])
+    w = np.array([wx, wy + 2.0])
+    ref = ManifoldModel.parallel_transport(HYP, a, b, w)
+    assert np.linalg.norm(HYP.parallel_transport(a, b, w) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("model", [FLAT2, SPHERE, HYP],
+                         ids=lambda m: m.__class__.__name__)
+def test_distance_to_geodesic_reads_the_fermi_offset(model):
+    # p = exp_foot(d N) with the foot on the geodesic through a along v and
+    # N normal to it there lies at distance d from that geodesic
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = random_point(model, rng)
+        v = model.tangent_from_angle(a, rng.uniform(0.0, math.tau))
+        foot, tangent = model.exp_point(a, v, rng.uniform(0.0, 0.8))
+        side = math.copysign(0.5 * math.pi, rng.uniform(-1.0, 1.0))
+        d = rng.uniform(0.0, 0.6)
+        p = model.exp_point(foot, model.rotate(foot, tangent, side), d)[0]
+        assert model.distance_to_geodesic(a, 2.5 * v, p[None, :])[0] == \
+            pytest.approx(d, abs=1e-12)
 
 
 def test_transport_holonomy_latitude_circle():

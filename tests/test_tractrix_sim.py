@@ -18,6 +18,7 @@ from tractrix.spaceform import classical_tractrix, dist_at, kappa_at, \
 from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
     SimParams,
+    _foot_newton,
     analytic_tractor,
     orthogonal_attachment,
     polyline_tractor,
@@ -33,8 +34,8 @@ SPHERE = space_form(1.0)
 HYP = space_form(-1.0)
 
 
-def x_line(t0, t1, model=FLAT2):
-    return tractor_from_config(model, {"kind": "line", "start": [0.0, 0.0],
+def x_line(t0, t1):
+    return tractor_from_config(FLAT2, {"kind": "line", "start": [0.0, 0.0],
                                        "direction": [1.0, 0.0],
                                        "t0": t0, "t1": t1})
 
@@ -349,7 +350,10 @@ def bundled_run(name, span=None, dt=None):
     if span is not None:
         spec["t1"] = spec.get("t0", 0.0) + span
     tractor = tractor_from_config(model, spec)
-    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    if isinstance(cfg.gamma0, dict):
+        g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    else:
+        g0 = np.asarray(cfg.gamma0, dtype=float)
     sim = dict(cfg.sim, **({} if dt is None else {"dt": dt}))
     return model, simulate(model, tractor, g0, cfg.ell, SimParams(**sim)), g0
 
@@ -467,12 +471,25 @@ def test_foot_distance_to_a_line_in_three_dimensions():
 
 
 def test_singular_foot_jacobian_raises_no_convergence(monkeypatch):
-    model = space_form(0.0)
+    # space forms measure d in closed form; the Newton foot solve is the
+    # surfaces' path
+    model = surface_model("plane")
+    line = tractor_from_config(model, {"kind": "chart_line",
+                                       "start": [0.0, 0.0],
+                                       "direction": [1.0, 0.0], "t1": 1.0,
+                                       "geodesic": True})
     monkeypatch.setattr(model, "exp_point", lambda *a, **kw: (
         np.zeros(2), np.array([0.0, 1.0])))
     with pytest.raises(NoConvergenceError, match="singular"):
-        simulate(model, x_line(0.0, 1.0, model=model),
-                 np.array([-1.2, 0.9]), 1.5, SimParams(dt=0.1))
+        simulate(model, line, np.array([-1.2, 0.9]), 1.5, SimParams(dt=0.1))
+
+
+@pytest.mark.parametrize("name", ["sphere_pull", "halfk_pull",
+                                  "sphere_longpole", "hyperbolic_pull",
+                                  "classical_flat"])
+def test_closed_form_foot_distance_matches_newton(name):
+    _, tr, _ = bundled_run(name)
+    assert np.max(np.abs(tr.d - _foot_newton(tr))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
