@@ -4,27 +4,40 @@ Every model answers the same questions, which are all that the
 tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
 and Gauss curvature at a point; geodesics from a point (`exp_point`, the
 sampled pole `exp_map` with its Jacobi profile j'' + K j = 0); two-point
-geodesics (`connect`, `distance`); parallel transport along a chart
-segment; the distance of points to a geodesic (`distance_to_geodesic`);
+geodesics (`connect`, `distance`); parallel transport along chart
+segments; the distance of points to a geodesic (`distance_to_geodesic`);
 one stage of the tractrix propagation (`tractrix_start`,
 `tractrix_stage`); and the edge length and discrete geodesic acceleration
 of a polyline.
+
+The tractrix stage works on Python floats. `tractrix_stage` takes the
+tractor point eta, its velocity eta' and the propagated state as float
+sequences, and returns the state's rate as a list of floats, the tractrix
+speed |ds/dt| and, for a record, the pole (gamma, the pole direction at
+gamma, the pole tangent at eta, the signed speed, the Jacobi profile, the
+conjugate flag, the drift and the tractor speed |eta'|_g). Parallel
+transport and `norm_rows` take (n, dim) rows, so a post-pass over all
+records is one call.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
 the scalar Jacobi equation rides along, which is exact in dimension two.
 Two-point geodesics are solved by damped Newton, and transport integrates
-dw/dt = -Gamma(b - a, w) in two RK4 substeps. The tractrix state is the
-pole direction at the tractor, so a stage is one shot and no two-point
-solve. There is no default distance to a geodesic: the foot-point solve
-for it lives with the tractrix post-passes. Embedded parametric surfaces
-F(u, v) in R^3 (SurfaceModel) use these defaults. The constant-curvature
-space forms, in standard charts (colatitude/longitude for K > 0, Cartesian
-for K = 0, Poincare disk for K < 0), override them with closed forms:
-transport is exact along the same chart segment (a rotation of the
-orthonormal frame on the sphere, a rotation and a conformal scaling in
-the disk, the identity in flat space), and the distance to a geodesic is
-one array expression over all points.
+dw/dt = -Gamma(b - a, w) in two RK4 substeps, row by row. The tractrix
+state is the pole direction at the tractor, so a stage is one shot and no
+two-point solve. There is no default distance to a geodesic: the
+foot-point solve for it lives with the tractrix post-passes. Embedded
+parametric surfaces F(u, v) in R^3 (SurfaceModel) use these defaults. The
+constant-curvature space forms, in standard charts (colatitude/longitude
+for K > 0, Cartesian for K = 0, Poincare disk for K < 0), override them
+with closed forms. Their tractrix state is gamma itself, and each stage
+solves the pole from gamma to eta in one closed form (`_pole`): a
+difference in flat space, spherical trigonometry on the sphere, a Moebius
+map in the disk, with no `connect`. Transport is exact along the same
+chart segment (a rotation of the orthonormal frame on the sphere, a
+rotation and a conformal scaling in the disk, the identity in flat
+space), one array expression over all rows, and so is the distance to a
+geodesic.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -166,6 +179,11 @@ class ManifoldModel:
 
     def norm(self, p, a):
         return math.sqrt(max(self.inner(p, a, a), 0.0))
+
+    def norm_rows(self, points, vectors):
+        """|vectors[i]|_g at points[i], for (n, dim) rows, as one array."""
+        return np.array([self.norm(p, a) for p, a in zip(points, vectors)],
+                        dtype=float)
 
     def unit(self, p, a):
         n = self.norm(p, a)
@@ -333,11 +351,17 @@ class ManifoldModel:
     def parallel_transport(self, a, b, w):
         """Transport w from a to b along the chart segment between them.
 
-        dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps.
+        dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps. a, b
+        and w may be (n, dim) rows, which are transported one by one.
         """
         a = np.asarray(a, dtype=float)
-        seg = np.asarray(b, dtype=float) - a
         w = np.asarray(w, dtype=float)
+        if a.ndim == 2:
+            out = np.empty_like(w)
+            for i, (p, q, x) in enumerate(zip(a, b, w)):
+                out[i] = self.parallel_transport(p, q, x)
+            return out
+        seg = np.asarray(b, dtype=float) - a
 
         def rhs(x, wv):
             G = self.christoffel_at(x)
@@ -360,10 +384,10 @@ class ManifoldModel:
         the distance from eta to gamma that it was solved at.
 
         The state is the unit pole direction X at the tractor point eta,
-        from one n_pole-step `connect`.
+        as a list of floats, from one n_pole-step `connect`.
         """
         X, L, _ = self.connect(eta, gamma, L_guess=ell, steps=n_pole)
-        return X, L
+        return X.tolist(), L
 
     def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):
         """One stage: (rate of the state, tractrix speed |ds/dt|, record).
@@ -381,12 +405,16 @@ class ManifoldModel:
         homogeneously, so |X| is a first integral and the direction needs
         no renormalizing.
 
-        The record is None unless asked for; it is (gamma, pole_dir at
-        gamma, pole_end at eta, signed speed, Jacobi profile from gamma,
-        conjugate flag, drift). The profile j(u) = s(ell) c(ell - u)
-        - c(ell) s(ell - u) follows from the Wronskian, and the drift is the
-        shot's unit-speed error |T(ell)|_g - 1 at gamma.
+        eta, eta_prime and X are float sequences, and the rate comes back
+        as a list of floats; the arithmetic runs on arrays of them. The
+        record is None unless asked for; it is (gamma, pole_dir at gamma,
+        pole_end at eta, signed speed, Jacobi profile from gamma, conjugate
+        flag, drift, |eta'|_g), its vectors as lists. The profile
+        j(u) = s(ell) c(ell - u) - c(ell) s(ell - u) follows from the
+        Wronskian, and the drift is the shot's unit-speed error
+        |T(ell)|_g - 1 at gamma.
         """
+        eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
         g = self.metric_at(eta)
         size = math.sqrt(float(X @ g @ X))
         unit = X / size
@@ -401,13 +429,15 @@ class ManifoldModel:
         rate = ((c_ell / s_ell) * (along * X - size * eta_prime)
                 - self.christoffel_at(eta) @ X @ eta_prime)
         if not record:
-            return rate, abs(along), None
+            return rate.tolist(), abs(along), None
         gamma, tangent = end[-1], tangent[-1]
         c, s = np.array(c), np.array(s)
         jac = s_ell * c[::-1] - c_ell * s[::-1]
         speed = self.norm(gamma, tangent)
-        return rate, abs(along), (gamma, -tangent / speed, -unit, -along, jac,
-                                  _has_conjugate(jac), abs(speed - 1.0))
+        eta_speed = math.sqrt(max(float(eta_prime @ g @ eta_prime), 0.0))
+        return rate.tolist(), abs(along), (
+            gamma.tolist(), (-tangent / speed).tolist(), (-unit).tolist(),
+            -along, jac, _has_conjugate(jac), abs(speed - 1.0), eta_speed)
 
     def jacobi_integrals(self, u, jacobi):
         """Integral over [0, u[-1]] of each sampled profile (rows of jacobi)."""
@@ -458,24 +488,34 @@ class SpaceFormModel(ManifoldModel):
 
     def tractrix_start(self, eta, gamma, ell, n_pole):
         # the closed-form pole solve is exact, so the state is gamma itself
-        return gamma.copy(), self.distance(gamma, eta, L_guess=ell)
+        return (np.asarray(gamma, dtype=float).tolist(),
+                self.distance(gamma, eta, L_guess=ell))
+
+    def _pole(self, eta, eta_prime, gamma):
+        """The pole from gamma to eta in closed form, on floats.
+
+        Returns (unit v at gamma towards eta, length L, unit pole tangent T
+        at eta, <eta', T>_g, |eta'|_g), the vectors as lists. Raises
+        ValueError for coincident (and on the sphere antipodal) points.
+        """
+        raise NotImplementedError
 
     def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
                        record=False):
-        """The same stage with gamma as the state: a closed-form pole solve.
+        """The same stage with gamma as the state: one closed-form pole.
 
         gamma moves along the unit direction v towards eta with the speed
-        <eta', T(ell)>, T(ell) the pole tangent at eta. The drift is the
-        solved pole length's error |L - ell|, and one Jacobi profile serves
-        every pole.
+        <eta', T(ell)>, T(ell) the pole tangent at eta (`_pole`). The drift
+        is the solved pole length's error |L - ell|, and one Jacobi profile
+        serves every pole.
         """
-        v, L, t_end = self.connect(gamma, eta)
-        speed = self.inner(eta, eta_prime, t_end)
+        v, L, t_end, speed, eta_speed = self._pole(eta, eta_prime, gamma)
+        rate = [speed * x for x in v]
         if not record:
-            return speed * v, abs(speed), None
+            return rate, abs(speed), None
         jac, conj = _reference_profile(self.K, ell, n_pole)
-        return speed * v, abs(speed), (gamma, v, t_end, speed, jac, conj,
-                                       abs(L - ell))
+        return rate, abs(speed), (gamma, v, t_end, speed, jac, conj,
+                                  abs(L - ell), eta_speed)
 
     def jacobi_integrals(self, u, jacobi):
         return np.full(len(jacobi), jacobi_reference_integral(self.K, u[-1]))
@@ -539,8 +579,20 @@ class FlatModel(SpaceFormModel):
     def distance(self, p, q, **_):
         return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
 
+    def _pole(self, eta, eta_prime, gamma):
+        # the straight segment: d = eta - gamma, v = T = d / |d|
+        L = math.dist(eta, gamma)
+        if L < 1e-300:
+            raise ValueError("log map undefined for coincident points")
+        v = [(e - g) / L for e, g in zip(eta, gamma)]
+        speed = sum([a * b for a, b in zip(eta_prime, v)])
+        return v, L, v, speed, math.hypot(*eta_prime)
+
+    def norm_rows(self, points, vectors):
+        return np.linalg.norm(vectors, axis=1)
+
     def parallel_transport(self, a, b, w):
-        # straight chart lines: transport is the identity
+        # straight chart lines: transport is the identity, rows included
         return w
 
     def distance_to_geodesic(self, a, v, points):
@@ -659,26 +711,68 @@ class SphereModel(SpaceFormModel):
         c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
         return math.acos(c) * self.radius
 
+    def _pole(self, eta, eta_prime, gamma):
+        """The great-circle pole by spherical trigonometry.
+
+        With X, Y the unit-sphere embeddings of gamma and eta and
+        cos psi = X . Y, the pole leaves gamma along W = (Y - X cos psi)
+        / sin psi and arrives at eta along T = -X sin psi + W cos psi
+        = (Y cos psi - X) / sin psi. X is normal to gamma's frame
+        (e_theta, e_phi) and Y to eta's, so v is Y projected on gamma's
+        frame and T is -X projected on eta's, over sin psi; the
+        projections are the spherical-trigonometry terms in dphi below,
+        taken from both points' colatitude and longitude directly.
+        """
+        self.check_point(eta)
+        th_g, ph_g = gamma
+        th_e = eta[0]
+        sg, cg = math.sin(th_g), math.cos(th_g)
+        se, ce = math.sin(th_e), math.cos(th_e)
+        dphi = eta[1] - ph_g
+        sd, cd = math.sin(dphi), math.cos(dphi)
+        psi = math.acos(min(1.0, max(-1.0, sg * se * cd + cg * ce)))
+        if psi < 1e-14:
+            raise ValueError("log map undefined for coincident points")
+        if math.pi - psi < 1e-12:
+            raise ValueError("log map undefined for antipodal points")
+        if abs(sg) < 1e-12:
+            raise SingularChartError("endpoint at chart pole")
+        R = self.radius
+        rs = R * math.sin(psi)
+        v = [(cg * se * cd - sg * ce) / rs, se * sd / (sg * rs)]
+        t = [(cg * se - sg * ce * cd) / rs, sg * sd / (se * rs)]
+        a, b = eta_prime
+        speed = R * R * (a * t[0] + se * se * b * t[1])
+        return v, psi * R, t, speed, R * math.hypot(a, se * b)
+
+    def norm_rows(self, points, vectors):
+        return self.radius * np.hypot(
+            vectors[:, 0], np.sin(points[:, 0]) * vectors[:, 1])
+
     def parallel_transport(self, a, b, w):
         """Exact transport of w along the chart segment from a to b.
 
         In the orthonormal frame (d_theta, d_phi / sin theta) a parallel
         vector turns at the rate -cos(theta) phi'. Over the segment that is
-        the angle -dphi cos(theta_a + dtheta/2) sinc(dtheta/2).
+        the angle -dphi cos(theta_a + dtheta/2) sinc(dtheta/2). a, b and w
+        may be (n, 2) rows; the expression is one array operation over
+        them.
         """
-        self.check_point(a)
-        self.check_point(b)
-        # a, b and w are float arrays (trace rows): one tolist per vector
-        # is cheaper than float() of each entry
-        th_a, ph_a = a.tolist()
-        th_b, ph_b = b.tolist()
-        x, w_phi = w.tolist()
+        a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
+        th_a, th_b = a[..., 0], b[..., 0]
+        for th in (th_a, th_b):
+            # check_point, for all rows at once
+            if not np.all((th > 0.0) & (th < math.pi)):
+                raise OutOfDomainError("colatitude outside (0, pi)")
+            if np.any(np.sin(th) ** 2 * self.radius ** 4 < _DET_EPS):
+                raise SingularChartError("chart singular near the poles")
         half = 0.5 * (th_b - th_a)
-        sinc = math.sin(half) / half if half else 1.0
-        angle = -(ph_b - ph_a) * math.cos(th_a + half) * sinc
-        c, s = math.cos(angle), math.sin(angle)
-        y = math.sin(th_a) * w_phi
-        return np.array([c * x - s * y, (s * x + c * y) / math.sin(th_b)])
+        angle = (-(b[..., 1] - a[..., 1]) * np.cos(th_a + half)
+                 * np.sinc(half / math.pi))
+        c, s = np.cos(angle), np.sin(angle)
+        x, y = w[..., 0], np.sin(th_a) * w[..., 1]
+        return np.stack([c * x - s * y, (s * x + c * y) / np.sin(th_b)],
+                        axis=-1)
 
     def distance_to_geodesic(self, a, v, points):
         # the great circle through a along v is the unit normal n's equator
@@ -778,6 +872,37 @@ class HyperbolicModel(SpaceFormModel):
         den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
         return math.acosh(1.0 + num / den) / self.k
 
+    def _pole(self, eta, eta_prime, gamma):
+        """The pole by the Moebius map that sends gamma to 0.
+
+        zeta = (w - z) / b with b = 1 - conj(z) w is eta seen from gamma:
+        the pole leaves gamma along u = zeta / |zeta| and has length
+        (2 / k) atanh |zeta|. The inverse map has derivative b^2 / (1 -
+        |z|^2) at zeta, so the pole arrives at eta along u b / conj(b).
+        Each direction is scaled to unit length in the metric there.
+        """
+        self.check_point(eta)
+        z, w = complex(*gamma), complex(*eta)
+        b = 1.0 - z.conjugate() * w
+        zeta = (w - z) / b
+        az = abs(zeta)
+        if az < 1e-300:
+            raise ValueError("log map undefined for coincident points")
+        u = zeta / az
+        half_k = 0.5 * self.k
+        v = u * (1.0 - abs(z) ** 2) * half_k
+        f = 1.0 - abs(w) ** 2
+        t = u * b / b.conjugate() * f * half_k
+        lam = (2.0 / self.k) / f
+        a, c = eta_prime
+        speed = lam * lam * (a * t.real + c * t.imag)
+        return ([v.real, v.imag], (2.0 / self.k) * math.atanh(az),
+                [t.real, t.imag], speed, lam * math.hypot(a, c))
+
+    def norm_rows(self, points, vectors):
+        f = 1.0 - points[:, 0] ** 2 - points[:, 1] ** 2
+        return (2.0 / self.k) / f * np.hypot(vectors[:, 0], vectors[:, 1])
+
     def parallel_transport(self, a, b, w):
         """Exact transport of w along the chart segment z(t) = a + t s.
 
@@ -785,22 +910,29 @@ class HyperbolicModel(SpaceFormModel):
         w scales by f(b) / f(a) and turns by -2 (a x s) I, where
         I = int_0^1 dt / f(z(t)) = atanh(r) / (r (c - beta)) with c = f(a),
         beta = a . s, q = |s|^2 and r = sqrt(beta^2 + q c) / (c - beta).
+        a, b and w may be (n, 2) rows; the expression is one array
+        operation over them.
         """
-        self.check_point(a)
-        self.check_point(b)
-        ax, ay = a.tolist()
-        bx, by = b.tolist()
+        a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
+        for p in (a, b):
+            # check_point, for all rows at once
+            if np.any(p[..., 0] ** 2 + p[..., 1] ** 2 >= 1.0):
+                raise OutOfDomainError("point outside the unit disk")
+        ax, ay = a[..., 0], a[..., 1]
+        bx, by = b[..., 0], b[..., 1]
         sx, sy = bx - ax, by - ay
         c = 1.0 - ax * ax - ay * ay
         beta = ax * sx + ay * sy
         den = c - beta
-        r = math.sqrt(beta * beta + (sx * sx + sy * sy) * c) / den
-        integral = math.atanh(r) / (r * den) if r else 1.0 / den
+        r = np.sqrt(beta * beta + (sx * sx + sy * sy) * c) / den
+        # atanh(r) / r -> 1 as r -> 0
+        safe = np.where(r > 0.0, r, 1.0)
+        integral = np.where(r > 0.0, np.arctanh(safe) / safe, 1.0) / den
         angle = -2.0 * (ax * sy - ay * sx) * integral
         scale = (1.0 - bx * bx - by * by) / c
-        cs, sn = scale * math.cos(angle), scale * math.sin(angle)
-        x, y = w.tolist()
-        return np.array([cs * x - sn * y, sn * x + cs * y])
+        cs, sn = scale * np.cos(angle), scale * np.sin(angle)
+        x, y = w[..., 0], w[..., 1]
+        return np.stack([cs * x - sn * y, sn * x + cs * y], axis=-1)
 
     def distance_to_geodesic(self, a, v, points):
         # the Moebius map m = (z - a) / (1 - conj(a) z) sends a to 0 and

@@ -29,15 +29,15 @@ def write_trace_csv(path, trace):
             + [f"gamma_{i + 1}" for i in range(dim)]
             + [f"eta_{i + 1}" for i in range(dim)]
             + ["d", "kappa", "sigma"])
+    # one float64 table and one tolist: the rows are Python floats, which
+    # repr exactly as the float() of each NumPy entry does
+    table = np.column_stack([trace.t, trace.s, trace.gamma, trace.eta,
+                             trace.d, trace.kappa, trace.sigma]).tolist()
+    isfinite = math.isfinite
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(trace.t.size):
-            row = [_fmt(trace.t[k]), _fmt(trace.s[k])]
-            row += [_fmt(c) for c in trace.gamma[k]]
-            row += [_fmt(c) for c in trace.eta[k]]
-            row += [_fmt(trace.d[k]), _fmt(trace.kappa[k]),
-                    _fmt(trace.sigma[k])]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join([repr(x) if isfinite(x) else "" for x in row])
+                      + "\n" for row in table)
 
 
 def write_sweep_txt(path, sweep):

@@ -16,7 +16,15 @@ parameter, so cusps need no restart.
 `ManifoldModel.tractrix_stage`).  On surfaces the state is X, which moves
 by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta,
 with no two-point solve.  On space forms the state is gamma, and each
-stage re-solves the pole in closed form.
+stage solves the pole from gamma to eta in one closed form, without
+`connect`.  The loop and the stages work on lists of Python floats: the
+tractor point and velocity enter a stage as lists, the state is a list,
+and the rate comes back as one, so a space-form stage costs a handful of
+float operations and no array allocation.  The tractor is evaluated once
+per distinct stage time.  The record's stage also returns the tractor
+speed |eta'|_g.  The post-passes (cusps, foot distance, curvature) work on
+the record arrays, with one parallel transport call per side over all
+records.
 """
 
 from __future__ import annotations
@@ -295,10 +303,15 @@ def simulate(model, tractor, gamma0, ell, params=None):
     The model supplies the state and its rate (`tractrix_start`,
     `tractrix_stage`): on surfaces the unit pole direction at the tractor,
     moved by its Jacobi-field ODE with one geodesic shot per stage; on
-    space forms gamma itself, with the pole re-solved in closed form at
-    every stage.  Each record is read off its own stage.  The pull or push
-    character is emergent from the attachment geometry and recorded per
-    record as sigma.
+    space forms gamma itself, with the pole solved in closed form at every
+    stage. One classical RK4 loop serves every model. It runs on lists of
+    Python floats: the tractor point and velocity go to the stage as
+    lists, the rate comes back as one, and the RK4 combinations are taken
+    component by component in the order the array expressions had. The
+    tractor is evaluated once per distinct stage time, so k2 and k3 share
+    the midpoint. Each record is read off its own stage, which also gives
+    the tractor speed |eta'|_g. The pull or push character is emergent
+    from the attachment geometry and recorded per record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -318,76 +331,83 @@ def simulate(model, tractor, gamma0, ell, params=None):
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
     n_pole = max(8, int(math.ceil(ell / params.pole_step)))
 
-    eta0 = np.asarray(tractor.point(tractor.t0), dtype=float)
+    point, velocity = tractor.point, tractor.velocity
+
+    def tractor_at(t):
+        return (np.asarray(point(t), dtype=float).tolist(),
+                np.asarray(velocity(t), dtype=float).tolist())
+
+    eta0 = np.asarray(point(tractor.t0), dtype=float)
     state, L0 = model.tractrix_start(eta0, gamma0, ell, n_pole)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
 
-    def rhs(t, y):
-        eta = np.asarray(tractor.point(t), dtype=float)
-        etap = np.asarray(tractor.velocity(t), dtype=float)
-        return model.tractrix_stage(eta, etap, y, ell, n_pole)[:2]
-
-    dim = model.dim
-    n = len(t_grid)
-    gam = np.empty((n, dim))
-    eta_pts = np.empty((n, dim))
-    pole_dir = np.empty((n, dim))
-    pole_end = np.empty((n, dim))
-    speeds = np.empty(n)
-    eta_speeds = np.empty(n)
-    s_arr = np.empty(n)
-    jac_prof = np.empty((n, n_pole + 1))
-    conj = np.zeros(n, dtype=bool)
-    pole_u = np.linspace(0.0, ell, n_pole + 1)
-
+    stage = model.tractrix_stage
+    times = t_grid.tolist()
+    breaks = [float(b) for b in tractor.breaks if times[0] < b < times[-1]]
+    records = []
+    s_list = []
     s = 0.0
-    max_drift = 0.0
-    br = np.asarray(tractor.breaks, dtype=float)
-    br = br[(br > t_grid[0]) & (br < t_grid[-1])]
-
-    for i, t in enumerate(t_grid):
-        eta = np.asarray(tractor.point(t), dtype=float)
-        etap = np.asarray(tractor.velocity(t), dtype=float)
-        rate, sdot, (gam[i], pole_dir[i], pole_end[i], speeds[i],
-                     jac_prof[i], conj[i], drift) = model.tractrix_stage(
-            eta, etap, state, ell, n_pole, record=True)
+    for i, t in enumerate(times):
+        eta, etap = tractor_at(t)
+        rate, sdot, rec = stage(eta, etap, state, ell, n_pole, record=True)
+        drift = rec[6]
         if drift > _POLE_DRIFT_LIMIT:
             raise PoleLengthDriftError(
                 f"pole drift {drift:.3e} exceeds {_POLE_DRIFT_LIMIT} at "
                 f"t={t!r}")
-        max_drift = max(max_drift, drift)
-        eta_pts[i] = eta
-        eta_speeds[i] = model.norm(eta, etap)
-        s_arr[i] = s
+        records.append((eta,) + rec)
+        s_list.append(s)
 
-        if i == n - 1:
+        if i == n_steps:
             break
         # split at velocity breaks so no RK4 step straddles a kink
-        t_next = t_grid[i + 1]
-        lo, hi = np.searchsorted(br, [t + 1e-12, t_next - 1e-12])
-        knots = [t, *br[lo:hi], t_next]
+        t_next = times[i + 1]
+        lo = bisect.bisect_left(breaks, t + 1e-12)
+        hi = bisect.bisect_left(breaks, t_next - 1e-12)
+        knots = [t, *breaks[lo:hi], t_next]
         for ta, tb in zip(knots[:-1], knots[1:]):
             hh = tb - ta
+            half = hh / 2
             # the record's own stage is the first piece's first stage
-            k1, q1 = (rate, sdot) if ta == t else rhs(ta, state)
-            k2, q2 = rhs(ta + hh / 2, state + (hh / 2) * k1)
-            k3, q3 = rhs(ta + hh / 2, state + (hh / 2) * k2)
+            if ta == t:
+                k1, q1 = rate, sdot
+            else:
+                k1, q1, _ = stage(*tractor_at(ta), state, ell, n_pole)
+            eta, etap = tractor_at(ta + half)
+            k2, q2, _ = stage(eta, etap,
+                              [y + half * k for y, k in zip(state, k1)],
+                              ell, n_pole)
+            k3, q3, _ = stage(eta, etap,
+                              [y + half * k for y, k in zip(state, k2)],
+                              ell, n_pole)
             # evaluate just inside the piece so a kink at tb contributes
             # its left limit
-            k4, q4 = rhs(tb - 1e-9 * hh, state + hh * k3)
-            state = state + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            s = s + (hh / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
+            k4, q4, _ = stage(*tractor_at(tb - 1e-9 * hh),
+                              [y + hh * k for y, k in zip(state, k3)],
+                              ell, n_pole)
+            h6 = hh / 6.0
+            state = [y + h6 * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
 
+    (eta_pts, gam, pole_dir, pole_end, speeds, jac_prof, conj, drifts,
+     eta_speeds) = zip(*records)
+    n = len(times)
+    jac_prof = np.array(jac_prof)
+    speeds = np.array(speeds)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
     trace = TractrixTrace(
-        model=model, tractor=tractor, ell=float(ell), t=t_grid, s=s_arr,
-        gamma=gam, eta=eta_pts, pole_dir=pole_dir, pole_end=pole_end,
-        speed=speeds, eta_speed=eta_speeds, sigma=sigma, d=np.full(n, np.nan),
-        kappa=np.full(n, np.nan), kappa_speed=np.full(n, np.nan),
-        jacobi_ell=jac_prof[:, -1].copy(), pole_u=pole_u, jacobi=jac_prof,
-        pole_conjugate=conj, max_drift=max_drift)
+        model=model, tractor=tractor, ell=float(ell), t=t_grid,
+        s=np.array(s_list), gamma=np.array(gam), eta=np.array(eta_pts),
+        pole_dir=np.array(pole_dir), pole_end=np.array(pole_end),
+        speed=speeds, eta_speed=np.array(eta_speeds), sigma=sigma,
+        d=np.full(n, np.nan), kappa=np.full(n, np.nan),
+        kappa_speed=np.full(n, np.nan), jacobi_ell=jac_prof[:, -1].copy(),
+        pole_u=np.linspace(0.0, ell, n_pole + 1), jacobi=jac_prof,
+        pole_conjugate=np.array(conj, dtype=bool),
+        max_drift=max(0.0, *drifts))
 
     _detect_cusps(trace, params)
     if tractor.is_geodesic:
@@ -430,12 +450,12 @@ def _angle_between(model, p, a, b):
 def _pole_swing(trace, a, b):
     """Accumulated rotation of the pole direction over records [a, b]."""
     model = trace.model
+    gamma, pole_dir = trace.gamma, trace.pole_dir
+    moved = model.parallel_transport(gamma[a:b], gamma[a + 1:b + 1],
+                                     pole_dir[a:b])
     total = 0.0
-    for i in range(a, b):
-        w = model.parallel_transport(trace.gamma[i], trace.gamma[i + 1],
-                                     trace.pole_dir[i])
-        total += _angle_between(model, trace.gamma[i + 1], w,
-                                trace.pole_dir[i + 1])
+    for p, w, x in zip(gamma[a + 1:b + 1], moved, pole_dir[a + 1:b + 1]):
+        total += _angle_between(model, p, w, x)
     return total
 
 
@@ -494,19 +514,16 @@ def _fill_curvature(trace, params):
     if trace.tractor.is_geodesic:
         masked |= np.abs(trace.d - trace.ell) < _CUSP_DIST_BAND
 
+    # central differences at the unmasked interior records whose
+    # neighbours are apart in s, both sides transported in one call each
     tangents = trace.sigma[:, None] * trace.pole_dir
-    for i in range(1, n - 1):
-        if masked[i]:
-            continue
-        ds = trace.s[i + 1] - trace.s[i - 1]
-        if ds < 1e-10:
-            continue
-        w_plus = model.parallel_transport(trace.gamma[i + 1], trace.gamma[i],
-                                          tangents[i + 1])
-        w_minus = model.parallel_transport(trace.gamma[i - 1], trace.gamma[i],
-                                           tangents[i - 1])
-        dv = (w_plus - w_minus) / ds
-        trace.kappa[i] = model.norm(trace.gamma[i], dv)
+    gamma, s = trace.gamma, trace.s
+    i = np.flatnonzero(~masked[1:-1] & (s[2:] - s[:-2] >= 1e-10)) + 1
+    w_plus = model.parallel_transport(gamma[i + 1], gamma[i], tangents[i + 1])
+    w_minus = model.parallel_transport(gamma[i - 1], gamma[i],
+                                       tangents[i - 1])
+    dv = (w_plus - w_minus) / (s[i + 1] - s[i - 1])[:, None]
+    trace.kappa[i] = model.norm_rows(gamma[i], dv)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         excess = np.maximum(trace.eta_speed ** 2 - trace.speed ** 2, 0.0)
@@ -728,6 +745,8 @@ def tractor_from_config(model, spec):
             rate = 1.0 / radius  # arclength parameter
         else:
             rate = _num(spec, "rate", kind, 1.0)
+            if rate == 0.0:
+                raise ConfigError("tractor.rate: must be nonzero")
         closed = bool(spec.get("closed", False))
         if closed and abs(math.remainder((t1 - t0) * rate, math.tau)) > 1e-9:
             raise NotClosedError("circle span is not a whole number of turns")
@@ -781,6 +800,9 @@ def tractor_from_config(model, spec):
             raise ConfigError("tractor.kind: 'helix' needs flat dimension 3")
         radius = _num(spec, "radius", kind)
         pitch = _num(spec, "pitch", kind)
+        if radius == 0.0 and pitch == 0.0:
+            raise ConfigError("tractor.radius: radius and pitch must not "
+                              "both be zero")
         w = 1.0 / math.hypot(radius, pitch)  # arclength parameter
 
         def hpoint(t, R=radius, p=pitch, w=w):
@@ -798,6 +820,8 @@ def tractor_from_config(model, spec):
             raise ConfigError(
                 "tractor.kind: 'circle3d' needs flat dimension 3")
         radius = _num(spec, "radius", kind)
+        if radius <= 0:
+            raise ConfigError("tractor.radius: must be positive")
         t0, t1 = 0.0, math.tau * radius
 
         def c3point(t, R=radius):
@@ -814,7 +838,11 @@ def tractor_from_config(model, spec):
                 "tractor.kind: 'wiggly_circle' needs flat dimension 3")
         radius = _num(spec, "radius", kind)
         amp = _num(spec, "amplitude", kind)
-        lobes = int(_num(spec, "lobes", kind))
+        lobes = _num(spec, "lobes", kind)
+        if not lobes.is_integer():
+            raise ConfigError(f"tractor.lobes: expected a whole number, got "
+                              f"{spec['lobes']!r}")
+        lobes = int(lobes)
         t0, t1 = 0.0, math.tau
 
         def wpoint(t, R=radius, A=amp, m=lobes):

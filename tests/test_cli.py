@@ -162,6 +162,33 @@ def test_false_geodesic_flag_exits_one(tmp_path, capsys, model, tractor,
     assert "tractor.geodesic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, tractor, gamma0, field", [
+    ({"kind": "spaceform", "K": 0.0, "dim": 3},
+     {"kind": "helix", "radius": 0.0, "pitch": 0.0, "t1": 1.0},
+     [1.0, 0.0, 0.0], "tractor.radius"),
+    ({"kind": "spaceform", "K": 0.0, "dim": 3},
+     {"kind": "circle3d", "radius": 0.0}, [1.0, 0.0, 0.0], "tractor.radius"),
+    ({"kind": "spaceform", "K": 1.0},
+     {"kind": "chart_circle", "center": [1.2, 0.0], "radius": 0.3,
+      "rate": 0.0, "t1": 1.0},
+     {"d0": 0.2, "side": 1, "mode": "behind"}, "tractor.rate"),
+    ({"kind": "spaceform", "K": 0.0, "dim": 3},
+     {"kind": "wiggly_circle", "radius": 1.0, "amplitude": 0.2,
+      "lobes": 2.5}, [0.75, -0.4, 0.0], "tractor.lobes"),
+], ids=["helix", "circle3d", "chart_circle", "wiggly_circle"])
+def test_degenerate_tractor_size_exits_one(tmp_path, capsys, model, tractor,
+                                           gamma0, field):
+    # each of these used to end in a ZeroDivisionError or ValueError
+    # traceback, or (the lobes) in a silently truncated value
+    raw = {"model": model, "tractor": tractor, "gamma0": gamma0, "ell": 0.5,
+           "sim": {"dt": 0.05}}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 @pytest.mark.parametrize("chart, named", [
     ({"name": "graph", "poly": [[-1, 0, 1.0]]}, "[-1, 0, 1.0]"),
     ({"name": "graph", "poly": [[1.5, 0, 1.0]]}, "[1.5, 0, 1.0]"),

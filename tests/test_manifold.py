@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tractrix.charts import HillyChart, ParaboloidChart, PseudosphereChart
@@ -12,7 +12,9 @@ from tractrix.errors import (
     SingularChartError,
 )
 from tractrix.manifold import (
+    HyperbolicModel,
     ManifoldModel,
+    SphereModel,
     _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
@@ -409,3 +411,107 @@ def test_transport_holonomy_latitude_circle():
     b = float(out @ g @ frame[1])
     angle = math.atan2(b, a)
     assert angle == pytest.approx(2.8883657975136401, abs=1e-6)
+
+
+@pytest.mark.parametrize("model", [SPHERE, space_form(0.25), HYP, FLAT2,
+                                   FLAT3, PARAB],
+                         ids=["sphere", "sphere-r2", "disk", "flat2",
+                              "flat3", "paraboloid"])
+def test_transport_and_norm_rows_match_single_calls(model):
+    # the curvature pass transports and measures all records in one call
+    rng = np.random.default_rng(11)
+    a = np.array([random_point(SPHERE if isinstance(model, SphereModel)
+                               else model, rng) for _ in range(40)])
+    b = a + 0.05 * rng.standard_normal(a.shape)
+    w = rng.standard_normal(a.shape)
+    rows = model.parallel_transport(a, b, w)
+    single = np.array([model.parallel_transport(p, q, x)
+                       for p, q, x in zip(a, b, w)])
+    np.testing.assert_allclose(rows, single, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(model.norm_rows(a, w),
+                               [model.norm(p, x) for p, x in zip(a, w)],
+                               rtol=1e-14)
+    empty = np.empty((0, model.dim))
+    assert model.parallel_transport(empty, empty, empty).shape == empty.shape
+
+
+# -- the closed-form tractrix stage -----------------------------------------
+
+
+def stage_oracle(model, eta, eta_prime, gamma, ell):
+    """The stage as `connect` + `inner`: (rate, v, T, speed, drift)."""
+    v, L, t_end = model.connect(gamma, eta)
+    speed = model.inner(eta, eta_prime, t_end)
+    return speed * v, v, t_end, speed, abs(L - ell)
+
+
+STAGE_MODELS = [FLAT2, FLAT3, SPHERE, space_form(4.0), HYP,
+                space_form(-0.25)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STAGE_MODELS),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.floats(0.0, 1.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_closed_form_stage_matches_connect(model, where, heading, frac,
+                                           etap):
+    # the stage solves the pole from gamma to eta in closed form; connect
+    # (log_map + exp_point) and inner give the same pole to rounding
+    if isinstance(model, SphereModel):
+        gamma = [0.3 + (math.pi - 0.6) * where[0], 6.0 * where[1] - 3.0]
+        heading = [math.cos(math.tau * where[2]),
+                   math.sin(math.tau * where[2])]
+        top = 0.9 * model.conjugate_scale
+    elif isinstance(model, HyperbolicModel):
+        gamma = [0.6 * where[0] * math.cos(math.tau * where[1]),
+                 0.6 * where[0] * math.sin(math.tau * where[1])]
+        heading = heading[:2]
+        top = 2.0
+    else:
+        gamma = [4.0 * x - 2.0 for x in where[:model.dim]]
+        heading = heading[:model.dim]
+        top = 3.0
+    assume(math.hypot(*heading) > 0.1)
+    ell = 0.05 + (top - 0.05) * frac
+    v0 = model.unit(gamma, np.array(heading))
+    eta = model.exp_point(np.array(gamma), v0, ell)[0]
+    if isinstance(model, SphereModel):
+        assume(math.sin(eta[0]) > 0.1)
+    eta, etap = eta.tolist(), etap[:model.dim]
+    rate, sdot, rec = model.tractrix_stage(eta, etap, gamma, ell, 8,
+                                           record=True)
+    got_gamma, v, t_end, speed, _, _, drift, eta_speed = rec
+    rate_o, v_o, t_o, speed_o, drift_o = stage_oracle(
+        model, np.array(eta), np.array(etap), np.array(gamma), ell)
+    scale = model.norm(eta, etap)
+    assume(scale > 1e-3)
+    assert eta_speed == pytest.approx(scale, rel=1e-12)
+    assert got_gamma == gamma
+    assert abs(speed - speed_o) <= 1e-12 * scale
+    assert sdot == abs(speed)
+    assert model.norm(gamma, np.subtract(rate, rate_o)) <= 1e-12 * scale
+    assert model.norm(gamma, np.subtract(v, v_o)) <= 1e-12
+    assert model.norm(eta, np.subtract(t_end, t_o)) <= 1e-12
+    assert abs(drift - drift_o) <= 1e-12 * ell
+
+
+@pytest.mark.parametrize("model, eta, gamma, error", [
+    (FLAT2, [1.0, 2.0], [1.0, 2.0], ValueError),
+    (FLAT3, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], ValueError),
+    (HYP, [0.3, 0.1], [0.3, 0.1], ValueError),
+    (SPHERE, [1.0, 0.5], [1.0, 0.5], ValueError),
+    (SPHERE, [1.0, 0.5], [math.pi - 1.0, 0.5 + math.pi], ValueError),
+    (SPHERE, [1.0, 0.5], [0.0, 0.0], SingularChartError),
+    (SPHERE, [1e-9, 0.5], [1.0, 0.0], SingularChartError),
+    (HYP, [0.8, 0.8], [0.0, 0.0], OutOfDomainError),
+], ids=["flat2-coincident", "flat3-coincident", "disk-coincident",
+        "sphere-coincident", "sphere-antipodal", "sphere-gamma-pole",
+        "sphere-eta-pole", "disk-eta-outside"])
+def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
+    # the checks of connect and of the metric at eta; a tractor point
+    # outside the disk is refused as such, where connect failed first in
+    # atanh with a bare "math domain error"
+    with pytest.raises(error):
+        model.tractrix_stage(eta, [1.0] * model.dim, gamma, 1.0, 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,33 @@ def test_rhs_rejects_pole_length_drift():
     # the pole solve reports the length; the run rejects a drifted one
     with pytest.raises(PoleLengthDriftError):
         simulate(FLAT2, x_line(0.0, 1.0), np.array([-2.1, 0.0]), 2.0)
+
+
+@pytest.mark.parametrize("model, spec, ell", [
+    (FLAT2, {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0,
+             "t1": 3.0}, 1.0),
+    (SPHERE, {"kind": "latitude", "colatitude": 1.0, "t1": 1.0}, 0.5),
+    (surface_model("paraboloid"), {"kind": "chart_circle",
+                                   "center": [0.0, 0.0], "radius": 0.6,
+                                   "t1": 0.5}, 0.4),
+], ids=["flat", "sphere", "paraboloid"])
+def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
+    # one evaluation for the record, one for the midpoint that k2 and k3
+    # share and one for the step end per step, plus the start and the last
+    # record
+    tractor = tractor_from_config(model, spec)
+    gamma0, _ = orthogonal_attachment(model, tractor, ell, 0.5 * ell)
+    calls = []
+
+    def point(t):
+        calls.append(t)
+        return tractor.point(t)
+
+    counted = dataclasses.replace(tractor, point=point)
+    tr = simulate(model, counted, gamma0, ell, SimParams(dt=0.05))
+    n_steps = len(tr.t) - 1
+    assert n_steps >= 10 and not tractor.breaks
+    assert len(calls) <= 3 * n_steps + 2
 
 
 # ---------------------------------------------------------------------------
