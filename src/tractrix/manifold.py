@@ -22,7 +22,11 @@ records is one call.
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
 the scalar Jacobi equation rides along, which is exact in dimension two.
-Two-point geodesics are solved by damped Newton, and transport integrates
+One shot (`shoot`) returns the end point, the end tangent and the cosine
+and sine solutions c(L), s(L) of j'' + K j = 0, so a Newton solve gets its
+Jacobian from the shot it makes: two-point geodesics are solved by damped
+Newton with one shot per iteration, the direction column being s(L) times
+the end tangent turned by +pi/2 (`quarter_turn`). Transport integrates
 dw/dt = -Gamma(b - a, w) in two RK4 substeps, row by row. The tractrix
 state is the pole direction at the tractor, so a stage is one shot and no
 two-point solve. There is no default distance to a geodesic: the
@@ -30,8 +34,9 @@ foot-point solve for it lives with the tractrix post-passes. Embedded
 parametric surfaces F(u, v) in R^3 (SurfaceModel) use these defaults. The
 constant-curvature space forms, in standard charts (colatitude/longitude
 for K > 0, Cartesian for K = 0, Poincare disk for K < 0), override them
-with closed forms. Their tractrix state is gamma itself, and each stage
-solves the pole from gamma to eta in one closed form (`_pole`): a
+with closed forms, the shot included (c = cos(sqrt(K) L), cosh(sqrt(-K) L)
+or 1, with the matching s). Their tractrix state is gamma itself, and each
+stage solves the pole from gamma to eta in one closed form (`_pole`): a
 difference in flat space, spherical trigonometry on the sphere, a Moebius
 map in the disk, with no `connect`. Transport is exact along the same
 chart segment (a rotation of the orthonormal frame on the sphere, a
@@ -83,7 +88,8 @@ _DRIFT_TOL = 1e-6
 # positive threshold rather than an exact sign change.
 _CONJ_TOL = 1e-12
 _SHOOT_MAX_ITER = 50
-_SHOOT_FD_H = 1e-6
+# E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def jacobi_reference(K, u):
@@ -109,6 +115,28 @@ def jacobi_reference_integral(K, ell):
         k = math.sqrt(-K)
         return (math.cosh(k * ell) - 1.0) / (-K)
     return 0.5 * ell * ell
+
+
+def _jacobi_pair(K, length):
+    """(c, s) at length: the cosine and sine solutions of j'' + K j = 0."""
+    if K > 0:
+        k = math.sqrt(K)
+        return math.cos(k * length), math.sin(k * length) / k
+    if K < 0:
+        k = math.sqrt(-K)
+        return math.cosh(k * length), math.sinh(k * length) / k
+    return 1.0, float(length)
+
+
+def _check_drift(model, pts, tans):
+    """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
+    steps = len(pts) - 1
+    drift = max(abs(model.norm(pts[i], tans[i]) - 1.0)
+                for i in range(0, steps + 1, max(1, steps // 16)))
+    if drift > _DRIFT_TOL:
+        raise StepTooLargeError(
+            f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
+            "reduce the pole step")
 
 
 def _has_conjugate(jacobi):
@@ -225,6 +253,14 @@ class ManifoldModel:
         return self.tangent_from_angle(
             p, self.angle_of(p, v, frame) + angle, frame)
 
+    def quarter_turn(self, p, w):
+        """w turned by +pi/2 in the metric at p, the orientation of
+        `frame_at`; two dimensions only. |w|_g is kept."""
+        g = self.metric_at(p)
+        det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+        return _QUARTER_TURN @ g @ np.asarray(w, dtype=float) / math.sqrt(
+            det)
+
     # -- geodesy -----------------------------------------------------------
 
     def exp_map(self, p, v, length, steps=None, want_jacobi=True):
@@ -263,32 +299,46 @@ class ManifoldModel:
 
     def _pole_samples(self, p, v, length, u, want_jacobi):
         """(points, tangents, jacobi or None) at the parameters u."""
-        steps = len(u) - 1
-        shot = _rk4_geodesic(self, p, v, length, steps, want_jacobi,
+        shot = _rk4_geodesic(self, p, v, length, len(u) - 1, want_jacobi,
                              collect=True)
-        pts = np.vstack(shot[0])
-        tans = np.vstack(shot[1])
-        drift = max(abs(self.norm(pts[i], tans[i]) - 1.0)
-                    for i in range(0, steps + 1, max(1, steps // 16)))
-        if drift > _DRIFT_TOL:
-            raise StepTooLargeError(
-                f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
-                "reduce the pole step")
-        return pts, tans, np.array(shot[3]) if want_jacobi else None
+        _check_drift(self, shot[0], shot[1])
+        return shot[0], shot[1], np.array(shot[3]) if want_jacobi else None
 
     def exp_point(self, p, v, length, steps=None):
         """Endpoint and end tangent of the unit-speed geodesic p, v, length."""
         pole = self.exp_map(p, v, length, steps=steps, want_jacobi=False)
         return pole.endpoint, pole.end_tangent
 
+    def shoot(self, p, v, length, steps=48):
+        """One shot: (end point, end tangent, c(length), s(length)).
+
+        The unit-speed geodesic from p along the unit v is integrated in
+        `steps` RK4 steps, with the cosine and sine solutions of
+        j'' + K j = 0 along it (c(0) = 1, c'(0) = 0; s(0) = 0, s'(0) = 1).
+        In two dimensions they give every Jacobi field along the shot: the
+        one with J(0) = a N(0) and J'(0) = b N(0), N the parallel unit
+        normal, ends at (a c + b s) N. The sampled unit-speed drift is
+        gated as in `exp_map`. Length 0 returns (p, v, 1, 0).
+        """
+        if length == 0.0:
+            return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
+                    1.0, 0.0)
+        pts, tans, cs, ss = _rk4_geodesic(self, p, v, length, steps, True,
+                                          collect=True)
+        _check_drift(self, pts, tans)
+        return pts[-1], tans[-1], cs[-1], ss[-1]
+
     def connect(self, p, q, v_guess=None, L_guess=None, steps=48,
                 tol=1e-11, max_iter=_SHOOT_MAX_ITER):
         """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
 
         Solves for (direction angle, length) jointly by damped Newton on the
-        fixed-step endpoint map; the length column of the Jacobian is the
-        endpoint velocity, the angle column is a forward difference
-        (h = 1e-6). The start is v_guess, else the chart chord.
+        fixed-step endpoint map, one shot (`shoot`) per iteration. The
+        Jacobian comes with the shot: the length column is the end tangent
+        T(L), and the angle column is the Jacobi field with J(0) = 0 and
+        J'(0) the start direction turned by +pi/2, which ends at s(L) times
+        T(L) turned by +pi/2 (`quarter_turn`). The start is v_guess, else
+        the chart chord.
         """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
@@ -304,18 +354,17 @@ class ManifoldModel:
 
         def endpoint(a, ell):
             v = self.tangent_from_angle(p, a, frame)
-            return _rk4_geodesic(self, p, v, ell, steps, False,
-                                 collect=False)
+            end, t_end, _, s = self.shoot(p, v, ell, steps)
+            return end, t_end, s
 
-        end, t_end = endpoint(alpha, L)
+        end, t_end, s = endpoint(alpha, L)
         r = end - q
         rn = float(np.linalg.norm(r))
         scale = max(1.0, float(np.linalg.norm(q - p)))
         for _ in range(max_iter):
             if rn < tol * scale:
                 break
-            da = (endpoint(alpha + _SHOOT_FD_H, L)[0] - end) / _SHOOT_FD_H
-            J = np.column_stack([da, t_end])
+            J = np.column_stack([s * self.quarter_turn(end, t_end), t_end])
             try:
                 delta = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError as exc:
@@ -324,14 +373,14 @@ class ManifoldModel:
             while True:
                 a_new = alpha + damp * delta[0]
                 L_new = max(L + damp * delta[1], 1e-12)
-                end_new, t_new = endpoint(a_new, L_new)
+                end_new, t_new, s_new = endpoint(a_new, L_new)
                 r_new = end_new - q
                 rn_new = float(np.linalg.norm(r_new))
                 if rn_new <= rn or damp < 1e-6:
                     break
                 damp *= 0.5
-            alpha, L, end, t_end, r, rn = (a_new, L_new, end_new, t_new,
-                                           r_new, rn_new)
+            alpha, L, end, t_end, s, r, rn = (a_new, L_new, end_new, t_new,
+                                              s_new, r_new, rn_new)
         if rn >= max(tol * scale, 1e-9):
             raise NoConvergenceError(
                 f"connect stalled at residual {rn:.3e} between {p} and {q}")
@@ -480,6 +529,14 @@ class SpaceFormModel(ManifoldModel):
         jac = jacobi_reference(self.K, u) if want_jacobi else None
         return (np.array([q for q, _ in ends]),
                 np.array([t for _, t in ends]), jac)
+
+    def shoot(self, p, v, length, steps=None):
+        """The shot in closed form: exp_point and the constant-K Jacobi
+        pair."""
+        if length == 0.0:
+            return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
+                    1.0, 0.0)
+        return (*self.exp_point(p, v, length), *_jacobi_pair(self.K, length))
 
     def connect(self, p, q, **_):
         """Closed form; the Newton hints and settings do not apply."""
@@ -1120,13 +1177,15 @@ def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
     The state is two-dimensional and held in scalar locals: (x, y) for the
     point, (p, q) for the velocity. Only surfaces reach this integrator,
     because the space forms, the only models that can be three-dimensional,
-    override each of its callers (`_pole_samples`, `connect`, `exp_point`,
-    `tractrix_stage`) with closed forms. With want_jacobi the cosine and
-    sine solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and
-    s(0) = 0, s'(0) = 1, with K from the same chart jet as the acceleration.
+    override each of its callers (`_pole_samples`, `shoot`, `connect`,
+    `exp_point`, `tractrix_stage`) with closed forms. With want_jacobi the
+    cosine and sine solutions of j'' + K j = 0 ride along, c(0) = 1,
+    c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same chart jet as the
+    acceleration.
 
-    The result is (x, v), followed by (c, s) with want_jacobi: lists of
-    samples when collect, else the final point and velocity as arrays and
+    The result is (x, v), followed by (c, s) with want_jacobi: with
+    collect, the sampled points and velocities as (n_steps + 1, 2) arrays
+    and c and s as lists, else the final point and velocity as arrays and
     the final c and s.
     """
     h = length / n_steps if n_steps else 0.0
@@ -1137,7 +1196,7 @@ def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
     c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
     rhs = model._geo_rhs
     if collect:
-        xs, vs, cs, ss = [np.array((x, y))], [np.array((p, q))], [c], [s]
+        xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
     for _ in range(n_steps):
         if want_jacobi:
             a1, b1, K1 = rhs((x, y), (p, q), True)
@@ -1166,11 +1225,12 @@ def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
             c, cp = _jacobi_step(c, cp, K1, K2, K3, K4, h, hh, h6)
             s, sp = _jacobi_step(s, sp, K1, K2, K3, K4, h, hh, h6)
         if collect:
-            xs.append(np.array((x, y)))
-            vs.append(np.array((p, q)))
+            xs.append((x, y))
+            vs.append((p, q))
             cs.append(c)
             ss.append(s)
     if collect:
+        xs, vs = np.array(xs), np.array(vs)
         return (xs, vs, cs, ss) if want_jacobi else (xs, vs)
     if want_jacobi:
         return np.array((x, y)), np.array((p, q)), c, s

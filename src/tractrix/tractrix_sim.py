@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -45,7 +44,6 @@ from .errors import (
     RecordOverflowError,
 )
 from .manifold import (
-    _SHOOT_FD_H,
     _SHOOT_MAX_ITER,
     FlatModel,
     HyperbolicModel,
@@ -200,11 +198,14 @@ class SimParams:
     max_records: int = 200_000
 
     def __post_init__(self):
-        if self.dt <= 0 or self.pole_step <= 0:
-            raise ConfigError("dt and pole_step must be positive")
+        for name in ("dt", "pole_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite positive "
+                                  f"number, got {value!r}")
         if not 0 < self.cusp_speed_eps < 1:
             raise ConfigError("cusp_speed_eps must lie in (0, 1)")
-        if self.max_records < 2:
+        if not self.max_records >= 2:
             raise ConfigError("max_records must be at least 2")
 
 
@@ -324,7 +325,13 @@ def simulate(model, tractor, gamma0, ell, params=None):
                           f"{gamma0.size}")
     model.check_point(gamma0)
 
-    n_steps = int(math.ceil(tractor.span / params.dt))
+    # a quotient within 1e-9 of a whole number is that number, so a span
+    # cut into `steps` equal parts gives steps + 1 records whatever its
+    # last bit
+    quotient = tractor.span / params.dt
+    n_steps = round(quotient)
+    if abs(quotient - n_steps) > 1e-9 * quotient:
+        n_steps = math.ceil(quotient)
     if n_steps + 1 > params.max_records:
         raise RecordOverflowError(
             f"{n_steps + 1} records exceed max_records {params.max_records}")
@@ -547,8 +554,24 @@ def _fill_orthogonal_distance(trace):
     trace.d[:] = _foot_newton(trace) if d is None else d
 
 
-# E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+def _fermi_shot(model, tractor, tau, d):
+    """F(tau, d) = exp_{eta(tau)}(d N(tau)) and its two Jacobian columns.
+
+    N is the unit normal to eta'(tau), eta' turned by +pi/2. The d column
+    is the end tangent of the shot. On a geodesic tractor N is parallel,
+    so the tau column is the Jacobi field with J(0) = eta'(tau) and
+    J'(0) = 0: |eta'(tau)| c(|d|) times the end normal, which stands to
+    the d column as eta' stands to N, turned by -pi/2. Shots with d < 0
+    run along -N. Returns (F, tau column, d column).
+    """
+    foot = np.asarray(tractor.point(tau), dtype=float)
+    vel = np.asarray(tractor.velocity(tau), dtype=float)
+    speed = model.norm(foot, vel)
+    sign = -1.0 if d < 0.0 else 1.0
+    end, tangent, c, _ = model.shoot(
+        foot, (sign / speed) * model.quarter_turn(foot, vel), abs(d), steps=48)
+    d_col = sign * tangent
+    return end, -speed * c * model.quarter_turn(end, d_col), d_col
 
 
 def _foot_newton(trace):
@@ -557,40 +580,32 @@ def _foot_newton(trace):
     (tau, d) are the Fermi coordinates of gamma relative to the tractor
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
     normal to eta'(tau).  Damped Newton solves F(tau, d) = gamma for each
-    record; the d column of the Jacobian is the end tangent of the shot
-    and the tau column a forward difference.  Record 0 starts from d = 0
-    at the chord projection of the pole (exact in the plane), every later
-    record from the previous record's (tau, d).  F is regular at d = 0,
+    record, on the normal equations, with one shot per iteration: both
+    Jacobian columns come with the shot (`_fermi_shot`).  Record 0 starts
+    from d = 0 at the chord projection of the pole (exact in the plane),
+    record 1 from record 0's (tau, d), and every later record from the
+    linear extrapolation of the previous two.  F is regular at d = 0,
     where the shot has length 0 and end tangent N, so a tractrix lying on
-    its tractor needs no special case and reads d = 0 exactly.  Shots
-    with d < 0 run along -N.
+    its tractor needs no special case and reads d = 0 exactly.
     """
     model = trace.model
     tractor = trace.tractor
     tol = 1e-11 * max(1.0, trace.ell)
     out = np.empty(len(trace.gamma))
 
-    def shoot(tau, d):
-        """F(tau, d) and its derivative in d."""
-        foot = np.asarray(tractor.point(tau), dtype=float)
-        g = model.metric_at(foot)
-        n = _QUARTER_TURN @ g @ np.asarray(tractor.velocity(tau),
-                                           dtype=float)
-        n = n / math.sqrt(float(n @ g @ n))
-        sign = -1.0 if d < 0.0 else 1.0
-        end, tangent = model.exp_point(foot, sign * n, abs(d), steps=48)
-        return end, sign * tangent
-
     tau = float(trace.t[0] - trace.speed[0] * trace.ell
                 / trace.eta_speed[0] ** 2)
     d = 0.0
+    solved = []
     for i, gamma in enumerate(trace.gamma):
-        end, d_col = shoot(tau, d)
+        if i >= 2:
+            tau_a, d_a = solved[-2]
+            tau, d = 2.0 * tau - tau_a, 2.0 * d - d_a
+        end, tau_col, d_col = _fermi_shot(model, tractor, tau, d)
         rn = float(np.linalg.norm(end - gamma))
         for _ in range(_SHOOT_MAX_ITER):
             if rn < tol:
                 break
-            tau_col = (shoot(tau + _SHOOT_FD_H, d)[0] - end) / _SHOOT_FD_H
             J = np.column_stack([tau_col, d_col])
             # normal equations: the same step as solve(J, r) for the
             # square J, which rounds differently and would move the last
@@ -603,15 +618,17 @@ def _foot_newton(trace):
             damp = 1.0
             while True:
                 tau_new, d_new = tau + damp * step[0], d + damp * step[1]
-                end_new, col_new = shoot(tau_new, d_new)
-                rn_new = float(np.linalg.norm(end_new - gamma))
+                shot = _fermi_shot(model, tractor, tau_new, d_new)
+                rn_new = float(np.linalg.norm(shot[0] - gamma))
                 if rn_new <= rn or damp < 1e-6:
                     break
                 damp *= 0.5
-            tau, d, end, d_col, rn = tau_new, d_new, end_new, col_new, rn_new
+            tau, d, rn = tau_new, d_new, rn_new
+            end, tau_col, d_col = shot
         if not rn < tol:
             raise NoConvergenceError(
                 f"foot solve at record {i} stalled at residual {rn:.3e}")
+        solved.append((tau, d))
         out[i] = abs(d)
     return out
 
@@ -627,44 +644,55 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     Returns (gamma0, foot_parameter).  `side` picks the normal direction
     (+1 is the tangent rotated by +pi/2), `mode` decides whether the foot
     lies behind or ahead of the tractor start (pull or push attachment).
+
+    The foot parameter tau solves gap(tau) = dist(gamma(tau), eta(t0)) -
+    ell = 0 by secant steps.  The first point is the flat estimate
+    tau0 = t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|, and the first step uses
+    the flat slope there.  Each distance is a `connect` warm-started from
+    the previous call's direction with the length guess ell.  A step that
+    leaves the side of t0 that `mode` selects is replaced by the midpoint
+    between the last iterate and t0.  The iteration stops when a step is
+    below 1e-13.
     """
     _require_pole(model, ell)
     if not 0.0 <= d0 < ell:
         raise ConfigError("need 0 <= d0 < ell for an orthogonal attachment")
     if mode not in ("behind", "ahead"):
         raise ConfigError("mode must be 'behind' or 'ahead'")
-    eta0 = np.asarray(tractor.point(tractor.t0), dtype=float)
-
-    def gamma_at(tau):
-        f = np.asarray(tractor.point(tau), dtype=float)
-        if d0 == 0.0:
-            return f
-        tang = model.unit(f, tractor.velocity(tau))
-        normal = model.rotate(f, tang, side * 0.5 * math.pi)
-        return model.exp_point(f, normal, d0)[0]
+    t0 = tractor.t0
+    eta0 = np.asarray(tractor.point(t0), dtype=float)
+    warm = None
 
     def gap(tau):
-        return model.distance(gamma_at(tau), eta0, L_guess=ell) - ell
+        """(gap(tau), gamma(tau))."""
+        nonlocal warm
+        f = np.asarray(tractor.point(tau), dtype=float)
+        if d0 > 0.0:
+            tang = model.unit(f, tractor.velocity(tau))
+            normal = model.rotate(f, tang, side * 0.5 * math.pi)
+            f = model.exp_point(f, normal, d0)[0]
+        warm, L, _ = model.connect(f, eta0, v_guess=warm, L_guess=ell)
+        return L - ell, f
 
-    reach = math.sqrt(max(ell * ell - d0 * d0, 0.0)) + d0
-    speed0 = model.norm(eta0, tractor.velocity(tractor.t0))
-    span = 1.3 * reach / max(speed0, 1e-6)
-    hi = tractor.t0
-    lo = tractor.t0 - span if mode == "behind" else tractor.t0 + span
-    if mode == "ahead":
-        lo, hi = hi, lo
-    for _ in range(4):
-        if gap(lo if mode == "behind" else hi) > 0.0:
+    ahead = 1.0 if mode == "ahead" else -1.0
+    speed0 = max(model.norm(eta0, tractor.velocity(t0)), 1e-6)
+    reach = math.sqrt(ell * ell - d0 * d0)
+    tau = t0 + ahead * reach / speed0
+    value, gamma0 = gap(tau)
+    step = value * ell / (ahead * speed0 * reach)
+    for _ in range(_SHOOT_MAX_ITER):
+        if value == 0.0 or abs(step) < 1e-13:
+            return gamma0, float(tau)
+        tau_new = tau - step
+        if ahead * (tau_new - t0) <= 0.0:
+            tau_new = 0.5 * (tau + t0)
+        value_new, gamma0 = gap(tau_new)
+        if value_new == value:
             break
-        if mode == "behind":
-            lo -= span
-        else:
-            hi += span
-    else:
-        raise NoConvergenceError(
-            "could not bracket the attachment foot parameter")
-    t_star = brentq(gap, lo, hi, xtol=1e-13, maxiter=200)
-    return gamma_at(t_star), float(t_star)
+        step = value_new * (tau_new - tau) / (value_new - value)
+        tau, value = tau_new, value_new
+    raise NoConvergenceError(
+        f"attachment foot parameter did not converge near tau = {tau!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from tractrix.errors import (
     NoConvergenceError,
     OutOfDomainError,
     SingularChartError,
+    StepTooLargeError,
 )
 from tractrix.manifold import (
     HyperbolicModel,
@@ -303,6 +304,68 @@ def test_connect_on_surface_roundtrip():
     # symmetry of the induced distance
     _, L_back, _ = PARAB.connect(q, p, steps=64)
     assert L_back == pytest.approx(L, abs=1e-9)
+
+
+ELLIPSOID = surface_model({"name": "ellipsoid", "a": 1.0, "b": 1.0,
+                           "c": 1.2})
+SPHERE_CHART = surface_model("sphere")  # the unit sphere, SPHERE's chart
+
+
+def chart_point(model, rng):
+    if model in (ELLIPSOID, SPHERE_CHART):
+        return np.array([rng.uniform(1.1, math.pi - 1.1), rng.uniform(-2, 2)])
+    return rng.uniform(-0.6, 0.6, size=2)
+
+
+@pytest.mark.parametrize("model", [PARAB, HILLY, ELLIPSOID, SPHERE_CHART],
+                         ids=["paraboloid", "hilly", "ellipsoid", "sphere"])
+def test_connect_angle_column_matches_central_difference(model):
+    # d/d alpha of exp_p(L v(alpha)) is the Jacobi field with J(0) = 0 and
+    # J'(0) = v turned by +pi/2: s(L) times the end tangent turned likewise
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    for _ in range(8):
+        p = chart_point(model, rng)
+        frame = model.frame_at(p)
+        alpha = rng.uniform(0.0, math.tau)
+        L = rng.uniform(0.05, 0.9)
+        end, t_end, _, s = model.shoot(
+            p, model.tangent_from_angle(p, alpha, frame), L)
+        column = s * model.quarter_turn(end, t_end)
+        plus, minus = (model.shoot(p, model.tangent_from_angle(
+            p, alpha + sgn * h, frame), L)[0] for sgn in (1.0, -1.0))
+        fd = (plus - minus) / (2.0 * h)
+        assert np.linalg.norm(column - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_closed_form_shot_matches_the_integrated_one():
+    # SPHERE and SPHERE_CHART are one unit sphere in one chart
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        p = np.array([rng.uniform(1.1, math.pi - 1.1), rng.uniform(-2, 2)])
+        v = SPHERE.tangent_from_angle(p, rng.uniform(0.0, math.tau))
+        L = rng.uniform(0.05, 0.9)
+        for a, b in zip(SPHERE.shoot(p, v, L),
+                        SPHERE_CHART.shoot(p, v, L, steps=200)):
+            assert np.max(np.abs(np.subtract(a, b))) < 1e-9
+    v = np.array([0.6, 0.8])
+    assert FLAT2.shoot([0.0, 0.0], v, 1.5)[2:] == (1.0, 1.5)
+    c, s = HYP.shoot([0.1, 0.2], HYP.unit([0.1, 0.2], v), 1.5)[2:]
+    assert c == pytest.approx(math.cosh(1.5), rel=1e-14)
+    assert s == pytest.approx(math.sinh(1.5), rel=1e-14)
+    for model in (SPHERE, PARAB):
+        p = np.array([1.0, 0.2])
+        w = model.unit(p, v)
+        end, tangent, c, s = model.shoot(p, w, 0.0)
+        assert np.array_equal(end, p) and np.array_equal(tangent, w)
+        assert (c, s) == (1.0, 0.0)
+
+
+def test_shot_gates_unit_speed_drift():
+    # two steps over a long arc of the hills drift far from unit speed
+    p = np.array([0.1, 0.2])
+    with pytest.raises(StepTooLargeError):
+        HILLY.shoot(p, HILLY.unit(p, [1.0, 0.3]), 2.5, steps=2)
 
 
 def test_distance_helpers():

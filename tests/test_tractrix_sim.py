@@ -19,6 +19,7 @@ from tractrix.spaceform import classical_tractrix, dist_at, kappa_at, \
 from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
     SimParams,
+    _fermi_shot,
     _foot_newton,
     analytic_tractor,
     orthogonal_attachment,
@@ -506,10 +507,50 @@ def test_singular_foot_jacobian_raises_no_convergence(monkeypatch):
                                        "start": [0.0, 0.0],
                                        "direction": [1.0, 0.0], "t1": 1.0,
                                        "geodesic": True})
-    monkeypatch.setattr(model, "exp_point", lambda *a, **kw: (
-        np.zeros(2), np.array([0.0, 1.0])))
+    # c = 0 makes the foot solve's tau column zero; connect reads only s
+    shoot = model.shoot
+    monkeypatch.setattr(model, "shoot", lambda *a, **kw: (
+        *shoot(*a, **kw)[:2], 0.0, shoot(*a, **kw)[3]))
     with pytest.raises(NoConvergenceError, match="singular"):
         simulate(model, line, np.array([-1.2, 0.9]), 1.5, SimParams(dt=0.1))
+
+
+@pytest.mark.parametrize("chart, start, direction", [
+    ("paraboloid", [0.0, 0.0], [0.6, 0.8]),
+    ({"name": "hilly", "amplitude": 0.5, "frequency": 1.0}, [0.0, 0.0],
+     [1.0, 1.0]),
+    ({"name": "ellipsoid", "a": 1.0, "b": 1.0, "c": 1.2},
+     [math.pi / 2, 0.0], [0.0, 1.0]),
+    ("sphere", [1.0, 0.3], [1.0, 0.0]),
+], ids=["paraboloid", "hilly", "ellipsoid", "sphere"])
+def test_foot_tau_column_matches_central_difference(chart, start, direction):
+    # geodesic tractors: a meridian, the diagonal of the hills (a mirror
+    # line), the equator, a meridian
+    model = surface_model(chart)
+    tractor = tractor_from_config(model, {
+        "kind": "chart_line", "start": start, "direction": direction,
+        "t0": -1.0, "t1": 1.0, "geodesic": True})
+    rng = np.random.default_rng(7)
+    h = 1e-5
+    for _ in range(8):
+        tau = rng.uniform(-0.5, 0.5)
+        d = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9)
+        _, tau_col, _ = _fermi_shot(model, tractor, tau, d)
+        fd = (_fermi_shot(model, tractor, tau + h, d)[0]
+              - _fermi_shot(model, tractor, tau - h, d)[0]) / (2.0 * h)
+        assert np.linalg.norm(tau_col - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_foot_solve_makes_few_shots_per_record(monkeypatch):
+    # one shot to check the extrapolated start, mostly one Newton step
+    model, tr, _ = bundled_run("ellipsoid_equator", span=0.2)
+    shots = []
+    shoot = model.shoot
+    monkeypatch.setattr(model, "shoot", lambda *a, **kw: (
+        shots.append(a), shoot(*a, **kw))[1])
+    d = _foot_newton(tr)
+    assert np.array_equal(d, tr.d)
+    assert len(shots) <= 2.5 * len(tr.t)
 
 
 @pytest.mark.parametrize("name", ["sphere_pull", "halfk_pull",
@@ -609,6 +650,62 @@ def test_orthogonal_attachment_ahead():
     assert g0[0] == pytest.approx(math.sqrt(4.0 - 1.44), abs=1e-9)
 
 
+def fermi_coordinates(model, tractor, gamma, tau, d):
+    """(tau, d) with exp_{eta(tau)}(d N(tau)) = gamma, N = eta' turned by
+    +pi/2, by Newton on forward differences from the given start."""
+
+    def fermi(tau, d):
+        foot = np.asarray(tractor.point(tau), dtype=float)
+        normal = model.rotate(foot, model.unit(foot, tractor.velocity(tau)),
+                              0.5 * math.pi)
+        return model.exp_point(foot, math.copysign(1.0, d) * normal,
+                               abs(d))[0]
+
+    h = 1e-7
+    for _ in range(30):
+        r = gamma - fermi(tau, d)
+        if np.linalg.norm(r) < 1e-13:
+            return tau, d
+        J = np.column_stack([(fermi(tau + h, d) - fermi(tau, d)) / h,
+                             (fermi(tau, d + h) - fermi(tau, d)) / h])
+        step = np.linalg.solve(J, r)
+        tau, d = tau + step[0], d + step[1]
+    raise AssertionError("Fermi coordinates did not converge")
+
+
+@pytest.mark.parametrize("mode", ["behind", "ahead"])
+@pytest.mark.parametrize("name", ["paraboloid_pull", "hilly_pull",
+                                  "ellipsoid_equator"])
+def test_surface_attachment_meets_pole_length_and_offset(name, mode):
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    d0, side = cfg.gamma0["d0"], cfg.gamma0["side"]
+    g0, tau = orthogonal_attachment(model, tractor, cfg.ell, d0, side=side,
+                                    mode=mode)
+    t0 = tractor.t0
+    assert (tau - t0 > 0.0) == (mode == "ahead")
+    assert abs(model.distance(g0, tractor.point(t0)) - cfg.ell) < 1e-10
+    # start the Fermi solve on the tractor, off the returned foot
+    tau_f, d_f = fermi_coordinates(model, tractor, g0, tau + 0.05, 0.0)
+    assert abs(d_f - side * d0) < 1e-10
+    assert abs(tau_f - tau) < 1e-9
+
+
+def test_attachment_stays_on_the_side_mode_selects():
+    # the line x = sinh(5t) / 5 (x = t ahead of t0) speeds up behind t0,
+    # so the flat estimate lies far too far back and the first step
+    # overshoots past t0, where a second root waits
+    line = analytic_tractor(
+        lambda t: np.array([math.sinh(5 * t) / 5 if t < 0 else t, 0.0]),
+        lambda t: np.array([math.cosh(5 * t) if t < 0 else 1.0, 0.0]),
+        0.0, 1.0)
+    g0, t_star = orthogonal_attachment(FLAT2, line, 1.0, 0.6, side=1,
+                                       mode="behind")
+    assert t_star == pytest.approx(math.asinh(-4.0) / 5, abs=1e-12)
+    assert g0 == pytest.approx([-0.8, 0.6], abs=1e-12)
+
+
 def test_orthogonal_attachment_rejects_offset_beyond_pole():
     with pytest.raises(ConfigError):
         orthogonal_attachment(FLAT2, x_line(0.0, 6.0), 1.0, 1.5)
@@ -625,6 +722,29 @@ def test_params_validation():
         SimParams(cusp_speed_eps=1.5)
     with pytest.raises(ConfigError):
         SimParams(max_records=1)
+
+
+# an unbounded record cap, max_records = inf, is allowed
+@pytest.mark.parametrize("name, value", [
+    (name, value)
+    for name in ("dt", "pole_step", "cusp_speed_eps", "max_records")
+    for value in (math.nan, math.inf, -math.inf, 0.0, -0.1)
+    if (name, value) != ("max_records", math.inf)])
+def test_params_reject_bad_values_by_name(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SimParams(**{name: value})
+
+
+def test_span_cut_into_steps_gives_steps_plus_one_records():
+    # span / (span / 400) rounds up to 400 plus one ulp for this span, and
+    # a plain ceil would take 401 steps
+    poly = polyline_tractor(np.array([[0.0, 0.0], [1.09, 0.0]]))
+    steps = 400
+    assert math.ceil(poly.span / (poly.span / steps)) == steps + 1
+    tr = simulate(FLAT2, poly, np.array([-1.0, 0.0]), 1.0,
+                  SimParams(dt=poly.span / steps))
+    assert len(tr.t) == steps + 1
+    assert tr.t[-1] == poly.t1
 
 
 def test_record_overflow_guard():
