@@ -47,7 +47,6 @@ from .functionals import (
 )
 from .manifold import (
     ManifoldModel,
-    PoleGeodesic,
     jacobi_reference,
     jacobi_reference_integral,
     model_from_config,

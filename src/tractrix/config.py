@@ -327,9 +327,8 @@ class ScenarioConfig:
 
 
 def scenario_from_dict(raw, name="scenario", base_dir="."):
-    return ScenarioConfig(name=str(raw.get("name", name)),
-                          data=_normalize(raw, name, base_dir),
-                          base_dir=base_dir)
+    data = _normalize(raw, name, base_dir)
+    return ScenarioConfig(name=data["name"], data=data, base_dir=base_dir)
 
 
 def load_scenario(path):

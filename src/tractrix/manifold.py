@@ -2,8 +2,8 @@
 
 Every model answers the same questions, which are all that the
 tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
-and Gauss curvature at a point; geodesics from a point (`exp_point`, the
-sampled pole `exp_map` with its Jacobi profile j'' + K j = 0); two-point
+and Gauss curvature at a point; geodesics from a point (`exp_point`, and
+`shoot` with the Jacobi pair of j'' + K j = 0 along it); two-point
 geodesics (`connect`, `distance`); parallel transport along chart
 segments; the distance of points to a geodesic (`distance_to_geodesic`);
 one stage of the tractrix propagation (`tractrix_start`,
@@ -51,7 +51,6 @@ Gauss curvature from the second fundamental form for embedded charts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +73,6 @@ __all__ = [
     "SphereModel",
     "HyperbolicModel",
     "SurfaceModel",
-    "PoleGeodesic",
     "space_form",
     "surface_model",
     "model_from_config",
@@ -140,7 +138,7 @@ def _check_drift(model, pts, tans):
 
 
 def _has_conjugate(jacobi):
-    return bool(jacobi is not None and np.any(jacobi[1:] <= _CONJ_TOL))
+    return bool(np.any(jacobi[1:] <= _CONJ_TOL))
 
 
 @lru_cache(maxsize=8)
@@ -149,26 +147,6 @@ def _reference_profile(K, length, steps):
     j = jacobi_reference(K, np.linspace(0.0, length, steps + 1))
     j.flags.writeable = False
     return j, _has_conjugate(j)
-
-
-@dataclass
-class PoleGeodesic:
-    """Sampled unit-speed geodesic segment (one pole position)."""
-
-    u: np.ndarray
-    points: np.ndarray
-    tangents: np.ndarray
-    length: float
-    jacobi: np.ndarray | None = None
-    conjugate: bool = False
-
-    @property
-    def endpoint(self):
-        return self.points[-1]
-
-    @property
-    def end_tangent(self):
-        return self.tangents[-1]
 
 
 class ManifoldModel:
@@ -192,11 +170,9 @@ class ManifoldModel:
     def check_point(self, p):
         """Raise OutOfDomain/SingularChart when p is unusable."""
 
-    def _geo_rhs(self, x, v, want_k=False):
-        """Acceleration tuple -Gamma(v, v) at x; raises on bad points.
-
-        With want_k the Gauss curvature at x follows as a third entry.
-        """
+    def _geo_rhs(self, x, v):
+        """(a_u, a_v, K): the acceleration -Gamma(v, v) at x and the Gauss
+        curvature there, on floats; raises on bad points."""
         raise NotImplementedError
 
     # -- metric helpers ----------------------------------------------------
@@ -263,51 +239,19 @@ class ManifoldModel:
 
     # -- geodesy -----------------------------------------------------------
 
-    def exp_map(self, p, v, length, steps=None, want_jacobi=True):
-        """Shoot a unit-speed geodesic of given length; return sampled pole.
-
-        steps defaults to 200 samples. The scalar Jacobi profile comes along
-        when `want_jacobi` (j(0)=0, j'(0)=1); the flag `conjugate` is set
-        when j dips to zero or below inside (0, length].
-        """
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def exp_point(self, p, v, length, steps=200):
+        """Endpoint and end tangent of the unit-speed geodesic p, v, length:
+        the first two entries of `shoot`, after checking p, the unit
+        tangent and the length."""
         self.check_point(p)
         nv = self.norm(p, v)
         if abs(nv - 1.0) > 1e-8:
             raise ValueError(
-                f"exp_map needs a unit tangent (|v|_g = {nv!r}); "
+                f"exp_point needs a unit tangent (|v|_g = {nv!r}); "
                 "normalize first")
         if length < 0:
             raise ValueError("pole length must be nonnegative")
-        if (self.conjugate_scale is not None
-                and length >= self.conjugate_scale):
-            raise ValueError(
-                f"pole length {length!r} reaches the conjugate scale "
-                f"{self.conjugate_scale!r}")
-        if steps is None:
-            steps = 200
-        steps = max(4, int(steps))
-        if length == 0.0:
-            return PoleGeodesic(np.array([0.0]), p[None, :].copy(),
-                                v[None, :].copy(), 0.0,
-                                jacobi=np.array([0.0]), conjugate=False)
-        u = np.linspace(0.0, length, steps + 1)
-        pts, tans, jac = self._pole_samples(p, v, length, u, want_jacobi)
-        return PoleGeodesic(u, pts, tans, float(length), jacobi=jac,
-                            conjugate=_has_conjugate(jac))
-
-    def _pole_samples(self, p, v, length, u, want_jacobi):
-        """(points, tangents, jacobi or None) at the parameters u."""
-        shot = _rk4_geodesic(self, p, v, length, len(u) - 1, want_jacobi,
-                             collect=True)
-        _check_drift(self, shot[0], shot[1])
-        return shot[0], shot[1], np.array(shot[3]) if want_jacobi else None
-
-    def exp_point(self, p, v, length, steps=None):
-        """Endpoint and end tangent of the unit-speed geodesic p, v, length."""
-        pole = self.exp_map(p, v, length, steps=steps, want_jacobi=False)
-        return pole.endpoint, pole.end_tangent
+        return self.shoot(p, v, length, steps)[:2]
 
     def shoot(self, p, v, length, steps=48):
         """One shot: (end point, end tangent, c(length), s(length)).
@@ -317,13 +261,14 @@ class ManifoldModel:
         j'' + K j = 0 along it (c(0) = 1, c'(0) = 0; s(0) = 0, s'(0) = 1).
         In two dimensions they give every Jacobi field along the shot: the
         one with J(0) = a N(0) and J'(0) = b N(0), N the parallel unit
-        normal, ends at (a c + b s) N. The sampled unit-speed drift is
-        gated as in `exp_map`. Length 0 returns (p, v, 1, 0).
+        normal, ends at (a c + b s) N. A unit-speed drift above _DRIFT_TOL
+        at evenly spaced samples of the shot raises StepTooLargeError.
+        Length 0 returns (p, v, 1, 0).
         """
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
-        pts, tans, cs, ss = _rk4_geodesic(self, p, v, length, steps, True,
+        pts, tans, cs, ss = _rk4_geodesic(self, p, v, length, steps,
                                           collect=True)
         _check_drift(self, pts, tans)
         return pts[-1], tans[-1], cs[-1], ss[-1]
@@ -468,7 +413,7 @@ class ManifoldModel:
         size = math.sqrt(float(X @ g @ X))
         unit = X / size
         end, tangent, c, s = _rk4_geodesic(self, eta, unit, ell, n_pole,
-                                           True, collect=record)
+                                           collect=record)
         c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
         if s_ell <= _CONJ_TOL:
             raise NoConvergenceError(
@@ -523,12 +468,6 @@ class SpaceFormModel(ManifoldModel):
     def log_map(self, p, q):
         """(unit v at p, length) of the minimizing geodesic from p to q."""
         raise NotImplementedError
-
-    def _pole_samples(self, p, v, length, u, want_jacobi):
-        ends = [self.exp_point(p, v, x) for x in u]
-        jac = jacobi_reference(self.K, u) if want_jacobi else None
-        return (np.array([q for q, _ in ends]),
-                np.array([t for _, t in ends]), jac)
 
     def shoot(self, p, v, length, steps=None):
         """The shot in closed form: exp_point and the constant-K Jacobi
@@ -595,6 +534,9 @@ class FlatModel(SpaceFormModel):
         if periods is not None:
             if dim != 2:
                 raise ConfigError("periodic identifications need dimension 2")
+            if len(periods) != dim:
+                raise ConfigError(f"periods: expected {dim} entries, one "
+                                  f"per axis, got {len(periods)}")
             periods = tuple(None if x is None else float(x) for x in periods)
         super().__init__(0.0, dim, periods)
 
@@ -607,8 +549,8 @@ class FlatModel(SpaceFormModel):
     def gauss_at(self, p):
         return 0.0
 
-    def _geo_rhs(self, x, v, want_k=False):
-        return (0.0,) * (self.dim + 1 if want_k else self.dim)
+    def _geo_rhs(self, x, v):
+        return (0.0,) * (self.dim + 1)
 
     def inner(self, p, a, b):
         # identical to a @ I @ b, without building I
@@ -696,14 +638,13 @@ class SphereModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v, want_k=False):
+    def _geo_rhs(self, x, v):
         th = x[0]
         s, c = math.sin(th), math.cos(th)
         if abs(s) < 1e-9:
             raise SingularChartError(
                 f"geodesic hit chart pole (theta={float(th)!r})")
-        acc = (s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1])
-        return acc + (self.K,) if want_k else acc
+        return s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1], self.K
 
     # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
 
@@ -882,7 +823,7 @@ class HyperbolicModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v, want_k=False):
+    def _geo_rhs(self, x, v):
         f = 1.0 - x[0] * x[0] - x[1] * x[1]
         if f <= 0.0:
             raise DomainExitError("geodesic left the Poincare disk",
@@ -890,7 +831,7 @@ class HyperbolicModel(SpaceFormModel):
         px, py = 2.0 * x[0] / f, 2.0 * x[1] / f
         a1 = -(px * v[0] * v[0] + 2.0 * py * v[0] * v[1] - px * v[1] * v[1])
         a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
-        return (a1, a2, self.K) if want_k else (a1, a2)
+        return a1, a2, self.K
 
     def exp_point(self, p, v, length, steps=None):
         z = complex(p[0], p[1])
@@ -1085,7 +1026,7 @@ class SurfaceModel(ManifoldModel):
         N = svv[0] * nx + svv[1] * ny + svv[2] * nz
         return (L * N - M * M) / det
 
-    def _geo_rhs(self, x, v, want_k=False):
+    def _geo_rhs(self, x, v):
         # the hottest call: _forms, christoffel_at and gauss_at stay inlined
         u, w = x[0], x[1]
         ch = self.chart
@@ -1115,8 +1056,6 @@ class SurfaceModel(ManifoldModel):
         a, b = v[0], v[1]
         acc_u = -(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b)
         acc_v = -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b)
-        if not want_k:
-            return acc_u, acc_v
         # K = (L N - M^2) / det against the unit normal; the unnormalized
         # n = F_u x F_v has |n|^2 = det, so no square root is needed
         nx, ny, nz = yu * zv - zu * yv, zu * xv - xu * zv, xu * yv - yu * xv
@@ -1171,22 +1110,20 @@ def _jacobi_step(j, jp, K1, K2, K3, K4, h, hh, h6):
             jp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
-    """Fixed-step RK4 on (x, v[, c, c', s, s']); final state or samples.
+def _rk4_geodesic(model, x0, v0, length, n_steps, collect):
+    """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
     The state is two-dimensional and held in scalar locals: (x, y) for the
     point, (p, q) for the velocity. Only surfaces reach this integrator,
     because the space forms, the only models that can be three-dimensional,
-    override each of its callers (`_pole_samples`, `shoot`, `connect`,
-    `exp_point`, `tractrix_stage`) with closed forms. With want_jacobi the
-    cosine and sine solutions of j'' + K j = 0 ride along, c(0) = 1,
-    c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same chart jet as the
-    acceleration.
+    override each of its callers (`shoot`, `tractrix_stage`) with closed
+    forms. The cosine and sine solutions of j'' + K j = 0 ride along,
+    c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same chart
+    jet as the acceleration.
 
-    The result is (x, v), followed by (c, s) with want_jacobi: with
-    collect, the sampled points and velocities as (n_steps + 1, 2) arrays
-    and c and s as lists, else the final point and velocity as arrays and
-    the final c and s.
+    The result is (x, v, c, s): with collect, the sampled points and
+    velocities as (n_steps + 1, 2) arrays and c and s as lists, else the
+    final point and velocity as arrays and the final c and s.
     """
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
@@ -1198,40 +1135,24 @@ def _rk4_geodesic(model, x0, v0, length, n_steps, want_jacobi, collect):
     if collect:
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
     for _ in range(n_steps):
-        if want_jacobi:
-            a1, b1, K1 = rhs((x, y), (p, q), True)
-        else:
-            a1, b1 = rhs((x, y), (p, q))
+        a1, b1, K1 = rhs((x, y), (p, q))
         x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
-        if want_jacobi:
-            a2, b2, K2 = rhs((x2, y2), (p2, q2), True)
-        else:
-            a2, b2 = rhs((x2, y2), (p2, q2))
+        a2, b2, K2 = rhs((x2, y2), (p2, q2))
         x3, y3, p3, q3 = x + hh * p2, y + hh * q2, p + hh * a2, q + hh * b2
-        if want_jacobi:
-            a3, b3, K3 = rhs((x3, y3), (p3, q3), True)
-        else:
-            a3, b3 = rhs((x3, y3), (p3, q3))
+        a3, b3, K3 = rhs((x3, y3), (p3, q3))
         x4, y4, p4, q4 = x + h * p3, y + h * q3, p + h * a3, q + h * b3
-        if want_jacobi:
-            a4, b4, K4 = rhs((x4, y4), (p4, q4), True)
-        else:
-            a4, b4 = rhs((x4, y4), (p4, q4))
+        a4, b4, K4 = rhs((x4, y4), (p4, q4))
         x, y, p, q = (x + h6 * (p + 2 * p2 + 2 * p3 + p4),
                       y + h6 * (q + 2 * q2 + 2 * q3 + q4),
                       p + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
                       q + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
-        if want_jacobi:
-            c, cp = _jacobi_step(c, cp, K1, K2, K3, K4, h, hh, h6)
-            s, sp = _jacobi_step(s, sp, K1, K2, K3, K4, h, hh, h6)
+        c, cp = _jacobi_step(c, cp, K1, K2, K3, K4, h, hh, h6)
+        s, sp = _jacobi_step(s, sp, K1, K2, K3, K4, h, hh, h6)
         if collect:
             xs.append((x, y))
             vs.append((p, q))
             cs.append(c)
             ss.append(s)
     if collect:
-        xs, vs = np.array(xs), np.array(vs)
-        return (xs, vs, cs, ss) if want_jacobi else (xs, vs)
-    if want_jacobi:
-        return np.array((x, y)), np.array((p, q)), c, s
-    return np.array((x, y)), np.array((p, q))
+        return np.array(xs), np.array(vs), cs, ss
+    return np.array((x, y)), np.array((p, q)), c, s

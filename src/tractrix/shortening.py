@@ -111,8 +111,11 @@ def _downsample(pts, target=_TARGET_KNOTS):
 
 
 def _geodesic_points(model, a, b, samples=_POLE_SAMPLES):
+    # the k-th of the samples + 1 points is a k-step shot, so every step
+    # has the length of one step of a single samples-step shot
     v, L, _ = model.connect(a, b)
-    return model.exp_map(a, v, L, steps=samples, want_jacobi=False).points
+    return np.array([model.exp_point(a, v, u, steps=max(k, 1))[0]
+                     for k, u in enumerate(np.linspace(0.0, L, samples + 1))])
 
 
 def _arclength_point(model, pts, target):

@@ -11,6 +11,7 @@ from tractrix.config import bundled_dir
 
 FLAT_GEODESIC = os.path.join(bundled_dir(), "flat_geodesic.yaml")
 SHORTEN_SPHERE = os.path.join(bundled_dir(), "shorten_sphere.yaml")
+SHORTEN_TORUS = os.path.join(bundled_dir(), "shorten_torus.yaml")
 
 
 def write_config(tmp_path, raw, name="scenario"):
@@ -112,6 +113,33 @@ def test_ragged_polyline_file_exits_one(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "ragged.txt: line 2 has 3 coordinates" in err
+
+
+@pytest.mark.parametrize("periods", [[1.0], [1.0, 1.0, 1.0]],
+                         ids=["one", "three"])
+def test_periods_of_wrong_length_exit_one(tmp_path, capsys, periods):
+    # one period used to leave the second winding number to uninitialised
+    # memory, three ended in an IndexError traceback
+    with open(SHORTEN_TORUS) as fh:
+        raw = yaml.safe_load(fh)
+    raw["model"]["periods"] = periods
+    config = write_config(tmp_path, raw)
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "periods" in err
+
+
+@pytest.mark.parametrize("text", ["- 1\n", "just a string\n"],
+                         ids=["list", "scalar"])
+def test_config_top_level_not_a_mapping_exits_one(tmp_path, capsys, text):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text)
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mapping" in err
+    assert "Traceback" not in err
 
 
 def test_pole_at_conjugate_scale_exits_one(tmp_path, capsys):

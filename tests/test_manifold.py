@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tractrix.charts import HillyChart, ParaboloidChart, PseudosphereChart
 from tractrix.errors import (
+    ConfigError,
     NoConvergenceError,
     OutOfDomainError,
     SingularChartError,
@@ -16,12 +17,15 @@ from tractrix.manifold import (
     HyperbolicModel,
     ManifoldModel,
     SphereModel,
+    _has_conjugate,
+    _reference_profile,
     _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
     space_form,
     surface_model,
 )
+from tractrix.tractrix_sim import _require_pole
 
 SPHERE = space_form(1.0)
 HYP = space_form(-1.0)
@@ -132,38 +136,37 @@ def test_embedded_sphere_matches_spaceform_curvature():
     assert emb.gauss_at([1.2, 0.7]) == pytest.approx(0.25, rel=1e-12)
 
 
-# -- exp_map ------------------------------------------------------------------
+# -- exp_point and shoot ------------------------------------------------------
 
 
 def test_exp_map_flat_line():
-    pole = FLAT2.exp_map([1.0, 2.0], [0.6, 0.8], 5.0)
-    assert np.allclose(pole.endpoint, [4.0, 6.0])
-    assert np.allclose(pole.end_tangent, [0.6, 0.8])
-    assert pole.jacobi is not None
-    assert pole.jacobi[-1] == pytest.approx(5.0)
+    end, end_tangent, _, s = FLAT2.shoot([1.0, 2.0], [0.6, 0.8], 5.0)
+    assert np.allclose(end, [4.0, 6.0])
+    assert np.allclose(end_tangent, [0.6, 0.8])
+    assert s == pytest.approx(5.0)
 
 
 def test_exp_map_rejects_non_unit_tangent():
     with pytest.raises(ValueError):
-        FLAT2.exp_map([0.0, 0.0], [1.0, 1.0], 1.0)
+        PARAB.exp_point([0.0, 0.0], [1.0, 1.0], 1.0)
 
 
 def test_exp_map_sphere_meridian_and_equator():
-    pole = SPHERE.exp_map([math.pi / 2, 0.0], [-1.0, 0.0], math.pi / 4)
-    assert np.allclose(pole.endpoint, [math.pi / 4, 0.0], atol=1e-9)
-    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], 1.3)
-    assert np.allclose(pole.endpoint, [math.pi / 2, 1.3], atol=1e-9)
+    end, _ = SPHERE.exp_point([math.pi / 2, 0.0], [-1.0, 0.0], math.pi / 4)
+    assert np.allclose(end, [math.pi / 4, 0.0], atol=1e-9)
+    end, _ = SPHERE.exp_point([math.pi / 2, 0.0], [0.0, 1.0], 1.3)
+    assert np.allclose(end, [math.pi / 2, 1.3], atol=1e-9)
 
 
-# space forms sample their poles in closed form; their _geo_rhs is the
-# reference that checks the RK4 integrator itself
+# space forms shoot in closed form; their _geo_rhs is the reference that
+# checks the RK4 integrator itself
 
 
 def test_exp_map_sphere_matches_closed_form():
     p = np.array([1.1, 0.4])
     v = SPHERE.unit(p, [0.3, 0.8])
-    end, end_tangent = _rk4_geodesic(SPHERE, p, v, 1.0, 200, False,
-                                     collect=False)
+    end, end_tangent, _, _ = _rk4_geodesic(SPHERE, p, v, 1.0, 200,
+                                           collect=False)
     q, t = SPHERE.exp_point(p, v, 1.0)
     assert np.allclose(end, q, atol=1e-8)
     assert np.allclose(end_tangent, t, atol=1e-8)
@@ -172,8 +175,8 @@ def test_exp_map_sphere_matches_closed_form():
 def test_exp_map_hyperbolic_matches_closed_form():
     p = np.array([0.2, -0.1])
     v = HYP.unit(p, [1.0, 0.5])
-    end, end_tangent = _rk4_geodesic(HYP, p, v, 1.5, 200, False,
-                                     collect=False)
+    end, end_tangent, _, _ = _rk4_geodesic(HYP, p, v, 1.5, 200,
+                                           collect=False)
     q, t = HYP.exp_point(p, v, 1.5)
     assert np.allclose(end, q, atol=1e-8)
     assert np.allclose(end_tangent, t, atol=1e-8)
@@ -182,25 +185,28 @@ def test_exp_map_hyperbolic_matches_closed_form():
 def test_exp_map_unit_speed_drift():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    pole = PARAB.exp_map(p, v, 2.0, steps=200)
-    norms = [PARAB.norm(pole.points[i], pole.tangents[i])
-             for i in range(0, len(pole.u), 10)]
+    points, tangents, _, _ = _rk4_geodesic(PARAB, p, v, 2.0, 200,
+                                           collect=True)
+    norms = [PARAB.norm(points[i], tangents[i])
+             for i in range(0, len(points), 10)]
     assert max(abs(n - 1.0) for n in norms) < 1e-6
 
 
 def test_exp_map_self_convergence_on_paraboloid():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    coarse = PARAB.exp_map(p, v, 2.0, steps=200)
-    fine = PARAB.exp_map(p, v, 2.0, steps=2000)
-    assert np.linalg.norm(coarse.endpoint - fine.endpoint) < 1e-7
+    coarse, _ = PARAB.exp_point(p, v, 2.0, steps=200)
+    fine, _ = PARAB.exp_point(p, v, 2.0, steps=2000)
+    assert np.linalg.norm(coarse - fine) < 1e-7
 
 
 def test_exp_map_gates_conjugate_scale():
-    with pytest.raises(ValueError):
-        SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi + 0.1)
-    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 0.05)
-    assert not pole.conjugate
+    # the pole length is gated where a run starts; below the scale the
+    # profile has no conjugate point
+    with pytest.raises(ConfigError):
+        _require_pole(SPHERE, math.pi + 0.1)
+    _, conjugate = _reference_profile(SPHERE.K, math.pi - 0.05, 200)
+    assert not conjugate
 
 
 # -- Jacobi -------------------------------------------------------------------
@@ -219,12 +225,11 @@ def test_jacobi_reference_values():
 
 
 def test_jacobi_scalar_sphere_closed_form():
-    # exp_map refuses the conjugate scale itself, so the pole stops 1e-13
-    # short of it, inside the flag's threshold
-    pole = SPHERE.exp_map([math.pi / 2, 0.0], [0.0, 1.0], math.pi - 1e-13,
-                          steps=100, want_jacobi=True)
-    j, conj = pole.jacobi, pole.conjugate
-    assert np.allclose(j, np.sin(pole.u), atol=1e-12)
+    # the pole stops 1e-13 short of the conjugate scale, inside the flag's
+    # threshold
+    length = math.pi - 1e-13
+    j, conj = _reference_profile(SPHERE.K, length, 100)
+    assert np.allclose(j, np.sin(np.linspace(0.0, length, 101)), atol=1e-12)
     assert conj  # first conjugate point sits at u = pi
 
 
@@ -232,17 +237,17 @@ def test_jacobi_scalar_constant_negative_surface():
     # pseudosphere has K = -1: numeric j(1) must match sinh(1)
     p = np.array([1.2, 0.0])
     v = PSEUDO.unit(p, [0.0, 1.0])
-    pole = PSEUDO.exp_map(p, v, 1.0, steps=200, want_jacobi=True)
-    j, conj = pole.jacobi, pole.conjugate
-    assert j[-1] == pytest.approx(math.sinh(1.0), abs=1e-8)
-    assert not conj
+    assert PSEUDO.shoot(p, v, 1.0, steps=200)[3] == pytest.approx(
+        math.sinh(1.0), abs=1e-8)
+    j = _rk4_geodesic(PSEUDO, p, v, 1.0, 200, collect=True)[3]
+    assert not _has_conjugate(np.array(j))
 
 
 def test_jacobi_normalization_small_u():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
     u = np.linspace(0.0, 0.5, 101)
-    j = PARAB.exp_map(p, v, 0.5, steps=100, want_jacobi=True).jacobi
+    j = _rk4_geodesic(PARAB, p, v, 0.5, 100, collect=True)[3]
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
     taylor = 1.0 - PARAB.gauss_at(p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)
@@ -277,8 +282,8 @@ def test_shoot_roundtrip_random(model):
         ang = rng.uniform(0, math.tau)
         v = model.tangent_from_angle(p, ang)
         ell = rng.uniform(0.2, 0.9)
-        pole = model.exp_map(p, v, ell, steps=steps, want_jacobi=False)
-        v_rec, L, _ = model.connect(p, pole.endpoint, v_guess=v, L_guess=ell,
+        end, _ = model.exp_point(p, v, ell, steps=steps)
+        v_rec, L, _ = model.connect(p, end, v_guess=v, L_guess=ell,
                                     steps=steps)
         assert np.linalg.norm(v_rec - v) < 1e-6
         assert L == pytest.approx(ell, abs=1e-9)
@@ -298,8 +303,8 @@ def test_connect_on_surface_roundtrip():
     p = np.array([0.3, -0.1])
     q = np.array([0.9, 0.4])
     v, L, t_end = PARAB.connect(p, q, steps=64)
-    pole = PARAB.exp_map(p, v, L, steps=64, want_jacobi=False)
-    assert np.allclose(pole.endpoint, q, atol=1e-8)
+    end, _ = PARAB.exp_point(p, v, L, steps=64)
+    assert np.allclose(end, q, atol=1e-8)
     assert abs(PARAB.norm(q, t_end) - 1.0) < 1e-9
     # symmetry of the induced distance
     _, L_back, _ = PARAB.connect(q, p, steps=64)
