@@ -29,13 +29,6 @@ def _require_jacobi(trace):
         raise MissingJacobiError("trace lacks Jacobi values at the pole end")
 
 
-def _jacobi_integrals(trace):
-    """∫₀^ℓ J_s(u) du per record."""
-    if trace.jacobi is None or np.any(np.isnan(trace.jacobi)):
-        raise MissingJacobiError("trace lacks Jacobi profiles along poles")
-    return trace.model.jacobi_integrals(trace.pole_u, trace.jacobi)
-
-
 def polyline_length(model, points, closed=False):
     """Metric length of a sampled curve.
 
@@ -77,13 +70,12 @@ def sweep_area(trace):
     masked records, which keeps stalled arcs (pure pole rotation) exact.
     """
     _require_jacobi(trace)
-    pole_int = _jacobi_integrals(trace)
     swing_rate = np.sqrt(np.maximum(trace.eta_speed ** 2 - trace.speed ** 2,
                                     0.0))
     kappa_ds = np.where(np.isnan(trace.kappa),
                         swing_rate / trace.jacobi_ell,
                         np.nan_to_num(trace.kappa) * np.abs(trace.speed))
-    return float(simpson(kappa_ds * pole_int, x=trace.t))
+    return float(simpson(kappa_ds * trace.jacobi_int, x=trace.t))
 
 
 def total_curvature(trace):

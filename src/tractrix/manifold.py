@@ -14,10 +14,10 @@ The tractrix stage works on Python floats. `tractrix_stage` takes the
 tractor point eta, its velocity eta' and the propagated state as float
 sequences, and returns the state's rate as a list of floats, the tractrix
 speed |ds/dt| and, for a record, the pole (gamma, the pole direction at
-gamma, the pole tangent at eta, the signed speed, the Jacobi profile, the
-conjugate flag, the drift and the tractor speed |eta'|_g). Parallel
-transport and `norm_rows` take (n, dim) rows, so a post-pass over all
-records is one call.
+gamma, the signed speed, the Jacobi field's J(ell) and its integral over
+[0, ell], the conjugate flag, the drift and the tractor speed |eta'|_g).
+Parallel transport and `norm_rows` take (n, dim) rows, so a post-pass over
+all records is one call.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
@@ -142,11 +142,11 @@ def _has_conjugate(jacobi):
 
 
 @lru_cache(maxsize=8)
-def _reference_profile(K, length, steps):
-    """Read-only J^K at steps + 1 samples of [0, length] and its flag."""
+def _reference_pole(K, length, steps):
+    """(J^K(length), its integral over [0, length], conjugate flag), the
+    flag read off J^K at steps + 1 samples of [0, length]."""
     j = jacobi_reference(K, np.linspace(0.0, length, steps + 1))
-    j.flags.writeable = False
-    return j, _has_conjugate(j)
+    return j[-1], jacobi_reference_integral(K, length), _has_conjugate(j)
 
 
 class ManifoldModel:
@@ -402,11 +402,12 @@ class ManifoldModel:
         eta, eta_prime and X are float sequences, and the rate comes back
         as a list of floats; the arithmetic runs on arrays of them. The
         record is None unless asked for; it is (gamma, pole_dir at gamma,
-        pole_end at eta, signed speed, Jacobi profile from gamma, conjugate
-        flag, drift, |eta'|_g), its vectors as lists. The profile
-        j(u) = s(ell) c(ell - u) - c(ell) s(ell - u) follows from the
-        Wronskian, and the drift is the shot's unit-speed error
-        |T(ell)|_g - 1 at gamma.
+        signed speed, J(ell), integral of J over [0, ell], conjugate flag,
+        drift, |eta'|_g), its vectors as lists. J is the Jacobi field from
+        gamma along the pole, j(u) = s(ell) c(ell - u) - c(ell) s(ell - u)
+        by the Wronskian, so J(ell) = s(ell); its integral is Simpson's
+        rule over the shot's samples. The drift is the shot's unit-speed
+        error |T(ell)|_g - 1 at gamma.
         """
         eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
         g = self.metric_at(eta)
@@ -430,12 +431,9 @@ class ManifoldModel:
         speed = self.norm(gamma, tangent)
         eta_speed = math.sqrt(max(float(eta_prime @ g @ eta_prime), 0.0))
         return rate.tolist(), abs(along), (
-            gamma.tolist(), (-tangent / speed).tolist(), (-unit).tolist(),
-            -along, jac, _has_conjugate(jac), abs(speed - 1.0), eta_speed)
-
-    def jacobi_integrals(self, u, jacobi):
-        """Integral over [0, u[-1]] of each sampled profile (rows of jacobi)."""
-        return simpson(jacobi, x=u, axis=1)
+            gamma.tolist(), (-tangent / speed).tolist(), -along, s_ell,
+            simpson(jac, x=np.linspace(0.0, ell, n_pole + 1)),
+            _has_conjugate(jac), abs(speed - 1.0), eta_speed)
 
     def edge_length(self, a, b):
         """Length of a polyline edge: the metric chord at its midpoint."""
@@ -502,19 +500,16 @@ class SpaceFormModel(ManifoldModel):
 
         gamma moves along the unit direction v towards eta with the speed
         <eta', T(ell)>, T(ell) the pole tangent at eta (`_pole`). The drift
-        is the solved pole length's error |L - ell|, and one Jacobi profile
-        serves every pole.
+        is the solved pole length's error |L - ell|, and every pole has the
+        same J(ell), integral and conjugate flag (`_reference_pole`).
         """
-        v, L, t_end, speed, eta_speed = self._pole(eta, eta_prime, gamma)
+        v, L, _, speed, eta_speed = self._pole(eta, eta_prime, gamma)
         rate = [speed * x for x in v]
         if not record:
             return rate, abs(speed), None
-        jac, conj = _reference_profile(self.K, ell, n_pole)
-        return rate, abs(speed), (gamma, v, t_end, speed, jac, conj,
+        return rate, abs(speed), (gamma, v, speed,
+                                  *_reference_pole(self.K, ell, n_pole),
                                   abs(L - ell), eta_speed)
-
-    def jacobi_integrals(self, u, jacobi):
-        return np.full(len(jacobi), jacobi_reference_integral(self.K, u[-1]))
 
     def edge_length(self, a, b):
         return self.distance(a, b)
@@ -538,6 +533,10 @@ class FlatModel(SpaceFormModel):
                 raise ConfigError(f"periods: expected {dim} entries, one "
                                   f"per axis, got {len(periods)}")
             periods = tuple(None if x is None else float(x) for x in periods)
+            if not all(x is None or (math.isfinite(x) and x > 0)
+                       for x in periods):
+                raise ConfigError(f"periods: each entry must be None or a "
+                                  f"finite positive number, got {periods!r}")
         super().__init__(0.0, dim, periods)
 
     def metric_at(self, p):

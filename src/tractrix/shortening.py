@@ -3,9 +3,12 @@
 Each round replaces the current curve by a pole geodesic spliced onto the
 tractrix that the curve drags behind it; the recorded iterate is the
 spliced curve, whose length drops by the tractor/tractrix length gap until
-the curve is a geodesic. Fixed-endpoint runs alternate the pulled end
-between the two endpoints; free-loop runs keep orientation and track the
-homotopy class as a constant winding vector on an unfolded periodic chart.
+the curve is a geodesic. Both processes run the same rounds (`_shorten`)
+and differ only in how a round's tractrix becomes the next drag curve and
+wagon. Fixed-endpoint runs reverse it and pull from the tractor's far end,
+so the pulled end alternates between the two endpoints; free-loop runs
+keep orientation and track the homotopy class as a constant winding
+vector on an unfolded periodic chart.
 """
 
 import math
@@ -165,6 +168,43 @@ def _record(model, wagon, eta_pts, ell, closed):
                    residual=geodesic_residual(model, curve, closed=closed))
 
 
+def _shorten(model, pts, wagon, ell, tol, max_iter, steps, closed, advance):
+    """(iterates, stop reason) of the rounds that shorten the curve pts.
+
+    A curve whose residual is already below tol is its own single iterate.
+    Otherwise each round splices the pole from the wagon onto the drag
+    curve, records the spliced curve, and stops on a small residual, a
+    length plateau or a pole that consumes the curve. Then the spliced
+    curve is pulled for one round, and advance(tractrix points, tractor
+    points) gives the next drag curve and wagon.
+    """
+    if len(pts) >= 3:
+        res0 = geodesic_residual(model, pts, closed=closed)
+        if res0 < tol:
+            return (Iterate(points=pts, length=polyline_length(model, pts),
+                            residual=res0),), "residual"
+    drag = pts
+    reach = ell
+    iterates = []
+    prev_len = math.inf
+    for _ in range(max_iter):
+        try:
+            eta_pts = _splice_head(model, wagon, drag, ell, reach=reach)
+        except PoleTooLongError:
+            return tuple(iterates), "pole_exhausted"
+        it = _record(model, wagon, eta_pts, ell, closed=closed)
+        iterates.append(it)
+        if it.residual < tol:
+            return tuple(iterates), "residual"
+        if prev_len - it.length < tol:
+            return tuple(iterates), "length_plateau"
+        prev_len = it.length
+        trace = _run_round(model, eta_pts, wagon, ell, steps)
+        drag, wagon = advance(trace.gamma, eta_pts)
+        reach = 2.0 * ell
+    return tuple(iterates), "max_iterations"
+
+
 # ---------------------------------------------------------------------------
 # Fixed-endpoint process
 
@@ -200,43 +240,13 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
         raise PoleTooLongError(
             f"dist(P, Q) = {dPQ!r} is below the pole length {ell!r}")
 
-    if len(pts) >= 3:
-        res0 = geodesic_residual(model, pts)
-        if res0 < tol:
-            it = Iterate(points=pts, length=polyline_length(model, pts),
-                         residual=res0)
-            return ShorteningRun(mode="self_repeated", ell=float(ell),
-                                 initial_curve=pts, iterates=(it,),
-                                 stop_reason="residual", P=P, Q=Q)
-
-    drag = pts
-    wagon = P
-    reach = ell
-    iterates = []
-    prev_len = math.inf
-    stop = "max_iterations"
-    for _ in range(max_iter):
-        try:
-            eta_pts = _splice_head(model, wagon, drag, ell, reach=reach)
-        except PoleTooLongError:
-            stop = "pole_exhausted"
-            break
-        it = _record(model, wagon, eta_pts, ell, closed=False)
-        iterates.append(it)
-        if it.residual < tol:
-            stop = "residual"
-            break
-        if prev_len - it.length < tol:
-            stop = "length_plateau"
-            break
-        prev_len = it.length
-        trace = _run_round(model, eta_pts, wagon, ell, steps_per_round)
-        far = eta_pts[-1]
-        drag = _downsample(trace.gamma)[::-1]
-        wagon = far
-        reach = 2.0 * ell
+    # the tractrix, reversed, is the next drag curve, and the far end of
+    # the tractor the next wagon: the pulled end alternates
+    iterates, stop = _shorten(
+        model, pts, P, ell, tol, max_iter, steps_per_round, False,
+        lambda gamma, eta_pts: (_downsample(gamma)[::-1], eta_pts[-1]))
     return ShorteningRun(mode="self_repeated", ell=float(ell),
-                         initial_curve=pts, iterates=tuple(iterates),
+                         initial_curve=pts, iterates=iterates,
                          stop_reason=stop, P=P, Q=Q)
 
 
@@ -287,36 +297,14 @@ def loop_repeated(model, loop, ell, tol=1e-6, max_iter=500,
     pts = pts.copy()
     pts[-1] = pts[0] + W
 
-    cover = space_form(0.0, dim=2)
-    res0 = geodesic_residual(cover, pts, closed=True)
-    if res0 < tol:
-        it = Iterate(points=pts, length=polyline_length(cover, pts),
-                     residual=res0)
-        return ShorteningRun(mode="loop_repeated", ell=float(ell),
-                             initial_curve=pts, iterates=(it,),
-                             stop_reason="residual", winding=W)
+    def advance(gamma, _):
+        # orientation is kept; the wagon is the end minus the winding
+        drag = _downsample(gamma)
+        return drag, drag[-1] - W
 
-    drag = pts
-    wagon = pts[0].copy()
-    reach = ell
-    iterates = []
-    prev_len = math.inf
-    stop = "max_iterations"
-    for _ in range(max_iter):
-        eta_pts = _splice_head(cover, wagon, drag, ell, reach=reach)
-        it = _record(cover, wagon, eta_pts, ell, closed=True)
-        iterates.append(it)
-        if it.residual < tol:
-            stop = "residual"
-            break
-        if prev_len - it.length < tol:
-            stop = "length_plateau"
-            break
-        prev_len = it.length
-        trace = _run_round(cover, eta_pts, wagon, ell, steps_per_round)
-        drag = _downsample(trace.gamma)
-        wagon = drag[-1] - W
-        reach = 2.0 * ell
+    iterates, stop = _shorten(space_form(0.0, dim=2), pts, pts[0].copy(),
+                              ell, tol, max_iter, steps_per_round, True,
+                              advance)
     return ShorteningRun(mode="loop_repeated", ell=float(ell),
-                         initial_curve=pts, iterates=tuple(iterates),
+                         initial_curve=pts, iterates=iterates,
                          stop_reason=stop, winding=W)

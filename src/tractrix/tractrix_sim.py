@@ -75,7 +75,6 @@ class TractorCurve:
     t1: float
     closed: bool = False
     is_geodesic: bool = False
-    label: str = ""
     # parameters where the velocity jumps; integration steps split there
     breaks: tuple = ()
 
@@ -85,7 +84,7 @@ class TractorCurve:
 
 
 def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
-                     closed=False, label="analytic"):
+                     closed=False):
     if closed:
         gap = np.linalg.norm(np.asarray(point(t1)) - np.asarray(point(t0)))
         if gap > 1e-8:
@@ -93,11 +92,10 @@ def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
                 f"closed tractor has endpoint gap {gap:.3e}")
     return TractorCurve(point=point, velocity=velocity,
                         t0=float(t0), t1=float(t1), closed=closed,
-                        is_geodesic=is_geodesic, label=label)
+                        is_geodesic=is_geodesic)
 
 
-def polyline_tractor(points, closed=False, *, is_geodesic=False,
-                     label="polyline"):
+def polyline_tractor(points, closed=False, *, is_geodesic=False):
     """Piecewise-linear tractor over the cumulative chart-chord parameter."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 2:
@@ -137,8 +135,7 @@ def polyline_tractor(points, closed=False, *, is_geodesic=False,
 
     return TractorCurve(point=point, velocity=velocity, t0=0.0,
                         t1=float(total), closed=closed,
-                        is_geodesic=is_geodesic, label=label,
-                        breaks=tuple(knots[1:-1]))
+                        is_geodesic=is_geodesic, breaks=tuple(knots[1:-1]))
 
 
 def reversed_tractor(curve):
@@ -153,7 +150,6 @@ def reversed_tractor(curve):
 
     return TractorCurve(point=point, velocity=velocity, t0=t0, t1=t1,
                         closed=curve.closed, is_geodesic=curve.is_geodesic,
-                        label=curve.label + ":reversed",
                         breaks=tuple(sorted(t0 + t1 - b for b in curve.breaks)))
 
 
@@ -181,9 +177,7 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
     # (parameter-shifted), so the flag carries over.
     return TractorCurve(point=point, velocity=velocity,
                         t0=gamma.t0, t1=gamma.t1, closed=gamma.closed,
-                        is_geodesic=gamma.is_geodesic,
-                        label=f"tractrix_of:{gamma.label}",
-                        breaks=gamma.breaks)
+                        is_geodesic=gamma.is_geodesic, breaks=gamma.breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +222,16 @@ class TractrixTrace:
     s: np.ndarray
     gamma: np.ndarray
     eta: np.ndarray
-    pole_dir: np.ndarray
-    pole_end: np.ndarray
-    speed: np.ndarray  # signed projected speed <eta', pole_end>
+    pole_dir: np.ndarray  # unit pole direction at gamma, towards eta
+    speed: np.ndarray  # signed projected speed <eta', T(ell)>_g at eta
     eta_speed: np.ndarray  # metric speed |eta'| of the tractor
     sigma: np.ndarray  # +1 pull / -1 push
     d: np.ndarray  # orthogonal distance to geodesic tractors, else NaN
     kappa: np.ndarray  # covariant finite-difference curvature, NaN masked
-    kappa_speed: np.ndarray  # speed-identity curvature, NaN at cusp records
-    jacobi_ell: np.ndarray
-    pole_u: np.ndarray
-    jacobi: np.ndarray  # (n, len(pole_u)) profiles J_s(u)
-    pole_conjugate: np.ndarray
+    # the Jacobi field J along the pole from gamma, J(0) = 0, J'(0) = 1
+    jacobi_ell: np.ndarray  # J(ell), the length formula's factor
+    jacobi_int: np.ndarray  # integral of J over [0, ell], the area's factor
+    pole_conjugate: np.ndarray  # J vanishes on (0, ell]
     max_drift: float  # largest record drift of `tractrix_stage`
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
@@ -399,20 +391,18 @@ def simulate(model, tractor, gamma0, ell, params=None):
                      for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
             s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
 
-    (eta_pts, gam, pole_dir, pole_end, speeds, jac_prof, conj, drifts,
+    (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
      eta_speeds) = zip(*records)
     n = len(times)
-    jac_prof = np.array(jac_prof)
     speeds = np.array(speeds)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
     trace = TractrixTrace(
         model=model, tractor=tractor, ell=float(ell), t=t_grid,
         s=np.array(s_list), gamma=np.array(gam), eta=np.array(eta_pts),
-        pole_dir=np.array(pole_dir), pole_end=np.array(pole_end),
-        speed=speeds, eta_speed=np.array(eta_speeds), sigma=sigma,
-        d=np.full(n, np.nan), kappa=np.full(n, np.nan),
-        kappa_speed=np.full(n, np.nan), jacobi_ell=jac_prof[:, -1].copy(),
-        pole_u=np.linspace(0.0, ell, n_pole + 1), jacobi=jac_prof,
+        pole_dir=np.array(pole_dir), speed=speeds,
+        eta_speed=np.array(eta_speeds), sigma=sigma, d=np.full(n, np.nan),
+        kappa=np.full(n, np.nan), jacobi_ell=np.array(jac_ell),
+        jacobi_int=np.array(jac_int),
         pole_conjugate=np.array(conj, dtype=bool),
         max_drift=max(0.0, *drifts))
 
@@ -511,7 +501,7 @@ def _detect_cusps(trace, params):
 
 
 def _fill_curvature(trace, params):
-    """Covariant finite-difference curvature plus the speed-identity value."""
+    """Covariant finite-difference curvature, masked near stalls."""
     model = trace.model
     n = len(trace.t)
     masked = np.zeros(n, dtype=bool)
@@ -531,12 +521,6 @@ def _fill_curvature(trace, params):
                                        tangents[i - 1])
     dv = (w_plus - w_minus) / (s[i + 1] - s[i - 1])[:, None]
     trace.kappa[i] = model.norm_rows(gamma[i], dv)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        excess = np.maximum(trace.eta_speed ** 2 - trace.speed ** 2, 0.0)
-        ks = np.sqrt(excess) / (np.abs(trace.speed) * trace.jacobi_ell)
-    ks[masked] = np.nan
-    trace.kappa_speed = ks
 
 
 def _fill_orthogonal_distance(trace):
@@ -758,7 +742,7 @@ def tractor_from_config(model, spec):
         curve = analytic_tractor(
             lambda t: start + t * direction,
             lambda t: direction.copy(),
-            t0, t1, is_geodesic=geo, label=kind)
+            t0, t1, is_geodesic=geo)
     elif kind in ("circle", "chart_circle"):
         if model.dim != 2:
             raise ConfigError(f"tractor.kind: {kind!r} needs a 2-D model")
@@ -787,8 +771,7 @@ def tractor_from_config(model, spec):
 
         curve = analytic_tractor(cpoint, cvel, t0, t1, closed=closed,
                                  is_geodesic=bool(spec.get("geodesic",
-                                                           False)),
-                                 label=kind)
+                                                           False)))
     elif kind == "latitude":
         if not isinstance(model, SphereModel):
             raise ConfigError("tractor.kind: 'latitude' needs a sphere model")
@@ -805,8 +788,7 @@ def tractor_from_config(model, spec):
         def lvel(t, w=rate):
             return np.array([0.0, w])
 
-        curve = analytic_tractor(lpoint, lvel, t0, t1, is_geodesic=geo,
-                                 label=kind)
+        curve = analytic_tractor(lpoint, lvel, t0, t1, is_geodesic=geo)
     elif kind == "disk_ray":
         if not isinstance(model, HyperbolicModel):
             raise ConfigError(
@@ -821,8 +803,7 @@ def tractor_from_config(model, spec):
         def rvel(t, u=u, k=k):
             return (0.5 * k / math.cosh(0.5 * k * t) ** 2) * u
 
-        curve = analytic_tractor(rpoint, rvel, t0, t1, is_geodesic=True,
-                                 label=kind)
+        curve = analytic_tractor(rpoint, rvel, t0, t1, is_geodesic=True)
     elif kind == "helix":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError("tractor.kind: 'helix' needs flat dimension 3")
@@ -841,8 +822,7 @@ def tractor_from_config(model, spec):
             return np.array([-R * w * math.sin(w * t),
                              R * w * math.cos(w * t), p * w])
 
-        curve = analytic_tractor(hpoint, hvel, t0, t1, is_geodesic=False,
-                                 label=kind)
+        curve = analytic_tractor(hpoint, hvel, t0, t1, is_geodesic=False)
     elif kind == "circle3d":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
@@ -859,7 +839,7 @@ def tractor_from_config(model, spec):
             return np.array([-math.sin(t / R), math.cos(t / R), 0.0])
 
         curve = analytic_tractor(c3point, c3vel, t0, t1, closed=True,
-                                 is_geodesic=False, label=kind)
+                                 is_geodesic=False)
     elif kind == "wiggly_circle":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
@@ -882,13 +862,12 @@ def tractor_from_config(model, spec):
                              A * m * math.cos(m * t)])
 
         curve = analytic_tractor(wpoint, wvel, t0, t1, closed=True,
-                                 is_geodesic=False, label=kind)
+                                 is_geodesic=False)
     elif kind == "polyline":
         pts = _req_points(spec, "points", kind, model.dim, single=False)
         curve = polyline_tractor(pts, closed=bool(spec.get("closed", False)),
                                  is_geodesic=bool(spec.get("geodesic",
-                                                           False)),
-                                 label=kind)
+                                                           False)))
     elif kind == "tractrix_of":
         base = tractor_from_config(model, _req(spec, "curve", kind))
         curve = tractor_from_tractrix(model, base,

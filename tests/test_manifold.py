@@ -18,7 +18,7 @@ from tractrix.manifold import (
     ManifoldModel,
     SphereModel,
     _has_conjugate,
-    _reference_profile,
+    _reference_pole,
     _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
@@ -205,7 +205,10 @@ def test_exp_map_gates_conjugate_scale():
     # profile has no conjugate point
     with pytest.raises(ConfigError):
         _require_pole(SPHERE, math.pi + 0.1)
-    _, conjugate = _reference_profile(SPHERE.K, math.pi - 0.05, 200)
+    length = math.pi - 0.05
+    j_ell, j_int, conjugate = _reference_pole(SPHERE.K, length, 200)
+    assert j_ell == pytest.approx(math.sin(length), abs=1e-15)
+    assert j_int == jacobi_reference_integral(SPHERE.K, length)
     assert not conjugate
 
 
@@ -228,9 +231,13 @@ def test_jacobi_scalar_sphere_closed_form():
     # the pole stops 1e-13 short of the conjugate scale, inside the flag's
     # threshold
     length = math.pi - 1e-13
-    j, conj = _reference_profile(SPHERE.K, length, 100)
+    j = jacobi_reference(SPHERE.K, np.linspace(0.0, length, 101))
     assert np.allclose(j, np.sin(np.linspace(0.0, length, 101)), atol=1e-12)
-    assert conj  # first conjugate point sits at u = pi
+    assert _has_conjugate(j)  # first conjugate point sits at u = pi
+    j_ell, j_int, conj = _reference_pole(SPHERE.K, length, 100)
+    assert j_ell == j[-1]
+    assert j_int == pytest.approx(2.0, abs=1e-12)
+    assert conj
 
 
 def test_jacobi_scalar_constant_negative_surface():
@@ -550,7 +557,8 @@ def test_closed_form_stage_matches_connect(model, where, heading, frac,
     eta, etap = eta.tolist(), etap[:model.dim]
     rate, sdot, rec = model.tractrix_stage(eta, etap, gamma, ell, 8,
                                            record=True)
-    got_gamma, v, t_end, speed, _, _, drift, eta_speed = rec
+    got_gamma, v, speed, _, _, _, drift, eta_speed = rec
+    t_end = model._pole(eta, etap, gamma)[2]
     rate_o, v_o, t_o, speed_o, drift_o = stage_oracle(
         model, np.array(eta), np.array(etap), np.array(gamma), ell)
     scale = model.norm(eta, etap)

@@ -199,6 +199,16 @@ def test_already_geodesic_loop_single_iterate():
     assert run.lengths[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_two_point_loop_lift_single_iterate():
+    # a straight lift of two points is a closed geodesic; the residual
+    # needs three points, so the first round records it
+    loop = np.array([[0.0, 0.3], [1.0, 0.3]])
+    run = loop_repeated(TORUS, loop, ell=0.2, tol=1e-6)
+    assert len(run.iterates) == 1
+    assert run.stop_reason == "residual"
+    assert run.lengths[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_loop_requires_periodic_flat_model():
     t = np.linspace(0.0, 1.0, 50)
     loop = np.column_stack([t, np.zeros_like(t)])
@@ -230,6 +240,17 @@ def test_loop_pole_at_injectivity_raises():
     loop = np.column_stack([t, np.full_like(t, 0.2)])
     with pytest.raises(PoleTooLongError):
         loop_repeated(TORUS, loop, ell=0.5)
+
+
+@pytest.mark.parametrize("period", [0.0, float("nan"), -1.0, float("inf")],
+                         ids=["zero", "nan", "negative", "inf"])
+def test_flat_periods_must_be_finite_and_positive(period):
+    # rejected where the model is made, before the loop process divides
+    # by the period or takes half of it as the injectivity bound
+    t = np.linspace(0.0, 1.0, 50)
+    loop = np.column_stack([0.2 + 0.05 * np.sin(2 * np.pi * t), t])
+    with pytest.raises(ConfigError, match="periods"):
+        loop_repeated(space_form(0.0, periods=(period, 1.0)), loop, ell=0.2)
 
 
 def test_run_accessors(torus_run):

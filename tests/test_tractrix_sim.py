@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.optimize import brentq, minimize_scalar
 
 from tractrix.errors import (
@@ -152,11 +153,31 @@ def test_classical_curvature(classical_trace):
     assert np.max(rel) < 1e-4
 
 
+def speed_identity_curvature(tr, eps=SimParams().cusp_speed_eps):
+    """kappa = sqrt(|eta'|^2 - sdot^2) / (|sdot| J(ell)), NaN where the
+    curvature pass masks: stall windows with one record of margin on each
+    side, |sdot| < eps, and |d - ell| < 1e-4 on geodesic tractors."""
+    n = len(tr.t)
+    masked = np.abs(tr.speed) < eps
+    for a, b, _, _ in tr.stall_windows:
+        masked[max(a - 1, 0):min(b + 2, n)] = True
+    if tr.tractor.is_geodesic:
+        masked |= np.abs(tr.d - tr.ell) < 1e-4
+    sdot = np.abs(tr.speed)
+    excess = np.maximum(tr.eta_speed ** 2 - sdot ** 2, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ks = np.sqrt(excess) / (sdot * tr.jacobi_ell)
+    ks[masked] = np.nan
+    return ks
+
+
 def test_classical_speed_identity_curvature(classical_trace):
     cl = classical_tractrix(2.0)
     ref = cl.kappa(classical_trace.s)
-    ok = ~np.isnan(classical_trace.kappa_speed)
-    rel = np.abs(classical_trace.kappa_speed[ok] - ref[ok]) / ref[ok]
+    ks = speed_identity_curvature(classical_trace)
+    ok = ~np.isnan(ks)
+    assert np.any(ok)
+    rel = np.abs(ks[ok] - ref[ok]) / ref[ok]
     assert np.max(rel) < 1e-8
 
 
@@ -367,9 +388,10 @@ def test_paraboloid_ring_pull():
     tr = simulate(parab, ring, g0, 0.9, SimParams(dt=0.02))
     tr.check_invariants()
     assert tr.max_drift < 1e-6
-    both = ~np.isnan(tr.kappa) & ~np.isnan(tr.kappa_speed)
-    rel = np.abs(tr.kappa[both] - tr.kappa_speed[both]) \
-        / np.abs(tr.kappa_speed[both])
+    ks = speed_identity_curvature(tr)
+    both = ~np.isnan(tr.kappa) & ~np.isnan(ks)
+    assert np.any(both)
+    rel = np.abs(tr.kappa[both] - ks[both]) / np.abs(ks[both])
     assert np.max(rel) < 1e-3
 
 
@@ -398,14 +420,17 @@ def surface_pull(request):
 
 
 def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
-    # the Wronskian profile of the tractor-end shot equals the Jacobi
-    # profile integrated from gamma along the pole
+    # J(ell) and the integral of J, read off the Wronskian profile of the
+    # tractor-end shot, equal those of the Jacobi field integrated from
+    # gamma along the pole; both pulls run the default pole step
     model, tr, _ = surface_pull
-    n_pole = len(tr.pole_u) - 1
+    n_pole = max(8, math.ceil(tr.ell / SimParams().pole_step))
+    u = np.linspace(0.0, tr.ell, n_pole + 1)
     for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
         points, _, _, s = _rk4_geodesic(model, tr.gamma[i], tr.pole_dir[i],
                                         tr.ell, n_pole, collect=True)
-        assert np.max(np.abs(np.array(s) - tr.jacobi[i])) < 1e-8
+        assert abs(s[-1] - tr.jacobi_ell[i]) < 1e-8
+        assert abs(simpson(s, x=u) - tr.jacobi_int[i]) < 1e-8
         assert points[-1] == pytest.approx(tr.eta[i], abs=1e-6)
 
 
