@@ -61,15 +61,11 @@ from .shortening import (
     self_repeated,
 )
 from .spaceform import (
-    ClassicalTractrix,
-    LongPoleTrace,
     SpaceFormSolution,
-    classical_tractrix,
     dist_at,
     kappa_at,
     kappa_from_dist,
     leading_exponent,
-    long_pole_sphere,
     solve_from_d0,
 )
 from .tractrix_sim import (

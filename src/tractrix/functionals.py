@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import MissingJacobiError, NonPositiveSampleError
+from .quadrature import simpson
 
 _R2_GATE = 0.999
 _FIT_MIN_SAMPLES = 20
@@ -59,7 +59,7 @@ def tractor_length(trace):
         trace.eta_speed,
         sdot * np.sqrt(1.0 + np.nan_to_num(trace.kappa) ** 2
                        * trace.jacobi_ell ** 2))
-    return float(simpson(integrand, x=trace.t))
+    return simpson(integrand, trace.t)
 
 
 def sweep_area(trace):
@@ -75,7 +75,7 @@ def sweep_area(trace):
     kappa_ds = np.where(np.isnan(trace.kappa),
                         swing_rate / trace.jacobi_ell,
                         np.nan_to_num(trace.kappa) * np.abs(trace.speed))
-    return float(simpson(kappa_ds * trace.jacobi_int, x=trace.t))
+    return simpson(kappa_ds * trace.jacobi_int, trace.t)
 
 
 def total_curvature(trace):
@@ -101,7 +101,7 @@ def total_curvature(trace):
         while j + 1 < n and valid[j + 1]:
             j += 1
         if j > i:
-            total += simpson(kappa[i:j + 1] * sdot[i:j + 1], x=t[i:j + 1])
+            total += simpson(kappa[i:j + 1] * sdot[i:j + 1], t[i:j + 1])
         if i > 0:
             total += kappa[i] * sdot[i] * (t[i] - t[i - 1])
         if j < n - 1:

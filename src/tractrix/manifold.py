@@ -54,7 +54,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .charts import SurfaceChart
 from .errors import (
@@ -65,6 +64,7 @@ from .errors import (
     SingularChartError,
     StepTooLargeError,
 )
+from .quadrature import simpson
 
 __all__ = [
     "ManifoldModel",
@@ -127,10 +127,18 @@ def _jacobi_pair(K, length):
 
 
 def _check_drift(model, pts, tans):
-    """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
-    steps = len(pts) - 1
-    drift = max(abs(model.norm(pts[i], tans[i]) - 1.0)
-                for i in range(0, steps + 1, max(1, steps // 16)))
+    """Raise StepTooLargeError when a shot's sampled unit speed drifts.
+
+    Only surfaces shoot by RK4, so |T|_g comes from the chart's E, F, G.
+    """
+    stride = max(1, (len(pts) - 1) // 16)
+    drift = 0.0
+    for (u, v), (p, q) in zip(pts[::stride].tolist(),
+                              tans[::stride].tolist()):
+        model.check_point((u, v))
+        _, E, F, G, _ = model._forms(u, v)
+        drift = max(drift, abs(
+            math.sqrt(E * p * p + 2.0 * F * p * q + G * q * q) - 1.0))
     if drift > _DRIFT_TOL:
         raise StepTooLargeError(
             f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
@@ -432,7 +440,7 @@ class ManifoldModel:
         eta_speed = math.sqrt(max(float(eta_prime @ g @ eta_prime), 0.0))
         return rate.tolist(), abs(along), (
             gamma.tolist(), (-tangent / speed).tolist(), -along, s_ell,
-            simpson(jac, x=np.linspace(0.0, ell, n_pole + 1)),
+            simpson(jac, np.linspace(0.0, ell, n_pole + 1)),
             _has_conjugate(jac), abs(speed - 1.0), eta_speed)
 
     def edge_length(self, a, b):

@@ -25,10 +25,6 @@ __all__ = [
     "kappa_at",
     "kappa_from_dist",
     "leading_exponent",
-    "ClassicalTractrix",
-    "classical_tractrix",
-    "LongPoleTrace",
-    "long_pole_sphere",
 ]
 
 _PARALLEL_EPS = 1e-12
@@ -240,144 +236,3 @@ def kappa_at(sol, s):
             out = num / (S * np.sqrt(np.maximum(rad, 0.0)))
         out = np.where(rad <= 0, np.inf, out)
     return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Classical planar tractrix
-
-
-@dataclass
-class ClassicalTractrix:
-    """Closed forms for the planar tractrix pulled along the x-axis.
-
-    Parametrized by tractor time t (tractor at (t, 0)), cusp at t = 0 where
-    the pole is orthogonal to the track.
-    """
-
-    ell: float
-
-    def gamma(self, t):
-        t = np.asarray(t, dtype=float)
-        ell = self.ell
-        return np.stack([t - ell * np.tanh(t / ell),
-                         ell / np.cosh(t / ell)], axis=-1)
-
-    def eta(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([t, np.zeros_like(t)], axis=-1)
-
-    def arclength(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * self.ell * np.log(np.cosh(t / self.ell))
-
-    def t_of_s(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.sign(s) * self.ell * np.arccosh(np.exp(np.abs(s) / self.ell))
-
-    def dist(self, s):
-        return self.ell * np.exp(-np.asarray(s, dtype=float) / self.ell)
-
-    def kappa(self, s):
-        s = np.asarray(s, dtype=float)
-        x = np.exp(-2.0 * s / self.ell)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(-s / self.ell) / (self.ell * np.sqrt(1.0 - x))
-        return np.where(x >= 1.0, np.inf, out)
-
-    def total_curvature(self, L):
-        """Turning of one pull branch from the cusp out to arclength L."""
-        return math.atan(math.sqrt(math.expm1(2.0 * L / self.ell)))
-
-    def swept_area(self, L):
-        return 0.5 * self.ell ** 2 * self.total_curvature(L)
-
-
-def classical_tractrix(ell):
-    if ell <= 0:
-        raise DomainViolationError("pole length must be positive")
-    return ClassicalTractrix(float(ell))
-
-
-# ---------------------------------------------------------------------------
-# Long poles on the unit sphere
-
-
-@dataclass
-class LongPoleTrace:
-    """Analytic pull trace on the unit sphere with an equatorial tractor.
-
-    Triangle vertices per arclength sample: gamma (tractrix point A), eta
-    (tractor point B on the equator), foot (orthogonal projection C). The
-    dual push system has pole length pi - ell and tractor antipodal to eta.
-    """
-
-    ell: float
-    d0: float
-    s: np.ndarray
-    d: np.ndarray
-    a: np.ndarray        # tractor-side leg dist(C, B)
-    t: np.ndarray        # tractor arclength (equator longitude of B)
-    gamma: np.ndarray    # (m, 2) colatitude/longitude
-    eta: np.ndarray
-    foot: np.ndarray
-    kappa: np.ndarray
-    s_cusp: float
-
-
-def _adaptive_simpson(f, a, b, tol, fa=None, fm=None, fb=None, depth=24):
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
-    m = 0.5 * (a + b)
-    if fm is None:
-        fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, tol / 2, fa, flm, fm, depth - 1)
-            + _adaptive_simpson(f, m, b, tol / 2, fm, frm, fb, depth - 1))
-
-
-def long_pole_sphere(ell, d0, s_max, samples=400):
-    """Analytic long-pole construction on the unit sphere (K = 1).
-
-    Needs pi/2 < ell < pi and 0 < d0 < pi - ell; the trace runs toward the
-    cusp at d = pi - ell and s_max must stay strictly below it.
-    """
-    if not math.pi / 2 < ell < math.pi:
-        raise DomainViolationError("long-pole construction needs ell in (pi/2, pi)")
-    if not 0.0 < d0 < math.pi - ell:
-        raise DomainViolationError(
-            f"d0 must lie in (0, {math.pi - ell!r}) below the cusp distance")
-    sol = solve_from_d0(1.0, ell, d0, long_pole=True)
-    s_cusp = sol.s_hi
-    if s_max >= s_cusp:
-        raise DomainViolationError(
-            f"s_max = {s_max!r} reaches the cusp at s = {s_cusp!r}")
-    s = np.linspace(0.0, s_max, int(samples))
-    d = dist_at(sol, s)
-    a = np.arccos(np.clip(math.cos(ell) / np.cos(d), -1.0, 1.0))
-
-    def t_rate(u):
-        # dt/ds = sin(ell) / (sin(a) cos(d)); follows from the tangency
-        # condition plus the right-triangle relation cos(a) = cos(ell)/cos(d)
-        du = dist_at(sol, u)
-        au = math.acos(max(-1.0, min(1.0, math.cos(ell) / math.cos(du))))
-        return math.sin(ell) / (math.sin(au) * math.cos(du))
-
-    t = np.empty_like(s)
-    t[0] = a[0]
-    for i in range(1, len(s)):
-        t[i] = t[i - 1] + _adaptive_simpson(t_rate, s[i - 1], s[i], 1e-12)
-    foot = np.stack([np.full_like(s, math.pi / 2), t - a], axis=-1)
-    gamma = np.stack([math.pi / 2 - d, t - a], axis=-1)
-    eta = np.stack([np.full_like(s, math.pi / 2), t], axis=-1)
-    kap = kappa_from_dist(1.0, ell, d)
-    return LongPoleTrace(ell=float(ell), d0=float(d0), s=s, d=d, a=a, t=t,
-                         gamma=gamma, eta=eta, foot=foot, kappa=kap,
-                         s_cusp=s_cusp)

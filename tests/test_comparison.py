@@ -22,17 +22,15 @@ from tractrix.errors import (
 )
 from tractrix.functionals import sweep_result
 from tractrix.manifold import space_form, surface_model
-from tractrix.spaceform import (
-    classical_tractrix,
-    leading_exponent,
-    solve_from_d0,
-)
+from tractrix.spaceform import leading_exponent, solve_from_d0
 from tractrix.tractrix_sim import (
     SimParams,
     orthogonal_attachment,
     simulate,
     tractor_from_config,
 )
+
+from closed_forms import classical_tractrix
 
 FLAT2 = space_form(0.0)
 SPHERE = space_form(1.0)

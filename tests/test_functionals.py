@@ -15,7 +15,6 @@ from tractrix.functionals import (
     tractor_length,
 )
 from tractrix.manifold import space_form
-from tractrix.spaceform import classical_tractrix
 from tractrix.tractrix_sim import (
     SimParams,
     orthogonal_attachment,
@@ -23,6 +22,8 @@ from tractrix.tractrix_sim import (
     tractor_from_config,
     tractor_from_tractrix,
 )
+
+from closed_forms import classical_tractrix
 
 FLAT2 = space_form(0.0)
 FLAT3 = space_form(0.0, dim=3)

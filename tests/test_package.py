@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +20,20 @@ def test_every_name_in_all_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing
+
+
+def test_runtime_imports_no_scipy():
+    # pytest itself has scipy loaded, so the check runs in a fresh
+    # interpreter: the CLI and every bundled scenario, then sys.modules
+    code = ("import sys\n"
+            "import tractrix.cli\n"
+            "from tractrix.config import bundled_names, bundled_scenario\n"
+            "for name in bundled_names():\n"
+            "    bundled_scenario(name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(tractrix.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

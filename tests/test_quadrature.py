@@ -1,0 +1,53 @@
+"""The in-package Simpson rule against scipy's, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import simpson as scipy_simpson
+
+from tractrix.quadrature import simpson
+
+MAGNITUDES = st.floats(1e-5, 1e5)
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), MAGNITUDES,
+                   MAGNITUDES.map(lambda m: -m))
+
+
+@st.composite
+def samples(draw):
+    """(x, y): 1 to 60 samples on an even or uneven grid whose spacings
+    may be zero, values zero or from 1e-5 to 1e5 in size."""
+    n = draw(st.integers(1, 60))
+    start = draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        x = np.linspace(start, draw(st.floats(-10.0, 10.0)), n)
+    else:
+        steps = draw(st.lists(st.one_of(st.just(0.0), MAGNITUDES),
+                              min_size=n - 1, max_size=n - 1))
+        x = start + np.cumsum([0.0] + steps)
+    y = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    return x, y
+
+
+def _assert_same_bits(got, want):
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=400)
+@given(samples())
+def test_simpson_matches_scipy_bit_for_bit(xy):
+    x, y = xy
+    _assert_same_bits(simpson(y, x), scipy_simpson(y, x=x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_simpson_matches_scipy_at_few_samples(n):
+    # the last spacing, 2.18938 - 1.9, is one whose cube a numpy scalar
+    # rounds differently from a 0-d array
+    x = np.array([0.3, 0.7, 1.9, 2.18938])[:n]
+    y = np.array([1.5, -2.25, 0.125, 3.0])[:n]
+    _assert_same_bits(simpson(y, x), scipy_simpson(y, x=x))
+

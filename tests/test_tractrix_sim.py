@@ -20,8 +20,7 @@ from tractrix.manifold import (
     space_form,
     surface_model,
 )
-from tractrix.spaceform import classical_tractrix, dist_at, kappa_at, \
-    long_pole_sphere, solve_from_d0
+from tractrix.spaceform import dist_at, kappa_at, solve_from_d0
 from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
     SimParams,
@@ -35,6 +34,8 @@ from tractrix.tractrix_sim import (
     tractor_from_config,
     tractor_from_tractrix,
 )
+
+from closed_forms import classical_tractrix, long_pole_sphere
 
 FLAT2 = space_form(0.0)
 FLAT3 = space_form(0.0, dim=3)
