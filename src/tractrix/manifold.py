@@ -126,25 +126,6 @@ def _jacobi_pair(K, length):
     return 1.0, float(length)
 
 
-def _check_drift(model, pts, tans):
-    """Raise StepTooLargeError when a shot's sampled unit speed drifts.
-
-    Only surfaces shoot by RK4, so |T|_g comes from the chart's E, F, G.
-    """
-    stride = max(1, (len(pts) - 1) // 16)
-    drift = 0.0
-    for (u, v), (p, q) in zip(pts[::stride].tolist(),
-                              tans[::stride].tolist()):
-        model.check_point((u, v))
-        _, E, F, G, _ = model._forms(u, v)
-        drift = max(drift, abs(
-            math.sqrt(E * p * p + 2.0 * F * p * q + G * q * q) - 1.0))
-    if drift > _DRIFT_TOL:
-        raise StepTooLargeError(
-            f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
-            "reduce the pole step")
-
-
 def _has_conjugate(jacobi):
     return bool(np.any(jacobi[1:] <= _CONJ_TOL))
 
@@ -181,6 +162,10 @@ class ManifoldModel:
     def _geo_rhs(self, x, v):
         """(a_u, a_v, K): the acceleration -Gamma(v, v) at x and the Gauss
         curvature there, on floats; raises on bad points."""
+        raise NotImplementedError
+
+    def _check_drift(self, pts, tans):
+        """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
         raise NotImplementedError
 
     # -- metric helpers ----------------------------------------------------
@@ -278,7 +263,7 @@ class ManifoldModel:
                     1.0, 0.0)
         pts, tans, cs, ss = _rk4_geodesic(self, p, v, length, steps,
                                           collect=True)
-        _check_drift(self, pts, tans)
+        self._check_drift(pts, tans)
         return pts[-1], tans[-1], cs[-1], ss[-1]
 
     def connect(self, p, q, v_guess=None, L_guess=None, steps=48,
@@ -993,6 +978,22 @@ class SurfaceModel(ManifoldModel):
         if det < _DET_EPS:
             raise _singular_metric(self.chart, u, v)
         return jet, E, F, G, det
+
+    def _check_drift(self, pts, tans):
+        """Raise StepTooLargeError when the unit speed |T|_g, from the
+        chart's E, F, G, drifts at evenly spaced samples of a shot."""
+        stride = max(1, (len(pts) - 1) // 16)
+        drift = 0.0
+        for (u, v), (p, q) in zip(pts[::stride].tolist(),
+                                  tans[::stride].tolist()):
+            self.check_point((u, v))
+            _, E, F, G, _ = self._forms(u, v)
+            drift = max(drift, abs(
+                math.sqrt(E * p * p + 2.0 * F * p * q + G * q * q) - 1.0))
+        if drift > _DRIFT_TOL:
+            raise StepTooLargeError(
+                f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
+                "reduce the pole step")
 
     def metric_at(self, p):
         u, v = float(p[0]), float(p[1])

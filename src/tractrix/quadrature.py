@@ -17,8 +17,6 @@ __all__ = ["simpson"]
 
 def _divide(a, b):
     """a / b, and 0 where b is 0 (scipy's `where=` guards)."""
-    if b.all():
-        return a / b
     return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
 
 
