@@ -5,6 +5,10 @@ the position, and `jet`, its first and second partial derivatives in one
 call. Metric, Christoffel symbols and Gauss curvature are derived from the
 jet by the manifold layer; charts only know their own geometry. Evaluators
 return plain tuples because they sit inside integrator loops.
+
+`jet` is written once against a math namespace `xp`: `math`, the default,
+for floats, `numpy` for arrays u, v of one shape, whose entries are then
+arrays, or floats that broadcast where they do not depend on the point.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ class SurfaceChart:
         """F(u, v) as a 3-tuple."""
         raise NotImplementedError
 
-    def jet(self, u, v):
-        """(F_u, F_v, F_uu, F_uv, F_vv) at (u, v), each a 3-tuple."""
+    def jet(self, u, v, xp=math):
+        """(F_u, F_v, F_uu, F_uv, F_vv) at (u, v), each a 3-tuple; xp is
+        `math` for floats and `numpy` for arrays (module docstring)."""
         raise NotImplementedError
 
     def check_domain(self, u, v):
@@ -79,9 +84,9 @@ class SphereChart(SurfaceChart):
                 r * math.sin(u) * math.sin(v),
                 r * math.cos(u))
 
-    def jet(self, u, v):
+    def jet(self, u, v, xp=math):
         r = self.radius
-        su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+        su, cu, sv, cv = xp.sin(u), xp.cos(u), xp.sin(v), xp.cos(v)
         return ((r * cu * cv, r * cu * sv, -r * su),
                 (-r * su * sv, r * su * cv, 0.0),
                 (-r * su * cv, -r * su * sv, -r * cu),
@@ -108,9 +113,9 @@ class EllipsoidChart(SurfaceChart):
                 self.b * math.sin(u) * math.sin(v),
                 self.c * math.cos(u))
 
-    def jet(self, u, v):
+    def jet(self, u, v, xp=math):
         a, b, c = self.a, self.b, self.c
-        su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+        su, cu, sv, cv = xp.sin(u), xp.cos(u), xp.sin(v), xp.cos(v)
         return ((a * cu * cv, b * cu * sv, -c * su),
                 (-a * su * sv, b * su * cv, 0.0),
                 (-a * su * cv, -b * su * sv, -c * cu),
@@ -160,10 +165,10 @@ class PseudosphereChart(SurfaceChart):
         return (a * se * math.cos(v), a * se * math.sin(v),
                 a * (u - math.tanh(u)))
 
-    def jet(self, u, v):
+    def jet(self, u, v, xp=math):
         a = self.a
-        se, ta = 1.0 / math.cosh(u), math.tanh(u)
-        sv, cv = math.sin(v), math.cos(v)
+        se, ta = 1.0 / xp.cosh(u), xp.tanh(u)
+        sv, cv = xp.sin(v), xp.cos(v)
         c = se * (ta * ta - se * se)
         return ((-a * se * ta * cv, -a * se * ta * sv, a * ta * ta),
                 (-a * se * sv, a * se * cv, 0.0),
@@ -249,7 +254,7 @@ class GraphChart(SurfaceChart):
             z += k[0] * math.sin(wu * u + pu) * math.sin(wv * v + pv)
         return (u, v, z)
 
-    def jet(self, u, v):
+    def jet(self, u, v, xp=math):
         # one loop per order: this sits under every geodesic stage
         _, tu, tv, tuu, tuv, tvv = self._poly
         zu = zv = zuu = zuv = zvv = 0.0
@@ -264,8 +269,8 @@ class GraphChart(SurfaceChart):
         for c, i, j in tvv:
             zvv += c * u ** i * v ** j
         for wu, pu, wv, pv, k in self._sinsin:
-            su, cu = math.sin(wu * u + pu), math.cos(wu * u + pu)
-            sv, cv = math.sin(wv * v + pv), math.cos(wv * v + pv)
+            su, cu = xp.sin(wu * u + pu), xp.cos(wu * u + pu)
+            sv, cv = xp.sin(wv * v + pv), xp.cos(wv * v + pv)
             zu += k[1] * cu * sv
             zv += k[2] * su * cv
             zuu += k[3] * su * sv

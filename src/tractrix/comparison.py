@@ -16,13 +16,14 @@ import numpy as np
 
 from . import spaceform
 from .errors import (DomainViolationError, HypothesisViolatedError,
-                     LowConfidenceFitError, OutOfDomainError,
-                     SingularChartError, UncertifiedBoundsError)
+                     LowConfidenceFitError, UncertifiedBoundsError)
 from .functionals import leading_exponent_estimate
 from .manifold import jacobi_reference, jacobi_reference_integral
 
 _PASS_TOL = 1e-6
 _GRID_N = 200
+# grid rows per K evaluation: 4,000 points keep the temporaries near 1 MB
+_GRID_BLOCK = 20
 _GRID_MARGIN = 0.05
 _PAD_FRACTION = 0.15
 _METHODS = ("constant", "analytic", "grid")
@@ -127,25 +128,20 @@ def _visited_rect(chart, trace):
 
 
 def _grid_range(model, rect):
+    """(min, max) of K over the grid, a block of grid rows per evaluation
+    (`gauss_rows`); points outside the domain, at a singular metric or
+    with a non-finite K are skipped."""
     us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
     vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
     lo = math.inf
     hi = -math.inf
-    n = 0
-    for u in us:
-        for v in vs:
-            if not model.chart.contains(u, v):
-                continue
-            try:
-                K = model.gauss_at(np.array([u, v]))
-            except (SingularChartError, OutOfDomainError):
-                continue
-            if not math.isfinite(K):
-                continue
-            lo = min(lo, K)
-            hi = max(hi, K)
-            n += 1
-    if n == 0:
+    for start in range(0, _GRID_N, _GRID_BLOCK):
+        K = model.gauss_rows(*np.meshgrid(us[start:start + _GRID_BLOCK], vs,
+                                          indexing="ij"))
+        K = K[np.isfinite(K)]
+        if K.size:
+            lo, hi = min(lo, float(K.min())), max(hi, float(K.max()))
+    if lo > hi:
         raise UncertifiedBoundsError(
             f"no valid curvature samples on rect {rect!r}")
     return lo, hi

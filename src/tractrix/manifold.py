@@ -16,8 +16,8 @@ sequences, and returns the state's rate as a list of floats, the tractrix
 speed |ds/dt| and, for a record, the pole (gamma, the pole direction at
 gamma, the signed speed, the Jacobi field's J(ell) and its integral over
 [0, ell], the conjugate flag, the drift and the tractor speed |eta'|_g).
-Parallel transport and `norm_rows` take (n, dim) rows, so a post-pass over
-all records is one call.
+Parallel transport, `norm_rows`, `metric_rows` and `shoot_rows` take
+(n, dim) rows, so a post-pass over all records is one call.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
@@ -168,6 +168,11 @@ class ManifoldModel:
         """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
         raise NotImplementedError
 
+    def metric_rows(self, points):
+        """(E, F, G), the metric at (n, 2) rows of points, as three arrays."""
+        g = np.array([self.metric_at(p) for p in points])
+        return g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+
     # -- metric helpers ----------------------------------------------------
 
     def inner(self, p, a, b):
@@ -255,16 +260,24 @@ class ManifoldModel:
         In two dimensions they give every Jacobi field along the shot: the
         one with J(0) = a N(0) and J'(0) = b N(0), N the parallel unit
         normal, ends at (a c + b s) N. A unit-speed drift above _DRIFT_TOL
-        at evenly spaced samples of the shot raises StepTooLargeError.
+        at evenly spaced samples of the shot, its end point included,
+        raises StepTooLargeError.
         Length 0 returns (p, v, 1, 0).
         """
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
-        pts, tans, cs, ss = _rk4_geodesic(self, p, v, length, steps,
-                                          collect=True)
-        self._check_drift(pts, tans)
+        pts, tans, cs, ss = _rk4_geodesic(
+            self._geo_rhs, (float(p[0]), float(p[1])),
+            (float(v[0]), float(v[1])), length, steps, collect=True)
+        self._check_drift(pts[..., None], tans[..., None])
         return pts[-1], tans[-1], cs[-1], ss[-1]
+
+    def shoot_rows(self, p, v, length, steps=48):
+        """`shoot` for (n, dim) rows p, v and n lengths, as rows."""
+        end, tangent, c, s = zip(*(self.shoot(a, b, L, steps)
+                                   for a, b, L in zip(p, v, length)))
+        return np.array(end), np.array(tangent), np.array(c), np.array(s)
 
     def connect(self, p, q, v_guess=None, L_guess=None, steps=48,
                 tol=1e-11, max_iter=_SHOOT_MAX_ITER):
@@ -406,7 +419,8 @@ class ManifoldModel:
         g = self.metric_at(eta)
         size = math.sqrt(float(X @ g @ X))
         unit = X / size
-        end, tangent, c, s = _rk4_geodesic(self, eta, unit, ell, n_pole,
+        end, tangent, c, s = _rk4_geodesic(self._geo_rhs, eta.tolist(),
+                                           unit.tolist(), ell, n_pole,
                                            collect=record)
         c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
         if s_ell <= _CONJ_TOL:
@@ -958,6 +972,41 @@ def _singular_metric(chart, u, v):
         f"{chart.name}: metric singular at ({float(u)!r}, {float(v)!r})")
 
 
+def _first_form(jet):
+    """E, F, G and det = E G - F^2 from a chart jet, on floats or rows."""
+    fu, fv = jet[0], jet[1]
+    E = fu[0] * fu[0] + fu[1] * fu[1] + fu[2] * fu[2]
+    F = fu[0] * fv[0] + fu[1] * fv[1] + fu[2] * fv[2]
+    G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
+    return E, F, G, E * G - F * F
+
+
+def _christoffel(jet, E, F, G, det):
+    """(Gamma^u_ij, Gamma^v_ij) for ij = uu, uv, vv, on floats or rows."""
+    fu, fv = jet[0], jet[1]
+    iuu, iuv, ivv = G / det, -F / det, E / det
+    out = []
+    for second in jet[2:]:
+        c1 = second[0] * fu[0] + second[1] * fu[1] + second[2] * fu[2]
+        c2 = second[0] * fv[0] + second[1] * fv[1] + second[2] * fv[2]
+        out.append((iuu * c1 + iuv * c2, iuv * c1 + ivv * c2))
+    return out
+
+
+def _gauss(jet, det, sqrt):
+    """K = (L N - M^2) / det against the unit normal, sqrt from math or np."""
+    fu, fv, suu, suv, svv = jet
+    nx = fu[1] * fv[2] - fu[2] * fv[1]
+    ny = fu[2] * fv[0] - fu[0] * fv[2]
+    nz = fu[0] * fv[1] - fu[1] * fv[0]
+    nn = sqrt(nx * nx + ny * ny + nz * nz)
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    L = suu[0] * nx + suu[1] * ny + suu[2] * nz
+    M = suv[0] * nx + suv[1] * ny + suv[2] * nz
+    N = svv[0] * nx + svv[1] * ny + svv[2] * nz
+    return (L * N - M * M) / det
+
+
 class SurfaceModel(ManifoldModel):
     """Embedded surface F(u, v) in R^3; geometry from the chart derivatives."""
 
@@ -970,29 +1019,47 @@ class SurfaceModel(ManifoldModel):
     def _forms(self, u, v):
         """Chart jet, E, F, G and det at (u, v); raises if singular."""
         jet = self.chart.jet(u, v)
-        fu, fv = jet[0], jet[1]
-        E = fu[0] * fu[0] + fu[1] * fu[1] + fu[2] * fu[2]
-        F = fu[0] * fv[0] + fu[1] * fv[1] + fu[2] * fv[2]
-        G = fv[0] * fv[0] + fv[1] * fv[1] + fv[2] * fv[2]
-        det = E * G - F * F
+        E, F, G, det = _first_form(jet)
         if det < _DET_EPS:
             raise _singular_metric(self.chart, u, v)
         return jet, E, F, G, det
 
+    def _rows(self, u, v):
+        """`_forms` on arrays u, v of one shape, without raising: the jet,
+        E, F, G and det (floats where constant) and the mask of points
+        outside the domain."""
+        (ulo, uhi), (vlo, vhi) = ((-math.inf if lo is None else lo,
+                                   math.inf if hi is None else hi)
+                                  for lo, hi in self.chart.domain)
+        jet = self.chart.jet(u, v, np)
+        return (jet, *_first_form(jet),
+                (u < ulo) | (u > uhi) | (v < vlo) | (v > vhi))
+
+    def _checked_rows(self, u, v):
+        """`_rows` that raises for the first row (last axis) with a point
+        outside the domain or at a singular metric, naming it."""
+        *out, outside = self._rows(u, v)
+        for bad, error, what in (
+                (outside, DomainExitError, "left the chart domain"),
+                (out[4] < _DET_EPS, SingularChartError, "metric singular")):
+            if np.any(bad):
+                row = np.argmax(np.atleast_2d(bad).any(axis=0))
+                raise error(f"{self.chart.name}: {what} in row {row}")
+        return out
+
     def _check_drift(self, pts, tans):
         """Raise StepTooLargeError when the unit speed |T|_g, from the
-        chart's E, F, G, drifts at evenly spaced samples of a shot."""
+        chart's E, F, G, drifts at evenly spaced samples of n shots in rows,
+        (m, 2, n), the end point included; the first bad row is named."""
         stride = max(1, (len(pts) - 1) // 16)
-        drift = 0.0
-        for (u, v), (p, q) in zip(pts[::stride].tolist(),
-                                  tans[::stride].tolist()):
-            self.check_point((u, v))
-            _, E, F, G, _ = self._forms(u, v)
-            drift = max(drift, abs(
-                math.sqrt(E * p * p + 2.0 * F * p * q + G * q * q) - 1.0))
-        if drift > _DRIFT_TOL:
+        idx = [*range(0, len(pts) - 1, stride), len(pts) - 1]
+        (u, v), (p, q) = pts[idx].swapaxes(0, 1), tans[idx].swapaxes(0, 1)
+        _, E, F, G, _ = self._checked_rows(u, v)
+        drift = np.abs(np.sqrt(E * p * p + 2.0 * F * p * q + G * q * q) - 1.0)
+        if np.any(drift > _DRIFT_TOL):
             raise StepTooLargeError(
-                f"unit-speed drift {drift:.3e} exceeds {_DRIFT_TOL}; "
+                f"unit-speed drift {np.max(drift):.3e} exceeds {_DRIFT_TOL} "
+                f"in row {np.argmax((drift > _DRIFT_TOL).any(axis=0))}; "
                 "reduce the pole step")
 
     def metric_at(self, p):
@@ -1001,38 +1068,46 @@ class SurfaceModel(ManifoldModel):
         _, E, F, G, _ = self._forms(u, v)
         return np.array([[E, F], [F, G]])
 
+    def metric_rows(self, points):
+        u, v = np.transpose(points)
+        return np.broadcast_arrays(*self._checked_rows(u, v)[1:4], u)[:3]
+
     def christoffel_at(self, p):
-        u, v = float(p[0]), float(p[1])
         self.check_point(p)
-        (fu, fv, suu, suv, svv), E, F, G, det = self._forms(u, v)
-        iuu, iuv, ivv = G / det, -F / det, E / det
-        out = np.zeros((2, 2, 2))
-        for idx, second in ((0, suu), (1, suv), (2, svv)):
-            c1 = second[0] * fu[0] + second[1] * fu[1] + second[2] * fu[2]
-            c2 = second[0] * fv[0] + second[1] * fv[1] + second[2] * fv[2]
-            g1 = iuu * c1 + iuv * c2
-            g2 = iuv * c1 + ivv * c2
-            if idx == 0:
-                out[0, 0, 0], out[1, 0, 0] = g1, g2
-            elif idx == 1:
-                out[0, 0, 1] = out[0, 1, 0] = g1
-                out[1, 0, 1] = out[1, 1, 0] = g2
-            else:
-                out[0, 1, 1], out[1, 1, 1] = g1, g2
-        return out
+        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(
+            *self._forms(float(p[0]), float(p[1])))
+        return np.array([g1uu, g1uv, g1uv, g1vv,
+                         g2uu, g2uv, g2uv, g2vv]).reshape(2, 2, 2)
 
     def gauss_at(self, p):
-        u, v = float(p[0]), float(p[1])
-        (fu, fv, suu, suv, svv), _, _, _, det = self._forms(u, v)
-        nx = fu[1] * fv[2] - fu[2] * fv[1]
-        ny = fu[2] * fv[0] - fu[0] * fv[2]
-        nz = fu[0] * fv[1] - fu[1] * fv[0]
-        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-        nx, ny, nz = nx / nn, ny / nn, nz / nn
-        L = suu[0] * nx + suu[1] * ny + suu[2] * nz
-        M = suv[0] * nx + suv[1] * ny + suv[2] * nz
-        N = svv[0] * nx + svv[1] * ny + svv[2] * nz
-        return (L * N - M * M) / det
+        jet, _, _, _, det = self._forms(float(p[0]), float(p[1]))
+        return _gauss(jet, det, math.sqrt)
+
+    def gauss_rows(self, u, v):
+        """`gauss_at` on arrays u, v in one evaluation, NaN at the points
+        outside the domain and where the metric is singular."""
+        jet, _, _, _, det, outside = self._rows(u, v)
+        with np.errstate(all="ignore"):
+            K = _gauss(jet, det, np.sqrt)
+        return np.where(outside | (det < _DET_EPS), np.nan, K)
+
+    def shoot_rows(self, p, v, length, steps=48):
+        # one RK4 integration on arrays, every row in lockstep
+        pts, tans, cs, ss = _rk4_geodesic(self._geo_rows, np.transpose(p),
+                                          np.transpose(v), length, steps,
+                                          collect=True)
+        self._check_drift(pts, tans)
+        return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
+
+    def _geo_rows(self, x, v):
+        """`_geo_rhs` on rows: x and v are pairs of arrays."""
+        jet, E, F, G, det = self._checked_rows(*x)
+        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(
+            jet, E, F, G, det)
+        a, b = v
+        return (-(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b),
+                -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b),
+                _gauss(jet, det, np.sqrt))
 
     def _geo_rhs(self, x, v):
         # the hottest call: _forms, christoffel_at and gauss_at stay inlined
@@ -1118,28 +1193,27 @@ def _jacobi_step(j, jp, K1, K2, K3, K4, h, hh, h6):
             jp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _rk4_geodesic(model, x0, v0, length, n_steps, collect):
+def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
-    The state is two-dimensional and held in scalar locals: (x, y) for the
-    point, (p, q) for the velocity. Only surfaces reach this integrator,
+    The state is two-dimensional and held in locals: (x, y) for the point,
+    (p, q) for the velocity, floats for rhs `_geo_rhs` and arrays of shots
+    in lockstep for `_geo_rows`. Only surfaces reach this integrator,
     because the space forms, the only models that can be three-dimensional,
-    override each of its callers (`shoot`, `tractrix_stage`) with closed
-    forms. The cosine and sine solutions of j'' + K j = 0 ride along,
-    c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same chart
-    jet as the acceleration.
+    override each of its callers with closed forms. The cosine and sine
+    solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and
+    s(0) = 0, s'(0) = 1, with K from the same chart jet as the acceleration.
 
     The result is (x, v, c, s): with collect, the sampled points and
-    velocities as (n_steps + 1, 2) arrays and c and s as lists, else the
-    final point and velocity as arrays and the final c and s.
+    velocities as (n_steps + 1, 2[, n]) arrays and c and s as lists, else
+    the final point and velocity as arrays and the final c and s.
     """
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
     hh, h6 = 0.5 * h, h / 6.0
-    x, y = float(x0[0]), float(x0[1])
-    p, q = float(v0[0]), float(v0[1])
+    x, y = x0
+    p, q = v0
     c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
-    rhs = model._geo_rhs
     if collect:
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
     for _ in range(n_steps):

@@ -538,24 +538,34 @@ def _fill_orthogonal_distance(trace):
     trace.d[:] = _foot_newton(trace) if d is None else d
 
 
+def _turn(model, points, w):
+    """|w|_g and w turned by +pi/2 in the metric, J g w / sqrt(det g) with
+    J the chart's +pi/2 turn (`quarter_turn`), at (n, 2) rows."""
+    E, F, G = model.metric_rows(points)
+    gw = np.stack([E * w[:, 0] + F * w[:, 1], F * w[:, 0] + G * w[:, 1]], 1)
+    return (np.sqrt((w * gw).sum(axis=1)), np.stack([-gw[:, 1], gw[:, 0]], 1)
+            / np.sqrt(E * G - F * F)[:, None])
+
+
 def _fermi_shot(model, tractor, tau, d):
-    """F(tau, d) = exp_{eta(tau)}(d N(tau)) and its two Jacobian columns.
+    """F(tau, d) = exp_{eta(tau)}(d N(tau)) and its two Jacobian columns,
+    for arrays tau and d, in one row shot (`shoot_rows`).
 
     N is the unit normal to eta'(tau), eta' turned by +pi/2. The d column
     is the end tangent of the shot. On a geodesic tractor N is parallel,
     so the tau column is the Jacobi field with J(0) = eta'(tau) and
     J'(0) = 0: |eta'(tau)| c(|d|) times the end normal, which stands to
     the d column as eta' stands to N, turned by -pi/2. Shots with d < 0
-    run along -N. Returns (F, tau column, d column).
+    run along -N. Returns (F, tau column, d column) as (n, 2) rows.
     """
-    foot = np.asarray(tractor.point(tau), dtype=float)
-    vel = np.asarray(tractor.velocity(tau), dtype=float)
-    speed = model.norm(foot, vel)
-    sign = -1.0 if d < 0.0 else 1.0
-    end, tangent, c, _ = model.shoot(
-        foot, (sign / speed) * model.quarter_turn(foot, vel), abs(d), steps=48)
-    d_col = sign * tangent
-    return end, -speed * c * model.quarter_turn(end, d_col), d_col
+    foot = np.array([tractor.point(t) for t in tau], dtype=float)
+    speed, normal = _turn(model, foot, np.array(
+        [tractor.velocity(t) for t in tau], dtype=float))
+    sign = np.where(d < 0.0, -1.0, 1.0)
+    end, tangent, c, _ = model.shoot_rows(
+        foot, (sign / speed)[:, None] * normal, np.abs(d))
+    d_col = sign[:, None] * tangent
+    return end, (-speed * c)[:, None] * _turn(model, end, d_col)[1], d_col
 
 
 def _foot_newton(trace):
@@ -563,58 +573,57 @@ def _foot_newton(trace):
 
     (tau, d) are the Fermi coordinates of gamma relative to the tractor
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
-    normal to eta'(tau).  Damped Newton solves F(tau, d) = gamma for each
-    record, on the normal equations, with one shot per iteration: both
-    Jacobian columns come with the shot (`_fermi_shot`).  Record 0 starts
-    from d = 0 at the chord projection of the pole (exact in the plane),
-    record 1 from record 0's (tau, d), and every later record from the
-    linear extrapolation of the previous two.  F is regular at d = 0,
-    where the shot has length 0 and end tangent N, so a tractrix lying on
-    its tractor needs no special case and reads d = 0 exactly.
+    normal to eta'(tau).  Damped Newton solves F(tau, d) = gamma for all
+    records in lockstep: each pass is one row shot (`_fermi_shot`) of the
+    records not yet within the tolerance, and both Jacobian columns come
+    with it.  A record whose residual grows
+    halves its own step and is shot again.  Each record starts from the
+    chord gamma - eta(t) split in the metric at eta(t): tau = t + along /
+    |eta'|, d = across, exact in the plane.  F is regular at d = 0, where
+    the shot has length 0 and end tangent N, so a tractrix lying on its
+    tractor needs no special case and reads d = 0 exactly.
     """
-    model = trace.model
-    tractor = trace.tractor
+    model, tractor, gamma = trace.model, trace.tractor, trace.gamma
     tol = 1e-11 * max(1.0, trace.ell)
-    out = np.empty(len(trace.gamma))
-
-    tau = float(trace.t[0] - trace.speed[0] * trace.ell
-                / trace.eta_speed[0] ** 2)
-    d = 0.0
-    solved = []
-    for i, gamma in enumerate(trace.gamma):
-        if i >= 2:
-            tau_a, d_a = solved[-2]
-            tau, d = 2.0 * tau - tau_a, 2.0 * d - d_a
-        end, tau_col, d_col = _fermi_shot(model, tractor, tau, d)
-        rn = float(np.linalg.norm(end - gamma))
-        for _ in range(_SHOOT_MAX_ITER):
-            if rn < tol:
-                break
-            J = np.column_stack([tau_col, d_col])
-            # normal equations: the same step as solve(J, r) for the
-            # square J, which rounds differently and would move the last
-            # digits of d on surfaces
-            try:
-                step = np.linalg.solve(J.T @ J, J.T @ (gamma - end))
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(
-                    f"foot solve at record {i}: singular Jacobian") from exc
-            damp = 1.0
-            while True:
-                tau_new, d_new = tau + damp * step[0], d + damp * step[1]
-                shot = _fermi_shot(model, tractor, tau_new, d_new)
-                rn_new = float(np.linalg.norm(shot[0] - gamma))
-                if rn_new <= rn or damp < 1e-6:
-                    break
-                damp *= 0.5
-            tau, d, rn = tau_new, d_new, rn_new
-            end, tau_col, d_col = shot
-        if not rn < tol:
+    vel = np.array([tractor.velocity(t) for t in trace.t], dtype=float)
+    speed, normal = _turn(model, trace.eta, vel)
+    # gamma - eta = along T + across N in the g-orthonormal T, N at eta
+    along, across = np.linalg.solve(
+        np.stack([vel, normal], axis=2) / speed[:, None, None],
+        (gamma - trace.eta)[:, :, None])[:, :, 0].T
+    tau, d = trace.t + along / speed, across
+    end, tau_col, d_col = _fermi_shot(model, tractor, tau, d)
+    rn = np.linalg.norm(end - gamma, axis=1)
+    for _ in range(_SHOOT_MAX_ITER):
+        live = np.flatnonzero(~(rn < tol))
+        if live.size == 0:
+            break
+        J = np.stack([tau_col[live], d_col[live]], axis=2)
+        try:
+            step = np.linalg.solve(
+                J, (gamma[live] - end[live])[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            i = live[np.argmin(np.abs(np.linalg.det(J)))]
             raise NoConvergenceError(
-                f"foot solve at record {i} stalled at residual {rn:.3e}")
-        solved.append((tau, d))
-        out[i] = abs(d)
-    return out
+                f"foot solve at record {i}: singular Jacobian") from exc
+        base = tau[live], d[live], rn[live]
+        damp = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            rows = live[todo]
+            tau[rows] = base[0][todo] + damp[todo] * step[todo, 0]
+            d[rows] = base[1][todo] + damp[todo] * step[todo, 1]
+            end[rows], tau_col[rows], d_col[rows] = _fermi_shot(
+                model, tractor, tau[rows], d[rows])
+            rn[rows] = np.linalg.norm(end[rows] - gamma[rows], axis=1)
+            todo = todo[~((rn[rows] <= base[2][todo]) | (damp[todo] < 1e-6))]
+            damp[todo] *= 0.5
+    stalled = np.flatnonzero(~(rn < tol))
+    if stalled.size:
+        i = stalled[0]
+        raise NoConvergenceError(
+            f"foot solve at record {i} stalled at residual {rn[i]:.3e}")
+    return np.abs(d)
 
 
 # ---------------------------------------------------------------------------

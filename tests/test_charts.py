@@ -13,6 +13,7 @@ from tractrix.charts import (
     PlaneChart,
     PseudosphereChart,
     SphereChart,
+    _CATALOG,
     chart_from_config,
 )
 from tractrix.errors import ConfigError, OutOfDomainError
@@ -93,6 +94,52 @@ def test_graph_jet_matches_finite_differences(poly, sinsin, u, v):
     ]
     for an, num, atol in zip(chart.jet(u, v), fd, (1e-7,) * 2 + (2e-5,) * 3):
         assert np.allclose(an, num, atol=atol, rtol=1e-6)
+
+
+# every catalog chart, the graph with polynomial terms of degree 3 and more
+ROW_CHARTS = dict(
+    {name: make() for name, make in _CATALOG.items()},
+    graph=GraphChart(poly=[(3, 1, 0.5), (1, 0, 1.0), (0, 4, 0.25),
+                           (2, 2, 1.5)]))
+
+
+class _MathRows:
+    """A row namespace that applies math's own functions elementwise."""
+
+    def __getattr__(self, name):
+        return np.vectorize(getattr(math, name), otypes=[float])
+
+
+def _row_jet(chart, u, v, xp):
+    """The jet on rows as an (n, 5, 3) array, constant entries broadcast."""
+    return np.stack([np.stack(np.broadcast_arrays(*entry, u)[:3], axis=-1)
+                     for entry in chart.jet(u, v, xp)], axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CHARTS))
+def test_row_jet_equals_float_jet(name):
+    # one jet serves floats and rows. On numpy rows, the charts that use
+    # only sin, cos and exponents <= 1 agree to the bit. np.tanh and
+    # np.cosh differ from math in the last bit: with math's own functions
+    # applied elementwise the pseudosphere agrees to the bit, and with
+    # numpy's the bound is in units of the point's largest jet entry,
+    # because F_uu's factor tanh^2 - sech^2 cancels near u = 0.88. Numpy
+    # powers differ from Python's float ** in the last bits
+    chart = ROW_CHARTS[name]
+    rng = np.random.default_rng(3)
+    u, v = rng.uniform(0.1, 3.0, 2000), rng.uniform(0.1, 3.0, 2000)
+    floats = np.array([chart.jet(a, b) for a, b in zip(u.tolist(),
+                                                        v.tolist())])
+    rows = _row_jet(chart, u, v, np)
+    if name in ("sphere", "ellipsoid", "hilly", "plane", "paraboloid"):
+        assert np.array_equal(rows, floats)
+    elif name == "pseudosphere":
+        assert np.array_equal(_row_jet(chart, u, v, _MathRows()), floats)
+        scale = np.abs(floats).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(rows - floats) <= 16 * np.spacing(scale))
+    else:
+        assert np.all(np.abs(rows - floats)
+                      <= 4 * np.spacing(np.abs(floats)))
 
 
 def test_sphere_domain_check():

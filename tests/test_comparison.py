@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from tractrix.comparison import (
+    _GRID_N,
     Check,
     ComparisonReport,
     CurvatureBounds,
@@ -13,15 +15,20 @@ from tractrix.comparison import (
     merge_reports,
     rauch_length_area_check,
     toponogov_sandwich_check,
+    _grid_range,
+    _visited_rect,
 )
+from tractrix.config import bundled_scenario
 from tractrix.errors import (
     DomainViolationError,
     HypothesisViolatedError,
     LowConfidenceFitError,
+    OutOfDomainError,
+    SingularChartError,
     UncertifiedBoundsError,
 )
 from tractrix.functionals import sweep_result
-from tractrix.manifold import space_form, surface_model
+from tractrix.manifold import model_from_config, space_form, surface_model
 from tractrix.spaceform import leading_exponent, solve_from_d0
 from tractrix.tractrix_sim import (
     SimParams,
@@ -115,6 +122,70 @@ def test_grid_fallback_used_when_no_closed_form(flat_trace):
         assert cb.K_lo < model.gauss_at(p) < cb.K_hi
     with pytest.raises(UncertifiedBoundsError, match="closed-form"):
         certify_bounds(model, trace, method="analytic")
+
+
+def scalar_grid_range(model, rect):
+    """The grid certification as a double loop of scalar `gauss_at` calls:
+    (lo, hi) and the mask of the grid points it used."""
+    us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
+    vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
+    used = np.zeros((_GRID_N, _GRID_N), dtype=bool)
+    lo, hi = math.inf, -math.inf
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            if not model.chart.contains(u, v):
+                continue
+            try:
+                K = model.gauss_at(np.array([u, v]))
+            except (SingularChartError, OutOfDomainError):
+                continue
+            if math.isfinite(K):
+                lo, hi = min(lo, K), max(hi, K)
+                used[i, j] = True
+    return lo, hi, used
+
+
+def test_grid_range_equals_scalar_reference_on_hilly_pull():
+    cfg = bundled_scenario("hilly_pull")
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    trace = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
+    rect = _visited_rect(model.chart, trace)
+    lo, hi, used = scalar_grid_range(model, rect)
+    assert used.all()
+    assert _grid_range(model, rect) == (lo, hi)
+
+
+@pytest.mark.parametrize("chart, rect", [
+    ({"name": "pseudosphere"}, ((-0.5, 1.5), (0.0, 1.0))),
+    ({"name": "sphere"}, ((0.0, math.pi), (-1.0, 1.0))),
+], ids=["pseudosphere-rim", "sphere-poles"])
+def test_grid_skips_the_points_the_scalar_loop_skips(chart, rect):
+    # rectangles that reach past the rim u = 0 (outside the domain, then
+    # singular on it) or onto both chart poles (singular)
+    model = surface_model(chart)
+    lo, hi, used = scalar_grid_range(model, rect)
+    assert 0 < used.sum() < used.size
+    us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
+    vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
+    K = model.gauss_rows(*np.meshgrid(us, vs, indexing="ij"))
+    assert np.array_equal(np.isfinite(K), used)
+    grid = _grid_range(model, rect)
+    assert grid == pytest.approx((lo, hi), rel=1e-14)
+
+
+def test_grid_certification_up_to_the_pseudosphere_rim():
+    # the padded box of this track is clipped to the domain at u = 0, the
+    # rim, where the metric is singular and the grid row is skipped
+    model = surface_model({"name": "pseudosphere"})
+    track = types.SimpleNamespace(gamma=np.array([[0.05, 0.0]]),
+                                  eta=np.array([[1.0, 0.5]]), ell=1.0)
+    assert _visited_rect(model.chart, track)[0][0] == 0.0
+    cb = certify_bounds(model, track, method="grid")
+    assert cb.certified == "grid"
+    assert cb.K_lo < -1.0 < cb.K_hi
+    assert cb.K_hi - cb.K_lo < 1e-6
 
 
 # ---------------------------------------------------------------------------

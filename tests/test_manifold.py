@@ -165,7 +165,7 @@ def test_exp_map_sphere_meridian_and_equator():
 def test_exp_map_sphere_matches_closed_form():
     p = np.array([1.1, 0.4])
     v = SPHERE.unit(p, [0.3, 0.8])
-    end, end_tangent, _, _ = _rk4_geodesic(SPHERE, p, v, 1.0, 200,
+    end, end_tangent, _, _ = _rk4_geodesic(SPHERE._geo_rhs, p, v, 1.0, 200,
                                            collect=False)
     q, t = SPHERE.exp_point(p, v, 1.0)
     assert np.allclose(end, q, atol=1e-8)
@@ -175,7 +175,7 @@ def test_exp_map_sphere_matches_closed_form():
 def test_exp_map_hyperbolic_matches_closed_form():
     p = np.array([0.2, -0.1])
     v = HYP.unit(p, [1.0, 0.5])
-    end, end_tangent, _, _ = _rk4_geodesic(HYP, p, v, 1.5, 200,
+    end, end_tangent, _, _ = _rk4_geodesic(HYP._geo_rhs, p, v, 1.5, 200,
                                            collect=False)
     q, t = HYP.exp_point(p, v, 1.5)
     assert np.allclose(end, q, atol=1e-8)
@@ -185,7 +185,7 @@ def test_exp_map_hyperbolic_matches_closed_form():
 def test_exp_map_unit_speed_drift():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    points, tangents, _, _ = _rk4_geodesic(PARAB, p, v, 2.0, 200,
+    points, tangents, _, _ = _rk4_geodesic(PARAB._geo_rhs, p, v, 2.0, 200,
                                            collect=True)
     norms = [PARAB.norm(points[i], tangents[i])
              for i in range(0, len(points), 10)]
@@ -246,7 +246,7 @@ def test_jacobi_scalar_constant_negative_surface():
     v = PSEUDO.unit(p, [0.0, 1.0])
     assert PSEUDO.shoot(p, v, 1.0, steps=200)[3] == pytest.approx(
         math.sinh(1.0), abs=1e-8)
-    j = _rk4_geodesic(PSEUDO, p, v, 1.0, 200, collect=True)[3]
+    j = _rk4_geodesic(PSEUDO._geo_rhs, p, v, 1.0, 200, collect=True)[3]
     assert not _has_conjugate(np.array(j))
 
 
@@ -254,7 +254,7 @@ def test_jacobi_normalization_small_u():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
     u = np.linspace(0.0, 0.5, 101)
-    j = _rk4_geodesic(PARAB, p, v, 0.5, 100, collect=True)[3]
+    j = _rk4_geodesic(PARAB._geo_rhs, p, v, 0.5, 100, collect=True)[3]
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
     taylor = 1.0 - PARAB.gauss_at(p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)
@@ -378,6 +378,40 @@ def test_shot_gates_unit_speed_drift():
     p = np.array([0.1, 0.2])
     with pytest.raises(StepTooLargeError):
         HILLY.shoot(p, HILLY.unit(p, [1.0, 0.3]), 2.5, steps=2)
+
+
+def test_drift_check_reads_the_end_point():
+    # a 200-step shot is sampled at 0, 12, ..., 192 and at its end, 200:
+    # drift that appears only after sample 192 raises, for one shot and
+    # for a shot among rows, which is named
+    p = np.array([0.4, 0.2])
+    v = PARAB.unit(p, [1.0, -0.4])
+    pts, tans, _, _ = _rk4_geodesic(PARAB._geo_rhs, p, v, 1.0, 200,
+                                    collect=True)
+    PARAB._check_drift(pts, tans)
+    bent = tans.copy()
+    bent[193:] *= 1.0 + 1e-5
+    with pytest.raises(StepTooLargeError):
+        PARAB._check_drift(pts, bent)
+    with pytest.raises(StepTooLargeError, match="in row 1"):
+        PARAB._check_drift(np.stack([pts, pts], axis=2),
+                           np.stack([tans, bent], axis=2))
+
+
+@pytest.mark.parametrize("model", [PARAB, PSEUDO, HILLY, SPHERE, HYP],
+                         ids=lambda m: type(getattr(m, "chart", m)).__name__)
+def test_row_shot_matches_one_shot_per_row(model):
+    rng = np.random.default_rng(11)
+    p = np.array([[rng.uniform(0.9, 1.4), rng.uniform(-0.3, 0.3)]
+                  for _ in range(6)]) * (0.3 if model is HYP else 1.0)
+    v = np.array([model.unit(a, [math.cos(t), math.sin(t)])
+                  for a, t in zip(p, rng.uniform(0.0, math.tau, 6))])
+    L = np.append(rng.uniform(0.05, 0.6, 5), 0.0)
+    rows = model.shoot_rows(p, v, L)
+    one = [np.array(x) for x in zip(*(model.shoot(a, b, n, 48)
+                                      for a, b, n in zip(p, v, L)))]
+    for a, b in zip(rows, one):
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-14)
 
 
 def test_distance_helpers():

@@ -428,8 +428,9 @@ def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
     n_pole = max(8, math.ceil(tr.ell / SimParams().pole_step))
     u = np.linspace(0.0, tr.ell, n_pole + 1)
     for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
-        points, _, _, s = _rk4_geodesic(model, tr.gamma[i], tr.pole_dir[i],
-                                        tr.ell, n_pole, collect=True)
+        points, _, _, s = _rk4_geodesic(model._geo_rhs, tr.gamma[i],
+                                        tr.pole_dir[i], tr.ell, n_pole,
+                                        collect=True)
         assert abs(s[-1] - tr.jacobi_ell[i]) < 1e-8
         assert abs(simpson(s, x=u) - tr.jacobi_int[i]) < 1e-8
         assert points[-1] == pytest.approx(tr.eta[i], abs=1e-6)
@@ -532,18 +533,22 @@ def test_foot_distance_to_a_line_in_three_dimensions():
 
 def test_singular_foot_jacobian_raises_no_convergence(monkeypatch):
     # space forms measure d in closed form; the Newton foot solve is the
-    # surfaces' path
-    model = surface_model("plane")
+    # surfaces' path. A meridian of the paraboloid, where the chord start
+    # is not exact, so Newton steps are taken
+    model = surface_model("paraboloid")
     line = tractor_from_config(model, {"kind": "chart_line",
                                        "start": [0.0, 0.0],
-                                       "direction": [1.0, 0.0], "t1": 1.0,
+                                       "direction": [0.6, 0.8], "t1": 1.0,
                                        "geodesic": True})
-    # c = 0 makes the foot solve's tau column zero; connect reads only s
-    shoot = model.shoot
-    monkeypatch.setattr(model, "shoot", lambda *a, **kw: (
-        *shoot(*a, **kw)[:2], 0.0, shoot(*a, **kw)[3]))
-    with pytest.raises(NoConvergenceError, match="singular"):
-        simulate(model, line, np.array([-1.2, 0.9]), 1.5, SimParams(dt=0.1))
+    g0, _ = orthogonal_attachment(model, line, 0.8, 0.4)
+    # c = 0 makes the foot solve's tau column zero
+    shoot_rows = model.shoot_rows
+    monkeypatch.setattr(model, "shoot_rows", lambda *a, **kw: (
+        lambda end, tangent, c, s: (end, tangent, 0.0 * c, s))(
+            *shoot_rows(*a, **kw)))
+    with pytest.raises(NoConvergenceError,
+                       match=r"record \d+: singular Jacobian"):
+        simulate(model, line, g0, 0.8, SimParams(dt=0.1))
 
 
 @pytest.mark.parametrize("chart, start, direction", [
@@ -563,25 +568,57 @@ def test_foot_tau_column_matches_central_difference(chart, start, direction):
         "t0": -1.0, "t1": 1.0, "geodesic": True})
     rng = np.random.default_rng(7)
     h = 1e-5
-    for _ in range(8):
-        tau = rng.uniform(-0.5, 0.5)
-        d = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9)
-        _, tau_col, _ = _fermi_shot(model, tractor, tau, d)
-        fd = (_fermi_shot(model, tractor, tau + h, d)[0]
-              - _fermi_shot(model, tractor, tau - h, d)[0]) / (2.0 * h)
-        assert np.linalg.norm(tau_col - fd) <= 1e-6 * np.linalg.norm(fd)
+    tau = rng.uniform(-0.5, 0.5, 8)
+    d = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.05, 0.9, 8)
+    _, tau_col, _ = _fermi_shot(model, tractor, tau, d)
+    fd = (_fermi_shot(model, tractor, tau + h, d)[0]
+          - _fermi_shot(model, tractor, tau - h, d)[0]) / (2.0 * h)
+    assert np.all(np.linalg.norm(tau_col - fd, axis=1)
+                  <= 1e-6 * np.linalg.norm(fd, axis=1))
 
 
 def test_foot_solve_makes_few_shots_per_record(monkeypatch):
-    # one shot to check the extrapolated start, mostly one Newton step
+    # the chord start, then two lockstep Newton passes: about 3 rows per
+    # record in at most 4 row shots
     model, tr, _ = bundled_run("ellipsoid_equator", span=0.2)
-    shots = []
-    shoot = model.shoot
-    monkeypatch.setattr(model, "shoot", lambda *a, **kw: (
-        shots.append(a), shoot(*a, **kw))[1])
+    rows = []
+    shoot_rows = model.shoot_rows
+    monkeypatch.setattr(model, "shoot_rows", lambda p, *a, **kw: (
+        rows.append(len(p)), shoot_rows(p, *a, **kw))[1])
     d = _foot_newton(tr)
     assert np.array_equal(d, tr.d)
-    assert len(shots) <= 2.5 * len(tr.t)
+    assert len(rows) <= 4
+    assert sum(rows) <= 3.5 * len(tr.t)
+
+
+def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
+    # the equator of the unit sphere as a chart_line of the surface model:
+    # the Newton foot solve against the space form's closed form
+    chart_model = surface_model("sphere")
+    equator = tractor_from_config(chart_model, {
+        "kind": "chart_line", "start": [math.pi / 2, 0.0],
+        "direction": [0.0, 1.0], "t1": 1.5, "geodesic": True})
+    g0, _ = orthogonal_attachment(chart_model, equator, 0.8, 0.5)
+    tr = simulate(chart_model, equator, g0, 0.8, SimParams(dt=0.01))
+    closed = SPHERE.distance_to_geodesic(
+        np.array([math.pi / 2, 0.0]), np.array([0.0, 1.0]), tr.gamma)
+    assert np.max(tr.d) > 0.4
+    assert np.max(np.abs(tr.d - closed)) < 1e-9
+
+
+def test_paraboloid_propagation_rhs_count(monkeypatch):
+    # the scalar path: one paraboloid_pull propagation makes exactly as
+    # many _geo_rhs calls as it did before the row shots
+    cfg = bundled_scenario("paraboloid_pull")
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    calls = []
+    rhs = type(model)._geo_rhs
+    monkeypatch.setattr(type(model), "_geo_rhs", lambda self, x, v: (
+        calls.append(None), rhs(self, x, v))[1])
+    tr = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
+    assert (len(tr.t), len(calls)) == (251, 40240)
 
 
 @pytest.mark.parametrize("name", ["sphere_pull", "halfk_pull",
