@@ -20,16 +20,17 @@ stage solves the pole from gamma to eta in one closed form, without
 `connect`.  The loop and the stages work on lists of Python floats: the
 tractor point and velocity enter a stage as lists, the state is a list,
 and the rate comes back as one, so a space-form stage costs a handful of
-float operations and no array allocation.  The tractor is evaluated once
-per distinct stage time.  The record's stage also returns the tractor
-speed |eta'|_g.  The post-passes (cusps, foot distance, curvature) work on
-the record arrays, with one parallel transport call per side over all
-records.
+float operations and no array allocation.  The tractor is one row
+evaluator, `rows`, which samples every distinct stage time in blocks of
+NumPy rows.  The record's stage also returns the tractor speed |eta'|_g.
+The post-passes (cusps, foot distance, curvature) work on the record
+arrays, with one parallel transport call per side over all records.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -54,6 +55,9 @@ _POLE_DRIFT_LIMIT = 1e-6
 # kappa is masked where the pole comes this close to lying along a geodesic
 # tractor (d -> ell means the projected speed vanishes).
 _CUSP_DIST_BAND = 1e-4
+# stage times per tractor `rows` call; `simulate` plans and samples only
+# this far ahead of its loop, not the whole run at once
+_ROW_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +66,16 @@ _CUSP_DIST_BAND = 1e-4
 
 @dataclass(frozen=True)
 class TractorCurve:
-    """Parametric driver curve with a chart-coordinate evaluator.
+    """Parametric driver curve with a chart-coordinate row evaluator.
 
-    `point`/`velocity` must accept parameters outside [t0, t1] as well
-    (the simulation only drives over the range, but the foot of gamma
-    on a geodesic tractor may lie up to a pole length outside it).
+    `rows(ts)` maps a 1-D parameter array to the (n, dim) points and
+    velocities there, each row independent of the others, so `point` and
+    `velocity`, its one-row calls, agree with it bit for bit. It must take
+    parameters outside [t0, t1] too: the foot of gamma on a geodesic
+    tractor may lie up to a pole length outside the driven range.
     """
 
-    point: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     t0: float
     t1: float
     closed: bool = False
@@ -82,16 +87,31 @@ class TractorCurve:
     def span(self):
         return self.t1 - self.t0
 
+    def point(self, t):
+        return self.rows(np.array([float(t)]))[0][0]
+
+    def velocity(self, t):
+        return self.rows(np.array([float(t)]))[1][0]
+
+    def __post_init__(self):
+        if self.closed:
+            ends = self.rows(np.array([self.t1, self.t0]))[0]
+            gap = np.linalg.norm(ends[0] - ends[1])
+            if gap > 1e-8:
+                raise NotClosedError(
+                    f"closed tractor has endpoint gap {gap:.3e}")
+
 
 def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
                      closed=False):
-    if closed:
-        gap = np.linalg.norm(np.asarray(point(t1)) - np.asarray(point(t0)))
-        if gap > 1e-8:
-            raise NotClosedError(
-                f"closed tractor has endpoint gap {gap:.3e}")
-    return TractorCurve(point=point, velocity=velocity,
-                        t0=float(t0), t1=float(t1), closed=closed,
+    """Tractor from scalar point and velocity callables, called per row."""
+
+    def rows(ts):
+        ts = ts.tolist()
+        return (np.array([point(t) for t in ts], dtype=float),
+                np.array([velocity(t) for t in ts], dtype=float))
+
+    return TractorCurve(rows=rows, t0=float(t0), t1=float(t1), closed=closed,
                         is_geodesic=is_geodesic)
 
 
@@ -112,29 +132,17 @@ def polyline_tractor(points, closed=False, *, is_geodesic=False):
     if len(pts) < 2:
         raise ConfigError("polyline is degenerate")
     knots = np.concatenate([[0.0], np.cumsum(lens)])
-    total = knots[-1]
+    total = float(knots[-1])
     dirs = seg / lens[:, None]
-    # bisect on a list finds what np.searchsorted(side="right") finds,
-    # without the array round trip per call
-    knot_list = knots.tolist()
 
-    def locate(t):
+    def rows(ts):
         if closed:
-            t = t % total
-        i = bisect.bisect_right(knot_list, t) - 1
-        i = min(max(i, 0), len(lens) - 1)
-        return i, t
+            ts = np.remainder(ts, total)
+        i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0,
+                    len(lens) - 1)
+        return pts[i] + (ts - knots[i])[:, None] * dirs[i], dirs[i]
 
-    def point(t):
-        i, t = locate(float(t))
-        return pts[i] + (t - knots[i]) * dirs[i]
-
-    def velocity(t):
-        i, _ = locate(float(t))
-        return dirs[i].copy()
-
-    return TractorCurve(point=point, velocity=velocity, t0=0.0,
-                        t1=float(total), closed=closed,
+    return TractorCurve(rows=rows, t0=0.0, t1=total, closed=closed,
                         is_geodesic=is_geodesic, breaks=tuple(knots[1:-1]))
 
 
@@ -142,13 +150,11 @@ def reversed_tractor(curve):
     """Same path traversed the other way (push <-> pull)."""
     t0, t1 = curve.t0, curve.t1
 
-    def point(t):
-        return curve.point(t0 + t1 - t)
+    def rows(ts):
+        pts, vel = curve.rows(t0 + t1 - ts)
+        return pts, -vel
 
-    def velocity(t):
-        return -curve.velocity(t0 + t1 - t)
-
-    return TractorCurve(point=point, velocity=velocity, t0=t0, t1=t1,
+    return TractorCurve(rows=rows, t0=t0, t1=t1,
                         closed=curve.closed, is_geodesic=curve.is_geodesic,
                         breaks=tuple(sorted(t0 + t1 - b for b in curve.breaks)))
 
@@ -162,22 +168,20 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
     """
     if sign not in (1, -1):
         raise ConfigError("sign must be +1 or -1")
-
-    def point(t):
-        p = np.asarray(gamma.point(t), dtype=float)
-        v = model.unit(p, gamma.velocity(t))
-        return model.exp_point(p, sign * v, ell)[0]
-
     h = 1e-6
 
-    def velocity(t):
-        return (point(t + h) - point(t - h)) / (2.0 * h)
+    def rows(ts):
+        n = len(ts)
+        pts, vel = gamma.rows(np.concatenate([ts, ts + h, ts - h]))
+        ends = np.array([model.exp_point(p, sign * model.unit(p, v), ell)[0]
+                         for p, v in zip(pts, vel)])
+        return ends[:n], (ends[n:2 * n] - ends[2 * n:]) / (2.0 * h)
 
     # exp along the base's own tangent keeps geodesic bases on themselves
     # (parameter-shifted), so the flag carries over.
-    return TractorCurve(point=point, velocity=velocity,
-                        t0=gamma.t0, t1=gamma.t1, closed=gamma.closed,
-                        is_geodesic=gamma.is_geodesic, breaks=gamma.breaks)
+    return TractorCurve(rows=rows, t0=gamma.t0, t1=gamma.t1,
+                        closed=gamma.closed, is_geodesic=gamma.is_geodesic,
+                        breaks=gamma.breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +283,8 @@ def _require_geodesic(model, tractor, ell):
     through eta(t0) along eta'(t0).
     """
     t0, t1 = tractor.t0, tractor.t1
-    probes = np.array([tractor.point(0.5 * (t0 + t1)), tractor.point(t1)],
-                      dtype=float)
-    off = model.distance_to_geodesic(
-        np.asarray(tractor.point(t0), dtype=float),
-        np.asarray(tractor.velocity(t0), dtype=float), probes)
+    pts, vel = tractor.rows(np.array([t0, 0.5 * (t0 + t1), t1]))
+    off = model.distance_to_geodesic(pts[0], vel[0], pts[1:])
     if off is not None and np.max(off) > 1e-9 * max(1.0, ell):
         raise ConfigError(
             f"tractor.geodesic: the tractor is flagged geodesic but lies "
@@ -297,14 +298,15 @@ def simulate(model, tractor, gamma0, ell, params=None):
     `tractrix_stage`): on surfaces the unit pole direction at the tractor,
     moved by its Jacobi-field ODE with one geodesic shot per stage; on
     space forms gamma itself, with the pole solved in closed form at every
-    stage. One classical RK4 loop serves every model. It runs on lists of
-    Python floats: the tractor point and velocity go to the stage as
-    lists, the rate comes back as one, and the RK4 combinations are taken
-    component by component in the order the array expressions had. The
-    tractor is evaluated once per distinct stage time, so k2 and k3 share
-    the midpoint. Each record is read off its own stage, which also gives
-    the tractor speed |eta'|_g. The pull or push character is emergent
-    from the attachment geometry and recorded per record as sigma.
+    stage. One classical RK4 loop serves every model. It walks a plan of
+    the steps, split at the tractor's velocity breaks, whose stage times
+    the tractor samples a block ahead, one `rows` call per _ROW_BLOCK
+    times. The loop runs on lists of Python floats: the tractor point and
+    velocity go to the stage as lists, the rate comes back as one, and the
+    RK4 combinations are taken component by component in the order the
+    array expressions had. Each record is read off its own stage, which
+    also gives the tractor speed |eta'|_g. The pull or push character is
+    emergent from the attachment geometry and recorded per record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -330,26 +332,21 @@ def simulate(model, tractor, gamma0, ell, params=None):
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
     n_pole = max(8, int(math.ceil(ell / params.pole_step)))
 
-    point, velocity = tractor.point, tractor.velocity
-
-    def tractor_at(t):
-        return (np.asarray(point(t), dtype=float).tolist(),
-                np.asarray(velocity(t), dtype=float).tolist())
-
-    eta0 = np.asarray(point(tractor.t0), dtype=float)
+    eta0 = tractor.point(tractor.t0)
     state, L0 = model.tractrix_start(eta0, gamma0, ell, n_pole)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
 
-    stage = model.tractrix_stage
     times = t_grid.tolist()
     breaks = [float(b) for b in tractor.breaks if times[0] < b < times[-1]]
-    records = []
-    s_list = []
-    s = 0.0
-    for i, t in enumerate(times):
-        eta, etap = tractor_at(t)
+    plan, ahead = itertools.tee(_plan(times, breaks))
+    samples = _samples(tractor, (x for _, _, ts in ahead for x in ts))
+
+    stage = model.tractrix_stage
+    records, s_list, s = [], [], 0.0
+    for t, pieces, _ in plan:
+        eta, etap = next(samples)
         rate, sdot, rec = stage(eta, etap, state, ell, n_pole, record=True)
         drift = rec[6]
         if drift > _POLE_DRIFT_LIMIT:
@@ -359,31 +356,20 @@ def simulate(model, tractor, gamma0, ell, params=None):
         records.append((eta,) + rec)
         s_list.append(s)
 
-        if i == n_steps:
-            break
-        # split at velocity breaks so no RK4 step straddles a kink
-        t_next = times[i + 1]
-        lo = bisect.bisect_left(breaks, t + 1e-12)
-        hi = bisect.bisect_left(breaks, t_next - 1e-12)
-        knots = [t, *breaks[lo:hi], t_next]
-        for ta, tb in zip(knots[:-1], knots[1:]):
-            hh = tb - ta
+        for hh, own_k1 in pieces:
             half = hh / 2
-            # the record's own stage is the first piece's first stage
-            if ta == t:
-                k1, q1 = rate, sdot
+            if own_k1:
+                k1, q1, _ = stage(*next(samples), state, ell, n_pole)
             else:
-                k1, q1, _ = stage(*tractor_at(ta), state, ell, n_pole)
-            eta, etap = tractor_at(ta + half)
+                k1, q1 = rate, sdot
+            eta, etap = next(samples)
             k2, q2, _ = stage(eta, etap,
                               [y + half * k for y, k in zip(state, k1)],
                               ell, n_pole)
             k3, q3, _ = stage(eta, etap,
                               [y + half * k for y, k in zip(state, k2)],
                               ell, n_pole)
-            # evaluate just inside the piece so a kink at tb contributes
-            # its left limit
-            k4, q4, _ = stage(*tractor_at(tb - 1e-9 * hh),
+            k4, q4, _ = stage(*next(samples),
                               [y + hh * k for y, k in zip(state, k3)],
                               ell, n_pole)
             h6 = hh / 6.0
@@ -411,6 +397,35 @@ def simulate(model, tractor, gamma0, ell, params=None):
         _fill_orthogonal_distance(trace)
     _fill_curvature(trace, params)
     return trace
+
+
+def _plan(times, breaks):
+    """Per record: its time, the step after it as RK4 pieces (hh, whether
+    k1 needs its own stage) split at the breaks, and the stage times the
+    loop reads: the record's, then per piece its start unless that is the
+    record's, its midpoint (k2 and k3 share it) and a point just inside
+    its end (a kink there gives its left limit)."""
+    for t, t_next in zip(times, times[1:]):
+        lo = bisect.bisect_left(breaks, t + 1e-12)
+        hi = bisect.bisect_left(breaks, t_next - 1e-12)
+        knots = [t, *breaks[lo:hi], t_next]
+        pieces, stage_times = [], [t]
+        for ta, tb in zip(knots[:-1], knots[1:]):
+            hh = tb - ta
+            if ta != t:
+                stage_times.append(ta)
+            stage_times += [ta + hh / 2, tb - 1e-9 * hh]
+            pieces.append((hh, ta != t))
+        yield t, pieces, stage_times
+    yield times[-1], (), times[-1:]
+
+
+def _samples(tractor, times):
+    """(eta, eta') as float lists at `times`, one `rows` call per block."""
+    times = iter(times)
+    while block := list(itertools.islice(times, _ROW_BLOCK)):
+        pts, vel = tractor.rows(np.array(block))
+        yield from zip(pts.tolist(), vel.tolist())
 
 
 def _fill_signs(speeds, eps):
@@ -531,10 +546,8 @@ def _fill_orthogonal_distance(trace):
     (`distance_to_geodesic`); `simulate` has checked that the tractor
     stays on that geodesic.  Surfaces solve for the foot (`_foot_newton`).
     """
-    tractor = trace.tractor
-    d = trace.model.distance_to_geodesic(
-        np.asarray(tractor.point(tractor.t0), dtype=float),
-        np.asarray(tractor.velocity(tractor.t0), dtype=float), trace.gamma)
+    pts, vel = trace.tractor.rows(np.array([trace.tractor.t0]))
+    d = trace.model.distance_to_geodesic(pts[0], vel[0], trace.gamma)
     trace.d[:] = _foot_newton(trace) if d is None else d
 
 
@@ -558,9 +571,8 @@ def _fermi_shot(model, tractor, tau, d):
     the d column as eta' stands to N, turned by -pi/2. Shots with d < 0
     run along -N. Returns (F, tau column, d column) as (n, 2) rows.
     """
-    foot = np.array([tractor.point(t) for t in tau], dtype=float)
-    speed, normal = _turn(model, foot, np.array(
-        [tractor.velocity(t) for t in tau], dtype=float))
+    foot, vel = tractor.rows(tau)
+    speed, normal = _turn(model, foot, vel)
     sign = np.where(d < 0.0, -1.0, 1.0)
     end, tangent, c, _ = model.shoot_rows(
         foot, (sign / speed)[:, None] * normal, np.abs(d))
@@ -585,7 +597,7 @@ def _foot_newton(trace):
     """
     model, tractor, gamma = trace.model, trace.tractor, trace.gamma
     tol = 1e-11 * max(1.0, trace.ell)
-    vel = np.array([tractor.velocity(t) for t in trace.t], dtype=float)
+    vel = tractor.rows(trace.t)[1]
     speed, normal = _turn(model, trace.eta, vel)
     # gamma - eta = along T + across N in the g-orthonormal T, N at eta
     along, across = np.linalg.solve(
@@ -727,14 +739,35 @@ def _req_points(spec, key, kind, dim, single=True):
     return pts
 
 
+# the keys each kind reads besides 'kind'; any other key is an error
+_KIND_KEYS = {
+    "line": "start direction geodesic t0 t1",
+    "chart_line": "start direction geodesic t0 t1",
+    "circle": "center radius closed geodesic t0 t1",
+    "chart_circle": "center radius rate closed geodesic t0 t1",
+    "latitude": "colatitude phi0 geodesic t0 t1",
+    "disk_ray": "angle t0 t1",
+    "helix": "radius pitch t0 t1",
+    "circle3d": "radius",
+    "wiggly_circle": "radius amplitude lobes",
+    "polyline": "points closed geodesic",
+    "tractrix_of": "curve ell sign",
+}
+
+
 def tractor_from_config(model, spec):
     """Build a TractorCurve from a scenario mapping."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("tractor: mapping with a 'kind' field expected")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"tractor.kind: unknown kind {kind!r}")
+    for key in spec:
+        if key not in ("kind", *_KIND_KEYS[kind].split()):
+            raise ConfigError(f"tractor.{key}: not read by kind {kind!r}")
     t0 = _num(spec, "t0", kind, 0.0)
     t1 = _num(spec, "t1", kind, 1.0)
-    if kind != "polyline" and t1 <= t0:
+    if t1 <= t0:
         raise ConfigError("tractor.t1: must exceed t0")
 
     if kind in ("line", "chart_line"):
@@ -747,11 +780,13 @@ def tractor_from_config(model, spec):
         if kind == "line" and not isinstance(model, FlatModel):
             raise ConfigError("tractor.kind: 'line' needs a flat model; "
                               "use 'chart_line' on surfaces")
-        geo = bool(spec.get("geodesic", kind == "line"))
-        curve = analytic_tractor(
-            lambda t: start + t * direction,
-            lambda t: direction.copy(),
-            t0, t1, is_geodesic=geo)
+
+        def rows(ts):
+            return (start + ts[:, None] * direction,
+                    np.tile(direction, (len(ts), 1)))
+
+        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=bool(
+            spec.get("geodesic", kind == "line")))
     elif kind in ("circle", "chart_circle"):
         if model.dim != 2:
             raise ConfigError(f"tractor.kind: {kind!r} needs a 2-D model")
@@ -772,15 +807,13 @@ def tractor_from_config(model, spec):
         if closed and abs(math.remainder((t1 - t0) * rate, math.tau)) > 1e-9:
             raise NotClosedError("circle span is not a whole number of turns")
 
-        def cpoint(t, c=center, R=radius, w=rate):
-            return c + R * np.array([math.cos(w * t), math.sin(w * t)])
+        def rows(ts, c=center, R=radius, w=rate):
+            cos, sin = np.cos(w * ts), np.sin(w * ts)
+            return (c + R * np.stack([cos, sin], axis=1),
+                    R * w * np.stack([-sin, cos], axis=1))
 
-        def cvel(t, R=radius, w=rate):
-            return R * w * np.array([-math.sin(w * t), math.cos(w * t)])
-
-        curve = analytic_tractor(cpoint, cvel, t0, t1, closed=closed,
-                                 is_geodesic=bool(spec.get("geodesic",
-                                                           False)))
+        return TractorCurve(rows=rows, t0=t0, t1=t1, closed=closed,
+                            is_geodesic=bool(spec.get("geodesic", False)))
     elif kind == "latitude":
         if not isinstance(model, SphereModel):
             raise ConfigError("tractor.kind: 'latitude' needs a sphere model")
@@ -791,13 +824,11 @@ def tractor_from_config(model, spec):
         rate = 1.0 / (model.radius * math.sin(th))  # arclength parameter
         geo = bool(spec.get("geodesic", abs(th - math.pi / 2) < 1e-12))
 
-        def lpoint(t, th=th, phi0=phi0, w=rate):
-            return np.array([th, phi0 + w * t])
+        def rows(ts, th=th, phi0=phi0, w=rate):
+            return (np.stack([np.full_like(ts, th), phi0 + w * ts], axis=1),
+                    np.tile((0.0, w), (len(ts), 1)))
 
-        def lvel(t, w=rate):
-            return np.array([0.0, w])
-
-        curve = analytic_tractor(lpoint, lvel, t0, t1, is_geodesic=geo)
+        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=geo)
     elif kind == "disk_ray":
         if not isinstance(model, HyperbolicModel):
             raise ConfigError(
@@ -806,13 +837,14 @@ def tractor_from_config(model, spec):
         u = np.array([math.cos(ang), math.sin(ang)])
         k = model.k
 
-        def rpoint(t, u=u, k=k):
-            return math.tanh(0.5 * k * t) * u
+        # per element: np.tanh and np.cosh differ from math's in the last bit
+        def rows(ts, u=u, k=k):
+            ts = ts.tolist()
+            return (np.array([[math.tanh(0.5 * k * t)] for t in ts]) * u,
+                    np.array([[0.5 * k / math.cosh(0.5 * k * t) ** 2]
+                              for t in ts]) * u)
 
-        def rvel(t, u=u, k=k):
-            return (0.5 * k / math.cosh(0.5 * k * t) ** 2) * u
-
-        curve = analytic_tractor(rpoint, rvel, t0, t1, is_geodesic=True)
+        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=True)
     elif kind == "helix":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError("tractor.kind: 'helix' needs flat dimension 3")
@@ -823,15 +855,13 @@ def tractor_from_config(model, spec):
                               "both be zero")
         w = 1.0 / math.hypot(radius, pitch)  # arclength parameter
 
-        def hpoint(t, R=radius, p=pitch, w=w):
-            return np.array([R * math.cos(w * t), R * math.sin(w * t),
-                             p * w * t])
+        def rows(ts, R=radius, p=pitch, w=w):
+            cos, sin = np.cos(w * ts), np.sin(w * ts)
+            return (np.stack([R * cos, R * sin, p * w * ts], axis=1),
+                    np.stack([-R * w * sin, R * w * cos,
+                              np.full_like(ts, p * w)], axis=1))
 
-        def hvel(t, R=radius, p=pitch, w=w):
-            return np.array([-R * w * math.sin(w * t),
-                             R * w * math.cos(w * t), p * w])
-
-        curve = analytic_tractor(hpoint, hvel, t0, t1, is_geodesic=False)
+        return TractorCurve(rows=rows, t0=t0, t1=t1)
     elif kind == "circle3d":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
@@ -839,16 +869,14 @@ def tractor_from_config(model, spec):
         radius = _num(spec, "radius", kind)
         if radius <= 0:
             raise ConfigError("tractor.radius: must be positive")
-        t0, t1 = 0.0, math.tau * radius
 
-        def c3point(t, R=radius):
-            return np.array([R * math.cos(t / R), R * math.sin(t / R), 0.0])
+        def rows(ts, R=radius):
+            cos, sin, zero = np.cos(ts / R), np.sin(ts / R), np.zeros_like(ts)
+            return (np.stack([R * cos, R * sin, zero], axis=1),
+                    np.stack([-sin, cos, zero], axis=1))
 
-        def c3vel(t, R=radius):
-            return np.array([-math.sin(t / R), math.cos(t / R), 0.0])
-
-        curve = analytic_tractor(c3point, c3vel, t0, t1, closed=True,
-                                 is_geodesic=False)
+        return TractorCurve(rows=rows, t0=0.0, t1=math.tau * radius,
+                            closed=True)
     elif kind == "wiggly_circle":
         if not (isinstance(model, FlatModel) and model.dim == 3):
             raise ConfigError(
@@ -859,29 +887,21 @@ def tractor_from_config(model, spec):
         if not lobes.is_integer():
             raise ConfigError(f"tractor.lobes: expected a whole number, got "
                               f"{spec['lobes']!r}")
-        lobes = int(lobes)
-        t0, t1 = 0.0, math.tau
 
-        def wpoint(t, R=radius, A=amp, m=lobes):
-            return np.array([R * math.cos(t), R * math.sin(t),
-                             A * math.sin(m * t)])
+        def rows(ts, R=radius, A=amp, m=int(lobes)):
+            cos, sin = np.cos(ts), np.sin(ts)
+            return (np.stack([R * cos, R * sin, A * np.sin(m * ts)], axis=1),
+                    np.stack([-R * sin, R * cos, A * m * np.cos(m * ts)],
+                             axis=1))
 
-        def wvel(t, R=radius, A=amp, m=lobes):
-            return np.array([-R * math.sin(t), R * math.cos(t),
-                             A * m * math.cos(m * t)])
-
-        curve = analytic_tractor(wpoint, wvel, t0, t1, closed=True,
-                                 is_geodesic=False)
+        return TractorCurve(rows=rows, t0=0.0, t1=math.tau, closed=True)
     elif kind == "polyline":
         pts = _req_points(spec, "points", kind, model.dim, single=False)
-        curve = polyline_tractor(pts, closed=bool(spec.get("closed", False)),
-                                 is_geodesic=bool(spec.get("geodesic",
-                                                           False)))
-    elif kind == "tractrix_of":
-        base = tractor_from_config(model, _req(spec, "curve", kind))
-        curve = tractor_from_tractrix(model, base,
-                                      _num(spec, "ell", kind),
-                                      int(_num(spec, "sign", kind, 1)))
-    else:
-        raise ConfigError(f"tractor.kind: unknown kind {kind!r}")
-    return curve
+        return polyline_tractor(pts, closed=bool(spec.get("closed", False)),
+                                is_geodesic=bool(spec.get("geodesic", False)))
+    base = tractor_from_config(model, _req(spec, "curve", kind))  # tractrix_of
+    sign = _num(spec, "sign", kind, 1.0)
+    if sign not in (1.0, -1.0):
+        raise ConfigError(f"tractor.sign: expected +1 or -1, got {sign!r}")
+    return tractor_from_tractrix(model, base, _num(spec, "ell", kind),
+                                 int(sign))

@@ -217,6 +217,41 @@ def test_degenerate_tractor_size_exits_one(tmp_path, capsys, model, tractor,
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("model, tractor, gamma0, field", [
+    ({"kind": "spaceform", "K": 0.0, "dim": 3},
+     {"kind": "circle3d", "radius": 1.0, "t1": 1.0, "closed": False,
+      "colour": "red"}, [0.75, -0.4330127018922193, 0.0], "tractor.t1"),
+    ({"kind": "spaceform", "K": 0.0, "dim": 3},
+     {"kind": "wiggly_circle", "radius": 1.0, "amplitude": 0.2, "lobes": 3,
+      "t0": 0.5}, [0.75, -0.4330127018922193, 0.0], "tractor.t0"),
+    ({"kind": "spaceform", "K": 0.0},
+     {"kind": "polyline", "points": [[0.0, 0.0], [2.0, 0.0]], "t1": 1.0},
+     [-1.0, 0.0], "tractor.t1"),
+    ({"kind": "spaceform", "K": -1.0},
+     {"kind": "disk_ray", "t1": 1.0, "geodesic": False},
+     {"d0": 0.2, "side": 1, "mode": "behind"}, "tractor.geodesic"),
+    ({"kind": "spaceform", "K": 0.0},
+     {"kind": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0],
+      "t1": 1.0, "colour": "red"}, [0.0, 1.0], "tractor.colour"),
+    ({"kind": "spaceform", "K": 0.0},
+     {"kind": "tractrix_of", "ell": 0.5, "t1": 2.0,
+      "curve": {"kind": "line", "start": [0.0, 0.0],
+                "direction": [1.0, 0.0], "t1": 1.0}},
+     [0.0, 0.0], "tractor.t1"),
+], ids=["circle3d", "wiggly_circle", "polyline", "disk_ray", "line",
+        "tractrix_of"])
+def test_tractor_key_the_kind_does_not_read_exits_one(tmp_path, capsys, model,
+                                                      tractor, gamma0, field):
+    # these used to run, the key silently ignored or overwritten
+    raw = {"model": model, "tractor": tractor, "gamma0": gamma0, "ell": 0.5,
+           "sim": {"dt": 0.05}}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: not read by kind")
+
+
 @pytest.mark.parametrize("chart, named", [
     ({"name": "graph", "poly": [[-1, 0, 1.0]]}, "[-1, 0, 1.0]"),
     ({"name": "graph", "poly": [[1.5, 0, 1.0]]}, "[1.5, 0, 1.0]"),

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -20,9 +21,11 @@ from tractrix.manifold import (
     space_form,
     surface_model,
 )
+from tractrix.shortening import _STEPS_PER_ROUND, _splice_head
 from tractrix.spaceform import dist_at, kappa_at, solve_from_d0
 from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
+    _ROW_BLOCK,
     SimParams,
     _fermi_shot,
     _foot_newton,
@@ -98,22 +101,24 @@ def test_rhs_rejects_pole_length_drift():
                                    "t1": 0.5}, 0.4),
 ], ids=["flat", "sphere", "paraboloid"])
 def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
-    # one evaluation for the record, one for the midpoint that k2 and k3
+    # one sampled time for the record, one for the midpoint that k2 and k3
     # share and one for the step end per step, plus the start and the last
-    # record
+    # record, in `rows` calls of at most one block each
     tractor = tractor_from_config(model, spec)
     gamma0, _ = orthogonal_attachment(model, tractor, ell, 0.5 * ell)
     calls = []
 
-    def point(t):
-        calls.append(t)
-        return tractor.point(t)
+    def rows(ts):
+        calls.append(len(ts))
+        return tractor.rows(ts)
 
-    counted = dataclasses.replace(tractor, point=point)
-    tr = simulate(model, counted, gamma0, ell, SimParams(dt=0.05))
+    counted = dataclasses.replace(tractor, rows=rows)
+    tr = simulate(model, counted, gamma0, ell,
+                  SimParams(dt=tractor.span / 100))
     n_steps = len(tr.t) - 1
-    assert n_steps >= 10 and not tractor.breaks
-    assert len(calls) <= 3 * n_steps + 2
+    assert n_steps == 100 and not tractor.breaks
+    assert sum(calls) <= 3 * n_steps + 2
+    assert max(calls) == _ROW_BLOCK < sum(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +700,223 @@ def test_reversed_tractor_flips_breaks():
 
 
 # ---------------------------------------------------------------------------
+# Tractor rows against the scalar evaluation
+
+
+def polyline_scalar(points, closed=False):
+    """The scalar point and velocity of a polyline: the segment found by
+    bisecting the knots, closed curves wrapped by Python's %."""
+    pts = np.asarray(points, dtype=float)
+    seg = np.diff(pts, axis=0)
+    lens = np.linalg.norm(seg, axis=1)
+    knots = np.concatenate([[0.0], np.cumsum(lens)])
+    dirs = seg / lens[:, None]
+
+    def locate(t):
+        t = float(t) % knots[-1] if closed else float(t)
+        i = min(max(bisect.bisect_right(knots.tolist(), t) - 1, 0),
+                len(lens) - 1)
+        return i, t
+
+    def point(t):
+        i, t = locate(t)
+        return pts[i] + (t - knots[i]) * dirs[i]
+
+    return point, lambda t: dirs[locate(t)[0]].copy()
+
+
+LINE_DIR = np.array([3.0, -1.0]) / np.linalg.norm([3.0, -1.0])
+HELIX_W = 1.0 / math.hypot(1.3, 0.4)
+LAT_W = 1.0 / math.sin(1.1)
+RAY_U = np.array([math.cos(0.7), math.sin(0.7)])
+SQUARE = [[0.0, 0.0], [1.3, 0.2], [1.1, 1.7], [-0.4, 0.9], [0.0, 0.0]]
+BENT = [[0.0, 0.0], [1.0, 0.5], [1.5, 2.0], [3.0, 2.2]]
+
+# (model, spec, scalar point, scalar velocity): the closed forms each
+# catalog kind evaluated one parameter at a time, with math.sin and math.cos
+SCALAR_TRACTORS = {
+    "line": (FLAT2, {"kind": "line", "start": [0.3, -0.2],
+                     "direction": [3.0, -1.0], "t0": -1.0, "t1": 2.0},
+             lambda t: np.array([0.3, -0.2]) + t * LINE_DIR,
+             lambda t: LINE_DIR.copy()),
+    "chart_circle": (
+        SPHERE, {"kind": "chart_circle", "center": [1.2, 0.1],
+                 "radius": 0.3, "rate": 1.7, "t1": 3.0},
+        lambda t: np.array([1.2, 0.1]) + 0.3 * np.array(
+            [math.cos(1.7 * t), math.sin(1.7 * t)]),
+        lambda t: 0.3 * 1.7 * np.array([-math.sin(1.7 * t),
+                                        math.cos(1.7 * t)])),
+    "circle": (
+        FLAT2, {"kind": "circle", "center": [0.5, -1.0], "radius": 2.0,
+                "t1": 4.0 * math.pi, "closed": True},
+        lambda t: np.array([0.5, -1.0]) + 2.0 * np.array(
+            [math.cos(0.5 * t), math.sin(0.5 * t)]),
+        lambda t: 2.0 * 0.5 * np.array([-math.sin(0.5 * t),
+                                        math.cos(0.5 * t)])),
+    "latitude": (SPHERE, {"kind": "latitude", "colatitude": 1.1,
+                          "phi0": 0.4, "t1": 2.0},
+                 lambda t: np.array([1.1, 0.4 + LAT_W * t]),
+                 lambda t: np.array([0.0, LAT_W])),
+    "disk_ray": (HYP, {"kind": "disk_ray", "angle": 0.7, "t1": 3.0},
+                 lambda t: math.tanh(0.5 * t) * RAY_U,
+                 lambda t: (0.5 / math.cosh(0.5 * t) ** 2) * RAY_U),
+    "helix": (
+        FLAT3, {"kind": "helix", "radius": 1.3, "pitch": 0.4, "t1": 9.0},
+        lambda t: np.array([1.3 * math.cos(HELIX_W * t),
+                            1.3 * math.sin(HELIX_W * t), 0.4 * HELIX_W * t]),
+        lambda t: np.array([-1.3 * HELIX_W * math.sin(HELIX_W * t),
+                            1.3 * HELIX_W * math.cos(HELIX_W * t),
+                            0.4 * HELIX_W])),
+    "circle3d": (
+        FLAT3, {"kind": "circle3d", "radius": 1.7},
+        lambda t: np.array([1.7 * math.cos(t / 1.7),
+                            1.7 * math.sin(t / 1.7), 0.0]),
+        lambda t: np.array([-math.sin(t / 1.7), math.cos(t / 1.7), 0.0])),
+    "wiggly_circle": (
+        FLAT3, {"kind": "wiggly_circle", "radius": 1.0, "amplitude": 0.2,
+                "lobes": 3},
+        lambda t: np.array([1.0 * math.cos(t), 1.0 * math.sin(t),
+                            0.2 * math.sin(3 * t)]),
+        lambda t: np.array([-1.0 * math.sin(t), 1.0 * math.cos(t),
+                            0.2 * 3 * math.cos(3 * t)])),
+    "polyline": (FLAT2, {"kind": "polyline", "points": BENT},
+                 *polyline_scalar(BENT)),
+    "closed_polyline": (FLAT2, {"kind": "polyline", "points": SQUARE,
+                                "closed": True},
+                        *polyline_scalar(SQUARE, closed=True)),
+}
+
+
+def probe_times(tractor):
+    """More than a block of times inside and outside [t0, t1], the
+    polyline knots and, around a closed curve, the span and beyond."""
+    t0, t1 = tractor.t0, tractor.t1
+    return np.concatenate([
+        np.linspace(t0 - 0.5 * tractor.span, t1 + 0.5 * tractor.span, 301),
+        [t0, t1, 2.0 * t1 - t0, 3.0 * t1 - 2.0 * t0],
+        tractor.breaks, np.add(tractor.breaks, tractor.span)])
+
+
+def assert_rows_match(tractor, point, velocity, ts):
+    pts, vel = tractor.rows(ts)
+    for rows, scalar, one_row in ((pts, point, tractor.point),
+                                  (vel, velocity, tractor.velocity)):
+        assert np.array_equal(rows, np.array([scalar(t) for t in ts]))
+        assert np.array_equal(rows, np.array([one_row(t) for t in ts]))
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_TRACTORS))
+def test_rows_match_the_scalar_evaluation(name):
+    model, spec, point, velocity = SCALAR_TRACTORS[name]
+    tractor = tractor_from_config(model, spec)
+    ts = probe_times(tractor)
+    assert_rows_match(tractor, point, velocity, ts)
+    t0, t1 = tractor.t0, tractor.t1
+    assert_rows_match(reversed_tractor(tractor),
+                      lambda t: point(t0 + t1 - t),
+                      lambda t: -velocity(t0 + t1 - t), ts)
+
+
+def test_tractrix_of_rows_match_the_scalar_shots():
+    model, spec, point, velocity = SCALAR_TRACTORS["helix"]
+    derived = tractor_from_config(model, {"kind": "tractrix_of",
+                                          "curve": spec, "ell": 0.7,
+                                          "sign": -1})
+
+    def shot(t):
+        p = point(t)
+        return model.exp_point(p, -model.unit(p, velocity(t)), 0.7)[0]
+
+    ts = np.linspace(-1.0, 10.0, 37)
+    assert_rows_match(derived, shot,
+                      lambda t: (shot(t + 1e-6) - shot(t - 1e-6)) / 2e-6, ts)
+
+
+def scalar_loop(model, tractor, gamma0, ell, params, times):
+    """The columns of `simulate`'s records and arclengths from its
+    per-stage loop, with two scalar tractor calls per stage time."""
+    n_pole = max(8, int(math.ceil(ell / params.pole_step)))
+
+    def tractor_at(t):
+        return (np.asarray(tractor.point(t), dtype=float).tolist(),
+                np.asarray(tractor.velocity(t), dtype=float).tolist())
+
+    state, _ = model.tractrix_start(tractor.point(tractor.t0), gamma0, ell,
+                                    n_pole)
+    stage = model.tractrix_stage
+    breaks = [float(b) for b in tractor.breaks if times[0] < b < times[-1]]
+    records, s_list, s = [], [], 0.0
+    for i, t in enumerate(times):
+        eta, etap = tractor_at(t)
+        rate, sdot, rec = stage(eta, etap, state, ell, n_pole, record=True)
+        records.append((eta,) + rec)
+        s_list.append(s)
+        if i == len(times) - 1:
+            break
+        t_next = times[i + 1]
+        lo = bisect.bisect_left(breaks, t + 1e-12)
+        hi = bisect.bisect_left(breaks, t_next - 1e-12)
+        knots = [t, *breaks[lo:hi], t_next]
+        for ta, tb in zip(knots[:-1], knots[1:]):
+            hh = tb - ta
+            half = hh / 2
+            if ta == t:
+                k1, q1 = rate, sdot
+            else:
+                k1, q1, _ = stage(*tractor_at(ta), state, ell, n_pole)
+            eta, etap = tractor_at(ta + half)
+            k2, q2, _ = stage(eta, etap,
+                              [y + half * k for y, k in zip(state, k1)],
+                              ell, n_pole)
+            k3, q3, _ = stage(eta, etap,
+                              [y + half * k for y, k in zip(state, k2)],
+                              ell, n_pole)
+            k4, q4, _ = stage(*tractor_at(tb - 1e-9 * hh),
+                              [y + hh * k for y, k in zip(state, k3)],
+                              ell, n_pole)
+            h6 = hh / 6.0
+            state = [y + h6 * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+    return [np.array(column) for column in zip(*records)], np.array(s_list)
+
+
+def shortening_round():
+    """(model, tractor, wagon, ell, params) of the first `shorten_flat`
+    round: a polyline of 40 segments, so most steps split at a break."""
+    shorten = bundled_scenario("shorten_flat").shorten
+    ell = bundled_scenario("shorten_flat").ell
+    wagon = np.array(shorten["P"], dtype=float)
+    tractor = polyline_tractor(_splice_head(
+        FLAT2, wagon, np.array(shorten["initial"]["points"]), ell))
+    return (FLAT2, tractor, wagon, ell,
+            SimParams(dt=tractor.span / _STEPS_PER_ROUND))
+
+
+@pytest.mark.parametrize("name", ["flat_half_tractrix", "wiggly_circle",
+                                  "hyperbolic_pull", "shorten_flat"])
+def test_simulate_matches_the_scalar_loop(name):
+    if name == "shorten_flat":
+        model, tractor, g0, ell, params = shortening_round()
+        assert len(tractor.breaks) > 30
+        tr = simulate(model, tractor, g0, ell, params)
+    else:
+        model, tr, g0 = bundled_run(name)
+        tractor, ell = tr.tractor, tr.ell
+        params = SimParams(**bundled_scenario(name).sim)
+    columns, s = scalar_loop(model, tractor, g0, ell, params, tr.t.tolist())
+    eta, gamma, pole_dir, speed, jac_ell, jac_int, conj, drift, eta_speed = \
+        columns
+    for got, want in ((tr.eta, eta), (tr.gamma, gamma),
+                      (tr.pole_dir, pole_dir), (tr.speed, speed),
+                      (tr.jacobi_ell, jac_ell), (tr.jacobi_int, jac_int),
+                      (tr.pole_conjugate, conj), (tr.eta_speed, eta_speed),
+                      (tr.s, s)):
+        assert np.array_equal(got, want)
+    assert tr.max_drift == max(0.0, *drift)
+
+
+# ---------------------------------------------------------------------------
 # Attachment helper
 
 
@@ -851,6 +1073,18 @@ def test_config_rejects_partial_closed_circle():
         tractor_from_config(FLAT2, {"kind": "circle", "center": [0, 0],
                                     "radius": 1.0, "t0": 0.0, "t1": 1.0,
                                     "closed": True})
+
+
+@pytest.mark.parametrize("sign", [1.7, 0.5, 0, -2, -1.0])
+def test_tractrix_of_sign_must_be_plus_or_minus_one(sign):
+    spec = {"kind": "tractrix_of", "ell": 0.5, "sign": sign,
+            "curve": {"kind": "line", "start": [0, 0], "direction": [1, 0]}}
+    if sign != -1:
+        with pytest.raises(ConfigError, match="tractor.sign"):
+            tractor_from_config(FLAT2, spec)
+    else:
+        assert tractor_from_config(FLAT2, spec).point(1.0) == pytest.approx(
+            [0.5, 0.0], abs=1e-12)
 
 
 def test_analytic_tractor_closed_gap_check():
