@@ -16,8 +16,11 @@ sequences, and returns the state's rate as a list of floats, the tractrix
 speed |ds/dt| and, for a record, the pole (gamma, the pole direction at
 gamma, the signed speed, the Jacobi field's J(ell) and its integral over
 [0, ell], the conjugate flag, the drift and the tractor speed |eta'|_g).
-Parallel transport, `norm_rows`, `metric_rows` and `shoot_rows` take
-(n, dim) rows, so a post-pass over all records is one call.
+Each model family owns its stage: SurfaceModel's is one geodesic shot
+around a single chart jet at eta, the space forms' one closed-form pole.
+Parallel transport, `norm_rows`, `metric_rows`, `christoffel_rows` and
+`shoot_rows` take (n, dim) rows, so a post-pass over all records is one
+call.
 
 The defaults on ManifoldModel are numerical. Geodesics integrate
 x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
@@ -27,22 +30,22 @@ and sine solutions c(L), s(L) of j'' + K j = 0, so a Newton solve gets its
 Jacobian from the shot it makes: two-point geodesics are solved by damped
 Newton with one shot per iteration, the direction column being s(L) times
 the end tangent turned by +pi/2 (`quarter_turn`). Transport integrates
-dw/dt = -Gamma(b - a, w) in two RK4 substeps, row by row. The tractrix
-state is the pole direction at the tractor, so a stage is one shot and no
-two-point solve. There is no default distance to a geodesic: the
-foot-point solve for it lives with the tractrix post-passes. Embedded
-parametric surfaces F(u, v) in R^3 (SurfaceModel) use these defaults. The
-constant-curvature space forms, in standard charts (colatitude/longitude
-for K > 0, Cartesian for K = 0, Poincare disk for K < 0), override them
-with closed forms, the shot included (c = cos(sqrt(K) L), cosh(sqrt(-K) L)
-or 1, with the matching s). Their tractrix state is gamma itself, and each
-stage solves the pole from gamma to eta in one closed form (`_pole`): a
-difference in flat space, spherical trigonometry on the sphere, a Moebius
-map in the disk, with no `connect`. Transport is exact along the same
-chart segment (a rotation of the orthonormal frame on the sphere, a
-rotation and a conformal scaling in the disk, the identity in flat
-space), one array expression over all rows, and so is the distance to a
-geodesic.
+dw/dt = -Gamma(b - a, w) in two RK4 substeps over all rows in lockstep,
+one `christoffel_rows` call per stage. There is no default distance to a
+geodesic: the foot-point solve for it lives with the tractrix post-passes.
+Embedded parametric surfaces F(u, v) in R^3 (SurfaceModel) use these
+defaults. Their tractrix state is the pole direction at the tractor, so a
+stage is one shot and no two-point solve. The constant-curvature space
+forms, in standard charts (colatitude/longitude for K > 0, Cartesian for
+K = 0, Poincare disk for K < 0), override them with closed forms, the shot
+included (c = cos(sqrt(K) L), cosh(sqrt(-K) L) or 1, with the matching s).
+Their tractrix state is gamma itself, and each stage solves the pole from
+gamma to eta in one closed form (`_pole`): a difference in flat space,
+spherical trigonometry on the sphere, a Moebius map in the disk, with no
+`connect`. Transport is exact along the same chart segment (a rotation of
+the orthonormal frame on the sphere, a rotation and a conformal scaling in
+the disk, the identity in flat space), one array expression over all
+rows, and so is the distance to a geodesic.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -138,6 +141,15 @@ def _reference_pole(K, length, steps):
     return j[-1], jacobi_reference_integral(K, length), _has_conjugate(j)
 
 
+@lru_cache(maxsize=8)
+def _pole_grid(length, steps):
+    """The steps + 1 samples of [0, length] that a pole's shot visits, as a
+    read-only array shared by every record of a run."""
+    grid = np.linspace(0.0, length, steps + 1)
+    grid.flags.writeable = False
+    return grid
+
+
 class ManifoldModel:
     """Common interface; the geodesy defaults integrate (RK4, Newton)."""
 
@@ -173,6 +185,12 @@ class ManifoldModel:
         g = np.array([self.metric_at(p) for p in points])
         return g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
 
+    def christoffel_rows(self, points):
+        """Gamma^k_ij at (n, dim) rows of points, (n, dim, dim, dim)."""
+        d = self.dim
+        return np.array([self.christoffel_at(p) for p in points]).reshape(
+            -1, d, d, d)
+
     # -- metric helpers ----------------------------------------------------
 
     def inner(self, p, a, b):
@@ -183,9 +201,11 @@ class ManifoldModel:
         return math.sqrt(max(self.inner(p, a, a), 0.0))
 
     def norm_rows(self, points, vectors):
-        """|vectors[i]|_g at points[i], for (n, dim) rows, as one array."""
-        return np.array([self.norm(p, a) for p, a in zip(points, vectors)],
-                        dtype=float)
+        """|vectors[i]|_g at points[i], for (n, 2) rows, as one array."""
+        E, F, G = self.metric_rows(points)
+        p, q = np.transpose(vectors)
+        return np.sqrt(np.maximum((E * p + F * q) * p + (F * p + G * q) * q,
+                                  0.0))
 
     def unit(self, p, a):
         n = self.norm(p, a)
@@ -351,21 +371,19 @@ class ManifoldModel:
     def parallel_transport(self, a, b, w):
         """Transport w from a to b along the chart segment between them.
 
-        dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps. a, b
-        and w may be (n, dim) rows, which are transported one by one.
+        dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps over
+        the (n, dim) rows a, b and w in lockstep, each stage's Christoffel
+        symbols from one `christoffel_rows` call. A single point is one
+        row.
         """
-        a = np.asarray(a, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if a.ndim == 2:
-            out = np.empty_like(w)
-            for i, (p, q, x) in enumerate(zip(a, b, w)):
-                out[i] = self.parallel_transport(p, q, x)
-            return out
-        seg = np.asarray(b, dtype=float) - a
+        a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
+        single = a.ndim == 1
+        a, b, w = np.atleast_2d(a, b, w)
+        seg = b - a
 
         def rhs(x, wv):
-            G = self.christoffel_at(x)
-            return -np.einsum("kij,i,j->k", G, seg, wv)
+            return -np.einsum("nkij,ni,nj->nk", self.christoffel_rows(x),
+                              seg, wv)
 
         h = 0.5
         for m in range(2):
@@ -375,72 +393,7 @@ class ManifoldModel:
             k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2)
             k4 = rhs(a + (t0 + h) * seg, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return w
-
-    # -- tractrix propagation ---------------------------------------------
-
-    def tractrix_start(self, eta, gamma, ell, n_pole):
-        """(state, L): the propagated state of a tractrix at gamma, and L,
-        the distance from eta to gamma that it was solved at.
-
-        The state is the unit pole direction X at the tractor point eta,
-        as a list of floats, from one n_pole-step `connect`.
-        """
-        X, L, _ = self.connect(eta, gamma, L_guess=ell, steps=n_pole)
-        return X.tolist(), L
-
-    def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):
-        """One stage: (rate of the state, tractrix speed |ds/dt|, record).
-
-        The tractrix is gamma = exp_eta(ell X). Its velocity is the Jacobi
-        field J along the pole with J(0) = eta' and J'(0) = D_t X, taken at
-        gamma. J has no normal part there, so gamma moves along the pole
-        with speed <eta', X>, and
-
-            D_t X = -(c(ell) / s(ell)) (eta' - <eta', X> X),
-
-        with c and s the cosine and sine solutions of j'' + K j = 0 along
-        the pole. One RK4 shot of n_pole steps from eta along X carries them.
-        The chart rate is D_t X - Gamma(eta', X), extended to |X| != 1
-        homogeneously, so |X| is a first integral and the direction needs
-        no renormalizing.
-
-        eta, eta_prime and X are float sequences, and the rate comes back
-        as a list of floats; the arithmetic runs on arrays of them. The
-        record is None unless asked for; it is (gamma, pole_dir at gamma,
-        signed speed, J(ell), integral of J over [0, ell], conjugate flag,
-        drift, |eta'|_g), its vectors as lists. J is the Jacobi field from
-        gamma along the pole, j(u) = s(ell) c(ell - u) - c(ell) s(ell - u)
-        by the Wronskian, so J(ell) = s(ell); its integral is Simpson's
-        rule over the shot's samples. The drift is the shot's unit-speed
-        error |T(ell)|_g - 1 at gamma.
-        """
-        eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
-        g = self.metric_at(eta)
-        size = math.sqrt(float(X @ g @ X))
-        unit = X / size
-        end, tangent, c, s = _rk4_geodesic(self._geo_rhs, eta.tolist(),
-                                           unit.tolist(), ell, n_pole,
-                                           collect=record)
-        c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
-        if s_ell <= _CONJ_TOL:
-            raise NoConvergenceError(
-                f"the pole of length {ell!r} from {eta} reaches a conjugate "
-                f"point (s(ell) = {s_ell:.3e})")
-        along = float(eta_prime @ g @ unit)
-        rate = ((c_ell / s_ell) * (along * X - size * eta_prime)
-                - self.christoffel_at(eta) @ X @ eta_prime)
-        if not record:
-            return rate.tolist(), abs(along), None
-        gamma, tangent = end[-1], tangent[-1]
-        c, s = np.array(c), np.array(s)
-        jac = s_ell * c[::-1] - c_ell * s[::-1]
-        speed = self.norm(gamma, tangent)
-        eta_speed = math.sqrt(max(float(eta_prime @ g @ eta_prime), 0.0))
-        return rate.tolist(), abs(along), (
-            gamma.tolist(), (-tangent / speed).tolist(), -along, s_ell,
-            simpson(jac, np.linspace(0.0, ell, n_pole + 1)),
-            _has_conjugate(jac), abs(speed - 1.0), eta_speed)
+        return w[0] if single else w
 
     def edge_length(self, a, b):
         """Length of a polyline edge: the metric chord at its midpoint."""
@@ -1079,6 +1032,14 @@ class SurfaceModel(ManifoldModel):
         return np.array([g1uu, g1uv, g1uv, g1vv,
                          g2uu, g2uv, g2uv, g2vv]).reshape(2, 2, 2)
 
+    def christoffel_rows(self, points):
+        u, v = np.transpose(points)
+        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(
+            *self._checked_rows(u, v))
+        *gam, _ = np.broadcast_arrays(g1uu, g1uv, g1uv, g1vv,
+                                      g2uu, g2uv, g2uv, g2vv, u)
+        return np.stack(gam, axis=-1).reshape(-1, 2, 2, 2)
+
     def gauss_at(self, p):
         jet, _, _, _, det = self._forms(float(p[0]), float(p[1]))
         return _gauss(jet, det, math.sqrt)
@@ -1108,6 +1069,85 @@ class SurfaceModel(ManifoldModel):
         return (-(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b),
                 -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b),
                 _gauss(jet, det, np.sqrt))
+
+    # -- tractrix propagation ---------------------------------------------
+
+    def tractrix_start(self, eta, gamma, ell, n_pole):
+        """(state, L): the propagated state of a tractrix at gamma, and L,
+        the distance from eta to gamma that it was solved at.
+
+        The state is the unit pole direction X at the tractor point eta,
+        as a list of floats, from one n_pole-step `connect`.
+        """
+        X, L, _ = self.connect(eta, gamma, L_guess=ell, steps=n_pole)
+        return X.tolist(), L
+
+    def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):
+        """One stage: (rate of the state, tractrix speed |ds/dt|, record).
+
+        The tractrix is gamma = exp_eta(ell X). Its velocity is the Jacobi
+        field J along the pole with J(0) = eta' and J'(0) = D_t X, taken at
+        gamma. J has no normal part there, so gamma moves along the pole
+        with speed <eta', X>, and
+
+            D_t X = -(c(ell) / s(ell)) (eta' - <eta', X> X),
+
+        with c and s the cosine and sine solutions of j'' + K j = 0 along
+        the pole. One RK4 shot of n_pole steps from eta along X carries them.
+        The chart rate is D_t X - Gamma(eta', X), extended to |X| != 1
+        homogeneously, so |X| is a first integral and the direction needs
+        no renormalizing.
+
+        Everything runs on Python floats: eta, eta_prime and X are float
+        sequences, the rate comes back as a list, and one chart jet at eta
+        (`_forms`) gives E, F, G and the Christoffel symbols, from which
+        |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X) are written out.
+        The record is None unless asked for; it is (gamma, pole_dir at
+        gamma, signed speed, J(ell), integral of J over [0, ell], conjugate
+        flag, drift, |eta'|_g), its vectors as lists. J is the Jacobi field
+        from gamma along the pole, j(u) = s(ell) c(ell - u) - c(ell)
+        s(ell - u) by the Wronskian, so J(ell) = s(ell); its integral is
+        Simpson's rule over the shot's samples. The drift is the shot's
+        unit-speed error |T(ell)|_g - 1 at gamma, with the metric there
+        from a second jet.
+        """
+        u, w = eta
+        a, b = eta_prime
+        x, y = X
+        self.check_point(eta)
+        forms = self._forms(u, w)
+        _, E, F, G, _ = forms
+        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(*forms)
+        # the products in the order of the row-vector forms X g X, eta' g X
+        size = math.sqrt((x * E + y * F) * x + (x * F + y * G) * y)
+        ux, uy = x / size, y / size
+        end, tangent, c, s = _rk4_geodesic(self._geo_rhs, (u, w), (ux, uy),
+                                           ell, n_pole, collect=record)
+        c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
+        if s_ell <= _CONJ_TOL:
+            raise NoConvergenceError(
+                f"the pole of length {ell!r} from {list(eta)} reaches a "
+                f"conjugate point (s(ell) = {s_ell:.3e})")
+        along = (a * E + b * F) * ux + (a * F + b * G) * uy
+        ratio = c_ell / s_ell
+        rate = [ratio * (along * x - size * a)
+                - ((g1uu * x + g1uv * y) * a + (g1uv * x + g1vv * y) * b),
+                ratio * (along * y - size * b)
+                - ((g2uu * x + g2uv * y) * a + (g2uv * x + g2vv * y) * b)]
+        if not record:
+            return rate, abs(along), None
+        (gu, gv), (p, q) = end[-1].tolist(), tangent[-1].tolist()
+        self.check_point((gu, gv))
+        _, Eg, Fg, Gg, _ = self._forms(gu, gv)
+        speed = math.sqrt(max((p * Eg + q * Fg) * p + (p * Fg + q * Gg) * q,
+                              0.0))
+        eta_speed = math.sqrt(max((a * E + b * F) * a + (a * F + b * G) * b,
+                                  0.0))
+        jac = s_ell * np.array(c[::-1]) - c_ell * np.array(s[::-1])
+        return rate, abs(along), (
+            [gu, gv], [-p / speed, -q / speed], -along, s_ell,
+            simpson(jac, _pole_grid(ell, n_pole)), _has_conjugate(jac),
+            abs(speed - 1.0), eta_speed)
 
     def _geo_rhs(self, x, v):
         # the hottest call: _forms, christoffel_at and gauss_at stay inlined

@@ -13,7 +13,7 @@ cusps (pull <-> push); the ODE itself stays smooth in the tractor
 parameter, so cusps need no restart.
 
 `simulate` runs one RK4 loop over a state that the model chooses (see
-`ManifoldModel.tractrix_stage`).  On surfaces the state is X, which moves
+`SurfaceModel.tractrix_stage`).  On surfaces the state is X, which moves
 by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta,
 with no two-point solve.  On space forms the state is gamma, and each
 stage solves the pole from gamma to eta in one closed form, without
@@ -665,22 +665,23 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     if mode not in ("behind", "ahead"):
         raise ConfigError("mode must be 'behind' or 'ahead'")
     t0 = tractor.t0
-    eta0 = np.asarray(tractor.point(t0), dtype=float)
+    eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
     warm = None
 
     def gap(tau):
-        """(gap(tau), gamma(tau))."""
+        """(gap(tau), gamma(tau)), from one tractor row at tau."""
         nonlocal warm
-        f = np.asarray(tractor.point(tau), dtype=float)
+        pts, vel = tractor.rows(np.array([float(tau)]))
+        f = pts[0]
         if d0 > 0.0:
-            tang = model.unit(f, tractor.velocity(tau))
+            tang = model.unit(f, vel[0])
             normal = model.rotate(f, tang, side * 0.5 * math.pi)
             f = model.exp_point(f, normal, d0)[0]
         warm, L, _ = model.connect(f, eta0, v_guess=warm, L_guess=ell)
         return L - ell, f
 
     ahead = 1.0 if mode == "ahead" else -1.0
-    speed0 = max(model.norm(eta0, tractor.velocity(t0)), 1e-6)
+    speed0 = max(model.norm(eta0, vel0), 1e-6)
     reach = math.sqrt(ell * ell - d0 * d0)
     tau = t0 + ahead * reach / speed0
     value, gamma0 = gap(tau)

@@ -3,9 +3,12 @@
 Every gallery entry whose benchmark input is the bundled scenario runs
 through the CLI, and its outputs are compared against
 bench/reference.json with the benchmark's own reader and tolerances
-(bench/workloads.py, imported and used unchanged).
+(bench/workloads.py, imported and used unchanged). An entry whose span
+the benchmark cuts (SPAN_OVERRIDES) runs at that span instead.
 """
 
+import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -13,6 +16,7 @@ import os
 import pytest
 
 from tractrix import cli
+from tractrix.config import bundled_scenario
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -29,11 +33,7 @@ def _workloads():
 workloads = _workloads()
 with open(os.path.join(BENCH, "reference.json")) as fh:
     REFERENCE = json.load(fh)["operations"]
-# The benchmark cuts the span of ellipsoid_equator (SPAN_OVERRIDES), so
-# its reference does not describe the bundled scenario: skipped.
-NAMES = [pytest.param(name, marks=pytest.mark.skip(
-    reason="the benchmark runs a shorter span than the bundled scenario"))
-    if name in workloads.SPAN_OVERRIDES else name for name in REFERENCE]
+NAMES = [name for name in REFERENCE if name not in workloads.SPAN_OVERRIDES]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -45,3 +45,17 @@ def test_gallery_entry_matches_bench_reference(tmp_path, capsys, name):
     assert capsys.readouterr().out.splitlines() == [f"{name}: ok"]
     got = workloads.read_outputs(str(tmp_path / name))
     assert workloads.mismatches(got, ref, None) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.SPAN_OVERRIDES))
+def test_cut_span_matches_bench_reference(tmp_path, name):
+    # the benchmark's input: the bundled config with t1 = t0 + the span
+    cfg = bundled_scenario(name)
+    data = copy.deepcopy(cfg.data)
+    tractor = data["tractor"]
+    tractor["t1"] = tractor.get("t0", 0.0) + workloads.SPAN_OVERRIDES[name]
+    code, summary = cli.run_scenario(dataclasses.replace(cfg, data=data),
+                                     tmp_path, check=True)
+    assert code == 0, summary
+    got = workloads.read_outputs(str(tmp_path))
+    assert workloads.mismatches(got, REFERENCE[name], None) == []

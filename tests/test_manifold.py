@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tractrix.charts import HillyChart, ParaboloidChart, PseudosphereChart
+from tractrix.charts import (
+    EllipsoidChart,
+    HillyChart,
+    ParaboloidChart,
+    PseudosphereChart,
+)
 from tractrix.errors import (
     ConfigError,
     NoConvergenceError,
@@ -25,6 +30,7 @@ from tractrix.manifold import (
     space_form,
     surface_model,
 )
+from tractrix.quadrature import simpson
 from tractrix.tractrix_sim import _require_pole
 
 SPHERE = space_form(1.0)
@@ -625,3 +631,77 @@ def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
     # atanh with a bare "math domain error"
     with pytest.raises(error):
         model.tractrix_stage(eta, [1.0] * model.dim, gamma, 1.0, 8)
+
+
+# -- the surface tractrix stage ----------------------------------------------
+
+
+def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
+    """The surface stage in NumPy matrices, from `metric_at`,
+    `christoffel_at` and `shoot`: (rate, speed, record)."""
+    eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
+    g = model.metric_at(eta)
+    size = math.sqrt(float(X @ g @ X))
+    unit = X / size
+    gamma, tangent, c_ell, s_ell = model.shoot(eta, unit, ell, n_pole)
+    along = float(eta_prime @ g @ unit)
+    rate = ((c_ell / s_ell) * (along * X - size * eta_prime)
+            - model.christoffel_at(eta) @ X @ eta_prime)
+    # the profile of c and s along the pole, one shot per sample
+    grid = np.linspace(0.0, ell, n_pole + 1)
+    c, s = np.array([model.shoot(eta, unit, u, k)[2:]
+                     for k, u in enumerate(grid)]).T
+    jac = s_ell * c[::-1] - c_ell * s[::-1]
+    speed = model.norm(gamma, tangent)
+    return rate, abs(along), (
+        gamma, -tangent / speed, -along, s_ell, simpson(jac, grid),
+        _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime))
+
+
+SURFACE_STAGE_MODELS = [PARAB, HILLY,
+                        surface_model(EllipsoidChart(1.0, 1.0, 1.2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SURFACE_STAGE_MODELS), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, math.tau), st.floats(0.9, 1.1),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       st.floats(0.1, 0.6), st.integers(8, 16), st.booleans())
+def test_surface_stage_matches_the_matrix_oracle(model, fu, fv, heading,
+                                                 scale, etap, ell, n_pole,
+                                                 record):
+    # the float stage writes out what the oracle takes from 2x2 matrices;
+    # only the rounding of the sums may differ
+    if isinstance(model.chart, EllipsoidChart):
+        eta = [0.9 + (math.pi - 1.8) * fu, 6.0 * fv - 3.0]
+    else:
+        eta = [2.0 * fu - 1.0, 2.0 * fv - 1.0]
+    scale_g = model.norm(eta, etap)
+    assume(scale_g > 1e-3)
+    X = (scale * model.unit(eta, [math.cos(heading), math.sin(heading)])
+         ).tolist()
+    rate, sdot, rec = model.tractrix_stage(eta, etap, X, ell, n_pole,
+                                           record=record)
+    rate_o, sdot_o, rec_o = surface_stage_oracle(model, eta, etap, X, ell,
+                                                 n_pole)
+    assert model.norm(eta, np.subtract(rate, rate_o)) <= 1e-13 * scale_g
+    assert abs(sdot - sdot_o) <= 1e-13 * scale_g
+    if not record:
+        assert rec is None
+        return
+    assert len(rec) == len(rec_o)
+    for got, want in zip(rec, rec_o):
+        if isinstance(want, (bool, np.bool_)):
+            assert got is want or got == want
+        else:
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_surface_stage_refuses_a_pole_past_its_conjugate_point(record):
+    # along the equator of the unit sphere s(ell) = sin(ell) < 0 for
+    # ell = 3.3, past the conjugate point at pi
+    model = surface_model("sphere")
+    with pytest.raises(NoConvergenceError, match="conjugate point"):
+        model.tractrix_stage([math.pi / 2, 0.0], [1.0, 0.0], [0.0, 1.0],
+                             3.3, 40, record=record)

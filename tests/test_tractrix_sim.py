@@ -27,7 +27,9 @@ from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
     _ROW_BLOCK,
     SimParams,
+    _detect_cusps,
     _fermi_shot,
+    _fill_curvature,
     _foot_newton,
     analytic_tractor,
     orthogonal_attachment,
@@ -624,6 +626,51 @@ def test_paraboloid_propagation_rhs_count(monkeypatch):
         calls.append(None), rhs(self, x, v))[1])
     tr = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
     assert (len(tr.t), len(calls)) == (251, 40240)
+
+
+def plane_cusp_run():
+    """(model, trace, params) of the classical tractrix across its cusp,
+    on the plane as an embedded surface: one stall window."""
+    plane = surface_model("plane")
+    line = tractor_from_config(plane, {
+        "kind": "chart_line", "start": [-1.0, 0.0], "direction": [1.0, 0.0],
+        "t1": 2.0})
+    params = SimParams(dt=0.02, pole_step=0.1)
+    gamma0 = classical_tractrix(2.0).gamma(-1.0)
+    return plane, simulate(plane, line, gamma0, 2.0, params), params
+
+
+@pytest.mark.parametrize("case", ["paraboloid_pull", "plane_cusp"])
+def test_surface_post_passes_transport_in_rows(monkeypatch, case):
+    # the cusp and curvature passes transport all their records in row
+    # calls: no scalar christoffel_at, and one two-substep RK4 (8 row
+    # evaluations) per transport call, however many records it carries
+    if case == "plane_cusp":
+        model, tr, params = plane_cusp_run()
+        assert len(tr.stall_windows) == 1
+    else:
+        model, tr, _ = bundled_run(case, span=0.5)
+        params = SimParams(**bundled_scenario(case).sim)
+    calls = {}
+    for name in ("christoffel_at", "christoffel_rows", "parallel_transport"):
+        calls[name] = 0
+        original = getattr(type(model), name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(type(model), name, counted)
+    again = dataclasses.replace(tr, kappa=np.full(len(tr.t), np.nan),
+                                cusps=[], stall_windows=[])
+    _detect_cusps(again, params)
+    _fill_curvature(again, params)
+    assert calls["christoffel_at"] == 0
+    assert calls["parallel_transport"] == 2 + len(tr.stall_windows)
+    assert calls["christoffel_rows"] == 8 * calls["parallel_transport"]
+    assert again.stall_windows == tr.stall_windows
+    np.testing.assert_array_equal(again.kappa, tr.kappa)
+    assert np.count_nonzero(np.isfinite(tr.kappa)) > len(tr.t) // 2
 
 
 @pytest.mark.parametrize("name", ["sphere_pull", "halfk_pull",
