@@ -73,10 +73,8 @@ from .tractrix_sim import (
     SimParams,
     TractorCurve,
     TractrixTrace,
-    analytic_tractor,
     orthogonal_attachment,
     polyline_tractor,
-    reversed_tractor,
     simulate,
     tractor_from_config,
     tractor_from_tractrix,

@@ -102,7 +102,7 @@ def _shorten(cfg):
         return self_repeated(model, np.asarray(spec["P"], dtype=float),
                              np.asarray(spec["Q"], dtype=float),
                              cfg.resolve_polyline(spec["initial"]),
-                             cfg.ell, **kw)
+                             cfg.ell, pole_step=cfg.sim["pole_step"], **kw)
     return loop_repeated(model, cfg.resolve_polyline(spec["loop"]),
                          cfg.ell, **kw)
 

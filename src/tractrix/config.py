@@ -15,6 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .manifold import POLE_STEP
 
 _CHECKS = ("rauch", "toponogov", "le")
 _SIM_KEYS = ("dt", "pole_step", "cusp_speed_eps", "max_records")
@@ -208,12 +209,14 @@ def _normalize(raw, name, base_dir):
     _check_keys(sim, _SIM_KEYS, "sim")
     out["sim"] = {
         "dt": _as_float(sim.get("dt", 0.01), "sim.dt", positive=True),
-        "pole_step": _as_float(sim.get("pole_step", 0.05), "sim.pole_step",
-                               positive=True),
+        "pole_step": _as_float(sim.get("pole_step", POLE_STEP),
+                               "sim.pole_step", positive=True),
     }
     if "cusp_speed_eps" in sim:
-        out["sim"]["cusp_speed_eps"] = _as_float(
-            sim["cusp_speed_eps"], "sim.cusp_speed_eps", positive=True)
+        eps = _as_float(sim["cusp_speed_eps"], "sim.cusp_speed_eps")
+        if not 0.0 < eps < 1.0:
+            _fail("sim.cusp_speed_eps", "must lie in (0, 1)")
+        out["sim"]["cusp_speed_eps"] = eps
     if "max_records" in sim:
         out["sim"]["max_records"] = _as_int(sim["max_records"],
                                             "sim.max_records", minimum=2)

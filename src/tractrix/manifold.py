@@ -1,51 +1,38 @@
 """Manifold models and their geodesy.
 
-Every model answers the same questions, which are all that the
-tractor/tractrix machinery asks of a manifold: metric, Christoffel symbols
-and Gauss curvature at a point; geodesics from a point (`exp_point`, and
-`shoot` with the Jacobi pair of j'' + K j = 0 along it); two-point
-geodesics (`connect`, `distance`); parallel transport along chart
-segments; the distance of points to a geodesic (`distance_to_geodesic`);
-one stage of the tractrix propagation (`tractrix_start`,
-`tractrix_stage`); and the edge length and discrete geodesic acceleration
-of a polyline.
+Every model answers what the tractor/tractrix machinery asks of a
+manifold: metric, Christoffel symbols and Gauss curvature at a point;
+geodesic shots (`exp_point`, and `shoot` with the Jacobi pair of
+j'' + K j = 0 along it); two-point geodesics (`connect`, `distance`);
+parallel transport along chart segments; the distance to a geodesic; one
+tractrix stage (`tractrix_start`, `tractrix_stage`, on Python floats); and
+a polyline's edge length and discrete geodesic acceleration. The `*_rows`
+methods and transport take (n, dim) rows, so a post-pass is one call.
 
-The tractrix stage works on Python floats. `tractrix_stage` takes the
-tractor point eta, its velocity eta' and the propagated state as float
-sequences, and returns the state's rate as a list of floats, the tractrix
-speed |ds/dt| and, for a record, the pole (gamma, the pole direction at
-gamma, the signed speed, the Jacobi field's J(ell) and its integral over
-[0, ell], the conjugate flag, the drift and the tractor speed |eta'|_g).
-Each model family owns its stage: SurfaceModel's is one geodesic shot
-around a single chart jet at eta, the space forms' one closed-form pole.
-Parallel transport, `norm_rows`, `metric_rows`, `christoffel_rows` and
-`shoot_rows` take (n, dim) rows, so a post-pass over all records is one
-call.
+The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
+in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
+by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
+riding along, so a Newton solve gets its Jacobian from the shot it makes:
+`connect` is damped Newton with one shot per iteration, the direction
+column being s(L) times the end tangent turned by +pi/2 (`quarter_turn`).
+Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
+rows in lockstep. A surface's tractrix state is the pole direction at the
+tractor, so a stage is one shot. The space forms, in standard charts
+(colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
+K < 0), override all of this with closed forms: their shot ignores its
+step count, their state is gamma itself, each stage solves the pole in one
+closed form (`_pole`), and transport and the distance to a geodesic are
+one array expression over all rows.
 
-The defaults on ManifoldModel are numerical. Geodesics integrate
-x'' + Gamma(x', x') = 0 with a fixed-step classical Runge-Kutta scheme, and
-the scalar Jacobi equation rides along, which is exact in dimension two.
-One shot (`shoot`) returns the end point, the end tangent and the cosine
-and sine solutions c(L), s(L) of j'' + K j = 0, so a Newton solve gets its
-Jacobian from the shot it makes: two-point geodesics are solved by damped
-Newton with one shot per iteration, the direction column being s(L) times
-the end tangent turned by +pi/2 (`quarter_turn`). Transport integrates
-dw/dt = -Gamma(b - a, w) in two RK4 substeps over all rows in lockstep,
-one `christoffel_rows` call per stage. There is no default distance to a
-geodesic: the foot-point solve for it lives with the tractrix post-passes.
-Embedded parametric surfaces F(u, v) in R^3 (SurfaceModel) use these
-defaults. Their tractrix state is the pole direction at the tractor, so a
-stage is one shot and no two-point solve. The constant-curvature space
-forms, in standard charts (colatitude/longitude for K > 0, Cartesian for
-K = 0, Poincare disk for K < 0), override them with closed forms, the shot
-included (c = cos(sqrt(K) L), cosh(sqrt(-K) L) or 1, with the matching s).
-Their tractrix state is gamma itself, and each stage solves the pole from
-gamma to eta in one closed form (`_pole`): a difference in flat space,
-spherical trigonometry on the sphere, a Moebius map in the disk, with no
-`connect`. Transport is exact along the same chart segment (a rotation of
-the orthonormal frame on the sphere, a rotation and a conformal scaling in
-the disk, the identity in flat space), one array expression over all
-rows, and so is the distance to a geodesic.
+One rule sizes every shot: a shot of length L takes `shot_steps(L,
+pole_step)` = max(8, ceil(L / pole_step)) steps, a row shot as many as its
+longest row, and `connect` as many as its starting length, a count it keeps
+through its Newton solve. The pole shots' O(pole_step^4) error sets the
+error of a run's outputs, so a run's `pole_step` (`SimParams.pole_step`,
+default POLE_STEP) also sizes its foot solve and shortening rounds. The
+shots that build an attached gamma0 and a derived tractor take the fixed
+`tractrix_sim._INPUT_STEP`: these inputs define the problem, so they must
+not change with `pole_step`.
 
 Sign conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 Gauss curvature from the second fundamental form for embedded charts.
@@ -81,6 +68,8 @@ __all__ = [
     "model_from_config",
     "jacobi_reference",
     "jacobi_reference_integral",
+    "shot_steps",
+    "POLE_STEP",
 ]
 
 _DET_EPS = 1e-12
@@ -89,6 +78,8 @@ _DRIFT_TOL = 1e-6
 # positive threshold rather than an exact sign change.
 _CONJ_TOL = 1e-12
 _SHOOT_MAX_ITER = 50
+# the default step length of a shot, and of a run's pole shots
+POLE_STEP = 0.05
 # E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -127,6 +118,12 @@ def _jacobi_pair(K, length):
         k = math.sqrt(-K)
         return math.cosh(k * length), math.sinh(k * length) / k
     return 1.0, float(length)
+
+
+def shot_steps(length, pole_step):
+    """RK4 steps of a geodesic shot of `length`: ceil(length / pole_step),
+    and never fewer than 8. The one place that sizes a shot."""
+    return max(8, math.ceil(length / pole_step))
 
 
 def _has_conjugate(jacobi):
@@ -257,7 +254,7 @@ class ManifoldModel:
 
     # -- geodesy -----------------------------------------------------------
 
-    def exp_point(self, p, v, length, steps=200):
+    def exp_point(self, p, v, length, pole_step=POLE_STEP):
         """Endpoint and end tangent of the unit-speed geodesic p, v, length:
         the first two entries of `shoot`, after checking p, the unit
         tangent and the length."""
@@ -269,47 +266,56 @@ class ManifoldModel:
                 "normalize first")
         if length < 0:
             raise ValueError("pole length must be nonnegative")
-        return self.shoot(p, v, length, steps)[:2]
+        return self.shoot(p, v, length, pole_step)[:2]
 
-    def shoot(self, p, v, length, steps=48):
-        """One shot: (end point, end tangent, c(length), s(length)).
+    def shoot(self, p, v, length, pole_step=POLE_STEP):
+        """One shot: (end point, end tangent, c(length), s(length)), in
+        `shot_steps(length, pole_step)` RK4 steps (`_shot`)."""
+        return self._shot(p, v, length, shot_steps(length, pole_step))
 
-        The unit-speed geodesic from p along the unit v is integrated in
-        `steps` RK4 steps, with the cosine and sine solutions of
-        j'' + K j = 0 along it (c(0) = 1, c'(0) = 0; s(0) = 0, s'(0) = 1).
-        In two dimensions they give every Jacobi field along the shot: the
-        one with J(0) = a N(0) and J'(0) = b N(0), N the parallel unit
-        normal, ends at (a c + b s) N. A unit-speed drift above _DRIFT_TOL
-        at evenly spaced samples of the shot, its end point included,
-        raises StepTooLargeError.
-        Length 0 returns (p, v, 1, 0).
+    def _shot(self, p, v, length, n_steps):
+        """`shoot` of the unit-speed geodesic from p along the unit v in
+        n_steps RK4 steps.
+
+        The cosine and sine solutions of j'' + K j = 0 ride along (c(0) = 1,
+        c'(0) = 0; s(0) = 0, s'(0) = 1). In two dimensions they give every
+        Jacobi field along the shot: the one with J(0) = a N(0) and
+        J'(0) = b N(0), N the parallel unit normal, ends at (a c + b s) N.
+        A unit-speed drift above _DRIFT_TOL at evenly spaced samples of the
+        shot, its end point included, raises StepTooLargeError. Length 0
+        returns (p, v, 1, 0).
         """
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
         pts, tans, cs, ss = _rk4_geodesic(
             self._geo_rhs, (float(p[0]), float(p[1])),
-            (float(v[0]), float(v[1])), length, steps, collect=True)
+            (float(v[0]), float(v[1])), length, n_steps, collect=True)
         self._check_drift(pts[..., None], tans[..., None])
         return pts[-1], tans[-1], cs[-1], ss[-1]
 
-    def shoot_rows(self, p, v, length, steps=48):
-        """`shoot` for (n, dim) rows p, v and n lengths, as rows."""
-        end, tangent, c, s = zip(*(self.shoot(a, b, L, steps)
-                                   for a, b, L in zip(p, v, length)))
+    def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
+        """`shoot` for (n, dim) rows p, v and n lengths, as rows, every row
+        sized by the longest."""
+        n_steps = shot_steps(np.max(length, initial=0.0), pole_step)
+        shots = [self._shot(a, b, L, n_steps)
+                 for a, b, L in zip(p, v, length)]
+        end, tangent, c, s = zip(*shots) if shots else (
+            (np.empty((0, self.dim)),) * 2 + ((), ()))
         return np.array(end), np.array(tangent), np.array(c), np.array(s)
 
-    def connect(self, p, q, v_guess=None, L_guess=None, steps=48,
+    def connect(self, p, q, v_guess=None, L_guess=None, pole_step=POLE_STEP,
                 tol=1e-11, max_iter=_SHOOT_MAX_ITER):
         """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
 
         Solves for (direction angle, length) jointly by damped Newton on the
-        fixed-step endpoint map, one shot (`shoot`) per iteration. The
+        fixed-step endpoint map, one shot (`_shot`) per iteration, each of
+        the steps that the starting length takes at `pole_step`. The
         Jacobian comes with the shot: the length column is the end tangent
         T(L), and the angle column is the Jacobi field with J(0) = 0 and
         J'(0) the start direction turned by +pi/2, which ends at s(L) times
         T(L) turned by +pi/2 (`quarter_turn`). The start is v_guess, else
-        the chart chord.
+        the chart chord, and L_guess, else the chord's length.
         """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
@@ -322,10 +328,11 @@ class ManifoldModel:
         else:
             alpha = self.angle_of(p, d / chord, frame)
         L = float(L_guess) if L_guess else chord
+        n_steps = shot_steps(L, pole_step)
 
         def endpoint(a, ell):
             v = self.tangent_from_angle(p, a, frame)
-            end, t_end, _, s = self.shoot(p, v, ell, steps)
+            end, t_end, _, s = self._shot(p, v, ell, n_steps)
             return end, t_end, s
 
         end, t_end, s = endpoint(alpha, L)
@@ -359,9 +366,10 @@ class ManifoldModel:
         t_end = t_end / max(self.norm(q, t_end), 1e-300)
         return v, L, t_end
 
-    def distance(self, p, q, v_guess=None, L_guess=None):
-        """Geodesic distance; the guesses warm-start the Newton solve."""
-        return self.connect(p, q, v_guess=v_guess, L_guess=L_guess)[1]
+    def distance(self, p, q, **kw):
+        """Geodesic distance; `connect`'s guesses warm-start the Newton
+        solve and its pole_step sizes it."""
+        return self.connect(p, q, **kw)[1]
 
     def distance_to_geodesic(self, a, v, points):
         """Distance from each of `points` to the geodesic through a along v,
@@ -427,9 +435,9 @@ class SpaceFormModel(ManifoldModel):
         """(unit v at p, length) of the minimizing geodesic from p to q."""
         raise NotImplementedError
 
-    def shoot(self, p, v, length, steps=None):
+    def _shot(self, p, v, length, n_steps):
         """The shot in closed form: exp_point and the constant-K Jacobi
-        pair."""
+        pair, whatever the step count."""
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
@@ -440,7 +448,7 @@ class SpaceFormModel(ManifoldModel):
         v, L = self.log_map(p, q)
         return v, L, self.exp_point(p, v, L)[1]
 
-    def tractrix_start(self, eta, gamma, ell, n_pole):
+    def tractrix_start(self, eta, gamma, ell, pole_step):
         # the closed-form pole solve is exact, so the state is gamma itself
         return (np.asarray(gamma, dtype=float).tolist(),
                 self.distance(gamma, eta, L_guess=ell))
@@ -515,7 +523,7 @@ class FlatModel(SpaceFormModel):
         # identical to a @ I @ b, without building I
         return float(np.dot(a, b))
 
-    def exp_point(self, p, v, length, steps=None):
+    def exp_point(self, p, v, length, pole_step=None):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         q = p + length * v
@@ -529,10 +537,6 @@ class FlatModel(SpaceFormModel):
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         return d / L, L
-
-    def connect(self, p, q, **_):
-        v, L = self.log_map(p, q)
-        return v, L, v
 
     def distance(self, p, q, **_):
         return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
@@ -643,7 +647,7 @@ class SphereModel(SpaceFormModel):
         b = float(t3 @ e_ph) / (s * self.radius)
         return p, np.array([a, b])
 
-    def exp_point(self, p, v, length, steps=None):
+    def exp_point(self, p, v, length, pole_step=None):
         X = self._embed(p)
         W = self._tangent3(p, np.asarray(v, dtype=float))
         psi = self.k * length
@@ -792,7 +796,7 @@ class HyperbolicModel(SpaceFormModel):
         a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
         return a1, a2, self.K
 
-    def exp_point(self, p, v, length, steps=None):
+    def exp_point(self, p, v, length, pole_step=None):
         z = complex(p[0], p[1])
         vc = complex(v[0], v[1])
         r2 = 1.0 - abs(z) ** 2
@@ -1052,11 +1056,11 @@ class SurfaceModel(ManifoldModel):
             K = _gauss(jet, det, np.sqrt)
         return np.where(outside | (det < _DET_EPS), np.nan, K)
 
-    def shoot_rows(self, p, v, length, steps=48):
+    def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         # one RK4 integration on arrays, every row in lockstep
-        pts, tans, cs, ss = _rk4_geodesic(self._geo_rows, np.transpose(p),
-                                          np.transpose(v), length, steps,
-                                          collect=True)
+        pts, tans, cs, ss = _rk4_geodesic(
+            self._geo_rows, np.transpose(p), np.transpose(v), length,
+            shot_steps(np.max(length, initial=0.0), pole_step), collect=True)
         self._check_drift(pts, tans)
         return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
 
@@ -1072,14 +1076,14 @@ class SurfaceModel(ManifoldModel):
 
     # -- tractrix propagation ---------------------------------------------
 
-    def tractrix_start(self, eta, gamma, ell, n_pole):
+    def tractrix_start(self, eta, gamma, ell, pole_step):
         """(state, L): the propagated state of a tractrix at gamma, and L,
         the distance from eta to gamma that it was solved at.
 
         The state is the unit pole direction X at the tractor point eta,
-        as a list of floats, from one n_pole-step `connect`.
+        as a list of floats, from one `connect` started at length ell.
         """
-        X, L, _ = self.connect(eta, gamma, L_guess=ell, steps=n_pole)
+        X, L, _ = self.connect(eta, gamma, L_guess=ell, pole_step=pole_step)
         return X.tolist(), L
 
     def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):

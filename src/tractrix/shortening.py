@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NotClosedError, PoleTooLongError
 from .functionals import polyline_length
-from .manifold import FlatModel, space_form
+from .manifold import POLE_STEP, FlatModel, space_form
 from .tractrix_sim import SimParams, polyline_tractor, simulate
 
 _TARGET_KNOTS = 200
@@ -113,12 +113,10 @@ def _downsample(pts, target=_TARGET_KNOTS):
     return out
 
 
-def _geodesic_points(model, a, b, samples=_POLE_SAMPLES):
-    # the k-th of the samples + 1 points is a k-step shot, so every step
-    # has the length of one step of a single samples-step shot
-    v, L, _ = model.connect(a, b)
-    return np.array([model.exp_point(a, v, u, steps=max(k, 1))[0]
-                     for k, u in enumerate(np.linspace(0.0, L, samples + 1))])
+def _geodesic_points(model, a, b, pole_step, samples=_POLE_SAMPLES):
+    v, L, _ = model.connect(a, b, pole_step=pole_step)
+    return np.array([model.exp_point(a, v, u, pole_step)[0]
+                     for u in np.linspace(0.0, L, samples + 1)])
 
 
 def _arclength_point(model, pts, target):
@@ -133,7 +131,7 @@ def _arclength_point(model, pts, target):
     return pts[-1].copy(), len(pts) - 2
 
 
-def _splice_head(model, wagon, pts, ell, reach=None):
+def _splice_head(model, wagon, pts, ell, pole_step, reach=None):
     """Replace the head arc of `pts` by a pole-aligned endpoint.
 
     The pole is shot from the wagon toward the curve point x at arclength
@@ -145,8 +143,8 @@ def _splice_head(model, wagon, pts, ell, reach=None):
     iterate lengths stay monotone for any reach.
     """
     x, cut = _arclength_point(model, pts, ell if reach is None else reach)
-    v, _, _ = model.connect(wagon, x)
-    p1 = model.exp_point(wagon, v, ell, steps=24)[0]
+    v, _, _ = model.connect(wagon, x, pole_step=pole_step)
+    p1 = model.exp_point(wagon, v, ell, pole_step)[0]
     eta = _downsample(np.vstack([p1[None, :], x[None, :], pts[cut + 1:]]))
     if len(eta) < 2:
         raise PoleTooLongError(
@@ -154,21 +152,22 @@ def _splice_head(model, wagon, pts, ell, reach=None):
     return eta
 
 
-def _run_round(model, eta_pts, wagon, ell, steps):
+def _run_round(model, eta_pts, wagon, ell, steps, pole_step):
     tractor = polyline_tractor(eta_pts)
-    params = SimParams(dt=tractor.span / steps)
+    params = SimParams(dt=tractor.span / steps, pole_step=pole_step)
     return simulate(model, tractor, wagon, ell, params)
 
 
-def _record(model, wagon, eta_pts, ell, closed):
-    pole = _geodesic_points(model, wagon, eta_pts[0])
+def _record(model, wagon, eta_pts, ell, pole_step, closed):
+    pole = _geodesic_points(model, wagon, eta_pts[0], pole_step)
     curve = np.vstack([pole[:-1], eta_pts])
     length = ell + polyline_length(model, eta_pts)
     return Iterate(points=curve, length=float(length),
                    residual=geodesic_residual(model, curve, closed=closed))
 
 
-def _shorten(model, pts, wagon, ell, tol, max_iter, steps, closed, advance):
+def _shorten(model, pts, wagon, ell, tol, max_iter, steps, pole_step, closed,
+             advance):
     """(iterates, stop reason) of the rounds that shorten the curve pts.
 
     A curve whose residual is already below tol is its own single iterate.
@@ -189,17 +188,18 @@ def _shorten(model, pts, wagon, ell, tol, max_iter, steps, closed, advance):
     prev_len = math.inf
     for _ in range(max_iter):
         try:
-            eta_pts = _splice_head(model, wagon, drag, ell, reach=reach)
+            eta_pts = _splice_head(model, wagon, drag, ell, pole_step,
+                                   reach=reach)
         except PoleTooLongError:
             return tuple(iterates), "pole_exhausted"
-        it = _record(model, wagon, eta_pts, ell, closed=closed)
+        it = _record(model, wagon, eta_pts, ell, pole_step, closed=closed)
         iterates.append(it)
         if it.residual < tol:
             return tuple(iterates), "residual"
         if prev_len - it.length < tol:
             return tuple(iterates), "length_plateau"
         prev_len = it.length
-        trace = _run_round(model, eta_pts, wagon, ell, steps)
+        trace = _run_round(model, eta_pts, wagon, ell, steps, pole_step)
         drag, wagon = advance(trace.gamma, eta_pts)
         reach = 2.0 * ell
     return tuple(iterates), "max_iterations"
@@ -210,13 +210,14 @@ def _shorten(model, pts, wagon, ell, tol, max_iter, steps, closed, advance):
 
 
 def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
-                  steps_per_round=_STEPS_PER_ROUND):
+                  steps_per_round=_STEPS_PER_ROUND, pole_step=POLE_STEP):
     """Shorten a curve between fixed P and Q toward a geodesic.
 
     Each round pulls the wagon from one endpoint while the current curve,
     reversed, acts as tractor; the produced tractrix (reversed again)
     becomes the next tractor and the pulled end alternates. Stops when the
-    residual or the per-round length decrease falls below tol.
+    residual or the per-round length decrease falls below tol. pole_step
+    sizes every geodesic shot, as `SimParams.pole_step` does in a run.
     """
     if isinstance(model, FlatModel) and model.periods is not None:
         raise ConfigError(
@@ -243,7 +244,7 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
     # the tractrix, reversed, is the next drag curve, and the far end of
     # the tractor the next wagon: the pulled end alternates
     iterates, stop = _shorten(
-        model, pts, P, ell, tol, max_iter, steps_per_round, False,
+        model, pts, P, ell, tol, max_iter, steps_per_round, pole_step, False,
         lambda gamma, eta_pts: (_downsample(gamma)[::-1], eta_pts[-1]))
     return ShorteningRun(mode="self_repeated", ell=float(ell),
                          initial_curve=pts, iterates=iterates,
@@ -303,8 +304,8 @@ def loop_repeated(model, loop, ell, tol=1e-6, max_iter=500,
         return drag, drag[-1] - W
 
     iterates, stop = _shorten(space_form(0.0, dim=2), pts, pts[0].copy(),
-                              ell, tol, max_iter, steps_per_round, True,
-                              advance)
+                              ell, tol, max_iter, steps_per_round, POLE_STEP,
+                              True, advance)
     return ShorteningRun(mode="loop_repeated", ell=float(ell),
                          initial_curve=pts, iterates=iterates,
                          stop_reason=stop, winding=W)

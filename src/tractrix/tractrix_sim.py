@@ -14,17 +14,13 @@ parameter, so cusps need no restart.
 
 `simulate` runs one RK4 loop over a state that the model chooses (see
 `SurfaceModel.tractrix_stage`).  On surfaces the state is X, which moves
-by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta,
-with no two-point solve.  On space forms the state is gamma, and each
-stage solves the pole from gamma to eta in one closed form, without
-`connect`.  The loop and the stages work on lists of Python floats: the
-tractor point and velocity enter a stage as lists, the state is a list,
-and the rate comes back as one, so a space-form stage costs a handful of
-float operations and no array allocation.  The tractor is one row
-evaluator, `rows`, which samples every distinct stage time in blocks of
-NumPy rows.  The record's stage also returns the tractor speed |eta'|_g.
-The post-passes (cusps, foot distance, curvature) work on the record
-arrays, with one parallel transport call per side over all records.
+by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta.
+On space forms the state is gamma, and each stage solves the pole from
+gamma to eta in one closed form.  The loop and the stages work on lists of
+Python floats; the tractor's row evaluator, `rows`, samples the stage
+times in blocks of NumPy rows.  The post-passes (cusps, foot distance,
+curvature) work on the record arrays, with one parallel transport call
+per side over all records.
 """
 
 from __future__ import annotations
@@ -32,8 +28,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,9 +43,11 @@ from .errors import (
 )
 from .manifold import (
     _SHOOT_MAX_ITER,
+    POLE_STEP,
     FlatModel,
     HyperbolicModel,
     SphereModel,
+    shot_steps,
 )
 
 _POLE_DRIFT_LIMIT = 1e-6
@@ -58,6 +57,10 @@ _CUSP_DIST_BAND = 1e-4
 # stage times per tractor `rows` call; `simulate` plans and samples only
 # this far ahead of its loop, not the whole run at once
 _ROW_BLOCK = 256
+# the step length of the shots that build a scenario's inputs (an attached
+# gamma0, a derived tractor): they define the problem, so their accuracy
+# does not depend on a run's pole_step
+_INPUT_STEP = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +105,6 @@ class TractorCurve:
                     f"closed tractor has endpoint gap {gap:.3e}")
 
 
-def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
-                     closed=False):
-    """Tractor from scalar point and velocity callables, called per row."""
-
-    def rows(ts):
-        ts = ts.tolist()
-        return (np.array([point(t) for t in ts], dtype=float),
-                np.array([velocity(t) for t in ts], dtype=float))
-
-    return TractorCurve(rows=rows, t0=float(t0), t1=float(t1), closed=closed,
-                        is_geodesic=is_geodesic)
-
-
 def polyline_tractor(points, closed=False, *, is_geodesic=False):
     """Piecewise-linear tractor over the cumulative chart-chord parameter."""
     pts = np.asarray(points, dtype=float)
@@ -146,25 +136,13 @@ def polyline_tractor(points, closed=False, *, is_geodesic=False):
                         is_geodesic=is_geodesic, breaks=tuple(knots[1:-1]))
 
 
-def reversed_tractor(curve):
-    """Same path traversed the other way (push <-> pull)."""
-    t0, t1 = curve.t0, curve.t1
-
-    def rows(ts):
-        pts, vel = curve.rows(t0 + t1 - ts)
-        return pts, -vel
-
-    return TractorCurve(rows=rows, t0=t0, t1=t1,
-                        closed=curve.closed, is_geodesic=curve.is_geodesic,
-                        breaks=tuple(sorted(t0 + t1 - b for b in curve.breaks)))
-
-
 def tractor_from_tractrix(model, gamma, ell, sign=1):
     """Endpoint curve of the poles issuing tangentially from gamma.
 
     eta(t) = exp(gamma(t), sign * unit gamma'(t), ell); by construction
     (eta, gamma) then satisfies the tractor/tractrix conditions with the
-    projected speed identically +1 when gamma is unit-speed.
+    projected speed identically +1 when gamma is unit-speed. The poles
+    take _INPUT_STEP, not a run's pole_step.
     """
     if sign not in (1, -1):
         raise ConfigError("sign must be +1 or -1")
@@ -173,7 +151,8 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
     def rows(ts):
         n = len(ts)
         pts, vel = gamma.rows(np.concatenate([ts, ts + h, ts - h]))
-        ends = np.array([model.exp_point(p, sign * model.unit(p, v), ell)[0]
+        ends = np.array([model.exp_point(p, sign * model.unit(p, v), ell,
+                                         _INPUT_STEP)[0]
                          for p, v in zip(pts, vel)])
         return ends[:n], (ends[n:2 * n] - ends[2 * n:]) / (2.0 * h)
 
@@ -190,8 +169,16 @@ def tractor_from_tractrix(model, gamma, ell, sign=1):
 
 @dataclass(frozen=True)
 class SimParams:
+    """Settings of one run: dt, the step of the tractor parameter;
+    pole_step, the step length of every geodesic shot of the run (a shot
+    of length L takes `shot_steps(L, pole_step)` RK4 steps; the pole shots'
+    O(pole_step^4) error sets the outputs' error, and the foot solve and
+    the shortening rounds shoot alike, while the inputs' shots take
+    _INPUT_STEP); cusp_speed_eps, the speed below which a record stalls;
+    max_records, an integer cap or inf."""
+
     dt: float = 0.01
-    pole_step: float = 0.05
+    pole_step: float = POLE_STEP
     cusp_speed_eps: float = 0.05
     max_records: int = 200_000
 
@@ -203,8 +190,11 @@ class SimParams:
                                   f"number, got {value!r}")
         if not 0 < self.cusp_speed_eps < 1:
             raise ConfigError("cusp_speed_eps must lie in (0, 1)")
-        if not self.max_records >= 2:
-            raise ConfigError("max_records must be at least 2")
+        cap = self.max_records
+        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral)
+                                         or cap == math.inf) or cap < 2:
+            raise ConfigError(f"max_records must be an integer of at least "
+                              f"2, or inf, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -330,10 +320,10 @@ def simulate(model, tractor, gamma0, ell, params=None):
         raise RecordOverflowError(
             f"{n_steps + 1} records exceed max_records {params.max_records}")
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
-    n_pole = max(8, int(math.ceil(ell / params.pole_step)))
+    n_pole = shot_steps(ell, params.pole_step)
 
     eta0 = tractor.point(tractor.t0)
-    state, L0 = model.tractrix_start(eta0, gamma0, ell, n_pole)
+    state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
@@ -394,7 +384,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
 
     _detect_cusps(trace, params)
     if tractor.is_geodesic:
-        _fill_orthogonal_distance(trace)
+        _fill_orthogonal_distance(trace, params)
     _fill_curvature(trace, params)
     return trace
 
@@ -538,17 +528,18 @@ def _fill_curvature(trace, params):
     trace.kappa[i] = model.norm_rows(gamma[i], dv)
 
 
-def _fill_orthogonal_distance(trace):
+def _fill_orthogonal_distance(trace, params):
     """Distance d from gamma to its projection foot on a geodesic tractor.
 
     Space forms measure it in closed form for all records at once, as the
     distance to the geodesic through eta(t0) along eta'(t0)
     (`distance_to_geodesic`); `simulate` has checked that the tractor
-    stays on that geodesic.  Surfaces solve for the foot (`_foot_newton`).
+    stays on that geodesic.  Surfaces solve for the foot (`_foot_newton`)
+    with shots at the run's pole_step.
     """
     pts, vel = trace.tractor.rows(np.array([trace.tractor.t0]))
     d = trace.model.distance_to_geodesic(pts[0], vel[0], trace.gamma)
-    trace.d[:] = _foot_newton(trace) if d is None else d
+    trace.d[:] = _foot_newton(trace, params.pole_step) if d is None else d
 
 
 def _turn(model, points, w):
@@ -560,9 +551,9 @@ def _turn(model, points, w):
             / np.sqrt(E * G - F * F)[:, None])
 
 
-def _fermi_shot(model, tractor, tau, d):
+def _fermi_shot(model, tractor, tau, d, pole_step):
     """F(tau, d) = exp_{eta(tau)}(d N(tau)) and its two Jacobian columns,
-    for arrays tau and d, in one row shot (`shoot_rows`).
+    for arrays tau and d, in one row shot (`shoot_rows`) at pole_step.
 
     N is the unit normal to eta'(tau), eta' turned by +pi/2. The d column
     is the end tangent of the shot. On a geodesic tractor N is parallel,
@@ -575,13 +566,14 @@ def _fermi_shot(model, tractor, tau, d):
     speed, normal = _turn(model, foot, vel)
     sign = np.where(d < 0.0, -1.0, 1.0)
     end, tangent, c, _ = model.shoot_rows(
-        foot, (sign / speed)[:, None] * normal, np.abs(d))
+        foot, (sign / speed)[:, None] * normal, np.abs(d), pole_step)
     d_col = sign[:, None] * tangent
     return end, (-speed * c)[:, None] * _turn(model, end, d_col)[1], d_col
 
 
-def _foot_newton(trace):
-    """Foot distances |d| of every record on a 2-D model, by Newton.
+def _foot_newton(trace, pole_step):
+    """Foot distances |d| of every record on a 2-D model, by Newton, with
+    shots at pole_step.
 
     (tau, d) are the Fermi coordinates of gamma relative to the tractor
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
@@ -604,7 +596,7 @@ def _foot_newton(trace):
         np.stack([vel, normal], axis=2) / speed[:, None, None],
         (gamma - trace.eta)[:, :, None])[:, :, 0].T
     tau, d = trace.t + along / speed, across
-    end, tau_col, d_col = _fermi_shot(model, tractor, tau, d)
+    end, tau_col, d_col = _fermi_shot(model, tractor, tau, d, pole_step)
     rn = np.linalg.norm(end - gamma, axis=1)
     for _ in range(_SHOOT_MAX_ITER):
         live = np.flatnonzero(~(rn < tol))
@@ -626,7 +618,7 @@ def _foot_newton(trace):
             tau[rows] = base[0][todo] + damp[todo] * step[todo, 0]
             d[rows] = base[1][todo] + damp[todo] * step[todo, 1]
             end[rows], tau_col[rows], d_col[rows] = _fermi_shot(
-                model, tractor, tau[rows], d[rows])
+                model, tractor, tau[rows], d[rows], pole_step)
             rn[rows] = np.linalg.norm(end[rows] - gamma[rows], axis=1)
             todo = todo[~((rn[rows] <= base[2][todo]) | (damp[todo] < 1e-6))]
             damp[todo] *= 0.5
@@ -657,7 +649,7 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     the previous call's direction with the length guess ell.  A step that
     leaves the side of t0 that `mode` selects is replaced by the midpoint
     between the last iterate and t0.  The iteration stops when a step is
-    below 1e-13.
+    below 1e-13.  Every shot takes _INPUT_STEP, not a run's pole_step.
     """
     _require_pole(model, ell)
     if not 0.0 <= d0 < ell:
@@ -676,8 +668,9 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
         if d0 > 0.0:
             tang = model.unit(f, vel[0])
             normal = model.rotate(f, tang, side * 0.5 * math.pi)
-            f = model.exp_point(f, normal, d0)[0]
-        warm, L, _ = model.connect(f, eta0, v_guess=warm, L_guess=ell)
+            f = model.exp_point(f, normal, d0, _INPUT_STEP)[0]
+        warm, L, _ = model.connect(f, eta0, v_guess=warm, L_guess=ell,
+                                   pole_step=_INPUT_STEP)
         return L - ell, f
 
     ahead = 1.0 if mode == "ahead" else -1.0

@@ -7,8 +7,10 @@ from tractrix.config import (
     bundled_dir,
     bundled_names,
     bundled_scenario,
+    load_scenario,
     scenario_from_dict,
 )
+from tractrix.errors import ConfigError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -96,3 +98,18 @@ def test_bundled_scenarios_round_trip(name):
     cfg = bundled_scenario(name)
     assert cfg.base_dir == bundled_dir()
     assert_round_trip(cfg)
+
+
+@pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1])
+def test_cusp_speed_eps_outside_the_unit_interval_names_file_and_field(
+        tmp_path, eps):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({
+        "model": {"kind": "spaceform", "K": 0.0},
+        "tractor": {"kind": "line", "start": [0.0, 0.0],
+                    "direction": [1.0, 0.0]},
+        "gamma0": [0.0, 1.0], "ell": 1.0, "sim": {"cusp_speed_eps": eps}}))
+    with pytest.raises(ConfigError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == (f"{path}: sim.cusp_speed_eps: must lie in "
+                               f"(0, 1)")

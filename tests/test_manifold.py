@@ -27,6 +27,7 @@ from tractrix.manifold import (
     _rk4_geodesic,
     jacobi_reference,
     jacobi_reference_integral,
+    shot_steps,
     space_form,
     surface_model,
 )
@@ -201,8 +202,8 @@ def test_exp_map_unit_speed_drift():
 def test_exp_map_self_convergence_on_paraboloid():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    coarse, _ = PARAB.exp_point(p, v, 2.0, steps=200)
-    fine, _ = PARAB.exp_point(p, v, 2.0, steps=2000)
+    coarse, _ = PARAB.exp_point(p, v, 2.0, pole_step=0.01)  # 200 steps
+    fine, _ = PARAB.exp_point(p, v, 2.0, pole_step=0.001)  # 2000 steps
     assert np.linalg.norm(coarse - fine) < 1e-7
 
 
@@ -250,7 +251,7 @@ def test_jacobi_scalar_constant_negative_surface():
     # pseudosphere has K = -1: numeric j(1) must match sinh(1)
     p = np.array([1.2, 0.0])
     v = PSEUDO.unit(p, [0.0, 1.0])
-    assert PSEUDO.shoot(p, v, 1.0, steps=200)[3] == pytest.approx(
+    assert PSEUDO.shoot(p, v, 1.0, pole_step=0.005)[3] == pytest.approx(
         math.sinh(1.0), abs=1e-8)
     j = _rk4_geodesic(PSEUDO._geo_rhs, p, v, 1.0, 200, collect=True)[3]
     assert not _has_conjugate(np.array(j))
@@ -295,9 +296,11 @@ def test_shoot_roundtrip_random(model):
         ang = rng.uniform(0, math.tau)
         v = model.tangent_from_angle(p, ang)
         ell = rng.uniform(0.2, 0.9)
-        end, _ = model.exp_point(p, v, ell, steps=steps)
+        # about `steps` steps, the same count for both: the shot's length
+        # is connect's length guess
+        end, _ = model.exp_point(p, v, ell, pole_step=ell / steps)
         v_rec, L, _ = model.connect(p, end, v_guess=v, L_guess=ell,
-                                    steps=steps)
+                                    pole_step=ell / steps)
         assert np.linalg.norm(v_rec - v) < 1e-6
         assert L == pytest.approx(ell, abs=1e-9)
 
@@ -315,12 +318,15 @@ def test_connect_matches_closed_forms():
 def test_connect_on_surface_roundtrip():
     p = np.array([0.3, -0.1])
     q = np.array([0.9, 0.4])
-    v, L, t_end = PARAB.connect(p, q, steps=64)
-    end, _ = PARAB.exp_point(p, v, L, steps=64)
+    # 64 steps both ways: a solve keeps the count of its starting length,
+    # here the guess 1.19, near the distance
+    step = 1.19 / 64
+    v, L, t_end = PARAB.connect(p, q, L_guess=1.19, pole_step=step)
+    end, _ = PARAB.exp_point(p, v, L, pole_step=step)
     assert np.allclose(end, q, atol=1e-8)
     assert abs(PARAB.norm(q, t_end) - 1.0) < 1e-9
     # symmetry of the induced distance
-    _, L_back, _ = PARAB.connect(q, p, steps=64)
+    _, L_back, _ = PARAB.connect(q, p, L_guess=1.19, pole_step=step)
     assert L_back == pytest.approx(L, abs=1e-9)
 
 
@@ -364,7 +370,7 @@ def test_closed_form_shot_matches_the_integrated_one():
         v = SPHERE.tangent_from_angle(p, rng.uniform(0.0, math.tau))
         L = rng.uniform(0.05, 0.9)
         for a, b in zip(SPHERE.shoot(p, v, L),
-                        SPHERE_CHART.shoot(p, v, L, steps=200)):
+                        SPHERE_CHART.shoot(p, v, L, pole_step=L / 200)):
             assert np.max(np.abs(np.subtract(a, b))) < 1e-9
     v = np.array([0.6, 0.8])
     assert FLAT2.shoot([0.0, 0.0], v, 1.5)[2:] == (1.0, 1.5)
@@ -380,10 +386,11 @@ def test_closed_form_shot_matches_the_integrated_one():
 
 
 def test_shot_gates_unit_speed_drift():
-    # two steps over a long arc of the hills drift far from unit speed
+    # the floor of 8 steps over a long arc of the hills drifts from unit
+    # speed
     p = np.array([0.1, 0.2])
     with pytest.raises(StepTooLargeError):
-        HILLY.shoot(p, HILLY.unit(p, [1.0, 0.3]), 2.5, steps=2)
+        HILLY.shoot(p, HILLY.unit(p, [1.0, 0.3]), 2.5, pole_step=2.5)
 
 
 def test_drift_check_reads_the_end_point():
@@ -413,11 +420,29 @@ def test_row_shot_matches_one_shot_per_row(model):
     v = np.array([model.unit(a, [math.cos(t), math.sin(t)])
                   for a, t in zip(p, rng.uniform(0.0, math.tau, 6))])
     L = np.append(rng.uniform(0.05, 0.6, 5), 0.0)
-    rows = model.shoot_rows(p, v, L)
-    one = [np.array(x) for x in zip(*(model.shoot(a, b, n, 48)
+    # about 48 steps over the longest row, whose count every row takes
+    step = np.max(L) / 48
+    rows = model.shoot_rows(p, v, L, step)
+    steps = shot_steps(np.max(L), step)
+    one = [np.array(x) for x in zip(*(model._shot(a, b, n, steps)
                                       for a, b, n in zip(p, v, L)))]
     for a, b in zip(rows, one):
         assert np.allclose(a, b, rtol=1e-13, atol=1e-14)
+
+
+def test_shot_steps_rule():
+    assert shot_steps(0.5, 0.05) == 10
+    assert shot_steps(0.51, 0.05) == 11
+    assert shot_steps(0.1, 0.05) == shot_steps(0.0, 0.05) == 8
+
+
+@pytest.mark.parametrize("model", [PARAB, SPHERE, FLAT3],
+                         ids=lambda m: type(getattr(m, "chart", m)).__name__)
+def test_row_shot_of_no_rows(model):
+    empty = np.empty((0, model.dim))
+    end, tangent, c, s = model.shoot_rows(empty, empty, np.empty(0))
+    assert end.shape == tangent.shape == empty.shape
+    assert c.shape == s.shape == (0,)
 
 
 def test_distance_helpers():
@@ -638,18 +663,19 @@ def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
 
 def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
     """The surface stage in NumPy matrices, from `metric_at`,
-    `christoffel_at` and `shoot`: (rate, speed, record)."""
+    `christoffel_at` and shots of given step counts (`_shot`): (rate,
+    speed, record)."""
     eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
     g = model.metric_at(eta)
     size = math.sqrt(float(X @ g @ X))
     unit = X / size
-    gamma, tangent, c_ell, s_ell = model.shoot(eta, unit, ell, n_pole)
+    gamma, tangent, c_ell, s_ell = model._shot(eta, unit, ell, n_pole)
     along = float(eta_prime @ g @ unit)
     rate = ((c_ell / s_ell) * (along * X - size * eta_prime)
             - model.christoffel_at(eta) @ X @ eta_prime)
-    # the profile of c and s along the pole, one shot per sample
+    # the profile of c and s along the pole, one k-step shot to sample k
     grid = np.linspace(0.0, ell, n_pole + 1)
-    c, s = np.array([model.shoot(eta, unit, u, k)[2:]
+    c, s = np.array([model._shot(eta, unit, u, k)[2:]
                      for k, u in enumerate(grid)]).T
     jac = s_ell * c[::-1] - c_ell * s[::-1]
     speed = model.norm(gamma, tangent)

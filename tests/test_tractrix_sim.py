@@ -14,10 +14,14 @@ from tractrix.errors import (
     PoleLengthDriftError,
     RecordOverflowError,
 )
+from tractrix import manifold, tractrix_sim
 from tractrix.config import bundled_scenario
 from tractrix.manifold import (
+    POLE_STEP,
+    SurfaceModel,
     _rk4_geodesic,
     model_from_config,
+    shot_steps,
     space_form,
     surface_model,
 )
@@ -30,11 +34,11 @@ from tractrix.tractrix_sim import (
     _detect_cusps,
     _fermi_shot,
     _fill_curvature,
+    _INPUT_STEP,
+    TractorCurve,
     _foot_newton,
-    analytic_tractor,
     orthogonal_attachment,
     polyline_tractor,
-    reversed_tractor,
     simulate,
     tractor_from_config,
     tractor_from_tractrix,
@@ -46,6 +50,32 @@ FLAT2 = space_form(0.0)
 FLAT3 = space_form(0.0, dim=3)
 SPHERE = space_form(1.0)
 HYP = space_form(-1.0)
+
+
+def analytic_tractor(point, velocity, t0, t1, *, is_geodesic=False,
+                     closed=False):
+    """Tractor from scalar point and velocity callables, called per row."""
+
+    def rows(ts):
+        ts = ts.tolist()
+        return (np.array([point(t) for t in ts], dtype=float),
+                np.array([velocity(t) for t in ts], dtype=float))
+
+    return TractorCurve(rows=rows, t0=float(t0), t1=float(t1), closed=closed,
+                        is_geodesic=is_geodesic)
+
+
+def reversed_tractor(curve):
+    """Same path traversed the other way (push <-> pull)."""
+    t0, t1 = curve.t0, curve.t1
+
+    def rows(ts):
+        pts, vel = curve.rows(t0 + t1 - ts)
+        return pts, -vel
+
+    return TractorCurve(rows=rows, t0=t0, t1=t1,
+                        closed=curve.closed, is_geodesic=curve.is_geodesic,
+                        breaks=tuple(sorted(t0 + t1 - b for b in curve.breaks)))
 
 
 def x_line(t0, t1):
@@ -432,7 +462,7 @@ def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
     # tractor-end shot, equal those of the Jacobi field integrated from
     # gamma along the pole; both pulls run the default pole step
     model, tr, _ = surface_pull
-    n_pole = max(8, math.ceil(tr.ell / SimParams().pole_step))
+    n_pole = shot_steps(tr.ell, SimParams().pole_step)
     u = np.linspace(0.0, tr.ell, n_pole + 1)
     for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
         points, _, _, s = _rk4_geodesic(model._geo_rhs, tr.gamma[i],
@@ -577,9 +607,12 @@ def test_foot_tau_column_matches_central_difference(chart, start, direction):
     h = 1e-5
     tau = rng.uniform(-0.5, 0.5, 8)
     d = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.05, 0.9, 8)
-    _, tau_col, _ = _fermi_shot(model, tractor, tau, d)
-    fd = (_fermi_shot(model, tractor, tau + h, d)[0]
-          - _fermi_shot(model, tractor, tau - h, d)[0]) / (2.0 * h)
+    # shots of 48 steps: the analytic column is the derivative of the
+    # exact map, which the stepped map matches at O(step^4)
+    step = np.max(np.abs(d)) / 48
+    _, tau_col, _ = _fermi_shot(model, tractor, tau, d, step)
+    fd = (_fermi_shot(model, tractor, tau + h, d, step)[0]
+          - _fermi_shot(model, tractor, tau - h, d, step)[0]) / (2.0 * h)
     assert np.all(np.linalg.norm(tau_col - fd, axis=1)
                   <= 1e-6 * np.linalg.norm(fd, axis=1))
 
@@ -592,7 +625,7 @@ def test_foot_solve_makes_few_shots_per_record(monkeypatch):
     shoot_rows = model.shoot_rows
     monkeypatch.setattr(model, "shoot_rows", lambda p, *a, **kw: (
         rows.append(len(p)), shoot_rows(p, *a, **kw))[1])
-    d = _foot_newton(tr)
+    d = _foot_newton(tr, SimParams().pole_step)
     assert np.array_equal(d, tr.d)
     assert len(rows) <= 4
     assert sum(rows) <= 3.5 * len(tr.t)
@@ -611,6 +644,102 @@ def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
         np.array([math.pi / 2, 0.0]), np.array([0.0, 1.0]), tr.gamma)
     assert np.max(tr.d) > 0.4
     assert np.max(np.abs(tr.d - closed)) < 1e-9
+
+
+def logged_shots(monkeypatch, name, pole_step, span=None):
+    """{phase: [(steps, length)]} of every RK4 shot of a bundled scenario's
+    attachment and simulation at pole_step. The phases are "attach",
+    "simulate" and "foot" (the foot solve); a shot inside `connect` is
+    logged with the starting length that sized the solve."""
+    log, where = {}, {"phase": None, "start": None}
+    rk4 = manifold._rk4_geodesic
+
+    def logged(rhs, x0, v0, length, n_steps, collect):
+        start = where["start"]
+        log.setdefault(where["phase"], []).append(
+            (n_steps, float(np.max(length)) if start is None else start))
+        return rk4(rhs, x0, v0, length, n_steps, collect)
+
+    connect = SurfaceModel.connect
+
+    def logged_connect(self, p, q, v_guess=None, L_guess=None, **kw):
+        assert L_guess is not None
+        where["start"] = L_guess
+        try:
+            return connect(self, p, q, v_guess, L_guess, **kw)
+        finally:
+            where["start"] = None
+
+    foot_newton = tractrix_sim._foot_newton
+
+    def logged_foot(trace, step):
+        where["phase"] = "foot"
+        try:
+            return foot_newton(trace, step)
+        finally:
+            where["phase"] = "simulate"
+
+    monkeypatch.setattr(manifold, "_rk4_geodesic", logged)
+    monkeypatch.setattr(SurfaceModel, "connect", logged_connect)
+    monkeypatch.setattr(tractrix_sim, "_foot_newton", logged_foot)
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    spec = dict(cfg.tractor)
+    if span is not None:
+        spec["t1"] = spec.get("t0", 0.0) + span
+    tractor = tractor_from_config(model, spec)
+    where["phase"] = "attach"
+    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    where["phase"] = "simulate"
+    simulate(model, tractor, g0, cfg.ell,
+             SimParams(**dict(cfg.sim, pole_step=pole_step)))
+    monkeypatch.undo()
+    return log
+
+
+def test_every_shot_follows_the_step_rule(monkeypatch):
+    # hilly_pull and ellipsoid_equator at the bench's spans: every shot
+    # takes shot_steps(length, step), the attachment's at _INPUT_STEP and
+    # the run's at its pole_step
+    runs = {(name, h): logged_shots(monkeypatch, name, h, span)
+            for name, span in (("hilly_pull", None),
+                               ("ellipsoid_equator", 0.2))
+            for h in (POLE_STEP, 0.025, 0.0125)}
+    for (name, h), log in runs.items():
+        assert set(log) == ({"attach", "simulate", "foot"}
+                            if name == "ellipsoid_equator"
+                            else {"attach", "simulate"})
+        for phase, shots in log.items():
+            step = _INPUT_STEP if phase == "attach" else h
+            assert all(n == shot_steps(L, step) for n, L in shots), phase
+    # halving pole_step doubles the run's counts (up to the ceiling, for
+    # the foot solve's rows) and leaves the attachment's alone; the foot
+    # solve's rows, at most 0.27 long, take the floor of 8 at POLE_STEP
+    assert {n for n, _ in runs["ellipsoid_equator", POLE_STEP]["foot"]} \
+        == {8}
+    coarse, fine = (runs["ellipsoid_equator", h] for h in (0.025, 0.0125))
+    assert fine["attach"] == coarse["attach"]
+    assert {n for n, _ in coarse["simulate"]} == {20}
+    assert {n for n, _ in fine["simulate"]} == {40}
+    assert len(fine["foot"]) == len(coarse["foot"])
+    for (n, _), (m, _) in zip(coarse["foot"], fine["foot"]):
+        assert 2 * n - 1 <= m <= 2 * n
+
+
+def test_foot_solve_converges_at_fourth_order_in_pole_step():
+    # the hills diagonal at amplitude 0.5: the foot distances of one set
+    # of gamma, solved with shots at h, h/2 and h/4
+    model = surface_model({"name": "hilly", "amplitude": 0.5,
+                           "frequency": 1.0})
+    tractor = tractor_from_config(model, {
+        "kind": "chart_line", "start": [0.0, 0.0], "direction": [1.0, 1.0],
+        "t1": 1.0, "geodesic": True})
+    g0, _ = orthogonal_attachment(model, tractor, 0.8, 0.6)
+    tr = simulate(model, tractor, g0, 0.8, SimParams(dt=0.05))
+    d = [_foot_newton(tr, POLE_STEP / 2 ** k) for k in range(3)]
+    coarse, fine = (np.max(np.abs(a - b)) for a, b in zip(d, d[1:]))
+    assert fine > 0.0
+    assert math.log2(coarse / fine) >= 3.5
 
 
 def test_paraboloid_propagation_rhs_count(monkeypatch):
@@ -678,7 +807,7 @@ def test_surface_post_passes_transport_in_rows(monkeypatch, case):
                                   "classical_flat"])
 def test_closed_form_foot_distance_matches_newton(name):
     _, tr, _ = bundled_run(name)
-    assert np.max(np.abs(tr.d - _foot_newton(tr))) < 1e-10
+    assert np.max(np.abs(tr.d - _foot_newton(tr, POLE_STEP))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +1011,14 @@ def test_tractrix_of_rows_match_the_scalar_shots():
 def scalar_loop(model, tractor, gamma0, ell, params, times):
     """The columns of `simulate`'s records and arclengths from its
     per-stage loop, with two scalar tractor calls per stage time."""
-    n_pole = max(8, int(math.ceil(ell / params.pole_step)))
+    n_pole = shot_steps(ell, params.pole_step)
 
     def tractor_at(t):
         return (np.asarray(tractor.point(t), dtype=float).tolist(),
                 np.asarray(tractor.velocity(t), dtype=float).tolist())
 
     state, _ = model.tractrix_start(tractor.point(tractor.t0), gamma0, ell,
-                                    n_pole)
+                                    params.pole_step)
     stage = model.tractrix_stage
     breaks = [float(b) for b in tractor.breaks if times[0] < b < times[-1]]
     records, s_list, s = [], [], 0.0
@@ -935,7 +1064,7 @@ def shortening_round():
     ell = bundled_scenario("shorten_flat").ell
     wagon = np.array(shorten["P"], dtype=float)
     tractor = polyline_tractor(_splice_head(
-        FLAT2, wagon, np.array(shorten["initial"]["points"]), ell))
+        FLAT2, wagon, np.array(shorten["initial"]["points"]), ell, POLE_STEP))
     return (FLAT2, tractor, wagon, ell,
             SimParams(dt=tractor.span / _STEPS_PER_ROUND))
 
@@ -989,14 +1118,15 @@ def test_orthogonal_attachment_ahead():
 
 def fermi_coordinates(model, tractor, gamma, tau, d):
     """(tau, d) with exp_{eta(tau)}(d N(tau)) = gamma, N = eta' turned by
-    +pi/2, by Newton on forward differences from the given start."""
+    +pi/2, by Newton on forward differences from the given start, with
+    shots at the attachment's step."""
 
     def fermi(tau, d):
         foot = np.asarray(tractor.point(tau), dtype=float)
         normal = model.rotate(foot, model.unit(foot, tractor.velocity(tau)),
                               0.5 * math.pi)
         return model.exp_point(foot, math.copysign(1.0, d) * normal,
-                               abs(d))[0]
+                               abs(d), _INPUT_STEP)[0]
 
     h = 1e-7
     for _ in range(30):
@@ -1022,7 +1152,8 @@ def test_surface_attachment_meets_pole_length_and_offset(name, mode):
                                     mode=mode)
     t0 = tractor.t0
     assert (tau - t0 > 0.0) == (mode == "ahead")
-    assert abs(model.distance(g0, tractor.point(t0)) - cfg.ell) < 1e-10
+    assert abs(model.distance(g0, tractor.point(t0), L_guess=cfg.ell,
+                              pole_step=_INPUT_STEP) - cfg.ell) < 1e-10
     # start the Fermi solve on the tractor, off the returned foot
     tau_f, d_f = fermi_coordinates(model, tractor, g0, tau + 0.05, 0.0)
     assert abs(d_f - side * d0) < 1e-10
@@ -1059,6 +1190,17 @@ def test_params_validation():
         SimParams(cusp_speed_eps=1.5)
     with pytest.raises(ConfigError):
         SimParams(max_records=1)
+
+
+@pytest.mark.parametrize("cap", [2.5, 10.0, True, "10"])
+def test_params_reject_a_record_cap_that_is_not_an_integer(cap):
+    with pytest.raises(ConfigError, match="max_records must be an integer"):
+        SimParams(max_records=cap)
+
+
+def test_params_take_integer_record_caps():
+    assert SimParams(max_records=np.int64(10)).max_records == 10
+    assert SimParams(max_records=math.inf).max_records == math.inf
 
 
 # an unbounded record cap, max_records = inf, is allowed
