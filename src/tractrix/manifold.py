@@ -54,7 +54,7 @@ from .errors import (
     SingularChartError,
     StepTooLargeError,
 )
-from .quadrature import simpson
+from .quadrature import simpson_rule
 
 __all__ = [
     "ManifoldModel",
@@ -139,12 +139,11 @@ def _reference_pole(K, length, steps):
 
 
 @lru_cache(maxsize=8)
-def _pole_grid(length, steps):
-    """The steps + 1 samples of [0, length] that a pole's shot visits, as a
-    read-only array shared by every record of a run."""
-    grid = np.linspace(0.0, length, steps + 1)
-    grid.flags.writeable = False
-    return grid
+def _pole_rule(length, steps):
+    """The Simpson rule (`simpson_rule`) of the steps + 1 samples of
+    [0, length] that a pole's shot visits, shared by every record of a
+    run."""
+    return simpson_rule(np.linspace(0.0, length, steps + 1))
 
 
 class ManifoldModel:
@@ -1150,7 +1149,7 @@ class SurfaceModel(ManifoldModel):
         jac = s_ell * np.array(c[::-1]) - c_ell * np.array(s[::-1])
         return rate, abs(along), (
             [gu, gv], [-p / speed, -q / speed], -along, s_ell,
-            simpson(jac, _pole_grid(ell, n_pole)), _has_conjugate(jac),
+            _pole_rule(ell, n_pole)(jac), _has_conjugate(jac),
             abs(speed - 1.0), eta_speed)
 
     def _geo_rhs(self, x, v):

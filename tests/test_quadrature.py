@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
+from tractrix.manifold import _pole_rule
 from tractrix.quadrature import simpson
 
 MAGNITUDES = st.floats(1e-5, 1e5)
@@ -51,3 +52,25 @@ def test_simpson_matches_scipy_at_few_samples(n):
     y = np.array([1.5, -2.25, 0.125, 3.0])[:n]
     _assert_same_bits(simpson(y, x), scipy_simpson(y, x=x))
 
+
+
+
+@st.composite
+def pole_profiles(draw):
+    """(length, steps, y): a pole grid of steps + 1 samples, odd or even in
+    number, and one profile on it."""
+    length = draw(st.floats(1e-3, 10.0))
+    steps = draw(st.integers(1, 80))
+    y = np.array(draw(st.lists(VALUES, min_size=steps + 1,
+                               max_size=steps + 1)))
+    return length, steps, y
+
+
+@settings(max_examples=300)
+@given(pole_profiles())
+def test_cached_pole_rule_matches_simpson_bit_for_bit(profile):
+    # the pole grid's rule, built once per (length, steps) and applied to
+    # each record's profile, against simpson on the same grid
+    length, steps, y = profile
+    x = np.linspace(0.0, length, steps + 1)
+    _assert_same_bits(_pole_rule(length, steps)(y), simpson(y, x))
