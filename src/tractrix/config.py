@@ -334,10 +334,15 @@ def scenario_from_dict(raw, name="scenario", base_dir="."):
     return ScenarioConfig(name=data["name"], data=data, base_dir=base_dir)
 
 
+# libyaml's parser where this PyYAML was built with it, the same safe
+# constructors either way
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path):
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file")
     except yaml.YAMLError as exc:

@@ -12,9 +12,12 @@ methods and transport take (n, dim) rows, so a post-pass is one call.
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
-riding along, so a Newton solve gets its Jacobian from the shot it makes:
+riding along, so a Newton solve gets its Jacobian from the shots it makes:
 `connect` is damped Newton with one shot per iteration, the direction
-column being s(L) times the end tangent turned by +pi/2 (`quarter_turn`).
+column being s(L) times the end tangent turned by +pi/2 (`quarter_turn`),
+and the attachment (`tractrix_sim.orthogonal_attachment`) makes no
+`connect` call: it is one damped Newton solve of its own, an offset shot
+and a pole shot per iteration, with both columns Jacobi fields of theirs.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
 rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
@@ -237,11 +240,6 @@ class ManifoldModel:
         a = float(np.asarray(v) @ g @ frame[0])
         b = float(np.asarray(v) @ g @ frame[1])
         return math.atan2(b, a)
-
-    def rotate(self, p, v, angle):
-        frame = self.frame_at(p)
-        return self.tangent_from_angle(
-            p, self.angle_of(p, v, frame) + angle, frame)
 
     def quarter_turn(self, p, w):
         """w turned by +pi/2 in the metric at p, the orientation of

@@ -258,8 +258,9 @@ class TractrixTrace:
 
 def _require_pole(model, ell):
     """Reject a pole length the propagation cannot use."""
-    if ell <= 0:
-        raise ConfigError("pole length must be positive")
+    if not (math.isfinite(ell) and ell > 0):
+        raise ConfigError(f"pole length ell must be a finite positive "
+                          f"number, got {ell!r}")
     if model.conjugate_scale is not None and ell >= model.conjugate_scale:
         raise ConfigError(f"pole length ell = {ell!r} reaches the conjugate "
                           f"scale {model.conjugate_scale!r}")
@@ -631,7 +632,87 @@ def _foot_newton(trace, pole_step):
 
 
 # ---------------------------------------------------------------------------
-# Attachment helper
+# Attachment
+
+
+def _attachment_map(model, tractor, ell, d0, side):
+    """(start, evaluate) of the residual F of `orthogonal_attachment`.
+
+    gamma0(tau) = exp_{eta(tau)}(d0 N), N = side times the unit eta'(tau)
+    turned by +pi/2. On a 2-D model x = (tau, theta) and F(x) = gamma0(tau)
+    - exp_{eta(t0)}(ell u(theta)), u(theta) at angle theta in
+    `frame_at(eta(t0))`. Its two shots (_INPUT_STEP) carry the columns as
+    Jacobi fields: one with J(0) = a E, J'(0) = b E, E the shot's tangent
+    turned by +pi/2, ends at (a c + b s) E.
+
+    - theta: J(0) = 0 and J'(0) = du/dtheta = E(0) along the pole, so
+      dF/dtheta = -s(ell) E(ell).
+    - tau: J(0) = eta' and J'(0) = D_tau N along the offset shot. There
+      E(0) = -side eta' / |eta'|, so a = -side |eta'|; D_tau N =
+      kappa_g |eta'| E(0), so b = kappa_g |eta'| = <D eta', eta'
+      turned> / |eta'|^2, with D eta' = eta'' + Gamma(eta', eta') and eta''
+      a central difference over tau -+ h. The column only steers Newton,
+      so that O(h^2) error costs no accuracy.
+
+    The 3-D flat model offsets in closed form, gamma0 = eta + d0 N with N
+    normal to eta' in the chart's (x, y) plane, that of `frame_at`; x =
+    (tau,), F = |gamma0(tau) - eta(t0)| - ell, and dgamma0/dtau is a
+    central difference.
+
+    start(tau) returns (x, F, Jacobian, gamma0), theta the chart chord's
+    angle from eta(t0) to gamma0(tau); evaluate(x) returns the last three.
+    """
+    eta0 = tractor.point(tractor.t0)
+    h = 1e-6
+
+    def offset(tau):
+        """gamma0(tau) and dgamma0/dtau."""
+        pts, vel = tractor.rows(np.array([tau, tau + h, tau - h]))
+        if model.dim == 3:
+            a = np.arctan2(vel[:, 1], vel[:, 0])
+            ends = pts + (side * d0) * np.stack(
+                [-np.sin(a), np.cos(a), np.zeros(3)], axis=1)
+            return ends[0], (ends[1] - ends[2]) / (2.0 * h)
+        foot, v = pts[0], vel[0]
+        speed = model.norm(foot, v)
+        turned = model.quarter_turn(foot, v)
+        acc = (vel[1] - vel[2]) / (2.0 * h) + np.einsum(
+            "kij,i,j->k", model.christoffel_at(foot), v, v)
+        bend = model.inner(foot, acc, turned) / (speed * speed)
+        end, tangent, c, s = model.shoot(foot, (side / speed) * turned, d0,
+                                         _INPUT_STEP)
+        return end, ((bend * s - side * speed * c)
+                     * model.quarter_turn(end, tangent))
+
+    if model.dim == 3:
+        def assemble(x, gamma0, column):
+            r = gamma0 - eta0
+            dist = math.sqrt(float(r @ r))
+            return (np.array([dist - ell]),
+                    np.array([[float(r @ column) / dist]]), gamma0)
+
+        def start(tau):
+            x = np.array([tau])
+            return (x, *assemble(x, *offset(tau)))
+    else:
+        frame = model.frame_at(eta0)
+
+        def assemble(x, gamma0, column):
+            end, tangent, _, s = model.shoot(
+                eta0, model.tangent_from_angle(eta0, x[1], frame), ell,
+                _INPUT_STEP)
+            return (gamma0 - end, np.column_stack(
+                [column, -s * model.quarter_turn(end, tangent)]), gamma0)
+
+        def start(tau):
+            gamma0, column = offset(tau)
+            x = np.array([tau, model.angle_of(eta0, gamma0 - eta0, frame)])
+            return (x, *assemble(x, gamma0, column))
+
+    def evaluate(x):
+        return assemble(x, *offset(x[0]))
+
+    return start, evaluate
 
 
 def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
@@ -639,59 +720,59 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     dist(gamma0, eta(t0)) = ell.
 
     Returns (gamma0, foot_parameter).  `side` picks the normal direction
-    (+1 is the tangent rotated by +pi/2), `mode` decides whether the foot
-    lies behind or ahead of the tractor start (pull or push attachment).
+    (+1 is the tangent turned by +pi/2, -1 the other way), `mode` decides
+    whether the foot lies behind or ahead of the tractor start (pull or
+    push attachment).
 
-    The foot parameter tau solves gap(tau) = dist(gamma(tau), eta(t0)) -
-    ell = 0 by secant steps.  The first point is the flat estimate
-    tau0 = t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|, and the first step uses
-    the flat slope there.  Each distance is a `connect` warm-started from
-    the previous call's direction with the length guess ell.  A step that
-    leaves the side of t0 that `mode` selects is replaced by the midpoint
-    between the last iterate and t0.  The iteration stops when a step is
-    below 1e-13.  Every shot takes _INPUT_STEP, not a run's pole_step.
+    One damped Newton solve of `_attachment_map`: on 2-D models for the
+    foot parameter tau and the pole angle theta at eta(t0), two shots at
+    _INPUT_STEP per iteration; on the 3-D flat model for tau alone. tau
+    starts at the flat estimate t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|. A
+    step that leaves the side of t0 that `mode` selects puts tau at the
+    midpoint of tau and t0, and one that does not lower |F| is halved. The
+    solve stops at |F| < 1e-12 max(1, ell); a singular Jacobian, or
+    _SHOOT_MAX_ITER iterations, raise NoConvergenceError.
     """
     _require_pole(model, ell)
     if not 0.0 <= d0 < ell:
         raise ConfigError("need 0 <= d0 < ell for an orthogonal attachment")
     if mode not in ("behind", "ahead"):
         raise ConfigError("mode must be 'behind' or 'ahead'")
+    if side not in (1, -1):
+        raise ConfigError(f"side must be +1 or -1, got {side!r}")
     t0 = tractor.t0
     eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
-    warm = None
-
-    def gap(tau):
-        """(gap(tau), gamma(tau)), from one tractor row at tau."""
-        nonlocal warm
-        pts, vel = tractor.rows(np.array([float(tau)]))
-        f = pts[0]
-        if d0 > 0.0:
-            tang = model.unit(f, vel[0])
-            normal = model.rotate(f, tang, side * 0.5 * math.pi)
-            f = model.exp_point(f, normal, d0, _INPUT_STEP)[0]
-        warm, L, _ = model.connect(f, eta0, v_guess=warm, L_guess=ell,
-                                   pole_step=_INPUT_STEP)
-        return L - ell, f
-
     ahead = 1.0 if mode == "ahead" else -1.0
     speed0 = max(model.norm(eta0, vel0), 1e-6)
     reach = math.sqrt(ell * ell - d0 * d0)
-    tau = t0 + ahead * reach / speed0
-    value, gamma0 = gap(tau)
-    step = value * ell / (ahead * speed0 * reach)
+    start, evaluate = _attachment_map(model, tractor, ell, d0, side)
+    x, F, J, gamma0 = start(t0 + ahead * reach / speed0)
+    rn = float(np.linalg.norm(F))
+    tol = 1e-12 * max(1.0, ell)
     for _ in range(_SHOOT_MAX_ITER):
-        if value == 0.0 or abs(step) < 1e-13:
-            return gamma0, float(tau)
-        tau_new = tau - step
-        if ahead * (tau_new - t0) <= 0.0:
-            tau_new = 0.5 * (tau + t0)
-        value_new, gamma0 = gap(tau_new)
-        if value_new == value:
-            break
-        step = value_new * (tau_new - tau) / (value_new - value)
-        tau, value = tau_new, value_new
+        if rn < tol:
+            return gamma0, float(x[0])
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = np.full_like(F, np.nan)
+        if not np.all(np.isfinite(step)):
+            raise NoConvergenceError(
+                f"attachment: singular Jacobian at tau = {x[0]!r}")
+        damp = 1.0
+        while True:
+            x_new = x + damp * step
+            if ahead * (x_new[0] - t0) <= 0.0:
+                x_new[0] = 0.5 * (x[0] + t0)
+            F_new, J_new, gamma_new = evaluate(x_new)
+            rn_new = float(np.linalg.norm(F_new))
+            if rn_new <= rn or damp < 1e-6:
+                break
+            damp *= 0.5
+        x, F, J, gamma0, rn = x_new, F_new, J_new, gamma_new, rn_new
     raise NoConvergenceError(
-        f"attachment foot parameter did not converge near tau = {tau!r}")
+        f"attachment did not converge near tau = {x[0]!r} (residual "
+        f"{rn:.3e})")
 
 
 # ---------------------------------------------------------------------------

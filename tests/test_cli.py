@@ -142,6 +142,16 @@ def test_config_top_level_not_a_mapping_exits_one(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_malformed_yaml_exits_one(tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text("a: [1, 2\n")
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid YAML" in err
+    assert "Traceback" not in err
+
+
 def test_pole_at_conjugate_scale_exits_one(tmp_path, capsys):
     raw = {"model": {"kind": "spaceform", "K": 1.0},
            "tractor": {"kind": "latitude", "colatitude": math.pi / 2,

@@ -530,9 +530,10 @@ def test_distance_to_geodesic_reads_the_fermi_offset(model):
         a = random_point(model, rng)
         v = model.tangent_from_angle(a, rng.uniform(0.0, math.tau))
         foot, tangent = model.exp_point(a, v, rng.uniform(0.0, 0.8))
-        side = math.copysign(0.5 * math.pi, rng.uniform(-1.0, 1.0))
+        side = math.copysign(1.0, rng.uniform(-1.0, 1.0))
         d = rng.uniform(0.0, 0.6)
-        p = model.exp_point(foot, model.rotate(foot, tangent, side), d)[0]
+        p = model.exp_point(foot, side * model.quarter_turn(foot, tangent),
+                            d)[0]
         assert model.distance_to_geodesic(a, 2.5 * v, p[None, :])[0] == \
             pytest.approx(d, abs=1e-12)
 

@@ -31,6 +31,7 @@ from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
     _ROW_BLOCK,
     SimParams,
+    _attachment_map,
     _detect_cusps,
     _fermi_shot,
     _fill_curvature,
@@ -1123,8 +1124,8 @@ def fermi_coordinates(model, tractor, gamma, tau, d):
 
     def fermi(tau, d):
         foot = np.asarray(tractor.point(tau), dtype=float)
-        normal = model.rotate(foot, model.unit(foot, tractor.velocity(tau)),
-                              0.5 * math.pi)
+        normal = model.quarter_turn(foot,
+                                    model.unit(foot, tractor.velocity(tau)))
         return model.exp_point(foot, math.copysign(1.0, d) * normal,
                                abs(d), _INPUT_STEP)[0]
 
@@ -1177,6 +1178,127 @@ def test_attachment_stays_on_the_side_mode_selects():
 def test_orthogonal_attachment_rejects_offset_beyond_pole():
     with pytest.raises(ConfigError):
         orthogonal_attachment(FLAT2, x_line(0.0, 6.0), 1.0, 1.5)
+
+
+@pytest.mark.parametrize("side", [2, 0, 0.5, -2])
+def test_orthogonal_attachment_rejects_a_side_other_than_plus_or_minus_one(
+        side):
+    with pytest.raises(ConfigError, match="side"):
+        orthogonal_attachment(FLAT2, x_line(0.0, 6.0), 1.0, 0.6, side=side)
+
+
+@pytest.mark.parametrize("ell", [math.nan, math.inf])
+def test_non_finite_pole_length_is_a_config_error(ell):
+    line = x_line(0.0, 6.0)
+    with pytest.raises(ConfigError, match="ell"):
+        simulate(FLAT2, line, np.array([0.0, 1.0]), ell)
+    with pytest.raises(ConfigError, match="ell"):
+        orthogonal_attachment(FLAT2, line, ell, 0.5)
+
+
+@pytest.mark.parametrize("mode", ["behind", "ahead"])
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("name", ["paraboloid_pull", "hilly_pull",
+                                  "ellipsoid_equator", "sphere_pull",
+                                  "hyperbolic_pull"])
+def test_attachment_jacobian_columns_match_central_differences(name, side,
+                                                               mode):
+    # at the attachment's starting (tau, theta): the tau column, a Jacobi
+    # field along the offset shot, and the theta column, one along the
+    # pole, against central differences of the residual itself
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    _, tau = orthogonal_attachment(model, tractor, cfg.ell, cfg.gamma0["d0"],
+                                   side=side, mode=mode)
+    start, evaluate = _attachment_map(model, tractor, cfg.ell,
+                                      cfg.gamma0["d0"], side)
+    x, _, jac, _ = start(tau)
+    h = 1e-5
+    for k in range(2):
+        e = h * np.eye(2)[k]
+        fd = (evaluate(x + e)[0] - evaluate(x - e)[0]) / (2.0 * h)
+        assert np.linalg.norm(jac[:, k] - fd) <= 1e-8 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("mode", ["behind", "ahead"])
+@pytest.mark.parametrize("name", ["paraboloid_pull", "hilly_pull",
+                                  "ellipsoid_equator"])
+def test_surface_attachment_takes_few_newton_iterations(monkeypatch, name,
+                                                        mode):
+    # every iteration evaluates the map once (two shots) unless a step is
+    # halved
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    calls = []
+    attachment_map = tractrix_sim._attachment_map
+
+    def counted(*args):
+        start, evaluate = attachment_map(*args)
+        return start, lambda x: (calls.append(x), evaluate(x))[1]
+
+    monkeypatch.setattr(tractrix_sim, "_attachment_map", counted)
+    orthogonal_attachment(model, tractor, cfg.ell, cfg.gamma0["d0"],
+                          side=cfg.gamma0["side"], mode=mode)
+    assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("singular", "singular Jacobian"), ("offset", "did not converge")])
+def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
+                                                       match):
+    # on a circle, where the flat estimate misses: a Jacobian with a zero
+    # column, and a residual that no step can lower below 1e-3, end the
+    # solve with NoConvergenceError, not LinAlgError
+    attachment_map = tractrix_sim._attachment_map
+
+    def faulty(*args):
+        start, evaluate = attachment_map(*args)
+
+        def spoil(F, J, gamma0):
+            if fault == "singular":
+                return F, J * [0.0, 1.0], gamma0
+            return np.hypot(F, 1e-3), J, gamma0
+
+        def spoiled_start(tau):
+            x, *rest = start(tau)
+            return (x, *spoil(*rest))
+
+        return spoiled_start, lambda x: spoil(*evaluate(x))
+
+    monkeypatch.setattr(tractrix_sim, "_attachment_map", faulty)
+    with pytest.raises(NoConvergenceError, match=match):
+        orthogonal_attachment(FLAT2, tractor_from_config(FLAT2, {
+            "kind": "circle", "center": [0.0, 0.0], "radius": 2.0}), 1.0, 0.6)
+
+
+@pytest.mark.parametrize("spec, ell, d0, side, mode, gamma0, tau", [
+    ({"kind": "line", "start": [0, 0, 0], "direction": [0, 0, 1]},
+     0.5, 0.3, 1, "behind", [0.0, 0.3, -0.4], -0.4),
+    ({"kind": "line", "start": [0, 0, 0], "direction": [0, 0, 1]},
+     0.5, 0.3, -1, "ahead", [0.0, -0.3, 0.4], 0.4),
+    ({"kind": "helix", "radius": 1.0, "pitch": 0.4, "t1": 2.0},
+     1.2, 0.5, 1, "behind",
+     [0.06908966434444849, -0.4952036129520578, -0.5728693818741313],
+     -1.5424980171767342),
+    ({"kind": "helix", "radius": 1.0, "pitch": 0.4, "t1": 2.0},
+     1.2, 0.5, -1, "ahead",
+     [0.9657347704209474, 1.1477614530903189, 0.34852480663776164],
+     0.9384317615595159),
+], ids=["z-line", "z-line-ahead", "helix", "helix-ahead"])
+def test_flat3_attachment_offsets_in_the_xy_plane(spec, ell, d0, side, mode,
+                                                  gamma0, tau):
+    # gamma0 = eta(tau) + d0 N(tau), N normal to eta' in the (x, y) plane
+    # (along +-y for the z axis), |gamma0 - eta(0)| = ell; the values are
+    # those of the earlier secant solve
+    tractor = tractor_from_config(FLAT3, spec)
+    g0, t = orthogonal_attachment(FLAT3, tractor, ell, d0, side=side,
+                                  mode=mode)
+    assert g0 == pytest.approx(gamma0, abs=1e-12)
+    assert t == pytest.approx(tau, abs=1e-12)
+    assert np.linalg.norm(g0 - tractor.point(0.0)) == pytest.approx(
+        ell, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
