@@ -23,9 +23,9 @@ rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
 (colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
 K < 0), override all of this with closed forms: their shot ignores its
-step count, their state is gamma itself, each stage solves the pole in one
-closed form (`_pole`), and transport and the distance to a geodesic are
-one array expression over all rows.
+step count, their state is gamma itself, each model's `tractrix_stage`
+writes the pole out in one closed form on floats, and transport and the
+distance to a geodesic are one array expression over all rows.
 
 One rule sizes every shot: a shot of length L takes `shot_steps(L,
 pole_step)` = max(8, ceil(L / pole_step)) steps, a row shot as many as its
@@ -450,31 +450,20 @@ class SpaceFormModel(ManifoldModel):
         return (np.asarray(gamma, dtype=float).tolist(),
                 self.distance(gamma, eta, L_guess=ell))
 
-    def _pole(self, eta, eta_prime, gamma):
-        """The pole from gamma to eta in closed form, on floats.
+    def _stage_record(self, gamma, v, speed, L, ell, n_pole, eta_speed):
+        """The record of a closed-form `tractrix_stage`.
 
-        Returns (unit v at gamma towards eta, length L, unit pole tangent T
-        at eta, <eta', T>_g, |eta'|_g), the vectors as lists. Raises
-        ValueError for coincident (and on the sphere antipodal) points.
+        Each space form's stage takes gamma as the state and solves the
+        pole from gamma to eta in closed form on floats: gamma moves along
+        the unit pole direction v towards eta with the speed <eta',
+        T(ell)>_g, T(ell) the unit pole tangent at eta, and the rate comes
+        back as a tuple. Coincident (and on the sphere antipodal) points
+        raise ValueError. The drift is the solved pole length's error
+        |L - ell|, and every pole has the same J(ell), integral and
+        conjugate flag (`_reference_pole`).
         """
-        raise NotImplementedError
-
-    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
-                       record=False):
-        """The same stage with gamma as the state: one closed-form pole.
-
-        gamma moves along the unit direction v towards eta with the speed
-        <eta', T(ell)>, T(ell) the pole tangent at eta (`_pole`). The drift
-        is the solved pole length's error |L - ell|, and every pole has the
-        same J(ell), integral and conjugate flag (`_reference_pole`).
-        """
-        v, L, _, speed, eta_speed = self._pole(eta, eta_prime, gamma)
-        rate = [speed * x for x in v]
-        if not record:
-            return rate, abs(speed), None
-        return rate, abs(speed), (gamma, v, speed,
-                                  *_reference_pole(self.K, ell, n_pole),
-                                  abs(L - ell), eta_speed)
+        return (gamma, v, speed, *_reference_pole(self.K, ell, n_pole),
+                abs(L - ell), eta_speed)
 
     def edge_length(self, a, b):
         return self.distance(a, b)
@@ -536,16 +525,31 @@ class FlatModel(SpaceFormModel):
         return d / L, L
 
     def distance(self, p, q, **_):
-        return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
+        # the sqrt(d . d) of log_map, equal to np.linalg.norm
+        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+        return math.sqrt(float(d @ d))
 
-    def _pole(self, eta, eta_prime, gamma):
-        # the straight segment: d = eta - gamma, v = T = d / |d|
+    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
+                       record=False):
+        # the straight segment: d = eta - gamma, v = T = d / |d|; the dot
+        # product starts from the integer 0, so -0.0 terms sum to +0.0
         L = math.dist(eta, gamma)
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
-        v = [(e - g) / L for e, g in zip(eta, gamma)]
-        speed = sum([a * b for a, b in zip(eta_prime, v)])
-        return v, L, v, speed, math.hypot(*eta_prime)
+        if self.dim == 2:
+            (e0, e1), (g0, g1), (a0, a1) = eta, gamma, eta_prime
+            v = ((e0 - g0) / L, (e1 - g1) / L)
+            speed = 0 + a0 * v[0] + a1 * v[1]
+            rate = (speed * v[0], speed * v[1])
+        else:
+            (e0, e1, e2), (g0, g1, g2), (a0, a1, a2) = eta, gamma, eta_prime
+            v = ((e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L)
+            speed = 0 + a0 * v[0] + a1 * v[1] + a2 * v[2]
+            rate = (speed * v[0], speed * v[1], speed * v[2])
+        if not record:
+            return rate, abs(speed), None
+        return rate, abs(speed), self._stage_record(
+            gamma, v, speed, L, ell, n_pole, math.hypot(*eta_prime))
 
     def norm_rows(self, points, vectors):
         return np.linalg.norm(vectors, axis=1)
@@ -669,7 +673,8 @@ class SphereModel(SpaceFormModel):
         c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
         return math.acos(c) * self.radius
 
-    def _pole(self, eta, eta_prime, gamma):
+    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
+                       record=False):
         """The great-circle pole by spherical trigonometry.
 
         With X, Y the unit-sphere embeddings of gamma and eta and
@@ -683,10 +688,10 @@ class SphereModel(SpaceFormModel):
         """
         self.check_point(eta)
         th_g, ph_g = gamma
-        th_e = eta[0]
+        th_e, ph_e = eta
         sg, cg = math.sin(th_g), math.cos(th_g)
         se, ce = math.sin(th_e), math.cos(th_e)
-        dphi = eta[1] - ph_g
+        dphi = ph_e - ph_g
         sd, cd = math.sin(dphi), math.cos(dphi)
         psi = math.acos(min(1.0, max(-1.0, sg * se * cd + cg * ce)))
         if psi < 1e-14:
@@ -697,11 +702,15 @@ class SphereModel(SpaceFormModel):
             raise SingularChartError("endpoint at chart pole")
         R = self.radius
         rs = R * math.sin(psi)
-        v = [(cg * se * cd - sg * ce) / rs, se * sd / (sg * rs)]
-        t = [(cg * se - sg * ce * cd) / rs, sg * sd / (se * rs)]
+        v = ((cg * se * cd - sg * ce) / rs, se * sd / (sg * rs))
+        t0, t1 = (cg * se - sg * ce * cd) / rs, sg * sd / (se * rs)
         a, b = eta_prime
-        speed = R * R * (a * t[0] + se * se * b * t[1])
-        return v, psi * R, t, speed, R * math.hypot(a, se * b)
+        speed = R * R * (a * t0 + se * se * b * t1)
+        rate = (speed * v[0], speed * v[1])
+        if not record:
+            return rate, abs(speed), None
+        return rate, abs(speed), self._stage_record(
+            gamma, v, speed, psi * R, ell, n_pole, R * math.hypot(a, se * b))
 
     def norm_rows(self, points, vectors):
         return self.radius * np.hypot(
@@ -830,7 +839,8 @@ class HyperbolicModel(SpaceFormModel):
         den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
         return math.acosh(1.0 + num / den) / self.k
 
-    def _pole(self, eta, eta_prime, gamma):
+    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
+                       record=False):
         """The pole by the Moebius map that sends gamma to 0.
 
         zeta = (w - z) / b with b = 1 - conj(z) w is eta seen from gamma:
@@ -854,8 +864,12 @@ class HyperbolicModel(SpaceFormModel):
         lam = (2.0 / self.k) / f
         a, c = eta_prime
         speed = lam * lam * (a * t.real + c * t.imag)
-        return ([v.real, v.imag], (2.0 / self.k) * math.atanh(az),
-                [t.real, t.imag], speed, lam * math.hypot(a, c))
+        rate = (speed * v.real, speed * v.imag)
+        if not record:
+            return rate, abs(speed), None
+        return rate, abs(speed), self._stage_record(
+            gamma, (v.real, v.imag), speed, (2.0 / self.k) * math.atanh(az),
+            ell, n_pole, lam * math.hypot(a, c))
 
     def norm_rows(self, points, vectors):
         f = 1.0 - points[:, 0] ** 2 - points[:, 1] ** 2
@@ -1100,7 +1114,7 @@ class SurfaceModel(ManifoldModel):
         no renormalizing.
 
         Everything runs on Python floats: eta, eta_prime and X are float
-        sequences, the rate comes back as a list, and one chart jet at eta
+        sequences, the rate comes back as a tuple, and one chart jet at eta
         (`_forms`) gives E, F, G and the Christoffel symbols, from which
         |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X) are written out.
         The record is None unless asked for; it is (gamma, pole_dir at
@@ -1131,10 +1145,10 @@ class SurfaceModel(ManifoldModel):
                 f"conjugate point (s(ell) = {s_ell:.3e})")
         along = (a * E + b * F) * ux + (a * F + b * G) * uy
         ratio = c_ell / s_ell
-        rate = [ratio * (along * x - size * a)
+        rate = (ratio * (along * x - size * a)
                 - ((g1uu * x + g1uv * y) * a + (g1uv * x + g1vv * y) * b),
                 ratio * (along * y - size * b)
-                - ((g2uu * x + g2uv * y) * a + (g2uv * x + g2vv * y) * b)]
+                - ((g2uu * x + g2uv * y) * a + (g2uv * x + g2vv * y) * b))
         if not record:
             return rate, abs(along), None
         (gu, gv), (p, q) = end[-1].tolist(), tangent[-1].tolist()

@@ -29,10 +29,16 @@ def write_trace_csv(path, trace):
             + [f"gamma_{i + 1}" for i in range(dim)]
             + [f"eta_{i + 1}" for i in range(dim)]
             + ["d", "kappa", "sigma"])
+    _write_table(path, cols, [trace.t, trace.s, trace.gamma, trace.eta,
+                              trace.d, trace.kappa, trace.sigma])
+
+
+def _write_table(path, cols, columns):
+    """A CSV with header `cols` and the columns side by side, cells as
+    `_fmt` writes them."""
     # one float64 table and one tolist: the rows are Python floats, which
     # repr exactly as the float() of each NumPy entry does
-    table = np.column_stack([trace.t, trace.s, trace.gamma, trace.eta,
-                             trace.d, trace.kappa, trace.sigma]).tolist()
+    table = np.column_stack(columns).astype(float, copy=False).tolist()
     isfinite = math.isfinite
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
@@ -62,14 +68,7 @@ def write_cusps_txt(path, cusps):
 
 
 def write_analytic_csv(path, s, d, kappa):
-    s = np.asarray(s, dtype=float)
-    d = np.asarray(d, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write("s,d,kappa\n")
-        for k in range(s.size):
-            fh.write(",".join([_fmt(s[k]), _fmt(d[k]),
-                               _fmt(kappa[k])]) + "\n")
+    _write_table(path, ["s", "d", "kappa"], [s, d, kappa])
 
 
 def write_le_txt(path, rows):
@@ -90,11 +89,8 @@ def write_history_csv(path, run):
 
 def write_iterate_csv(path, points):
     points = np.asarray(points, dtype=float)
-    dim = points.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(dim)) + "\n")
-        for row in points:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+    _write_table(path, [f"x_{i + 1}" for i in range(points.shape[1])],
+                 [points])
 
 
 def write_report_txt(path, report):

@@ -16,11 +16,12 @@ parameter, so cusps need no restart.
 `SurfaceModel.tractrix_stage`).  On surfaces the state is X, which moves
 by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta.
 On space forms the state is gamma, and each stage solves the pole from
-gamma to eta in one closed form.  The loop and the stages work on lists of
-Python floats; the tractor's row evaluator, `rows`, samples the stage
-times in blocks of NumPy rows.  The post-passes (cusps, foot distance,
-curvature) work on the record arrays, with one parallel transport call
-per side over all records.
+gamma to eta in one closed form.  The loop and the stages work on tuples
+of Python floats, the RK4 combinations written out per state length; the
+tractor's row evaluator, `rows`, samples the stage times in blocks of
+NumPy rows.  The post-passes (cusps, foot distance, curvature) work on the
+record arrays, with one parallel transport call per side over all
+records.
 """
 
 from __future__ import annotations
@@ -292,12 +293,13 @@ def simulate(model, tractor, gamma0, ell, params=None):
     stage. One classical RK4 loop serves every model. It walks a plan of
     the steps, split at the tractor's velocity breaks, whose stage times
     the tractor samples a block ahead, one `rows` call per _ROW_BLOCK
-    times. The loop runs on lists of Python floats: the tractor point and
-    velocity go to the stage as lists, the rate comes back as one, and the
-    RK4 combinations are taken component by component in the order the
-    array expressions had. Each record is read off its own stage, which
-    also gives the tractor speed |eta'|_g. The pull or push character is
-    emergent from the attachment geometry and recorded per record as sigma.
+    times. The loop runs on Python floats: the tractor point and velocity
+    go to the stage as lists, the rate comes back as a tuple, and the RK4
+    combinations (`_SHIFT`, `_COMBINE`) are written out per state length,
+    component by component in the order the array expressions had. Each
+    record is read off its own stage, which also gives the tractor speed
+    |eta'|_g. The pull or push character is emergent from the attachment
+    geometry and recorded per record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -335,6 +337,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     samples = _samples(tractor, (x for _, _, ts in ahead for x in ts))
 
     stage = model.tractrix_stage
+    shift, combine = _SHIFT[len(state)], _COMBINE[len(state)]
     records, s_list, s = [], [], 0.0
     for t, pieces, _ in plan:
         eta, etap = next(samples)
@@ -354,18 +357,14 @@ def simulate(model, tractor, gamma0, ell, params=None):
             else:
                 k1, q1 = rate, sdot
             eta, etap = next(samples)
-            k2, q2, _ = stage(eta, etap,
-                              [y + half * k for y, k in zip(state, k1)],
-                              ell, n_pole)
-            k3, q3, _ = stage(eta, etap,
-                              [y + half * k for y, k in zip(state, k2)],
-                              ell, n_pole)
-            k4, q4, _ = stage(*next(samples),
-                              [y + hh * k for y, k in zip(state, k3)],
-                              ell, n_pole)
+            k2, q2, _ = stage(eta, etap, shift(state, half, k1), ell,
+                              n_pole)
+            k3, q3, _ = stage(eta, etap, shift(state, half, k2), ell,
+                              n_pole)
+            k4, q4, _ = stage(*next(samples), shift(state, hh, k3), ell,
+                              n_pole)
             h6 = hh / 6.0
-            state = [y + h6 * (a + 2 * b + 2 * c + d)
-                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            state = combine(state, h6, k1, k2, k3, k4)
             s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
 
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
@@ -388,6 +387,31 @@ def simulate(model, tractor, gamma0, ell, params=None):
         _fill_orthogonal_distance(trace, params)
     _fill_curvature(trace, params)
     return trace
+
+
+def _shift2(y, h, k):
+    return (y[0] + h * k[0], y[1] + h * k[1])
+
+
+def _shift3(y, h, k):
+    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2])
+
+
+def _combine2(y, h6, a, b, c, d):
+    return (y[0] + h6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0]),
+            y[1] + h6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1]))
+
+
+def _combine3(y, h6, a, b, c, d):
+    return (y[0] + h6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0]),
+            y[1] + h6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1]),
+            y[2] + h6 * (a[2] + 2 * b[2] + 2 * c[2] + d[2]))
+
+
+# the RK4 state combinations by state length: y + h k, the stage states,
+# and y + h6 (a + 2 b + 2 c + d), the step
+_SHIFT = {2: _shift2, 3: _shift3}
+_COMBINE = {2: _combine2, 3: _combine3}
 
 
 def _plan(times, breaks):
@@ -676,8 +700,10 @@ def _attachment_map(model, tractor, ell, d0, side):
         foot, v = pts[0], vel[0]
         speed = model.norm(foot, v)
         turned = model.quarter_turn(foot, v)
-        acc = (vel[1] - vel[2]) / (2.0 * h) + np.einsum(
-            "kij,i,j->k", model.christoffel_at(foot), v, v)
+        # Gamma^k_ij v^i v^j, written out
+        gam = model.christoffel_at(foot)
+        acc = (vel[1] - vel[2]) / (2.0 * h) + (
+            (gam[:, :, 0] * v[0] + gam[:, :, 1] * v[1]) * v).sum(axis=1)
         bend = model.inner(foot, acc, turned) / (speed * speed)
         end, tangent, c, s = model.shoot(foot, (side / speed) * turned, d0,
                                          _INPUT_STEP)
@@ -715,6 +741,24 @@ def _attachment_map(model, tractor, ell, d0, side):
     return start, evaluate
 
 
+def _newton_step(J, F):
+    """The solution of J step = -F for a 1x1 or 2x2 J, by Cramer's rule
+    on floats, as an array; None where the determinant is zero or not
+    finite, or the step is not finite."""
+    if len(F) == 1:
+        (det,), = J
+        num = [-F[0]]
+    else:
+        (a, b), (c, d) = J
+        f, g = F
+        det = a * d - b * c
+        num = [b * g - d * f, c * f - a * g]
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    step = [x / det for x in num]
+    return np.array(step) if all(map(math.isfinite, step)) else None
+
+
 def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     """Place gamma0 at orthogonal offset d0 from the tractor so that
     dist(gamma0, eta(t0)) = ell.
@@ -729,9 +773,11 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     _INPUT_STEP per iteration; on the 3-D flat model for tau alone. tau
     starts at the flat estimate t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|. A
     step that leaves the side of t0 that `mode` selects puts tau at the
-    midpoint of tau and t0, and one that does not lower |F| is halved. The
-    solve stops at |F| < 1e-12 max(1, ell); a singular Jacobian, or
-    _SHOOT_MAX_ITER iterations, raise NoConvergenceError.
+    midpoint of tau and t0, and one that does not lower |F| is halved.
+    Each step solves its 2x2 (1x1) system by Cramer's rule on floats
+    (`_newton_step`). The solve stops at |F| < 1e-12 max(1, ell); a
+    singular Jacobian, or _SHOOT_MAX_ITER iterations, raise
+    NoConvergenceError.
     """
     _require_pole(model, ell)
     if not 0.0 <= d0 < ell:
@@ -752,11 +798,8 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     for _ in range(_SHOOT_MAX_ITER):
         if rn < tol:
             return gamma0, float(x[0])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            step = np.full_like(F, np.nan)
-        if not np.all(np.isfinite(step)):
+        step = _newton_step(J.tolist(), F.tolist())
+        if step is None:
             raise NoConvergenceError(
                 f"attachment: singular Jacobian at tau = {x[0]!r}")
         damp = 1.0

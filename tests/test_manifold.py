@@ -624,9 +624,15 @@ def test_closed_form_stage_matches_connect(model, where, heading, frac,
     rate, sdot, rec = model.tractrix_stage(eta, etap, gamma, ell, 8,
                                            record=True)
     got_gamma, v, speed, _, _, _, drift, eta_speed = rec
-    t_end = model._pole(eta, etap, gamma)[2]
     rate_o, v_o, t_o, speed_o, drift_o = stage_oracle(
         model, np.array(eta), np.array(etap), np.array(gamma), ell)
+    # the signed speeds for eta' = e_i are <e_i, T>_g, which fix T: a
+    # bound of 1e-12 |e_i|_g on each holds when |T - T_o|_g <= 1e-12
+    for e_i in np.eye(model.dim):
+        speed_i = model.tractrix_stage(eta, e_i.tolist(), gamma, ell, 8,
+                                       record=True)[2][2]
+        assert (abs(speed_i - model.inner(eta, e_i, t_o))
+                <= 1e-12 * model.norm(eta, e_i))
     scale = model.norm(eta, etap)
     assume(scale > 1e-3)
     assert eta_speed == pytest.approx(scale, rel=1e-12)
@@ -635,7 +641,6 @@ def test_closed_form_stage_matches_connect(model, where, heading, frac,
     assert sdot == abs(speed)
     assert model.norm(gamma, np.subtract(rate, rate_o)) <= 1e-12 * scale
     assert model.norm(gamma, np.subtract(v, v_o)) <= 1e-12
-    assert model.norm(eta, np.subtract(t_end, t_o)) <= 1e-12
     assert abs(drift - drift_o) <= 1e-12 * ell
 
 

@@ -1071,8 +1071,10 @@ def shortening_round():
 
 
 @pytest.mark.parametrize("name", ["flat_half_tractrix", "wiggly_circle",
-                                  "hyperbolic_pull", "shorten_flat"])
+                                  "hyperbolic_pull", "sphere_pull",
+                                  "hilly_pull", "shorten_flat"])
 def test_simulate_matches_the_scalar_loop(name):
+    # every stage family: flat 2-D and 3-D, disk, sphere and surface
     if name == "shorten_flat":
         model, tractor, g0, ell, params = shortening_round()
         assert len(tractor.breaks) > 30
@@ -1248,9 +1250,10 @@ def test_surface_attachment_takes_few_newton_iterations(monkeypatch, name,
     ("singular", "singular Jacobian"), ("offset", "did not converge")])
 def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
                                                        match):
-    # on a circle, where the flat estimate misses: a Jacobian with a zero
-    # column, and a residual that no step can lower below 1e-3, end the
-    # solve with NoConvergenceError, not LinAlgError
+    # on a circle in 2-D and 3-D, where the flat estimate misses: a
+    # Jacobian with a zero column (the whole 1x1 Jacobian in 3-D), and a
+    # residual that no step can lower below 1e-3, end the solve with
+    # NoConvergenceError, never a ZeroDivisionError
     attachment_map = tractrix_sim._attachment_map
 
     def faulty(*args):
@@ -1258,7 +1261,9 @@ def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
 
         def spoil(F, J, gamma0):
             if fault == "singular":
-                return F, J * [0.0, 1.0], gamma0
+                J = J.copy()
+                J[:, 0] = 0.0
+                return F, J, gamma0
             return np.hypot(F, 1e-3), J, gamma0
 
         def spoiled_start(tau):
@@ -1268,9 +1273,12 @@ def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
         return spoiled_start, lambda x: spoil(*evaluate(x))
 
     monkeypatch.setattr(tractrix_sim, "_attachment_map", faulty)
-    with pytest.raises(NoConvergenceError, match=match):
-        orthogonal_attachment(FLAT2, tractor_from_config(FLAT2, {
-            "kind": "circle", "center": [0.0, 0.0], "radius": 2.0}), 1.0, 0.6)
+    for model, spec in (
+            (FLAT2, {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0}),
+            (FLAT3, {"kind": "circle3d", "radius": 2.0})):
+        with pytest.raises(NoConvergenceError, match=match):
+            orthogonal_attachment(model, tractor_from_config(model, spec),
+                                  1.0, 0.6)
 
 
 @pytest.mark.parametrize("spec, ell, d0, side, mode, gamma0, tau", [
