@@ -2,9 +2,14 @@
 
 A chart is an immersion F(u, v) -> R^3 given by two evaluators: `point`,
 the position, and `jet`, its first and second partial derivatives in one
-call. Metric, Christoffel symbols and Gauss curvature are derived from the
-jet by the manifold layer; charts only know their own geometry. Evaluators
-return plain tuples because they sit inside integrator loops.
+call, plus its geodesic spray: `spray` gives the acceleration
+-Gamma(x', x') and the Gauss curvature K at a point on floats, the right-hand
+side of every float geodesic shot. The base spray derives both from the
+jet, through E, F, G and the second fundamental form; graph charts
+z = f(u, v) override it with the closed forms in f's derivatives. The
+manifold layer derives everything else (metric, Christoffel symbols and K
+on rows, transport) from the jet. Evaluators return plain tuples because
+they sit inside integrator loops.
 
 `jet` is written once against a math namespace `xp`: `math`, the default,
 for floats, `numpy` for arrays u, v of one shape, whose entries are then
@@ -14,8 +19,14 @@ arrays, or floats that broadcast where they do not depend on the point.
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import ConfigError, OutOfDomainError
+from .errors import (
+    ConfigError,
+    DomainExitError,
+    OutOfDomainError,
+    SingularChartError,
+)
 
 __all__ = [
     "SurfaceChart",
@@ -30,12 +41,36 @@ __all__ = [
 ]
 
 
+# a metric determinant E G - F^2 below this is singular
+DET_EPS = 1e-12
+# the bound of an unbounded side: a NaN or infinite coordinate fails
+# lo <= u <= hi against it
+_FAR = sys.float_info.max
+
+
+def singular_metric(chart, u, v):
+    return SingularChartError(
+        f"{chart.name}: metric singular at ({float(u)!r}, {float(v)!r})")
+
+
 class SurfaceChart:
     """Base immersion. Subclasses fill in `point` and `jet`."""
 
     name = "chart"
-    # ((umin, umax), (vmin, vmax)); None means unbounded on that side.
-    domain = ((None, None), (None, None))
+    _domain = ((None, None), (None, None))
+    # the domain as (umin, umax, vmin, vmax), unbounded sides at -+_FAR
+    box = (-_FAR, _FAR, -_FAR, _FAR)
+
+    @property
+    def domain(self):
+        """((umin, umax), (vmin, vmax)); None means unbounded on that side."""
+        return self._domain
+
+    @domain.setter
+    def domain(self, domain):
+        (ulo, uhi), (vlo, vhi) = self._domain = domain
+        self.box = tuple(float(far if x is None else x) for x, far in (
+            (ulo, -_FAR), (uhi, _FAR), (vlo, -_FAR), (vhi, _FAR)))
 
     def point(self, u, v):
         """F(u, v) as a 3-tuple."""
@@ -52,12 +87,48 @@ class SurfaceChart:
                                    f"domain {self.domain}")
 
     def contains(self, u, v):
-        (ulo, uhi), (vlo, vhi) = self.domain
-        if (ulo is not None and u < ulo) or (uhi is not None and u > uhi):
-            return False
-        if (vlo is not None and v < vlo) or (vhi is not None and v > vhi):
-            return False
-        return True
+        ulo, uhi, vlo, vhi = self.box
+        return ulo <= u <= uhi and vlo <= v <= vhi
+
+    def _exit(self, u, v):
+        return DomainExitError(f"{self.name}: geodesic left the chart domain",
+                               point=(u, v))
+
+    def spray(self, u, v, a, b):
+        """(acc_u, acc_v, K): the geodesic acceleration -Gamma(x', x') for
+        the velocity x' = (a, b) at (u, v), and the Gauss curvature there,
+        on floats from one jet. Raises DomainExitError outside the domain
+        and SingularChartError where the metric is singular."""
+        if not self.contains(u, v):
+            raise self._exit(u, v)
+        # unpacked once: indexing the tuples term by term costs more
+        ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+         (xvv, yvv, zvv)) = self.jet(u, v)
+        E = xu * xu + yu * yu + zu * zu
+        F = xu * xv + yu * yv + zu * zv
+        G = xv * xv + yv * yv + zv * zv
+        det = E * G - F * F
+        if det < DET_EPS:
+            raise singular_metric(self, u, v)
+        iuu, iuv, ivv = G / det, -F / det, E / det
+        cu1 = xuu * xu + yuu * yu + zuu * zu
+        cu2 = xuu * xv + yuu * yv + zuu * zv
+        cm1 = xuv * xu + yuv * yu + zuv * zu
+        cm2 = xuv * xv + yuv * yv + zuv * zv
+        cv1 = xvv * xu + yvv * yu + zvv * zu
+        cv2 = xvv * xv + yvv * yv + zvv * zv
+        g1uu, g2uu = iuu * cu1 + iuv * cu2, iuv * cu1 + ivv * cu2
+        g1uv, g2uv = iuu * cm1 + iuv * cm2, iuv * cm1 + ivv * cm2
+        g1vv, g2vv = iuu * cv1 + iuv * cv2, iuv * cv1 + ivv * cv2
+        acc_u = -(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b)
+        acc_v = -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b)
+        # K = (L N - M^2) / det against the unit normal; the unnormalized
+        # n = F_u x F_v has |n|^2 = det, so no square root is needed
+        nx, ny, nz = yu * zv - zu * yv, zu * xv - xu * zv, xu * yv - yu * xv
+        L = xuu * nx + yuu * ny + zuu * nz
+        M = xuv * nx + yuv * ny + zuv * nz
+        N = xvv * nx + yvv * ny + zvv * nz
+        return acc_u, acc_v, (L * N - M * M) / (det * det)
 
     def gauss_range(self, rect):
         """Exact curvature range over rect = ((u0,u1),(v0,v1)), or None.
@@ -254,7 +325,8 @@ class GraphChart(SurfaceChart):
             z += k[0] * math.sin(wu * u + pu) * math.sin(wv * v + pv)
         return (u, v, z)
 
-    def jet(self, u, v, xp=math):
+    def _slopes(self, u, v, xp):
+        """(f_u, f_v, f_uu, f_uv, f_vv) of the height at (u, v)."""
         # one loop per order: this sits under every geodesic stage
         _, tu, tv, tuu, tuv, tvv = self._poly
         zu = zv = zuu = zuv = zvv = 0.0
@@ -276,8 +348,23 @@ class GraphChart(SurfaceChart):
             zuu += k[3] * su * sv
             zuv += k[4] * cu * cv
             zvv += k[5] * su * sv
+        return zu, zv, zuu, zuv, zvv
+
+    def jet(self, u, v, xp=math):
+        zu, zv, zuu, zuv, zvv = self._slopes(u, v, xp)
         return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
                 (0.0, 0.0, zuv), (0.0, 0.0, zvv))
+
+    def spray(self, u, v, a, b):
+        # with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij =
+        # f_k f_ij / W and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the
+        # metric is never singular
+        if not self.contains(u, v):
+            raise self._exit(u, v)
+        fu, fv, fuu, fuv, fvv = self._slopes(u, v, math)
+        w = 1.0 + fu * fu + fv * fv
+        hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
+        return -fu * hess, -fv * hess, (fuu * fvv - fuv * fuv) / (w * w)
 
 
 class PlaneChart(GraphChart):

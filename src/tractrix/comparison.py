@@ -118,12 +118,8 @@ def _visited_rect(chart, trace):
     for axis in range(2):
         lo = float(pts[:, axis].min()) - pad
         hi = float(pts[:, axis].max()) + pad
-        dlo, dhi = chart.domain[axis]
-        if dlo is not None:
-            lo = max(lo, dlo)
-        if dhi is not None:
-            hi = min(hi, dhi)
-        rect.append((lo, hi))
+        dlo, dhi = chart.box[2 * axis:2 * axis + 2]
+        rect.append((max(lo, dlo), min(hi, dhi)))
     return tuple(rect)
 
 

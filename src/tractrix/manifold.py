@@ -12,7 +12,11 @@ methods and transport take (n, dim) rows, so a post-pass is one call.
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
-riding along, so a Newton solve gets its Jacobian from the shots it makes:
+riding along. On floats the chart supplies that right-hand side, the
+acceleration and K in one call (`SurfaceChart.spray`: closed forms on graph
+charts, from the jet on the others); the row shots, and the metric,
+Christoffel symbols and K at given points, are derived here from the chart
+jet. A Newton solve gets its Jacobian from the shots it makes:
 `connect` is damped Newton with one shot per iteration, the direction
 column being s(L) times the end tangent turned by +pi/2 (`quarter_turn`),
 and the attachment (`tractrix_sim.orthogonal_attachment`) makes no
@@ -48,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charts import SurfaceChart
+from .charts import DET_EPS, SurfaceChart, singular_metric
 from .errors import (
     ConfigError,
     DomainExitError,
@@ -75,7 +79,6 @@ __all__ = [
     "POLE_STEP",
 ]
 
-_DET_EPS = 1e-12
 _DRIFT_TOL = 1e-6
 # sin(pi) rounds to ~1.2e-16, so a conjugate point is flagged by a small
 # positive threshold rather than an exact sign change.
@@ -582,7 +585,7 @@ class SphereModel(SpaceFormModel):
         if not 0.0 < th < math.pi:
             raise OutOfDomainError(
                 f"colatitude {th!r} outside (0, pi)")
-        if math.sin(th) ** 2 * self.radius ** 4 < _DET_EPS:
+        if math.sin(th) ** 2 * self.radius ** 4 < DET_EPS:
             raise SingularChartError(
                 f"chart singular near the poles (theta={th!r})")
 
@@ -731,7 +734,7 @@ class SphereModel(SpaceFormModel):
             # check_point, for all rows at once
             if not np.all((th > 0.0) & (th < math.pi)):
                 raise OutOfDomainError("colatitude outside (0, pi)")
-            if np.any(np.sin(th) ** 2 * self.radius ** 4 < _DET_EPS):
+            if np.any(np.sin(th) ** 2 * self.radius ** 4 < DET_EPS):
                 raise SingularChartError("chart singular near the poles")
         half = 0.5 * (th_b - th_a)
         angle = (-(b[..., 1] - a[..., 1]) * np.cos(th_a + half)
@@ -935,11 +938,6 @@ def space_form(K, dim=2, periods=None):
 # Embedded surfaces
 
 
-def _singular_metric(chart, u, v):
-    return SingularChartError(
-        f"{chart.name}: metric singular at ({float(u)!r}, {float(v)!r})")
-
-
 def _first_form(jet):
     """E, F, G and det = E G - F^2 from a chart jet, on floats or rows."""
     fu, fv = jet[0], jet[1]
@@ -988,20 +986,21 @@ class SurfaceModel(ManifoldModel):
         """Chart jet, E, F, G and det at (u, v); raises if singular."""
         jet = self.chart.jet(u, v)
         E, F, G, det = _first_form(jet)
-        if det < _DET_EPS:
-            raise _singular_metric(self.chart, u, v)
+        if det < DET_EPS:
+            raise singular_metric(self.chart, u, v)
         return jet, E, F, G, det
 
     def _rows(self, u, v):
         """`_forms` on arrays u, v of one shape, without raising: the jet,
         E, F, G and det (floats where constant) and the mask of points
         outside the domain."""
-        (ulo, uhi), (vlo, vhi) = ((-math.inf if lo is None else lo,
-                                   math.inf if hi is None else hi)
-                                  for lo, hi in self.chart.domain)
-        jet = self.chart.jet(u, v, np)
-        return (jet, *_first_form(jet),
-                (u < ulo) | (u > uhi) | (v < vlo) | (v > vhi))
+        ulo, uhi, vlo, vhi = self.chart.box
+        # the points outside, non-finite ones included, may give invalid
+        # values: they are masked
+        with np.errstate(invalid="ignore"):
+            jet = self.chart.jet(u, v, np)
+            return (jet, *_first_form(jet),
+                    ~((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi)))
 
     def _checked_rows(self, u, v):
         """`_rows` that raises for the first row (last axis) with a point
@@ -1009,7 +1008,7 @@ class SurfaceModel(ManifoldModel):
         *out, outside = self._rows(u, v)
         for bad, error, what in (
                 (outside, DomainExitError, "left the chart domain"),
-                (out[4] < _DET_EPS, SingularChartError, "metric singular")):
+                (out[4] < DET_EPS, SingularChartError, "metric singular")):
             if np.any(bad):
                 row = np.argmax(np.atleast_2d(bad).any(axis=0))
                 raise error(f"{self.chart.name}: {what} in row {row}")
@@ -1065,7 +1064,7 @@ class SurfaceModel(ManifoldModel):
         jet, _, _, _, det, outside = self._rows(u, v)
         with np.errstate(all="ignore"):
             K = _gauss(jet, det, np.sqrt)
-        return np.where(outside | (det < _DET_EPS), np.nan, K)
+        return np.where(outside | (det < DET_EPS), np.nan, K)
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         # one RK4 integration on arrays, every row in lockstep
@@ -1165,42 +1164,11 @@ class SurfaceModel(ManifoldModel):
             abs(speed - 1.0), eta_speed)
 
     def _geo_rhs(self, x, v):
-        # the hottest call: _forms, christoffel_at and gauss_at stay inlined
-        u, w = x[0], x[1]
-        ch = self.chart
-        if not ch.contains(u, w):
-            raise DomainExitError(
-                f"{ch.name}: geodesic left the chart domain",
-                point=np.array([u, w]))
-        # unpacked once: indexing the tuples term by term costs more
-        ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = ch.jet(u, w)
-        E = xu * xu + yu * yu + zu * zu
-        F = xu * xv + yu * yv + zu * zv
-        G = xv * xv + yv * yv + zv * zv
-        det = E * G - F * F
-        if det < _DET_EPS:
-            raise _singular_metric(ch, u, w)
-        iuu, iuv, ivv = G / det, -F / det, E / det
-        cu1 = xuu * xu + yuu * yu + zuu * zu
-        cu2 = xuu * xv + yuu * yv + zuu * zv
-        cm1 = xuv * xu + yuv * yu + zuv * zu
-        cm2 = xuv * xv + yuv * yv + zuv * zv
-        cv1 = xvv * xu + yvv * yu + zvv * zu
-        cv2 = xvv * xv + yvv * yv + zvv * zv
-        g1uu, g2uu = iuu * cu1 + iuv * cu2, iuv * cu1 + ivv * cu2
-        g1uv, g2uv = iuu * cm1 + iuv * cm2, iuv * cm1 + ivv * cm2
-        g1vv, g2vv = iuu * cv1 + iuv * cv2, iuv * cv1 + ivv * cv2
-        a, b = v[0], v[1]
-        acc_u = -(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b)
-        acc_v = -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b)
-        # K = (L N - M^2) / det against the unit normal; the unnormalized
-        # n = F_u x F_v has |n|^2 = det, so no square root is needed
-        nx, ny, nz = yu * zv - zu * yv, zu * xv - xu * zv, xu * yv - yu * xv
-        L = xuu * nx + yuu * ny + zuu * nz
-        M = xuv * nx + yuv * ny + zuv * nz
-        N = xvv * nx + yvv * ny + zvv * nz
-        return acc_u, acc_v, (L * N - M * M) / (det * det)
+        # the hottest call, one chart spray per RK4 stage; bench/tracer.py
+        # counts the evaluations by this method's name
+        u, w = x
+        a, b = v
+        return self.chart.spray(u, w, a, b)
 
 
 def surface_model(chart):
@@ -1252,12 +1220,13 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
     The state is two-dimensional and held in locals: (x, y) for the point,
-    (p, q) for the velocity, floats for rhs `_geo_rhs` and arrays of shots
-    in lockstep for `_geo_rows`. Only surfaces reach this integrator,
-    because the space forms, the only models that can be three-dimensional,
-    override each of its callers with closed forms. The cosine and sine
-    solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and
-    s(0) = 0, s'(0) = 1, with K from the same chart jet as the acceleration.
+    (p, q) for the velocity, floats for rhs `_geo_rhs` (the chart's spray)
+    and arrays of shots in lockstep for `_geo_rows` (the row jet). Only
+    surfaces reach this integrator, because the space forms, the only
+    models that can be three-dimensional, override each of its callers with
+    closed forms. The cosine and sine solutions of j'' + K j = 0 ride along,
+    c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same
+    evaluation as the acceleration.
 
     The result is (x, v, c, s): with collect, the sampled points and
     velocities as (n_steps + 1, 2[, n]) arrays and c and s as lists, else

@@ -231,13 +231,16 @@ class TractrixTrace:
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
         default_factory=list)
+    pole_step: float = POLE_STEP  # the run's, which sizes every shot
 
     def check_invariants(self):
-        """Raise if a trace invariant is violated (used by the test suite)."""
+        """Raise if a trace invariant is violated (used by the test suite);
+        the pole lengths are measured with shots at the run's pole_step."""
         for i in range(len(self.t)):
             L = self.model.distance(self.gamma[i], self.eta[i],
                                     v_guess=self.pole_dir[i],
-                                    L_guess=self.ell)
+                                    L_guess=self.ell,
+                                    pole_step=self.pole_step)
             if abs(L - self.ell) > _POLE_DRIFT_LIMIT:
                 raise PoleLengthDriftError(
                     f"record {i}: pole length {L!r} vs {self.ell!r}")
@@ -380,7 +383,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
         kappa=np.full(n, np.nan), jacobi_ell=np.array(jac_ell),
         jacobi_int=np.array(jac_int),
         pole_conjugate=np.array(conj, dtype=bool),
-        max_drift=max(0.0, *drifts))
+        max_drift=max(0.0, *drifts), pole_step=params.pole_step)
 
     _detect_cusps(trace, params)
     if tractor.is_geodesic:

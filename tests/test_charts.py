@@ -13,10 +13,12 @@ from tractrix.charts import (
     PlaneChart,
     PseudosphereChart,
     SphereChart,
+    SurfaceChart,
     _CATALOG,
     chart_from_config,
 )
 from tractrix.errors import ConfigError, OutOfDomainError
+from tractrix.manifold import SurfaceModel
 
 CHARTS = [
     (SphereChart(1.0), (1.1, 0.4)),
@@ -96,6 +98,24 @@ def test_graph_jet_matches_finite_differences(poly, sinsin, u, v):
         assert np.allclose(an, num, atol=atol, rtol=1e-6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), coefficient),
+                max_size=3),
+       sinsin_terms, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_graph_spray_matches_generic_spray(poly, sinsin, u, v, a, b):
+    # the closed forms in f's derivatives against the base spray, which
+    # derives the same from the jet through E, F, G, the Christoffel
+    # contractions and the second fundamental form; K against gauss_at
+    chart = GraphChart(poly=poly, sinsin=sinsin)
+    spray = chart.spray(u, v, a, b)
+    reference = SurfaceChart.spray(chart, u, v, a, b)
+    for x, y in zip(spray, reference):
+        assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
+    assert math.isclose(spray[2], SurfaceModel(chart).gauss_at((u, v)),
+                        rel_tol=1e-12, abs_tol=1e-13)
+
+
 # every catalog chart, the graph with polynomial terms of degree 3 and more
 ROW_CHARTS = dict(
     {name: make() for name, make in _CATALOG.items()},
@@ -156,6 +176,20 @@ def test_pseudosphere_domain_excludes_rim():
     with pytest.raises(OutOfDomainError):
         ch.check_domain(-0.5, 0.0)
     assert not ch.contains(-0.5, 0.0)
+
+
+@pytest.mark.parametrize("chart", [
+    SphereChart(1.0), PseudosphereChart(1.0), ParaboloidChart(),
+    GraphChart(domain=((-1.0, 1.0), (None, 2.0)))],
+    ids=lambda c: c.name)
+def test_non_finite_coordinates_are_outside(chart):
+    # NaN fails every bound, and an infinity fails an unbounded side too
+    assert chart.contains(1.0, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not chart.contains(bad, 0.5)
+        assert not chart.contains(1.0, bad)
+        with pytest.raises(OutOfDomainError):
+            chart.check_domain(bad, 0.5)
 
 
 def test_exact_curvature_ranges():

@@ -13,6 +13,7 @@ from tractrix.charts import (
 )
 from tractrix.errors import (
     ConfigError,
+    DomainExitError,
     NoConvergenceError,
     OutOfDomainError,
     SingularChartError,
@@ -662,6 +663,55 @@ def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
     # atanh with a bare "math domain error"
     with pytest.raises(error):
         model.tractrix_stage(eta, [1.0] * model.dim, gamma, 1.0, 8)
+
+
+# -- chart exits -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, v", [([math.nan, 0.0], [1.0, 0.0]),
+                                  ([math.inf, 0.0], [1.0, 0.0]),
+                                  ([0.0, 0.0], [math.nan, 0.0])],
+                         ids=["nan-point", "inf-point", "nan-tangent"])
+def test_non_finite_shots_raise_typed_errors(p, v):
+    # a non-finite point is outside every chart, so no shot returns NaN
+    with pytest.raises(DomainExitError):
+        PARAB.shoot(p, v, 1.0)
+    with pytest.raises(DomainExitError, match="row 1"):
+        PARAB.shoot_rows(np.array([[0.0, 0.0], p]),
+                         np.array([[1.0, 0.0], v]), np.array([1.0, 1.0]))
+    if not np.all(np.isfinite(p)):
+        with pytest.raises(OutOfDomainError):
+            PARAB.exp_point(p, v, 1.0)
+
+
+def test_shots_that_leave_a_bounded_graph_raise():
+    # the paraboloid cut to the square |u|, |v| <= 1 by its config domain:
+    # the unit shot along the u axis from u = 0.5 leaves it at u = 1
+    model = surface_model({"name": "graph",
+                           "poly": [[2, 0, 1.0], [0, 2, 1.0]],
+                           "domain": [[-1.0, 1.0], [-1.0, 1.0]]})
+    unit = [1.0 / math.sqrt(2.0), 0.0]
+    assert model.norm([0.5, 0.0], unit) == pytest.approx(1.0)
+    model.shoot([0.5, 0.0], unit, 0.2)
+    with pytest.raises(DomainExitError):
+        model.shoot([0.5, 0.0], unit, 2.0)
+    # in lockstep, row 0 stays inside and row 1 leaves
+    with pytest.raises(DomainExitError, match="row 1"):
+        model.shoot_rows(np.array([[0.0, 0.0], [0.5, 0.0]]),
+                         np.array([[1.0, 0.0], unit]), np.array([0.1, 2.0]))
+
+
+@pytest.mark.parametrize("p, length", [([0.5, 0.3], 0.5), ([0.5, 0.3], 1.0),
+                                       ([0.25, 0.0], 0.25)])
+def test_shots_into_the_sphere_chart_pole_raise_typed_errors(p, length):
+    # along a meridian into colatitude 0, where the chart's metric is
+    # singular; the check precedes every division by det
+    sphere = surface_model("sphere")
+    with pytest.raises((SingularChartError, DomainExitError)):
+        sphere.shoot(p, [-1.0, 0.0], length)
+    with pytest.raises((SingularChartError, DomainExitError), match="row 0"):
+        sphere.shoot_rows(np.array([p]), np.array([[-1.0, 0.0]]),
+                          np.array([length]))
 
 
 # -- the surface tractrix stage ----------------------------------------------

@@ -649,9 +649,10 @@ def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
 
 def logged_shots(monkeypatch, name, pole_step, span=None):
     """{phase: [(steps, length)]} of every RK4 shot of a bundled scenario's
-    attachment and simulation at pole_step. The phases are "attach",
-    "simulate" and "foot" (the foot solve); a shot inside `connect` is
-    logged with the starting length that sized the solve."""
+    attachment, simulation at pole_step and `check_invariants`. The phases
+    are "attach", "simulate", "foot" (the foot solve) and "check"; a shot
+    inside `connect` is logged with the starting length that sized the
+    solve."""
     log, where = {}, {"phase": None, "start": None}
     rk4 = manifold._rk4_geodesic
 
@@ -692,8 +693,10 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     where["phase"] = "attach"
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     where["phase"] = "simulate"
-    simulate(model, tractor, g0, cfg.ell,
-             SimParams(**dict(cfg.sim, pole_step=pole_step)))
+    trace = simulate(model, tractor, g0, cfg.ell,
+                     SimParams(**dict(cfg.sim, pole_step=pole_step)))
+    where["phase"] = "check"
+    trace.check_invariants()
     monkeypatch.undo()
     return log
 
@@ -701,15 +704,15 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
 def test_every_shot_follows_the_step_rule(monkeypatch):
     # hilly_pull and ellipsoid_equator at the bench's spans: every shot
     # takes shot_steps(length, step), the attachment's at _INPUT_STEP and
-    # the run's at its pole_step
+    # the run's, check_invariants' included, at its pole_step
     runs = {(name, h): logged_shots(monkeypatch, name, h, span)
             for name, span in (("hilly_pull", None),
                                ("ellipsoid_equator", 0.2))
             for h in (POLE_STEP, 0.025, 0.0125)}
     for (name, h), log in runs.items():
-        assert set(log) == ({"attach", "simulate", "foot"}
+        assert set(log) == ({"attach", "simulate", "foot", "check"}
                             if name == "ellipsoid_equator"
-                            else {"attach", "simulate"})
+                            else {"attach", "simulate", "check"})
         for phase, shots in log.items():
             step = _INPUT_STEP if phase == "attach" else h
             assert all(n == shot_steps(L, step) for n, L in shots), phase
