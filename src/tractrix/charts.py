@@ -3,23 +3,27 @@
 A chart is an immersion F(u, v) -> R^3 given by two evaluators: `point`,
 the position, and `jet`, its first and second partial derivatives in one
 call, plus its geodesic spray: `spray` gives the acceleration
--Gamma(x', x') and the Gauss curvature K at a point on floats, the right-hand
-side of every float geodesic shot. The base spray derives both from the
-jet, through E, F, G and the second fundamental form; graph charts
-z = f(u, v) override it with the closed forms in f's derivatives. The
-manifold layer derives everything else (metric, Christoffel symbols and K
-on rows, transport) from the jet. Evaluators return plain tuples because
+-Gamma(x', x') and the Gauss curvature K at a point, the right-hand side of
+every geodesic shot, on floats and on rows. The base spray derives both
+from the jet, through E, F, G and the second fundamental form; graph
+charts z = f(u, v) override it with the closed forms in f's derivatives,
+and surfaces of revolution (the sphere, the spheroid, the pseudosphere)
+with the closed forms in their profile curve's. The manifold layer
+derives everything else (the metric, Christoffel symbols and K at given
+points, transport) from the jet. Evaluators return plain tuples because
 they sit inside integrator loops.
 
-`jet` is written once against a math namespace `xp`: `math`, the default,
-for floats, `numpy` for arrays u, v of one shape, whose entries are then
-arrays, or floats that broadcast where they do not depend on the point.
+`jet` and `spray` are written once against a math namespace `xp`: `math`,
+the default, for floats, `numpy` for arrays u, v of one shape, whose
+entries are then arrays, or floats that broadcast where they do not depend
+on the point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import types
 
 from .errors import (
     ConfigError,
@@ -30,6 +34,7 @@ from .errors import (
 
 __all__ = [
     "SurfaceChart",
+    "RevolutionChart",
     "SphereChart",
     "EllipsoidChart",
     "PseudosphereChart",
@@ -46,6 +51,20 @@ DET_EPS = 1e-12
 # the bound of an unbounded side: a NaN or infinite coordinate fails
 # lo <= u <= hi against it
 _FAR = sys.float_info.max
+
+
+def _domain_side(side):
+    """(lo, hi) of one side of a chart domain: each None (unbounded) or a
+    finite number, and lo < hi where both are given."""
+    try:
+        lo, hi = (None if x is None else float(x) for x in side)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
+    if not (all(x is None or math.isfinite(x) for x in (lo, hi))
+            and (lo is None or hi is None or lo < hi)):
+        raise ConfigError(f"chart domain side {side!r} must be (lo, hi), "
+                          "each a finite number or None, with lo < hi")
+    return lo, hi
 
 
 def singular_metric(chart, u, v):
@@ -68,7 +87,8 @@ class SurfaceChart:
 
     @domain.setter
     def domain(self, domain):
-        (ulo, uhi), (vlo, vhi) = self._domain = domain
+        (ulo, uhi), (vlo, vhi) = self._domain = tuple(
+            map(_domain_side, domain))
         self.box = tuple(float(far if x is None else x) for x, far in (
             (ulo, -_FAR), (uhi, _FAR), (vlo, -_FAR), (vhi, _FAR)))
 
@@ -94,21 +114,24 @@ class SurfaceChart:
         return DomainExitError(f"{self.name}: geodesic left the chart domain",
                                point=(u, v))
 
-    def spray(self, u, v, a, b):
+    def spray(self, u, v, a, b, xp=math):
         """(acc_u, acc_v, K): the geodesic acceleration -Gamma(x', x') for
         the velocity x' = (a, b) at (u, v), and the Gauss curvature there,
-        on floats from one jet. Raises DomainExitError outside the domain
-        and SingularChartError where the metric is singular."""
-        if not self.contains(u, v):
+        from one jet. On floats it raises DomainExitError outside the
+        domain and SingularChartError where the metric is singular, before
+        any division. On rows (xp numpy) it checks nothing and returns the
+        metric determinant as a fourth entry, for the caller to check every
+        row against DET_EPS."""
+        if xp is math and not self.contains(u, v):
             raise self._exit(u, v)
         # unpacked once: indexing the tuples term by term costs more
         ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = self.jet(u, v)
+         (xvv, yvv, zvv)) = self.jet(u, v, xp)
         E = xu * xu + yu * yu + zu * zu
         F = xu * xv + yu * yv + zu * zv
         G = xv * xv + yv * yv + zv * zv
         det = E * G - F * F
-        if det < DET_EPS:
+        if xp is math and det < DET_EPS:
             raise singular_metric(self, u, v)
         iuu, iuv, ivv = G / det, -F / det, E / det
         cu1 = xuu * xu + yuu * yu + zuu * zu
@@ -128,7 +151,8 @@ class SurfaceChart:
         L = xuu * nx + yuu * ny + zuu * nz
         M = xuv * nx + yuv * ny + zuv * nz
         N = xvv * nx + yvv * ny + zvv * nz
-        return acc_u, acc_v, (L * N - M * M) / (det * det)
+        K = (L * N - M * M) / (det * det)
+        return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
 
     def gauss_range(self, rect):
         """Exact curvature range over rect = ((u0,u1),(v0,v1)), or None.
@@ -139,38 +163,42 @@ class SurfaceChart:
         return None
 
 
-class SphereChart(SurfaceChart):
-    """Round sphere of given radius, (colatitude, longitude) parameters."""
+class RevolutionChart(SurfaceChart):
+    """Surface of revolution F(u, v) = (r(u) cos v, r(u) sin v, z(u)).
 
-    def __init__(self, radius=1.0):
-        if radius <= 0:
-            raise ConfigError("sphere radius must be positive")
-        self.radius = float(radius)
-        self.name = f"sphere(R={radius:g})"
-        self.domain = ((0.0, math.pi), (None, None))
+    Subclasses fill in `profile`; the spray is written once from it.
+    """
 
-    def point(self, u, v):
-        r = self.radius
-        return (r * math.sin(u) * math.cos(v),
-                r * math.sin(u) * math.sin(v),
-                r * math.cos(u))
+    def profile(self, u, xp=math):
+        """(r, r', r'', z', z'') of the profile curve at u."""
+        raise NotImplementedError
 
-    def jet(self, u, v, xp=math):
-        r = self.radius
-        su, cu, sv, cv = xp.sin(u), xp.cos(u), xp.sin(v), xp.cos(v)
-        return ((r * cu * cv, r * cu * sv, -r * su),
-                (-r * su * sv, r * su * cv, 0.0),
-                (-r * su * cv, -r * su * sv, -r * cu),
-                (-r * cu * sv, r * cu * cv, 0.0),
-                (-r * su * cv, -r * su * sv, 0.0))
+    def spray(self, u, v, a, b, xp=math):
+        # with E = r'^2 + z'^2, F = 0 and G = r^2: Gamma^u_uu =
+        # (r' r'' + z' z'') / E, Gamma^u_vv = -r r' / E, Gamma^v_uv = r' / r,
+        # the others 0, and K = z' (r' z'' - r'' z') / (r E^2). The metric
+        # determinant E r^2 guards every division, as E G - F^2 does in the
+        # base spray
+        if xp is math and not self.contains(u, v):
+            raise self._exit(u, v)
+        r, r1, r2, z1, z2 = self.profile(u, xp)
+        E = r1 * r1 + z1 * z1
+        det = E * r * r
+        if xp is math and det < DET_EPS:
+            raise singular_metric(self, u, v)
+        acc_u = (r * r1 * b * b - (r1 * r2 + z1 * z2) * a * a) / E
+        acc_v = -2.0 * r1 * a * b / r
+        K = z1 * (r1 * z2 - r2 * z1) / (r * E * E)
+        return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
 
-    def gauss_range(self, rect):
-        k = 1.0 / self.radius ** 2
-        return (k, k)
 
+class EllipsoidChart(RevolutionChart):
+    """Ellipsoid with semi-axes (a, b, c), angular parameters as the sphere's.
 
-class EllipsoidChart(SurfaceChart):
-    """Ellipsoid with semi-axes (a, b, c), same angular parameters as the sphere."""
+    A spheroid (a == b) is a surface of revolution with the profile
+    r = a sin u, z = c cos u; a triaxial ellipsoid has no profile and takes
+    the base spray, from the jet.
+    """
 
     def __init__(self, a=1.0, b=1.0, c=1.0):
         if min(a, b, c) <= 0:
@@ -178,6 +206,8 @@ class EllipsoidChart(SurfaceChart):
         self.a, self.b, self.c = float(a), float(b), float(c)
         self.name = f"ellipsoid({a:g},{b:g},{c:g})"
         self.domain = ((0.0, math.pi), (None, None))
+        if self.a != self.b:
+            self.spray = types.MethodType(SurfaceChart.spray, self)
 
     def point(self, u, v):
         return (self.a * math.sin(u) * math.cos(v),
@@ -192,6 +222,11 @@ class EllipsoidChart(SurfaceChart):
                 (-a * su * cv, -b * su * sv, -c * cu),
                 (-a * cu * sv, b * cu * cv, 0.0),
                 (-a * su * cv, -b * su * sv, 0.0))
+
+    def profile(self, u, xp=math):
+        a, c = self.a, self.c
+        su, cu = xp.sin(u), xp.cos(u)
+        return a * su, a * cu, -a * su, -c * su, -c * cu
 
     def gauss_range(self, rect):
         # Closed form only for the revolution case: K = c^2 / (cos^2 u + c^2 sin^2 u)^2
@@ -216,7 +251,23 @@ class EllipsoidChart(SurfaceChart):
         return (min(vals), max(vals))
 
 
-class PseudosphereChart(SurfaceChart):
+class SphereChart(EllipsoidChart):
+    """Round sphere of given radius, (colatitude, longitude) parameters: the
+    ellipsoid with a = b = c = radius."""
+
+    def __init__(self, radius=1.0):
+        if radius <= 0:
+            raise ConfigError("sphere radius must be positive")
+        super().__init__(radius, radius, radius)
+        self.radius = float(radius)
+        self.name = f"sphere(R={radius:g})"
+
+    def gauss_range(self, rect):
+        k = 1.0 / self.radius ** 2
+        return (k, k)
+
+
+class PseudosphereChart(RevolutionChart):
     """Tractroid of pseudoradius a: constant Gauss curvature -1/a^2.
 
     The surface degenerates along u -> 0 (the rim); simulations must keep
@@ -246,6 +297,12 @@ class PseudosphereChart(SurfaceChart):
                 (a * c * cv, a * c * sv, 2.0 * a * ta * se * se),
                 (a * se * ta * sv, -a * se * ta * cv, 0.0),
                 (-a * se * cv, -a * se * sv, 0.0))
+
+    def profile(self, u, xp=math):
+        a = self.a
+        se, ta = 1.0 / xp.cosh(u), xp.tanh(u)
+        return (a * se, -a * se * ta, a * se * (ta * ta - se * se),
+                a * ta * ta, 2.0 * a * ta * se * se)
 
     def gauss_range(self, rect):
         k = -1.0 / self.a ** 2
@@ -355,16 +412,18 @@ class GraphChart(SurfaceChart):
         return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
                 (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
-    def spray(self, u, v, a, b):
+    def spray(self, u, v, a, b, xp=math):
         # with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij =
         # f_k f_ij / W and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the
         # metric is never singular
-        if not self.contains(u, v):
+        if xp is math and not self.contains(u, v):
             raise self._exit(u, v)
-        fu, fv, fuu, fuv, fvv = self._slopes(u, v, math)
+        fu, fv, fuu, fuv, fvv = self._slopes(u, v, xp)
         w = 1.0 + fu * fu + fv * fv
         hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
-        return -fu * hess, -fv * hess, (fuu * fvv - fuv * fuv) / (w * w)
+        K = (fuu * fvv - fuv * fuv) / (w * w)
+        return (-fu * hess, -fv * hess, K) if xp is math else (
+            -fu * hess, -fv * hess, K, w)
 
 
 class PlaneChart(GraphChart):
@@ -433,9 +492,6 @@ def chart_from_config(spec):
             f"unknown chart {name!r}; available: {sorted(_CATALOG)}")
     kwargs = {k: v for k, v in spec.items() if k != "name"}
     try:
-        if name == "graph" and "domain" in kwargs:
-            (u0, u1), (v0, v1) = kwargs["domain"]
-            kwargs["domain"] = ((u0, u1), (v0, v1))
         return _CATALOG[name](**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for chart {name!r}: {exc}") from exc

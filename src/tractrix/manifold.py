@@ -14,14 +14,15 @@ in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
 riding along. On floats the chart supplies that right-hand side, the
 acceleration and K in one call (`SurfaceChart.spray`: closed forms on graph
-charts, from the jet on the others); the row shots, and the metric,
-Christoffel symbols and K at given points, are derived here from the chart
-jet. A Newton solve gets its Jacobian from the shots it makes:
-`connect` is damped Newton with one shot per iteration, the direction
-column being s(L) times the end tangent turned by +pi/2 (`quarter_turn`),
-and the attachment (`tractrix_sim.orthogonal_attachment`) makes no
-`connect` call: it is one damped Newton solve of its own, an offset shot
-and a pole shot per iteration, with both columns Jacobi fields of theirs.
+charts and surfaces of revolution, from the jet on the others), and the
+row shots take the same spray on rows; the metric, Christoffel symbols and
+K at given points are derived here from the chart jet. A Newton solve gets
+its Jacobian from the shots it makes: `connect` is damped Newton with one
+shot per iteration, the direction column being s(L) times the end tangent
+turned by +pi/2 (`quarter_turn`), and the attachment
+(`tractrix_sim.orthogonal_attachment`) makes no `connect` call: it is one
+damped Newton solve of its own, an offset shot and a pole shot per
+iteration, with both columns Jacobi fields of theirs.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
 rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
@@ -255,17 +256,22 @@ class ManifoldModel:
     # -- geodesy -----------------------------------------------------------
 
     def exp_point(self, p, v, length, pole_step=POLE_STEP):
-        """Endpoint and end tangent of the unit-speed geodesic p, v, length:
-        the first two entries of `shoot`, after checking p, the unit
-        tangent and the length."""
+        """Endpoint and end tangent of the unit-speed geodesic p, v, length
+        (`_exp`), after checking p, the unit tangent and the length."""
         self.check_point(p)
         nv = self.norm(p, v)
-        if abs(nv - 1.0) > 1e-8:
+        # written so that a NaN norm or length fails them
+        if not abs(nv - 1.0) <= 1e-8:
             raise ValueError(
                 f"exp_point needs a unit tangent (|v|_g = {nv!r}); "
                 "normalize first")
-        if length < 0:
+        if not length >= 0:
             raise ValueError("pole length must be nonnegative")
+        return self._exp(p, v, length, pole_step)
+
+    def _exp(self, p, v, length, pole_step):
+        """`exp_point` without its checks: the first two entries of
+        `shoot`."""
         return self.shoot(p, v, length, pole_step)[:2]
 
     def shoot(self, p, v, length, pole_step=POLE_STEP):
@@ -424,7 +430,7 @@ class ManifoldModel:
 
 
 class SpaceFormModel(ManifoldModel):
-    """Constant curvature: closed-form geodesy from exp_point and log_map."""
+    """Constant curvature: closed-form geodesy from `_exp` and log_map."""
 
     def __init__(self, K, dim=2, periods=None):
         self.K = float(K)
@@ -436,17 +442,17 @@ class SpaceFormModel(ManifoldModel):
         raise NotImplementedError
 
     def _shot(self, p, v, length, n_steps):
-        """The shot in closed form: exp_point and the constant-K Jacobi
-        pair, whatever the step count."""
+        """The shot in closed form: `_exp` and the constant-K Jacobi pair,
+        whatever the step count."""
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
-        return (*self.exp_point(p, v, length), *_jacobi_pair(self.K, length))
+        return (*self._exp(p, v, length), *_jacobi_pair(self.K, length))
 
     def connect(self, p, q, **_):
         """Closed form; the Newton hints and settings do not apply."""
         v, L = self.log_map(p, q)
-        return v, L, self.exp_point(p, v, L)[1]
+        return v, L, self._exp(p, v, L)[1]
 
     def tractrix_start(self, eta, gamma, ell, pole_step):
         # the closed-form pole solve is exact, so the state is gamma itself
@@ -512,7 +518,7 @@ class FlatModel(SpaceFormModel):
         # identical to a @ I @ b, without building I
         return float(np.dot(a, b))
 
-    def exp_point(self, p, v, length, pole_step=None):
+    def _exp(self, p, v, length, pole_step=None):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         q = p + length * v
@@ -651,7 +657,7 @@ class SphereModel(SpaceFormModel):
         b = float(t3 @ e_ph) / (s * self.radius)
         return p, np.array([a, b])
 
-    def exp_point(self, p, v, length, pole_step=None):
+    def _exp(self, p, v, length, pole_step=None):
         X = self._embed(p)
         W = self._tangent3(p, np.asarray(v, dtype=float))
         psi = self.k * length
@@ -805,7 +811,7 @@ class HyperbolicModel(SpaceFormModel):
         a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
         return a1, a2, self.K
 
-    def exp_point(self, p, v, length, pole_step=None):
+    def _exp(self, p, v, length, pole_step=None):
         z = complex(p[0], p[1])
         vc = complex(v[0], v[1])
         r2 = 1.0 - abs(z) ** 2
@@ -990,28 +996,36 @@ class SurfaceModel(ManifoldModel):
             raise singular_metric(self.chart, u, v)
         return jet, E, F, G, det
 
+    def _outside(self, u, v):
+        """The mask of the points of arrays u, v outside the domain,
+        non-finite ones included."""
+        ulo, uhi, vlo, vhi = self.chart.box
+        return ~((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi))
+
     def _rows(self, u, v):
         """`_forms` on arrays u, v of one shape, without raising: the jet,
         E, F, G and det (floats where constant) and the mask of points
         outside the domain."""
-        ulo, uhi, vlo, vhi = self.chart.box
-        # the points outside, non-finite ones included, may give invalid
-        # values: they are masked
+        # the points outside may give invalid values: they are masked
         with np.errstate(invalid="ignore"):
             jet = self.chart.jet(u, v, np)
-            return (jet, *_first_form(jet),
-                    ~((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi)))
+            return (jet, *_first_form(jet), self._outside(u, v))
 
-    def _checked_rows(self, u, v):
-        """`_rows` that raises for the first row (last axis) with a point
-        outside the domain or at a singular metric, naming it."""
-        *out, outside = self._rows(u, v)
+    def _check_rows(self, outside, det):
+        """Raise for the first row (last axis) with a point outside the
+        domain, else for the first at a singular metric, naming it."""
         for bad, error, what in (
                 (outside, DomainExitError, "left the chart domain"),
-                (out[4] < DET_EPS, SingularChartError, "metric singular")):
+                (det < DET_EPS, SingularChartError, "metric singular")):
             if np.any(bad):
                 row = np.argmax(np.atleast_2d(bad).any(axis=0))
                 raise error(f"{self.chart.name}: {what} in row {row}")
+
+    def _checked_rows(self, u, v):
+        """`_rows` that raises for the first row with a point outside the
+        domain or at a singular metric (`_check_rows`)."""
+        *out, outside = self._rows(u, v)
+        self._check_rows(outside, out[4])
         return out
 
     def _check_drift(self, pts, tans):
@@ -1055,6 +1069,7 @@ class SurfaceModel(ManifoldModel):
         return np.stack(gam, axis=-1).reshape(-1, 2, 2, 2)
 
     def gauss_at(self, p):
+        self.check_point(p)
         jet, _, _, _, det = self._forms(float(p[0]), float(p[1]))
         return _gauss(jet, det, math.sqrt)
 
@@ -1075,14 +1090,16 @@ class SurfaceModel(ManifoldModel):
         return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
 
     def _geo_rows(self, x, v):
-        """`_geo_rhs` on rows: x and v are pairs of arrays."""
-        jet, E, F, G, det = self._checked_rows(*x)
-        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(
-            jet, E, F, G, det)
+        """`_geo_rhs` on rows: x and v are pairs of arrays. The chart's
+        spray runs on every row, and then the first row outside the domain
+        or at a singular metric, by the spray's own determinant, raises."""
+        u, w = x
         a, b = v
-        return (-(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b),
-                -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b),
-                _gauss(jet, det, np.sqrt))
+        # a bad row may divide by zero; it raises before its values are used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc_u, acc_v, K, det = self.chart.spray(u, w, a, b, np)
+        self._check_rows(self._outside(u, w), det)
+        return acc_u, acc_v, K
 
     # -- tractrix propagation ---------------------------------------------
 
@@ -1221,12 +1238,12 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
 
     The state is two-dimensional and held in locals: (x, y) for the point,
     (p, q) for the velocity, floats for rhs `_geo_rhs` (the chart's spray)
-    and arrays of shots in lockstep for `_geo_rows` (the row jet). Only
-    surfaces reach this integrator, because the space forms, the only
-    models that can be three-dimensional, override each of its callers with
-    closed forms. The cosine and sine solutions of j'' + K j = 0 ride along,
-    c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, with K from the same
-    evaluation as the acceleration.
+    and arrays of shots in lockstep for `_geo_rows` (the same spray on
+    rows). Only surfaces reach this integrator, because the space forms,
+    the only models that can be three-dimensional, override each of its
+    callers with closed forms. The cosine and sine solutions of
+    j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1,
+    with K from the same evaluation as the acceleration.
 
     The result is (x, v, c, s): with collect, the sampled points and
     velocities as (n_steps + 1, 2[, n]) arrays and c and s as lists, else

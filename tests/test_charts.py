@@ -12,6 +12,7 @@ from tractrix.charts import (
     ParaboloidChart,
     PlaneChart,
     PseudosphereChart,
+    RevolutionChart,
     SphereChart,
     SurfaceChart,
     _CATALOG,
@@ -116,6 +117,34 @@ def test_graph_spray_matches_generic_spray(poly, sinsin, u, v, a, b):
                         rel_tol=1e-12, abs_tol=1e-13)
 
 
+revolution_charts = st.one_of(
+    st.builds(lambda a, c: EllipsoidChart(a, a, c), st.floats(0.3, 3.0),
+              st.floats(0.3, 3.0)),
+    st.builds(SphereChart, st.floats(0.3, 3.0)),
+    st.builds(PseudosphereChart, st.floats(0.3, 3.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(revolution_charts, st.floats(0.1, math.pi - 0.1),
+       st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0))
+def test_revolution_spray_matches_generic_spray(chart, u, v, a, b):
+    # the closed forms in the profile's derivatives against the base spray
+    # from the jet, and K against gauss_at
+    spray = chart.spray(u, v, a, b)
+    reference = SurfaceChart.spray(chart, u, v, a, b)
+    for x, y in zip(spray, reference):
+        assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
+    assert math.isclose(spray[2], SurfaceModel(chart).gauss_at((u, v)),
+                        rel_tol=1e-12, abs_tol=1e-13)
+
+
+def test_only_a_triaxial_ellipsoid_keeps_the_generic_spray():
+    assert EllipsoidChart(1.5, 1.5, 0.7).spray.__func__ is (
+        RevolutionChart.spray)
+    assert EllipsoidChart(1.5, 0.8, 1.1).spray.__func__ is SurfaceChart.spray
+
+
 # every catalog chart, the graph with polynomial terms of degree 3 and more
 ROW_CHARTS = dict(
     {name: make() for name, make in _CATALOG.items()},
@@ -160,6 +189,40 @@ def test_row_jet_equals_float_jet(name):
     else:
         assert np.all(np.abs(rows - floats)
                       <= 4 * np.spacing(np.abs(floats)))
+
+
+# the row charts and a triaxial ellipsoid, which keeps the base spray
+SPRAY_CHARTS = dict(ROW_CHARTS, triaxial=EllipsoidChart(1.5, 0.8, 1.1))
+
+
+@pytest.mark.parametrize("name", sorted(SPRAY_CHARTS))
+def test_row_spray_equals_float_spray(name):
+    # one spray serves floats and rows, and on rows its fourth entry is
+    # the metric determinant; the bounds are those of the row jet
+    chart = SPRAY_CHARTS[name]
+    rng = np.random.default_rng(5)
+    u, v, a, b = rng.uniform(0.1, 3.0, (4, 2000))
+    a, b = a - 1.5, b - 1.5
+    floats = np.array([chart.spray(*x) for x in zip(
+        u.tolist(), v.tolist(), a.tolist(), b.tolist())])
+
+    def rows(xp):
+        *out, det = chart.spray(u, v, a, b, xp)
+        return np.stack(np.broadcast_arrays(*out, u)[:3], axis=-1), det
+
+    got, det = rows(np)
+    if name in ("sphere", "ellipsoid", "hilly", "plane", "paraboloid",
+                "triaxial"):
+        assert np.array_equal(got, floats)
+    else:
+        # numpy's tanh, cosh and powers: in units of the row's largest entry
+        scale = np.abs(floats).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - floats) <= 16 * np.spacing(scale))
+    if name == "pseudosphere":
+        assert np.array_equal(rows(_MathRows())[0], floats)
+    # E G - F^2 cancels on steep graphs, so the bound is in units of E G
+    E, F, G = SurfaceModel(chart).metric_rows(np.stack([u, v], axis=-1))
+    assert np.all(np.abs(det - (E * G - F * F)) <= 1e-13 * E * G)
 
 
 def test_sphere_domain_check():
@@ -219,3 +282,19 @@ def test_chart_from_config():
         chart_from_config({"name": "sphere", "radius": -1})
     with pytest.raises(ConfigError):
         chart_from_config({"name": "sphere", "bogus": 2})
+
+
+@pytest.mark.parametrize("domain", [
+    [[1, -1], [0, 1]], [[0, 1], [2.0, 2.0]], [["nan", 1], [0, 1]],
+    [[0, 1], [None, float("inf")]], [[0, "x"], [0, 1]], [[0, 1, 2], [0, 1]]],
+    ids=["reversed", "empty", "nan", "infinite", "not-a-number", "triple"])
+def test_graph_domain_is_checked_at_load(domain):
+    with pytest.raises(ConfigError):
+        chart_from_config({"name": "graph", "domain": domain})
+
+
+def test_graph_domain_bounds_may_be_open():
+    chart = chart_from_config({"name": "graph",
+                               "domain": [[-1, 2.5], [None, 0]]})
+    assert chart.domain == ((-1.0, 2.5), (None, 0.0))
+    assert chart.contains(2.5, -1e300) and not chart.contains(0.0, 0.5)

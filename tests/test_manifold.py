@@ -159,6 +159,24 @@ def test_exp_map_rejects_non_unit_tangent():
         PARAB.exp_point([0.0, 0.0], [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("model, p, v, length", [
+    (PARAB, [0.0, 0.0], [math.nan, 0.0], 1.0),
+    (PARAB, [0.0, 0.0], [1.0, 0.0], math.nan),
+    (SPHERE, [math.pi / 2, 0.0], [math.nan, 0.0], 1.0),
+    (SPHERE, [math.pi / 2, 0.0], [2.0, 0.0], 1.0),
+    (HYP, [0.0, 0.0], [0.5, math.nan], 1.0),
+    (FLAT3, [0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], 1.0),
+    (FLAT3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], -1.0),
+], ids=["surface-nan-tangent", "surface-nan-length", "sphere-nan-tangent",
+        "sphere-non-unit", "hyperbolic-nan-tangent", "flat3-nan-tangent",
+        "flat3-negative-length"])
+def test_exp_point_checks_its_tangent_and_length(model, p, v, length):
+    # a NaN norm or length fails the checks, and the space forms' closed
+    # forms take the same checks as a surface's shot
+    with pytest.raises(ValueError, match="unit tangent|nonnegative"):
+        model.exp_point(p, v, length)
+
+
 def test_exp_map_sphere_meridian_and_equator():
     end, _ = SPHERE.exp_point([math.pi / 2, 0.0], [-1.0, 0.0], math.pi / 4)
     assert np.allclose(end, [math.pi / 4, 0.0], atol=1e-9)
@@ -712,6 +730,37 @@ def test_shots_into_the_sphere_chart_pole_raise_typed_errors(p, length):
     with pytest.raises((SingularChartError, DomainExitError), match="row 0"):
         sphere.shoot_rows(np.array([p]), np.array([[-1.0, 0.0]]),
                           np.array([length]))
+
+
+@pytest.mark.parametrize("landing, error", [(0.0, SingularChartError),
+                                            (-0.5, DomainExitError)],
+                         ids=["onto-the-pole", "past-the-pole"])
+def test_spheroid_row_shots_into_the_pole_raise_naming_their_row(landing,
+                                                                 error):
+    # row 1 runs down a meridian of the spheroid, and its first step's
+    # second stage, at u0 + (h / 2) p, lands exactly on the pole, where
+    # det = E r^2 = 0, or past it, outside the domain; row 0 stays inside.
+    # Both raise at that stage, before the shot's unit speed is checked
+    model = surface_model(EllipsoidChart(1.0, 1.0, 1.2))
+    length, p = 0.4, -1.0
+    hh = 0.5 * (length / shot_steps(length, 0.05))  # as _rk4_geodesic
+    u0 = hh * (1.0 + landing)
+    assert u0 + hh * p == landing * hh
+    with pytest.raises(error):
+        model.shoot([u0, 0.3], [p, 0.0], length)
+    with pytest.raises(error, match="row 1"):
+        model.shoot_rows(np.array([[1.2, 0.3], [u0, 0.3]]),
+                         np.array([[-0.8, 0.3], [p, 0.0]]),
+                         np.array([0.3, length]))
+
+
+def test_gauss_at_checks_its_point():
+    # as metric_at and christoffel_at do: NaN is outside every chart, and
+    # the sphere chart's colatitude ends at pi
+    with pytest.raises(OutOfDomainError):
+        PARAB.gauss_at((math.nan, 0.0))
+    with pytest.raises(OutOfDomainError):
+        surface_model("sphere").gauss_at((4.0, 0.0))
 
 
 # -- the surface tractrix stage ----------------------------------------------
