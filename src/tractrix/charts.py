@@ -17,6 +17,12 @@ they sit inside integrator loops.
 the default, for floats, `numpy` for arrays u, v of one shape, whose
 entries are then arrays, or floats that broadcast where they do not depend
 on the point.
+
+A graph chart compiles its coefficient tables once into one straight-line
+function (`_height_source`) of the height and its five slopes, which
+`point`, `jet` and `spray` call on floats and rows alike. Only the `repr`
+of validated floats and ints enters the generated source, and its sums
+round as a term-by-term loop does.
 """
 
 from __future__ import annotations
@@ -338,77 +344,85 @@ def _sinsin_term(term):
     return t
 
 
+def _literal(x):
+    """The repr of a finite coefficient; OverflowError for any other."""
+    if not math.isfinite(x):
+        raise OverflowError
+    return repr(x)
+
+
+def _height_source(poly, sinsin):
+    """The source of `height(self, u, v, xp)`: the graph height and its
+    slopes, one straight-line sum per order in _ORDERS.
+
+    A sum adds to 0.0, in table order, the poly terms and then the sinsin
+    terms that the order keeps: c i^(du) j^(dv) u^(i-du) v^(j-dv), with
+    falling factorials, and A (-1)^(du//2 + dv//2) wu^du wv^dv times sin or
+    cos of each angle. u^0 is left out and u^1 written u, both exactly (v
+    alike). A coefficient that overflows raises OverflowError, and a height
+    that overflows a float at a point SingularChartError.
+    """
+    sums = [["0.0"] for _ in _ORDERS]
+    lines = ["sin, cos = xp.sin, xp.cos"] if sinsin else []
+    for i, j, c in poly:
+        for terms, (du, dv) in zip(sums, _ORDERS):
+            if du <= i and dv <= j:
+                coef = (c * math.prod(range(i, i - du, -1), start=1.0)
+                        * math.prod(range(j, j - dv, -1), start=1.0))
+                terms.append(" * ".join([_literal(coef), *(
+                    x if n == 1 else f"{x} ** {n}"
+                    for x, n in (("u", i - du), ("v", j - dv)) if n)]))
+    for n, (amp, wu, pu, wv, pv) in enumerate(sinsin):
+        lines += [f"au, av = {wu!r} * u + {pu!r}, {wv!r} * v + {pv!r}",
+                  f"su{n}, cu{n}, sv{n}, cv{n} = sin(au), cos(au), "
+                  "sin(av), cos(av)"]
+        for terms, (du, dv) in zip(sums, _ORDERS):
+            coef = (amp * ((-1.0) ** (du // 2) * (-1.0) ** (dv // 2))
+                    * wu ** du * wv ** dv)
+            terms.append(f"{_literal(coef)} * {'sc'[du % 2]}u{n} * "
+                         f"{'sc'[dv % 2]}v{n}")
+    lines.append(f"return ({', '.join(' + '.join(t) for t in sums)})")
+    return ("def height(self, u, v, xp):\n    try:\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + "    except (OverflowError, ValueError):\n"
+            "        raise _overflow(self, u, v) from None\n")
+
+
+def _overflow(chart, u, v):
+    return SingularChartError(f"{chart.name}: the height overflows a float "
+                              f"at ({float(u)!r}, {float(v)!r})")
+
+
 class GraphChart(SurfaceChart):
     """Graph surface z = f(u, v) built from coefficient tables.
 
     poly terms: (i, j, c) contributing c * u^i * v^j;
     sinsin terms: (A, wu, pu, wv, pv) contributing A sin(wu*u+pu) sin(wv*v+pv).
-    Both tables are compiled once into the coefficients of every derivative
-    order in _ORDERS.
+    Both tables are compiled once (`_height_source`) into `_height`, which
+    gives f and its slopes of every order in _ORDERS, on floats and rows.
     """
 
     name = "graph"
 
     def __init__(self, poly=(), sinsin=(), domain=((None, None), (None, None))):
-        poly = [_poly_term(t) for t in poly]
-        # per order: (c times falling factorials of i and j, i - du, j - dv)
-        self._poly = []
-        for du, dv in _ORDERS:
-            terms = []
-            for i, j, c in poly:
-                if du > i or dv > j:
-                    continue
-                cu = cv = 1.0
-                for k in range(du):
-                    cu *= i - k
-                for k in range(dv):
-                    cv *= j - k
-                terms.append((c * cu * cv, i - du, j - dv))
-            self._poly.append(terms)
-        # per sinsin term: (wu, pu, wv, pv, coefficient of each order); a
-        # derivative turns sin into cos and cos into -sin (see jet)
-        self._sinsin = [
-            (wu, pu, wv, pv, tuple(
-                amp * ((-1.0) ** (du // 2) * (-1.0) ** (dv // 2))
-                * (wu ** du) * (wv ** dv) for du, dv in _ORDERS))
-            for amp, wu, pu, wv, pv in map(_sinsin_term, sinsin)]
+        poly, sinsin = list(map(_poly_term, poly)), list(map(_sinsin_term,
+                                                             sinsin))
+        try:
+            source = _height_source(poly, sinsin)
+        except OverflowError:
+            raise ConfigError(f"graph terms {poly!r}, {sinsin!r}: a "
+                              "derivative's coefficient overflows a float"
+                              ) from None
+        scope = {"_overflow": _overflow}
+        exec(source, scope)
+        self._height = types.MethodType(scope["height"], self)
         self.domain = domain
 
     def point(self, u, v):
-        z = 0.0
-        for c, i, j in self._poly[0]:
-            z += c * u ** i * v ** j
-        for wu, pu, wv, pv, k in self._sinsin:
-            z += k[0] * math.sin(wu * u + pu) * math.sin(wv * v + pv)
-        return (u, v, z)
-
-    def _slopes(self, u, v, xp):
-        """(f_u, f_v, f_uu, f_uv, f_vv) of the height at (u, v)."""
-        # one loop per order: this sits under every geodesic stage
-        _, tu, tv, tuu, tuv, tvv = self._poly
-        zu = zv = zuu = zuv = zvv = 0.0
-        for c, i, j in tu:
-            zu += c * u ** i * v ** j
-        for c, i, j in tv:
-            zv += c * u ** i * v ** j
-        for c, i, j in tuu:
-            zuu += c * u ** i * v ** j
-        for c, i, j in tuv:
-            zuv += c * u ** i * v ** j
-        for c, i, j in tvv:
-            zvv += c * u ** i * v ** j
-        for wu, pu, wv, pv, k in self._sinsin:
-            su, cu = xp.sin(wu * u + pu), xp.cos(wu * u + pu)
-            sv, cv = xp.sin(wv * v + pv), xp.cos(wv * v + pv)
-            zu += k[1] * cu * sv
-            zv += k[2] * su * cv
-            zuu += k[3] * su * sv
-            zuv += k[4] * cu * cv
-            zvv += k[5] * su * sv
-        return zu, zv, zuu, zuv, zvv
+        return (u, v, self._height(u, v, math)[0])
 
     def jet(self, u, v, xp=math):
-        zu, zv, zuu, zuv, zvv = self._slopes(u, v, xp)
+        _, zu, zv, zuu, zuv, zvv = self._height(u, v, xp)
         return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
                 (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
@@ -418,7 +432,7 @@ class GraphChart(SurfaceChart):
         # metric is never singular
         if xp is math and not self.contains(u, v):
             raise self._exit(u, v)
-        fu, fv, fuu, fuv, fvv = self._slopes(u, v, xp)
+        _, fu, fv, fuu, fuv, fvv = self._height(u, v, xp)
         w = 1.0 + fu * fu + fv * fv
         hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
         K = (fuu * fvv - fuv * fuv) / (w * w)

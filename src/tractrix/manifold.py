@@ -15,8 +15,11 @@ by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
 riding along. On floats the chart supplies that right-hand side, the
 acceleration and K in one call (`SurfaceChart.spray`: closed forms on graph
 charts and surfaces of revolution, from the jet on the others), and the
-row shots take the same spray on rows; the metric, Christoffel symbols and
-K at given points are derived here from the chart jet. A Newton solve gets
+row shots take the same spray on rows. The kernel, `_rk4_geodesic`,
+makes one call per RK4 stage on the four state scalars (floats, or one
+array each on rows), `_geo_rhs(u, w, a, b)` or `_geo_rows(u, w, a, b)`,
+and steps c and s inline. The metric, Christoffel symbols and K at given
+points are derived here from the chart jet. A Newton solve gets
 its Jacobian from the shots it makes: `connect` is damped Newton with one
 shot per iteration, the direction column being s(L) times the end tangent
 turned by +pi/2 (`quarter_turn`), and the attachment
@@ -174,9 +177,10 @@ class ManifoldModel:
     def check_point(self, p):
         """Raise OutOfDomain/SingularChart when p is unusable."""
 
-    def _geo_rhs(self, x, v):
-        """(a_u, a_v, K): the acceleration -Gamma(v, v) at x and the Gauss
-        curvature there, on floats; raises on bad points."""
+    def _geo_rhs(self, u, w, a, b):
+        """(a_u, a_v, K): the acceleration -Gamma(x', x') for the velocity
+        x' = (a, b) at (u, w) and the Gauss curvature there, on floats;
+        raises on bad points."""
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
@@ -511,8 +515,8 @@ class FlatModel(SpaceFormModel):
     def gauss_at(self, p):
         return 0.0
 
-    def _geo_rhs(self, x, v):
-        return (0.0,) * (self.dim + 1)
+    def _geo_rhs(self, u, w, a, b):
+        return 0.0, 0.0, 0.0
 
     def inner(self, p, a, b):
         # identical to a @ I @ b, without building I
@@ -611,13 +615,12 @@ class SphereModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v):
-        th = x[0]
+    def _geo_rhs(self, th, ph, a, b):
         s, c = math.sin(th), math.cos(th)
         if abs(s) < 1e-9:
             raise SingularChartError(
                 f"geodesic hit chart pole (theta={float(th)!r})")
-        return s * c * v[1] * v[1], -2.0 * (c / s) * v[0] * v[1], self.K
+        return s * c * b * b, -2.0 * (c / s) * a * b, self.K
 
     # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
 
@@ -801,14 +804,14 @@ class HyperbolicModel(SpaceFormModel):
     def gauss_at(self, p):
         return self.K
 
-    def _geo_rhs(self, x, v):
-        f = 1.0 - x[0] * x[0] - x[1] * x[1]
+    def _geo_rhs(self, x, y, a, b):
+        f = 1.0 - x * x - y * y
         if f <= 0.0:
             raise DomainExitError("geodesic left the Poincare disk",
-                                  point=np.array(x))
-        px, py = 2.0 * x[0] / f, 2.0 * x[1] / f
-        a1 = -(px * v[0] * v[0] + 2.0 * py * v[0] * v[1] - px * v[1] * v[1])
-        a2 = -(-py * v[0] * v[0] + 2.0 * px * v[0] * v[1] + py * v[1] * v[1])
+                                  point=np.array((x, y)))
+        px, py = 2.0 * x / f, 2.0 * y / f
+        a1 = -(px * a * a + 2.0 * py * a * b - px * b * b)
+        a2 = -(-py * a * a + 2.0 * px * a * b + py * b * b)
         return a1, a2, self.K
 
     def _exp(self, p, v, length, pole_step=None):
@@ -1089,12 +1092,10 @@ class SurfaceModel(ManifoldModel):
         self._check_drift(pts, tans)
         return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
 
-    def _geo_rows(self, x, v):
-        """`_geo_rhs` on rows: x and v are pairs of arrays. The chart's
-        spray runs on every row, and then the first row outside the domain
-        or at a singular metric, by the spray's own determinant, raises."""
-        u, w = x
-        a, b = v
+    def _geo_rows(self, u, w, a, b):
+        """`_geo_rhs` on rows: u, w, a and b are arrays. The chart's spray
+        runs on every row, and then the first row outside the domain or at
+        a singular metric, by the spray's own determinant, raises."""
         # a bad row may divide by zero; it raises before its values are used
         with np.errstate(divide="ignore", invalid="ignore"):
             acc_u, acc_v, K, det = self.chart.spray(u, w, a, b, np)
@@ -1180,11 +1181,9 @@ class SurfaceModel(ManifoldModel):
             _pole_rule(ell, n_pole)(jac), _has_conjugate(jac),
             abs(speed - 1.0), eta_speed)
 
-    def _geo_rhs(self, x, v):
+    def _geo_rhs(self, u, w, a, b):
         # the hottest call, one chart spray per RK4 stage; bench/tracer.py
         # counts the evaluations by this method's name
-        u, w = x
-        a, b = v
         return self.chart.spray(u, w, a, b)
 
 
@@ -1223,27 +1222,18 @@ def model_from_config(spec):
 # Geodesic integration
 
 
-def _jacobi_step(j, jp, K1, K2, K3, K4, h, hh, h6):
-    """One RK4 step of j'' = -K j with the geodesic step's stage values."""
-    k1, k1p = jp, -K1 * j
-    k2, k2p = jp + hh * k1p, -K2 * (j + hh * k1)
-    k3, k3p = jp + hh * k2p, -K3 * (j + hh * k2)
-    k4, k4p = jp + h * k3p, -K4 * (j + h * k3)
-    return (j + h6 * (k1 + 2 * k2 + 2 * k3 + k4),
-            jp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-
-
 def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
     The state is two-dimensional and held in locals: (x, y) for the point,
     (p, q) for the velocity, floats for rhs `_geo_rhs` (the chart's spray)
     and arrays of shots in lockstep for `_geo_rows` (the same spray on
-    rows). Only surfaces reach this integrator, because the space forms,
-    the only models that can be three-dimensional, override each of its
-    callers with closed forms. The cosine and sine solutions of
-    j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1,
-    with K from the same evaluation as the acceleration.
+    rows). Each RK4 stage is one call rhs(x, y, p, q) -> (a_x, a_y, K).
+    Only surfaces reach this integrator, because the space forms, the only
+    models that can be three-dimensional, override each of its callers
+    with closed forms. The cosine and sine solutions of j'' + K j = 0 ride
+    along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps
+    written out with K from the same calls as the acceleration.
 
     The result is (x, v, c, s): with collect, the sampled points and
     velocities as (n_steps + 1, 2[, n]) arrays and c and s as lists, else
@@ -1258,19 +1248,29 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     if collect:
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
     for _ in range(n_steps):
-        a1, b1, K1 = rhs((x, y), (p, q))
+        a1, b1, K1 = rhs(x, y, p, q)
         x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
-        a2, b2, K2 = rhs((x2, y2), (p2, q2))
+        a2, b2, K2 = rhs(x2, y2, p2, q2)
         x3, y3, p3, q3 = x + hh * p2, y + hh * q2, p + hh * a2, q + hh * b2
-        a3, b3, K3 = rhs((x3, y3), (p3, q3))
+        a3, b3, K3 = rhs(x3, y3, p3, q3)
         x4, y4, p4, q4 = x + h * p3, y + h * q3, p + h * a3, q + h * b3
-        a4, b4, K4 = rhs((x4, y4), (p4, q4))
+        a4, b4, K4 = rhs(x4, y4, p4, q4)
         x, y, p, q = (x + h6 * (p + 2 * p2 + 2 * p3 + p4),
                       y + h6 * (q + 2 * q2 + 2 * q3 + q4),
                       p + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
                       q + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
-        c, cp = _jacobi_step(c, cp, K1, K2, K3, K4, h, hh, h6)
-        s, sp = _jacobi_step(s, sp, K1, K2, K3, K4, h, hh, h6)
+        # j'' = -K j for j = c and j = s, with the same stage values
+        c1p, s1p = -K1 * c, -K1 * s
+        c2, c2p, s2, s2p = (cp + hh * c1p, -K2 * (c + hh * cp),
+                            sp + hh * s1p, -K2 * (s + hh * sp))
+        c3, c3p, s3, s3p = (cp + hh * c2p, -K3 * (c + hh * c2),
+                            sp + hh * s2p, -K3 * (s + hh * s2))
+        c4, c4p, s4, s4p = (cp + h * c3p, -K4 * (c + h * c3),
+                            sp + h * s3p, -K4 * (s + h * s3))
+        c, cp, s, sp = (c + h6 * (cp + 2 * c2 + 2 * c3 + c4),
+                        cp + h6 * (c1p + 2 * c2p + 2 * c3p + c4p),
+                        s + h6 * (sp + 2 * s2 + 2 * s3 + s4),
+                        sp + h6 * (s1p + 2 * s2p + 2 * s3p + s4p))
         if collect:
             xs.append((x, y))
             vs.append((p, q))

@@ -17,16 +17,17 @@ parameter, so cusps need no restart.
 by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta.
 On space forms the state is gamma, and each stage solves the pole from
 gamma to eta in one closed form.  The loop and the stages work on tuples
-of Python floats, the RK4 combinations written out per state length; the
-tractor's row evaluator, `rows`, samples the stage times in blocks of
-NumPy rows.  The post-passes (cusps, foot distance, curvature) work on the
-record arrays, with one parallel transport call per side over all
+of Python floats, the RK4 combinations written out per state length.  The
+RK4 sub-steps and their stage times are one schedule, built in NumPy
+before the loop (`_schedule`); the tractor's row evaluator, `rows`,
+samples the stage times in blocks of NumPy rows, and the loop walks the
+sub-steps flat.  The post-passes (cusps, foot distance, curvature) work
+on the record arrays, with one parallel transport call per side over all
 records.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -55,8 +56,8 @@ _POLE_DRIFT_LIMIT = 1e-6
 # kappa is masked where the pole comes this close to lying along a geodesic
 # tractor (d -> ell means the projected speed vanishes).
 _CUSP_DIST_BAND = 1e-4
-# stage times per tractor `rows` call; `simulate` plans and samples only
-# this far ahead of its loop, not the whole run at once
+# stage times per tractor `rows` call; `simulate` samples only this far
+# ahead of its loop, not the whole run at once
 _ROW_BLOCK = 256
 # the step length of the shots that build a scenario's inputs (an attached
 # gamma0, a derived tractor): they define the problem, so their accuracy
@@ -293,16 +294,17 @@ def simulate(model, tractor, gamma0, ell, params=None):
     `tractrix_stage`): on surfaces the unit pole direction at the tractor,
     moved by its Jacobi-field ODE with one geodesic shot per stage; on
     space forms gamma itself, with the pole solved in closed form at every
-    stage. One classical RK4 loop serves every model. It walks a plan of
-    the steps, split at the tractor's velocity breaks, whose stage times
-    the tractor samples a block ahead, one `rows` call per _ROW_BLOCK
-    times. The loop runs on Python floats: the tractor point and velocity
-    go to the stage as lists, the rate comes back as a tuple, and the RK4
-    combinations (`_SHIFT`, `_COMBINE`) are written out per state length,
-    component by component in the order the array expressions had. Each
-    record is read off its own stage, which also gives the tractor speed
-    |eta'|_g. The pull or push character is emergent from the attachment
-    geometry and recorded per record as sigma.
+    stage. One classical RK4 loop serves every model. It walks the
+    sub-steps of `_schedule` flat: the steps, split at the tractor's
+    velocity breaks, whose stage times the tractor samples a block ahead,
+    one `rows` call per _ROW_BLOCK times. The loop runs on Python floats:
+    the tractor point and velocity go to the stage as lists, the rate
+    comes back as a tuple, and the RK4 combinations (`_SHIFT`, `_COMBINE`)
+    are written out per state length, component by component in the order
+    the array expressions had. Each record is read off its own stage,
+    which also gives the tractor speed |eta'|_g. The pull or push
+    character is emergent from the attachment geometry and recorded per
+    record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -334,45 +336,45 @@ def simulate(model, tractor, gamma0, ell, params=None):
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
 
-    times = t_grid.tolist()
-    breaks = [float(b) for b in tractor.breaks if times[0] < b < times[-1]]
-    plan, ahead = itertools.tee(_plan(times, breaks))
-    samples = _samples(tractor, (x for _, _, ts in ahead for x in ts))
+    steps, stage_times = _schedule(t_grid, tractor.breaks)
+    blocks = (tractor.rows(stage_times[i:i + _ROW_BLOCK])
+              for i in range(0, len(stage_times), _ROW_BLOCK))
+    samples = itertools.chain.from_iterable(
+        zip(pts.tolist(), vel.tolist()) for pts, vel in blocks)
 
     stage = model.tractrix_stage
     shift, combine = _SHIFT[len(state)], _COMBINE[len(state)]
     records, s_list, s = [], [], 0.0
-    for t, pieces, _ in plan:
+
+    def take_record(state, s):
         eta, etap = next(samples)
         rate, sdot, rec = stage(eta, etap, state, ell, n_pole, record=True)
-        drift = rec[6]
-        if drift > _POLE_DRIFT_LIMIT:
+        if rec[6] > _POLE_DRIFT_LIMIT:
             raise PoleLengthDriftError(
-                f"pole drift {drift:.3e} exceeds {_POLE_DRIFT_LIMIT} at "
-                f"t={t!r}")
+                f"pole drift {rec[6]:.3e} exceeds {_POLE_DRIFT_LIMIT} at "
+                f"t={float(t_grid[len(records)])!r}")
         records.append((eta,) + rec)
         s_list.append(s)
+        return rate, sdot
 
-        for hh, own_k1 in pieces:
-            half = hh / 2
-            if own_k1:
-                k1, q1, _ = stage(*next(samples), state, ell, n_pole)
-            else:
-                k1, q1 = rate, sdot
-            eta, etap = next(samples)
-            k2, q2, _ = stage(eta, etap, shift(state, half, k1), ell,
-                              n_pole)
-            k3, q3, _ = stage(eta, etap, shift(state, half, k2), ell,
-                              n_pole)
-            k4, q4, _ = stage(*next(samples), shift(state, hh, k3), ell,
-                              n_pole)
-            h6 = hh / 6.0
-            state = combine(state, h6, k1, k2, k3, k4)
-            s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+    for hh, half, h6, opens, own_k1 in steps:
+        if opens:
+            rate, sdot = take_record(state, s)
+        if own_k1:
+            k1, q1, _ = stage(*next(samples), state, ell, n_pole)
+        else:
+            k1, q1 = rate, sdot
+        eta, etap = next(samples)
+        k2, q2, _ = stage(eta, etap, shift(state, half, k1), ell, n_pole)
+        k3, q3, _ = stage(eta, etap, shift(state, half, k2), ell, n_pole)
+        k4, q4, _ = stage(*next(samples), shift(state, hh, k3), ell, n_pole)
+        state = combine(state, h6, k1, k2, k3, k4)
+        s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+    take_record(state, s)
 
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
      eta_speeds) = zip(*records)
-    n = len(times)
+    n = len(t_grid)
     speeds = np.array(speeds)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
     trace = TractrixTrace(
@@ -417,54 +419,52 @@ _SHIFT = {2: _shift2, 3: _shift3}
 _COMBINE = {2: _combine2, 3: _combine3}
 
 
-def _plan(times, breaks):
-    """Per record: its time, the step after it as RK4 pieces (hh, whether
-    k1 needs its own stage) split at the breaks, and the stage times the
-    loop reads: the record's, then per piece its start unless that is the
-    record's, its midpoint (k2 and k3 share it) and a point just inside
-    its end (a kink there gives its left limit)."""
-    for t, t_next in zip(times, times[1:]):
-        lo = bisect.bisect_left(breaks, t + 1e-12)
-        hi = bisect.bisect_left(breaks, t_next - 1e-12)
-        knots = [t, *breaks[lo:hi], t_next]
-        pieces, stage_times = [], [t]
-        for ta, tb in zip(knots[:-1], knots[1:]):
-            hh = tb - ta
-            if ta != t:
-                stage_times.append(ta)
-            stage_times += [ta + hh / 2, tb - 1e-9 * hh]
-            pieces.append((hh, ta != t))
-        yield t, pieces, stage_times
-    yield times[-1], (), times[-1:]
+def _schedule(t_grid, breaks):
+    """(sub-steps, stage times) of a run, built in NumPy.
 
-
-def _samples(tractor, times):
-    """(eta, eta') as float lists at `times`, one `rows` call per block."""
-    times = iter(times)
-    while block := list(itertools.islice(times, _ROW_BLOCK)):
-        pts, vel = tractor.rows(np.array(block))
-        yield from zip(pts.tolist(), vel.tolist())
+    The records sit at t_grid. A break b splits the step from t to t_next
+    where t + 1e-12 <= b < t_next - 1e-12; the others are dropped. A
+    sub-step from ta to tb is (hh = tb - ta, hh / 2, hh / 6, whether it
+    opens a record, whether k1 needs its own stage: ta != t). The loop
+    reads the stage times in order: per sub-step its start where it opens
+    a record or takes its own k1, its midpoint (k2 and k3 share it) and a
+    point just inside its end (a kink there gives its left limit), then
+    the last record's.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    breaks = breaks[(t_grid[0] < breaks) & (breaks < t_grid[-1])]
+    step = np.searchsorted(t_grid[:-1] + 1e-12, breaks, side="right") - 1
+    kept = breaks < t_grid[step + 1] - 1e-12
+    step, breaks = step[kept], breaks[kept]
+    knots = np.insert(t_grid, step + 1, breaks)
+    opens = np.insert(np.ones(len(t_grid), bool), step + 1, False)[:-1]
+    ta, tb = knots[:-1], knots[1:]
+    hh = tb - ta
+    own_k1 = ta != t_grid[np.cumsum(opens) - 1]
+    stage_times = np.stack([ta, ta + hh / 2, tb - 1e-9 * hh], axis=1)[
+        np.stack([opens | own_k1, *np.ones((2, len(ta)), bool)], axis=1)]
+    return (zip(hh.tolist(), (hh / 2).tolist(), (hh / 6.0).tolist(),
+                opens.tolist(), own_k1.tolist()),
+            np.append(stage_times, t_grid[-1]))
 
 
 def _fill_signs(speeds, eps):
-    sigma = np.sign(speeds).astype(np.int8)
+    sigma = np.sign(speeds).astype(np.int8).tolist()
     # carry the sign through near-cusp records; default to pull if all stall
     last = 0
-    for i in range(len(sigma)):
-        if abs(speeds[i]) >= eps and sigma[i] != 0:
+    for i, speed in enumerate(speeds.tolist()):
+        if abs(speed) >= eps and sigma[i] != 0:
             last = sigma[i]
         elif last != 0:
             sigma[i] = last
-    nz = np.nonzero(sigma)[0]
-    if len(nz) == 0:
-        sigma[:] = 1
-    else:
-        first = sigma[nz[0]]
-        sigma[:nz[0]] = first
-        for i in range(len(sigma)):
-            if sigma[i] == 0:
-                sigma[i] = sigma[i - 1]
-    return sigma
+    if not any(sigma):
+        return np.ones(len(sigma), dtype=np.int8)
+    first = next(i for i, x in enumerate(sigma) if x)
+    sigma[:first] = [sigma[first]] * first
+    for i in range(first, len(sigma)):
+        if sigma[i] == 0:
+            sigma[i] = sigma[i - 1]
+    return np.array(sigma, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +492,9 @@ def _pole_swing(trace, a, b):
 def _detect_cusps(trace, params):
     eps = params.cusp_speed_eps
     n = len(trace.t)
-    sp = trace.speed
-    stalled = np.abs(sp) < eps
+    # on Python lists: indexing NumPy scalars in the loops costs more
+    sp, ts = trace.speed.tolist(), trace.t.tolist()
+    stalled = [abs(x) < eps for x in sp]
     # widen to cover sign changes between adjacent fast records
     windows = []
     i = 0
@@ -518,11 +519,11 @@ def _detect_cusps(trace, params):
             # boundary grazing (e.g. a run starting exactly at a cusp):
             # the tiny swing is still accounted for via stall_windows
             continue
-        t_c = 0.5 * (trace.t[a] + trace.t[b])
+        t_c = 0.5 * (ts[a] + ts[b])
         for i in range(lo, hi):
             if sp[i] * sp[i + 1] < 0:
-                t_c = trace.t[i] + (trace.t[i + 1] - trace.t[i]) * \
-                    sp[i] / (sp[i] - sp[i + 1])
+                t_c = ts[i] + (ts[i + 1] - ts[i]) * sp[i] / (
+                    sp[i] - sp[i + 1])
                 break
         trace.cusps.append(CuspRecord(t=float(t_c), s=float(trace.s[b]),
                                       turning_angle=float(turning),

@@ -18,8 +18,10 @@ from tractrix.charts import (
     _CATALOG,
     chart_from_config,
 )
-from tractrix.errors import ConfigError, OutOfDomainError
+from tractrix.errors import ConfigError, OutOfDomainError, SingularChartError
 from tractrix.manifold import SurfaceModel
+
+from graph_reference import LoopGraph
 
 CHARTS = [
     (SphereChart(1.0), (1.1, 0.4)),
@@ -115,6 +117,49 @@ def test_graph_spray_matches_generic_spray(poly, sinsin, u, v, a, b):
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
     assert math.isclose(spray[2], SurfaceModel(chart).gauss_at((u, v)),
                         rel_tol=1e-12, abs_tol=1e-13)
+
+
+def _bits(x, shape=()):
+    """The bytes of x as float64, broadcast to shape: equal bits, signed
+    zeros and NaN payloads included."""
+    return np.broadcast_to(np.asarray(x, dtype=float), shape).tobytes()
+
+
+signed_point = st.sampled_from([-0.0, 0.0]) | st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_terms, sinsin_terms, signed_point, signed_point)
+def test_compiled_height_matches_loop_reference_bitwise(poly, sinsin, u, v):
+    # the compiled straight-line height against the loop evaluator it
+    # replaced, on floats and on rows, with -0.0 among the coordinates so
+    # that the leading 0.0 of every sum is pinned
+    chart = GraphChart(poly=poly, sinsin=sinsin)
+    ref = LoopGraph(poly, sinsin)
+    z, *slopes = ref.height(u, v)
+    assert _bits(chart.point(u, v)[2]) == _bits(z)
+    jet = chart.jet(u, v)
+    for entry, slope in zip(jet, slopes):
+        assert _bits(entry[2]) == _bits(slope)
+    us, vs = np.array([u, -0.0, u, 0.0]), np.array([v, v, -0.0, -0.0])
+    rows = chart.jet(us, vs, np)
+    for entry, slope in zip(rows, ref.height(us, vs, np)[1:]):
+        assert _bits(entry[2], us.shape) == _bits(slope, us.shape)
+
+
+def test_height_overflow_is_a_typed_error():
+    # u ** 200 overflows a float at u = 40; a derivative coefficient that
+    # overflows is a bad config
+    chart = GraphChart(poly=[(200, 0, 1.0)])
+    for call in (lambda: chart.point(40.0, 0.0),
+                 lambda: chart.jet(40.0, 0.0),
+                 lambda: chart.spray(40.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(SingularChartError, match=r"graph: .*\(40\.0, "):
+            call()
+    with pytest.raises(ConfigError, match="overflows"):
+        GraphChart(poly=[(2, 0, 1e308)])
+    with pytest.raises(ConfigError, match="overflows"):
+        GraphChart(sinsin=[(1.0, 1e200, 0.0, 1.0, 0.0)])
 
 
 revolution_charts = st.one_of(

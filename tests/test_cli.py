@@ -316,6 +316,20 @@ def test_numeric_failure_exits_two(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_graph_height_overflow_exits_two(tmp_path, capsys):
+    # u ** 200 overflows a float at u = 40: a typed error, not a traceback
+    raw = {"model": {"kind": "surface",
+                     "chart": {"name": "graph", "poly": [[200, 0, 1.0]]}},
+           "tractor": {"kind": "chart_line", "start": [40.0, 0.0],
+                       "direction": [1.0, 0.0], "t1": 1.0},
+           "gamma0": {"d0": 0.25}, "ell": 0.5}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: graph: the height overflows a float at (40.0, 0.0)\n")
+
+
 def test_failed_check_exits_three(tmp_path, monkeypatch):
     failing = Check(name="rauch", inequality="lhs <= rhs", lhs=1.0, rhs=0.0,
                     margin=-1.0, passed=False)

@@ -412,6 +412,29 @@ def test_shot_gates_unit_speed_drift():
         HILLY.shoot(p, HILLY.unit(p, [1.0, 0.3]), 2.5, pole_step=2.5)
 
 
+@pytest.mark.parametrize("length, pole_step", [(0.5, 0.05), (0.3, 0.1)])
+def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
+                                            pole_step):
+    # one right-hand side call per RK4 stage, on the four state scalars:
+    # the count that the benchmark's tracer reads off _geo_rhs
+    calls = []
+    for name in ("_geo_rhs", "_geo_rows"):
+        rhs = getattr(type(PARAB), name)
+        monkeypatch.setattr(
+            type(PARAB), name, lambda self, u, w, a, b, rhs=rhs, name=name: (
+                calls.append(name), rhs(self, u, w, a, b))[1])
+    k = shot_steps(length, pole_step)
+    p = np.array([0.4, 0.2])
+    PARAB.shoot(p, PARAB.unit(p, [1.0, -0.4]), length, pole_step)
+    assert calls == ["_geo_rhs"] * (4 * k)
+    calls.clear()
+    rows = np.array([[0.4, 0.2], [0.1, -0.3], [-0.2, 0.5]])
+    tangents = np.array([PARAB.unit(x, [1.0, 0.5]) for x in rows])
+    PARAB.shoot_rows(rows, tangents, np.array([length, 0.5 * length, 0.0]),
+                     pole_step)
+    assert calls == ["_geo_rows"] * (4 * k)
+
+
 def test_drift_check_reads_the_end_point():
     # a 200-step shot is sampled at 0, 12, ..., 192 and at its end, 200:
     # drift that appears only after sample 192 raises, for one shot and

@@ -154,6 +154,42 @@ def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
     assert max(calls) == _ROW_BLOCK < sum(calls)
 
 
+@pytest.mark.parametrize("knot, kept, gamma_end, s_end", [
+    # strictly inside the step from 0.50 to 0.51
+    (0.505, 1, ("0x1.8860f3d28463bp-2", "0x1.c44add395b1aep-3"),
+     "0x1.83789bbd327c8p-1"),
+    # exactly on the grid time 0.5
+    (0.5, 0, ("0x1.84f5425359ae4p-2", "0x1.cd08d96e28b72p-3"),
+     "0x1.83125235a8f52p-1"),
+    # 5e-13 before the grid time 0.5, within the 1e-12 that drops a break
+    (0.5 - 5e-13, 0, ("0x1.84f542535aa55p-2", "0x1.cd08d96e2f9b3p-3"),
+     "0x1.83125235aa7c1p-1"),
+], ids=["inside", "on_grid", "near_grid"])
+def test_tractor_evaluated_once_per_stage_time_across_breaks(
+        knot, kept, gamma_end, s_end):
+    # a polyline corner at `knot`, on a grid of 100 steps over [0, 1]: a
+    # kept break splits its step in two, and each piece after the first
+    # samples its own start, so rows sees 3 (steps + kept) + 1 times, after
+    # the one time of the start point; the trace is pinned bit for bit
+    tractor = polyline_tractor([[0.0, 0.0], [knot, 0.0],
+                                [knot, 1.0 - knot]])
+    gamma0, _ = orthogonal_attachment(FLAT2, tractor, 0.3, 0.15)
+    calls = []
+
+    def rows(ts):
+        calls.append(len(ts))
+        return tractor.rows(ts)
+
+    counted = dataclasses.replace(tractor, rows=rows)
+    tr = simulate(FLAT2, counted, gamma0, 0.3,
+                  SimParams(dt=tractor.span / 100))
+    assert tractor.breaks == (knot,) and len(tr.t) == 101
+    assert calls[0] == 1 and sum(calls[1:]) == 3 * (100 + kept) + 1
+    assert max(calls) == _ROW_BLOCK
+    assert tuple(x.hex() for x in tr.gamma[-1].tolist()) == gamma_end
+    assert float(tr.s[-1]).hex() == s_end
+
+
 # ---------------------------------------------------------------------------
 # Classical pull on the flat plane
 
@@ -755,8 +791,8 @@ def test_paraboloid_propagation_rhs_count(monkeypatch):
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     calls = []
     rhs = type(model)._geo_rhs
-    monkeypatch.setattr(type(model), "_geo_rhs", lambda self, x, v: (
-        calls.append(None), rhs(self, x, v))[1])
+    monkeypatch.setattr(type(model), "_geo_rhs", lambda self, u, w, a, b: (
+        calls.append(None), rhs(self, u, w, a, b))[1])
     tr = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
     assert (len(tr.t), len(calls)) == (251, 40240)
 
