@@ -18,11 +18,15 @@ the default, for floats, `numpy` for arrays u, v of one shape, whose
 entries are then arrays, or floats that broadcast where they do not depend
 on the point.
 
-A graph chart compiles its coefficient tables once into one straight-line
-function (`_height_source`) of the height and its five slopes, which
-`point`, `jet` and `spray` call on floats and rows alike. Only the `repr`
-of validated floats and ints enters the generated source, and its sums
-round as a term-by-term loop does.
+A graph chart compiles its coefficient tables once (`_graph_source`) into
+two straight-line functions on floats and rows alike: the height and its
+five slopes, which `point` and `jet` call, and the whole spray, which
+tests the domain and forms the slopes inline, so a float RK4 stage makes
+no further call. Both are bound per instance, as the triaxial ellipsoid's
+base spray is, so a hook on a chart class's `spray` does not see them. Only
+the `repr` of validated floats and ints enters the generated source, and
+its sums round as a term-by-term loop does. Every spray tests the domain
+against `box` inline, not through `contains`.
 """
 
 from __future__ import annotations
@@ -128,8 +132,10 @@ class SurfaceChart:
         any division. On rows (xp numpy) it checks nothing and returns the
         metric determinant as a fourth entry, for the caller to check every
         row against DET_EPS."""
-        if xp is math and not self.contains(u, v):
-            raise self._exit(u, v)
+        if xp is math:
+            ulo, uhi, vlo, vhi = self.box
+            if not (ulo <= u <= uhi and vlo <= v <= vhi):
+                raise self._exit(u, v)
         # unpacked once: indexing the tuples term by term costs more
         ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
          (xvv, yvv, zvv)) = self.jet(u, v, xp)
@@ -185,8 +191,10 @@ class RevolutionChart(SurfaceChart):
         # the others 0, and K = z' (r' z'' - r'' z') / (r E^2). The metric
         # determinant E r^2 guards every division, as E G - F^2 does in the
         # base spray
-        if xp is math and not self.contains(u, v):
-            raise self._exit(u, v)
+        if xp is math:
+            ulo, uhi, vlo, vhi = self.box
+            if not (ulo <= u <= uhi and vlo <= v <= vhi):
+                raise self._exit(u, v)
         r, r1, r2, z1, z2 = self.profile(u, xp)
         E = r1 * r1 + z1 * z1
         det = E * r * r
@@ -351,15 +359,17 @@ def _literal(x):
     return repr(x)
 
 
-def _height_source(poly, sinsin):
-    """The source of `height(self, u, v, xp)`: the graph height and its
-    slopes, one straight-line sum per order in _ORDERS.
+def _graph_source(poly, sinsin):
+    """The source of a graph chart's two compiled functions, one
+    straight-line sum per order in _ORDERS: `height(self, u, v, xp)`, the
+    height and its five slopes, and `spray(self, u, v, a, b, xp=math)`,
+    the geodesic spray from the slopes alone.
 
     A sum adds to 0.0, in table order, the poly terms and then the sinsin
     terms that the order keeps: c i^(du) j^(dv) u^(i-du) v^(j-dv), with
     falling factorials, and A (-1)^(du//2 + dv//2) wu^du wv^dv times sin or
     cos of each angle. u^0 is left out and u^1 written u, both exactly (v
-    alike). A coefficient that overflows raises OverflowError, and a height
+    alike). A coefficient that overflows raises OverflowError, and a sum
     that overflows a float at a point SingularChartError.
     """
     sums = [["0.0"] for _ in _ORDERS]
@@ -381,11 +391,46 @@ def _height_source(poly, sinsin):
                     * wu ** du * wv ** dv)
             terms.append(f"{_literal(coef)} * {'sc'[du % 2]}u{n} * "
                          f"{'sc'[dv % 2]}v{n}")
-    lines.append(f"return ({', '.join(' + '.join(t) for t in sums)})")
-    return ("def height(self, u, v, xp):\n    try:\n"
-            + "".join(f"        {line}\n" for line in lines)
-            + "    except (OverflowError, ValueError):\n"
-            "        raise _overflow(self, u, v) from None\n")
+    sums = [" + ".join(terms) for terms in sums]
+    height = [*lines, f"return ({', '.join(sums)})"]
+    slopes = [*lines, *(f"{name} = {total}" for name, total in zip(
+        ("fu", "fv", "fuu", "fuv", "fvv"), sums[1:]))]
+    return (_GRAPH_HEIGHT.format(_indent(height))
+            + _GRAPH_SPRAY.format(_indent(slopes)))
+
+
+def _indent(lines):
+    return "".join(f"        {line}\n" for line in lines)
+
+
+_GRAPH_HEIGHT = """\
+def height(self, u, v, xp):
+    try:
+{}\
+    except (OverflowError, ValueError):
+        raise _overflow(self, u, v) from None
+"""
+
+# with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij = f_k f_ij / W
+# and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the metric is never
+# singular
+_GRAPH_SPRAY = """\
+def spray(self, u, v, a, b, xp=math):
+    if xp is math:
+        ulo, uhi, vlo, vhi = self.box
+        if not (ulo <= u <= uhi and vlo <= v <= vhi):
+            raise self._exit(u, v)
+    try:
+{}\
+    except (OverflowError, ValueError):
+        raise _overflow(self, u, v) from None
+    w = 1.0 + fu * fu + fv * fv
+    hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
+    K = (fuu * fvv - fuv * fuv) / (w * w)
+    if xp is math:
+        return -fu * hess, -fv * hess, K
+    return -fu * hess, -fv * hess, K, w
+"""
 
 
 def _overflow(chart, u, v):
@@ -398,8 +443,9 @@ class GraphChart(SurfaceChart):
 
     poly terms: (i, j, c) contributing c * u^i * v^j;
     sinsin terms: (A, wu, pu, wv, pv) contributing A sin(wu*u+pu) sin(wv*v+pv).
-    Both tables are compiled once (`_height_source`) into `_height`, which
-    gives f and its slopes of every order in _ORDERS, on floats and rows.
+    Both tables are compiled once (`_graph_source`) into two methods bound
+    to the instance: `_height`, which gives f and its slopes of every order
+    in _ORDERS for `point` and `jet`, and `spray`, on floats and rows.
     """
 
     name = "graph"
@@ -408,14 +454,15 @@ class GraphChart(SurfaceChart):
         poly, sinsin = list(map(_poly_term, poly)), list(map(_sinsin_term,
                                                              sinsin))
         try:
-            source = _height_source(poly, sinsin)
+            source = _graph_source(poly, sinsin)
         except OverflowError:
             raise ConfigError(f"graph terms {poly!r}, {sinsin!r}: a "
                               "derivative's coefficient overflows a float"
                               ) from None
-        scope = {"_overflow": _overflow}
+        scope = {"_overflow": _overflow, "math": math}
         exec(source, scope)
         self._height = types.MethodType(scope["height"], self)
+        self.spray = types.MethodType(scope["spray"], self)
         self.domain = domain
 
     def point(self, u, v):
@@ -425,19 +472,6 @@ class GraphChart(SurfaceChart):
         _, zu, zv, zuu, zuv, zvv = self._height(u, v, xp)
         return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
                 (0.0, 0.0, zuv), (0.0, 0.0, zvv))
-
-    def spray(self, u, v, a, b, xp=math):
-        # with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij =
-        # f_k f_ij / W and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the
-        # metric is never singular
-        if xp is math and not self.contains(u, v):
-            raise self._exit(u, v)
-        _, fu, fv, fuu, fuv, fvv = self._height(u, v, xp)
-        w = 1.0 + fu * fu + fv * fv
-        hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
-        K = (fuu * fvv - fuv * fuv) / (w * w)
-        return (-fu * hess, -fv * hess, K) if xp is math else (
-            -fu * hess, -fv * hess, K, w)
 
 
 class PlaneChart(GraphChart):

@@ -29,13 +29,36 @@ def _fail(path, message):
 
 def _as_float(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {value!r}" + _float_hint(value))
     out = float(value)
     if not math.isfinite(out):
         _fail(path, f"expected a finite number, got {value!r}")
     if positive and out <= 0:
         _fail(path, "must be positive")
     return out
+
+
+def _float_hint(value):
+    """'; write it as 1.0e-3' for a string such as '1e-3' that spells a
+    finite float but that YAML 1.1 reads as text: a YAML float needs a
+    digit and a dot in its mantissa and a sign in its exponent."""
+    try:
+        finite = isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        finite = False
+    if not finite:
+        return ""
+    mantissa, _, exponent = value.strip().lower().partition("e")
+    digits = mantissa.lstrip("+-")
+    sign = mantissa[:len(mantissa) - len(digits)]
+    if "." not in digits:
+        digits += ".0"
+    if digits.startswith("."):
+        digits = "0" + digits
+    if exponent[:1].isdigit():
+        exponent = "+" + exponent
+    return f"; write it as {sign}{digits}" + (f"e{exponent}" if exponent
+                                                else "")
 
 
 def _as_int(value, path, minimum=None):

@@ -90,6 +90,8 @@ _CONJ_TOL = 1e-12
 _SHOOT_MAX_ITER = 50
 # the default step length of a shot, and of a run's pole shots
 POLE_STEP = 0.05
+# the most RK4 steps one shot may take
+_MAX_SHOT_STEPS = 10 ** 6
 # E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -132,8 +134,16 @@ def _jacobi_pair(K, length):
 
 def shot_steps(length, pole_step):
     """RK4 steps of a geodesic shot of `length`: ceil(length / pole_step),
-    and never fewer than 8. The one place that sizes a shot."""
-    return max(8, math.ceil(length / pole_step))
+    and never fewer than 8. The one place that sizes a shot; for a finite
+    length, a count that is not finite or exceeds _MAX_SHOT_STEPS is a
+    ConfigError against pole_step."""
+    steps = length / pole_step
+    # written so that a NaN count fails it
+    if not steps <= _MAX_SHOT_STEPS and math.isfinite(length):
+        raise ConfigError(
+            f"pole_step {pole_step!r}: a shot of length {length!r} would "
+            f"take {steps:.3g} RK4 steps, more than {_MAX_SHOT_STEPS:,}")
+    return max(8, math.ceil(steps))
 
 
 def _has_conjugate(jacobi):
@@ -151,8 +161,8 @@ def _reference_pole(K, length, steps):
 @lru_cache(maxsize=8)
 def _pole_rule(length, steps):
     """The Simpson rule (`simpson_rule`) of the steps + 1 samples of
-    [0, length] that a pole's shot visits, shared by every record of a
-    run."""
+    [0, length] that a pole's shot visits, applied to the samples of every
+    record of a run at once."""
     return simpson_rule(np.linspace(0.0, length, steps + 1))
 
 
@@ -1135,13 +1145,15 @@ class SurfaceModel(ManifoldModel):
         (`_forms`) gives E, F, G and the Christoffel symbols, from which
         |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X) are written out.
         The record is None unless asked for; it is (gamma, pole_dir at
-        gamma, signed speed, J(ell), integral of J over [0, ell], conjugate
-        flag, drift, |eta'|_g), its vectors as lists. J is the Jacobi field
-        from gamma along the pole, j(u) = s(ell) c(ell - u) - c(ell)
-        s(ell - u) by the Wronskian, so J(ell) = s(ell); its integral is
-        Simpson's rule over the shot's samples. The drift is the shot's
-        unit-speed error |T(ell)|_g - 1 at gamma, with the metric there
-        from a second jet.
+        gamma, signed speed, J(ell), the samples of J, conjugate flag,
+        drift, |eta'|_g), its vectors and the samples as lists. J is the
+        Jacobi field from gamma along the pole, j(u) = s(ell) c(ell - u) -
+        c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell); it is
+        sampled on floats at the n_pole + 1 points of the shot, which
+        `simulate` integrates for every record in one Simpson pass
+        (`_pole_rule`). The flag says whether a sample after the first is
+        at most _CONJ_TOL. The drift is the shot's unit-speed error
+        |T(ell)|_g - 1 at gamma, with the metric there from a second jet.
         """
         u, w = eta
         a, b = eta_prime
@@ -1153,8 +1165,9 @@ class SurfaceModel(ManifoldModel):
         # the products in the order of the row-vector forms X g X, eta' g X
         size = math.sqrt((x * E + y * F) * x + (x * F + y * G) * y)
         ux, uy = x / size, y / size
-        end, tangent, c, s = _rk4_geodesic(self._geo_rhs, (u, w), (ux, uy),
-                                           ell, n_pole, collect=record)
+        end, tangent, c, s = _rk4_geodesic(
+            self._geo_rhs, (u, w), (ux, uy), ell, n_pole,
+            collect="jacobi" if record else False)
         c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
         if s_ell <= _CONJ_TOL:
             raise NoConvergenceError(
@@ -1168,18 +1181,18 @@ class SurfaceModel(ManifoldModel):
                 - ((g2uu * x + g2uv * y) * a + (g2uv * x + g2vv * y) * b))
         if not record:
             return rate, abs(along), None
-        (gu, gv), (p, q) = end[-1].tolist(), tangent[-1].tolist()
-        self.check_point((gu, gv))
+        (gu, gv), (p, q) = end, tangent
+        self.check_point(end)
         _, Eg, Fg, Gg, _ = self._forms(gu, gv)
         speed = math.sqrt(max((p * Eg + q * Fg) * p + (p * Fg + q * Gg) * q,
                               0.0))
         eta_speed = math.sqrt(max((a * E + b * F) * a + (a * F + b * G) * b,
                                   0.0))
-        jac = s_ell * np.array(c[::-1]) - c_ell * np.array(s[::-1])
+        jac = [s_ell * cu - c_ell * su for cu, su in zip(c[::-1], s[::-1])]
         return rate, abs(along), (
-            [gu, gv], [-p / speed, -q / speed], -along, s_ell,
-            _pole_rule(ell, n_pole)(jac), _has_conjugate(jac),
-            abs(speed - 1.0), eta_speed)
+            [gu, gv], [-p / speed, -q / speed], -along, s_ell, jac,
+            any(j <= _CONJ_TOL for j in jac[1:]), abs(speed - 1.0),
+            eta_speed)
 
     def _geo_rhs(self, u, w, a, b):
         # the hottest call, one chart spray per RK4 stage; bench/tracer.py
@@ -1235,9 +1248,12 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps
     written out with K from the same calls as the acceleration.
 
-    The result is (x, v, c, s): with collect, the sampled points and
-    velocities as (n_steps + 1, 2[, n]) arrays and c and s as lists, else
-    the final point and velocity as arrays and the final c and s.
+    The result is (x, v, c, s). With collect True, every step's sample:
+    the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
+    as lists. With collect "jacobi", the final point and velocity as
+    2-tuples and every step's c and s as lists, for a tractrix record. With
+    collect False, the final point and velocity as 2-tuples and the final
+    c and s.
     """
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
@@ -1245,6 +1261,7 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     x, y = x0
     p, q = v0
     c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
+    sampled = collect is True
     if collect:
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
     for _ in range(n_steps):
@@ -1272,10 +1289,13 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
                         s + h6 * (sp + 2 * s2 + 2 * s3 + s4),
                         sp + h6 * (s1p + 2 * s2p + 2 * s3p + s4p))
         if collect:
-            xs.append((x, y))
-            vs.append((p, q))
             cs.append(c)
             ss.append(s)
-    if collect:
+            if sampled:
+                xs.append((x, y))
+                vs.append((p, q))
+    if sampled:
         return np.array(xs), np.array(vs), cs, ss
-    return np.array((x, y)), np.array((p, q)), c, s
+    if collect:
+        return (x, y), (p, q), cs, ss
+    return (x, y), (p, q), c, s

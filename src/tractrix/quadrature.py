@@ -10,7 +10,9 @@ even sample count, the trapezoid for two samples and 0 for one.
 `simpson_rule(x)` takes the part that depends on the grid alone, so a grid
 that many sample sets share (a pole's, one per record) pays for it once;
 applying the rule to y repeats `simpson`'s remaining operations in their
-order, so the two agree bit for bit.
+order, so the two agree bit for bit. The rule also takes sample sets as
+rows, y of shape (m, n) along the last axis, and gives each row's integral
+bit for bit as on that row alone.
 """
 
 from __future__ import annotations
@@ -38,14 +40,17 @@ def _panel_weights(h):
 
 
 def _panels(y, weights):
-    """Simpson sum of the samples y over the panels of `_panel_weights`."""
+    """Simpson sum of the samples y (along the last axis) over the panels
+    of `_panel_weights`."""
     sixth, w0, w1, w2 = weights
-    return np.sum(sixth * (y[:-1:2] * w0 + y[1::2] * w1 + y[2::2] * w2))
+    return np.sum(sixth * (y[..., :-1:2] * w0 + y[..., 1::2] * w1
+                           + y[..., 2::2] * w2), axis=-1)
 
 
 def simpson_rule(x):
     """The Simpson rule of the 1-D grid x, as a function of the samples y
-    there: `simpson_rule(x)(y) == simpson(y, x)`, bit for bit."""
+    there: `simpson_rule(x)(y) == simpson(y, x)`, bit for bit. For rows y
+    of shape (m, len(x)) the rule returns the m integrals as an array."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     h = np.diff(x)
@@ -64,14 +69,16 @@ def simpson_rule(x):
 
     def rule(y):
         y = np.asarray(y, dtype=float)
-        if len(y) != n:
+        if y.shape[-1:] != (n,):
             raise ValueError("y and x need the same number of samples")
         if n == 2:
-            return float(0.0 + half * (y[1] + y[0]))
-        if n % 2:
-            return float(_panels(y, weights))
-        last = alpha * y[-1] + beta * y[-2] - eta * y[-3]
-        return float(_panels(y[:-1], weights) + last + 0.0)
+            out = 0.0 + half * (y[..., 1] + y[..., 0])
+        elif n % 2:
+            out = _panels(y, weights)
+        else:
+            last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+            out = _panels(y[..., :-1], weights) + last + 0.0
+        return float(out) if y.ndim == 1 else out
 
     return rule
 

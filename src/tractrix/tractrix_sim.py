@@ -49,6 +49,7 @@ from .manifold import (
     FlatModel,
     HyperbolicModel,
     SphereModel,
+    _pole_rule,
     shot_steps,
 )
 
@@ -302,9 +303,11 @@ def simulate(model, tractor, gamma0, ell, params=None):
     comes back as a tuple, and the RK4 combinations (`_SHIFT`, `_COMBINE`)
     are written out per state length, component by component in the order
     the array expressions had. Each record is read off its own stage,
-    which also gives the tractor speed |eta'|_g. The pull or push
-    character is emergent from the attachment geometry and recorded per
-    record as sigma.
+    which also gives the tractor speed |eta'|_g; on surfaces it carries
+    J's samples along the pole, and one Simpson pass (`_pole_rule`) over
+    the (records, n_pole + 1) array of them gives every integral of J. The
+    pull or push character is emergent from the attachment geometry and
+    recorded per record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -374,6 +377,11 @@ def simulate(model, tractor, gamma0, ell, params=None):
 
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
      eta_speeds) = zip(*records)
+    jac_int = np.array(jac_int)
+    if jac_int.ndim == 2:
+        # a surface record carries J's samples along its pole: one Simpson
+        # pass over all records; a space form's carries the closed form
+        jac_int = _pole_rule(ell, n_pole)(jac_int)
     n = len(t_grid)
     speeds = np.array(speeds)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
@@ -383,7 +391,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
         pole_dir=np.array(pole_dir), speed=speeds,
         eta_speed=np.array(eta_speeds), sigma=sigma, d=np.full(n, np.nan),
         kappa=np.full(n, np.nan), jacobi_ell=np.array(jac_ell),
-        jacobi_int=np.array(jac_int),
+        jacobi_int=jac_int,
         pole_conjugate=np.array(conj, dtype=bool),
         max_drift=max(0.0, *drifts), pole_step=params.pole_step)
 
@@ -425,24 +433,34 @@ def _schedule(t_grid, breaks):
     The records sit at t_grid. A break b splits the step from t to t_next
     where t + 1e-12 <= b < t_next - 1e-12; the others are dropped. A
     sub-step from ta to tb is (hh = tb - ta, hh / 2, hh / 6, whether it
-    opens a record, whether k1 needs its own stage: ta != t). The loop
-    reads the stage times in order: per sub-step its start where it opens
-    a record or takes its own k1, its midpoint (k2 and k3 share it) and a
-    point just inside its end (a kink there gives its left limit), then
-    the last record's.
+    opens a record, whether k1 needs its own stage). A sub-step after the
+    first of its step takes its own k1 at ta. So does a step whose record
+    time t lies less than 1e-12 before a dropped break, at the break: the
+    record there reads the segment that ends at the break, and the step
+    integrates the one it opens. The loop reads the stage times in order:
+    per sub-step its start where it opens a record, its k1 time where it
+    takes its own k1, its midpoint (k2 and k3 share it) and a point just
+    inside its end (a kink there gives its left limit), then the last
+    record's.
     """
     breaks = np.asarray(breaks, dtype=float)
     breaks = breaks[(t_grid[0] < breaks) & (breaks < t_grid[-1])]
+    after = np.searchsorted(t_grid, breaks, side="right") - 1
+    late = (t_grid[after] < breaks) & (breaks < t_grid[after] + 1e-12)
     step = np.searchsorted(t_grid[:-1] + 1e-12, breaks, side="right") - 1
     kept = breaks < t_grid[step + 1] - 1e-12
-    step, breaks = step[kept], breaks[kept]
-    knots = np.insert(t_grid, step + 1, breaks)
-    opens = np.insert(np.ones(len(t_grid), bool), step + 1, False)[:-1]
+    knots = np.insert(t_grid, step[kept] + 1, breaks[kept])
+    opens = np.insert(np.ones(len(t_grid), bool), step[kept] + 1,
+                      False)[:-1]
     ta, tb = knots[:-1], knots[1:]
     hh = tb - ta
     own_k1 = ta != t_grid[np.cumsum(opens) - 1]
-    stage_times = np.stack([ta, ta + hh / 2, tb - 1e-9 * hh], axis=1)[
-        np.stack([opens | own_k1, *np.ones((2, len(ta)), bool)], axis=1)]
+    k1_at = ta.copy()
+    first = np.flatnonzero(opens)[after[late]]
+    own_k1[first], k1_at[first] = True, breaks[late]
+    stage_times = np.stack([ta, k1_at, ta + hh / 2, tb - 1e-9 * hh],
+                           axis=1)[np.stack(
+        [opens, own_k1, *np.ones((2, len(ta)), bool)], axis=1)]
     return (zip(hh.tolist(), (hh / 2).tolist(), (hh / 6.0).tolist(),
                 opens.tolist(), own_k1.tolist()),
             np.append(stage_times, t_grid[-1]))

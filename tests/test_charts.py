@@ -21,7 +21,7 @@ from tractrix.charts import (
 from tractrix.errors import ConfigError, OutOfDomainError, SingularChartError
 from tractrix.manifold import SurfaceModel
 
-from graph_reference import LoopGraph
+from graph_reference import LoopGraph, graph_spray
 
 CHARTS = [
     (SphereChart(1.0), (1.1, 0.4)),
@@ -145,6 +145,29 @@ def test_compiled_height_matches_loop_reference_bitwise(poly, sinsin, u, v):
     rows = chart.jet(us, vs, np)
     for entry, slope in zip(rows, ref.height(us, vs, np)[1:]):
         assert _bits(entry[2], us.shape) == _bits(slope, us.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_terms, sinsin_terms, signed_point, signed_point,
+       st.lists(signed_point, min_size=2, max_size=2))
+def test_compiled_spray_matches_handwritten_spray_bitwise(poly, sinsin, u, v,
+                                                          velocity):
+    # the spray compiled with the height against the handwritten one it
+    # replaced, on floats and on rows, with -0.0 among the coordinates and
+    # the velocity
+    chart = GraphChart(poly=poly, sinsin=sinsin)
+    a, b = velocity
+    got, want = chart.spray(u, v, a, b), graph_spray(chart, u, v, a, b)
+    assert len(got) == len(want) == 3
+    for x, y in zip(got, want):
+        assert _bits(x) == _bits(y)
+    us, vs = np.array([u, -0.0, u, 0.0]), np.array([v, v, -0.0, -0.0])
+    as_, bs = np.array([a, a, -0.0, 0.0]), np.array([b, -0.0, b, 0.0])
+    got = chart.spray(us, vs, as_, bs, np)
+    want = graph_spray(chart, us, vs, as_, bs, np)
+    assert len(got) == len(want) == 4
+    for x, y in zip(got, want):
+        assert _bits(x, us.shape) == _bits(y, us.shape)
 
 
 def test_height_overflow_is_a_typed_error():

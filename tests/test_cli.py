@@ -306,6 +306,30 @@ def test_scenario_of_the_wrong_kind_exits_one(tmp_path, command, config):
                      "--out", str(tmp_path / "out")]) == 1
 
 
+def test_float_without_a_dot_exits_one_with_a_hint(tmp_path, capsys):
+    # YAML 1.1 reads 1e-3 as text; the error says how to write the number
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(flat_line(), sort_keys=False).replace(
+        "dt: 0.05", "dt: 1e-3"))
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "sim.dt" in err and "'1e-3'" in err and "1.0e-3" in err
+
+
+def test_pole_step_past_the_shot_cap_exits_one(tmp_path, capsys):
+    # 5e-324 makes the pole shot's step count infinite: a bad pole_step,
+    # not an OverflowError traceback
+    with open(os.path.join(bundled_dir(), "hilly_pull.yaml")) as f:
+        raw = yaml.safe_load(f)
+    raw["sim"]["pole_step"] = 5e-324
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "pole_step" in err and "Traceback" not in err
+
+
 def test_numeric_failure_exits_two(tmp_path, capsys):
     raw = {"model": {"kind": "spaceform", "K": -1.0},
            "tractor": {"kind": "disk_ray", "t1": 1.0},

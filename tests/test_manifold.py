@@ -10,6 +10,7 @@ from tractrix.charts import (
     HillyChart,
     ParaboloidChart,
     PseudosphereChart,
+    SurfaceChart,
 )
 from tractrix.errors import (
     ConfigError,
@@ -23,7 +24,9 @@ from tractrix.manifold import (
     HyperbolicModel,
     ManifoldModel,
     SphereModel,
+    SurfaceModel,
     _has_conjugate,
+    _pole_rule,
     _reference_pole,
     _rk4_geodesic,
     jacobi_reference,
@@ -435,6 +438,34 @@ def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
     assert calls == ["_geo_rows"] * (4 * k)
 
 
+@pytest.mark.parametrize("model", [PARAB, HILLY], ids=["paraboloid",
+                                                       "hills"])
+def test_graph_shot_makes_no_call_below_the_rhs(monkeypatch, model):
+    # the compiled graph spray tests the domain and forms the slopes
+    # inline, so a k-step float shot makes its 4k _geo_rhs calls and no
+    # contains or _height call
+    p = [0.4, 0.2]
+    v = model.unit(p, [1.0, -0.4]).tolist()
+    calls = []
+    rhs = SurfaceModel._geo_rhs
+    monkeypatch.setattr(SurfaceModel, "_geo_rhs", lambda self, *x: (
+        calls.append("_geo_rhs"), rhs(self, *x))[1])
+    contains = SurfaceChart.contains
+    monkeypatch.setattr(SurfaceChart, "contains", lambda self, *x: (
+        calls.append("contains"), contains(self, *x))[1])
+    height = model.chart._height
+    monkeypatch.setattr(model.chart, "_height", lambda *x: (
+        calls.append("_height"), height(*x))[1])
+    model.check_point(p)
+    model.chart.jet(*p)
+    assert calls == ["contains", "_height"]
+    calls.clear()
+    end, _, _, s = _rk4_geodesic(model._geo_rhs, p, v, 0.5, 10,
+                                 collect=False)
+    assert calls == ["_geo_rhs"] * 40
+    assert s > 0.0 and model.chart.contains(*end)
+
+
 def test_drift_check_reads_the_end_point():
     # a 200-step shot is sampled at 0, 12, ..., 192 and at its end, 200:
     # drift that appears only after sample 192 raises, for one shot and
@@ -476,6 +507,15 @@ def test_shot_steps_rule():
     assert shot_steps(0.5, 0.05) == 10
     assert shot_steps(0.51, 0.05) == 11
     assert shot_steps(0.1, 0.05) == shot_steps(0.0, 0.05) == 8
+
+
+@pytest.mark.parametrize("pole_step", [1e-9, 5e-324, math.nan])
+def test_shot_steps_refuses_a_step_count_past_its_cap(pole_step):
+    # 5e8 steps, an infinite count and a NaN one are a bad pole_step, not
+    # a shot that runs for minutes or an OverflowError from math.ceil
+    with pytest.raises(ConfigError, match="pole_step"):
+        shot_steps(0.5, pole_step)
+    assert shot_steps(1.0, 1e-6) == 10 ** 6
 
 
 @pytest.mark.parametrize("model", [PARAB, SPHERE, FLAT3],
@@ -844,11 +884,32 @@ def test_surface_stage_matches_the_matrix_oracle(model, fu, fv, heading,
         assert rec is None
         return
     assert len(rec) == len(rec_o)
+    # the record carries the samples of J, which simulate integrates by
+    # the pole grid's Simpson rule
+    rec = (*rec[:4], _pole_rule(ell, n_pole)(rec[4]), *rec[5:])
     for got, want in zip(rec, rec_o):
         if isinstance(want, (bool, np.bool_)):
             assert got is want or got == want
         else:
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+
+
+@pytest.mark.parametrize("ell, conjugate", [(1.0, False),
+                                             (math.tau + 0.3, True)],
+                         ids=["short", "past-two-conjugate-points"])
+def test_stage_conjugate_flag_matches_the_array_flag(ell, conjugate):
+    # along the equator of the unit sphere J(u) = sin(u): a pole of length
+    # 2 pi + 0.3 has s(ell) > 0 but passes conjugate points at pi and
+    # 2 pi. The flag, formed on floats, agrees with _has_conjugate on the
+    # record's samples of J
+    model = surface_model("sphere")
+    n_pole = shot_steps(ell, 0.05)
+    rec = model.tractrix_stage([math.pi / 2, 0.0], [1.0, 0.0], [0.0, 1.0],
+                               ell, n_pole, record=True)[2]
+    samples, flag = rec[4], rec[5]
+    assert len(samples) == n_pole + 1 and samples[-1] == rec[3]
+    assert flag is conjugate
+    assert flag == _has_conjugate(np.array(samples))
 
 
 @pytest.mark.parametrize("record", [False, True])

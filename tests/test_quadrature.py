@@ -74,3 +74,34 @@ def test_cached_pole_rule_matches_simpson_bit_for_bit(profile):
     length, steps, y = profile
     x = np.linspace(0.0, length, steps + 1)
     _assert_same_bits(_pole_rule(length, steps)(y), simpson(y, x))
+
+
+@st.composite
+def pole_profile_rows(draw):
+    """(length, steps, y): a pole grid of steps + 1 samples and 1 to 5
+    profiles on it as the rows of y."""
+    length = draw(st.floats(1e-3, 10.0))
+    steps = draw(st.integers(1, 80))
+    rows = draw(st.integers(1, 5))
+    y = np.array(draw(st.lists(
+        st.lists(VALUES, min_size=steps + 1, max_size=steps + 1),
+        min_size=rows, max_size=rows)))
+    return length, steps, y
+
+
+@settings(max_examples=300)
+@given(pole_profile_rows())
+def test_pole_rule_on_rows_matches_each_row_bit_for_bit(profiles):
+    # one Simpson pass over the rows of every record's profile, against
+    # the rule applied to each row alone
+    length, steps, y = profiles
+    rule = _pole_rule(length, steps)
+    got = rule(y)
+    assert got.shape == (len(y),)
+    for total, row in zip(got.tolist(), y):
+        _assert_same_bits(total, rule(row))
+
+
+def test_rule_refuses_rows_of_another_length():
+    with pytest.raises(ValueError, match="same number"):
+        _pole_rule(1.0, 8)(np.zeros((3, 8)))
