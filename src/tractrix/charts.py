@@ -8,10 +8,12 @@ every geodesic shot, on floats and on rows. The base spray derives both
 from the jet, through E, F, G and the second fundamental form; graph
 charts z = f(u, v) override it with the closed forms in f's derivatives,
 and surfaces of revolution (the sphere, the spheroid, the pseudosphere)
-with the closed forms in their profile curve's. The manifold layer
-derives everything else (the metric, Christoffel symbols and K at given
-points, transport) from the jet. Evaluators return plain tuples because
-they sit inside integrator loops.
+with the closed forms in their profile curve's. The spray is the only
+source of K: a tractrix record's pole shot keeps the least and greatest
+value it returns, the curvature window that the comparison checks use.
+The manifold layer derives everything else (the metric and Christoffel
+symbols at given points, transport) from the jet. Evaluators return
+plain tuples because they sit inside integrator loops.
 
 `jet` and `spray` are written once against a math namespace `xp`: `math`,
 the default, for floats, `numpy` for arrays u, v of one shape, whose
@@ -166,14 +168,6 @@ class SurfaceChart:
         K = (L * N - M * M) / (det * det)
         return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
 
-    def gauss_range(self, rect):
-        """Exact curvature range over rect = ((u0,u1),(v0,v1)), or None.
-
-        Charts without a closed-form range return None and the caller falls
-        back to grid certification.
-        """
-        return None
-
 
 class RevolutionChart(SurfaceChart):
     """Surface of revolution F(u, v) = (r(u) cos v, r(u) sin v, z(u)).
@@ -242,28 +236,6 @@ class EllipsoidChart(RevolutionChart):
         su, cu = xp.sin(u), xp.cos(u)
         return a * su, a * cu, -a * su, -c * su, -c * cu
 
-    def gauss_range(self, rect):
-        # Closed form only for the revolution case: K = c^2 / (cos^2 u + c^2 sin^2 u)^2
-        # on the unit-equator spheroid, monotone in sin^2 u.
-        if not (self.a == self.b == 1.0):
-            return None
-        (u0, u1), _ = rect
-        c2 = self.c ** 2
-
-        def kval(u):
-            e = math.cos(u) ** 2 + c2 * math.sin(u) ** 2
-            return c2 / e ** 2
-
-        s0, s1 = math.sin(u0) ** 2, math.sin(u1) ** 2
-        smax = max(s0, s1)
-        smin = min(s0, s1)
-        if (u0 - math.pi / 2) * (u1 - math.pi / 2) <= 0:
-            smax = 1.0  # rect straddles the equator
-        us_min = math.asin(math.sqrt(smin))
-        us_max = math.asin(math.sqrt(smax))
-        vals = (kval(us_min), kval(us_max))
-        return (min(vals), max(vals))
-
 
 class SphereChart(EllipsoidChart):
     """Round sphere of given radius, (colatitude, longitude) parameters: the
@@ -275,10 +247,6 @@ class SphereChart(EllipsoidChart):
         super().__init__(radius, radius, radius)
         self.radius = float(radius)
         self.name = f"sphere(R={radius:g})"
-
-    def gauss_range(self, rect):
-        k = 1.0 / self.radius ** 2
-        return (k, k)
 
 
 class PseudosphereChart(RevolutionChart):
@@ -317,10 +285,6 @@ class PseudosphereChart(RevolutionChart):
         se, ta = 1.0 / xp.cosh(u), xp.tanh(u)
         return (a * se, -a * se * ta, a * se * (ta * ta - se * se),
                 a * ta * ta, 2.0 * a * ta * se * se)
-
-    def gauss_range(self, rect):
-        k = -1.0 / self.a ** 2
-        return (k, k)
 
 
 # Derivative orders (du, dv) of the graph height: the value, then the jet.
@@ -482,9 +446,6 @@ class PlaneChart(GraphChart):
     def __init__(self):
         super().__init__()
 
-    def gauss_range(self, rect):
-        return (0.0, 0.0)
-
 
 class ParaboloidChart(GraphChart):
     """Paraboloid z = u^2 + v^2."""
@@ -492,20 +453,6 @@ class ParaboloidChart(GraphChart):
     def __init__(self):
         super().__init__(poly=[(2, 0, 1.0), (0, 2, 1.0)])
         self.name = "paraboloid"
-
-    def gauss_range(self, rect):
-        # K = 4 / (1 + 4 r^2)^2, monotone decreasing in r^2 = u^2 + v^2.
-        (u0, u1), (v0, v1) = rect
-
-        def nearest(lo, hi):
-            if lo <= 0.0 <= hi:
-                return 0.0
-            return lo if abs(lo) < abs(hi) else hi
-
-        r2min = nearest(u0, u1) ** 2 + nearest(v0, v1) ** 2
-        r2max = max(u0 ** 2, u1 ** 2) + max(v0 ** 2, v1 ** 2)
-        kof = lambda r2: 4.0 / (1.0 + 4.0 * r2) ** 2
-        return (kof(r2max), kof(r2min))
 
 
 class HillyChart(GraphChart):

@@ -129,8 +129,7 @@ def _report(cfg, model, trace, sweep):
             reports.append(toponogov_sandwich_check(trace, sol_hi, sol_lo,
                                                     scenario=cfg.name))
         else:
-            reports.append(le_sandwich_check(trace, trace.ell, bounds,
-                                             scenario=cfg.name))
+            reports.append(le_sandwich_check(trace, bounds, scenario=cfg.name))
     return merge_reports(reports, scenario=cfg.name)
 
 

@@ -1,12 +1,13 @@
 """Inequality harness for curvature-bounded comparison checks.
 
-Certifies a Gauss-curvature window over the chart region a simulation
-visited, then re-evaluates each comparison inequality from the raw trace
-data: length/area bounds under one-sided curvature bounds, the
-distance/curvature sandwich against constant-curvature closed forms for
-geodesic tractors, and the leading-exponent sandwich. Hypothesis failures
-(conjugate-point flags, invalid reference profiles) demote checks to
-"skipped"; only a genuine inequality violation fails.
+Certifies a Gauss-curvature window along the poles of a simulation, from
+the K values that each record's pole shot evaluated, then re-evaluates
+each comparison inequality from the raw trace data: length/area bounds
+under one-sided curvature bounds, the distance/curvature sandwich against
+constant-curvature closed forms for geodesic tractors, and the
+leading-exponent sandwich. Hypothesis failures (conjugate-point flags,
+invalid reference profiles) demote checks to "skipped"; only a genuine
+inequality violation fails.
 """
 
 import math
@@ -21,12 +22,10 @@ from .functionals import leading_exponent_estimate
 from .manifold import jacobi_reference, jacobi_reference_integral
 
 _PASS_TOL = 1e-6
-_GRID_N = 200
-# grid rows per K evaluation: 4,000 points keep the temporaries near 1 MB
-_GRID_BLOCK = 20
-_GRID_MARGIN = 0.05
-_PAD_FRACTION = 0.15
-_METHODS = ("constant", "analytic", "grid")
+# the pole window's widening, as a share of its spread: the shots sample K
+# at their RK4 stages only, so an extremum between stages can be missed
+_POLE_MARGIN = 0.05
+_METHODS = ("constant", "poles")
 
 
 @dataclass(frozen=True)
@@ -111,66 +110,22 @@ def _require_certified(bounds):
 # Bound certification
 
 
-def _visited_rect(chart, trace):
-    pts = np.vstack([trace.gamma, trace.eta])
-    pad = _PAD_FRACTION * trace.ell
-    rect = []
-    for axis in range(2):
-        lo = float(pts[:, axis].min()) - pad
-        hi = float(pts[:, axis].max()) + pad
-        dlo, dhi = chart.box[2 * axis:2 * axis + 2]
-        rect.append((max(lo, dlo), min(hi, dhi)))
-    return tuple(rect)
-
-
-def _grid_range(model, rect):
-    """(min, max) of K over the grid, a block of grid rows per evaluation
-    (`gauss_rows`); points outside the domain, at a singular metric or
-    with a non-finite K are skipped."""
-    us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
-    vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
-    lo = math.inf
-    hi = -math.inf
-    for start in range(0, _GRID_N, _GRID_BLOCK):
-        K = model.gauss_rows(*np.meshgrid(us[start:start + _GRID_BLOCK], vs,
-                                          indexing="ij"))
-        K = K[np.isfinite(K)]
-        if K.size:
-            lo, hi = min(lo, float(K.min())), max(hi, float(K.max()))
-    if lo > hi:
-        raise UncertifiedBoundsError(
-            f"no valid curvature samples on rect {rect!r}")
-    return lo, hi
-
-
-def certify_bounds(model, trace, method="auto", widen=1e-3):
-    """Certified Gauss-curvature window over the region the run visited.
+def certify_bounds(model, trace, widen=1e-3):
+    """Certified Gauss-curvature window along the poles of a run.
 
     Space forms give a constant window widened by `widen`, which must also
     absorb the quadrature error of the functionals evaluated against the
-    window. Charts with a closed-form curvature range over a rectangle
-    report it, widened enough to keep containment strict. Everything else
-    falls back to a 200x200 grid sample over the padded bounding box of
-    the tractrix and tractor tracks, with a 5% safety margin on the
-    spread.
+    window. On other models the window spans the least and greatest K that
+    the records' pole shots evaluated at their RK4 stages, widened by 5%
+    of its spread and by at least `widen`.
     """
     K = model.K  # None unless the curvature is constant
     if K is not None:
         w = max(widen, abs(K) * widen)
         return CurvatureBounds(K - w, K + w, "constant")
-    rect = _visited_rect(model.chart, trace)
-    if method in ("auto", "analytic"):
-        rng = model.chart.gauss_range(rect)
-        if rng is not None:
-            lo, hi = rng
-            w = max(widen, 1e-9 * (abs(lo) + abs(hi)), 1e-6 * (hi - lo))
-            return CurvatureBounds(lo - w, hi + w, "analytic")
-        if method == "analytic":
-            raise UncertifiedBoundsError(
-                f"chart {model.chart.name!r} has no closed-form range")
-    lo, hi = _grid_range(model, rect)
-    m = _GRID_MARGIN * max(hi - lo, 1e-6)
-    return CurvatureBounds(lo - m, hi + m, "grid")
+    lo, hi = float(np.min(trace.pole_K_lo)), float(np.max(trace.pole_K_hi))
+    m = max(widen, _POLE_MARGIN * (hi - lo))
+    return CurvatureBounds(lo - m, hi + m, "poles")
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +196,6 @@ def rauch_length_area_check(trace, sweep, bounds, scenario=""):
 # Distance/curvature sandwich for geodesic tractors
 
 
-def _sandwich_samples(trace, sol_hi, sol_lo):
-    s_max = min(sol_hi.s_hi, sol_lo.s_hi)
-    keep = (trace.s > 0) & (trace.s <= s_max)
-    return keep
-
-
 def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
     """Strict sandwich of measured d(s), kappa(s) between closed forms.
 
@@ -280,7 +229,7 @@ def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
         return ComparisonReport(
             tuple(_skip(n, q, reason) for n, q in names), scenario)
 
-    keep = _sandwich_samples(trace, sol_hi, sol_lo)
+    keep = (trace.s > 0) & (trace.s <= min(sol_hi.s_hi, sol_lo.s_hi))
     s = trace.s[keep]
     if s.size == 0:
         raise HypothesisViolatedError(
@@ -312,7 +261,7 @@ def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
 # Leading-exponent sandwich
 
 
-def le_sandwich_check(trace, ell, bounds, scenario=""):
+def le_sandwich_check(trace, bounds, scenario=""):
     """Fitted decay exponents of d(s), kappa(s) between the closed forms.
 
     The constant-curvature exponent is monotone in K, so the certified
@@ -321,6 +270,7 @@ def le_sandwich_check(trace, ell, bounds, scenario=""):
     rather than a verdict.
     """
     _require_certified(bounds)
+    ell = trace.ell
     if bounds.K_hi > 0 and math.sqrt(bounds.K_hi) * ell >= math.pi / 2:
         raise DomainViolationError(
             f"sqrt(K_hi)*ell = {math.sqrt(bounds.K_hi) * ell:.6g} must "

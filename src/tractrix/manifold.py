@@ -1,12 +1,12 @@
 """Manifold models and their geodesy.
 
 Every model answers what the tractor/tractrix machinery asks of a
-manifold: metric, Christoffel symbols and Gauss curvature at a point;
-geodesic shots (`exp_point`, and `shoot` with the Jacobi pair of
-j'' + K j = 0 along it); two-point geodesics (`connect`, `distance`);
-parallel transport along chart segments; the distance to a geodesic; one
-tractrix stage (`tractrix_start`, `tractrix_stage`, on Python floats); and
-a polyline's edge length and discrete geodesic acceleration. The `*_rows`
+manifold: metric and Christoffel symbols at a point; geodesic shots
+(`exp_point`, and `shoot` with the Jacobi pair of j'' + K j = 0 along
+it); two-point geodesics (`connect`, `distance`); parallel transport
+along chart segments; the distance to a geodesic; one tractrix stage
+(`tractrix_start`, `tractrix_stage`, on Python floats); and a polyline's
+edge length and discrete geodesic acceleration. The `*_rows`
 methods and transport take (n, dim) rows, so a post-pass is one call.
 
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
@@ -18,8 +18,10 @@ charts and surfaces of revolution, from the jet on the others), and the
 row shots take the same spray on rows. The kernel, `_rk4_geodesic`,
 makes one call per RK4 stage on the four state scalars (floats, or one
 array each on rows), `_geo_rhs(u, w, a, b)` or `_geo_rows(u, w, a, b)`,
-and steps c and s inline. The metric, Christoffel symbols and K at given
-points are derived here from the chart jet. A Newton solve gets
+and steps c and s inline. A tractrix record's shot also keeps the least
+and greatest K of its stages: the curvature window of its pole, which
+the comparison checks certify. The metric and Christoffel symbols at
+given points are derived here from the chart jet. A Newton solve gets
 its Jacobian from the shots it makes: `connect` is damped Newton with one
 shot per iteration, the direction column being s(L) times the end tangent
 turned by +pi/2 (`quarter_turn`), and the attachment
@@ -136,13 +138,14 @@ def shot_steps(length, pole_step):
     """RK4 steps of a geodesic shot of `length`: ceil(length / pole_step),
     and never fewer than 8. The one place that sizes a shot; for a finite
     length, a count that is not finite or exceeds _MAX_SHOT_STEPS is a
-    ConfigError against pole_step."""
+    ConfigError against pole_step. `simulate` caps a run's pole shots
+    together by the same rule."""
     steps = length / pole_step
     # written so that a NaN count fails it
     if not steps <= _MAX_SHOT_STEPS and math.isfinite(length):
         raise ConfigError(
-            f"pole_step {pole_step!r}: a shot of length {length!r} would "
-            f"take {steps:.3g} RK4 steps, more than {_MAX_SHOT_STEPS:,}")
+            f"pole_step {pole_step!r}: a length of {length!r} would take "
+            f"{steps:.3g} RK4 steps, more than {_MAX_SHOT_STEPS:,}")
     return max(8, math.ceil(steps))
 
 
@@ -179,9 +182,6 @@ class ManifoldModel:
         raise NotImplementedError
 
     def christoffel_at(self, p):
-        raise NotImplementedError
-
-    def gauss_at(self, p):
         raise NotImplementedError
 
     def check_point(self, p):
@@ -482,11 +482,11 @@ class SpaceFormModel(ManifoldModel):
         T(ell)>_g, T(ell) the unit pole tangent at eta, and the rate comes
         back as a tuple. Coincident (and on the sphere antipodal) points
         raise ValueError. The drift is the solved pole length's error
-        |L - ell|, and every pole has the same J(ell), integral and
-        conjugate flag (`_reference_pole`).
+        |L - ell|, and every pole has the same J(ell), integral, conjugate
+        flag (`_reference_pole`) and curvature window (K, K).
         """
         return (gamma, v, speed, *_reference_pole(self.K, ell, n_pole),
-                abs(L - ell), eta_speed)
+                abs(L - ell), eta_speed, self.K, self.K)
 
     def edge_length(self, a, b):
         return self.distance(a, b)
@@ -521,9 +521,6 @@ class FlatModel(SpaceFormModel):
 
     def christoffel_at(self, p):
         return np.zeros((self.dim,) * 3)
-
-    def gauss_at(self, p):
-        return 0.0
 
     def _geo_rhs(self, u, w, a, b):
         return 0.0, 0.0, 0.0
@@ -621,9 +618,6 @@ class SphereModel(SpaceFormModel):
         G[0, 1, 1] = -math.sin(th) * math.cos(th)
         G[1, 0, 1] = G[1, 1, 0] = 1.0 / math.tan(th)
         return G
-
-    def gauss_at(self, p):
-        return self.K
 
     def _geo_rhs(self, th, ph, a, b):
         s, c = math.sin(th), math.cos(th)
@@ -811,9 +805,6 @@ class HyperbolicModel(SpaceFormModel):
         G[1, 1, 1] = py
         return G
 
-    def gauss_at(self, p):
-        return self.K
-
     def _geo_rhs(self, x, y, a, b):
         f = 1.0 - x * x - y * y
         if f <= 0.0:
@@ -978,20 +969,6 @@ def _christoffel(jet, E, F, G, det):
     return out
 
 
-def _gauss(jet, det, sqrt):
-    """K = (L N - M^2) / det against the unit normal, sqrt from math or np."""
-    fu, fv, suu, suv, svv = jet
-    nx = fu[1] * fv[2] - fu[2] * fv[1]
-    ny = fu[2] * fv[0] - fu[0] * fv[2]
-    nz = fu[0] * fv[1] - fu[1] * fv[0]
-    nn = sqrt(nx * nx + ny * ny + nz * nz)
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    L = suu[0] * nx + suu[1] * ny + suu[2] * nz
-    M = suv[0] * nx + suv[1] * ny + suv[2] * nz
-    N = svv[0] * nx + svv[1] * ny + svv[2] * nz
-    return (L * N - M * M) / det
-
-
 class SurfaceModel(ManifoldModel):
     """Embedded surface F(u, v) in R^3; geometry from the chart derivatives."""
 
@@ -1015,15 +992,6 @@ class SurfaceModel(ManifoldModel):
         ulo, uhi, vlo, vhi = self.chart.box
         return ~((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi))
 
-    def _rows(self, u, v):
-        """`_forms` on arrays u, v of one shape, without raising: the jet,
-        E, F, G and det (floats where constant) and the mask of points
-        outside the domain."""
-        # the points outside may give invalid values: they are masked
-        with np.errstate(invalid="ignore"):
-            jet = self.chart.jet(u, v, np)
-            return (jet, *_first_form(jet), self._outside(u, v))
-
     def _check_rows(self, outside, det):
         """Raise for the first row (last axis) with a point outside the
         domain, else for the first at a singular metric, naming it."""
@@ -1035,10 +1003,14 @@ class SurfaceModel(ManifoldModel):
                 raise error(f"{self.chart.name}: {what} in row {row}")
 
     def _checked_rows(self, u, v):
-        """`_rows` that raises for the first row with a point outside the
-        domain or at a singular metric (`_check_rows`)."""
-        *out, outside = self._rows(u, v)
-        self._check_rows(outside, out[4])
+        """`_forms` on arrays u, v of one shape: the jet, E, F, G and det
+        (floats where constant). Raises for the first row with a point
+        outside the domain or at a singular metric (`_check_rows`)."""
+        # the points outside may give invalid values: they raise below
+        with np.errstate(invalid="ignore"):
+            jet = self.chart.jet(u, v, np)
+            out = (jet, *_first_form(jet))
+        self._check_rows(self._outside(u, v), out[4])
         return out
 
     def _check_drift(self, pts, tans):
@@ -1080,19 +1052,6 @@ class SurfaceModel(ManifoldModel):
         *gam, _ = np.broadcast_arrays(g1uu, g1uv, g1uv, g1vv,
                                       g2uu, g2uv, g2uv, g2vv, u)
         return np.stack(gam, axis=-1).reshape(-1, 2, 2, 2)
-
-    def gauss_at(self, p):
-        self.check_point(p)
-        jet, _, _, _, det = self._forms(float(p[0]), float(p[1]))
-        return _gauss(jet, det, math.sqrt)
-
-    def gauss_rows(self, u, v):
-        """`gauss_at` on arrays u, v in one evaluation, NaN at the points
-        outside the domain and where the metric is singular."""
-        jet, _, _, _, det, outside = self._rows(u, v)
-        with np.errstate(all="ignore"):
-            K = _gauss(jet, det, np.sqrt)
-        return np.where(outside | (det < DET_EPS), np.nan, K)
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         # one RK4 integration on arrays, every row in lockstep
@@ -1146,7 +1105,9 @@ class SurfaceModel(ManifoldModel):
         |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X) are written out.
         The record is None unless asked for; it is (gamma, pole_dir at
         gamma, signed speed, J(ell), the samples of J, conjugate flag,
-        drift, |eta'|_g), its vectors and the samples as lists. J is the
+        drift, |eta'|_g, K_lo, K_hi), its vectors and the samples as lists.
+        [K_lo, K_hi] is the least and greatest K that the shot's RK4 stages
+        evaluated, the curvature window of the pole. J is the
         Jacobi field from gamma along the pole, j(u) = s(ell) c(ell - u) -
         c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell); it is
         sampled on floats at the n_pole + 1 points of the shot, which
@@ -1165,10 +1126,14 @@ class SurfaceModel(ManifoldModel):
         # the products in the order of the row-vector forms X g X, eta' g X
         size = math.sqrt((x * E + y * F) * x + (x * F + y * G) * y)
         ux, uy = x / size, y / size
-        end, tangent, c, s = _rk4_geodesic(
-            self._geo_rhs, (u, w), (ux, uy), ell, n_pole,
-            collect="jacobi" if record else False)
-        c_ell, s_ell = (c[-1], s[-1]) if record else (c, s)
+        if record:
+            end, tangent, c, s, K_lo, K_hi = _rk4_geodesic(
+                self._geo_rhs, (u, w), (ux, uy), ell, n_pole,
+                collect="jacobi")
+            c_ell, s_ell = c[-1], s[-1]
+        else:
+            end, tangent, c_ell, s_ell = _rk4_geodesic(
+                self._geo_rhs, (u, w), (ux, uy), ell, n_pole, collect=False)
         if s_ell <= _CONJ_TOL:
             raise NoConvergenceError(
                 f"the pole of length {ell!r} from {list(eta)} reaches a "
@@ -1192,7 +1157,7 @@ class SurfaceModel(ManifoldModel):
         return rate, abs(along), (
             [gu, gv], [-p / speed, -q / speed], -along, s_ell, jac,
             any(j <= _CONJ_TOL for j in jac[1:]), abs(speed - 1.0),
-            eta_speed)
+            eta_speed, K_lo, K_hi)
 
     def _geo_rhs(self, u, w, a, b):
         # the hottest call, one chart spray per RK4 stage; bench/tracer.py
@@ -1250,10 +1215,10 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
 
     The result is (x, v, c, s). With collect True, every step's sample:
     the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
-    as lists. With collect "jacobi", the final point and velocity as
-    2-tuples and every step's c and s as lists, for a tractrix record. With
-    collect False, the final point and velocity as 2-tuples and the final
-    c and s.
+    as lists. With collect "jacobi", for a tractrix record, the final point
+    and velocity as 2-tuples, every step's c and s as lists, and then the
+    least and greatest K of all the stages, floats. With collect False, the
+    final point and velocity as 2-tuples and the final c and s.
     """
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
@@ -1264,6 +1229,7 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     sampled = collect is True
     if collect:
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
+        K_lo, K_hi = math.inf, -math.inf
     for _ in range(n_steps):
         a1, b1, K1 = rhs(x, y, p, q)
         x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
@@ -1294,8 +1260,11 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
             if sampled:
                 xs.append((x, y))
                 vs.append((p, q))
+            else:
+                K_lo = min(K_lo, K1, K2, K3, K4)
+                K_hi = max(K_hi, K1, K2, K3, K4)
     if sampled:
         return np.array(xs), np.array(vs), cs, ss
     if collect:
-        return (x, y), (p, q), cs, ss
+        return (x, y), (p, q), cs, ss, K_lo, K_hi
     return (x, y), (p, q), c, s

@@ -229,6 +229,9 @@ class TractrixTrace:
     jacobi_ell: np.ndarray  # J(ell), the length formula's factor
     jacobi_int: np.ndarray  # integral of J over [0, ell], the area's factor
     pole_conjugate: np.ndarray  # J vanishes on (0, ell]
+    # the least and greatest K each pole's shot evaluated (K on space forms)
+    pole_K_lo: np.ndarray
+    pole_K_hi: np.ndarray
     max_drift: float  # largest record drift of `tractrix_stage`
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
@@ -305,7 +308,11 @@ def simulate(model, tractor, gamma0, ell, params=None):
     the array expressions had. Each record is read off its own stage,
     which also gives the tractor speed |eta'|_g; on surfaces it carries
     J's samples along the pole, and one Simpson pass (`_pole_rule`) over
-    the (records, n_pole + 1) array of them gives every integral of J. The
+    the (records, n_pole + 1) array of them gives every integral of J.
+    Each record also carries its pole's curvature window, the least and
+    greatest K its shot evaluated. On a model without constant curvature,
+    a run whose pole shots together would take more RK4 steps than one
+    shot may (`shot_steps`) is a ConfigError before the first stage. The
     pull or push character is emergent from the attachment geometry and
     recorded per record as sigma.
     """
@@ -332,6 +339,12 @@ def simulate(model, tractor, gamma0, ell, params=None):
             f"{n_steps + 1} records exceed max_records {params.max_records}")
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
     n_pole = shot_steps(ell, params.pole_step)
+    steps, stage_times = _schedule(t_grid, tractor.breaks)
+    if model.K is None:
+        # each of a sub-step's four stages shoots the pole; a space form
+        # solves its poles in closed form and walks its long schedule lazily
+        steps = list(steps)
+        shot_steps(4 * len(steps) * ell, params.pole_step)
 
     eta0 = tractor.point(tractor.t0)
     state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
@@ -339,7 +352,6 @@ def simulate(model, tractor, gamma0, ell, params=None):
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
 
-    steps, stage_times = _schedule(t_grid, tractor.breaks)
     blocks = (tractor.rows(stage_times[i:i + _ROW_BLOCK])
               for i in range(0, len(stage_times), _ROW_BLOCK))
     samples = itertools.chain.from_iterable(
@@ -376,7 +388,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     take_record(state, s)
 
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
-     eta_speeds) = zip(*records)
+     eta_speeds, K_lo, K_hi) = zip(*records)
     jac_int = np.array(jac_int)
     if jac_int.ndim == 2:
         # a surface record carries J's samples along its pole: one Simpson
@@ -392,8 +404,9 @@ def simulate(model, tractor, gamma0, ell, params=None):
         eta_speed=np.array(eta_speeds), sigma=sigma, d=np.full(n, np.nan),
         kappa=np.full(n, np.nan), jacobi_ell=np.array(jac_ell),
         jacobi_int=jac_int,
-        pole_conjugate=np.array(conj, dtype=bool),
-        max_drift=max(0.0, *drifts), pole_step=params.pole_step)
+        pole_conjugate=np.array(conj, dtype=bool), pole_K_lo=np.array(K_lo),
+        pole_K_hi=np.array(K_hi), max_drift=max(0.0, *drifts),
+        pole_step=params.pole_step)
 
     _detect_cusps(trace, params)
     if tractor.is_geodesic:

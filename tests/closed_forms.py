@@ -1,8 +1,9 @@
 """Closed-form oracles that only the tests use.
 
-The planar tractrix pulled along a line, and the long-pole tractrix on the
+The planar tractrix pulled along a line, the long-pole tractrix on the
 unit sphere with an equatorial tractor, whose tractor time comes from an
-adaptive Simpson quadrature of dt/ds.
+adaptive Simpson quadrature of dt/ds, and the exact range of the Gauss
+curvature over a chart rectangle on the charts that have one.
 """
 
 import math
@@ -10,8 +11,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tractrix.charts import (
+    EllipsoidChart,
+    ParaboloidChart,
+    PlaneChart,
+    PseudosphereChart,
+    SphereChart,
+)
 from tractrix.errors import DomainViolationError
 from tractrix.spaceform import dist_at, kappa_from_dist, solve_from_d0
+
+
+# ---------------------------------------------------------------------------
+# Gauss curvature ranges
+
+
+def gauss_range(chart, rect):
+    """(min, max) of K over rect = ((u0, u1), (v0, v1)), or None for a
+    chart without a closed form here: only the sphere, the spheroid with
+    unit equator (a = b = 1), the pseudosphere, the plane and the
+    paraboloid have one. A point is the rectangle ((u, u), (v, v))."""
+    if isinstance(chart, SphereChart):
+        k = 1.0 / chart.radius ** 2
+        return (k, k)
+    if isinstance(chart, EllipsoidChart):
+        return _spheroid_range(chart, rect)
+    if isinstance(chart, PseudosphereChart):
+        k = -1.0 / chart.a ** 2
+        return (k, k)
+    if isinstance(chart, PlaneChart):
+        return (0.0, 0.0)
+    if isinstance(chart, ParaboloidChart):
+        return _paraboloid_range(rect)
+    return None
+
+
+def _spheroid_range(chart, rect):
+    # K = c^2 / (cos^2 u + c^2 sin^2 u)^2 on the unit-equator spheroid,
+    # monotone in sin^2 u
+    if not (chart.a == chart.b == 1.0):
+        return None
+    (u0, u1), _ = rect
+    c2 = chart.c ** 2
+
+    def kval(u):
+        e = math.cos(u) ** 2 + c2 * math.sin(u) ** 2
+        return c2 / e ** 2
+
+    s0, s1 = math.sin(u0) ** 2, math.sin(u1) ** 2
+    smax = max(s0, s1)
+    smin = min(s0, s1)
+    if (u0 - math.pi / 2) * (u1 - math.pi / 2) <= 0:
+        smax = 1.0  # rect straddles the equator
+    vals = (kval(math.asin(math.sqrt(smin))),
+            kval(math.asin(math.sqrt(smax))))
+    return (min(vals), max(vals))
+
+
+def _paraboloid_range(rect):
+    # K = 4 / (1 + 4 r^2)^2, monotone decreasing in r^2 = u^2 + v^2
+    (u0, u1), (v0, v1) = rect
+
+    def nearest(lo, hi):
+        if lo <= 0.0 <= hi:
+            return 0.0
+        return lo if abs(lo) < abs(hi) else hi
+
+    r2min = nearest(u0, u1) ** 2 + nearest(v0, v1) ** 2
+    r2max = max(u0 ** 2, u1 ** 2) + max(v0 ** 2, v1 ** 2)
+    return (4.0 / (1.0 + 4.0 * r2max) ** 2, 4.0 / (1.0 + 4.0 * r2min) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from tractrix.charts import (
 from tractrix.errors import ConfigError, OutOfDomainError, SingularChartError
 from tractrix.manifold import SurfaceModel
 
+from closed_forms import gauss_range
 from graph_reference import LoopGraph, graph_spray
 
 CHARTS = [
@@ -109,14 +110,12 @@ def test_graph_jet_matches_finite_differences(poly, sinsin, u, v):
 def test_graph_spray_matches_generic_spray(poly, sinsin, u, v, a, b):
     # the closed forms in f's derivatives against the base spray, which
     # derives the same from the jet through E, F, G, the Christoffel
-    # contractions and the second fundamental form; K against gauss_at
+    # contractions and the second fundamental form
     chart = GraphChart(poly=poly, sinsin=sinsin)
     spray = chart.spray(u, v, a, b)
     reference = SurfaceChart.spray(chart, u, v, a, b)
     for x, y in zip(spray, reference):
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
-    assert math.isclose(spray[2], SurfaceModel(chart).gauss_at((u, v)),
-                        rel_tol=1e-12, abs_tol=1e-13)
 
 
 def _bits(x, shape=()):
@@ -198,13 +197,31 @@ revolution_charts = st.one_of(
        st.floats(-2.0, 2.0))
 def test_revolution_spray_matches_generic_spray(chart, u, v, a, b):
     # the closed forms in the profile's derivatives against the base spray
-    # from the jet, and K against gauss_at
+    # from the jet
     spray = chart.spray(u, v, a, b)
     reference = SurfaceChart.spray(chart, u, v, a, b)
     for x, y in zip(spray, reference):
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
-    assert math.isclose(spray[2], SurfaceModel(chart).gauss_at((u, v)),
-                        rel_tol=1e-12, abs_tol=1e-13)
+
+
+# the charts whose K has a closed form in tests/closed_forms.py
+closed_form_charts = st.one_of(
+    st.builds(SphereChart, st.floats(0.3, 3.0)),
+    st.builds(lambda c: EllipsoidChart(1.0, 1.0, c), st.floats(0.3, 3.0)),
+    st.builds(PseudosphereChart, st.floats(0.3, 3.0)),
+    st.builds(ParaboloidChart), st.builds(PlaneChart))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_charts, st.floats(0.1, math.pi - 0.1),
+       st.floats(-math.pi, math.pi))
+def test_spray_curvature_matches_the_closed_forms(chart, u, v):
+    # K of the spray, the only K the package computes, against the
+    # closed-form range over the one-point rectangle
+    lo, hi = gauss_range(chart, ((u, u), (v, v)))
+    assert lo == hi
+    assert math.isclose(chart.spray(u, v, 0.0, 0.0)[2], lo, rel_tol=1e-12,
+                        abs_tol=1e-13)
 
 
 def test_only_a_triaxial_ellipsoid_keeps_the_generic_spray():
@@ -324,20 +341,23 @@ def test_non_finite_coordinates_are_outside(chart):
 
 
 def test_exact_curvature_ranges():
+    # the test oracle (closed_forms.gauss_range) on known values
     rect = ((0.9, 1.3), (0.0, 2.0))
-    assert SphereChart(2.0).gauss_range(rect) == (0.25, 0.25)
-    assert PlaneChart().gauss_range(rect) == (0.0, 0.0)
-    assert PseudosphereChart(1.0).gauss_range(rect) == (-1.0, -1.0)
+    assert gauss_range(SphereChart(2.0), rect) == (0.25, 0.25)
+    assert gauss_range(PlaneChart(), rect) == (0.0, 0.0)
+    assert gauss_range(PseudosphereChart(1.0), rect) == (-1.0, -1.0)
 
-    lo, hi = ParaboloidChart().gauss_range(((0.0, 0.3), (-0.2, 0.0)))
+    lo, hi = gauss_range(ParaboloidChart(), ((0.0, 0.3), (-0.2, 0.0)))
     assert hi == 4.0  # rect contains the apex
     assert lo == pytest.approx(1.7313019390581717, rel=1e-12)
 
-    lo, hi = EllipsoidChart(1, 1, 1.2).gauss_range(((1.0, math.pi / 2), (0, 1)))
+    lo, hi = gauss_range(EllipsoidChart(1, 1, 1.2),
+                         ((1.0, math.pi / 2), (0, 1)))
     assert lo == pytest.approx(0.69444444444444444, rel=1e-12)
     assert hi == pytest.approx(0.83712683256463423, rel=1e-12)
-    # general ellipsoid has no closed-form range here
-    assert EllipsoidChart(1.5, 0.8, 1.1).gauss_range(rect) is None
+    # a triaxial ellipsoid and the hills have no closed-form range here
+    assert gauss_range(EllipsoidChart(1.5, 0.8, 1.1), rect) is None
+    assert gauss_range(HillyChart(), rect) is None
 
 
 def test_chart_from_config():

@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+import time
 
 import pytest
 import yaml
@@ -326,6 +327,22 @@ def test_pole_step_past_the_shot_cap_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, raw)
     assert cli.main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "pole_step" in err and "Traceback" not in err
+
+
+def test_pole_step_past_the_run_cap_exits_one_at_once(tmp_path, capsys):
+    # each of hilly_pull's shots at 1e-6 stays under the one shot's cap,
+    # but its 600 stage shots together would take 3e8 RK4 steps: refused
+    # before the first stage, not run for minutes
+    with open(os.path.join(bundled_dir(), "hilly_pull.yaml")) as f:
+        raw = yaml.safe_load(f)
+    raw["sim"]["pole_step"] = 1.0e-6
+    config = write_config(tmp_path, raw)
+    start = time.perf_counter()
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "pole_step" in err and "Traceback" not in err
 

@@ -1,12 +1,10 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
 
 from tractrix.comparison import (
-    _GRID_N,
     Check,
     ComparisonReport,
     CurvatureBounds,
@@ -15,20 +13,22 @@ from tractrix.comparison import (
     merge_reports,
     rauch_length_area_check,
     toponogov_sandwich_check,
-    _grid_range,
-    _visited_rect,
 )
 from tractrix.config import bundled_scenario
 from tractrix.errors import (
     DomainViolationError,
     HypothesisViolatedError,
     LowConfidenceFitError,
-    OutOfDomainError,
-    SingularChartError,
     UncertifiedBoundsError,
 )
 from tractrix.functionals import sweep_result
-from tractrix.manifold import model_from_config, space_form, surface_model
+from tractrix.manifold import (
+    _rk4_geodesic,
+    model_from_config,
+    shot_steps,
+    space_form,
+    surface_model,
+)
 from tractrix.spaceform import leading_exponent, solve_from_d0
 from tractrix.tractrix_sim import (
     SimParams,
@@ -37,7 +37,7 @@ from tractrix.tractrix_sim import (
     tractor_from_config,
 )
 
-from closed_forms import classical_tractrix
+from closed_forms import classical_tractrix, gauss_range
 
 FLAT2 = space_form(0.0)
 SPHERE = space_form(1.0)
@@ -87,105 +87,67 @@ def test_spaceform_bounds_are_constant_window(sphere_trace):
     assert cb.K_hi - cb.K_lo < 0.01
 
 
-def test_ellipsoid_analytic_bounds_bracket_visited_curvature(
-        ellipsoid_setup):
-    model, trace = ellipsoid_setup
-    cb = certify_bounds(model, trace, method="analytic")
-    assert cb.certified == "analytic"
-    for p in np.vstack([trace.gamma[::40], trace.eta[::40]]):
-        assert cb.K_lo < model.gauss_at(p) < cb.K_hi
+def stage_curvatures(model, p, v, length, n_steps):
+    """The points (n, 2) and K of every RK4 stage of a shot from p along
+    v, each as the spray gave it."""
+    points, Ks = [], []
+
+    def rhs(x, y, a, b):
+        out = model._geo_rhs(x, y, a, b)
+        points.append((x, y))
+        Ks.append(out[2])
+        return out
+
+    _rk4_geodesic(rhs, tuple(p), tuple(v), length, n_steps, collect=False)
+    return np.array(points), np.array(Ks)
 
 
-def test_ellipsoid_grid_bounds_contain_analytic_window(ellipsoid_setup):
-    model, trace = ellipsoid_setup
-    grid = certify_bounds(model, trace, method="grid")
-    analytic = certify_bounds(model, trace, method="analytic")
-    assert grid.certified == "grid"
-    assert grid.K_lo < analytic.K_lo
-    assert grid.K_hi > analytic.K_hi
-    # 5% safety margin stays a margin, not a blowup
-    assert grid.K_hi - grid.K_lo < 2.0 * (analytic.K_hi - analytic.K_lo)
-
-
-def test_grid_fallback_used_when_no_closed_form(flat_trace):
-    model = surface_model({"name": "hilly", "amplitude": 0.05,
-                           "frequency": 2.0})
-    line = tractor_from_config(model, {"kind": "chart_line",
-                                       "start": [0.0, 0.0],
-                                       "direction": [1.0, 0.0],
-                                       "t0": 0.0, "t1": 1.5})
-    g0, _ = orthogonal_attachment(model, line, 0.5, 0.3, mode="behind")
-    trace = simulate(model, line, g0, 0.5, SimParams(dt=0.01))
-    cb = certify_bounds(model, trace)
-    assert cb.certified == "grid"
-    for p in trace.gamma[::40]:
-        assert cb.K_lo < model.gauss_at(p) < cb.K_hi
-    with pytest.raises(UncertifiedBoundsError, match="closed-form"):
-        certify_bounds(model, trace, method="analytic")
-
-
-def scalar_grid_range(model, rect):
-    """The grid certification as a double loop of scalar `gauss_at` calls:
-    (lo, hi) and the mask of the grid points it used."""
-    us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
-    vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
-    used = np.zeros((_GRID_N, _GRID_N), dtype=bool)
-    lo, hi = math.inf, -math.inf
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            if not model.chart.contains(u, v):
-                continue
-            try:
-                K = model.gauss_at(np.array([u, v]))
-            except (SingularChartError, OutOfDomainError):
-                continue
-            if math.isfinite(K):
-                lo, hi = min(lo, K), max(hi, K)
-                used[i, j] = True
-    return lo, hi, used
-
-
-def test_grid_range_equals_scalar_reference_on_hilly_pull():
-    cfg = bundled_scenario("hilly_pull")
+@pytest.mark.parametrize("name", ["paraboloid_pull", "hilly_pull",
+                                  "ellipsoid_equator"])
+def test_pole_window_contains_k_along_finer_shots(name):
+    # each record's pole shot again from gamma, at an eighth of the run's
+    # pole_step, with K at every stage: the widened window holds all of
+    # it. The run's own window lies in the closed-form range of K over
+    # the finer shots' chart box, padded by pole_step^2 because an RK4
+    # stage point sits that far off the pole; hills have no closed form
+    cfg = bundled_scenario(name)
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     trace = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
-    rect = _visited_rect(model.chart, trace)
-    lo, hi, used = scalar_grid_range(model, rect)
-    assert used.all()
-    assert _grid_range(model, rect) == (lo, hi)
+    cb = certify_bounds(model, trace)
+    assert cb.certified == "poles"
+    n_fine = shot_steps(trace.ell, trace.pole_step / 8)
+    shots = [stage_curvatures(model, p, v, trace.ell, n_fine)
+             for p, v in zip(trace.gamma, trace.pole_dir)]
+    points = np.vstack([pts for pts, _ in shots])
+    Ks = np.concatenate([k for _, k in shots])
+    assert cb.K_lo < Ks.min() and Ks.max() < cb.K_hi
+    lo, hi = trace.pole_K_lo.min(), trace.pole_K_hi.max()
+    assert lo <= hi
+    pad = trace.pole_step ** 2
+    rng = gauss_range(model.chart, tuple(
+        (points[:, i].min() - pad, points[:, i].max() + pad)
+        for i in range(2)))
+    assert (rng is None) == (name == "hilly_pull")
+    if rng is not None:
+        assert rng[0] <= lo and hi <= rng[1]
 
 
-@pytest.mark.parametrize("chart, rect", [
-    ({"name": "pseudosphere"}, ((-0.5, 1.5), (0.0, 1.0))),
-    ({"name": "sphere"}, ((0.0, math.pi), (-1.0, 1.0))),
-], ids=["pseudosphere-rim", "sphere-poles"])
-def test_grid_skips_the_points_the_scalar_loop_skips(chart, rect):
-    # rectangles that reach past the rim u = 0 (outside the domain, then
-    # singular on it) or onto both chart poles (singular)
-    model = surface_model(chart)
-    lo, hi, used = scalar_grid_range(model, rect)
-    assert 0 < used.sum() < used.size
-    us = np.linspace(rect[0][0], rect[0][1], _GRID_N)
-    vs = np.linspace(rect[1][0], rect[1][1], _GRID_N)
-    K = model.gauss_rows(*np.meshgrid(us, vs, indexing="ij"))
-    assert np.array_equal(np.isfinite(K), used)
-    grid = _grid_range(model, rect)
-    assert grid == pytest.approx((lo, hi), rel=1e-14)
-
-
-def test_grid_certification_up_to_the_pseudosphere_rim():
-    # the padded box of this track is clipped to the domain at u = 0, the
-    # rim, where the metric is singular and the grid row is skipped
-    model = surface_model({"name": "pseudosphere"})
-    track = types.SimpleNamespace(gamma=np.array([[0.05, 0.0]]),
-                                  eta=np.array([[1.0, 0.5]]), ell=1.0)
-    assert _visited_rect(model.chart, track)[0][0] == 0.0
-    cb = certify_bounds(model, track, method="grid")
-    assert cb.certified == "grid"
-    assert cb.K_lo < -1.0 < cb.K_hi
-    assert cb.K_hi - cb.K_lo < 1e-6
+def test_paraboloid_window_over_the_apex_contains_four():
+    # K = 4 / (1 + 4 r^2)^2 peaks at the apex. The u-axis is a geodesic,
+    # so the first pole, from (0.25, 0) along -u, runs over the apex
+    model = surface_model("paraboloid")
+    line = tractor_from_config(model, {"kind": "chart_line",
+                                       "start": [0.25, 0.0],
+                                       "direction": [0.0, 1.0],
+                                       "t0": 0.0, "t1": 0.2})
+    eta0 = line.point(0.0)
+    g0 = model.exp_point(eta0, model.unit(eta0, [-1.0, 0.0]), 0.5)[0]
+    trace = simulate(model, line, g0, 0.5, SimParams(dt=0.01))
+    assert trace.pole_K_hi[0] > 3.9
+    cb = certify_bounds(model, trace)
+    assert cb.K_lo < 4.0 < cb.K_hi
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +216,12 @@ def test_flat_cusp_run_passes_rauch():
     assert not any(c.skipped for c in rep.checks)
 
 
-def test_rauch_on_ellipsoid_with_grid_bounds(ellipsoid_setup):
+def test_rauch_on_ellipsoid_with_pole_bounds(ellipsoid_setup):
     model, trace = ellipsoid_setup
-    sw = sweep_result(trace)
-    for method in ("grid", "analytic"):
-        rep = rauch_length_area_check(
-            trace, sw, certify_bounds(model, trace, method=method))
-        assert rep.passed
-        assert all(c.margin > 0 for c in rep.checks)
+    rep = rauch_length_area_check(trace, sweep_result(trace),
+                                  certify_bounds(model, trace))
+    assert rep.passed
+    assert all(c.margin > 0 for c in rep.checks)
 
 
 def test_rauch_skips_closed_reference_profile(flat_trace):
@@ -314,7 +274,7 @@ def test_sphere_self_sandwich_margins_scale_with_eps(sphere_trace):
 
 def test_ellipsoid_sandwich_with_certified_bounds(ellipsoid_setup):
     model, trace = ellipsoid_setup
-    cb = certify_bounds(model, trace, method="grid")
+    cb = certify_bounds(model, trace)
     d0 = float(trace.d[0])
     rep = toponogov_sandwich_check(trace,
                                    solve_from_d0(cb.K_hi, 0.5, d0),
@@ -373,8 +333,7 @@ def test_sandwich_conjugate_flag_demotes_to_skipped(flat_trace):
 
 
 def test_flat_exponent_sits_in_signed_window(flat_trace):
-    rep = le_sandwich_check(flat_trace, 2.0,
-                            CurvatureBounds(-0.1, 0.1, "constant"))
+    rep = le_sandwich_check(flat_trace, CurvatureBounds(-0.1, 0.1, "constant"))
     assert rep.passed
     lo = leading_exponent(-0.1, 2.0)
     hi = leading_exponent(0.1, 2.0)
@@ -386,9 +345,8 @@ def test_flat_exponent_sits_in_signed_window(flat_trace):
 def test_constant_curvature_exponent_matches_closed_form(sphere_trace):
     # the fit carries a transient bias of a few 1e-3, so the window must
     # be wider than that for the sandwich to be meaningful
-    rep = le_sandwich_check(sphere_trace, 1.0,
-                            certify_bounds(SPHERE, sphere_trace,
-                                           widen=0.05))
+    rep = le_sandwich_check(sphere_trace,
+                            certify_bounds(SPHERE, sphere_trace, widen=0.05))
     assert rep.passed
     fits = {c.name: c for c in rep.checks}
     Le = leading_exponent(1.0, 1.0)
@@ -398,22 +356,19 @@ def test_constant_curvature_exponent_matches_closed_form(sphere_trace):
 
 def test_le_guard_rejects_closing_upper_bound(flat_trace):
     with pytest.raises(DomainViolationError, match="pi/2"):
-        le_sandwich_check(flat_trace, 2.0,
-                          CurvatureBounds(-0.1, 0.7, "constant"))
+        le_sandwich_check(flat_trace, CurvatureBounds(-0.1, 0.7, "constant"))
 
 
 def test_le_low_confidence_is_an_error(flat_trace):
     wobble = np.exp(-flat_trace.s) * (2.0 + np.sin(3.0 * flat_trace.s))
     noisy = dataclasses.replace(flat_trace, d=wobble)
     with pytest.raises(LowConfidenceFitError, match="R\\^2"):
-        le_sandwich_check(noisy, 2.0,
-                          CurvatureBounds(-0.1, 0.1, "constant"))
+        le_sandwich_check(noisy, CurvatureBounds(-0.1, 0.1, "constant"))
 
 
 def test_le_requires_certification(flat_trace):
     with pytest.raises(UncertifiedBoundsError):
-        le_sandwich_check(flat_trace, 2.0,
-                          CurvatureBounds(-0.1, 0.1, ""))
+        le_sandwich_check(flat_trace, CurvatureBounds(-0.1, 0.1, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +399,7 @@ def test_merge_reports_concatenates_checks(flat_trace):
     a = toponogov_sandwich_check(flat_trace, solve_from_d0(0.1, 2.0, d0),
                                  solve_from_d0(-0.1, 2.0, d0),
                                  scenario="flat")
-    b = le_sandwich_check(flat_trace, 2.0,
-                          CurvatureBounds(-0.1, 0.1, "constant"))
+    b = le_sandwich_check(flat_trace, CurvatureBounds(-0.1, 0.1, "constant"))
     merged = merge_reports([a, b], scenario="flat-all")
     assert len(merged.checks) == len(a.checks) + len(b.checks)
     assert merged.scenario == "flat-all"

@@ -122,14 +122,19 @@ def test_metric_compatibility_with_christoffels(model):
             assert np.allclose(dg, rhs, atol=1e-6), model
 
 
+def spray_K(model, p):
+    """K at p as a surface's spray gives it (at rest)."""
+    return model.chart.spray(p[0], p[1], 0.0, 0.0)[2]
+
+
 def test_gauss_curvature_values():
-    assert SPHERE.gauss_at([1.0, 2.0]) == pytest.approx(1.0)
-    assert HYP.gauss_at([0.3, -0.2]) == pytest.approx(-1.0)
-    assert FLAT2.gauss_at([0.0, 0.0]) == 0.0
-    assert PARAB.gauss_at([0.0, 0.0]) == pytest.approx(4.0, rel=1e-12)
-    assert PARAB.gauss_at([0.3, -0.2]) == pytest.approx(1.7313019390581717,
+    assert SPHERE.K == 1.0
+    assert HYP.K == -1.0
+    assert FLAT2.K == 0.0
+    assert spray_K(PARAB, [0.0, 0.0]) == pytest.approx(4.0, rel=1e-12)
+    assert spray_K(PARAB, [0.3, -0.2]) == pytest.approx(1.7313019390581717,
                                                         rel=1e-10)
-    assert HILLY.gauss_at([math.pi / 2, math.pi / 2]) == pytest.approx(
+    assert spray_K(HILLY, [math.pi / 2, math.pi / 2]) == pytest.approx(
         0.25, rel=1e-10)
 
 
@@ -137,14 +142,14 @@ def test_pseudosphere_constant_negative_curvature():
     rng = np.random.default_rng(2)
     for _ in range(12):
         p = np.array([rng.uniform(0.5, 2.5), rng.uniform(-3, 3)])
-        assert PSEUDO.gauss_at(p) == pytest.approx(-1.0, abs=1e-10)
+        assert spray_K(PSEUDO, p) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_embedded_sphere_matches_spaceform_curvature():
     from tractrix.charts import SphereChart
 
     emb = surface_model(SphereChart(2.0))
-    assert emb.gauss_at([1.2, 0.7]) == pytest.approx(0.25, rel=1e-12)
+    assert spray_K(emb, [1.2, 0.7]) == pytest.approx(0.25, rel=1e-12)
 
 
 # -- exp_point and shoot ------------------------------------------------------
@@ -285,7 +290,7 @@ def test_jacobi_normalization_small_u():
     u = np.linspace(0.0, 0.5, 101)
     j = _rk4_geodesic(PARAB._geo_rhs, p, v, 0.5, 100, collect=True)[3]
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
-    taylor = 1.0 - PARAB.gauss_at(p) * u[1] ** 2 / 6.0
+    taylor = 1.0 - spray_K(PARAB, p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)
 
 
@@ -705,7 +710,8 @@ def test_closed_form_stage_matches_connect(model, where, heading, frac,
     eta, etap = eta.tolist(), etap[:model.dim]
     rate, sdot, rec = model.tractrix_stage(eta, etap, gamma, ell, 8,
                                            record=True)
-    got_gamma, v, speed, _, _, _, drift, eta_speed = rec
+    got_gamma, v, speed, _, _, _, drift, eta_speed, K_lo, K_hi = rec
+    assert K_lo == K_hi == model.K
     rate_o, v_o, t_o, speed_o, drift_o = stage_oracle(
         model, np.array(eta), np.array(etap), np.array(gamma), ell)
     # the signed speeds for eta' = e_i are <e_i, T>_g, which fix T: a
@@ -817,22 +823,15 @@ def test_spheroid_row_shots_into_the_pole_raise_naming_their_row(landing,
                          np.array([0.3, length]))
 
 
-def test_gauss_at_checks_its_point():
-    # as metric_at and christoffel_at do: NaN is outside every chart, and
-    # the sphere chart's colatitude ends at pi
-    with pytest.raises(OutOfDomainError):
-        PARAB.gauss_at((math.nan, 0.0))
-    with pytest.raises(OutOfDomainError):
-        surface_model("sphere").gauss_at((4.0, 0.0))
-
-
 # -- the surface tractrix stage ----------------------------------------------
 
 
 def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
     """The surface stage in NumPy matrices, from `metric_at`,
     `christoffel_at` and shots of given step counts (`_shot`): (rate,
-    speed, record)."""
+    speed, record). The record's curvature window is the least and
+    greatest K of the pole shot's stages, each recorded as the spray
+    returns it."""
     eta, eta_prime, X = np.array(eta), np.array(eta_prime), np.array(X)
     g = model.metric_at(eta)
     size = math.sqrt(float(X @ g @ X))
@@ -847,9 +846,18 @@ def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
                      for k, u in enumerate(grid)]).T
     jac = s_ell * c[::-1] - c_ell * s[::-1]
     speed = model.norm(gamma, tangent)
+    Ks = []
+
+    def rhs(*state):
+        out = model._geo_rhs(*state)
+        Ks.append(out[2])
+        return out
+
+    _rk4_geodesic(rhs, eta, unit, ell, n_pole, collect=False)
     return rate, abs(along), (
         gamma, -tangent / speed, -along, s_ell, simpson(jac, grid),
-        _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime))
+        _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime),
+        min(Ks), max(Ks))
 
 
 SURFACE_STAGE_MODELS = [PARAB, HILLY,

@@ -1143,12 +1143,13 @@ def test_simulate_matches_the_scalar_loop(name):
         tractor, ell = tr.tractor, tr.ell
         params = SimParams(**bundled_scenario(name).sim)
     columns, s = scalar_loop(model, tractor, g0, ell, params, tr.t.tolist())
-    eta, gamma, pole_dir, speed, jac_ell, jac_int, conj, drift, eta_speed = \
-        columns
+    (eta, gamma, pole_dir, speed, jac_ell, jac_int, conj, drift, eta_speed,
+     K_lo, K_hi) = columns
     for got, want in ((tr.eta, eta), (tr.gamma, gamma),
                       (tr.pole_dir, pole_dir), (tr.speed, speed),
                       (tr.jacobi_ell, jac_ell), (tr.jacobi_int, jac_int),
                       (tr.pole_conjugate, conj), (tr.eta_speed, eta_speed),
+                      (tr.pole_K_lo, K_lo), (tr.pole_K_hi, K_hi),
                       (tr.s, s)):
         assert np.array_equal(got, want)
     assert tr.max_drift == max(0.0, *drift)
