@@ -32,15 +32,14 @@ def _require_jacobi(trace):
 def polyline_length(model, points, closed=False):
     """Metric length of a sampled curve.
 
-    Sums the model's edge lengths: the exact pairwise distance on space
-    forms, midpoint metric chords on surfaces (second-order in the sample
-    spacing).
+    Sums the model's edge lengths, from one `edge_lengths` call, left to
+    right: the exact pairwise distance on space forms, midpoint metric
+    chords on surfaces (second-order in the sample spacing).
     """
     pts = np.asarray(points, dtype=float)
     if closed:
         pts = np.vstack([pts, pts[0]])
-    return float(sum(model.edge_length(pts[i], pts[i + 1])
-                     for i in range(len(pts) - 1)))
+    return float(sum(model.edge_lengths(pts).tolist()))
 
 
 def tractor_length(trace):

@@ -4,10 +4,12 @@ Every model answers what the tractor/tractrix machinery asks of a
 manifold: metric and Christoffel symbols at a point; geodesic shots
 (`exp_point`, and `shoot` with the Jacobi pair of j'' + K j = 0 along
 it); two-point geodesics (`connect`, `distance`); parallel transport
-along chart segments; the distance to a geodesic; one tractrix stage
-(`tractrix_start`, `tractrix_stage`, on Python floats); and a polyline's
-edge length and discrete geodesic acceleration. The `*_rows`
-methods and transport take (n, dim) rows, so a post-pass is one call.
+along chart segments; the distance to a geodesic; one tractrix stage and
+one RK4 sub-step (`tractrix_start`, `tractrix_stage`, `tractrix_step`, on
+Python floats); and a polyline's edge lengths and discrete geodesic
+accelerations (`edge_lengths`, `acceleration_norms`). The `*_rows`
+methods, transport and the polyline measures take (n, dim) rows, so a
+post-pass is one call.
 
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
@@ -423,9 +425,37 @@ class ManifoldModel:
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return w[0] if single else w
 
+    def tractrix_step(self, state, k1, q1, mid, end, hh, half, h6, ell,
+                      n_pole):
+        """(state, ds): one classical RK4 sub-step of `tractrix_sim.simulate`.
+
+        k1 and q1 are the first stage's rate and tractrix speed; mid and
+        end are the (eta, eta') of the sub-step's midpoint and end; hh is
+        its length, half and h6 its half and sixth. Stages 2 to 4 are
+        `tractrix_stage` calls, and the state and the arclength ds move by
+        the RK4 combination, written out on floats for a state of two
+        entries (FlatModel, whose 3-D state has three, overrides this).
+        """
+        stage = self.tractrix_stage
+        y0, y1 = state
+        k2, q2, _ = stage(*mid, (y0 + half * k1[0], y1 + half * k1[1]),
+                          ell, n_pole)
+        k3, q3, _ = stage(*mid, (y0 + half * k2[0], y1 + half * k2[1]),
+                          ell, n_pole)
+        k4, q4, _ = stage(*end, (y0 + hh * k3[0], y1 + hh * k3[1]), ell,
+                          n_pole)
+        return ((y0 + h6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                 y1 + h6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])),
+                h6 * (q1 + 2 * q2 + 2 * q3 + q4))
+
     def edge_length(self, a, b):
         """Length of a polyline edge: the metric chord at its midpoint."""
         return self.norm(0.5 * (a + b), b - a)
+
+    def edge_lengths(self, points):
+        """The `edge_length` of each edge of (m, dim) rows, as one array."""
+        return np.array([self.edge_length(a, b)
+                         for a, b in zip(points[:-1], points[1:])])
 
     def discrete_acceleration(self, prev, x, nxt, h_prev, h_next):
         """Covariant acceleration at polyline vertex x taken as unit speed.
@@ -437,6 +467,14 @@ class ManifoldModel:
         vbar = 0.5 * (vm + vp)
         return ((vp - vm) / (0.5 * (h_prev + h_next))
                 + np.einsum("kij,i,j->k", self.christoffel_at(x), vbar, vbar))
+
+    def acceleration_norms(self, points, h):
+        """|`discrete_acceleration`|_g at each interior vertex of (m, dim)
+        rows, h the m - 1 edge lengths, as one array."""
+        return np.array([
+            self.norm(x, self.discrete_acceleration(a, x, b, hm, hp))
+            for a, x, b, hm, hp in zip(points[:-2], points[1:-1], points[2:],
+                                       h[:-1], h[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +536,14 @@ class SpaceFormModel(ManifoldModel):
 
 
 class FlatModel(SpaceFormModel):
-    """Euclidean plane or 3-space; optional periodic identifications in 2D."""
+    """Euclidean plane or 3-space; optional periodic identifications in 2D.
+
+    Geodesics are chart lines, so the pole is a straight segment and
+    transport is the identity. The RK4 sub-step (`tractrix_step`) is the
+    generic one with the segment's stage written out on floats, and the
+    polyline measures (`edge_lengths`, `acceleration_norms`) are one NumPy
+    pass over the rows, bit for bit the per-edge and per-vertex loops.
+    """
 
     def __init__(self, dim=2, periods=None):
         if dim not in (2, 3):
@@ -570,6 +615,80 @@ class FlatModel(SpaceFormModel):
             return rate, abs(speed), None
         return rate, abs(speed), self._stage_record(
             gamma, v, speed, L, ell, n_pole, math.hypot(*eta_prime))
+
+    def tractrix_step(self, state, k1, q1, mid, end, hh, half, h6, ell,
+                      n_pole):
+        # ManifoldModel.tractrix_step with the straight-segment stage
+        # written out: the same operations in the same order, on floats
+        (m, mp), (e, ep) = mid, end
+        if self.dim == 2:
+            y0, y1 = state
+            (m0, m1), (a0, a1) = m, mp
+            g0, g1 = y0 + half * k1[0], y1 + half * k1[1]
+            L = math.dist(m, (g0, g1))
+            if L < 1e-300:
+                raise ValueError("log map undefined for coincident points")
+            v0, v1 = (m0 - g0) / L, (m1 - g1) / L
+            s2 = 0 + a0 * v0 + a1 * v1
+            b0, b1 = s2 * v0, s2 * v1
+            g0, g1 = y0 + half * b0, y1 + half * b1
+            L = math.dist(m, (g0, g1))
+            if L < 1e-300:
+                raise ValueError("log map undefined for coincident points")
+            v0, v1 = (m0 - g0) / L, (m1 - g1) / L
+            s3 = 0 + a0 * v0 + a1 * v1
+            c0, c1 = s3 * v0, s3 * v1
+            (e0, e1), (a0, a1) = e, ep
+            g0, g1 = y0 + hh * c0, y1 + hh * c1
+            L = math.dist(e, (g0, g1))
+            if L < 1e-300:
+                raise ValueError("log map undefined for coincident points")
+            v0, v1 = (e0 - g0) / L, (e1 - g1) / L
+            s4 = 0 + a0 * v0 + a1 * v1
+            return ((y0 + h6 * (k1[0] + 2 * b0 + 2 * c0 + s4 * v0),
+                     y1 + h6 * (k1[1] + 2 * b1 + 2 * c1 + s4 * v1)),
+                    h6 * (q1 + 2 * abs(s2) + 2 * abs(s3) + abs(s4)))
+        y0, y1, y2 = state
+        (m0, m1, m2), (a0, a1, a2) = m, mp
+        g0, g1, g2 = y0 + half * k1[0], y1 + half * k1[1], y2 + half * k1[2]
+        L = math.dist(m, (g0, g1, g2))
+        if L < 1e-300:
+            raise ValueError("log map undefined for coincident points")
+        v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
+        s2 = 0 + a0 * v0 + a1 * v1 + a2 * v2
+        b0, b1, b2 = s2 * v0, s2 * v1, s2 * v2
+        g0, g1, g2 = y0 + half * b0, y1 + half * b1, y2 + half * b2
+        L = math.dist(m, (g0, g1, g2))
+        if L < 1e-300:
+            raise ValueError("log map undefined for coincident points")
+        v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
+        s3 = 0 + a0 * v0 + a1 * v1 + a2 * v2
+        c0, c1, c2 = s3 * v0, s3 * v1, s3 * v2
+        (e0, e1, e2), (a0, a1, a2) = e, ep
+        g0, g1, g2 = y0 + hh * c0, y1 + hh * c1, y2 + hh * c2
+        L = math.dist(e, (g0, g1, g2))
+        if L < 1e-300:
+            raise ValueError("log map undefined for coincident points")
+        v0, v1, v2 = (e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L
+        s4 = 0 + a0 * v0 + a1 * v1 + a2 * v2
+        return ((y0 + h6 * (k1[0] + 2 * b0 + 2 * c0 + s4 * v0),
+                 y1 + h6 * (k1[1] + 2 * b1 + 2 * c1 + s4 * v1),
+                 y2 + h6 * (k1[2] + 2 * b2 + 2 * c2 + s4 * v2)),
+                h6 * (q1 + 2 * abs(s2) + 2 * abs(s3) + abs(s4)))
+
+    def edge_lengths(self, points):
+        # one vecdot over the edges: the dot kernel of distance's d @ d
+        d = np.diff(points, axis=0)
+        return np.sqrt(np.vecdot(d, d))
+
+    def acceleration_norms(self, points, h):
+        # SpaceFormModel.discrete_acceleration on rows: the log map's unit
+        # vectors are the edges over their lengths, and the one into a
+        # vertex is minus its edge's
+        d = np.diff(points, axis=0)
+        acc = ((d[1:] / h[1:, None] - d[:-1] / h[:-1, None])
+               / (0.5 * (h[:-1] + h[1:]))[:, None])
+        return np.sqrt(np.vecdot(acc, acc))
 
     def norm_rows(self, points, vectors):
         return np.linalg.norm(vectors, axis=1)

@@ -64,35 +64,30 @@ class ShorteningRun:
 # Discrete geodesic residual
 
 
-def _edge_lengths(model, pts):
-    return np.array([model.edge_length(a, b)
-                     for a, b in zip(pts[:-1], pts[1:])])
-
-
 def geodesic_residual(model, points, closed=False):
     """Max discrete covariant acceleration over interior vertices.
 
     The polyline is treated as unit-speed, so the residual is in curvature
-    units and vanishes on sampled geodesics. `closed` wraps the endpoint
-    neighbors, shifting them by the winding displacement end - start so
-    lifted periodic loops measure their seam vertex too.
+    units and vanishes on sampled geodesics. Consecutive vertices less
+    than 1e-12 apart are first collapsed into one (`_collapse`), so a
+    repeated vertex neither hides the corner behind it nor divides by a
+    zero edge. `closed` prepends the neighbor before the seam, shifted by
+    the winding displacement D = end - start, so a lifted periodic loop
+    measures each of its vertices once, the seam included. The model
+    measures every edge and every vertex in one call each
+    (`edge_lengths`, `acceleration_norms`).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 3:
         raise ValueError("need a (m >= 3, dim) polyline")
-    if closed:
+    pts = _collapse(pts)
+    if closed and len(pts) >= 2:
         D = pts[-1] - pts[0]
-        pts = np.vstack([pts[-2] - D, pts[:-1], pts[1] + D])
-    h = _edge_lengths(model, pts)
-    worst = 0.0
-    for i in range(1, len(pts) - 1):
-        hm, hp = h[i - 1], h[i]
-        if hm < 1e-12 or hp < 1e-12:
-            continue
-        x = pts[i]
-        acc = model.discrete_acceleration(pts[i - 1], x, pts[i + 1], hm, hp)
-        worst = max(worst, model.norm(x, acc))
-    return worst
+        pts = np.vstack([pts[-2] - D, pts])
+    if len(pts) < 3:
+        return 0.0
+    norms = model.acceleration_norms(pts, model.edge_lengths(pts))
+    return max([0.0] + norms.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +99,12 @@ def _downsample(pts, target=_TARGET_KNOTS):
     if m > target:
         idx = np.unique(np.round(np.linspace(0, m - 1, target)).astype(int))
         pts = pts[idx]
+    return _collapse(pts)
+
+
+def _collapse(pts):
+    """pts with consecutive vertices less than 1e-12 apart (chart norm)
+    merged into one; the first and the last vertex stay."""
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     keep = np.concatenate([[True], gaps > 1e-12])
     keep[-1] = True
@@ -121,9 +122,8 @@ def _geodesic_points(model, a, b, pole_step, samples=_POLE_SAMPLES):
 
 def _arclength_point(model, pts, target):
     """Chart point at metric arclength `target`, with its vertex cut."""
-    h = _edge_lengths(model, pts)
     acc = 0.0
-    for i, hi in enumerate(h):
+    for i, hi in enumerate(model.edge_lengths(pts).tolist()):
         if acc + hi >= target - 1e-12:
             f = 0.0 if hi < 1e-12 else (target - acc) / hi
             return pts[i] + min(max(f, 0.0), 1.0) * (pts[i + 1] - pts[i]), i

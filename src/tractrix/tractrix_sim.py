@@ -16,14 +16,14 @@ parameter, so cusps need no restart.
 `SurfaceModel.tractrix_stage`).  On surfaces the state is X, which moves
 by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta.
 On space forms the state is gamma, and each stage solves the pole from
-gamma to eta in one closed form.  The loop and the stages work on tuples
-of Python floats, the RK4 combinations written out per state length.  The
-RK4 sub-steps and their stage times are one schedule, built in NumPy
-before the loop (`_schedule`); the tractor's row evaluator, `rows`,
-samples the stage times in blocks of NumPy rows, and the loop walks the
-sub-steps flat.  The post-passes (cusps, foot distance, curvature) work
-on the record arrays, with one parallel transport call per side over all
-records.
+gamma to eta in one closed form.  The loop takes each record's stage and
+each sub-step from the model (`tractrix_stage`, `tractrix_step`), on
+tuples of Python floats.  The RK4 sub-steps and their stage times are one
+schedule, built in NumPy before the loop (`_schedule`); the tractor's row
+evaluator, `rows`, samples the stage times in blocks of NumPy rows, and
+the loop walks the sub-steps flat.  The post-passes (cusps, foot
+distance, curvature) work on the record arrays, with one parallel
+transport call per side over all records.
 """
 
 from __future__ import annotations
@@ -298,14 +298,17 @@ def simulate(model, tractor, gamma0, ell, params=None):
     `tractrix_stage`): on surfaces the unit pole direction at the tractor,
     moved by its Jacobi-field ODE with one geodesic shot per stage; on
     space forms gamma itself, with the pole solved in closed form at every
-    stage. One classical RK4 loop serves every model. It walks the
-    sub-steps of `_schedule` flat: the steps, split at the tractor's
-    velocity breaks, whose stage times the tractor samples a block ahead,
-    one `rows` call per _ROW_BLOCK times. The loop runs on Python floats:
-    the tractor point and velocity go to the stage as lists, the rate
-    comes back as a tuple, and the RK4 combinations (`_SHIFT`, `_COMBINE`)
-    are written out per state length, component by component in the order
-    the array expressions had. Each record is read off its own stage,
+    stage. The loop walks the sub-steps of `_schedule` flat: the steps,
+    split at the tractor's velocity breaks, whose stage times the tractor
+    samples a block ahead, one `rows` call per _ROW_BLOCK times. It runs
+    on Python floats: the tractor point and velocity go to the model as
+    lists, and the rates and states come back as tuples. Per sub-step it
+    makes one `tractrix_step` call, which takes the first stage's rate
+    and returns the next state and the arclength gained: the classical
+    RK4 stages 2 to 4 and their combination, which the flat model writes
+    out as one closed form. A stage that meets coincident (or antipodal)
+    points is a PoleLengthDriftError naming the record time of the step
+    it failed in. Each record is read off its own stage,
     which also gives the tractor speed |eta'|_g; on surfaces it carries
     J's samples along the pole, and one Simpson pass (`_pole_rule`) over
     the (records, n_pole + 1) array of them gives every integral of J.
@@ -357,8 +360,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     samples = itertools.chain.from_iterable(
         zip(pts.tolist(), vel.tolist()) for pts, vel in blocks)
 
-    stage = model.tractrix_stage
-    shift, combine = _SHIFT[len(state)], _COMBINE[len(state)]
+    stage, step = model.tractrix_stage, model.tractrix_step
     records, s_list, s = [], [], 0.0
 
     def take_record(state, s):
@@ -372,20 +374,22 @@ def simulate(model, tractor, gamma0, ell, params=None):
         s_list.append(s)
         return rate, sdot
 
-    for hh, half, h6, opens, own_k1 in steps:
-        if opens:
-            rate, sdot = take_record(state, s)
-        if own_k1:
-            k1, q1, _ = stage(*next(samples), state, ell, n_pole)
-        else:
-            k1, q1 = rate, sdot
-        eta, etap = next(samples)
-        k2, q2, _ = stage(eta, etap, shift(state, half, k1), ell, n_pole)
-        k3, q3, _ = stage(eta, etap, shift(state, half, k2), ell, n_pole)
-        k4, q4, _ = stage(*next(samples), shift(state, hh, k3), ell, n_pole)
-        state = combine(state, h6, k1, k2, k3, k4)
-        s = s + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
-    take_record(state, s)
+    try:
+        for hh, half, h6, opens, own_k1 in steps:
+            if opens:
+                k1, q1 = take_record(state, s)
+            if own_k1:
+                k1, q1, _ = stage(*next(samples), state, ell, n_pole)
+            state, ds = step(state, k1, q1, next(samples), next(samples), hh,
+                             half, h6, ell, n_pole)
+            s = s + ds
+        take_record(state, s)
+    except ValueError as err:
+        # a stage's pole solve met coincident (or antipodal) points in the
+        # step from the last record, or at the first record
+        t = float(t_grid[max(len(records) - 1, 0)])
+        raise PoleLengthDriftError(
+            f"the pole solve failed in the step from t={t!r}: {err}") from err
 
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
      eta_speeds, K_lo, K_hi) = zip(*records)
@@ -413,31 +417,6 @@ def simulate(model, tractor, gamma0, ell, params=None):
         _fill_orthogonal_distance(trace, params)
     _fill_curvature(trace, params)
     return trace
-
-
-def _shift2(y, h, k):
-    return (y[0] + h * k[0], y[1] + h * k[1])
-
-
-def _shift3(y, h, k):
-    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2])
-
-
-def _combine2(y, h6, a, b, c, d):
-    return (y[0] + h6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0]),
-            y[1] + h6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1]))
-
-
-def _combine3(y, h6, a, b, c, d):
-    return (y[0] + h6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0]),
-            y[1] + h6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1]),
-            y[2] + h6 * (a[2] + 2 * b[2] + 2 * c[2] + d[2]))
-
-
-# the RK4 state combinations by state length: y + h k, the stage states,
-# and y + h6 (a + 2 b + 2 c + d), the step
-_SHIFT = {2: _shift2, 3: _shift3}
-_COMBINE = {2: _combine2, 3: _combine3}
 
 
 def _schedule(t_grid, breaks):

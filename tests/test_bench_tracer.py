@@ -13,6 +13,7 @@ import os
 import pkgutil
 
 import tractrix
+from tractrix import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -37,3 +38,15 @@ def test_tracer_finds_every_hook_but_the_known_missing():
     with tracer:
         missing = set(tracer.missing)
     assert missing == MISSING
+
+
+def test_simulate_hook_captures_every_shortening_round(tmp_path):
+    # records_per_s and the invariant checks read the traces this hook
+    # captures; shorten_flat records 16 iterates, one round between each
+    tracer = _tracer_module().Tracer(span_hooks=[("simulate", "simulate")],
+                                     count_hooks=[])
+    with tracer:
+        assert cli.main(["gallery", "--only", "shorten_flat",
+                         "--out", str(tmp_path)]) == 0
+    assert len(tracer.results) == 15
+    assert all(len(tr.t) == 401 for tr in tracer.results)

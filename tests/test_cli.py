@@ -357,6 +357,31 @@ def test_numeric_failure_exits_two(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_collapsed_pole_exits_two(tmp_path, capsys):
+    # a pole of 1e-100 lands gamma on eta at stage 3 of the first step
+    config = write_config(tmp_path, flat_line(
+        gamma0=[0.0, 1.0e-100], ell=1.0e-100, sim={"dt": 0.01}))
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: the pole solve failed in the step from t=0.0: log "
+        "map undefined for coincident points\n")
+
+
+def test_shorten_past_a_repeated_vertex(tmp_path, capsys):
+    # the corner behind the repeated vertex is measured: the curve is not
+    # taken for a geodesic, and the rounds reach sqrt(5)
+    raw = {"model": {"kind": "spaceform", "K": 0.0, "dim": 2}, "ell": 0.5,
+           "shorten": {"mode": "self", "P": [0.0, 0.0], "Q": [2.0, 1.0],
+                       "initial": {"points": [[0.0, 0.0], [1.0, 0.0],
+                                              [1.0, 0.0], [2.0, 1.0]]}}}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert ("11 iterates, stop=length_plateau, length=2.2360682890497605"
+            in capsys.readouterr().out)
+
+
 def test_graph_height_overflow_exits_two(tmp_path, capsys):
     # u ** 200 overflows a float at u = 40: a typed error, not a traceback
     raw = {"model": {"kind": "surface",

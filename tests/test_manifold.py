@@ -752,6 +752,71 @@ def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
         model.tractrix_stage(eta, [1.0] * model.dim, gamma, 1.0, 8)
 
 
+# -- the fused flat RK4 sub-step ---------------------------------------------
+
+
+def stage_step(model, state, k1, q1, mid, end, hh, half, h6, ell, n_pole):
+    """An RK4 sub-step of `tractrix_stage` calls, for any state length."""
+    k2, q2, _ = model.tractrix_stage(
+        *mid, [y + half * k for y, k in zip(state, k1)], ell, n_pole)
+    k3, q3, _ = model.tractrix_stage(
+        *mid, [y + half * k for y, k in zip(state, k2)], ell, n_pole)
+    k4, q4, _ = model.tractrix_stage(
+        *end, [y + hh * k for y, k in zip(state, k3)], ell, n_pole)
+    return ([y + h6 * (a + 2 * b + 2 * c + d)
+             for y, a, b, c, d in zip(state, k1, k2, k3, k4)],
+            h6 * (q1 + 2 * q2 + 2 * q3 + q4))
+
+
+def float_bits(x):
+    """The bits of a float or of a nested sequence of floats."""
+    if isinstance(x, float):
+        return x.hex()
+    return [float_bits(y) for y in x]
+
+
+signed_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([FLAT2, FLAT3]),
+       st.lists(st.lists(signed_entry, min_size=3, max_size=3), min_size=6,
+                max_size=6),
+       st.floats(0.0, 2.0), st.floats(1e-3, 0.5),
+       st.sampled_from([None, 2, 4]))
+def test_flat_step_matches_the_stages(model, rows, q1, hh, collapse):
+    # the fused flat sub-step does the stages' operations in their order:
+    # the same bits, and the same ValueError where a stage's gamma meets
+    # its eta; ManifoldModel.tractrix_step unpacks two-entry states
+    state, k1, m, mp, e, ep = (row[:model.dim] for row in rows)
+    half, h6 = hh / 2, hh / 6.0
+    if collapse == 2:
+        m = [y + half * k for y, k in zip(state, k1)]
+    elif collapse == 4:
+        # stage 4 meets eta = y + hh k3; the end does not move k3
+        try:
+            k2 = model.tractrix_stage(
+                m, mp, [y + half * k for y, k in zip(state, k1)], 1.0, 8)[0]
+            k3 = model.tractrix_stage(
+                m, mp, [y + half * k for y, k in zip(state, k2)], 1.0, 8)[0]
+        except ValueError:
+            assume(False)
+        e = [y + hh * k for y, k in zip(state, k3)]
+    args = (state, k1, q1, (m, mp), (e, ep), hh, half, h6, 1.0, 8)
+    steps = [model.tractrix_step, lambda *a: stage_step(model, *a)]
+    if model.dim == 2:
+        steps.append(lambda *a: ManifoldModel.tractrix_step(model, *a))
+    outcomes = []
+    for step in steps:
+        try:
+            outcomes.append(float_bits(step(*args)))
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[1:] == outcomes[:-1]
+    if collapse is not None:
+        assert outcomes[0] == "log map undefined for coincident points"
+
+
 # -- chart exits -------------------------------------------------------------
 
 

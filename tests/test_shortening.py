@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractrix.errors import ConfigError, NotClosedError, PoleTooLongError
 from tractrix.functionals import polyline_length
-from tractrix.manifold import space_form, surface_model
+from tractrix.manifold import ManifoldModel, space_form, surface_model
 from tractrix.shortening import (
     geodesic_residual,
     loop_repeated,
@@ -11,6 +15,7 @@ from tractrix.shortening import (
 )
 
 FLAT = space_form(0.0, dim=2)
+FLAT3 = space_form(0.0, dim=3)
 SPHERE = space_form(1.0)
 TORUS = space_form(0.0, dim=2, periods=(1.0, 1.0))
 CYLINDER = space_form(0.0, dim=2, periods=(2.0, None))
@@ -46,6 +51,10 @@ def test_residual_closed_wrap_counts_seam():
     closed = np.vstack([pts, pts[:1]])
     res = geodesic_residual(FLAT, closed, closed=True)
     assert res == pytest.approx(1.0, rel=1e-3)
+    # each corner of a closed square turns by pi/2 over a unit edge; the
+    # vertex before the seam has the seam as its next neighbor
+    square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+    assert geodesic_residual(FLAT, square, closed=True) == math.sqrt(2.0)
     # an open kinked lift shows the seam only in closed mode
     line = np.column_stack([np.linspace(0, 1, 50), np.full(50, 0.25)])
     assert geodesic_residual(FLAT, line, closed=True) < 1e-12
@@ -61,6 +70,86 @@ def test_residual_detects_sphere_detour():
     v = np.linspace(0.0, np.pi / 2, 60)
     pts = np.column_stack([np.pi / 2 + 0.2 * np.sin(2 * v), v])
     assert geodesic_residual(SPHERE, pts) > 1e-2
+
+
+def test_repeated_vertex_keeps_its_corner():
+    # a repeated vertex is collapsed, so the corner behind it still counts
+    corner = geodesic_residual(FLAT, [[0, 0], [1, 0], [2, 1]])
+    assert corner == 0.6340506711244289
+    assert geodesic_residual(FLAT, [[0, 0], [1, 0], [1, 0], [2, 1]]) == corner
+    assert geodesic_residual(FLAT, [[0, 0], [1, 0], [1, 1e-13], [2, 1]]) \
+        == corner
+    assert geodesic_residual(FLAT, [[0, 0], [1, 0], [1, 0]]) == 0.0
+    # a closed loop that goes out and back turns by pi at both vertices
+    assert geodesic_residual(FLAT, [[0, 0], [0.5, 0], [0, 0]],
+                             closed=True) == 4.0
+    run = self_repeated(FLAT, (0, 0), (2, 1),
+                        [[0, 0], [1, 0], [1, 0], [2, 1]], ell=0.5)
+    assert len(run.iterates) > 1
+    assert run.final.length == pytest.approx(math.sqrt(5.0), abs=1e-5)
+
+
+def residual_loop(model, pts, closed):
+    """The per-vertex `discrete_acceleration` + `norm` loop over a polyline
+    with no repeated vertex, its edges measured one `distance` each."""
+    if closed:
+        pts = np.vstack([pts[-2] - (pts[-1] - pts[0]), pts])
+    h = [model.distance(a, b) for a, b in zip(pts[:-1], pts[1:])]
+    worst = 0.0
+    for i in range(1, len(pts) - 1):
+        acc = model.discrete_acceleration(pts[i - 1], pts[i], pts[i + 1],
+                                          h[i - 1], h[i])
+        worst = max(worst, model.norm(pts[i], acc))
+    return worst
+
+
+signed_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FLAT, FLAT3]),
+       st.lists(signed_entry, min_size=3, max_size=3),
+       st.lists(st.lists(signed_entry, min_size=3, max_size=3), min_size=2,
+                max_size=12),
+       st.lists(st.integers(0, 12), max_size=3))
+def test_flat_rows_match_the_loops(model, start, moves, repeats):
+    # the flat rows are the loops' arithmetic, bit for bit; each move is
+    # at least 0.01 long, and repeated vertices leave the residual as is
+    moves = [[math.copysign(abs(m[0]) + 0.01, m[0])] + m[1:model.dim]
+             for m in moves]
+    pts = np.cumsum([start[:model.dim]] + moves, axis=0)
+    edges = [model.distance(a, b) for a, b in zip(pts[:-1], pts[1:])]
+    assert model.edge_lengths(pts).tolist() == edges
+    assert ManifoldModel.edge_lengths(model, pts).tolist() == edges
+    assert polyline_length(model, pts) == sum(edges)
+    loop = np.vstack([pts, pts[:1]])
+    assert polyline_length(model, pts, closed=True) == sum(
+        model.distance(a, b) for a, b in zip(loop[:-1], loop[1:]))
+    h = model.edge_lengths(pts)
+    assert (model.acceleration_norms(pts, h).tolist()
+            == ManifoldModel.acceleration_norms(model, pts, h).tolist())
+    doubled = np.insert(pts, [min(i, len(pts)) for i in repeats],
+                        pts[[min(i, len(pts) - 1) for i in repeats]], axis=0)
+    for closed in (False, True):
+        want = residual_loop(model, pts, closed)
+        assert geodesic_residual(model, pts, closed=closed) == want
+        assert geodesic_residual(model, doubled, closed=closed) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+                min_size=1, max_size=20), st.sampled_from([2, 3]))
+def test_vecdot_is_the_dot_kernel(rows, dim):
+    # the flat rows square edges with np.vecdot where the loops take
+    # float(d @ d); a NumPy whose kernels differ fails here
+    d = np.array([r[:dim] for r in rows])
+    assert np.vecdot(d, d).tolist() == [float(r @ r) for r in d]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vecdot_is_the_dot_kernel_on_many_rows(dim):
+    d = np.random.default_rng(dim).standard_normal((50_000, dim))
+    assert np.vecdot(d, d).tolist() == [float(r @ r) for r in d]
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,27 @@ def test_rhs_rejects_pole_length_drift():
         simulate(FLAT2, x_line(0.0, 1.0), np.array([-2.1, 0.0]), 2.0)
 
 
+class StageStepFlat(manifold.FlatModel):
+    """The plane on the generic sub-step, one `tractrix_stage` per stage."""
+
+    tractrix_step = manifold.ManifoldModel.tractrix_step
+
+
+@pytest.mark.parametrize("model, t0, gamma0, ell", [
+    (FLAT2, 0.25, [0.25, 1e-100], 1e-100),
+    (StageStepFlat(), 0.25, [0.25, 1e-100], 1e-100),
+    (FLAT2, 0.0, [0.0, 0.0], 1e-7),
+], ids=["flat-step", "generic-step", "record-stage"])
+def test_collapsed_pole_is_a_typed_error(model, t0, gamma0, ell):
+    # a pole of 1e-100 moving at rates of order 1 puts gamma on eta at
+    # stage 3 of the first step; gamma0 at eta itself is 1e-7 from ell,
+    # inside the drift limit, and fails at the first record
+    with pytest.raises(PoleLengthDriftError,
+                       match=rf"from t={t0}: log map undefined for coinc"):
+        simulate(model, x_line(t0, 1.0), np.array(gamma0), ell,
+                 SimParams(dt=0.01))
+
+
 @pytest.mark.parametrize("model, spec, ell", [
     (FLAT2, {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0,
              "t1": 3.0}, 1.0),
