@@ -205,8 +205,10 @@ def cmd_analytic(args):
 
 def cmd_gallery(args):
     names = bundled_names()
-    if args.only:
+    if args.only is not None:
         wanted = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not wanted:
+            raise ConfigError(f"--only: {args.only!r} names no scenario")
         missing = sorted(set(wanted) - set(names))
         if missing:
             raise ConfigError(f"gallery: no bundled scenario {missing[0]!r}")

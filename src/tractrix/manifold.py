@@ -196,7 +196,9 @@ class ManifoldModel:
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
-        """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
+        """Raise StepTooLargeError when a shot's sampled unit speed drifts:
+        one shot's points and tangents as (m, dim) arrays, or n shots in
+        rows, (m, dim, n)."""
         raise NotImplementedError
 
     def metric_rows(self, points):
@@ -313,7 +315,7 @@ class ManifoldModel:
         pts, tans, cs, ss = _rk4_geodesic(
             self._geo_rhs, (float(p[0]), float(p[1])),
             (float(v[0]), float(v[1])), length, n_steps, collect=True)
-        self._check_drift(pts[..., None], tans[..., None])
+        self._check_drift(pts, tans)
         return pts[-1], tans[-1], cs[-1], ss[-1]
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
@@ -444,9 +446,9 @@ class ManifoldModel:
                           ell, n_pole)
         k4, q4, _ = stage(*end, (y0 + hh * k3[0], y1 + hh * k3[1]), ell,
                           n_pole)
-        return ((y0 + h6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                 y1 + h6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])),
-                h6 * (q1 + 2 * q2 + 2 * q3 + q4))
+        return ((y0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                 y1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])),
+                h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
 
     def edge_length(self, a, b):
         """Length of a polyline edge: the metric chord at its midpoint."""
@@ -597,19 +599,19 @@ class FlatModel(SpaceFormModel):
     def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
                        record=False):
         # the straight segment: d = eta - gamma, v = T = d / |d|; the dot
-        # product starts from the integer 0, so -0.0 terms sum to +0.0
+        # product starts from 0.0, so -0.0 terms sum to +0.0
         L = math.dist(eta, gamma)
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         if self.dim == 2:
             (e0, e1), (g0, g1), (a0, a1) = eta, gamma, eta_prime
             v = ((e0 - g0) / L, (e1 - g1) / L)
-            speed = 0 + a0 * v[0] + a1 * v[1]
+            speed = 0.0 + a0 * v[0] + a1 * v[1]
             rate = (speed * v[0], speed * v[1])
         else:
             (e0, e1, e2), (g0, g1, g2), (a0, a1, a2) = eta, gamma, eta_prime
             v = ((e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L)
-            speed = 0 + a0 * v[0] + a1 * v[1] + a2 * v[2]
+            speed = 0.0 + a0 * v[0] + a1 * v[1] + a2 * v[2]
             rate = (speed * v[0], speed * v[1], speed * v[2])
         if not record:
             return rate, abs(speed), None
@@ -629,14 +631,14 @@ class FlatModel(SpaceFormModel):
             if L < 1e-300:
                 raise ValueError("log map undefined for coincident points")
             v0, v1 = (m0 - g0) / L, (m1 - g1) / L
-            s2 = 0 + a0 * v0 + a1 * v1
+            s2 = 0.0 + a0 * v0 + a1 * v1
             b0, b1 = s2 * v0, s2 * v1
             g0, g1 = y0 + half * b0, y1 + half * b1
             L = math.dist(m, (g0, g1))
             if L < 1e-300:
                 raise ValueError("log map undefined for coincident points")
             v0, v1 = (m0 - g0) / L, (m1 - g1) / L
-            s3 = 0 + a0 * v0 + a1 * v1
+            s3 = 0.0 + a0 * v0 + a1 * v1
             c0, c1 = s3 * v0, s3 * v1
             (e0, e1), (a0, a1) = e, ep
             g0, g1 = y0 + hh * c0, y1 + hh * c1
@@ -644,10 +646,10 @@ class FlatModel(SpaceFormModel):
             if L < 1e-300:
                 raise ValueError("log map undefined for coincident points")
             v0, v1 = (e0 - g0) / L, (e1 - g1) / L
-            s4 = 0 + a0 * v0 + a1 * v1
-            return ((y0 + h6 * (k1[0] + 2 * b0 + 2 * c0 + s4 * v0),
-                     y1 + h6 * (k1[1] + 2 * b1 + 2 * c1 + s4 * v1)),
-                    h6 * (q1 + 2 * abs(s2) + 2 * abs(s3) + abs(s4)))
+            s4 = 0.0 + a0 * v0 + a1 * v1
+            return ((y0 + h6 * (k1[0] + 2.0 * b0 + 2.0 * c0 + s4 * v0),
+                     y1 + h6 * (k1[1] + 2.0 * b1 + 2.0 * c1 + s4 * v1)),
+                    h6 * (q1 + 2.0 * abs(s2) + 2.0 * abs(s3) + abs(s4)))
         y0, y1, y2 = state
         (m0, m1, m2), (a0, a1, a2) = m, mp
         g0, g1, g2 = y0 + half * k1[0], y1 + half * k1[1], y2 + half * k1[2]
@@ -655,14 +657,14 @@ class FlatModel(SpaceFormModel):
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
-        s2 = 0 + a0 * v0 + a1 * v1 + a2 * v2
+        s2 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
         b0, b1, b2 = s2 * v0, s2 * v1, s2 * v2
         g0, g1, g2 = y0 + half * b0, y1 + half * b1, y2 + half * b2
         L = math.dist(m, (g0, g1, g2))
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
-        s3 = 0 + a0 * v0 + a1 * v1 + a2 * v2
+        s3 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
         c0, c1, c2 = s3 * v0, s3 * v1, s3 * v2
         (e0, e1, e2), (a0, a1, a2) = e, ep
         g0, g1, g2 = y0 + hh * c0, y1 + hh * c1, y2 + hh * c2
@@ -670,11 +672,11 @@ class FlatModel(SpaceFormModel):
         if L < 1e-300:
             raise ValueError("log map undefined for coincident points")
         v0, v1, v2 = (e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L
-        s4 = 0 + a0 * v0 + a1 * v1 + a2 * v2
-        return ((y0 + h6 * (k1[0] + 2 * b0 + 2 * c0 + s4 * v0),
-                 y1 + h6 * (k1[1] + 2 * b1 + 2 * c1 + s4 * v1),
-                 y2 + h6 * (k1[2] + 2 * b2 + 2 * c2 + s4 * v2)),
-                h6 * (q1 + 2 * abs(s2) + 2 * abs(s3) + abs(s4)))
+        s4 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
+        return ((y0 + h6 * (k1[0] + 2.0 * b0 + 2.0 * c0 + s4 * v0),
+                 y1 + h6 * (k1[1] + 2.0 * b1 + 2.0 * c1 + s4 * v1),
+                 y2 + h6 * (k1[2] + 2.0 * b2 + 2.0 * c2 + s4 * v2)),
+                h6 * (q1 + 2.0 * abs(s2) + 2.0 * abs(s3) + abs(s4)))
 
     def edge_lengths(self, points):
         # one vecdot over the edges: the dot kernel of distance's d @ d
@@ -1134,9 +1136,30 @@ class SurfaceModel(ManifoldModel):
 
     def _check_drift(self, pts, tans):
         """Raise StepTooLargeError when the unit speed |T|_g, from the
-        chart's E, F, G, drifts at evenly spaced samples of n shots in rows,
-        (m, 2, n), the end point included; the first bad row is named."""
+        chart's E, F, G, drifts at evenly spaced samples of a shot, the end
+        point included. A sample outside the domain raises DomainExitError
+        and one at a singular metric SingularChartError, before any drift
+        is read. One shot, (m, 2) arrays, is checked on floats (`_forms`);
+        n shots in rows, (m, 2, n), on arrays, and the first bad row is
+        named."""
         stride = max(1, (len(pts) - 1) // 16)
+        if pts.ndim == 2:
+            # the rows idx picks below, as views: a fancy index costs more
+            samples = pts[:-1:stride].tolist() + pts[-1:].tolist()
+            for u, v in samples:
+                if not self.chart.contains(u, v):
+                    raise self.chart._exit(u, v)
+            drift = []
+            tangents = tans[:-1:stride].tolist() + tans[-1:].tolist()
+            for (u, v), (p, q) in zip(samples, tangents):
+                _, E, F, G, _ = self._forms(u, v)
+                drift.append(abs(math.sqrt(max(
+                    E * p * p + 2.0 * F * p * q + G * q * q, 0.0)) - 1.0))
+            if any(d > _DRIFT_TOL for d in drift):
+                raise StepTooLargeError(
+                    f"unit-speed drift {max(drift):.3e} exceeds {_DRIFT_TOL}"
+                    "; reduce the pole step")
+            return
         idx = [*range(0, len(pts) - 1, stride), len(pts) - 1]
         (u, v), (p, q) = pts[idx].swapaxes(0, 1), tans[idx].swapaxes(0, 1)
         _, E, F, G, _ = self._checked_rows(u, v)
@@ -1332,6 +1355,13 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps
     written out with K from the same calls as the acceleration.
 
+    The step loop gives every value its own name, with no tuple built per
+    stage, and makes every literal operand a float (2.0, not 2), because
+    tuple packing and int-times-float arithmetic take CPython's slow path.
+    The floating-point operations are the same, in the same order, as in a
+    kernel with one tuple per stage and int weights, so the bits are its
+    bits (a test checks this against such a kernel).
+
     The result is (x, v, c, s). With collect True, every step's sample:
     the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
     as lists. With collect "jacobi", for a tractrix record, the final point
@@ -1351,28 +1381,45 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
         K_lo, K_hi = math.inf, -math.inf
     for _ in range(n_steps):
         a1, b1, K1 = rhs(x, y, p, q)
-        x2, y2, p2, q2 = x + hh * p, y + hh * q, p + hh * a1, q + hh * b1
+        x2 = x + hh * p
+        y2 = y + hh * q
+        p2 = p + hh * a1
+        q2 = q + hh * b1
         a2, b2, K2 = rhs(x2, y2, p2, q2)
-        x3, y3, p3, q3 = x + hh * p2, y + hh * q2, p + hh * a2, q + hh * b2
+        x3 = x + hh * p2
+        y3 = y + hh * q2
+        p3 = p + hh * a2
+        q3 = q + hh * b2
         a3, b3, K3 = rhs(x3, y3, p3, q3)
-        x4, y4, p4, q4 = x + h * p3, y + h * q3, p + h * a3, q + h * b3
+        x4 = x + h * p3
+        y4 = y + h * q3
+        p4 = p + h * a3
+        q4 = q + h * b3
         a4, b4, K4 = rhs(x4, y4, p4, q4)
-        x, y, p, q = (x + h6 * (p + 2 * p2 + 2 * p3 + p4),
-                      y + h6 * (q + 2 * q2 + 2 * q3 + q4),
-                      p + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
-                      q + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
+        # x and y read the old p and q, so they are stepped first
+        x = x + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
+        y = y + h6 * (q + 2.0 * q2 + 2.0 * q3 + q4)
+        p = p + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        q = q + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         # j'' = -K j for j = c and j = s, with the same stage values
-        c1p, s1p = -K1 * c, -K1 * s
-        c2, c2p, s2, s2p = (cp + hh * c1p, -K2 * (c + hh * cp),
-                            sp + hh * s1p, -K2 * (s + hh * sp))
-        c3, c3p, s3, s3p = (cp + hh * c2p, -K3 * (c + hh * c2),
-                            sp + hh * s2p, -K3 * (s + hh * s2))
-        c4, c4p, s4, s4p = (cp + h * c3p, -K4 * (c + h * c3),
-                            sp + h * s3p, -K4 * (s + h * s3))
-        c, cp, s, sp = (c + h6 * (cp + 2 * c2 + 2 * c3 + c4),
-                        cp + h6 * (c1p + 2 * c2p + 2 * c3p + c4p),
-                        s + h6 * (sp + 2 * s2 + 2 * s3 + s4),
-                        sp + h6 * (s1p + 2 * s2p + 2 * s3p + s4p))
+        c1p = -K1 * c
+        s1p = -K1 * s
+        c2 = cp + hh * c1p
+        c2p = -K2 * (c + hh * cp)
+        s2 = sp + hh * s1p
+        s2p = -K2 * (s + hh * sp)
+        c3 = cp + hh * c2p
+        c3p = -K3 * (c + hh * c2)
+        s3 = sp + hh * s2p
+        s3p = -K3 * (s + hh * s2)
+        c4 = cp + h * c3p
+        c4p = -K4 * (c + h * c3)
+        s4 = sp + h * s3p
+        s4p = -K4 * (s + h * s3)
+        c = c + h6 * (cp + 2.0 * c2 + 2.0 * c3 + c4)
+        cp = cp + h6 * (c1p + 2.0 * c2p + 2.0 * c3p + c4p)
+        s = s + h6 * (sp + 2.0 * s2 + 2.0 * s3 + s4)
+        sp = sp + h6 * (s1p + 2.0 * s2p + 2.0 * s3p + s4p)
         if collect:
             cs.append(c)
             ss.append(s)

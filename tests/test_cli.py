@@ -297,6 +297,17 @@ def test_removed_options_exit_one(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("only", ["", ","], ids=["empty", "comma"])
+def test_gallery_only_naming_no_scenario_exits_one(tmp_path, capsys, only):
+    # an --only list with no name in it is an error, not "run all" or
+    # "run none"
+    out = str(tmp_path / "out")
+    assert cli.main(["gallery", "--only", only, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "--only" in captured.err and captured.out == ""
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command, config", [
     ("simulate", SHORTEN_SPHERE),
     ("verify", SHORTEN_SPHERE),

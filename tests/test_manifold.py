@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -487,6 +488,30 @@ def test_drift_check_reads_the_end_point():
     with pytest.raises(StepTooLargeError, match="in row 1"):
         PARAB._check_drift(np.stack([pts, pts], axis=2),
                            np.stack([tans, bent], axis=2))
+
+
+def test_float_and_row_drift_checks_reject_the_same_shots():
+    # each shot is checked on floats, (m, 2), and as one row, (m, 2, 1)
+    chart = ParaboloidChart()
+    chart.domain = ((-1.0, 1.0), (None, None))
+    bounded = surface_model(chart)
+    for model, rhs, p, w, length, n_steps, error in (
+            # the floor of 8 steps over a long arc of the hills drifts from
+            # unit speed; 400 steps hold it
+            (HILLY, HILLY._geo_rhs, (0.1, 0.2), [1.0, 0.3], 2.5, 8,
+             StepTooLargeError),
+            (HILLY, HILLY._geo_rhs, (0.1, 0.2), [1.0, 0.3], 2.5, 400, None),
+            # a shot on the unbounded paraboloid ends at u = 1.13, outside
+            # the copy bounded at u = 1
+            (bounded, PARAB._geo_rhs, (0.5, 0.0), [1.0, 0.0], 1.2, 48,
+             DomainExitError)):
+        v = tuple(model.unit(p, w).tolist())
+        pts, tans, _, _ = _rk4_geodesic(rhs, p, v, length, n_steps,
+                                        collect=True)
+        for shot in ((pts, tans), (pts[..., None], tans[..., None])):
+            with (pytest.raises(error) if error
+                  else contextlib.nullcontext()):
+                model._check_drift(*shot)
 
 
 @pytest.mark.parametrize("model", [PARAB, PSEUDO, HILLY, SPHERE, HYP],
