@@ -196,9 +196,7 @@ class ManifoldModel:
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
-        """Raise StepTooLargeError when a shot's sampled unit speed drifts:
-        one shot's points and tangents as (m, dim) arrays, or n shots in
-        rows, (m, dim, n)."""
+        """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
         raise NotImplementedError
 
     def metric_rows(self, points):
@@ -315,7 +313,7 @@ class ManifoldModel:
         pts, tans, cs, ss = _rk4_geodesic(
             self._geo_rhs, (float(p[0]), float(p[1])),
             (float(v[0]), float(v[1])), length, n_steps, collect=True)
-        self._check_drift(pts, tans)
+        self._check_drift(pts[..., None], tans[..., None])
         return pts[-1], tans[-1], cs[-1], ss[-1]
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
@@ -1136,30 +1134,9 @@ class SurfaceModel(ManifoldModel):
 
     def _check_drift(self, pts, tans):
         """Raise StepTooLargeError when the unit speed |T|_g, from the
-        chart's E, F, G, drifts at evenly spaced samples of a shot, the end
-        point included. A sample outside the domain raises DomainExitError
-        and one at a singular metric SingularChartError, before any drift
-        is read. One shot, (m, 2) arrays, is checked on floats (`_forms`);
-        n shots in rows, (m, 2, n), on arrays, and the first bad row is
-        named."""
+        chart's E, F, G, drifts at evenly spaced samples of n shots in rows,
+        (m, 2, n), the end point included; the first bad row is named."""
         stride = max(1, (len(pts) - 1) // 16)
-        if pts.ndim == 2:
-            # the rows idx picks below, as views: a fancy index costs more
-            samples = pts[:-1:stride].tolist() + pts[-1:].tolist()
-            for u, v in samples:
-                if not self.chart.contains(u, v):
-                    raise self.chart._exit(u, v)
-            drift = []
-            tangents = tans[:-1:stride].tolist() + tans[-1:].tolist()
-            for (u, v), (p, q) in zip(samples, tangents):
-                _, E, F, G, _ = self._forms(u, v)
-                drift.append(abs(math.sqrt(max(
-                    E * p * p + 2.0 * F * p * q + G * q * q, 0.0)) - 1.0))
-            if any(d > _DRIFT_TOL for d in drift):
-                raise StepTooLargeError(
-                    f"unit-speed drift {max(drift):.3e} exceeds {_DRIFT_TOL}"
-                    "; reduce the pole step")
-            return
         idx = [*range(0, len(pts) - 1, stride), len(pts) - 1]
         (u, v), (p, q) = pts[idx].swapaxes(0, 1), tans[idx].swapaxes(0, 1)
         _, E, F, G, _ = self._checked_rows(u, v)

@@ -490,8 +490,8 @@ def test_drift_check_reads_the_end_point():
                            np.stack([tans, bent], axis=2))
 
 
-def test_float_and_row_drift_checks_reject_the_same_shots():
-    # each shot is checked on floats, (m, 2), and as one row, (m, 2, 1)
+def test_drift_check_rejects_a_long_step_and_a_domain_exit():
+    # each shot is checked alone, (m, 2), and as one row, (m, 2, 1)
     chart = ParaboloidChart()
     chart.domain = ((-1.0, 1.0), (None, None))
     bounded = surface_model(chart)
