@@ -4,8 +4,11 @@
 runner, `run_scenario`: it runs a loaded scenario, writes its files into
 one folder and returns the exit code. A simulation writes trace.csv,
 sweep.txt and cusps.txt; `verify` and `gallery` add report.txt with the
-comparison checks (Rauch alone when the config has no comparison section).
-A shortening run writes history.csv and iter_<i>.csv.
+comparison checks (Rauch alone when the config has no comparison section),
+each called with the trace and its certified curvature window. A
+shortening run writes history.csv and iter_<i>.csv. `analytic` writes the
+closed-form profile of one (K, ell, d0): the long-pole profile, growing
+toward a cusp, when K > 0 and sqrt(K)*ell > pi/2, else the decaying one.
 
 Exit codes: 0 success, 1 input validation, 2 numeric failure during a run,
 3 verification report with failed checks. Outputs are deterministic for a
@@ -75,7 +78,7 @@ def _exit_code(exc):
 
 
 def _simulate(cfg):
-    """Model and trace of a simulation scenario."""
+    """Trace of a simulation scenario."""
     model = model_from_config(cfg.model)
     tractor_spec = dict(cfg.tractor)
     if tractor_spec.get("kind") == "polyline" and "file" in tractor_spec:
@@ -88,8 +91,7 @@ def _simulate(cfg):
             side=cfg.gamma0["side"], mode=cfg.gamma0["mode"])
     else:
         gamma0 = np.asarray(cfg.gamma0, dtype=float)
-    return model, simulate(model, tractor, gamma0, cfg.ell,
-                           SimParams(**cfg.sim))
+    return simulate(model, tractor, gamma0, cfg.ell, SimParams(**cfg.sim))
 
 
 def _shorten(cfg):
@@ -107,30 +109,19 @@ def _shorten(cfg):
                          cfg.ell, **kw)
 
 
-def _report(cfg, model, trace, sweep):
+def _report(cfg, trace, sweep):
     """Comparison checks of a simulation; Rauch alone without a section."""
     comp = cfg.comparison or {"checks": ["rauch"]}
-    bounds = certify_bounds(model, trace, widen=comp.get("widen", 1e-3))
+    bounds = certify_bounds(trace, widen=comp.get("widen", 1e-3))
     reports = []
     for check in comp["checks"]:
         if check == "rauch":
-            reports.append(rauch_length_area_check(trace, sweep, bounds,
-                                                   scenario=cfg.name))
+            reports.append(rauch_length_area_check(trace, sweep, bounds))
         elif check == "toponogov":
-            d0 = float(trace.d[0])
-            long_hi = (bounds.K_hi > 0
-                       and np.sqrt(bounds.K_hi) * trace.ell > np.pi / 2)
-            long_lo = (bounds.K_lo > 0
-                       and np.sqrt(bounds.K_lo) * trace.ell > np.pi / 2)
-            sol_hi = spaceform.solve_from_d0(bounds.K_hi, trace.ell, d0,
-                                             long_pole=long_hi)
-            sol_lo = spaceform.solve_from_d0(bounds.K_lo, trace.ell, d0,
-                                             long_pole=long_lo)
-            reports.append(toponogov_sandwich_check(trace, sol_hi, sol_lo,
-                                                    scenario=cfg.name))
+            reports.append(toponogov_sandwich_check(trace, bounds))
         else:
-            reports.append(le_sandwich_check(trace, bounds, scenario=cfg.name))
-    return merge_reports(reports, scenario=cfg.name)
+            reports.append(le_sandwich_check(trace, bounds))
+    return merge_reports(reports, cfg.name)
 
 
 def run_scenario(cfg, out, check=False):
@@ -149,7 +140,7 @@ def run_scenario(cfg, out, check=False):
         return 0, (f"{cfg.name}: {len(run.iterates)} iterates, "
                    f"stop={run.stop_reason}, "
                    f"length={run.final.length!r} -> {out}")
-    model, trace = _simulate(cfg)
+    trace = _simulate(cfg)
     sweep = sweep_result(trace)
     outputs.write_trace_csv(path / "trace.csv", trace)
     outputs.write_sweep_txt(path / "sweep.txt", sweep)
@@ -157,7 +148,7 @@ def run_scenario(cfg, out, check=False):
     if not check:
         return 0, (f"{cfg.name}: {trace.t.size} records, "
                    f"{len(trace.cusps)} cusps -> {out}")
-    report = _report(cfg, model, trace, sweep)
+    report = _report(cfg, trace, sweep)
     outputs.write_report_txt(path / "report.txt", report)
     return (0 if report.passed else 3), report.text()
 
@@ -186,8 +177,7 @@ def cmd_analytic(args):
         raise ConfigError("samples: need at least two grid points")
     if args.s_max <= 0:
         raise ConfigError("s-max: must be positive")
-    sol = spaceform.solve_from_d0(args.K, args.ell, args.d0,
-                                  long_pole=args.long_pole)
+    sol = spaceform.solve_from_d0(args.K, args.ell, args.d0)
     hi = args.s_max
     if np.isfinite(sol.s_hi):
         hi = min(hi, sol.s_hi * (1.0 - 1e-12))
@@ -244,14 +234,15 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("analytic", help="closed-form constant-curvature "
-                       "profile: analytic.csv and le.txt")
+    about = ("closed-form constant-curvature profile: analytic.csv and "
+             "le.txt; the long-pole profile when K > 0 and "
+             "sqrt(K)*ell > pi/2")
+    p = sub.add_parser("analytic", help=about, description=about)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--ell", type=float, required=True)
     p.add_argument("--d0", type=float, required=True)
     p.add_argument("--s-max", dest="s_max", type=float, default=6.0)
     p.add_argument("--samples", type=int, default=241)
-    p.add_argument("--long-pole", dest="long_pole", action="store_true")
     common(p, config=False)
     p.set_defaults(func=cmd_analytic)
 

@@ -1,13 +1,15 @@
 """Inequality harness for curvature-bounded comparison checks.
 
-Certifies a Gauss-curvature window along the poles of a simulation, from
-the K values that each record's pole shot evaluated, then re-evaluates
-each comparison inequality from the raw trace data: length/area bounds
-under one-sided curvature bounds, the distance/curvature sandwich against
-constant-curvature closed forms for geodesic tractors, and the
-leading-exponent sandwich. Hypothesis failures (conjugate-point flags,
-invalid reference profiles) demote checks to "skipped"; only a genuine
-inequality violation fails.
+Certifies a Gauss-curvature window (K_lo, K_hi) along the poles of a
+simulation, from the K values that each record's pole shot evaluated,
+then re-evaluates each comparison inequality from the raw trace data:
+length/area bounds under one-sided curvature bounds, the distance/curvature
+sandwich against constant-curvature closed forms for geodesic tractors,
+and the leading-exponent sandwich. Every check takes the trace and its
+certified window, `check(trace, bounds)` (Rauch also takes the sweep), and
+builds its space-form references of curvature K_lo and K_hi itself.
+Hypothesis failures (conjugate-point flags, invalid reference profiles)
+demote checks to "skipped"; only a genuine inequality violation fails.
 """
 
 import math
@@ -37,6 +39,9 @@ class CurvatureBounds:
     certified: str
 
     def __post_init__(self):
+        if self.certified not in _METHODS:
+            raise UncertifiedBoundsError(
+                f"bounds lack a certification method: {self.certified!r}")
         if not self.K_lo < self.K_hi:
             raise UncertifiedBoundsError(
                 f"empty curvature window [{self.K_lo!r}, {self.K_hi!r}]")
@@ -72,19 +77,15 @@ class ComparisonReport:
     def passed(self):
         return all(c.passed for c in self.checks if not c.skipped)
 
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c.skipped and not c.passed]
-
     def text(self):
         head = f"comparison report: {self.scenario or 'unnamed'}"
         return "\n".join([head] + [c.line() for c in self.checks])
 
 
-def merge_reports(reports, scenario=""):
-    checks = tuple(c for r in reports for c in r.checks)
-    return ComparisonReport(checks=checks,
-                            scenario=scenario or reports[0].scenario)
+def merge_reports(reports, scenario):
+    """One report of every check of `reports`, labelled `scenario`."""
+    return ComparisonReport(tuple(c for r in reports for c in r.checks),
+                            scenario)
 
 
 def _check(name, inequality, lhs, rhs):
@@ -100,26 +101,21 @@ def _skip(name, inequality, reason):
                  skipped=True, reason=reason)
 
 
-def _require_certified(bounds):
-    if bounds.certified not in _METHODS:
-        raise UncertifiedBoundsError(
-            f"bounds lack a certification method: {bounds.certified!r}")
-
-
 # ---------------------------------------------------------------------------
 # Bound certification
 
 
-def certify_bounds(model, trace, widen=1e-3):
+def certify_bounds(trace, widen=1e-3):
     """Certified Gauss-curvature window along the poles of a run.
 
-    Space forms give a constant window widened by `widen`, which must also
-    absorb the quadrature error of the functionals evaluated against the
-    window. On other models the window spans the least and greatest K that
-    the records' pole shots evaluated at their RK4 stages, widened by 5%
-    of its spread and by at least `widen`.
+    A run on a space form (`trace.model`) gives a constant window widened
+    by `widen`, which must also absorb the quadrature error of the
+    functionals evaluated against the window. On other models the window
+    spans the least and greatest K that the records' pole shots evaluated
+    at their RK4 stages, widened by 5% of its spread and by at least
+    `widen`.
     """
-    K = model.K  # None unless the curvature is constant
+    K = trace.model.K  # None unless the curvature is constant
     if K is not None:
         w = max(widen, abs(K) * widen)
         return CurvatureBounds(K - w, K + w, "constant")
@@ -132,7 +128,7 @@ def certify_bounds(model, trace, widen=1e-3):
 # Length/area inequalities under one-sided curvature bounds
 
 
-def rauch_length_area_check(trace, sweep, bounds, scenario=""):
+def rauch_length_area_check(trace, sweep, bounds):
     """Four length/area inequalities against the certified window.
 
     An upper curvature bound forces the tractor track to be long and the
@@ -140,7 +136,6 @@ def rauch_length_area_check(trace, sweep, bounds, scenario=""):
     from the sweep functionals; a reference profile that closes up before
     the pole end (sqrt(K)*ell >= pi) demotes that side to skipped.
     """
-    _require_certified(bounds)
     L_g, L_e = sweep.L_gamma, sweep.L_eta
     A, ell = sweep.area, sweep.ell
     # A cusp's turning angle is pi for the reversal of the tractrix tangent
@@ -166,7 +161,7 @@ def rauch_length_area_check(trace, sweep, bounds, scenario=""):
         reason = "conjugate point flagged along a pole"
         return ComparisonReport(tuple(
             _skip(n, q, reason)
-            for n, q in (up_len, up_area, lo_len, lo_area)), scenario)
+            for n, q in (up_len, up_area, lo_len, lo_area)))
 
     if bounds.K_hi > 0 and math.sqrt(bounds.K_hi) * ell >= math.pi:
         reason = (f"sqrt(K_hi)*ell = "
@@ -189,36 +184,29 @@ def rauch_length_area_check(trace, sweep, bounds, scenario=""):
         checks.append(_check(*lo_len, lhs=L_e, rhs=L_g + J_lo * KT))
         checks.append(_check(*lo_area, lhs=A, rhs=KT * I_lo))
 
-    return ComparisonReport(tuple(checks), scenario)
+    return ComparisonReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # Distance/curvature sandwich for geodesic tractors
 
 
-def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
+def toponogov_sandwich_check(trace, bounds):
     """Strict sandwich of measured d(s), kappa(s) between closed forms.
 
-    Requires a geodesic tractor and a shared starting distance; both are
-    hypothesis errors when violated. Conjugate-point flags demote all four
-    checks to skipped. Reported lhs/rhs belong to the worst sample.
+    The references are the space forms of curvature K_hi and K_lo, solved
+    (`spaceform.solve_from_d0`) for the trace's pole and starting distance
+    d(0), each in the mode that its K and ell give. Requires a geodesic
+    tractor, a hypothesis error when violated. Conjugate-point flags
+    demote all four checks to skipped. Reported lhs/rhs belong to the
+    worst sample.
     """
     if not trace.tractor.is_geodesic:
         raise HypothesisViolatedError(
             "sandwich needs a geodesic tractor on the base model")
-    if not sol_lo.K < sol_hi.K:
-        raise HypothesisViolatedError(
-            f"reference curvatures must satisfy K_lo < K_hi, got "
-            f"{sol_lo.K!r} >= {sol_hi.K!r}")
     d0 = float(trace.d[0])
-    for sol, tag in ((sol_hi, "upper"), (sol_lo, "lower")):
-        if abs(sol.d0 - d0) > 1e-8:
-            raise HypothesisViolatedError(
-                f"{tag} reference starts at d0={sol.d0!r}, trace at {d0!r}")
-        if abs(sol.ell - trace.ell) > 1e-12:
-            raise HypothesisViolatedError(
-                f"{tag} reference pole {sol.ell!r} != trace pole "
-                f"{trace.ell!r}")
+    sol_hi = spaceform.solve_from_d0(bounds.K_hi, trace.ell, d0)
+    sol_lo = spaceform.solve_from_d0(bounds.K_lo, trace.ell, d0)
 
     names = (("dist_below_upper_form", "d_M(s) < d_hi(s)"),
              ("dist_above_lower_form", "d_lo(s) < d_M(s)"),
@@ -227,7 +215,7 @@ def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
     if bool(np.any(trace.pole_conjugate)):
         reason = "conjugate point flagged along a pole"
         return ComparisonReport(
-            tuple(_skip(n, q, reason) for n, q in names), scenario)
+            tuple(_skip(n, q, reason) for n, q in names))
 
     keep = (trace.s > 0) & (trace.s <= min(sol_hi.s_hi, sol_lo.s_hi))
     s = trace.s[keep]
@@ -254,14 +242,14 @@ def toponogov_sandwich_check(trace, sol_hi, sol_lo, scenario=""):
     else:
         reason = "no finite curvature samples in the window"
         checks += [_skip(*names[2], reason), _skip(*names[3], reason)]
-    return ComparisonReport(tuple(checks), scenario)
+    return ComparisonReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # Leading-exponent sandwich
 
 
-def le_sandwich_check(trace, bounds, scenario=""):
+def le_sandwich_check(trace, bounds):
     """Fitted decay exponents of d(s), kappa(s) between the closed forms.
 
     The constant-curvature exponent is monotone in K, so the certified
@@ -269,7 +257,6 @@ def le_sandwich_check(trace, bounds, scenario=""):
     for the decaying regime to exist; a low-confidence fit is an error
     rather than a verdict.
     """
-    _require_certified(bounds)
     ell = trace.ell
     if bounds.K_hi > 0 and math.sqrt(bounds.K_hi) * ell >= math.pi / 2:
         raise DomainViolationError(
@@ -295,4 +282,4 @@ def le_sandwich_check(trace, bounds, scenario=""):
                 _check(*hi_name, lhs=fit.slope, rhs=le_hi)]
 
     checks = fit_checks("dist", trace.d) + fit_checks("kappa", trace.kappa)
-    return ComparisonReport(tuple(checks), scenario)
+    return ComparisonReport(tuple(checks))

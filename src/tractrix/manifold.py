@@ -69,7 +69,6 @@ from .errors import (
     SingularChartError,
     StepTooLargeError,
 )
-from .quadrature import simpson_rule
 
 __all__ = [
     "ManifoldModel",
@@ -92,6 +91,9 @@ _DRIFT_TOL = 1e-6
 # positive threshold rather than an exact sign change.
 _CONJ_TOL = 1e-12
 _SHOOT_MAX_ITER = 50
+# `connect` stops once its end misses q by less than this, relative to
+# max(1, |q - p|) in the chart
+_CONNECT_TOL = 1e-11
 # the default step length of a shot, and of a run's pole shots
 POLE_STEP = 0.05
 # the most RK4 steps one shot may take
@@ -161,14 +163,6 @@ def _reference_pole(K, length, steps):
     flag read off J^K at steps + 1 samples of [0, length]."""
     j = jacobi_reference(K, np.linspace(0.0, length, steps + 1))
     return j[-1], jacobi_reference_integral(K, length), _has_conjugate(j)
-
-
-@lru_cache(maxsize=8)
-def _pole_rule(length, steps):
-    """The Simpson rule (`simpson_rule`) of the steps + 1 samples of
-    [0, length] that a pole's shot visits, applied to the samples of every
-    record of a run at once."""
-    return simpson_rule(np.linspace(0.0, length, steps + 1))
 
 
 class ManifoldModel:
@@ -326,8 +320,7 @@ class ManifoldModel:
             (np.empty((0, self.dim)),) * 2 + ((), ()))
         return np.array(end), np.array(tangent), np.array(c), np.array(s)
 
-    def connect(self, p, q, v_guess=None, L_guess=None, pole_step=POLE_STEP,
-                tol=1e-11, max_iter=_SHOOT_MAX_ITER):
+    def connect(self, p, q, v_guess=None, L_guess=None, pole_step=POLE_STEP):
         """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
 
         Solves for (direction angle, length) jointly by damped Newton on the
@@ -337,7 +330,9 @@ class ManifoldModel:
         T(L), and the angle column is the Jacobi field with J(0) = 0 and
         J'(0) the start direction turned by +pi/2, which ends at s(L) times
         T(L) turned by +pi/2 (`quarter_turn`). The start is v_guess, else
-        the chart chord, and L_guess, else the chord's length.
+        the chart chord, and L_guess, else the chord's length. At most
+        _SHOOT_MAX_ITER Newton steps may bring the residual below
+        _CONNECT_TOL.
         """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
@@ -361,8 +356,8 @@ class ManifoldModel:
         r = end - q
         rn = float(np.linalg.norm(r))
         scale = max(1.0, float(np.linalg.norm(q - p)))
-        for _ in range(max_iter):
-            if rn < tol * scale:
+        for _ in range(_SHOOT_MAX_ITER):
+            if rn < _CONNECT_TOL * scale:
                 break
             J = np.column_stack([s * self.quarter_turn(end, t_end), t_end])
             try:
@@ -381,7 +376,7 @@ class ManifoldModel:
                 damp *= 0.5
             alpha, L, end, t_end, s, r, rn = (a_new, L_new, end_new, t_new,
                                               s_new, r_new, rn_new)
-        if rn >= max(tol * scale, 1e-9):
+        if rn >= max(_CONNECT_TOL * scale, 1e-9):
             raise NoConvergenceError(
                 f"connect stalled at residual {rn:.3e} between {p} and {q}")
         v = self.tangent_from_angle(p, alpha, frame)
@@ -1231,7 +1226,7 @@ class SurfaceModel(ManifoldModel):
         c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell); it is
         sampled on floats at the n_pole + 1 points of the shot, which
         `simulate` integrates for every record in one Simpson pass
-        (`_pole_rule`). The flag says whether a sample after the first is
+        (`simpson`). The flag says whether a sample after the first is
         at most _CONJ_TOL. The drift is the shot's unit-speed error
         |T(ell)|_g - 1 at gamma, with the metric there from a second jet.
         """

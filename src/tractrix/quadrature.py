@@ -5,21 +5,17 @@ pole are Simpson sums over samples. `simpson(y, x)` follows the operation
 order of `scipy.integrate.simpson` (scipy 1.17) for 1-D float samples, so
 its results agree with scipy's to the last bit: paired panels with the
 non-uniform weights, Cartwright's correction of the last interval for an
-even sample count, the trapezoid for two samples and 0 for one.
-
-`simpson_rule(x)` takes the part that depends on the grid alone, so a grid
-that many sample sets share (a pole's, one per record) pays for it once;
-applying the rule to y repeats `simpson`'s remaining operations in their
-order, so the two agree bit for bit. The rule also takes sample sets as
-rows, y of shape (m, n) along the last axis, and gives each row's integral
-bit for bit as on that row alone.
+even sample count, the trapezoid for two samples and 0 for one. It also
+takes sample sets that share a grid as rows (a run's profiles of J, one
+per record along the same pole grid), y of shape (m, n) along the last
+axis, and gives each row's integral bit for bit as on that row alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson", "simpson_rule"]
+__all__ = ["simpson"]
 
 
 def _divide(a, b):
@@ -47,17 +43,22 @@ def _panels(y, weights):
                            + y[..., 2::2] * w2), axis=-1)
 
 
-def simpson_rule(x):
-    """The Simpson rule of the 1-D grid x, as a function of the samples y
-    there: `simpson_rule(x)(y) == simpson(y, x)`, bit for bit. For rows y
-    of shape (m, len(x)) the rule returns the m integrals as an array."""
+def simpson(y, x):
+    """Integral of the samples y at the points x (1-D, the same length).
+
+    For rows y of shape (m, len(x)) it returns the m integrals as an array,
+    each bit for bit as on its row alone.
+    """
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = len(x)
+    if y.shape[-1:] != (n,):
+        raise ValueError("y and x need the same number of samples")
     h = np.diff(x)
     if n == 2:
-        half = 0.5 * h[0]
+        out = 0.0 + 0.5 * h[0] * (y[..., 1] + y[..., 0])
     elif n % 2:
-        weights = _panel_weights(h)
+        out = _panels(y, _panel_weights(h))
     else:
         # Cartwright's last interval, on 0-d arrays: a numpy scalar rounds
         # h ** 3 differently
@@ -65,24 +66,6 @@ def simpson_rule(x):
         alpha = _divide(2 * b ** 2 + 3 * a * b, np.asarray(6 * (b + a)))
         beta = _divide(b ** 2 + 3.0 * a * b, np.asarray(6 * a))
         eta = _divide(b ** 3, np.asarray(6 * a * (a + b)))
-        weights = _panel_weights(h[:-1])
-
-    def rule(y):
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1:] != (n,):
-            raise ValueError("y and x need the same number of samples")
-        if n == 2:
-            out = 0.0 + half * (y[..., 1] + y[..., 0])
-        elif n % 2:
-            out = _panels(y, weights)
-        else:
-            last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-            out = _panels(y[..., :-1], weights) + last + 0.0
-        return float(out) if y.ndim == 1 else out
-
-    return rule
-
-
-def simpson(y, x):
-    """Integral of the samples y at the points x (1-D, the same length)."""
-    return simpson_rule(x)(y)
+        last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+        out = _panels(y[..., :-1], _panel_weights(h[:-1])) + last + 0.0
+    return float(out) if y.ndim == 1 else out

@@ -97,8 +97,9 @@ def geodesic_residual(model, points, closed=False):
 def _downsample(pts, target=_TARGET_KNOTS):
     m = len(pts)
     if m > target:
-        idx = np.unique(np.round(np.linspace(0, m - 1, target)).astype(int))
-        pts = pts[idx]
+        # the grid's spacing (m - 1)/(target - 1) exceeds 1, so the
+        # rounded indices already increase strictly
+        pts = pts[np.round(np.linspace(0, m - 1, target)).astype(int)]
     return _collapse(pts)
 
 

@@ -47,10 +47,6 @@ class SpaceFormSolution:
     parallel_circle: bool = False
 
     @property
-    def Le(self):
-        return -self.rate
-
-    @property
     def k(self):
         return math.sqrt(abs(self.K))
 
@@ -108,37 +104,35 @@ def kappa_from_dist(K, ell, d):
     return float(out[0]) if scalar else out
 
 
-def solve_from_d0(K, ell, d0, long_pole=False):
+def solve_from_d0(K, ell, d0):
     """Fix integration constants from d(0) = d0; returns SpaceFormSolution.
 
-    Standard mode needs k*ell <= pi/2 for K > 0; long_pole relaxes that to
-    k*ell < pi (the profile then grows toward a cusp at d = pi/k - ell).
-    d0 = ell is the classical limit and sets kappa(0) = inf.
+    The mode follows from K and ell. For K > 0 with k*ell > pi/2 the pole
+    is long: the profile grows toward a cusp at d = pi/k - ell, reached at
+    s_hi, and d0 must stay below that distance; k*ell must stay below pi.
+    Otherwise d0 <= ell, the profile decays, and k*ell = pi/2 gives the
+    parallel circle, d and kappa constant. d0 = ell is the classical limit
+    and sets kappa(0) = inf. `long_pole` on the result records the mode.
     """
     if ell <= 0:
         raise DomainViolationError("pole length must be positive")
     if d0 <= 0:
         raise DomainViolationError("initial distance must be positive")
+    k = math.sqrt(abs(K))
+    long_pole = K > 0 and k * ell > math.pi / 2
+    if long_pole:
+        if k * ell >= math.pi:
+            raise DomainViolationError(
+                f"k*ell = {k * ell!r} must stay below pi")
+        d_cusp = math.pi / k - ell
+        if d0 >= d_cusp:
+            raise DomainViolationError(
+                f"d0 = {d0!r} must stay below the cusp distance {d_cusp!r}")
+    elif d0 > ell + 1e-12:
+        raise DomainViolationError("d0 exceeds the pole length")
     if K > 0:
-        k = math.sqrt(K)
         kl = k * ell
-        if kl >= math.pi:
-            raise DomainViolationError(f"k*ell = {kl!r} must stay below pi")
-        if long_pole:
-            if kl <= math.pi / 2:
-                raise DomainViolationError(
-                    "long-pole mode needs k*ell > pi/2")
-            d_cusp = math.pi / k - ell
-            if d0 >= d_cusp:
-                raise DomainViolationError(
-                    f"d0 = {d0!r} must stay below the cusp distance {d_cusp!r}")
-        else:
-            if kl > math.pi / 2 + _PARALLEL_EPS:
-                raise DomainViolationError(
-                    f"k*ell = {kl!r} exceeds pi/2; pass long_pole=True")
-            if d0 > ell + 1e-12:
-                raise DomainViolationError("d0 exceeds the pole length")
-        if abs(kl - math.pi / 2) <= _PARALLEL_EPS and not long_pole:
+        if not long_pole and math.pi / 2 - kl <= _PARALLEL_EPS:
             # cot vanishes: parallel-circle solution, d and kappa constant
             kap = k * math.tan(k * min(d0, ell))
             return SpaceFormSolution(
@@ -156,21 +150,12 @@ def solve_from_d0(K, ell, d0, long_pole=False):
             s_hi = math.inf
             s_lo = -math.log(math.sin(kl) / math.sin(k * d0)) / E
     elif K < 0:
-        k = math.sqrt(-K)
-        if long_pole:
-            raise DomainViolationError("long-pole mode needs K > 0")
-        if d0 > ell + 1e-12:
-            raise DomainViolationError("d0 exceeds the pole length")
         E = k / math.tanh(k * ell)
         C_d = -math.log(math.sinh(k * d0)) / E
         C_k = math.sinh(k * d0) / math.sinh(k * ell)
         s_hi = math.inf
         s_lo = -math.log(math.sinh(k * ell) / math.sinh(k * d0)) / E
     else:
-        if long_pole:
-            raise DomainViolationError("long-pole mode needs K > 0")
-        if d0 > ell + 1e-12:
-            raise DomainViolationError("d0 exceeds the pole length")
         E = 1.0 / ell
         C_d = -math.log(d0) / E
         C_k = d0 / ell

@@ -49,9 +49,9 @@ from .manifold import (
     FlatModel,
     HyperbolicModel,
     SphereModel,
-    _pole_rule,
     shot_steps,
 )
+from .quadrature import simpson
 
 _POLE_DRIFT_LIMIT = 1e-6
 # kappa is masked where the pole comes this close to lying along a geodesic
@@ -310,7 +310,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     points is a PoleLengthDriftError naming the record time of the step
     it failed in. Each record is read off its own stage,
     which also gives the tractor speed |eta'|_g; on surfaces it carries
-    J's samples along the pole, and one Simpson pass (`_pole_rule`) over
+    J's samples along the pole, and one Simpson pass (`simpson`) over
     the (records, n_pole + 1) array of them gives every integral of J.
     Each record also carries its pole's curvature window, the least and
     greatest K its shot evaluated. On a model without constant curvature,
@@ -397,7 +397,7 @@ def simulate(model, tractor, gamma0, ell, params=None):
     if jac_int.ndim == 2:
         # a surface record carries J's samples along its pole: one Simpson
         # pass over all records; a space form's carries the closed form
-        jac_int = _pole_rule(ell, n_pole)(jac_int)
+        jac_int = simpson(jac_int, np.linspace(0.0, ell, n_pole + 1))
     n = len(t_grid)
     speeds = np.array(speeds)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)

@@ -194,7 +194,7 @@ def long_pole_sphere(ell, d0, s_max, samples=400):
     if not 0.0 < d0 < math.pi - ell:
         raise DomainViolationError(
             f"d0 must lie in (0, {math.pi - ell!r}) below the cusp distance")
-    sol = solve_from_d0(1.0, ell, d0, long_pole=True)
+    sol = solve_from_d0(1.0, ell, d0)
     s_cusp = sol.s_hi
     if s_max >= s_cusp:
         raise DomainViolationError(

@@ -106,6 +106,36 @@ def test_analytic_non_finite_flag_exits_one(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_analytic_long_pole_follows_from_K_and_ell(tmp_path):
+    # sqrt(K)*ell = 2 > pi/2: the profile grows from d0 toward the cusp at
+    # d = pi - ell, where the grid ends
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--K", "1", "--ell", "2.0", "--d0", "0.3",
+                     "--out", str(out)]) == 0
+    rows = (out / "analytic.csv").read_text().splitlines()
+    assert rows[0] == "s,d,kappa"
+    s, d, kappa = zip(*(map(float, row.split(",")) for row in rows[1:]))
+    assert len(s) == 241 and s[0] == 0.0
+    assert d[0] == pytest.approx(0.3, rel=1e-14)
+    assert all(b > a for a, b in zip(d, d[1:]))
+    assert d[-1] == pytest.approx(math.pi - 2.0, rel=1e-9)
+    # the values that the long-pole profile had when it needed a flag
+    assert (s[1], d[1], kappa[1]) == pytest.approx(
+        (0.010232678491563237, 0.3014523651269371, 0.3799185165988552),
+        rel=1e-12)
+    assert s[-1] == pytest.approx(2.455842837975177, rel=1e-12)
+    assert (out / "le.txt").read_text() == (
+        "{K: 1.0, ell: 2.0, Le: 0.45765755436028577}\n")
+
+
+def test_analytic_long_pole_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--K", "1", "--ell", "2.0", "--d0", "0.3",
+                     "--long-pole", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --long-pole" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ragged_polyline_file_exits_one(tmp_path, capsys):
     (tmp_path / "ragged.txt").write_text("0 0\n1 0 5\n2 1\n")
     config = write_config(tmp_path, flat_line(

@@ -29,7 +29,7 @@ from tractrix.manifold import (
     space_form,
     surface_model,
 )
-from tractrix.spaceform import leading_exponent, solve_from_d0
+from tractrix.spaceform import leading_exponent
 from tractrix.tractrix_sim import (
     SimParams,
     orthogonal_attachment,
@@ -80,8 +80,15 @@ def test_bounds_reject_empty_window():
         CurvatureBounds(1.0, 1.0, "constant")
 
 
+def test_bounds_reject_an_uncertified_label():
+    # the type holds the certification, so no check sees a handwave
+    for label in ("handwave", ""):
+        with pytest.raises(UncertifiedBoundsError, match="certification"):
+            CurvatureBounds(0.9, 1.1, label)
+
+
 def test_spaceform_bounds_are_constant_window(sphere_trace):
-    cb = certify_bounds(SPHERE, sphere_trace)
+    cb = certify_bounds(sphere_trace)
     assert cb.certified == "constant"
     assert cb.K_lo < 1.0 < cb.K_hi
     assert cb.K_hi - cb.K_lo < 0.01
@@ -115,7 +122,7 @@ def test_pole_window_contains_k_along_finer_shots(name):
     tractor = tractor_from_config(model, cfg.tractor)
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     trace = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
-    cb = certify_bounds(model, trace)
+    cb = certify_bounds(trace)
     assert cb.certified == "poles"
     n_fine = shot_steps(trace.ell, trace.pole_step / 8)
     shots = [stage_curvatures(model, p, v, trace.ell, n_fine)
@@ -146,7 +153,7 @@ def test_paraboloid_window_over_the_apex_contains_four():
     g0 = model.exp_point(eta0, model.unit(eta0, [-1.0, 0.0]), 0.5)[0]
     trace = simulate(model, line, g0, 0.5, SimParams(dt=0.01))
     assert trace.pole_K_hi[0] > 3.9
-    cb = certify_bounds(model, trace)
+    cb = certify_bounds(trace)
     assert cb.K_lo < 4.0 < cb.K_hi
 
 
@@ -176,7 +183,7 @@ def test_constant_curvature_pinch(sphere_trace):
 def test_rauch_passes_with_certified_spaceform_bounds(sphere_trace):
     sw = sweep_result(sphere_trace)
     rep = rauch_length_area_check(sphere_trace, sw,
-                                  certify_bounds(SPHERE, sphere_trace))
+                                  certify_bounds(sphere_trace))
     assert rep.passed
     assert all(c.margin > 0 for c in rep.checks)
 
@@ -211,15 +218,15 @@ def test_flat_cusp_run_passes_rauch():
     sw = sweep_result(trace)
     K_eff = sw.K_total - math.pi * flips
     assert sw.area == pytest.approx(K_eff * 2.0 ** 2 / 2, abs=1e-4)
-    rep = rauch_length_area_check(trace, sw, certify_bounds(FLAT2, trace))
+    rep = rauch_length_area_check(trace, sw, certify_bounds(trace))
     assert rep.passed
     assert not any(c.skipped for c in rep.checks)
 
 
 def test_rauch_on_ellipsoid_with_pole_bounds(ellipsoid_setup):
-    model, trace = ellipsoid_setup
+    _, trace = ellipsoid_setup
     rep = rauch_length_area_check(trace, sweep_result(trace),
-                                  certify_bounds(model, trace))
+                                  certify_bounds(trace))
     assert rep.passed
     assert all(c.margin > 0 for c in rep.checks)
 
@@ -242,10 +249,9 @@ def test_rauch_conjugate_flag_demotes_to_skipped(sphere_trace):
         sphere_trace,
         pole_conjugate=np.ones_like(sphere_trace.pole_conjugate))
     rep = rauch_length_area_check(flagged, sw,
-                                  certify_bounds(SPHERE, sphere_trace))
+                                  certify_bounds(sphere_trace))
     assert all(c.skipped for c in rep.checks)
     assert rep.passed
-    assert not rep.failures
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +259,23 @@ def test_rauch_conjugate_flag_demotes_to_skipped(sphere_trace):
 
 
 def test_flat_trace_sandwiched_between_signed_curvatures(flat_trace):
-    d0 = float(flat_trace.d[0])
     rep = toponogov_sandwich_check(flat_trace,
-                                   solve_from_d0(0.1, 2.0, d0),
-                                   solve_from_d0(-0.1, 2.0, d0),
-                                   scenario="flat")
+                                   CurvatureBounds(-0.1, 0.1, "constant"))
     assert rep.passed
     assert all(c.margin > 0 for c in rep.checks)
     assert len(rep.checks) == 4
 
 
 def test_sphere_self_sandwich_margins_scale_with_eps(sphere_trace):
-    d0 = float(sphere_trace.d[0])
     rep = toponogov_sandwich_check(sphere_trace,
-                                   solve_from_d0(1.05, 1.0, d0),
-                                   solve_from_d0(0.95, 1.0, d0))
+                                   CurvatureBounds(0.95, 1.05, "constant"))
     assert rep.passed
     assert all(0 < c.margin < 0.05 for c in rep.checks)
 
 
 def test_ellipsoid_sandwich_with_certified_bounds(ellipsoid_setup):
-    model, trace = ellipsoid_setup
-    cb = certify_bounds(model, trace)
-    d0 = float(trace.d[0])
-    rep = toponogov_sandwich_check(trace,
-                                   solve_from_d0(cb.K_hi, 0.5, d0),
-                                   solve_from_d0(cb.K_lo, 0.5, d0))
+    _, trace = ellipsoid_setup
+    rep = toponogov_sandwich_check(trace, certify_bounds(trace))
     assert rep.passed
     assert all(c.margin > 0 for c in rep.checks)
 
@@ -290,40 +287,15 @@ def test_sandwich_rejects_non_geodesic_tractor():
     g0, _ = orthogonal_attachment(FLAT2, ring, 1.0, 0.5, mode="behind")
     trace = simulate(FLAT2, ring, g0, 1.0, SimParams(dt=0.01))
     with pytest.raises(HypothesisViolatedError, match="geodesic"):
-        toponogov_sandwich_check(trace, solve_from_d0(0.1, 1.0, 0.5),
-                                 solve_from_d0(-0.1, 1.0, 0.5))
-
-
-def test_sandwich_rejects_mismatched_start(flat_trace):
-    d0 = float(flat_trace.d[0])
-    with pytest.raises(HypothesisViolatedError, match="starts at"):
-        toponogov_sandwich_check(flat_trace,
-                                 solve_from_d0(0.1, 2.0, d0 + 0.01),
-                                 solve_from_d0(-0.1, 2.0, d0))
-
-
-def test_sandwich_rejects_mismatched_pole(flat_trace):
-    d0 = float(flat_trace.d[0])
-    with pytest.raises(HypothesisViolatedError, match="pole"):
-        toponogov_sandwich_check(flat_trace,
-                                 solve_from_d0(0.1, 2.0, d0),
-                                 solve_from_d0(-0.1, 1.9, d0))
-
-
-def test_sandwich_rejects_unordered_references(flat_trace):
-    d0 = float(flat_trace.d[0])
-    with pytest.raises(HypothesisViolatedError, match="K_lo < K_hi"):
-        toponogov_sandwich_check(flat_trace,
-                                 solve_from_d0(-0.1, 2.0, d0),
-                                 solve_from_d0(0.1, 2.0, d0))
+        toponogov_sandwich_check(trace,
+                                 CurvatureBounds(-0.1, 0.1, "constant"))
 
 
 def test_sandwich_conjugate_flag_demotes_to_skipped(flat_trace):
-    d0 = float(flat_trace.d[0])
     flagged = dataclasses.replace(
         flat_trace, pole_conjugate=np.ones_like(flat_trace.pole_conjugate))
-    rep = toponogov_sandwich_check(flagged, solve_from_d0(0.1, 2.0, d0),
-                                   solve_from_d0(-0.1, 2.0, d0))
+    rep = toponogov_sandwich_check(flagged,
+                                   CurvatureBounds(-0.1, 0.1, "constant"))
     assert all(c.skipped for c in rep.checks)
     assert rep.passed
 
@@ -346,7 +318,7 @@ def test_constant_curvature_exponent_matches_closed_form(sphere_trace):
     # the fit carries a transient bias of a few 1e-3, so the window must
     # be wider than that for the sandwich to be meaningful
     rep = le_sandwich_check(sphere_trace,
-                            certify_bounds(SPHERE, sphere_trace, widen=0.05))
+                            certify_bounds(sphere_trace, widen=0.05))
     assert rep.passed
     fits = {c.name: c for c in rep.checks}
     Le = leading_exponent(1.0, 1.0)
@@ -376,10 +348,9 @@ def test_le_requires_certification(flat_trace):
 
 
 def test_report_text_labels_states(flat_trace):
-    d0 = float(flat_trace.d[0])
-    rep = toponogov_sandwich_check(flat_trace, solve_from_d0(0.1, 2.0, d0),
-                                   solve_from_d0(-0.1, 2.0, d0),
-                                   scenario="flat")
+    bounds = CurvatureBounds(-0.1, 0.1, "constant")
+    rep = merge_reports([toponogov_sandwich_check(flat_trace, bounds)],
+                        "flat")
     text = rep.text()
     assert text.startswith("comparison report: flat")
     assert text.count("[PASS]") == 4
@@ -390,17 +361,14 @@ def test_failed_check_listed_in_failures():
                 margin=-1.0, passed=False)
     rep = ComparisonReport(checks=(bad,), scenario="demo")
     assert not rep.passed
-    assert rep.failures == [bad]
-    assert "[FAIL]" in rep.text()
+    assert "[FAIL] demo" in rep.text()
 
 
 def test_merge_reports_concatenates_checks(flat_trace):
-    d0 = float(flat_trace.d[0])
-    a = toponogov_sandwich_check(flat_trace, solve_from_d0(0.1, 2.0, d0),
-                                 solve_from_d0(-0.1, 2.0, d0),
-                                 scenario="flat")
-    b = le_sandwich_check(flat_trace, CurvatureBounds(-0.1, 0.1, "constant"))
-    merged = merge_reports([a, b], scenario="flat-all")
+    bounds = CurvatureBounds(-0.1, 0.1, "constant")
+    a = toponogov_sandwich_check(flat_trace, bounds)
+    b = le_sandwich_check(flat_trace, bounds)
+    merged = merge_reports([a, b], "flat-all")
     assert len(merged.checks) == len(a.checks) + len(b.checks)
     assert merged.scenario == "flat-all"
     assert merged.passed

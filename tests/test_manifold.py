@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tractrix import manifold
 from tractrix.charts import (
     EllipsoidChart,
     HillyChart,
@@ -27,7 +28,6 @@ from tractrix.manifold import (
     SphereModel,
     SurfaceModel,
     _has_conjugate,
-    _pole_rule,
     _reference_pole,
     _rk4_geodesic,
     jacobi_reference,
@@ -298,13 +298,14 @@ def test_jacobi_normalization_small_u():
 # -- shooting (two-point connect) ---------------------------------------------
 
 
-def test_shoot_flat_direct():
+def test_shoot_flat_direct(monkeypatch):
     v, L, _ = FLAT2.connect([0.0, 0.0], [3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8])
     assert L == 5.0
     # a Newton connect that may not iterate cannot meet its tolerance
+    monkeypatch.setattr(manifold, "_SHOOT_MAX_ITER", 0)
     with pytest.raises(NoConvergenceError):
-        PARAB.connect([0.3, -0.1], [0.9, 0.4], max_iter=0)
+        PARAB.connect([0.3, -0.1], [0.9, 0.4])
 
 
 def test_shoot_sphere_quarter_circle():
@@ -984,7 +985,8 @@ def test_surface_stage_matches_the_matrix_oracle(model, fu, fv, heading,
     assert len(rec) == len(rec_o)
     # the record carries the samples of J, which simulate integrates by
     # the pole grid's Simpson rule
-    rec = (*rec[:4], _pole_rule(ell, n_pole)(rec[4]), *rec[5:])
+    rec = (*rec[:4], simpson(rec[4], np.linspace(0.0, ell, n_pole + 1)),
+           *rec[5:])
     for got, want in zip(rec, rec_o):
         if isinstance(want, (bool, np.bool_)):
             assert got is want or got == want

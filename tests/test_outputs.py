@@ -56,7 +56,7 @@ def random_trace(n=300, dim=3, seed=7):
 def geodesic_cusp_trace():
     # a flat geodesic pull: d is filled, and kappa is masked (NaN) near
     # the cusp records
-    _, trace = cli._simulate(bundled_scenario("flat_half_tractrix"))
+    trace = cli._simulate(bundled_scenario("flat_half_tractrix"))
     assert np.isnan(trace.kappa).any() and np.isfinite(trace.d).any()
     return trace
 

@@ -22,6 +22,17 @@ def test_every_name_in_all_resolves(name):
     assert not missing
 
 
+def fresh_python(code, cwd=None):
+    """stdout of `code` run in a fresh interpreter that imports this
+    package."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(tractrix.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_runtime_imports_no_scipy():
     # pytest itself has scipy loaded, so the check runs in a fresh
     # interpreter: the CLI and every bundled scenario, then sys.modules
@@ -31,9 +42,15 @@ def test_runtime_imports_no_scipy():
             "for name in bundled_names():\n"
             "    bundled_scenario(name)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(tractrix.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_shortening_run_imports_no_numpy_ma(tmp_path):
+    # numpy.ma is a sizable import that nothing in a run needs; a no-op
+    # np.unique in the shortening rounds used to pull it in
+    code = ("import sys\n"
+            "from tractrix import cli\n"
+            "code = cli.main(['gallery', '--only', 'shorten_flat',\n"
+            "                 '--out', 'out'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    assert fresh_python(code, cwd=tmp_path).split()[-2:] == ["0", "False"]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from tractrix.manifold import _pole_rule
 from tractrix.quadrature import simpson
 
 MAGNITUDES = st.floats(1e-5, 1e5)
@@ -56,27 +55,6 @@ def test_simpson_matches_scipy_at_few_samples(n):
 
 
 @st.composite
-def pole_profiles(draw):
-    """(length, steps, y): a pole grid of steps + 1 samples, odd or even in
-    number, and one profile on it."""
-    length = draw(st.floats(1e-3, 10.0))
-    steps = draw(st.integers(1, 80))
-    y = np.array(draw(st.lists(VALUES, min_size=steps + 1,
-                               max_size=steps + 1)))
-    return length, steps, y
-
-
-@settings(max_examples=300)
-@given(pole_profiles())
-def test_cached_pole_rule_matches_simpson_bit_for_bit(profile):
-    # the pole grid's rule, built once per (length, steps) and applied to
-    # each record's profile, against simpson on the same grid
-    length, steps, y = profile
-    x = np.linspace(0.0, length, steps + 1)
-    _assert_same_bits(_pole_rule(length, steps)(y), simpson(y, x))
-
-
-@st.composite
 def pole_profile_rows(draw):
     """(length, steps, y): a pole grid of steps + 1 samples and 1 to 5
     profiles on it as the rows of y."""
@@ -92,16 +70,16 @@ def pole_profile_rows(draw):
 @settings(max_examples=300)
 @given(pole_profile_rows())
 def test_pole_rule_on_rows_matches_each_row_bit_for_bit(profiles):
-    # one Simpson pass over the rows of every record's profile, against
-    # the rule applied to each row alone
+    # one Simpson pass over the rows of every record's profile on the
+    # pole grid, against simpson on each row alone
     length, steps, y = profiles
-    rule = _pole_rule(length, steps)
-    got = rule(y)
+    x = np.linspace(0.0, length, steps + 1)
+    got = simpson(y, x)
     assert got.shape == (len(y),)
     for total, row in zip(got.tolist(), y):
-        _assert_same_bits(total, rule(row))
+        _assert_same_bits(total, simpson(row, x))
 
 
 def test_rule_refuses_rows_of_another_length():
     with pytest.raises(ValueError, match="same number"):
-        _pole_rule(1.0, 8)(np.zeros((3, 8)))
+        simpson(np.zeros((3, 8)), np.linspace(0.0, 1.0, 9))

@@ -61,20 +61,29 @@ def test_kappa_from_dist_domain():
 
 def test_solve_preconditions():
     with pytest.raises(DomainViolationError):
-        solve_from_d0(1.0, 0.6 * math.pi, 0.1)  # k*ell > pi/2, no long-pole
-    with pytest.raises(DomainViolationError):
         solve_from_d0(0.0, 1.0, 1.5)  # d0 beyond pole
     with pytest.raises(DomainViolationError):
-        solve_from_d0(-1.0, 1.0, 0.5, long_pole=True)
+        solve_from_d0(1.0, 0.6 * math.pi, 0.45 * math.pi)  # beyond the cusp
     with pytest.raises(DomainViolationError):
-        solve_from_d0(1.0, 0.4, 0.2, long_pole=True)  # short pole flagged long
+        solve_from_d0(1.0, math.pi, 0.1)  # k*ell reaches pi
+
+
+def test_long_pole_mode_follows_from_K_and_ell():
+    assert solve_from_d0(1.0, 0.6 * math.pi, 0.1).long_pole
+    assert solve_from_d0(4.0, 0.3 * math.pi, 0.1).long_pole  # k = 2
+    assert not solve_from_d0(1.0, 0.4, 0.2).long_pole
+    assert not solve_from_d0(-1.0, 3.0, 0.5).long_pole
+    assert not solve_from_d0(0.0, 3.0, 0.5).long_pole
+    # k*ell = pi/2 is the parallel circle, on the short side of the rule
+    sol = solve_from_d0(1.0, math.pi / 2, 0.3)
+    assert sol.parallel_circle and not sol.long_pole
 
 
 def test_flat_solution_profile():
     sol = solve_from_d0(0.0, 2.0, 1.0)
     s = np.linspace(0.0, 8.0, 50)
     assert np.allclose(dist_at(sol, s), np.exp(-s / 2.0))
-    assert sol.Le == pytest.approx(-0.5)
+    assert sol.rate == pytest.approx(0.5)
     assert sol.kappa0 == pytest.approx(0.28867513459481288, rel=1e-14)
 
 
@@ -151,7 +160,7 @@ def test_validity_window_and_cusp_behind():
 
 def test_long_pole_solution_grows_to_cusp():
     ell, d0 = 3 * math.pi / 4, 3 * math.pi / 80
-    sol = solve_from_d0(1.0, ell, d0, long_pole=True)
+    sol = solve_from_d0(1.0, ell, d0)
     assert sol.long_pole
     assert sol.s_hi == pytest.approx(1.7944251295201716, rel=1e-12)
     s = np.linspace(0.0, 1.7, 30)
