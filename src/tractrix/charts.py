@@ -20,15 +20,19 @@ the default, for floats, `numpy` for arrays u, v of one shape, whose
 entries are then arrays, or floats that broadcast where they do not depend
 on the point.
 
-A graph chart compiles its coefficient tables once (`_graph_source`) into
-two straight-line functions on floats and rows alike: the height and its
-five slopes, which `point` and `jet` call, and the whole spray, which
-tests the domain and forms the slopes inline, so a float RK4 stage makes
-no further call. Both are bound per instance, as the triaxial ellipsoid's
-base spray is, so a hook on a chart class's `spray` does not see them. Only
-the `repr` of validated floats and ints enters the generated source, and
-its sums round as a term-by-term loop does. Every spray tests the domain
-against `box` inline, not through `contains`.
+A closed-form spray is written once, as text: the lines that give a
+chart's derivatives at a point (a graph chart's five slopes, from its
+coefficient tables by `_graph_source`; a surface of revolution's profile,
+its constants written in), then the class's formulas. From that text each
+instance gets its `spray` method, on floats and rows, the `_height` or
+`profile` method that shares the derivative lines, and `spray_text`, the
+float spray of one RK4 stage that `manifold` writes inline into its shot
+kernel, so a float shot on such a chart makes no call per stage. Every
+text runs through `compiled`, which executes each distinct text once per
+process. Only the `repr` of validated floats enters the text, and a
+graph's sums round as a term-by-term loop does. Every spray tests the
+domain against `box` inline, not through `contains`, and a derivative
+that overflows a float raises SingularChartError naming the point.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from __future__ import annotations
 import math
 import sys
 import types
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -84,6 +91,41 @@ def singular_metric(chart, u, v):
         f"{chart.name}: metric singular at ({float(u)!r}, {float(v)!r})")
 
 
+def _overflow(chart, *point):
+    at = ", ".join(repr(float(x)) for x in point)
+    return SingularChartError(
+        f"{chart.name}: the {chart._derived} overflows a float at ({at})")
+
+
+# the names that generated code reads: the charts' own, and math and numpy
+# for the shot kernels that `manifold` writes around `spray_text`
+_SCOPE = {"math": math, "np": np, "DET_EPS": DET_EPS,
+          "singular_metric": singular_metric, "_overflow": _overflow}
+
+
+@lru_cache(maxsize=128)
+def compiled(source):
+    """The functions that `source` defines, executed once per distinct
+    text in a process, with `_SCOPE` for their globals."""
+    names = {}
+    exec(source, dict(_SCOPE), names)
+    return names
+
+
+def _guarded(lines, at):
+    """lines in a try whose overflow raises SingularChartError at `at`."""
+    return ["try:", *_indent(lines, 1), "except (OverflowError, ValueError):",
+            f"    raise _overflow(self, {at}) from None"]
+
+
+def _indent(lines, depth):
+    return [" " * (4 * depth) + line for line in lines]
+
+
+# the singular-metric test of a float spray, left out on rows
+_SINGULAR = "if det < DET_EPS: raise singular_metric(self, {u}, {v})"
+
+
 class SurfaceChart:
     """Base immersion. Subclasses fill in `point` and `jet`."""
 
@@ -91,6 +133,15 @@ class SurfaceChart:
     _domain = ((None, None), (None, None))
     # the domain as (umin, umax, vmin, vmax), unbounded sides at -+_FAR
     box = (-_FAR, _FAR, -_FAR, _FAR)
+    # the float spray of one RK4 stage as text, for the shot kernel of
+    # `manifold`: (lines run once per shot, lines run per stage), the
+    # latter with {u}, {v}, {a}, {b} for the stage's point and velocity and
+    # {A}, {B}, {K} for the names it sets; None where the kernel calls
+    # `spray` instead
+    spray_text = None
+    # a closed-form spray's formulas after the derivative lines, with
+    # _SINGULAR where the metric determinant `det` can be singular
+    _FORMULAS = ()
 
     @property
     def domain(self):
@@ -168,36 +219,70 @@ class SurfaceChart:
         K = (L * N - M * M) / (det * det)
         return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
 
+    def _compile(self, setup, derivs, extra):
+        """Generate the closed-form spray from the derivative lines: bind
+        `spray`, set `spray_text`, and return the functions of `extra`, the
+        source of further methods, each bound to the chart.
+
+        setup binds names once per call from `xp`; derivs, with {u} and
+        {v} for the point, set the names that the class's formulas read.
+        On floats the spray tests the domain, then forms the derivatives
+        and the formulas; on rows it leaves the tests to its caller and
+        returns `det` as a fourth entry.
+        """
+        stage = ["if not (ulo <= {u} <= uhi and vlo <= {v} <= vhi):",
+                 "    raise self._exit({u}, {v})",
+                 *_guarded(derivs, "{u}, {v}"), *self._FORMULAS]
+        rows = [*_guarded(derivs, "{u}, {v}"),
+                *(line for line in self._FORMULAS if line != _SINGULAR)]
+        spray = "\n".join([
+            "def spray(self, u, v, a, b, xp=math):", *_indent(setup, 1),
+            "    if xp is math:", "        ulo, uhi, vlo, vhi = self.box",
+            *_indent(stage, 2), "        return acc_u, acc_v, K",
+            *_indent(rows, 1), "    return acc_u, acc_v, K, det", ""])
+        names = compiled(spray.format(u="u", v="v", a="a", b="b", A="acc_u",
+                                      B="acc_v", K="K") + extra)
+        self.spray_text = ("\n".join(["ulo, uhi, vlo, vhi = self.box",
+                                      *setup]), "\n".join(stage))
+        self.spray = types.MethodType(names["spray"], self)
+        return {name: types.MethodType(fn, self)
+                for name, fn in names.items() if name != "spray"}
+
 
 class RevolutionChart(SurfaceChart):
     """Surface of revolution F(u, v) = (r(u) cos v, r(u) sin v, z(u)).
 
-    Subclasses fill in `profile`; the spray is written once from it.
+    A subclass writes its profile as text (`_revolve`), from which the
+    instance gets `profile` and the spray.
     """
+
+    # what an overflow of the derivative lines names
+    _derived = "profile"
+    # with E = r'^2 + z'^2, F = 0 and G = r^2: Gamma^u_uu =
+    # (r' r'' + z' z'') / E, Gamma^u_vv = -r r' / E, Gamma^v_uv = r' / r,
+    # the others 0, and K = z' (r' z'' - r'' z') / (r E^2). The metric
+    # determinant E r^2 guards every division, as E G - F^2 does in the
+    # base spray
+    _FORMULAS = (
+        "E = r1 * r1 + z1 * z1",
+        "det = E * r * r",
+        _SINGULAR,
+        "{A} = (r * r1 * {b} * {b} - (r1 * r2 + z1 * z2) * {a} * {a}) / E",
+        "{B} = -2.0 * r1 * {a} * {b} / r",
+        "{K} = z1 * (r1 * z2 - r2 * z1) / (r * E * E)")
 
     def profile(self, u, xp=math):
         """(r, r', r'', z', z'') of the profile curve at u."""
         raise NotImplementedError
 
-    def spray(self, u, v, a, b, xp=math):
-        # with E = r'^2 + z'^2, F = 0 and G = r^2: Gamma^u_uu =
-        # (r' r'' + z' z'') / E, Gamma^u_vv = -r r' / E, Gamma^v_uv = r' / r,
-        # the others 0, and K = z' (r' z'' - r'' z') / (r E^2). The metric
-        # determinant E r^2 guards every division, as E G - F^2 does in the
-        # base spray
-        if xp is math:
-            ulo, uhi, vlo, vhi = self.box
-            if not (ulo <= u <= uhi and vlo <= v <= vhi):
-                raise self._exit(u, v)
-        r, r1, r2, z1, z2 = self.profile(u, xp)
-        E = r1 * r1 + z1 * z1
-        det = E * r * r
-        if xp is math and det < DET_EPS:
-            raise singular_metric(self, u, v)
-        acc_u = (r * r1 * b * b - (r1 * r2 + z1 * z2) * a * a) / E
-        acc_v = -2.0 * r1 * a * b / r
-        K = z1 * (r1 * z2 - r2 * z1) / (r * E * E)
-        return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
+    def _revolve(self, setup, derivs):
+        """Bind `profile` and the spray generated from the profile's lines,
+        which set r, r1, r2, z1 and z2 at {u}."""
+        profile = "\n".join([
+            "def profile(self, u, xp=math):", *_indent(setup, 1),
+            *_indent(_guarded(derivs, "u"), 1),
+            "    return r, r1, r2, z1, z2", ""]).format(u="u")
+        self.profile = self._compile(setup, derivs, profile)["profile"]
 
 
 class EllipsoidChart(RevolutionChart):
@@ -214,8 +299,12 @@ class EllipsoidChart(RevolutionChart):
         self.a, self.b, self.c = float(a), float(b), float(c)
         self.name = f"ellipsoid({a:g},{b:g},{c:g})"
         self.domain = ((0.0, math.pi), (None, None))
-        if self.a != self.b:
-            self.spray = types.MethodType(SurfaceChart.spray, self)
+        if self.a == self.b:
+            a, c = self.a, self.c
+            self._revolve(["sin, cos = xp.sin, xp.cos"], [
+                "su = sin({u})", "cu = cos({u})", f"r = {a!r} * su",
+                f"r1 = {a!r} * cu", f"r2 = {-a!r} * su", f"z1 = {-c!r} * su",
+                f"z2 = {-c!r} * cu"])
 
     def point(self, u, v):
         return (self.a * math.sin(u) * math.cos(v),
@@ -230,11 +319,6 @@ class EllipsoidChart(RevolutionChart):
                 (-a * su * cv, -b * su * sv, -c * cu),
                 (-a * cu * sv, b * cu * cv, 0.0),
                 (-a * su * cv, -b * su * sv, 0.0))
-
-    def profile(self, u, xp=math):
-        a, c = self.a, self.c
-        su, cu = xp.sin(u), xp.cos(u)
-        return a * su, a * cu, -a * su, -c * su, -c * cu
 
 
 class SphereChart(EllipsoidChart):
@@ -253,25 +337,37 @@ class PseudosphereChart(RevolutionChart):
     """Tractroid of pseudoradius a: constant Gauss curvature -1/a^2.
 
     The surface degenerates along u -> 0 (the rim); simulations must keep
-    clear of it, the metric determinant check aborts otherwise.
+    clear of it, the metric determinant check aborts otherwise. Far out,
+    cosh u overflows a float, and the profile's overflow error names the
+    point.
     """
 
     def __init__(self, a=1.0):
         if a <= 0:
             raise ConfigError("pseudosphere scale must be positive")
-        self.a = float(a)
+        self.a = a = float(a)
         self.name = f"pseudosphere(a={a:g})"
         self.domain = ((0.0, None), (None, None))
+        self._revolve(["cosh, tanh = xp.cosh, xp.tanh"], [
+            "se = 1.0 / cosh({u})", "ta = tanh({u})", f"r = {a!r} * se",
+            f"r1 = {-a!r} * se * ta", f"r2 = {a!r} * se * (ta * ta - se * se)",
+            f"z1 = {a!r} * ta * ta", f"z2 = 2.0 * {a!r} * ta * se * se"])
+
+    def _sech(self, u, v, xp):
+        try:
+            return 1.0 / xp.cosh(u)
+        except (OverflowError, ValueError):
+            raise _overflow(self, u, v) from None
 
     def point(self, u, v):
         a = self.a
-        se = 1.0 / math.cosh(u)
+        se = self._sech(u, v, math)
         return (a * se * math.cos(v), a * se * math.sin(v),
                 a * (u - math.tanh(u)))
 
     def jet(self, u, v, xp=math):
         a = self.a
-        se, ta = 1.0 / xp.cosh(u), xp.tanh(u)
+        se, ta = self._sech(u, v, xp), xp.tanh(u)
         sv, cv = xp.sin(v), xp.cos(v)
         c = se * (ta * ta - se * se)
         return ((-a * se * ta * cv, -a * se * ta * sv, a * ta * ta),
@@ -279,12 +375,6 @@ class PseudosphereChart(RevolutionChart):
                 (a * c * cv, a * c * sv, 2.0 * a * ta * se * se),
                 (a * se * ta * sv, -a * se * ta * cv, 0.0),
                 (-a * se * cv, -a * se * sv, 0.0))
-
-    def profile(self, u, xp=math):
-        a = self.a
-        se, ta = 1.0 / xp.cosh(u), xp.tanh(u)
-        return (a * se, -a * se * ta, a * se * (ta * ta - se * se),
-                a * ta * ta, 2.0 * a * ta * se * se)
 
 
 # Derivative orders (du, dv) of the graph height: the value, then the jet.
@@ -324,82 +414,40 @@ def _literal(x):
 
 
 def _graph_source(poly, sinsin):
-    """The source of a graph chart's two compiled functions, one
-    straight-line sum per order in _ORDERS: `height(self, u, v, xp)`, the
-    height and its five slopes, and `spray(self, u, v, a, b, xp=math)`,
-    the geodesic spray from the slopes alone.
+    """(setup, angles, sums): the lines of a graph chart's height and its
+    five slopes, with {u} and {v} for the point. setup binds sin and cos
+    from xp, angles set each sinsin term's sines and cosines, and sums
+    holds one straight-line sum per order in _ORDERS.
 
     A sum adds to 0.0, in table order, the poly terms and then the sinsin
     terms that the order keeps: c i^(du) j^(dv) u^(i-du) v^(j-dv), with
     falling factorials, and A (-1)^(du//2 + dv//2) wu^du wv^dv times sin or
     cos of each angle. u^0 is left out and u^1 written u, both exactly (v
-    alike). A coefficient that overflows raises OverflowError, and a sum
-    that overflows a float at a point SingularChartError.
+    alike), and the other powers take a float exponent, which rounds as
+    the int does. A coefficient that overflows raises OverflowError.
     """
     sums = [["0.0"] for _ in _ORDERS]
-    lines = ["sin, cos = xp.sin, xp.cos"] if sinsin else []
+    setup = ["sin, cos = xp.sin, xp.cos"] if sinsin else []
+    angles = []
     for i, j, c in poly:
         for terms, (du, dv) in zip(sums, _ORDERS):
             if du <= i and dv <= j:
                 coef = (c * math.prod(range(i, i - du, -1), start=1.0)
                         * math.prod(range(j, j - dv, -1), start=1.0))
                 terms.append(" * ".join([_literal(coef), *(
-                    x if n == 1 else f"{x} ** {n}"
-                    for x, n in (("u", i - du), ("v", j - dv)) if n)]))
+                    x if n == 1 else f"{x} ** {float(n)!r}"
+                    for x, n in (("{u}", i - du), ("{v}", j - dv)) if n)]))
     for n, (amp, wu, pu, wv, pv) in enumerate(sinsin):
-        lines += [f"au, av = {wu!r} * u + {pu!r}, {wv!r} * v + {pv!r}",
-                  f"su{n}, cu{n}, sv{n}, cv{n} = sin(au), cos(au), "
-                  "sin(av), cos(av)"]
+        angles += [f"au = {wu!r} * {{u}} + {pu!r}",
+                   f"av = {wv!r} * {{v}} + {pv!r}",
+                   f"su{n} = sin(au)", f"cu{n} = cos(au)",
+                   f"sv{n} = sin(av)", f"cv{n} = cos(av)"]
         for terms, (du, dv) in zip(sums, _ORDERS):
             coef = (amp * ((-1.0) ** (du // 2) * (-1.0) ** (dv // 2))
                     * wu ** du * wv ** dv)
             terms.append(f"{_literal(coef)} * {'sc'[du % 2]}u{n} * "
                          f"{'sc'[dv % 2]}v{n}")
-    sums = [" + ".join(terms) for terms in sums]
-    height = [*lines, f"return ({', '.join(sums)})"]
-    slopes = [*lines, *(f"{name} = {total}" for name, total in zip(
-        ("fu", "fv", "fuu", "fuv", "fvv"), sums[1:]))]
-    return (_GRAPH_HEIGHT.format(_indent(height))
-            + _GRAPH_SPRAY.format(_indent(slopes)))
-
-
-def _indent(lines):
-    return "".join(f"        {line}\n" for line in lines)
-
-
-_GRAPH_HEIGHT = """\
-def height(self, u, v, xp):
-    try:
-{}\
-    except (OverflowError, ValueError):
-        raise _overflow(self, u, v) from None
-"""
-
-# with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij = f_k f_ij / W
-# and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the metric is never
-# singular
-_GRAPH_SPRAY = """\
-def spray(self, u, v, a, b, xp=math):
-    if xp is math:
-        ulo, uhi, vlo, vhi = self.box
-        if not (ulo <= u <= uhi and vlo <= v <= vhi):
-            raise self._exit(u, v)
-    try:
-{}\
-    except (OverflowError, ValueError):
-        raise _overflow(self, u, v) from None
-    w = 1.0 + fu * fu + fv * fv
-    hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
-    K = (fuu * fvv - fuv * fuv) / (w * w)
-    if xp is math:
-        return -fu * hess, -fv * hess, K
-    return -fu * hess, -fv * hess, K, w
-"""
-
-
-def _overflow(chart, u, v):
-    return SingularChartError(f"{chart.name}: the height overflows a float "
-                              f"at ({float(u)!r}, {float(v)!r})")
+    return setup, angles, [" + ".join(terms) for terms in sums]
 
 
 class GraphChart(SurfaceChart):
@@ -407,26 +455,40 @@ class GraphChart(SurfaceChart):
 
     poly terms: (i, j, c) contributing c * u^i * v^j;
     sinsin terms: (A, wu, pu, wv, pv) contributing A sin(wu*u+pu) sin(wv*v+pv).
-    Both tables are compiled once (`_graph_source`) into two methods bound
-    to the instance: `_height`, which gives f and its slopes of every order
-    in _ORDERS for `point` and `jet`, and `spray`, on floats and rows.
+    Both tables are written once as lines (`_graph_source`), from which the
+    instance gets `_height`, f and its slopes of every order in _ORDERS for
+    `point` and `jet`, and the spray.
     """
 
     name = "graph"
+    _derived = "height"
+    # with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij = f_k f_ij / W
+    # and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the metric is never
+    # singular
+    _FORMULAS = (
+        "det = 1.0 + fu * fu + fv * fv",
+        "hess = (fuu * {a} * {a} + 2.0 * fuv * {a} * {b} + fvv * {b} * {b})"
+        " / det",
+        "{K} = (fuu * fvv - fuv * fuv) / (det * det)",
+        "{A} = -fu * hess",
+        "{B} = -fv * hess")
 
     def __init__(self, poly=(), sinsin=(), domain=((None, None), (None, None))):
         poly, sinsin = list(map(_poly_term, poly)), list(map(_sinsin_term,
                                                              sinsin))
         try:
-            source = _graph_source(poly, sinsin)
+            setup, angles, sums = _graph_source(poly, sinsin)
         except OverflowError:
             raise ConfigError(f"graph terms {poly!r}, {sinsin!r}: a "
                               "derivative's coefficient overflows a float"
                               ) from None
-        scope = {"_overflow": _overflow, "math": math}
-        exec(source, scope)
-        self._height = types.MethodType(scope["height"], self)
-        self.spray = types.MethodType(scope["spray"], self)
+        height = "\n".join([
+            "def _height(self, u, v, xp):", *_indent(setup, 1),
+            *_indent(_guarded([*angles, f"return ({', '.join(sums)})"],
+                              "u, v"), 1), ""]).format(u="u", v="v")
+        slopes = [*angles, *(f"{name} = {total}" for name, total in zip(
+            ("fu", "fv", "fuu", "fuv", "fvv"), sums[1:]))]
+        self._height = self._compile(setup, slopes, height)["_height"]
         self.domain = domain
 
     def point(self, u, v):

@@ -14,22 +14,26 @@ post-pass is one call.
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
-riding along. On floats the chart supplies that right-hand side, the
-acceleration and K in one call (`SurfaceChart.spray`: closed forms on graph
-charts and surfaces of revolution, from the jet on the others), and the
-row shots take the same spray on rows. The kernel, `_rk4_geodesic`,
-makes one call per RK4 stage on the four state scalars (floats, or one
-array each on rows), `_geo_rhs(u, w, a, b)` or `_geo_rows(u, w, a, b)`,
-and steps c and s inline. A tractrix record's shot also keeps the least
-and greatest K of its stages: the curvature window of its pole, which
-the comparison checks certify. The metric and Christoffel symbols at
-given points are derived here from the chart jet. A Newton solve gets
-its Jacobian from the shots it makes: `connect` is damped Newton with one
-shot per iteration, the direction column being s(L) times the end tangent
-turned by +pi/2 (`quarter_turn`), and the attachment
-(`tractrix_sim.orthogonal_attachment`) makes no `connect` call: it is one
-damped Newton solve of its own, an offset shot and a pole shot per
-iteration, with both columns Jacobi fields of theirs.
+riding along. The chart supplies that right-hand side, the acceleration
+and K (`SurfaceChart.spray`: closed forms on graph charts and surfaces of
+revolution, from the jet on the others). The shot kernel is one source
+template, `_KERNEL`: `_kernel` writes a chart's `spray_text`, its
+closed-form spray on floats, into every RK4 stage and compiles the result
+once per text, so a float shot makes no call per stage. A chart without
+spray text, the row shots (on `_geo_rows`) and any other right-hand side
+take the same template with a call line (`_rk4_rhs`). Every surface shot
+enters through `SurfaceModel._rk4_geodesic`, which adds the shot's spray
+evaluations, 4 per step and row, to the model's `sprays` counter. A
+tractrix record's shot also keeps the least and greatest K of its
+stages: the curvature window of its pole, which the comparison checks
+certify. The metric and Christoffel symbols at given points are derived
+here from the chart jet. A Newton solve gets its Jacobian from the shots
+it makes: `connect` is damped Newton with one shot per iteration, the
+direction column being s(L) times the end tangent turned by +pi/2
+(`quarter_turn`), and the attachment (`tractrix_sim.orthogonal_attachment`)
+makes no `connect` call: it is one damped Newton solve of its own, an
+offset shot and a pole shot per iteration, with both columns Jacobi
+fields of theirs.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
 rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
@@ -60,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charts import DET_EPS, SurfaceChart, singular_metric
+from .charts import DET_EPS, SurfaceChart, compiled, singular_metric
 from .errors import (
     ConfigError,
     DomainExitError,
@@ -183,10 +187,9 @@ class ManifoldModel:
     def check_point(self, p):
         """Raise OutOfDomain/SingularChart when p is unusable."""
 
-    def _geo_rhs(self, u, w, a, b):
-        """(a_u, a_v, K): the acceleration -Gamma(x', x') for the velocity
-        x' = (a, b) at (u, w) and the Gauss curvature there, on floats;
-        raises on bad points."""
+    def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
+        """One RK4 shot of n_steps from the point x0 along the velocity v0,
+        on floats or on rows (`_kernel`); raises on bad points."""
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
@@ -304,9 +307,9 @@ class ManifoldModel:
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
-        pts, tans, cs, ss = _rk4_geodesic(
-            self._geo_rhs, (float(p[0]), float(p[1])),
-            (float(v[0]), float(v[1])), length, n_steps, collect=True)
+        pts, tans, cs, ss = self._rk4_geodesic(
+            (float(p[0]), float(p[1])), (float(v[0]), float(v[1])), length,
+            n_steps, collect=True)
         self._check_drift(pts[..., None], tans[..., None])
         return pts[-1], tans[-1], cs[-1], ss[-1]
 
@@ -1088,6 +1091,13 @@ class SurfaceModel(ManifoldModel):
 
     def __init__(self, chart: SurfaceChart):
         self.chart = chart
+        # the spray evaluations of the model's shots so far (`_rk4_geodesic`)
+        self.sprays = 0
+        # the float shot kernel and what it takes first: the chart, whose
+        # spray text it inlines, or else the chart's spray, which it calls
+        self._float_shot, self._spray = (
+            (_kernel(chart.spray_text), chart) if chart.spray_text
+            else (_rk4_rhs, chart.spray))
 
     def check_point(self, p):
         self.chart.check_domain(float(p[0]), float(p[1]))
@@ -1169,16 +1179,29 @@ class SurfaceModel(ManifoldModel):
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         # one RK4 integration on arrays, every row in lockstep
-        pts, tans, cs, ss = _rk4_geodesic(
-            self._geo_rows, np.transpose(p), np.transpose(v), length,
+        pts, tans, cs, ss = self._rk4_geodesic(
+            np.transpose(p), np.transpose(v), length,
             shot_steps(np.max(length, initial=0.0), pole_step), collect=True)
         self._check_drift(pts, tans)
         return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
 
+    def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
+        """The entry of every shot on the surface: `_kernel` on floats,
+        with the chart's spray written in, or called where the chart has
+        no spray text, and on rows, x0 and v0 being (2, n) arrays, the
+        kernel that calls `_geo_rows`. Adds the shot's spray evaluations,
+        4 per step and row, to `sprays`; a shot that raises counts whole."""
+        if isinstance(x0, np.ndarray) and x0.ndim == 2:
+            self.sprays += 4 * n_steps * x0.shape[1]
+            return _rk4_rhs(self._geo_rows, x0, v0, length, n_steps, collect)
+        self.sprays += 4 * n_steps
+        return self._float_shot(self._spray, x0, v0, length, n_steps,
+                                collect)
+
     def _geo_rows(self, u, w, a, b):
-        """`_geo_rhs` on rows: u, w, a and b are arrays. The chart's spray
-        runs on every row, and then the first row outside the domain or at
-        a singular metric, by the spray's own determinant, raises."""
+        """(a_u, a_v, K) on rows: u, w, a and b are arrays. The chart's
+        spray runs on every row, and then the first row outside the domain
+        or at a singular metric, by the spray's own determinant, raises."""
         # a bad row may divide by zero; it raises before its values are used
         with np.errstate(divide="ignore", invalid="ignore"):
             acc_u, acc_v, K, det = self.chart.spray(u, w, a, b, np)
@@ -1241,13 +1264,12 @@ class SurfaceModel(ManifoldModel):
         size = math.sqrt((x * E + y * F) * x + (x * F + y * G) * y)
         ux, uy = x / size, y / size
         if record:
-            end, tangent, c, s, K_lo, K_hi = _rk4_geodesic(
-                self._geo_rhs, (u, w), (ux, uy), ell, n_pole,
-                collect="jacobi")
+            end, tangent, c, s, K_lo, K_hi = self._rk4_geodesic(
+                (u, w), (ux, uy), ell, n_pole, collect="jacobi")
             c_ell, s_ell = c[-1], s[-1]
         else:
-            end, tangent, c_ell, s_ell = _rk4_geodesic(
-                self._geo_rhs, (u, w), (ux, uy), ell, n_pole, collect=False)
+            end, tangent, c_ell, s_ell = self._rk4_geodesic(
+                (u, w), (ux, uy), ell, n_pole, collect=False)
         if s_ell <= _CONJ_TOL:
             raise NoConvergenceError(
                 f"the pole of length {ell!r} from {list(eta)} reaches a "
@@ -1272,11 +1294,6 @@ class SurfaceModel(ManifoldModel):
             [gu, gv], [-p / speed, -q / speed], -along, s_ell, jac,
             any(j <= _CONJ_TOL for j in jac[1:]), abs(speed - 1.0),
             eta_speed, K_lo, K_hi)
-
-    def _geo_rhs(self, u, w, a, b):
-        # the hottest call, one chart spray per RK4 stage; bench/tracer.py
-        # counts the evaluations by this method's name
-        return self.chart.spray(u, w, a, b)
 
 
 def surface_model(chart):
@@ -1314,33 +1331,12 @@ def model_from_config(spec):
 # Geodesic integration
 
 
-def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
-    """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
-
-    The state is two-dimensional and held in locals: (x, y) for the point,
-    (p, q) for the velocity, floats for rhs `_geo_rhs` (the chart's spray)
-    and arrays of shots in lockstep for `_geo_rows` (the same spray on
-    rows). Each RK4 stage is one call rhs(x, y, p, q) -> (a_x, a_y, K).
-    Only surfaces reach this integrator, because the space forms, the only
-    models that can be three-dimensional, override each of its callers
-    with closed forms. The cosine and sine solutions of j'' + K j = 0 ride
-    along, c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps
-    written out with K from the same calls as the acceleration.
-
-    The step loop gives every value its own name, with no tuple built per
-    stage, and makes every literal operand a float (2.0, not 2), because
-    tuple packing and int-times-float arithmetic take CPython's slow path.
-    The floating-point operations are the same, in the same order, as in a
-    kernel with one tuple per stage and int weights, so the bits are its
-    bits (a test checks this against such a kernel).
-
-    The result is (x, v, c, s). With collect True, every step's sample:
-    the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
-    as lists. With collect "jacobi", for a tractrix record, the final point
-    and velocity as 2-tuples, every step's c and s as lists, and then the
-    least and greatest K of all the stages, floats. With collect False, the
-    final point and velocity as 2-tuples and the final c and s.
-    """
+# One RK4 shot on (x, v, c, c', s, s') with the spray of each stage written
+# in at {stage1} .. {stage4}; see `_kernel`
+_KERNEL = """\
+def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
+    xp = math
+{setup}
     h = length / n_steps if n_steps else 0.0
     # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
     hh, h6 = 0.5 * h, h / 6.0
@@ -1352,22 +1348,22 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
         xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
         K_lo, K_hi = math.inf, -math.inf
     for _ in range(n_steps):
-        a1, b1, K1 = rhs(x, y, p, q)
+{stage1}
         x2 = x + hh * p
         y2 = y + hh * q
         p2 = p + hh * a1
         q2 = q + hh * b1
-        a2, b2, K2 = rhs(x2, y2, p2, q2)
+{stage2}
         x3 = x + hh * p2
         y3 = y + hh * q2
         p3 = p + hh * a2
         q3 = q + hh * b2
-        a3, b3, K3 = rhs(x3, y3, p3, q3)
+{stage3}
         x4 = x + h * p3
         y4 = y + h * q3
         p4 = p + h * a3
         q4 = q + h * b3
-        a4, b4, K4 = rhs(x4, y4, p4, q4)
+{stage4}
         # x and y read the old p and q, so they are stepped first
         x = x + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
         y = y + h6 * (q + 2.0 * q2 + 2.0 * q3 + q4)
@@ -1406,3 +1402,57 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     if collect:
         return (x, y), (p, q), cs, ss, K_lo, K_hi
     return (x, y), (p, q), c, s
+"""
+# the names of each stage's point, velocity and spray outputs in _KERNEL
+_STAGES = tuple(dict(zip("uvabABK", names)) for names in (
+    ("x", "y", "p", "q", "a1", "b1", "K1"),
+    ("x2", "y2", "p2", "q2", "a2", "b2", "K2"),
+    ("x3", "y3", "p3", "q3", "a3", "b3", "K3"),
+    ("x4", "y4", "p4", "q4", "a4", "b4", "K4")))
+# the spray text of a kernel that calls its first argument per stage
+_CALL = ("", "{A}, {B}, {K} = self({u}, {v}, {a}, {b})")
+
+
+def _kernel(spray_text):
+    """The RK4 shot kernel with `spray_text` (`SurfaceChart.spray_text`)
+    written in at every stage: `kernel(self, x0, v0, length, n_steps,
+    collect)`, self being what the text reads, compiled once per text
+    (`compiled`).
+
+    The state is two-dimensional and held in locals: (x, y) for the point,
+    (p, q) for the velocity, floats, or arrays of shots in lockstep for
+    the row spray. Each RK4 stage sets (a_x, a_y, K) from (x, y, p, q):
+    inline from a chart's spray text, so that a float shot makes no call
+    per stage, or by the call line `_CALL`, `A, B, K = self(u, v, a, b)`,
+    for any right-hand side passed as self (`_rk4_rhs`). Only surfaces
+    reach this integrator, because the space forms, the only models that
+    can be three-dimensional, override each of its callers with closed
+    forms. The cosine and sine solutions of j'' + K j = 0 ride along, c(0)
+    = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps written out
+    with K from the same stages as the acceleration.
+
+    The step loop gives every value its own name, with no tuple built per
+    stage, and makes every literal operand a float (2.0, not 2), because
+    tuple packing and int-times-float arithmetic take CPython's slow path.
+    The floating-point operations are the same, in the same order, as in a
+    kernel with one tuple per stage and int weights that calls the spray,
+    so the bits are its bits (a test checks this against such a kernel).
+
+    The result is (x, v, c, s). With collect True, every step's sample:
+    the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
+    as lists. With collect "jacobi", for a tractrix record, the final point
+    and velocity as 2-tuples, every step's c and s as lists, and then the
+    least and greatest K of all the stages, floats. With collect False, the
+    final point and velocity as 2-tuples and the final c and s.
+    """
+    setup, stage = spray_text
+    return compiled(_KERNEL.format(
+        setup="\n".join(f"    {line}" for line in setup.splitlines()),
+        **{f"stage{n}": "\n".join(f"        {line}" for line in
+                                  stage.format(**names).splitlines())
+           for n, names in enumerate(_STAGES, 1)}))["_rk4_geodesic"]
+
+
+# the kernel on any right-hand side rhs(u, v, a, b) -> (a_u, a_v, K):
+# `_rk4_rhs(rhs, x0, v0, length, n_steps, collect)`
+_rk4_rhs = _kernel(_CALL)

@@ -1,9 +1,12 @@
 """The classical RK4 geodesic kernel as it was written with 4-tuples per
-stage and int weights, kept as the reference for `manifold._rk4_geodesic`.
+stage and int weights, calling its right-hand side at every stage, kept
+as the reference for the shot kernels that `manifold._kernel` compiles.
 
-The kernel now gives every value its own name and every literal operand a
-float. Neither change touches a floating-point operation, so the two must
-agree bit for bit on floats and on rows, in every `collect` mode.
+Those kernels give every value its own name and every literal operand a
+float, and most write the chart's spray in instead of calling it. None of
+this touches a floating-point operation, so a kernel and this reference on
+the chart's spray must agree bit for bit on floats and on rows, in every
+`collect` mode.
 """
 
 import math
@@ -15,8 +18,8 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
     The state is two-dimensional and held in locals: (x, y) for the point,
-    (p, q) for the velocity, floats for rhs `_geo_rhs` (the chart's spray)
-    and arrays of shots in lockstep for `_geo_rows` (the same spray on
+    (p, q) for the velocity, floats for rhs `chart.spray` and arrays of
+    shots in lockstep for `SurfaceModel._geo_rows` (the same spray on
     rows). Each RK4 stage is one call rhs(x, y, p, q) -> (a_x, a_y, K).
     Only surfaces reach this integrator, because the space forms, the only
     models that can be three-dimensional, override each of its callers

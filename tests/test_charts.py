@@ -12,7 +12,6 @@ from tractrix.charts import (
     ParaboloidChart,
     PlaneChart,
     PseudosphereChart,
-    RevolutionChart,
     SphereChart,
     SurfaceChart,
     _CATALOG,
@@ -170,7 +169,8 @@ def test_compiled_spray_matches_handwritten_spray_bitwise(poly, sinsin, u, v,
 
 
 def test_height_overflow_is_a_typed_error():
-    # u ** 200 overflows a float at u = 40; a derivative coefficient that
+    # u ** 200 overflows a float at u = 40, and so does cosh u at u = 800,
+    # inside the pseudosphere's domain; a derivative coefficient that
     # overflows is a bad config
     chart = GraphChart(poly=[(200, 0, 1.0)])
     for call in (lambda: chart.point(40.0, 0.0),
@@ -178,6 +178,16 @@ def test_height_overflow_is_a_typed_error():
                  lambda: chart.spray(40.0, 0.0, 1.0, 0.0)):
         with pytest.raises(SingularChartError, match=r"graph: .*\(40\.0, "):
             call()
+    chart = PseudosphereChart()
+    for call in (lambda: chart.point(800.0, 0.5),
+                 lambda: chart.jet(800.0, 0.5),
+                 lambda: chart.spray(800.0, 0.5, 1.0, 0.0)):
+        with pytest.raises(SingularChartError, match=(
+                r"^pseudosphere\(a=1\): the profile overflows a float at "
+                r"\(800\.0, 0\.5\)$")):
+            call()
+    with pytest.raises(SingularChartError, match=r"at \(800\.0\)$"):
+        chart.profile(800.0)
     with pytest.raises(ConfigError, match="overflows"):
         GraphChart(poly=[(2, 0, 1e308)])
     with pytest.raises(ConfigError, match="overflows"):
@@ -225,9 +235,16 @@ def test_spray_curvature_matches_the_closed_forms(chart, u, v):
 
 
 def test_only_a_triaxial_ellipsoid_keeps_the_generic_spray():
-    assert EllipsoidChart(1.5, 1.5, 0.7).spray.__func__ is (
-        RevolutionChart.spray)
-    assert EllipsoidChart(1.5, 0.8, 1.1).spray.__func__ is SurfaceChart.spray
+    # a spheroid's spray and spray text are generated from its profile; a
+    # triaxial ellipsoid has neither and keeps the base spray, from the jet
+    spheroid = EllipsoidChart(1.5, 1.5, 0.7)
+    triaxial = EllipsoidChart(1.5, 0.8, 1.1)
+    assert spheroid.spray.__func__ is not SurfaceChart.spray
+    assert spheroid.spray_text is not None
+    assert triaxial.spray.__func__ is SurfaceChart.spray
+    assert triaxial.spray_text is None
+    with pytest.raises(NotImplementedError):
+        triaxial.profile(1.0)
 
 
 # every catalog chart, the graph with polynomial terms of degree 3 and more

@@ -437,6 +437,36 @@ def test_graph_height_overflow_exits_two(tmp_path, capsys):
         "numeric error: graph: the height overflows a float at (40.0, 0.0)\n")
 
 
+def test_far_pseudosphere_point_exits_two(tmp_path, capsys):
+    # cosh 800 overflows a float, though u = 800 is inside the domain
+    # u > 0: a typed error naming the chart and the point, not a traceback
+    raw = {"model": {"kind": "surface", "chart": "pseudosphere"},
+           "tractor": {"kind": "chart_line", "start": [800.0, 0.0],
+                       "direction": [1.0, 0.0], "t1": 1.0},
+           "gamma0": {"d0": 0.25}, "ell": 0.5}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: pseudosphere(a=1): the profile overflows a float at "
+        "(800.0, 0.0)\n")
+
+
+def test_surface_pull_gallery_spray_count(tmp_path, monkeypatch):
+    # the spray evaluations of the two surface pulls, read off the models
+    # their traces carry: 66,960 over 402 records, 166.567 a record, the
+    # right-hand side calls that the benchmark's traced pass counted
+    # before the spray was written into the shot kernel
+    traces = []
+    simulate = cli._simulate
+    monkeypatch.setattr(cli, "_simulate", lambda cfg: (
+        traces.append(simulate(cfg)), traces[-1])[1])
+    assert cli.main(["gallery", "--only", "paraboloid_pull,hilly_pull",
+                     "--out", str(tmp_path)]) == 0
+    assert sum(len(tr.t) for tr in traces) == 402
+    assert sum(tr.model.sprays for tr in traces) == 66960
+
+
 def test_failed_check_exits_three(tmp_path, monkeypatch):
     failing = Check(name="rauch", inequality="lhs <= rhs", lhs=1.0, rhs=0.0,
                     margin=-1.0, passed=False)

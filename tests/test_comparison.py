@@ -23,7 +23,7 @@ from tractrix.errors import (
 )
 from tractrix.functionals import sweep_result
 from tractrix.manifold import (
-    _rk4_geodesic,
+    _rk4_rhs,
     model_from_config,
     shot_steps,
     space_form,
@@ -100,12 +100,12 @@ def stage_curvatures(model, p, v, length, n_steps):
     points, Ks = [], []
 
     def rhs(x, y, a, b):
-        out = model._geo_rhs(x, y, a, b)
+        out = model.chart.spray(x, y, a, b)
         points.append((x, y))
         Ks.append(out[2])
         return out
 
-    _rk4_geodesic(rhs, tuple(p), tuple(v), length, n_steps, collect=False)
+    _rk4_rhs(rhs, tuple(p), tuple(v), length, n_steps, collect=False)
     return np.array(points), np.array(Ks)
 
 

@@ -12,7 +12,6 @@ from tractrix.charts import (
     HillyChart,
     ParaboloidChart,
     PseudosphereChart,
-    SurfaceChart,
 )
 from tractrix.errors import (
     ConfigError,
@@ -29,7 +28,7 @@ from tractrix.manifold import (
     SurfaceModel,
     _has_conjugate,
     _reference_pole,
-    _rk4_geodesic,
+    _rk4_rhs,
     jacobi_reference,
     jacobi_reference_integral,
     shot_steps,
@@ -193,15 +192,15 @@ def test_exp_map_sphere_meridian_and_equator():
     assert np.allclose(end, [math.pi / 2, 1.3], atol=1e-9)
 
 
-# space forms shoot in closed form; their _geo_rhs is the reference that
-# checks the RK4 integrator itself
+# space forms shoot in closed form; their _geo_rhs, through the kernel's
+# call line, is the reference that checks the RK4 integrator itself
 
 
 def test_exp_map_sphere_matches_closed_form():
     p = np.array([1.1, 0.4])
     v = SPHERE.unit(p, [0.3, 0.8])
-    end, end_tangent, _, _ = _rk4_geodesic(SPHERE._geo_rhs, p, v, 1.0, 200,
-                                           collect=False)
+    end, end_tangent, _, _ = _rk4_rhs(SPHERE._geo_rhs, p, v, 1.0, 200,
+                                      collect=False)
     q, t = SPHERE.exp_point(p, v, 1.0)
     assert np.allclose(end, q, atol=1e-8)
     assert np.allclose(end_tangent, t, atol=1e-8)
@@ -210,8 +209,8 @@ def test_exp_map_sphere_matches_closed_form():
 def test_exp_map_hyperbolic_matches_closed_form():
     p = np.array([0.2, -0.1])
     v = HYP.unit(p, [1.0, 0.5])
-    end, end_tangent, _, _ = _rk4_geodesic(HYP._geo_rhs, p, v, 1.5, 200,
-                                           collect=False)
+    end, end_tangent, _, _ = _rk4_rhs(HYP._geo_rhs, p, v, 1.5, 200,
+                                      collect=False)
     q, t = HYP.exp_point(p, v, 1.5)
     assert np.allclose(end, q, atol=1e-8)
     assert np.allclose(end_tangent, t, atol=1e-8)
@@ -220,8 +219,8 @@ def test_exp_map_hyperbolic_matches_closed_form():
 def test_exp_map_unit_speed_drift():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    points, tangents, _, _ = _rk4_geodesic(PARAB._geo_rhs, p, v, 2.0, 200,
-                                           collect=True)
+    points, tangents, _, _ = PARAB._rk4_geodesic(p, v, 2.0, 200,
+                                                 collect=True)
     norms = [PARAB.norm(points[i], tangents[i])
              for i in range(0, len(points), 10)]
     assert max(abs(n - 1.0) for n in norms) < 1e-6
@@ -281,7 +280,7 @@ def test_jacobi_scalar_constant_negative_surface():
     v = PSEUDO.unit(p, [0.0, 1.0])
     assert PSEUDO.shoot(p, v, 1.0, pole_step=0.005)[3] == pytest.approx(
         math.sinh(1.0), abs=1e-8)
-    j = _rk4_geodesic(PSEUDO._geo_rhs, p, v, 1.0, 200, collect=True)[3]
+    j = PSEUDO._rk4_geodesic(p, v, 1.0, 200, collect=True)[3]
     assert not _has_conjugate(np.array(j))
 
 
@@ -289,7 +288,7 @@ def test_jacobi_normalization_small_u():
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
     u = np.linspace(0.0, 0.5, 101)
-    j = _rk4_geodesic(PARAB._geo_rhs, p, v, 0.5, 100, collect=True)[3]
+    j = PARAB._rk4_geodesic(p, v, 0.5, 100, collect=True)[3]
     # j(u) = u - K(p) u^3 / 6 + O(u^4)
     taylor = 1.0 - spray_K(PARAB, p) * u[1] ** 2 / 6.0
     assert j[1] / u[1] == pytest.approx(taylor, abs=1e-7)
@@ -425,52 +424,32 @@ def test_shot_gates_unit_speed_drift():
 @pytest.mark.parametrize("length, pole_step", [(0.5, 0.05), (0.3, 0.1)])
 def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
                                             pole_step):
-    # one right-hand side call per RK4 stage, on the four state scalars:
-    # the count that the benchmark's tracer reads off _geo_rhs
+    # one spray per RK4 stage: a k-step float shot counts 4k sprays on the
+    # model, and a row shot 4k a row; on rows, as on a chart without
+    # spray text, they are the calls the kernel makes
     calls = []
-    for name in ("_geo_rhs", "_geo_rows"):
-        rhs = getattr(type(PARAB), name)
-        monkeypatch.setattr(
-            type(PARAB), name, lambda self, u, w, a, b, rhs=rhs, name=name: (
-                calls.append(name), rhs(self, u, w, a, b))[1])
+    rows_rhs = SurfaceModel._geo_rows
+    monkeypatch.setattr(SurfaceModel, "_geo_rows", lambda self, *x: (
+        calls.append(None), rows_rhs(self, *x))[1])
     k = shot_steps(length, pole_step)
+    model = surface_model(ParaboloidChart())
     p = np.array([0.4, 0.2])
-    PARAB.shoot(p, PARAB.unit(p, [1.0, -0.4]), length, pole_step)
-    assert calls == ["_geo_rhs"] * (4 * k)
-    calls.clear()
+    model.shoot(p, model.unit(p, [1.0, -0.4]), length, pole_step)
+    assert (model.sprays, calls) == (4 * k, [])
     rows = np.array([[0.4, 0.2], [0.1, -0.3], [-0.2, 0.5]])
-    tangents = np.array([PARAB.unit(x, [1.0, 0.5]) for x in rows])
-    PARAB.shoot_rows(rows, tangents, np.array([length, 0.5 * length, 0.0]),
+    tangents = np.array([model.unit(x, [1.0, 0.5]) for x in rows])
+    model.shoot_rows(rows, tangents, np.array([length, 0.5 * length, 0.0]),
                      pole_step)
-    assert calls == ["_geo_rows"] * (4 * k)
-
-
-@pytest.mark.parametrize("model", [PARAB, HILLY], ids=["paraboloid",
-                                                       "hills"])
-def test_graph_shot_makes_no_call_below_the_rhs(monkeypatch, model):
-    # the compiled graph spray tests the domain and forms the slopes
-    # inline, so a k-step float shot makes its 4k _geo_rhs calls and no
-    # contains or _height call
-    p = [0.4, 0.2]
-    v = model.unit(p, [1.0, -0.4]).tolist()
-    calls = []
-    rhs = SurfaceModel._geo_rhs
-    monkeypatch.setattr(SurfaceModel, "_geo_rhs", lambda self, *x: (
-        calls.append("_geo_rhs"), rhs(self, *x))[1])
-    contains = SurfaceChart.contains
-    monkeypatch.setattr(SurfaceChart, "contains", lambda self, *x: (
-        calls.append("contains"), contains(self, *x))[1])
-    height = model.chart._height
-    monkeypatch.setattr(model.chart, "_height", lambda *x: (
-        calls.append("_height"), height(*x))[1])
-    model.check_point(p)
-    model.chart.jet(*p)
-    assert calls == ["contains", "_height"]
+    assert (model.sprays, len(calls)) == (4 * k + 3 * 4 * k, 4 * k)
+    chart = EllipsoidChart(1.3, 0.8, 1.1)
+    spray = chart.spray
+    monkeypatch.setattr(chart, "spray", lambda *x: (
+        calls.append(None), spray(*x))[1])
+    triaxial = surface_model(chart)
     calls.clear()
-    end, _, _, s = _rk4_geodesic(model._geo_rhs, p, v, 0.5, 10,
-                                 collect=False)
-    assert calls == ["_geo_rhs"] * 40
-    assert s > 0.0 and model.chart.contains(*end)
+    p = np.array([1.2, 0.3])
+    triaxial.shoot(p, triaxial.unit(p, [1.0, -0.4]), length, pole_step)
+    assert (triaxial.sprays, len(calls)) == (4 * k, 4 * k)
 
 
 def test_drift_check_reads_the_end_point():
@@ -479,8 +458,7 @@ def test_drift_check_reads_the_end_point():
     # for a shot among rows, which is named
     p = np.array([0.4, 0.2])
     v = PARAB.unit(p, [1.0, -0.4])
-    pts, tans, _, _ = _rk4_geodesic(PARAB._geo_rhs, p, v, 1.0, 200,
-                                    collect=True)
+    pts, tans, _, _ = PARAB._rk4_geodesic(p, v, 1.0, 200, collect=True)
     PARAB._check_drift(pts, tans)
     bent = tans.copy()
     bent[193:] *= 1.0 + 1e-5
@@ -496,19 +474,18 @@ def test_drift_check_rejects_a_long_step_and_a_domain_exit():
     chart = ParaboloidChart()
     chart.domain = ((-1.0, 1.0), (None, None))
     bounded = surface_model(chart)
-    for model, rhs, p, w, length, n_steps, error in (
+    for model, shooter, p, w, length, n_steps, error in (
             # the floor of 8 steps over a long arc of the hills drifts from
             # unit speed; 400 steps hold it
-            (HILLY, HILLY._geo_rhs, (0.1, 0.2), [1.0, 0.3], 2.5, 8,
-             StepTooLargeError),
-            (HILLY, HILLY._geo_rhs, (0.1, 0.2), [1.0, 0.3], 2.5, 400, None),
+            (HILLY, HILLY, (0.1, 0.2), [1.0, 0.3], 2.5, 8, StepTooLargeError),
+            (HILLY, HILLY, (0.1, 0.2), [1.0, 0.3], 2.5, 400, None),
             # a shot on the unbounded paraboloid ends at u = 1.13, outside
             # the copy bounded at u = 1
-            (bounded, PARAB._geo_rhs, (0.5, 0.0), [1.0, 0.0], 1.2, 48,
+            (bounded, PARAB, (0.5, 0.0), [1.0, 0.0], 1.2, 48,
              DomainExitError)):
         v = tuple(model.unit(p, w).tolist())
-        pts, tans, _, _ = _rk4_geodesic(rhs, p, v, length, n_steps,
-                                        collect=True)
+        pts, tans, _, _ = shooter._rk4_geodesic(p, v, length, n_steps,
+                                                collect=True)
         for shot in ((pts, tans), (pts[..., None], tans[..., None])):
             with (pytest.raises(error) if error
                   else contextlib.nullcontext()):
@@ -940,11 +917,11 @@ def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
     Ks = []
 
     def rhs(*state):
-        out = model._geo_rhs(*state)
+        out = model.chart.spray(*state)
         Ks.append(out[2])
         return out
 
-    _rk4_geodesic(rhs, eta, unit, ell, n_pole, collect=False)
+    _rk4_rhs(rhs, eta, unit, ell, n_pole, collect=False)
     return rate, abs(along), (
         gamma, -tangent / speed, -along, s_ell, simpson(jac, grid),
         _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime),

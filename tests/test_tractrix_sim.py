@@ -19,7 +19,6 @@ from tractrix.config import bundled_scenario
 from tractrix.manifold import (
     POLE_STEP,
     SurfaceModel,
-    _rk4_geodesic,
     model_from_config,
     shot_steps,
     space_form,
@@ -537,9 +536,8 @@ def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
     n_pole = shot_steps(tr.ell, SimParams().pole_step)
     u = np.linspace(0.0, tr.ell, n_pole + 1)
     for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
-        points, _, _, s = _rk4_geodesic(model._geo_rhs, tr.gamma[i],
-                                        tr.pole_dir[i], tr.ell, n_pole,
-                                        collect=True)
+        points, _, _, s = model._rk4_geodesic(tr.gamma[i], tr.pole_dir[i],
+                                              tr.ell, n_pole, collect=True)
         assert abs(s[-1] - tr.jacobi_ell[i]) < 1e-8
         assert abs(simpson(s, x=u) - tr.jacobi_int[i]) < 1e-8
         assert points[-1] == pytest.approx(tr.eta[i], abs=1e-6)
@@ -725,13 +723,13 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     inside `connect` is logged with the starting length that sized the
     solve."""
     log, where = {}, {"phase": None, "start": None}
-    rk4 = manifold._rk4_geodesic
+    rk4 = SurfaceModel._rk4_geodesic
 
-    def logged(rhs, x0, v0, length, n_steps, collect):
+    def logged(self, x0, v0, length, n_steps, collect):
         start = where["start"]
         log.setdefault(where["phase"], []).append(
             (n_steps, float(np.max(length)) if start is None else start))
-        return rk4(rhs, x0, v0, length, n_steps, collect)
+        return rk4(self, x0, v0, length, n_steps, collect)
 
     connect = SurfaceModel.connect
 
@@ -752,7 +750,7 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
         finally:
             where["phase"] = "simulate"
 
-    monkeypatch.setattr(manifold, "_rk4_geodesic", logged)
+    monkeypatch.setattr(SurfaceModel, "_rk4_geodesic", logged)
     monkeypatch.setattr(SurfaceModel, "connect", logged_connect)
     monkeypatch.setattr(tractrix_sim, "_foot_newton", logged_foot)
     cfg = bundled_scenario(name)
@@ -817,19 +815,17 @@ def test_foot_solve_converges_at_fourth_order_in_pole_step():
     assert math.log2(coarse / fine) >= 3.5
 
 
-def test_paraboloid_propagation_rhs_count(monkeypatch):
+def test_paraboloid_propagation_rhs_count():
     # the scalar path: one paraboloid_pull propagation makes exactly as
-    # many _geo_rhs calls as it did before the row shots
+    # many spray evaluations, by the model's counter, as it made
+    # right-hand side calls before the row shots
     cfg = bundled_scenario("paraboloid_pull")
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
-    calls = []
-    rhs = type(model)._geo_rhs
-    monkeypatch.setattr(type(model), "_geo_rhs", lambda self, u, w, a, b: (
-        calls.append(None), rhs(self, u, w, a, b))[1])
+    before = model.sprays
     tr = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
-    assert (len(tr.t), len(calls)) == (251, 40240)
+    assert (len(tr.t), model.sprays - before) == (251, 40240)
 
 
 def plane_cusp_run():
