@@ -12,6 +12,7 @@ from tractrix.charts import (
     HillyChart,
     ParaboloidChart,
     PseudosphereChart,
+    SurfaceChart,
 )
 from tractrix.errors import (
     ConfigError,
@@ -450,6 +451,34 @@ def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
     p = np.array([1.2, 0.3])
     triaxial.shoot(p, triaxial.unit(p, [1.0, -0.4]), length, pole_step)
     assert (triaxial.sprays, len(calls)) == (4 * k, 4 * k)
+
+
+@pytest.mark.parametrize("model", [PARAB, HILLY], ids=["paraboloid",
+                                                       "hills"])
+def test_graph_shot_makes_no_call_below_the_rhs(monkeypatch, model):
+    # the compiled graph kernel tests the domain and forms the slopes
+    # inline, so a k-step float shot counts its 4k sprays and makes no
+    # spray, contains or _height call
+    p = [0.4, 0.2]
+    v = model.unit(p, [1.0, -0.4]).tolist()
+    calls = []
+    spray = model.chart.spray
+    monkeypatch.setattr(model.chart, "spray", lambda *x: (
+        calls.append("spray"), spray(*x))[1])
+    contains = SurfaceChart.contains
+    monkeypatch.setattr(SurfaceChart, "contains", lambda self, *x: (
+        calls.append("contains"), contains(self, *x))[1])
+    height = model.chart._height
+    monkeypatch.setattr(model.chart, "_height", lambda *x: (
+        calls.append("_height"), height(*x))[1])
+    model.check_point(p)
+    model.chart.jet(*p)
+    assert calls == ["contains", "_height"]
+    calls.clear()
+    sprays = model.sprays
+    end, _, _, s = model._rk4_geodesic(p, v, 0.5, 10, collect=False)
+    assert (model.sprays - sprays, calls) == (40, [])
+    assert s > 0.0 and model.chart.contains(*end)
 
 
 def test_drift_check_reads_the_end_point():
