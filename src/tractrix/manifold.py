@@ -4,12 +4,13 @@ Every model answers what the tractor/tractrix machinery asks of a
 manifold: metric and Christoffel symbols at a point; geodesic shots
 (`exp_point`, and `shoot` with the Jacobi pair of j'' + K j = 0 along
 it); two-point geodesics (`connect`, `distance`); parallel transport
-along chart segments; the distance to a geodesic; one tractrix stage and
-one RK4 sub-step (`tractrix_start`, `tractrix_stage`, `tractrix_step`, on
-Python floats); and a polyline's edge lengths and discrete geodesic
-accelerations (`edge_lengths`, `acceleration_norms`). The `*_rows`
-methods, transport and the polyline measures take (n, dim) rows, so a
-post-pass is one call.
+along chart segments; the distance to a geodesic; the start of a
+tractrix (`tractrix_start`) and either its pole's generator on rows
+(`generator_rows`, flat space) or one tractrix stage and one RK4 sub-step
+(`tractrix_stage`, `tractrix_step`, on Python floats); and a polyline's
+edge lengths and discrete geodesic accelerations (`edge_lengths`,
+`acceleration_norms`). The `*_rows` methods, transport and the polyline
+measures take (n, dim) rows, so a post-pass is one call.
 
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
@@ -39,9 +40,13 @@ rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
 (colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
 K < 0), override all of this with closed forms: their shot ignores its
-step count, their state is gamma itself, each model's `tractrix_stage`
-writes the pole out in one closed form on floats, and transport and the
-distance to a geodesic are one array expression over all rows.
+step count, and transport and the distance to a geodesic are one array
+expression over all rows. Flat space gives the pole direction's generator
+on rows, a traceless 2x2 matrix linear in the tractor velocity, so that
+`tractrix_sim.simulate` multiplies the tractrix out as a product of
+Moebius maps, the bicycle monodromy. The sphere and the disk step gamma
+itself by RK4: their `tractrix_stage` writes the pole out in one closed
+form on floats.
 
 One rule sizes every shot: a shot of length L takes `shot_steps(L,
 pole_step)` = max(8, ceil(L / pole_step)) steps, a row shot as many as its
@@ -177,6 +182,10 @@ class ManifoldModel:
     K = None
     # Positive curvature bound sup K, used to gate pole lengths; None if free.
     conjugate_scale = None
+    # The pole's generator on rows (`FlatModel.generator_rows`), where the
+    # tractrix is a product of Moebius maps; None where `simulate` steps it
+    # by RK4.
+    generator_rows = None
 
     def metric_at(self, p):
         raise NotImplementedError
@@ -432,7 +441,7 @@ class ManifoldModel:
         its length, half and h6 its half and sixth. Stages 2 to 4 are
         `tractrix_stage` calls, and the state and the arclength ds move by
         the RK4 combination, written out on floats for a state of two
-        entries (FlatModel, whose 3-D state has three, overrides this).
+        entries.
         """
         stage = self.tractrix_stage
         y0, y1 = state
@@ -512,12 +521,12 @@ class SpaceFormModel(ManifoldModel):
     def _stage_record(self, gamma, v, speed, L, ell, n_pole, eta_speed):
         """The record of a closed-form `tractrix_stage`.
 
-        Each space form's stage takes gamma as the state and solves the
-        pole from gamma to eta in closed form on floats: gamma moves along
-        the unit pole direction v towards eta with the speed <eta',
-        T(ell)>_g, T(ell) the unit pole tangent at eta, and the rate comes
-        back as a tuple. Coincident (and on the sphere antipodal) points
-        raise ValueError. The drift is the solved pole length's error
+        The sphere's and the disk's stage takes gamma as the state and
+        solves the pole from gamma to eta in closed form on floats: gamma
+        moves along the unit pole direction v towards eta with the speed
+        <eta', T(ell)>_g, T(ell) the unit pole tangent at eta, and the rate
+        comes back as a tuple. Coincident (and on the sphere antipodal)
+        points raise ValueError. The drift is the solved pole length's error
         |L - ell|, and every pole has the same J(ell), integral, conjugate
         flag (`_reference_pole`) and curvature window (K, K).
         """
@@ -537,10 +546,10 @@ class FlatModel(SpaceFormModel):
     """Euclidean plane or 3-space; optional periodic identifications in 2D.
 
     Geodesics are chart lines, so the pole is a straight segment and
-    transport is the identity. The RK4 sub-step (`tractrix_step`) is the
-    generic one with the segment's stage written out on floats, and the
-    polyline measures (`edge_lengths`, `acceleration_norms`) are one NumPy
-    pass over the rows, bit for bit the per-edge and per-vertex loops.
+    transport is the identity. The pole direction moves by a Moebius map
+    (`generator_rows`, `spinor`, `pole_rows`), and the polyline measures
+    (`edge_lengths`, `acceleration_norms`) are one NumPy pass over the
+    rows, bit for bit the per-edge and per-vertex loops.
     """
 
     def __init__(self, dim=2, periods=None):
@@ -592,87 +601,43 @@ class FlatModel(SpaceFormModel):
         d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
         return math.sqrt(float(d @ d))
 
-    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
-                       record=False):
-        # the straight segment: d = eta - gamma, v = T = d / |d|; the dot
-        # product starts from 0.0, so -0.0 terms sum to +0.0
-        L = math.dist(eta, gamma)
-        if L < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        if self.dim == 2:
-            (e0, e1), (g0, g1), (a0, a1) = eta, gamma, eta_prime
-            v = ((e0 - g0) / L, (e1 - g1) / L)
-            speed = 0.0 + a0 * v[0] + a1 * v[1]
-            rate = (speed * v[0], speed * v[1])
-        else:
-            (e0, e1, e2), (g0, g1, g2), (a0, a1, a2) = eta, gamma, eta_prime
-            v = ((e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L)
-            speed = 0.0 + a0 * v[0] + a1 * v[1] + a2 * v[2]
-            rate = (speed * v[0], speed * v[1], speed * v[2])
-        if not record:
-            return rate, abs(speed), None
-        return rate, abs(speed), self._stage_record(
-            gamma, v, speed, L, ell, n_pole, math.hypot(*eta_prime))
+    def generator_rows(self, velocities, ell):
+        """(a, b, c), complex arrays: the generator A = [[a, b], [c, -a]] of
+        the pole direction at (n, dim) rows of tractor velocities v.
 
-    def tractrix_step(self, state, k1, q1, mid, end, hh, half, h6, ell,
-                      n_pole):
-        # ManifoldModel.tractrix_step with the straight-segment stage
-        # written out: the same operations in the same order, on floats
-        (m, mp), (e, ep) = mid, end
-        if self.dim == 2:
-            y0, y1 = state
-            (m0, m1), (a0, a1) = m, mp
-            g0, g1 = y0 + half * k1[0], y1 + half * k1[1]
-            L = math.dist(m, (g0, g1))
-            if L < 1e-300:
-                raise ValueError("log map undefined for coincident points")
-            v0, v1 = (m0 - g0) / L, (m1 - g1) / L
-            s2 = 0.0 + a0 * v0 + a1 * v1
-            b0, b1 = s2 * v0, s2 * v1
-            g0, g1 = y0 + half * b0, y1 + half * b1
-            L = math.dist(m, (g0, g1))
-            if L < 1e-300:
-                raise ValueError("log map undefined for coincident points")
-            v0, v1 = (m0 - g0) / L, (m1 - g1) / L
-            s3 = 0.0 + a0 * v0 + a1 * v1
-            c0, c1 = s3 * v0, s3 * v1
-            (e0, e1), (a0, a1) = e, ep
-            g0, g1 = y0 + hh * c0, y1 + hh * c1
-            L = math.dist(e, (g0, g1))
-            if L < 1e-300:
-                raise ValueError("log map undefined for coincident points")
-            v0, v1 = (e0 - g0) / L, (e1 - g1) / L
-            s4 = 0.0 + a0 * v0 + a1 * v1
-            return ((y0 + h6 * (k1[0] + 2.0 * b0 + 2.0 * c0 + s4 * v0),
-                     y1 + h6 * (k1[1] + 2.0 * b1 + 2.0 * c1 + s4 * v1)),
-                    h6 * (q1 + 2.0 * abs(s2) + 2.0 * abs(s3) + abs(s4)))
-        y0, y1, y2 = state
-        (m0, m1, m2), (a0, a1, a2) = m, mp
-        g0, g1, g2 = y0 + half * k1[0], y1 + half * k1[1], y2 + half * k1[2]
-        L = math.dist(m, (g0, g1, g2))
-        if L < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
-        s2 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
-        b0, b1, b2 = s2 * v0, s2 * v1, s2 * v2
-        g0, g1, g2 = y0 + half * b0, y1 + half * b1, y2 + half * b2
-        L = math.dist(m, (g0, g1, g2))
-        if L < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        v0, v1, v2 = (m0 - g0) / L, (m1 - g1) / L, (m2 - g2) / L
-        s3 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
-        c0, c1, c2 = s3 * v0, s3 * v1, s3 * v2
-        (e0, e1, e2), (a0, a1, a2) = e, ep
-        g0, g1, g2 = y0 + hh * c0, y1 + hh * c1, y2 + hh * c2
-        L = math.dist(e, (g0, g1, g2))
-        if L < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        v0, v1, v2 = (e0 - g0) / L, (e1 - g1) / L, (e2 - g2) / L
-        s4 = 0.0 + a0 * v0 + a1 * v1 + a2 * v2
-        return ((y0 + h6 * (k1[0] + 2.0 * b0 + 2.0 * c0 + s4 * v0),
-                 y1 + h6 * (k1[1] + 2.0 * b1 + 2.0 * c1 + s4 * v1),
-                 y2 + h6 * (k1[2] + 2.0 * b2 + 2.0 * c2 + s4 * v2)),
-                h6 * (q1 + 2.0 * abs(s2) + 2.0 * abs(s3) + abs(s4)))
+        The unit pole direction X = (eta - gamma) / ell moves by
+        X' = (v - <v, X> X) / ell. Written as the spinor u = (u1, u2),
+        X = u* sigma u / u* u (sigma the Pauli matrices, so u1 / u2 =
+        (x1 + i x2) / (1 - x3) is X's stereographic coordinate), this
+        boost of the sphere of directions is linear: u' = A u with
+        A = (1 / 2 ell) [[v3, v1 + i v2], [v1 - i v2, -v3]], and v3 = 0 in
+        the plane. Over a step u moves by a Moebius map, the bicycle
+        monodromy.
+        """
+        v = np.zeros((len(velocities), 3))
+        v[:, :self.dim] = velocities
+        v *= 0.5 / ell
+        w = v[:, 0] + 1j * v[:, 1]
+        return v[:, 2] + 0j, w, w.conj()
+
+    def spinor(self, x):
+        """(u1, u2): a unit spinor of the unit vector x (`generator_rows`),
+        taken from the chart of the hemisphere that holds x."""
+        x1, x2, x3 = (*(float(c) for c in x), 0.0)[:3]
+        u = ((x1 + 1j * x2, 1.0 - x3) if x3 < 0.0
+             else (1.0 + x3, x1 - 1j * x2))
+        size = math.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2)
+        return u[0] / size, u[1] / size
+
+    def pole_rows(self, points, velocities, u1, u2, ell):
+        """(gamma, X, <v, X>) at (n, dim) rows of tractor points and
+        velocities v, X the pole direction of the spinors (u1, u2)
+        (`generator_rows`) and gamma = eta - ell X."""
+        n1, n2 = u1.real ** 2 + u1.imag ** 2, u2.real ** 2 + u2.imag ** 2
+        m = 2.0 * u1 * u2.conj() / (n1 + n2)
+        X = np.stack([m.real, m.imag, (n1 - n2) / (n1 + n2)],
+                     axis=1)[:, :self.dim]
+        return points - ell * X, X, np.vecdot(velocities, X)
 
     def edge_lengths(self, points):
         # one vecdot over the edges: the dot kernel of distance's d @ d
@@ -1116,25 +1081,41 @@ class SurfaceModel(ManifoldModel):
         ulo, uhi, vlo, vhi = self.chart.box
         return ~((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi))
 
-    def _check_rows(self, outside, det):
-        """Raise for the first row (last axis) with a point outside the
-        domain, else for the first at a singular metric, naming it."""
+    def _check_rows(self, u, v, det):
+        """Raise for the first row (last axis) of the points u, v with a
+        point outside the domain, else for the first at a singular metric
+        (det below DET_EPS, or not finite), naming it. On rows a profile
+        or height that overflows a float gives inf, not an error, and so a
+        singular metric: the float jet (`jet`) at the row's first such
+        point raises the overflow error of the float path, which then
+        names the row."""
         for bad, error, what in (
-                (outside, DomainExitError, "left the chart domain"),
-                (det < DET_EPS, SingularChartError, "metric singular")):
+                (self._outside(u, v), DomainExitError,
+                 "left the chart domain"),
+                (~(np.isfinite(det) & (det >= DET_EPS)),
+                 SingularChartError, "metric singular")):
             if np.any(bad):
-                row = np.argmax(np.atleast_2d(bad).any(axis=0))
+                u, v, bad = np.broadcast_arrays(*np.atleast_2d(u, v, bad))
+                row = int(np.argmax(bad.any(axis=0)))
+                if error is SingularChartError:
+                    k = np.argmax(bad[:, row])
+                    try:
+                        self.chart.jet(float(u[k, row]), float(v[k, row]))
+                    except SingularChartError as exc:
+                        raise SingularChartError(f"{exc} in row {row}") \
+                            from None
                 raise error(f"{self.chart.name}: {what} in row {row}")
 
     def _checked_rows(self, u, v):
         """`_forms` on arrays u, v of one shape: the jet, E, F, G and det
         (floats where constant). Raises for the first row with a point
         outside the domain or at a singular metric (`_check_rows`)."""
-        # the points outside may give invalid values: they raise below
-        with np.errstate(invalid="ignore"):
+        # the points outside may give invalid values, and a chart's
+        # overflow infinite ones: they raise below
+        with np.errstate(invalid="ignore", over="ignore"):
             jet = self.chart.jet(u, v, np)
             out = (jet, *_first_form(jet))
-        self._check_rows(self._outside(u, v), out[4])
+        self._check_rows(u, v, out[4])
         return out
 
     def _check_drift(self, pts, tans):
@@ -1202,10 +1183,11 @@ class SurfaceModel(ManifoldModel):
         """(a_u, a_v, K) on rows: u, w, a and b are arrays. The chart's
         spray runs on every row, and then the first row outside the domain
         or at a singular metric, by the spray's own determinant, raises."""
-        # a bad row may divide by zero; it raises before its values are used
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a bad row may divide by zero or overflow; it raises before its
+        # values are used
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             acc_u, acc_v, K, det = self.chart.spray(u, w, a, b, np)
-        self._check_rows(self._outside(u, w), det)
+        self._check_rows(u, w, det)
         return acc_u, acc_v, K
 
     # -- tractrix propagation ---------------------------------------------

@@ -12,16 +12,20 @@ with T(ell) the pole tangent at gamma.  The projected speed changes sign at
 cusps (pull <-> push); the ODE itself stays smooth in the tractor
 parameter, so cusps need no restart.
 
-`simulate` runs one RK4 loop over a state that the model chooses (see
-`SurfaceModel.tractrix_stage`).  On surfaces the state is X, which moves
-by an explicit Jacobi-field ODE: each stage is one geodesic shot from eta.
-On space forms the state is gamma, and each stage solves the pole from
-gamma to eta in one closed form.  The loop takes each record's stage and
+`simulate` splits the run into the sub-steps of one schedule, built in
+NumPy (`_schedule`): the dt steps between records, split at the tractor's
+velocity breaks. Flat runs use the bicycle monodromy: in flat space the
+pole direction X moves by a Moebius map, linear on its spinor, so each
+sub-step is one 2x2 map from a sixth-order Magnus step, and NumPy
+multiplies them out by a log-depth prefix product
+(`_propagate_monodromy`). The sphere and the disk use the RK4 loop
+(`_propagate_rk4`) on gamma, each stage solving the pole from gamma to eta
+in one closed form; surfaces use it on X, which moves by an explicit
+Jacobi-field ODE, each stage one geodesic shot from eta
+(`SurfaceModel.tractrix_stage`). The loop takes each record's stage and
 each sub-step from the model (`tractrix_stage`, `tractrix_step`), on
-tuples of Python floats.  The RK4 sub-steps and their stage times are one
-schedule, built in NumPy before the loop (`_schedule`); the tractor's row
-evaluator, `rows`, samples the stage times in blocks of NumPy rows, and
-the loop walks the sub-steps flat.  The post-passes (cusps, foot
+tuples of Python floats, and the tractor's row evaluator, `rows`, samples
+its stage times in blocks of NumPy rows. The post-passes (cusps, foot
 distance, curvature) work on the record arrays, with one parallel
 transport call per side over all records.
 """
@@ -32,7 +36,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .manifold import (
     FlatModel,
     HyperbolicModel,
     SphereModel,
+    _reference_pole,
     shot_steps,
 )
 from .quadrature import simpson
@@ -60,6 +65,11 @@ _CUSP_DIST_BAND = 1e-4
 # stage times per tractor `rows` call; `simulate` samples only this far
 # ahead of its loop, not the whole run at once
 _ROW_BLOCK = 256
+# sub-steps per block of `_propagate_monodromy`: a block's maps, products
+# and tractor samples are the temporaries of one NumPy pass
+_MONODROMY_BLOCK = 1024
+# the Gauss-Legendre nodes of a sixth-order Magnus step, as parts of it
+_GAUSS3 = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # the step length of the shots that build a scenario's inputs (an attached
 # gamma0, a derived tractor): they define the problem, so their accuracy
 # does not depend on a run's pole_step
@@ -232,7 +242,7 @@ class TractrixTrace:
     # the least and greatest K each pole's shot evaluated (K on space forms)
     pole_K_lo: np.ndarray
     pole_K_hi: np.ndarray
-    max_drift: float  # largest record drift of `tractrix_stage`
+    max_drift: float  # largest record drift |pole length - ell|
     cusps: list[CuspRecord] = field(default_factory=list)
     stall_windows: list[tuple[int, int, float, bool]] = field(
         default_factory=list)
@@ -265,6 +275,19 @@ class TractrixTrace:
 # The simulation proper
 
 
+class Schedule(NamedTuple):
+    """The sub-steps of a run (`_schedule`), as arrays over them: start ta,
+    end tb, whether it opens a record, whether it takes its own k1, the
+    time its k1 reads the tractor at, and whether its end is a kink."""
+
+    ta: np.ndarray
+    tb: np.ndarray
+    opens: np.ndarray
+    own_k1: np.ndarray
+    k1_at: np.ndarray
+    kinked: np.ndarray
+
+
 def _require_pole(model, ell):
     """Reject a pole length the propagation cannot use."""
     if not (math.isfinite(ell) and ell > 0):
@@ -294,30 +317,23 @@ def _require_geodesic(model, tractor, ell):
 def simulate(model, tractor, gamma0, ell, params=None):
     """Propagate the tractrix for `tractor` with a pole of length `ell`.
 
-    The model supplies the state and its rate (`tractrix_start`,
-    `tractrix_stage`): on surfaces the unit pole direction at the tractor,
-    moved by its Jacobi-field ODE with one geodesic shot per stage; on
-    space forms gamma itself, with the pole solved in closed form at every
-    stage. The loop walks the sub-steps of `_schedule` flat: the steps,
-    split at the tractor's velocity breaks, whose stage times the tractor
-    samples a block ahead, one `rows` call per _ROW_BLOCK times. It runs
-    on Python floats: the tractor point and velocity go to the model as
-    lists, and the rates and states come back as tuples. Per sub-step it
-    makes one `tractrix_step` call, which takes the first stage's rate
-    and returns the next state and the arclength gained: the classical
-    RK4 stages 2 to 4 and their combination, which the flat model writes
-    out as one closed form. A stage that meets coincident (or antipodal)
-    points is a PoleLengthDriftError naming the record time of the step
-    it failed in. Each record is read off its own stage,
-    which also gives the tractor speed |eta'|_g; on surfaces it carries
-    J's samples along the pole, and one Simpson pass (`simpson`) over
-    the (records, n_pole + 1) array of them gives every integral of J.
-    Each record also carries its pole's curvature window, the least and
-    greatest K its shot evaluated. On a model without constant curvature,
-    a run whose pole shots together would take more RK4 steps than one
-    shot may (`shot_steps`) is a ConfigError before the first stage. The
-    pull or push character is emergent from the attachment geometry and
-    recorded per record as sigma.
+    The records sit at dt steps over the tractor's span, and the sub-steps
+    of `_schedule` split the steps at the tractor's velocity breaks. On a
+    model with generator rows, flat space, the pole direction moves by one
+    Moebius map per sub-step, and NumPy multiplies them out
+    (`_propagate_monodromy`). On the others an RK4 loop steps a state that
+    the model chooses (`_propagate_rk4`): on surfaces the unit pole
+    direction at the tractor, moved by its Jacobi-field ODE with one
+    geodesic shot per stage; on the sphere and the disk gamma itself, with
+    the pole solved in closed form at every stage. A pole solve that meets
+    coincident (or antipodal) points is a PoleLengthDriftError naming the
+    record time of the step it failed in. On a model without constant
+    curvature, a run whose pole shots together would take more RK4 steps
+    than one shot may (`shot_steps`) is a ConfigError before the first
+    stage. Both paths fill the record columns of `TractrixTrace` before
+    the post-passes (cusps, foot distance, curvature). The pull or push
+    character is emergent from the attachment geometry and recorded per
+    record as sigma.
     """
     if params is None:
         params = SimParams()
@@ -342,19 +358,73 @@ def simulate(model, tractor, gamma0, ell, params=None):
             f"{n_steps + 1} records exceed max_records {params.max_records}")
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
     n_pole = shot_steps(ell, params.pole_step)
-    steps, stage_times = _schedule(t_grid, tractor.breaks)
+    sched = _schedule(t_grid, tractor.breaks)
     if model.K is None:
-        # each of a sub-step's four stages shoots the pole; a space form
-        # solves its poles in closed form and walks its long schedule lazily
-        steps = list(steps)
-        shot_steps(4 * len(steps) * ell, params.pole_step)
+        # each of a sub-step's four stages shoots the pole
+        shot_steps(4 * len(sched.ta) * ell, params.pole_step)
 
     eta0 = tractor.point(tractor.t0)
     state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
+    propagate = (_propagate_rk4 if model.generator_rows is None
+                 else _propagate_monodromy)
+    (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
+     eta_speeds, K_lo, K_hi), s = propagate(model, tractor, sched, t_grid,
+                                            state, ell, n_pole)
+    n = len(t_grid)
+    sigma = _fill_signs(speeds, params.cusp_speed_eps)
+    trace = TractrixTrace(
+        model=model, tractor=tractor, ell=float(ell), t=t_grid, s=s,
+        gamma=gam, eta=eta_pts, pole_dir=pole_dir, speed=speeds,
+        eta_speed=eta_speeds, sigma=sigma, d=np.full(n, np.nan),
+        kappa=np.full(n, np.nan), jacobi_ell=jac_ell, jacobi_int=jac_int,
+        pole_conjugate=conj, pole_K_lo=K_lo, pole_K_hi=K_hi,
+        max_drift=max(0.0, *drifts.tolist()), pole_step=params.pole_step)
 
+    _detect_cusps(trace, params)
+    if tractor.is_geodesic:
+        _fill_orthogonal_distance(trace, params)
+    _fill_curvature(trace, params)
+    return trace
+
+
+def _pole_failure(t_grid, record, err):
+    """The PoleLengthDriftError of a pole solve that failed in the step
+    from record `record`."""
+    t = float(t_grid[record])
+    return PoleLengthDriftError(
+        f"the pole solve failed in the step from t={t!r}: {err}")
+
+
+def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
+    """(record columns, s) of a run by the RK4 loop over `state`.
+
+    The model supplies the rate (`tractrix_stage`). The loop walks the
+    sub-steps flat, on Python floats: the tractor samples their stage
+    times a block ahead, one `rows` call per _ROW_BLOCK times, and the
+    points and velocities go to the model as lists, the rates and states
+    coming back as tuples. Per sub-step it makes one `tractrix_step`
+    call, which takes the first stage's rate and returns the next state
+    and the arclength gained: the classical RK4 stages 2 to 4 and their
+    combination. The stage times are, per sub-step, its start where it
+    opens a record, its k1 time where it takes its own k1, its midpoint
+    (k2 and k3 share it) and a point just inside its end (a kink there
+    gives its left limit), then the last record's. Each record is read
+    off its own stage, which also gives the tractor speed |eta'|_g; on
+    surfaces it carries J's samples along the pole, and one Simpson pass
+    (`simpson`) over the (records, n_pole + 1) array of them gives every
+    integral of J.
+    """
+    hh = sched.tb - sched.ta
+    every = np.ones((2, len(hh)), bool)
+    stage_times = np.append(np.stack(
+        [sched.ta, sched.k1_at, sched.ta + hh / 2, sched.tb - 1e-9 * hh],
+        axis=1)[np.stack([sched.opens, sched.own_k1, *every], axis=1)],
+        t_grid[-1])
+    steps = zip(hh.tolist(), (hh / 2).tolist(), (hh / 6.0).tolist(),
+                sched.opens.tolist(), sched.own_k1.tolist())
     blocks = (tractor.rows(stage_times[i:i + _ROW_BLOCK])
               for i in range(0, len(stage_times), _ROW_BLOCK))
     samples = itertools.chain.from_iterable(
@@ -387,53 +457,167 @@ def simulate(model, tractor, gamma0, ell, params=None):
     except ValueError as err:
         # a stage's pole solve met coincident (or antipodal) points in the
         # step from the last record, or at the first record
-        t = float(t_grid[max(len(records) - 1, 0)])
-        raise PoleLengthDriftError(
-            f"the pole solve failed in the step from t={t!r}: {err}") from err
+        raise _pole_failure(t_grid, max(len(records) - 1, 0), err) from err
 
-    (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
-     eta_speeds, K_lo, K_hi) = zip(*records)
-    jac_int = np.array(jac_int)
-    if jac_int.ndim == 2:
+    columns = [np.array(column) for column in zip(*records)]
+    if columns[5].ndim == 2:
         # a surface record carries J's samples along its pole: one Simpson
         # pass over all records; a space form's carries the closed form
-        jac_int = simpson(jac_int, np.linspace(0.0, ell, n_pole + 1))
-    n = len(t_grid)
-    speeds = np.array(speeds)
-    sigma = _fill_signs(speeds, params.cusp_speed_eps)
-    trace = TractrixTrace(
-        model=model, tractor=tractor, ell=float(ell), t=t_grid,
-        s=np.array(s_list), gamma=np.array(gam), eta=np.array(eta_pts),
-        pole_dir=np.array(pole_dir), speed=speeds,
-        eta_speed=np.array(eta_speeds), sigma=sigma, d=np.full(n, np.nan),
-        kappa=np.full(n, np.nan), jacobi_ell=np.array(jac_ell),
-        jacobi_int=jac_int,
-        pole_conjugate=np.array(conj, dtype=bool), pole_K_lo=np.array(K_lo),
-        pole_K_hi=np.array(K_hi), max_drift=max(0.0, *drifts),
-        pole_step=params.pole_step)
+        columns[5] = simpson(columns[5], np.linspace(0.0, ell, n_pole + 1))
+    columns[6] = columns[6].astype(bool)
+    return columns, np.array(s_list)
 
-    _detect_cusps(trace, params)
-    if tractor.is_geodesic:
-        _fill_orthogonal_distance(trace, params)
-    _fill_curvature(trace, params)
-    return trace
+
+def _propagate_monodromy(model, tractor, sched, t_grid, gamma0, ell,
+                         n_pole):
+    """(record columns, s) of a run on a model with generator rows.
+
+    The pole direction X at the tractor is a spinor u (`generator_rows`)
+    that moves by u' = A u, A traceless and linear in eta'. Each sub-step
+    of `_schedule` gets one map, exp of its sixth-order Magnus exponent
+    from A at three Gauss nodes (`_magnus_map`), and a log-depth prefix
+    product (`_prefix_products`) of the maps of up to _MONODROMY_BLOCK
+    sub-steps applies them to the unit spinor that the block starts from,
+    which the last one carries to the next block. Each record reads gamma
+    = exp_eta(-ell X) and the signed speed <eta', X> at its time
+    (`pole_rows`). The arclength is Simpson's rule on |<eta', X>| over
+    each sub-step: the start reads eta' where the sub-step takes its k1,
+    the midpoint X comes from a half-step map, and the end reads eta' at
+    the end itself, or just inside it where it is a break, which gives the
+    left limit of a kink. The pole length is ell by construction; each
+    record's drift is |eta - gamma|_g - ell to rounding. Every map and
+    product is computed with NumPy's floating-point warnings off, and a
+    non-finite one is a PoleLengthDriftError naming the record time of
+    its step; so are coincident gamma0 and eta(t0).
+    """
+    try:
+        x0, _ = model.log_map(gamma0, tractor.point(tractor.t0))
+    except ValueError as err:
+        raise _pole_failure(t_grid, 0, err) from err
+    u1, u2 = model.spinor(x0)
+    ta, opens = sched.ta, sched.opens
+    h = sched.tb - ta
+    end_at = np.where(sched.kinked, sched.tb - 1e-9 * h, sched.tb)
+    n = len(ta)
+    # the unit spinor at each sub-step's start and at the run's end, and
+    # each sub-step's arclength
+    (spin1, spin2), ds = np.empty((2, n + 1), complex), np.empty(n)
+    for i in range(0, n, _MONODROMY_BLOCK):
+        j = min(i + _MONODROMY_BLOCK, n)
+        m, a, hb = j - i, ta[i:j], h[i:j]
+        # the Gauss nodes of each step and of its first half, node by node,
+        # then where Simpson reads eta': the start, the midpoint and the end
+        hh = np.append(hb, 0.5 * hb)
+        times = np.concatenate([np.append(a, a) + c * hh for c in _GAUSS3]
+                               + [sched.k1_at[i:j], a + 0.5 * hb,
+                                  end_at[i:j]])
+        pts, vel = tractor.rows(times)
+        with np.errstate(all="ignore"):
+            A = model.generator_rows(vel[:6 * m], ell)
+            maps = _magnus_map(*([x[k:k + 2 * m] for x in A]
+                                 for k in range(0, 6 * m, 2 * m)), hh)
+            full = _prefix_products([x[:m] for x in maps])
+            half = [x[m:] for x in maps]
+            e1 = full[0] * u1 + full[1] * u2
+            e2 = full[2] * u1 + full[3] * u2
+            size = np.sqrt(e1.real ** 2 + e1.imag ** 2 + e2.real ** 2
+                           + e2.imag ** 2)
+            e1, e2 = e1 / size, e2 / size
+            s1, s2 = np.append(u1, e1[:-1]), np.append(u2, e2[:-1])
+            q = np.abs(model.pole_rows(
+                pts[6 * m:], vel[6 * m:],
+                np.concatenate([s1, half[0] * s1 + half[1] * s2, e1]),
+                np.concatenate([s2, half[2] * s1 + half[3] * s2, e2]),
+                ell)[2]).reshape(3, m)
+            ds[i:j] = hb / 6.0 * (q[0] + 4.0 * q[1] + q[2])
+        bad = ~(np.isfinite(e1) & np.isfinite(e2) & np.isfinite(ds[i:j]))
+        if bad.any():
+            k = i + int(np.argmax(bad))
+            t = float(t_grid[np.count_nonzero(opens[:k + 1]) - 1])
+            raise PoleLengthDriftError(
+                f"the pole monodromy is not finite in the step from "
+                f"t={t!r}")
+        spin1[i:j], spin2[i:j] = s1, s2
+        u1, u2 = e1[-1], e2[-1]
+    spin1[n], spin2[n] = u1, u2
+    at = np.append(np.flatnonzero(opens), n)
+    eta, vel = tractor.rows(t_grid)
+    gamma, X, speed = model.pole_rows(eta, vel, spin1[at], spin2[at], ell)
+    m = len(t_grid)
+    J_ell, J_int, conj = _reference_pole(model.K, ell, n_pole)
+    return ([eta, gamma, X, speed, np.full(m, J_ell), np.full(m, J_int),
+             np.full(m, conj), np.abs(model.norm_rows(eta, eta - gamma) - ell),
+             model.norm_rows(eta, vel), np.full(m, model.K),
+             np.full(m, model.K)],
+            np.append(0.0, np.cumsum(ds))[at])
+
+
+def _bracket(x, y):
+    """[x, y] of traceless 2x2 matrices [[a, b], [c, -a]], held as (a, b,
+    c)."""
+    (a, b, c), (p, q, r) = x, y
+    return b * r - q * c, 2.0 * (a * q - p * b), 2.0 * (c * p - r * a)
+
+
+def _magnus_map(A1, A2, A3, h):
+    """(m11, m12, m21, m22): a multiple of exp(Omega) over steps h, Omega
+    the sixth-order Magnus exponent of u' = A u from A at the steps' three
+    Gauss nodes (`_GAUSS3`).
+
+    A and Omega are traceless and held as (a, b, c) (`_bracket`). With
+    a1 = h A(1/2), a2 = (sqrt(15) h / 3)(A3 - A1) and a3 = (10 h / 3)(A3 -
+    2 A2 + A1), c1 = [a1, a2] and c2 = -[a1, 2 a3 + c1] / 60, Omega = a1 +
+    a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240 (Blanes, Casas, Oteo and
+    Ros, Phys. Rep. 470 (2009)). Omega^2 = mu^2 I with mu^2 = -det Omega,
+    so exp(Omega) = cosh(mu) (I + (tanh(mu) / mu) Omega); the map is the
+    bracket, whose entries stay bounded however large Omega is, and NaN
+    where mu^2 overflows.
+    """
+    r15 = math.sqrt(15.0)
+    a1 = [h * x for x in A2]
+    a2 = [(r15 / 3.0) * h * (z - x) for x, z in zip(A1, A3)]
+    a3 = [(10.0 / 3.0) * h * (z - 2.0 * y + x)
+          for x, y, z in zip(A1, A2, A3)]
+    c1 = _bracket(a1, a2)
+    c2 = [x / -60.0 for x in _bracket(a1, [2.0 * x + y
+                                           for x, y in zip(a3, c1)])]
+    tail = _bracket([-20.0 * x - y + z for x, y, z in zip(a1, a3, c1)],
+                    [x + y for x, y in zip(a2, c2)])
+    a, b, c = (x + y / 12.0 + z / 240.0 for x, y, z in zip(a1, a3, tail))
+    mu2 = a * a + b * c
+    mu = np.sqrt(mu2)
+    # where mu^2 overflows the map is undefined: NaN, not the identity
+    tau = np.where(mu == 0.0, 1.0,
+                   np.where(np.isinf(mu2), np.nan, np.tanh(mu) / mu))
+    return 1.0 + tau * a, tau * b, tau * c, 1.0 - tau * a
+
+
+def _prefix_products(maps):
+    """The products M_k ... M_0 of 2x2 maps (m11, m12, m21, m22), k = 0, 1,
+    ..., in log2(n) rounds of doubling spans, each product rescaled to a
+    largest entry of 1."""
+    P = np.stack(maps)
+    span = 1
+    while span < P.shape[1]:
+        (a, b, c, d), (p, q, r, s) = P[:, span:], P[:, :-span]
+        later = np.stack([a * p + b * r, a * q + b * s, c * p + d * r,
+                          c * q + d * s])
+        P[:, span:] = later / np.abs(later).max(axis=0)
+        span *= 2
+    return P
 
 
 def _schedule(t_grid, breaks):
-    """(sub-steps, stage times) of a run, built in NumPy.
+    """The sub-steps of a run (`Schedule`), built in NumPy.
 
     The records sit at t_grid. A break b splits the step from t to t_next
     where t + 1e-12 <= b < t_next - 1e-12; the others are dropped. A
-    sub-step from ta to tb is (hh = tb - ta, hh / 2, hh / 6, whether it
-    opens a record, whether k1 needs its own stage). A sub-step after the
-    first of its step takes its own k1 at ta. So does a step whose record
-    time t lies less than 1e-12 before a dropped break, at the break: the
-    record there reads the segment that ends at the break, and the step
-    integrates the one it opens. The loop reads the stage times in order:
-    per sub-step its start where it opens a record, its k1 time where it
-    takes its own k1, its midpoint (k2 and k3 share it) and a point just
-    inside its end (a kink there gives its left limit), then the last
-    record's.
+    sub-step after the first of its step takes its own k1 at its start.
+    So does a step whose record time t lies less than 1e-12 before a
+    dropped break, at the break: the record there reads the segment that
+    ends at the break, and the step integrates the one it opens. A
+    sub-step ends at a kink where a break lies at its end or less than
+    1e-12 before it.
     """
     breaks = np.asarray(breaks, dtype=float)
     breaks = breaks[(t_grid[0] < breaks) & (breaks < t_grid[-1])]
@@ -445,17 +629,13 @@ def _schedule(t_grid, breaks):
     opens = np.insert(np.ones(len(t_grid), bool), step[kept] + 1,
                       False)[:-1]
     ta, tb = knots[:-1], knots[1:]
-    hh = tb - ta
     own_k1 = ta != t_grid[np.cumsum(opens) - 1]
     k1_at = ta.copy()
     first = np.flatnonzero(opens)[after[late]]
     own_k1[first], k1_at[first] = True, breaks[late]
-    stage_times = np.stack([ta, k1_at, ta + hh / 2, tb - 1e-9 * hh],
-                           axis=1)[np.stack(
-        [opens, own_k1, *np.ones((2, len(ta)), bool)], axis=1)]
-    return (zip(hh.tolist(), (hh / 2).tolist(), (hh / 6.0).tolist(),
-                opens.tolist(), own_k1.tolist()),
-            np.append(stage_times, t_grid[-1]))
+    # the last break at or before each end
+    last = np.append(-np.inf, breaks)[np.searchsorted(breaks, tb, "right")]
+    return Schedule(ta, tb, opens, own_k1, k1_at, tb - last < 1e-12)
 
 
 def _fill_signs(speeds, eps):

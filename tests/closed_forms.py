@@ -1,9 +1,10 @@
 """Closed-form oracles that only the tests use.
 
-The planar tractrix pulled along a line, the long-pole tractrix on the
-unit sphere with an equatorial tractor, whose tractor time comes from an
-adaptive Simpson quadrature of dt/ds, and the exact range of the Gauss
-curvature over a chart rectangle on the charts that have one.
+The planar tractrix pulled along a line, the flat tractrix behind a
+polyline, the long-pole tractrix on the unit sphere with an equatorial
+tractor, whose tractor time comes from an adaptive Simpson quadrature of
+dt/ds, and the exact range of the Gauss curvature over a chart rectangle
+on the charts that have one.
 """
 
 import math
@@ -136,6 +137,50 @@ def classical_tractrix(ell):
     if ell <= 0:
         raise DomainViolationError("pole length must be positive")
     return ClassicalTractrix(float(ell))
+
+
+# ---------------------------------------------------------------------------
+# Flat tractrix behind a polyline
+
+
+def polyline_tractrix(points, gamma0, ell, t):
+    """gamma at the parameters t, arclength along the polyline from its
+    first point, of the flat tractrix that the polyline tractor through
+    `points` drags from gamma0, at distance ell from points[0] (K = 0).
+
+    On a segment with unit direction u the pole direction X = (eta -
+    gamma) / ell stays in the plane of u and the part e of X normal to u,
+    at the angle theta from u, and X' = (eta' - <eta', X> X) / ell is
+    theta' = -sin(theta) / ell: tan(theta / 2) = tan(theta0 / 2) exp(-tau
+    / ell) a time tau into the segment. X is continuous, so in the plane
+    theta jumps by minus the turning angle at each vertex.
+    """
+    pts = np.asarray(points, dtype=float)
+    seg = np.diff(pts, axis=0)
+    lens = np.linalg.norm(seg, axis=1)
+    knots = np.concatenate([[0.0], np.cumsum(lens)])
+    dirs = seg / lens[:, None]
+    X = (pts[0] - np.asarray(gamma0, dtype=float)) / ell
+    # per segment: tan(theta0 / 2) and the unit normal e
+    halves, normals = [], []
+    for u, L in zip(dirs, lens):
+        along = float(X @ u)
+        normal = X - along * u
+        size = math.sqrt(float(normal @ normal))
+        e = normal / size if size > 0.0 else np.zeros_like(u)
+        half = math.tan(0.5 * math.atan2(size, along))
+        halves.append(half)
+        normals.append(e)
+        theta = 2.0 * math.atan(half * math.exp(-L / ell))
+        X = math.cos(theta) * u + math.sin(theta) * e
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0,
+                len(lens) - 1)
+    tau = t - knots[i]
+    theta = 2.0 * np.arctan(np.array(halves)[i] * np.exp(-tau / ell))
+    X = (np.cos(theta)[:, None] * dirs[i]
+         + np.sin(theta)[:, None] * np.array(normals)[i])
+    return pts[i] + tau[:, None] * dirs[i] - ell * X
 
 
 # ---------------------------------------------------------------------------

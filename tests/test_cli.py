@@ -399,9 +399,12 @@ def test_numeric_failure_exits_two(tmp_path, capsys):
 
 
 def test_collapsed_pole_exits_two(tmp_path, capsys):
-    # a pole of 1e-100 lands gamma on eta at stage 3 of the first step
+    # a pole of 1e-100 on the sphere: its closed-form solve finds gamma and
+    # eta coincident at the first record
     config = write_config(tmp_path, flat_line(
-        gamma0=[0.0, 1.0e-100], ell=1.0e-100, sim={"dt": 0.01}))
+        model={"kind": "spaceform", "K": 1.0},
+        tractor={"kind": "latitude", "colatitude": 1.0, "t1": 1.0},
+        gamma0=[1.0, 1.0e-100], ell=1.0e-100, sim={"dt": 0.01}))
     assert cli.main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
@@ -419,7 +422,7 @@ def test_shorten_past_a_repeated_vertex(tmp_path, capsys):
     config = write_config(tmp_path, raw)
     assert cli.main(["shorten", "--config", config,
                      "--out", str(tmp_path / "out")]) == 0
-    assert ("11 iterates, stop=length_plateau, length=2.2360682890497605"
+    assert ("11 iterates, stop=length_plateau, length=2.2360682890497654"
             in capsys.readouterr().out)
 
 

@@ -14,7 +14,7 @@ from tractrix.errors import (
     PoleLengthDriftError,
     RecordOverflowError,
 )
-from tractrix import manifold, tractrix_sim
+from tractrix import tractrix_sim
 from tractrix.config import bundled_scenario
 from tractrix.manifold import (
     POLE_STEP,
@@ -24,7 +24,6 @@ from tractrix.manifold import (
     space_form,
     surface_model,
 )
-from tractrix.shortening import _STEPS_PER_ROUND, _splice_head
 from tractrix.spaceform import dist_at, kappa_at, solve_from_d0
 from tractrix.tractrix_sim import (
     _POLE_DRIFT_LIMIT,
@@ -44,7 +43,11 @@ from tractrix.tractrix_sim import (
     tractor_from_tractrix,
 )
 
-from closed_forms import classical_tractrix, long_pole_sphere
+from closed_forms import (
+    classical_tractrix,
+    long_pole_sphere,
+    polyline_tractrix,
+)
 
 FLAT2 = space_form(0.0)
 FLAT3 = space_form(0.0, dim=3)
@@ -124,35 +127,36 @@ def test_rhs_rejects_pole_length_drift():
         simulate(FLAT2, x_line(0.0, 1.0), np.array([-2.1, 0.0]), 2.0)
 
 
-class StageStepFlat(manifold.FlatModel):
-    """The plane on the generic sub-step, one `tractrix_stage` per stage."""
+def sphere_latitude(t0, t1):
+    return tractor_from_config(SPHERE, {"kind": "latitude",
+                                        "colatitude": 1.0, "t0": t0,
+                                        "t1": t1})
 
-    tractrix_step = manifold.ManifoldModel.tractrix_step
 
-
-@pytest.mark.parametrize("model, t0, gamma0, ell", [
-    (FLAT2, 0.25, [0.25, 1e-100], 1e-100),
-    (StageStepFlat(), 0.25, [0.25, 1e-100], 1e-100),
-    (FLAT2, 0.0, [0.0, 0.0], 1e-7),
-], ids=["flat-step", "generic-step", "record-stage"])
-def test_collapsed_pole_is_a_typed_error(model, t0, gamma0, ell):
-    # a pole of 1e-100 moving at rates of order 1 puts gamma on eta at
-    # stage 3 of the first step; gamma0 at eta itself is 1e-7 from ell,
-    # inside the drift limit, and fails at the first record
+@pytest.mark.parametrize("model, tractor, offset, ell", [
+    (SPHERE, sphere_latitude(0.25, 1.0), [0.0, 1e-100], 1e-100),
+    (FLAT2, x_line(0.0, 1.0), [0.0, 0.0], 1e-7),
+], ids=["generic-step", "record-stage"])
+def test_collapsed_pole_is_a_typed_error(model, tractor, offset, ell):
+    # a pole of 1e-100 on the sphere, which runs the generic RK4 sub-step,
+    # is coincident points to its closed-form solve at the first record;
+    # gamma0 at eta itself is 1e-7 from ell, inside the drift limit, and
+    # fails the flat run's first pole direction
     with pytest.raises(PoleLengthDriftError,
-                       match=rf"from t={t0}: log map undefined for coinc"):
-        simulate(model, x_line(t0, 1.0), np.array(gamma0), ell,
+                       match=rf"from t={tractor.t0}: log map undefined for "
+                             rf"coinc"):
+        simulate(model, tractor, tractor.point(tractor.t0) + offset, ell,
                  SimParams(dt=0.01))
 
 
 @pytest.mark.parametrize("model, spec, ell", [
-    (FLAT2, {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0,
-             "t1": 3.0}, 1.0),
+    (HYP, {"kind": "chart_circle", "center": [0.0, 0.0], "radius": 0.5,
+           "t1": 3.0}, 0.5),
     (SPHERE, {"kind": "latitude", "colatitude": 1.0, "t1": 1.0}, 0.5),
     (surface_model("paraboloid"), {"kind": "chart_circle",
                                    "center": [0.0, 0.0], "radius": 0.6,
                                    "t1": 0.5}, 0.4),
-], ids=["flat", "sphere", "paraboloid"])
+], ids=["disk", "sphere", "paraboloid"])
 def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
     # one sampled time for the record, one for the midpoint that k2 and k3
     # share and one for the step end per step, plus the start and the last
@@ -176,24 +180,25 @@ def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
 
 @pytest.mark.parametrize("knot, kept, gamma_end, s_end", [
     # strictly inside the step from 0.50 to 0.51
-    (0.505, 1, ("0x1.8860f3d28463bp-2", "0x1.c44add395b1aep-3"),
-     "0x1.83789bbd327c8p-1"),
+    (0.505, 1, ("0x1.fd8d2fe23b5b3p-2", "0x1.a824e5f5e7ddap-2"),
+     "0x1.2be89df2c2af0p+1"),
     # exactly on the grid time 0.5
-    (0.5, 0, ("0x1.84f5425359ae4p-2", "0x1.cd08d96e28b72p-3"),
-     "0x1.83125235a8f52p-1"),
+    (0.5, 0, ("0x1.f883e934760a3p-2", "0x1.ad32acee83694p-2"),
+     "0x1.2b4ea4440b035p+1"),
     # 5e-13 before the grid time 0.5, within the 1e-12 that drops a break
-    (0.5 - 5e-13, 0, ("0x1.84f542535aa55p-2", "0x1.cd08d96e2f9b3p-3"),
-     "0x1.83125235aa7c1p-1"),
+    (0.5 - 5e-13, 0, ("0x1.f883e93474423p-2", "0x1.ad32acee874d7p-2"),
+     "0x1.2b4ea4440c350p+1"),
 ], ids=["inside", "on_grid", "near_grid"])
 def test_tractor_evaluated_once_per_stage_time_across_breaks(
         knot, kept, gamma_end, s_end):
-    # a polyline corner at `knot`, on a grid of 100 steps over [0, 1]: a
-    # kept break splits its step in two, and each piece after the first
-    # samples its own start, so rows sees 3 (steps + kept) + 1 times, after
-    # the one time of the start point; the trace is pinned bit for bit
+    # a chart polyline with a corner at `knot` in the disk, which the RK4
+    # loop steps, on a grid of 100 steps over [0, 1]: a kept break splits
+    # its step in two, and each piece after the first samples its own
+    # start, so rows sees 3 (steps + kept) + 1 times, after the one time of
+    # the start point; the trace is pinned bit for bit
     tractor = polyline_tractor([[0.0, 0.0], [knot, 0.0],
                                 [knot, 1.0 - knot]])
-    gamma0, _ = orthogonal_attachment(FLAT2, tractor, 0.3, 0.15)
+    gamma0, _ = orthogonal_attachment(HYP, tractor, 0.3, 0.15)
     calls = []
 
     def rows(ts):
@@ -201,7 +206,7 @@ def test_tractor_evaluated_once_per_stage_time_across_breaks(
         return tractor.rows(ts)
 
     counted = dataclasses.replace(tractor, rows=rows)
-    tr = simulate(FLAT2, counted, gamma0, 0.3,
+    tr = simulate(HYP, counted, gamma0, 0.3,
                   SimParams(dt=tractor.span / 100))
     assert tractor.breaks == (knot,) and len(tr.t) == 101
     assert calls[0] == 1 and sum(calls[1:]) == 3 * (100 + kept) + 1
@@ -363,6 +368,95 @@ def test_detect_cusp_interpolates_sign_change():
     pull = simulate(FLAT2, x_line(0.0, 1.0), np.array([0.0, 2.0]), 2.0,
                     SimParams(dt=0.01))
     assert not any(c.sign_flip for c in pull.cusps)
+
+
+# ---------------------------------------------------------------------------
+# Flat space: the pole direction by the monodromy
+
+
+BENT_POLYLINES = {
+    # sharp turns, so the runs push through cusps
+    "plane": [[0.0, 0.0], [2.0, 0.0], [2.3, 1.5], [0.5, 1.0], [1.5, -0.5]],
+    "space": [[0.0, 0.0, 0.0], [2.0, 0.0, 0.5], [2.3, 1.5, 0.0],
+              [0.5, 1.0, -1.0], [1.5, -0.5, 0.2]],
+}
+
+
+@pytest.mark.parametrize("steps", [37, 173, 1000])
+@pytest.mark.parametrize("name", ["plane", "space"])
+def test_flat_polyline_matches_the_closed_form(name, steps):
+    # on a segment A is constant, so each sub-step's map is exact: the
+    # breaks split the steps where the velocity turns, and the run follows
+    # tan(theta / 2) = tan(theta0 / 2) exp(-t / ell) to rounding
+    points = BENT_POLYLINES[name]
+    dim = len(points[0])
+    tractor = polyline_tractor(points)
+    ell = 0.8
+    gamma0 = np.array(points[0]) - ell * np.array(
+        [math.cos(0.9), math.sin(0.9), 0.0][:dim])
+    tr = simulate(space_form(0.0, dim=dim), tractor, gamma0, ell,
+                  SimParams(dt=tractor.span / steps))
+    exact = polyline_tractrix(points, gamma0, ell, tr.t)
+    assert np.max(np.abs(tr.gamma - exact)) <= 1e-13
+    assert sum(c.sign_flip for c in tr.cusps) >= 2
+
+
+def test_line_tractor_matches_the_classical_tractrix_through_its_cusp():
+    # A is constant on a line, so even at dt = 0.04 the run is the closed
+    # form to rounding through the cusp at t = 0
+    cl = classical_tractrix(2.0)
+    tr = simulate(FLAT2, x_line(-4.0, 6.0), cl.gamma(-4.0), 2.0,
+                  SimParams(dt=0.04))
+    assert [c.sign_flip for c in tr.cusps] == [True]
+    assert np.max(np.abs(tr.gamma - cl.gamma(tr.t))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["circle3d", "helix3d"])
+def test_flat_monodromy_is_sixth_order(name):
+    # the sixth-order Magnus maps: halving dt divides gamma's error by 2^6
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, dict(cfg.tractor))
+    gamma0 = np.asarray(cfg.gamma0, dtype=float)
+
+    def run(steps):
+        return simulate(model, tractor, gamma0, cfg.ell,
+                        SimParams(dt=tractor.span / steps)).gamma
+
+    fine = run(1600)
+    errors = [np.max(np.abs(run(steps) - fine[::1600 // steps]))
+              for steps in (50, 100, 200)]
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 5.5), orders
+
+
+def test_flat_tiny_pole_follows_its_tractor():
+    # a pole of 1e-100 on the line: each map is a rank-one limit of the
+    # tanh form, and after its start gamma trails eta along the line
+    tr = simulate(FLAT2, x_line(0.25, 1.0), np.array([0.25, 1e-100]), 1e-100,
+                  SimParams(dt=0.01))
+    assert np.array_equal(tr.gamma[0], [0.25, 1e-100])
+    assert np.array_equal(tr.gamma[1:], tr.eta[1:])
+    assert np.array_equal(tr.pole_dir[-1], [1.0, 0.0])
+
+
+def test_non_finite_monodromy_is_a_typed_error():
+    # the generator overflows past t = 0.5: the maps of the step from 0.5
+    # are not finite, which names that record time, with no RuntimeWarning
+    def rows(ts):
+        return (np.stack([ts, np.zeros_like(ts)], axis=1),
+                np.stack([np.where(ts > 0.5, 1e300, 1.0),
+                          np.zeros_like(ts)], axis=1))
+
+    tractor = TractorCurve(rows=rows, t0=0.0, t1=1.0)
+    with pytest.raises(PoleLengthDriftError, match=(
+            r"^the pole monodromy is not finite in the step from t=0\.5$")):
+        simulate(FLAT2, tractor, np.array([0.0, 1.0]), 1.0,
+                 SimParams(dt=0.01))
+    # so is a pole so short that mu^2 = -det Omega overflows
+    with pytest.raises(PoleLengthDriftError, match=r"from t=0\.25$"):
+        simulate(FLAT2, x_line(0.25, 1.0), np.array([0.25, 1e-160]), 1e-160,
+                 SimParams(dt=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -1134,31 +1228,13 @@ def scalar_loop(model, tractor, gamma0, ell, params, times):
     return columns, np.array(s_list)
 
 
-def shortening_round():
-    """(model, tractor, wagon, ell, params) of the first `shorten_flat`
-    round: a polyline of 40 segments, so most steps split at a break."""
-    shorten = bundled_scenario("shorten_flat").shorten
-    ell = bundled_scenario("shorten_flat").ell
-    wagon = np.array(shorten["P"], dtype=float)
-    tractor = polyline_tractor(_splice_head(
-        FLAT2, wagon, np.array(shorten["initial"]["points"]), ell, POLE_STEP))
-    return (FLAT2, tractor, wagon, ell,
-            SimParams(dt=tractor.span / _STEPS_PER_ROUND))
-
-
-@pytest.mark.parametrize("name", ["flat_half_tractrix", "wiggly_circle",
-                                  "hyperbolic_pull", "sphere_pull",
-                                  "hilly_pull", "shorten_flat"])
+@pytest.mark.parametrize("name", ["hyperbolic_pull", "sphere_pull",
+                                  "hilly_pull"])
 def test_simulate_matches_the_scalar_loop(name):
-    # every stage family: flat 2-D and 3-D, disk, sphere and surface
-    if name == "shorten_flat":
-        model, tractor, g0, ell, params = shortening_round()
-        assert len(tractor.breaks) > 30
-        tr = simulate(model, tractor, g0, ell, params)
-    else:
-        model, tr, g0 = bundled_run(name)
-        tractor, ell = tr.tractor, tr.ell
-        params = SimParams(**bundled_scenario(name).sim)
+    # every stage family of the RK4 loop: disk, sphere and surface
+    model, tr, g0 = bundled_run(name)
+    tractor, ell = tr.tractor, tr.ell
+    params = SimParams(**bundled_scenario(name).sim)
     columns, s = scalar_loop(model, tractor, g0, ell, params, tr.t.tolist())
     (eta, gamma, pole_dir, speed, jac_ell, jac_int, conj, drift, eta_speed,
      K_lo, K_hi) = columns
