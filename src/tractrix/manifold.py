@@ -4,13 +4,14 @@ Every model answers what the tractor/tractrix machinery asks of a
 manifold: metric and Christoffel symbols at a point; geodesic shots
 (`exp_point`, and `shoot` with the Jacobi pair of j'' + K j = 0 along
 it); two-point geodesics (`connect`, `distance`); parallel transport
-along chart segments; the distance to a geodesic; the start of a
-tractrix (`tractrix_start`) and either its pole's generator on rows
-(`generator_rows`, flat space) or one tractrix stage and one RK4 sub-step
-(`tractrix_stage`, `tractrix_step`, on Python floats); and a polyline's
-edge lengths and discrete geodesic accelerations (`edge_lengths`,
-`acceleration_norms`). The `*_rows` methods, transport and the polyline
-measures take (n, dim) rows, so a post-pass is one call.
+along chart segments; the distance to a geodesic; a domain check on rows
+(`check_rows`); the tractrix, either as its pole's generator on rows
+(`generator_rows`, space forms) or as its start, one stage and one RK4
+sub-step (`tractrix_start`, `tractrix_stage`, `tractrix_step`, surfaces,
+on Python floats); and a polyline's edge lengths and discrete geodesic
+accelerations (`edge_lengths`, `acceleration_norms`). The `*_rows`
+methods, transport and the polyline measures take (n, dim) rows, so a
+post-pass is one call.
 
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
@@ -41,12 +42,11 @@ tractor, so a stage is one shot. The space forms, in standard charts
 (colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
 K < 0), override all of this with closed forms: their shot ignores its
 step count, and transport and the distance to a geodesic are one array
-expression over all rows. Flat space gives the pole direction's generator
-on rows, a traceless 2x2 matrix linear in the tractor velocity, so that
+expression over all rows. Each gives the pole direction's generator on
+rows, a traceless 2x2 matrix linear in the tractor velocity, so that
 `tractrix_sim.simulate` multiplies the tractrix out as a product of
-Moebius maps, the bicycle monodromy. The sphere and the disk step gamma
-itself by RK4: their `tractrix_stage` writes the pole out in one closed
-form on floats.
+Moebius maps, the bicycle monodromy, and reads gamma off the pole
+direction by its closed-form exp on rows (`pole_rows`).
 
 One rule sizes every shot: a shot of length L takes `shot_steps(L,
 pole_step)` = max(8, ceil(L / pole_step)) steps, a row shot as many as its
@@ -182,10 +182,6 @@ class ManifoldModel:
     K = None
     # Positive curvature bound sup K, used to gate pole lengths; None if free.
     conjugate_scale = None
-    # The pole's generator on rows (`FlatModel.generator_rows`), where the
-    # tractrix is a product of Moebius maps; None where `simulate` steps it
-    # by RK4.
-    generator_rows = None
 
     def metric_at(self, p):
         raise NotImplementedError
@@ -195,6 +191,12 @@ class ManifoldModel:
 
     def check_point(self, p):
         """Raise OutOfDomain/SingularChart when p is unusable."""
+
+    def check_rows(self, points):
+        """`check_point` on (n, dim) rows: its error for the first row it
+        refuses."""
+        for p in np.reshape(points, (-1, self.dim)):
+            self.check_point(p)
 
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """One RK4 shot of n_steps from the point x0 along the velocity v0,
@@ -489,7 +491,22 @@ class ManifoldModel:
 
 
 class SpaceFormModel(ManifoldModel):
-    """Constant curvature: closed-form geodesy from `_exp` and log_map."""
+    """Constant curvature: closed-form geodesy from `_exp` and log_map.
+
+    The tractrix moves by the bicycle monodromy. Here for the 2-D curved
+    models: write X = cos psi e1 + sin psi e2 for the unit pole direction
+    at the tractor point eta, pointing away from gamma, in the chart's
+    orthonormal frame (e1, e2), and eta' = p e1 + q e2. The frame turns by
+    the connection form omega(eta') (D e1 = omega e2), and the pole rule
+    D_t X = E (eta' - <eta', X> X), E = c(ell) / s(ell) the ratio of the
+    cosine and sine solutions of j'' + K j = 0, reads
+    psi' = E (q cos psi - p sin psi) - omega. That is a Riccati equation
+    for z = tan(psi / 2) = u1 / u2, linear in the spinor u: u' = A u with
+    A = (1/2) [[-E p, E q - omega], [E q + omega, E p]]. A model supplies
+    (p, q, omega) (`_frame_rows`), its exp on rows from a frame direction
+    (`_exp_rows`), its distance on rows (`distance_rows`) and its domain
+    check on rows (`row_faults`, `check_rows`).
+    """
 
     def __init__(self, K, dim=2, periods=None):
         self.K = float(K)
@@ -499,6 +516,11 @@ class SpaceFormModel(ManifoldModel):
     def log_map(self, p, q):
         """(unit v at p, length) of the minimizing geodesic from p to q."""
         raise NotImplementedError
+
+    def row_faults(self, points):
+        """The rows of (n, dim) points that `check_rows` refuses, as a
+        mask: none unless the chart has bounds."""
+        return np.zeros(len(points), dtype=bool)
 
     def _shot(self, p, v, length, n_steps):
         """The shot in closed form: `_exp` and the constant-K Jacobi pair,
@@ -513,25 +535,45 @@ class SpaceFormModel(ManifoldModel):
         v, L = self.log_map(p, q)
         return v, L, self._exp(p, v, L)[1]
 
-    def tractrix_start(self, eta, gamma, ell, pole_step):
-        # the closed-form pole solve is exact, so the state is gamma itself
-        return (np.asarray(gamma, dtype=float).tolist(),
-                self.distance(gamma, eta, L_guess=ell))
+    def generator_rows(self, points, velocities, ell):
+        """(a, b, c), complex arrays: the generator A = [[a, b], [c, -a]] of
+        the pole spinor at (n, 2) rows of tractor points and velocities."""
+        p, q, omega = self._frame_rows(points, velocities)
+        c, s = _jacobi_pair(self.K, ell)
+        E = 0.5 * c / s
+        return (-E * p + 0j, E * q - 0.5 * omega + 0j,
+                E * q + 0.5 * omega + 0j)
 
-    def _stage_record(self, gamma, v, speed, L, ell, n_pole, eta_speed):
-        """The record of a closed-form `tractrix_stage`.
+    def spinor(self, point, x):
+        """(u1, u2): a unit spinor of the unit vector x at point, u1 / u2 =
+        tan(psi / 2) taken from whichever half-angle formula keeps its
+        digits."""
+        p, q, _ = (float(y[0]) for y in self._frame_rows(
+            np.array([point], dtype=float), np.array([x], dtype=float)))
+        u = (q, 1.0 + p) if p >= 0.0 else (1.0 - p, q)
+        size = math.hypot(*u)
+        return complex(u[0] / size), complex(u[1] / size)
 
-        The sphere's and the disk's stage takes gamma as the state and
-        solves the pole from gamma to eta in closed form on floats: gamma
-        moves along the unit pole direction v towards eta with the speed
-        <eta', T(ell)>_g, T(ell) the unit pole tangent at eta, and the rate
-        comes back as a tuple. Coincident (and on the sphere antipodal)
-        points raise ValueError. The drift is the solved pole length's error
-        |L - ell|, and every pole has the same J(ell), integral, conjugate
-        flag (`_reference_pole`) and curvature window (K, K).
-        """
-        return (gamma, v, speed, *_reference_pole(self.K, ell, n_pole),
-                abs(L - ell), eta_speed, self.K, self.K)
+    @staticmethod
+    def _angle_rows(u1, u2):
+        """(cos psi, sin psi) of the spinors (u1, u2)."""
+        n1, n2 = u1.real ** 2 + u1.imag ** 2, u2.real ** 2 + u2.imag ** 2
+        return (n2 - n1) / (n1 + n2), 2.0 * (u1 * u2.conj()).real / (n1 + n2)
+
+    def pole_speeds(self, points, velocities, u1, u2):
+        """<eta', X> at (n, 2) rows of tractor points and velocities, X the
+        pole direction of the spinors (u1, u2)."""
+        p, q, _ = self._frame_rows(points, velocities)
+        cos, sin = self._angle_rows(u1, u2)
+        return p * cos + q * sin
+
+    def pole_rows(self, points, velocities, u1, u2, ell, start):
+        """(gamma, pole direction at gamma towards eta, <eta', X>) at (n, 2)
+        rows, gamma = exp_eta(-ell X) (`_exp_rows`), whose chart
+        coordinates continue row by row from the point `start`."""
+        cos, sin = self._angle_rows(u1, u2)
+        gamma, tangent = self._exp_rows(points, -cos, -sin, ell, start)
+        return gamma, -tangent, self.pole_speeds(points, velocities, u1, u2)
 
     def edge_length(self, a, b):
         return self.distance(a, b)
@@ -601,9 +643,13 @@ class FlatModel(SpaceFormModel):
         d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
         return math.sqrt(float(d @ d))
 
-    def generator_rows(self, velocities, ell):
+    def distance_rows(self, a, b):
+        return np.linalg.norm(b - a, axis=1)
+
+    def generator_rows(self, points, velocities, ell):
         """(a, b, c), complex arrays: the generator A = [[a, b], [c, -a]] of
-        the pole direction at (n, dim) rows of tractor velocities v.
+        the pole direction at (n, dim) rows of tractor velocities v (the
+        points do not enter).
 
         The unit pole direction X = (eta - gamma) / ell moves by
         X' = (v - <v, X> X) / ell. Written as the spinor u = (u1, u2),
@@ -620,7 +666,7 @@ class FlatModel(SpaceFormModel):
         w = v[:, 0] + 1j * v[:, 1]
         return v[:, 2] + 0j, w, w.conj()
 
-    def spinor(self, x):
+    def spinor(self, point, x):
         """(u1, u2): a unit spinor of the unit vector x (`generator_rows`),
         taken from the chart of the hemisphere that holds x."""
         x1, x2, x3 = (*(float(c) for c in x), 0.0)[:3]
@@ -629,14 +675,21 @@ class FlatModel(SpaceFormModel):
         size = math.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2)
         return u[0] / size, u[1] / size
 
-    def pole_rows(self, points, velocities, u1, u2, ell):
-        """(gamma, X, <v, X>) at (n, dim) rows of tractor points and
-        velocities v, X the pole direction of the spinors (u1, u2)
-        (`generator_rows`) and gamma = eta - ell X."""
+    def _directions(self, u1, u2):
+        """The unit pole directions X of the spinors (u1, u2), as rows."""
         n1, n2 = u1.real ** 2 + u1.imag ** 2, u2.real ** 2 + u2.imag ** 2
         m = 2.0 * u1 * u2.conj() / (n1 + n2)
-        X = np.stack([m.real, m.imag, (n1 - n2) / (n1 + n2)],
-                     axis=1)[:, :self.dim]
+        return np.stack([m.real, m.imag, (n1 - n2) / (n1 + n2)],
+                        axis=1)[:, :self.dim]
+
+    def pole_speeds(self, points, velocities, u1, u2):
+        return np.vecdot(velocities, self._directions(u1, u2))
+
+    def pole_rows(self, points, velocities, u1, u2, ell, start):
+        """(gamma, X, <v, X>) at (n, dim) rows of tractor points and
+        velocities v, X the pole direction of the spinors (u1, u2)
+        (`generator_rows`) and gamma = eta - ell X; start does not enter."""
+        X = self._directions(u1, u2)
         return points - ell * X, X, np.vecdot(velocities, X)
 
     def edge_lengths(self, points):
@@ -679,14 +732,32 @@ class SphereModel(SpaceFormModel):
         self.radius = 1.0 / self.k
         self.conjugate_scale = math.pi / self.k
 
+    def _singular(self, th):
+        return np.sin(th) ** 2 * self.radius ** 4 < DET_EPS
+
+    def row_faults(self, points):
+        th = np.asarray(points, dtype=float)[..., 0]
+        return ~((th > 0.0) & (th < math.pi)) | self._singular(th)
+
+    def check_rows(self, points):
+        """A colatitude near a pole of the chart, on either side, is
+        singular; one beyond that, or NaN, is outside (0, pi)."""
+        bad = self.row_faults(points).ravel()
+        if bad.any():
+            th = float(np.asarray(points)[..., 0].ravel()[np.argmax(bad)])
+            if self._singular(th):
+                raise SingularChartError(
+                    f"chart singular near the poles (theta={th!r})")
+            raise OutOfDomainError(f"colatitude {th!r} outside (0, pi)")
+
     def check_point(self, p):
+        # check_rows on floats
         th = float(p[0])
-        if not 0.0 < th < math.pi:
-            raise OutOfDomainError(
-                f"colatitude {th!r} outside (0, pi)")
         if math.sin(th) ** 2 * self.radius ** 4 < DET_EPS:
             raise SingularChartError(
                 f"chart singular near the poles (theta={th!r})")
+        if not 0.0 < th < math.pi:
+            raise OutOfDomainError(f"colatitude {th!r} outside (0, pi)")
 
     def metric_at(self, p):
         self.check_point(p)
@@ -771,44 +842,50 @@ class SphereModel(SpaceFormModel):
         c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
         return math.acos(c) * self.radius
 
-    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
-                       record=False):
-        """The great-circle pole by spherical trigonometry.
+    def distance_rows(self, a, b):
+        A, B = self._embed_rows(a), self._embed_rows(b)
+        return self.radius * np.arctan2(
+            np.linalg.norm(np.cross(A, B), axis=1), np.vecdot(A, B))
 
-        With X, Y the unit-sphere embeddings of gamma and eta and
-        cos psi = X . Y, the pole leaves gamma along W = (Y - X cos psi)
-        / sin psi and arrives at eta along T = -X sin psi + W cos psi
-        = (Y cos psi - X) / sin psi. X is normal to gamma's frame
-        (e_theta, e_phi) and Y to eta's, so v is Y projected on gamma's
-        frame and T is -X projected on eta's, over sin psi; the
-        projections are the spherical-trigonometry terms in dphi below,
-        taken from both points' colatitude and longitude directly.
+    @staticmethod
+    def _embed_rows(points):
+        st = np.sin(points[:, 0])
+        return np.stack([st * np.cos(points[:, 1]), st * np.sin(points[:, 1]),
+                         np.cos(points[:, 0])], axis=1)
+
+    def _frame_rows(self, points, vectors):
+        """(p, q, omega) of (n, 2) rows of chart vectors: their components
+        in the frame (d_theta / R, d_phi / (R sin theta)) and the frame's
+        connection form phi' cos theta."""
+        th, dth, dph = points[:, 0], vectors[:, 0], vectors[:, 1]
+        return (self.radius * dth, self.radius * np.sin(th) * dph,
+                dph * np.cos(th))
+
+    def _exp_rows(self, points, d1, d2, length, start):
+        """(ends, end tangents) of the geodesics of `length` from (n, 2) rows
+        of points along the unit frame vectors (d1, d2) (`_frame_rows`).
+
+        On the unit sphere in R^3 the start P and the direction W give the
+        end Y = P cos(k length) + W sin(k length) and the tangent there
+        T = W cos(k length) - P sin(k length), read back in Y's chart. Each
+        end's longitude continues from the row before (`np.unwrap`), the
+        first from start's, so a tractrix more than pi of longitude from
+        its tractor stays on its own sheet.
         """
-        self.check_point(eta)
-        th_g, ph_g = gamma
-        th_e, ph_e = eta
-        sg, cg = math.sin(th_g), math.cos(th_g)
-        se, ce = math.sin(th_e), math.cos(th_e)
-        dphi = ph_e - ph_g
-        sd, cd = math.sin(dphi), math.cos(dphi)
-        psi = math.acos(min(1.0, max(-1.0, sg * se * cd + cg * ce)))
-        if psi < 1e-14:
-            raise ValueError("log map undefined for coincident points")
-        if math.pi - psi < 1e-12:
-            raise ValueError("log map undefined for antipodal points")
-        if abs(sg) < 1e-12:
-            raise SingularChartError("endpoint at chart pole")
-        R = self.radius
-        rs = R * math.sin(psi)
-        v = ((cg * se * cd - sg * ce) / rs, se * sd / (sg * rs))
-        t0, t1 = (cg * se - sg * ce * cd) / rs, sg * sd / (se * rs)
-        a, b = eta_prime
-        speed = R * R * (a * t0 + se * se * b * t1)
-        rate = (speed * v[0], speed * v[1])
-        if not record:
-            return rate, abs(speed), None
-        return rate, abs(speed), self._stage_record(
-            gamma, v, speed, psi * R, ell, n_pole, R * math.hypot(a, se * b))
+        th, ph = points[:, 0], points[:, 1]
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        P = (st * cp, st * sp, ct)
+        W = (d1 * ct * cp - d2 * sp, d1 * ct * sp + d2 * cp, -d1 * st)
+        c, s = math.cos(self.k * length), math.sin(self.k * length)
+        Y = [c * x + s * w for x, w in zip(P, W)]
+        T = [c * w - s * x for x, w in zip(P, W)]
+        rho = np.hypot(Y[0], Y[1])
+        ends = np.stack([np.arctan2(rho, Y[2]), np.unwrap(
+            np.append(start[1], np.arctan2(Y[1], Y[0])))[1:]], axis=1)
+        radial = (Y[0] * T[0] + Y[1] * T[1]) / rho
+        return ends, np.stack([Y[2] * radial - rho * T[2],
+                               (Y[0] * T[1] - Y[1] * T[0]) / (rho * rho)],
+                              axis=1) / self.radius
 
     def norm_rows(self, points, vectors):
         return self.radius * np.hypot(
@@ -824,13 +901,9 @@ class SphereModel(SpaceFormModel):
         them.
         """
         a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
+        self.check_rows(a)
+        self.check_rows(b)
         th_a, th_b = a[..., 0], b[..., 0]
-        for th in (th_a, th_b):
-            # check_point, for all rows at once
-            if not np.all((th > 0.0) & (th < math.pi)):
-                raise OutOfDomainError("colatitude outside (0, pi)")
-            if np.any(np.sin(th) ** 2 * self.radius ** 4 < DET_EPS):
-                raise SingularChartError("chart singular near the poles")
         half = 0.5 * (th_b - th_a)
         angle = (-(b[..., 1] - a[..., 1]) * np.cos(th_a + half)
                  * np.sinc(half / math.pi))
@@ -860,9 +933,22 @@ class HyperbolicModel(SpaceFormModel):
         super().__init__(K, 2)
         self.k = math.sqrt(-K)
 
+    def row_faults(self, points):
+        points = np.asarray(points, dtype=float)
+        return ~(points[..., 0] ** 2 + points[..., 1] ** 2 < 1.0)
+
+    def check_rows(self, points):
+        bad = self.row_faults(points).ravel()
+        if bad.any():
+            x, y = np.reshape(points, (-1, 2))[np.argmax(bad)].tolist()
+            raise OutOfDomainError(
+                f"point |z|^2={x * x + y * y!r} outside the unit disk")
+
     def check_point(self, p):
-        r2 = float(p[0]) ** 2 + float(p[1]) ** 2
-        if r2 >= 1.0:
+        # check_rows on floats
+        x, y = float(p[0]), float(p[1])
+        r2 = x * x + y * y
+        if not r2 < 1.0:
             raise OutOfDomainError(f"point |z|^2={r2!r} outside the unit disk")
 
     def _lam(self, p):
@@ -934,37 +1020,39 @@ class HyperbolicModel(SpaceFormModel):
         den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
         return math.acosh(1.0 + num / den) / self.k
 
-    def tractrix_stage(self, eta, eta_prime, gamma, ell, n_pole,
-                       record=False):
-        """The pole by the Moebius map that sends gamma to 0.
+    def distance_rows(self, a, b):
+        z, w = a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+        return (2.0 / self.k) * np.arctanh(np.abs((w - z)
+                                                  / (1.0 - z.conj() * w)))
 
-        zeta = (w - z) / b with b = 1 - conj(z) w is eta seen from gamma:
-        the pole leaves gamma along u = zeta / |zeta| and has length
-        (2 / k) atanh |zeta|. The inverse map has derivative b^2 / (1 -
-        |z|^2) at zeta, so the pole arrives at eta along u b / conj(b).
-        Each direction is scaled to unit length in the metric there.
-        """
-        self.check_point(eta)
-        z, w = complex(*gamma), complex(*eta)
-        b = 1.0 - z.conjugate() * w
-        zeta = (w - z) / b
-        az = abs(zeta)
-        if az < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        u = zeta / az
-        half_k = 0.5 * self.k
-        v = u * (1.0 - abs(z) ** 2) * half_k
-        f = 1.0 - abs(w) ** 2
-        t = u * b / b.conjugate() * f * half_k
+    def _frame_rows(self, points, vectors):
+        """(p, q, omega) of (n, 2) rows of chart vectors: their components
+        in the frame (d_x / lambda, d_y / lambda) and the frame's connection
+        form 2 (x y' - y x') / (1 - |z|^2)."""
+        x, y, dx, dy = points[:, 0], points[:, 1], vectors[:, 0], vectors[:, 1]
+        f = 1.0 - x * x - y * y
         lam = (2.0 / self.k) / f
-        a, c = eta_prime
-        speed = lam * lam * (a * t.real + c * t.imag)
-        rate = (speed * v.real, speed * v.imag)
-        if not record:
-            return rate, abs(speed), None
-        return rate, abs(speed), self._stage_record(
-            gamma, (v.real, v.imag), speed, (2.0 / self.k) * math.atanh(az),
-            ell, n_pole, lam * math.hypot(a, c))
+        return lam * dx, lam * dy, 2.0 * (x * dy - y * dx) / f
+
+    def _exp_rows(self, points, d1, d2, length, start):
+        """(ends, end tangents) of the geodesics of `length` from (n, 2) rows
+        of points along the unit frame vectors (d1, d2) (`_frame_rows`).
+
+        The frame is conformal, so the chart direction is u = d1 + i d2.
+        The Moebius map that sends 0 to z sends the diameter point
+        u tanh(k length / 2) to the end w, and turns the direction there
+        to u conj(den)^2 / |den|^2, den = 1 + conj(z) u tanh(k length / 2);
+        its unit tangent is that over lambda(w). start does not enter.
+        """
+        z = points[:, 0] + 1j * points[:, 1]
+        u = d1 + 1j * d2
+        zeta = math.tanh(0.5 * self.k * length) * u
+        den = 1.0 + z.conj() * zeta
+        w = (zeta + z) / den
+        turned = den.conj() / np.abs(den)
+        t = u * turned * turned * (0.5 * self.k) * (1.0 - np.abs(w) ** 2)
+        return (np.stack([w.real, w.imag], axis=1),
+                np.stack([t.real, t.imag], axis=1))
 
     def norm_rows(self, points, vectors):
         f = 1.0 - points[:, 0] ** 2 - points[:, 1] ** 2
@@ -981,10 +1069,8 @@ class HyperbolicModel(SpaceFormModel):
         operation over them.
         """
         a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
-        for p in (a, b):
-            # check_point, for all rows at once
-            if np.any(p[..., 0] ** 2 + p[..., 1] ** 2 >= 1.0):
-                raise OutOfDomainError("point outside the unit disk")
+        self.check_rows(a)
+        self.check_rows(b)
         ax, ay = a[..., 0], a[..., 1]
         bx, by = b[..., 0], b[..., 1]
         sx, sy = bx - ax, by - ay

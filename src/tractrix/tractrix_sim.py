@@ -14,19 +14,18 @@ parameter, so cusps need no restart.
 
 `simulate` splits the run into the sub-steps of one schedule, built in
 NumPy (`_schedule`): the dt steps between records, split at the tractor's
-velocity breaks. Flat runs use the bicycle monodromy: in flat space the
-pole direction X moves by a Moebius map, linear on its spinor, so each
-sub-step is one 2x2 map from a sixth-order Magnus step, and NumPy
-multiplies them out by a log-depth prefix product
-(`_propagate_monodromy`). The sphere and the disk use the RK4 loop
-(`_propagate_rk4`) on gamma, each stage solving the pole from gamma to eta
-in one closed form; surfaces use it on X, which moves by an explicit
-Jacobi-field ODE, each stage one geodesic shot from eta
-(`SurfaceModel.tractrix_stage`). The loop takes each record's stage and
+velocity breaks. Space forms use the bicycle monodromy: at constant
+curvature the pole direction X moves by a Moebius map, linear on its
+spinor, so each sub-step is one 2x2 map from a sixth-order Magnus step,
+NumPy multiplies them out by a log-depth prefix product, and each record
+reads gamma off X in closed form (`_propagate_monodromy`). Surfaces use
+an RK4 loop on X, which moves by an explicit Jacobi-field ODE, each stage
+one geodesic shot from eta (`_propagate_rk4`,
+`SurfaceModel.tractrix_stage`). The loop takes each record's stage and
 each sub-step from the model (`tractrix_stage`, `tractrix_step`), on
 tuples of Python floats, and the tractor's row evaluator, `rows`, samples
-its stage times in blocks of NumPy rows. The post-passes (cusps, foot
-distance, curvature) work on the record arrays, with one parallel
+its stage times in blocks of NumPy rows. The post-passes (signs, cusps,
+foot distance, curvature) work on the record arrays, with one parallel
 transport call per side over all records.
 """
 
@@ -303,10 +302,13 @@ def _require_geodesic(model, tractor, ell):
 
     The closed-form foot distance trusts the flag, so on models that have
     one, the midpoint and the end of the tractor must lie on the geodesic
-    through eta(t0) along eta'(t0).
+    through eta(t0) along eta'(t0). The three points must first pass the
+    model's domain check (`check_rows`): off the chart the distance is not
+    defined.
     """
     t0, t1 = tractor.t0, tractor.t1
     pts, vel = tractor.rows(np.array([t0, 0.5 * (t0 + t1), t1]))
+    model.check_rows(pts)
     off = model.distance_to_geodesic(pts[0], vel[0], pts[1:])
     if off is not None and np.max(off) > 1e-9 * max(1.0, ell):
         raise ConfigError(
@@ -319,19 +321,18 @@ def simulate(model, tractor, gamma0, ell, params=None):
 
     The records sit at dt steps over the tractor's span, and the sub-steps
     of `_schedule` split the steps at the tractor's velocity breaks. On a
-    model with generator rows, flat space, the pole direction moves by one
-    Moebius map per sub-step, and NumPy multiplies them out
-    (`_propagate_monodromy`). On the others an RK4 loop steps a state that
-    the model chooses (`_propagate_rk4`): on surfaces the unit pole
-    direction at the tractor, moved by its Jacobi-field ODE with one
-    geodesic shot per stage; on the sphere and the disk gamma itself, with
-    the pole solved in closed form at every stage. A pole solve that meets
-    coincident (or antipodal) points is a PoleLengthDriftError naming the
-    record time of the step it failed in. On a model without constant
-    curvature, a run whose pole shots together would take more RK4 steps
-    than one shot may (`shot_steps`) is a ConfigError before the first
-    stage. Both paths fill the record columns of `TractrixTrace` before
-    the post-passes (cusps, foot distance, curvature). The pull or push
+    space form the pole direction moves by one Moebius map per sub-step,
+    and NumPy multiplies them out (`_propagate_monodromy`); its start is
+    minus the direction of the log map from eta(t0) to gamma0, and
+    coincident (or antipodal) points there are a PoleLengthDriftError
+    naming t0. On a surface an RK4 loop steps the unit pole direction at
+    the tractor by its Jacobi-field ODE, one geodesic shot per stage
+    (`_propagate_rk4`); a run whose pole shots together would take more
+    RK4 steps than one shot may (`shot_steps`) is a ConfigError before the
+    first stage. Either way a distance from eta(t0) to gamma0 more than
+    _POLE_DRIFT_LIMIT off ell, or a record's, is a PoleLengthDriftError,
+    and both paths fill the record columns of `TractrixTrace` before the
+    post-passes (signs, cusps, foot distance, curvature). The pull or push
     character is emergent from the attachment geometry and recorded per
     record as sigma.
     """
@@ -359,17 +360,23 @@ def simulate(model, tractor, gamma0, ell, params=None):
     t_grid = np.linspace(tractor.t0, tractor.t1, n_steps + 1)
     n_pole = shot_steps(ell, params.pole_step)
     sched = _schedule(t_grid, tractor.breaks)
+    eta0 = tractor.point(tractor.t0)
     if model.K is None:
         # each of a sub-step's four stages shoots the pole
         shot_steps(4 * len(sched.ta) * ell, params.pole_step)
-
-    eta0 = tractor.point(tractor.t0)
-    state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
+        propagate = _propagate_rk4
+        state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
+    else:
+        propagate = _propagate_monodromy
+        model.check_point(eta0)
+        try:
+            v, L0 = model.log_map(eta0, gamma0)
+        except ValueError as err:
+            raise _pole_failure(t_grid, 0, err) from err
+        state = (*model.spinor(eta0, -v), gamma0)
     if abs(L0 - ell) > _POLE_DRIFT_LIMIT:
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
-    propagate = (_propagate_rk4 if model.generator_rows is None
-                 else _propagate_monodromy)
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
      eta_speeds, K_lo, K_hi), s = propagate(model, tractor, sched, t_grid,
                                             state, ell, n_pole)
@@ -399,7 +406,8 @@ def _pole_failure(t_grid, record, err):
 
 
 def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
-    """(record columns, s) of a run by the RK4 loop over `state`.
+    """(record columns, s) of a run on a surface by the RK4 loop over
+    `state`, the unit pole direction at the tractor.
 
     The model supplies the rate (`tractrix_stage`). The loop walks the
     sub-steps flat, on Python floats: the tractor samples their stage
@@ -412,10 +420,9 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
     opens a record, its k1 time where it takes its own k1, its midpoint
     (k2 and k3 share it) and a point just inside its end (a kink there
     gives its left limit), then the last record's. Each record is read
-    off its own stage, which also gives the tractor speed |eta'|_g; on
-    surfaces it carries J's samples along the pole, and one Simpson pass
-    (`simpson`) over the (records, n_pole + 1) array of them gives every
-    integral of J.
+    off its own stage, which also gives the tractor speed |eta'|_g and
+    carries J's samples along the pole; one Simpson pass (`simpson`) over
+    the (records, n_pole + 1) array of them gives every integral of J.
     """
     hh = sched.tb - sched.ta
     every = np.ones((2, len(hh)), bool)
@@ -455,65 +462,69 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
             s = s + ds
         take_record(state, s)
     except ValueError as err:
-        # a stage's pole solve met coincident (or antipodal) points in the
-        # step from the last record, or at the first record
+        # a stage's float arithmetic failed in the step from the last
+        # record, or at the first record
         raise _pole_failure(t_grid, max(len(records) - 1, 0), err) from err
 
     columns = [np.array(column) for column in zip(*records)]
-    if columns[5].ndim == 2:
-        # a surface record carries J's samples along its pole: one Simpson
-        # pass over all records; a space form's carries the closed form
-        columns[5] = simpson(columns[5], np.linspace(0.0, ell, n_pole + 1))
+    columns[5] = simpson(columns[5], np.linspace(0.0, ell, n_pole + 1))
     columns[6] = columns[6].astype(bool)
     return columns, np.array(s_list)
 
 
-def _propagate_monodromy(model, tractor, sched, t_grid, gamma0, ell,
+def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
                          n_pole):
-    """(record columns, s) of a run on a model with generator rows.
+    """(record columns, s) of a run on a space form.
 
     The pole direction X at the tractor is a spinor u (`generator_rows`)
-    that moves by u' = A u, A traceless and linear in eta'. Each sub-step
-    of `_schedule` gets one map, exp of its sixth-order Magnus exponent
-    from A at three Gauss nodes (`_magnus_map`), and a log-depth prefix
-    product (`_prefix_products`) of the maps of up to _MONODROMY_BLOCK
-    sub-steps applies them to the unit spinor that the block starts from,
-    which the last one carries to the next block. Each record reads gamma
-    = exp_eta(-ell X) and the signed speed <eta', X> at its time
-    (`pole_rows`). The arclength is Simpson's rule on |<eta', X>| over
-    each sub-step: the start reads eta' where the sub-step takes its k1,
-    the midpoint X comes from a half-step map, and the end reads eta' at
-    the end itself, or just inside it where it is a break, which gives the
-    left limit of a kink. The pole length is ell by construction; each
-    record's drift is |eta - gamma|_g - ell to rounding. Every map and
-    product is computed with NumPy's floating-point warnings off, and a
-    non-finite one is a PoleLengthDriftError naming the record time of
-    its step; so are coincident gamma0 and eta(t0).
+    that moves by u' = A u, A traceless and linear in eta'; state is the
+    unit spinor at eta(t0) and gamma0. Each sub-step of `_schedule` gets
+    one map, exp of its sixth-order Magnus exponent from A at three Gauss
+    nodes (`_magnus_map`), and a log-depth prefix product
+    (`_prefix_products`) of the maps of up to _MONODROMY_BLOCK sub-steps
+    applies them to the unit spinor that the block starts from, which the
+    last one carries to the next block. Each record of the block reads
+    gamma = exp_eta(-ell X), the pole direction at gamma and the signed
+    speed <eta', X> at its time (`pole_rows`), its chart coordinates
+    continuing from the record before, the first from gamma0's. The
+    arclength is Simpson's rule on |<eta', X>| over each sub-step: the
+    start reads eta' where the sub-step takes its k1, the midpoint X comes
+    from a half-step map, and the end reads eta' at the end itself, or
+    just inside it where it is a break, which gives the left limit of a
+    kink.
+
+    Every map and product is computed with NumPy's floating-point warnings
+    off, and the block is then checked (`_block_fault`): every tractor row
+    and every gamma must pass the model's domain check (`check_rows`), a
+    map must be finite and each record's drift |dist(eta, gamma) - ell|,
+    which is rounding by construction, must stay within
+    _POLE_DRIFT_LIMIT. The earliest failure in time is raised, the records
+    before it having passed.
     """
-    try:
-        x0, _ = model.log_map(gamma0, tractor.point(tractor.t0))
-    except ValueError as err:
-        raise _pole_failure(t_grid, 0, err) from err
-    u1, u2 = model.spinor(x0)
+    u1, u2, start = state
     ta, opens = sched.ta, sched.opens
     h = sched.tb - ta
     end_at = np.where(sched.kinked, sched.tb - 1e-9 * h, sched.tb)
     n = len(ta)
-    # the unit spinor at each sub-step's start and at the run's end, and
-    # each sub-step's arclength
-    (spin1, spin2), ds = np.empty((2, n + 1), complex), np.empty(n)
+    # the sub-step each record opens, the last record's being n
+    at = np.append(np.flatnonzero(opens), n)
+    ds, columns = np.empty(n), []
     for i in range(0, n, _MONODROMY_BLOCK):
         j = min(i + _MONODROMY_BLOCK, n)
         m, a, hb = j - i, ta[i:j], h[i:j]
+        # the records of the block, the last one's with the last block
+        r0, r1 = np.searchsorted(at, [i, j if j < n else n + 1])
+        rec = at[r0:r1]
         # the Gauss nodes of each step and of its first half, node by node,
-        # then where Simpson reads eta': the start, the midpoint and the end
+        # then where Simpson reads eta' (the start, the midpoint and the
+        # end) and the records
         hh = np.append(hb, 0.5 * hb)
         times = np.concatenate([np.append(a, a) + c * hh for c in _GAUSS3]
                                + [sched.k1_at[i:j], a + 0.5 * hb,
-                                  end_at[i:j]])
+                                  end_at[i:j], t_grid[r0:r1]])
         pts, vel = tractor.rows(times)
         with np.errstate(all="ignore"):
-            A = model.generator_rows(vel[:6 * m], ell)
+            A = model.generator_rows(pts[:6 * m], vel[:6 * m], ell)
             maps = _magnus_map(*([x[k:k + 2 * m] for x in A]
                                  for k in range(0, 6 * m, 2 * m)), hh)
             full = _prefix_products([x[:m] for x in maps])
@@ -523,33 +534,69 @@ def _propagate_monodromy(model, tractor, sched, t_grid, gamma0, ell,
             size = np.sqrt(e1.real ** 2 + e1.imag ** 2 + e2.real ** 2
                            + e2.imag ** 2)
             e1, e2 = e1 / size, e2 / size
-            s1, s2 = np.append(u1, e1[:-1]), np.append(u2, e2[:-1])
-            q = np.abs(model.pole_rows(
-                pts[6 * m:], vel[6 * m:],
-                np.concatenate([s1, half[0] * s1 + half[1] * s2, e1]),
-                np.concatenate([s2, half[2] * s1 + half[3] * s2, e2]),
-                ell)[2]).reshape(3, m)
+            s1, s2 = np.append(u1, e1), np.append(u2, e2)
+            q = np.abs(model.pole_speeds(
+                pts[6 * m:9 * m], vel[6 * m:9 * m],
+                np.concatenate([s1[:-1], half[0] * s1[:-1]
+                                + half[1] * s2[:-1], e1]),
+                np.concatenate([s2[:-1], half[2] * s1[:-1]
+                                + half[3] * s2[:-1], e2]))).reshape(3, m)
             ds[i:j] = hb / 6.0 * (q[0] + 4.0 * q[1] + q[2])
-        bad = ~(np.isfinite(e1) & np.isfinite(e2) & np.isfinite(ds[i:j]))
-        if bad.any():
-            k = i + int(np.argmax(bad))
-            t = float(t_grid[np.count_nonzero(opens[:k + 1]) - 1])
-            raise PoleLengthDriftError(
-                f"the pole monodromy is not finite in the step from "
-                f"t={t!r}")
-        spin1[i:j], spin2[i:j] = s1, s2
-        u1, u2 = e1[-1], e2[-1]
-    spin1[n], spin2[n] = u1, u2
-    at = np.append(np.flatnonzero(opens), n)
-    eta, vel = tractor.rows(t_grid)
-    gamma, X, speed = model.pole_rows(eta, vel, spin1[at], spin2[at], ell)
+            # a copy: a view would keep all of the block's rows alive
+            eta = pts[9 * m:].copy()
+            gamma, X, speed = model.pole_rows(eta, vel[9 * m:], s1[rec - i],
+                                              s2[rec - i], ell, start)
+            drift = np.abs(model.distance_rows(eta, gamma) - ell)
+        _block_fault(model, t_grid, at, i, pts, rec, gamma, drift,
+                     ~(np.isfinite(e1) & np.isfinite(e2)
+                       & np.isfinite(ds[i:j])))
+        columns.append((eta, gamma, X, speed, drift,
+                        model.norm_rows(eta, vel[9 * m:])))
+        u1, u2, start = e1[-1], e2[-1], gamma[-1]
+    eta, gamma, X, speed, drift, eta_speed = (np.concatenate(c)
+                                              for c in zip(*columns))
     m = len(t_grid)
     J_ell, J_int, conj = _reference_pole(model.K, ell, n_pole)
     return ([eta, gamma, X, speed, np.full(m, J_ell), np.full(m, J_int),
-             np.full(m, conj), np.abs(model.norm_rows(eta, eta - gamma) - ell),
-             model.norm_rows(eta, vel), np.full(m, model.K),
+             np.full(m, conj), drift, eta_speed, np.full(m, model.K),
              np.full(m, model.K)],
             np.append(0.0, np.cumsum(ds))[at])
+
+
+def _block_fault(model, t_grid, at, i, pts, rec, gamma, drift, broken):
+    """Raise the earliest failure of a `_propagate_monodromy` block.
+
+    Failures are ordered by the sub-step k they occur in, a record's
+    (rows `rec`, its gamma outside the domain, or a drift above
+    _POLE_DRIFT_LIMIT) before one inside the step it opens (a tractor row
+    outside the domain, or a map that is not finite, `broken`). The
+    tractor rows are the block's nine node groups of its m sub-steps, then
+    the records.
+    """
+    m = len(broken)
+    row_key = np.append(np.tile(2 * np.arange(i, i + m) + 1, 9), 2 * rec)
+    faults = [(row_key, model.row_faults(pts)),
+              (2 * rec, model.row_faults(gamma)),
+              (2 * rec, ~(drift <= _POLE_DRIFT_LIMIT)),
+              (2 * np.arange(i, i + m) + 1, broken)]
+    firsts = [key[bad].min() if bad.any() else math.inf
+              for key, bad in faults]
+    first = min(firsts)
+    if first == math.inf:
+        return
+    kind = firsts.index(first)
+    t = float(t_grid[np.searchsorted(at, first // 2, side="right") - 1])
+    if kind == 0:
+        model.check_rows(pts[row_key == first])
+    elif kind == 1:
+        model.check_rows(gamma[rec == first // 2])
+    elif kind == 2:
+        raise PoleLengthDriftError(
+            f"pole drift {float(drift[rec == first // 2][0]):.3e} exceeds "
+            f"{_POLE_DRIFT_LIMIT} at t={t!r}")
+    else:
+        raise PoleLengthDriftError(
+            f"the pole monodromy is not finite in the step from t={t!r}")
 
 
 def _bracket(x, y):
@@ -638,23 +685,25 @@ def _schedule(t_grid, breaks):
     return Schedule(ta, tb, opens, own_k1, k1_at, tb - last < 1e-12)
 
 
+def _carry(values, keep):
+    """values with each entry outside the mask `keep` replaced by the last
+    kept entry before it; entries before the first kept one stay."""
+    last = np.maximum.accumulate(np.where(keep, np.arange(len(values)), -1))
+    return np.where(last >= 0, values[last], values)
+
+
 def _fill_signs(speeds, eps):
-    sigma = np.sign(speeds).astype(np.int8).tolist()
-    # carry the sign through near-cusp records; default to pull if all stall
-    last = 0
-    for i, speed in enumerate(speeds.tolist()):
-        if abs(speed) >= eps and sigma[i] != 0:
-            last = sigma[i]
-        elif last != 0:
-            sigma[i] = last
-    if not any(sigma):
+    """sigma per record, +1 pull / -1 push: the sign of the speed, carried
+    through the records slower than eps from the last faster one and
+    through zeros from the last sign; the records before the first sign
+    take it, and all pull if none has one."""
+    sigma = _carry(np.sign(speeds).astype(np.int8), np.abs(speeds) >= eps)
+    sigma = _carry(sigma, sigma != 0)
+    signed = np.flatnonzero(sigma)
+    if not signed.size:
         return np.ones(len(sigma), dtype=np.int8)
-    first = next(i for i, x in enumerate(sigma) if x)
-    sigma[:first] = [sigma[first]] * first
-    for i in range(first, len(sigma)):
-        if sigma[i] == 0:
-            sigma[i] = sigma[i - 1]
-    return np.array(sigma, dtype=np.int8)
+    sigma[:signed[0]] = sigma[signed[0]]
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -679,27 +728,28 @@ def _pole_swing(trace, a, b):
     return total
 
 
+def _stall_windows(speed, eps):
+    """The [a, b] record windows of `_detect_cusps`, by their first record:
+    each maximal run of records slower than eps, and each pair of adjacent
+    faster records whose speeds change sign."""
+    stalled = np.abs(speed) < eps
+    edges = np.diff(stalled.astype(np.int8), prepend=0, append=0)
+    fast = ~stalled
+    flips = np.flatnonzero(fast[:-1] & fast[1:]
+                           & (speed[:-1] * speed[1:] < 0))
+    # the last record of the window each record starts, or -1
+    last = np.full(len(speed), -1)
+    last[edges[:-1] > 0] = np.flatnonzero(edges < 0) - 1
+    last[flips] = flips + 1
+    first = np.flatnonzero(last >= 0)
+    return np.stack([first, last[first]], axis=1).tolist()
+
+
 def _detect_cusps(trace, params):
-    eps = params.cusp_speed_eps
     n = len(trace.t)
-    # on Python lists: indexing NumPy scalars in the loops costs more
+    # on Python lists: indexing NumPy scalars in the loop costs more
     sp, ts = trace.speed.tolist(), trace.t.tolist()
-    stalled = [abs(x) < eps for x in sp]
-    # widen to cover sign changes between adjacent fast records
-    windows = []
-    i = 0
-    while i < n:
-        if stalled[i]:
-            j = i
-            while j + 1 < n and stalled[j + 1]:
-                j += 1
-            windows.append([i, j])
-            i = j + 1
-        else:
-            if i + 1 < n and not stalled[i + 1] and sp[i] * sp[i + 1] < 0:
-                windows.append([i, i + 1])
-            i += 1
-    for a, b in windows:
+    for a, b in _stall_windows(trace.speed, params.cusp_speed_eps):
         lo, hi = max(a - 1, 0), min(b + 1, n - 1)
         flip = sp[lo] * sp[hi] < 0
         swing = _pole_swing(trace, lo, hi)
@@ -1149,12 +1199,10 @@ def tractor_from_config(model, spec):
         u = np.array([math.cos(ang), math.sin(ang)])
         k = model.k
 
-        # per element: np.tanh and np.cosh differ from math's in the last bit
         def rows(ts, u=u, k=k):
-            ts = ts.tolist()
-            return (np.array([[math.tanh(0.5 * k * t)] for t in ts]) * u,
-                    np.array([[0.5 * k / math.cosh(0.5 * k * t) ** 2]
-                              for t in ts]) * u)
+            c = np.cosh(0.5 * k * ts)
+            return (np.tanh(0.5 * k * ts)[:, None] * u,
+                    (0.5 * k / (c * c))[:, None] * u)
 
         return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=True)
     elif kind == "helix":

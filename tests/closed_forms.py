@@ -1,7 +1,8 @@
 """Closed-form oracles that only the tests use.
 
 The planar tractrix pulled along a line, the flat tractrix behind a
-polyline, the long-pole tractrix on the unit sphere with an equatorial
+polyline, the pole angle behind a geodesic at constant curvature, the
+long-pole tractrix on the unit sphere with an equatorial
 tractor, whose tractor time comes from an adaptive Simpson quadrature of
 dt/ds, and the exact range of the Gauss curvature over a chart rectangle
 on the charts that have one.
@@ -181,6 +182,31 @@ def polyline_tractrix(points, gamma0, ell, t):
     X = (np.cos(theta)[:, None] * dirs[i]
          + np.sin(theta)[:, None] * np.array(normals)[i])
     return pts[i] + tau[:, None] * dirs[i] - ell * X
+
+
+# ---------------------------------------------------------------------------
+# The pole angle behind a geodesic at constant curvature
+
+
+def geodesic_pole_angle(K, ell, theta0, t):
+    """The angle theta from eta' to the pole direction X at eta (pointing
+    away from gamma) a time t after theta0, behind a unit-speed geodesic
+    tractor at constant curvature K.
+
+    In the frame parallel along the geodesic the pole rule X' = E (eta' -
+    <eta', X> X), E = c(ell) / s(ell), is theta' = -E sin(theta):
+    tan(theta / 2) = tan(theta0 / 2) exp(-E t), with E = k cot(k ell),
+    1 / ell and k coth(k ell) for K = k^2, 0 and -k^2.
+    """
+    k = math.sqrt(abs(K))
+    if K > 0:
+        E = k / math.tan(k * ell)
+    elif K < 0:
+        E = k / math.tanh(k * ell)
+    else:
+        E = 1.0 / ell
+    return 2.0 * np.arctan(math.tan(0.5 * theta0)
+                           * np.exp(-E * np.asarray(t, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

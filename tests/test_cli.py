@@ -398,9 +398,23 @@ def test_numeric_failure_exits_two(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_far_geodesic_disk_tractor_exits_two(tmp_path, capsys):
+    # tanh(20) rounds to 1: the tractor ends on |z| = 1, which the geodesic
+    # check refuses before it measures from there, where it warned and let
+    # a NaN distance pass
+    raw = {"model": {"kind": "spaceform", "K": -1.0},
+           "tractor": {"kind": "disk_ray", "t1": 40.0},
+           "gamma0": {"d0": 0.5}, "ell": 1.0}
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: point |z|^2=1.0 outside the unit disk\n")
+
+
 def test_collapsed_pole_exits_two(tmp_path, capsys):
-    # a pole of 1e-100 on the sphere: its closed-form solve finds gamma and
-    # eta coincident at the first record
+    # a pole of 1e-100 on the sphere: the log map that gives the run its
+    # first pole direction finds gamma and eta coincident
     config = write_config(tmp_path, flat_line(
         model={"kind": "spaceform", "K": 1.0},
         tractor={"kind": "latitude", "colatitude": 1.0, "t1": 1.0},

@@ -695,17 +695,10 @@ def test_transport_and_norm_rows_match_single_calls(model):
     assert model.parallel_transport(empty, empty, empty).shape == empty.shape
 
 
-# -- the closed-form tractrix stage -----------------------------------------
+# -- the closed-form tractrix record ------------------------------------------
 
 
-def stage_oracle(model, eta, eta_prime, gamma, ell):
-    """The stage as `connect` + `inner`: (rate, v, T, speed, drift)."""
-    v, L, t_end = model.connect(gamma, eta)
-    speed = model.inner(eta, eta_prime, t_end)
-    return speed * v, v, t_end, speed, abs(L - ell)
-
-
-# flat space has no stage: its poles move by the monodromy (`simulate`)
+# flat space is checked against its own closed forms (`test_tractrix_sim`)
 STAGE_MODELS = [SPHERE, space_form(4.0), HYP, space_form(-0.25)]
 
 
@@ -717,7 +710,8 @@ STAGE_MODELS = [SPHERE, space_form(4.0), HYP, space_form(-0.25)]
        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 def test_closed_form_stage_matches_connect(model, where, heading, frac,
                                            etap):
-    # the stage solves the pole from gamma to eta in closed form; connect
+    # a record reads gamma = exp_eta(-ell X), the pole direction at gamma
+    # and <eta', X> off the spinor of X (`spinor`, `pole_rows`); connect
     # (log_map + exp_point) and inner give the same pole to rounding
     if isinstance(model, SphereModel):
         gamma = [0.3 + (math.pi - 0.6) * where[0], 6.0 * where[1] - 3.0]
@@ -735,47 +729,58 @@ def test_closed_form_stage_matches_connect(model, where, heading, frac,
     eta = model.exp_point(np.array(gamma), v0, ell)[0]
     if isinstance(model, SphereModel):
         assume(math.sin(eta[0]) > 0.1)
-    eta, etap = eta.tolist(), etap[:model.dim]
-    rate, sdot, rec = model.tractrix_stage(eta, etap, gamma, ell, 8,
-                                           record=True)
-    got_gamma, v, speed, _, _, _, drift, eta_speed, K_lo, K_hi = rec
-    assert K_lo == K_hi == model.K
-    rate_o, v_o, t_o, speed_o, drift_o = stage_oracle(
-        model, np.array(eta), np.array(etap), np.array(gamma), ell)
+    etap = np.array(etap[:model.dim])
+    v_o, _, t_o = model.connect(np.array(gamma), eta)
+    x, _ = model.log_map(eta, np.array(gamma))
+    u1, u2 = (np.array([u]) for u in model.spinor(eta, -x))
+    rows = eta[None], etap[None]
+    got_gamma, pole_dir, speed = model.pole_rows(*rows, u1, u2, ell,
+                                                 np.array(gamma))
     # the signed speeds for eta' = e_i are <e_i, T>_g, which fix T: a
     # bound of 1e-12 |e_i|_g on each holds when |T - T_o|_g <= 1e-12
     for e_i in np.eye(model.dim):
-        speed_i = model.tractrix_stage(eta, e_i.tolist(), gamma, ell, 8,
-                                       record=True)[2][2]
+        speed_i = model.pole_speeds(eta[None], e_i[None], u1, u2)[0]
         assert (abs(speed_i - model.inner(eta, e_i, t_o))
                 <= 1e-12 * model.norm(eta, e_i))
     scale = model.norm(eta, etap)
     assume(scale > 1e-3)
-    assert eta_speed == pytest.approx(scale, rel=1e-12)
-    assert got_gamma == gamma
-    assert abs(speed - speed_o) <= 1e-12 * scale
-    assert sdot == abs(speed)
-    assert model.norm(gamma, np.subtract(rate, rate_o)) <= 1e-12 * scale
-    assert model.norm(gamma, np.subtract(v, v_o)) <= 1e-12
-    assert abs(drift - drift_o) <= 1e-12 * ell
+    assert model.pole_speeds(*rows, u1, u2)[0] == speed[0]
+    assert abs(speed[0] - model.inner(eta, etap, t_o)) <= 1e-12 * scale
+    assert np.max(np.abs(got_gamma[0] - gamma)) <= 1e-12
+    assert model.norm(gamma, pole_dir[0] - v_o) <= 1e-12
+    assert abs(model.distance_rows(eta[None], got_gamma)[0] - ell) <= 1e-12
 
 
 @pytest.mark.parametrize("model, eta, gamma, error", [
     (HYP, [0.3, 0.1], [0.3, 0.1], ValueError),
     (SPHERE, [1.0, 0.5], [1.0, 0.5], ValueError),
     (SPHERE, [1.0, 0.5], [math.pi - 1.0, 0.5 + math.pi], ValueError),
-    (SPHERE, [1.0, 0.5], [0.0, 0.0], SingularChartError),
+    (SPHERE, [1.0, 0.5], [1e-9, 0.0], SingularChartError),
     (SPHERE, [1e-9, 0.5], [1.0, 0.0], SingularChartError),
     (HYP, [0.8, 0.8], [0.0, 0.0], OutOfDomainError),
 ], ids=["disk-coincident",
         "sphere-coincident", "sphere-antipodal", "sphere-gamma-pole",
         "sphere-eta-pole", "disk-eta-outside"])
 def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
-    # the checks of connect and of the metric at eta; a tractor point
-    # outside the disk is refused as such, where connect failed first in
-    # atanh with a bare "math domain error"
+    # every tractor point and every gamma of a space-form run passes
+    # `check_rows`, which refuses a point at the chart pole or outside the
+    # disk as `check_point` does, one row at a time; the run's start is
+    # the log map from eta to gamma, which refuses coincident and
+    # antipodal points
+    rows = np.array([[0.5, 0.2], eta, gamma])
     with pytest.raises(error):
-        model.tractrix_stage(eta, [1.0] * model.dim, gamma, 1.0, 8)
+        model.check_rows(rows)
+        model.log_map(np.array(eta), np.array(gamma))
+    assert np.array_equal(model.row_faults(rows),
+                          [False, *(_refused(model, p) for p in rows[1:])])
+
+
+def _refused(model, p):
+    try:
+        model.check_point(p)
+    except (OutOfDomainError, SingularChartError):
+        return True
+    return False
 
 
 # -- chart exits -------------------------------------------------------------
