@@ -505,7 +505,7 @@ class SpaceFormModel(ManifoldModel):
     A = (1/2) [[-E p, E q - omega], [E q + omega, E p]]. A model supplies
     (p, q, omega) (`_frame_rows`), its exp on rows from a frame direction
     (`_exp_rows`), its distance on rows (`distance_rows`) and its domain
-    check on rows (`row_faults`, `check_rows`).
+    check on rows (`row_faults`, whose refused rows `check_point` names).
     """
 
     def __init__(self, K, dim=2, periods=None):
@@ -518,9 +518,17 @@ class SpaceFormModel(ManifoldModel):
         raise NotImplementedError
 
     def row_faults(self, points):
-        """The rows of (n, dim) points that `check_rows` refuses, as a
+        """The rows of (..., dim) points that `check_point` refuses, as a
         mask: none unless the chart has bounds."""
-        return np.zeros(len(points), dtype=bool)
+        return np.zeros(np.shape(points)[:-1], dtype=bool)
+
+    def check_rows(self, points):
+        """`check_point`'s error for the first row that `row_faults`
+        refuses."""
+        bad = np.ravel(self.row_faults(points))
+        if bad.any():
+            self.check_point(np.reshape(points, (-1, self.dim))[
+                np.argmax(bad)])
 
     def _shot(self, p, v, length, n_steps):
         """The shot in closed form: `_exp` and the constant-K Jacobi pair,
@@ -732,26 +740,14 @@ class SphereModel(SpaceFormModel):
         self.radius = 1.0 / self.k
         self.conjugate_scale = math.pi / self.k
 
-    def _singular(self, th):
-        return np.sin(th) ** 2 * self.radius ** 4 < DET_EPS
-
     def row_faults(self, points):
         th = np.asarray(points, dtype=float)[..., 0]
-        return ~((th > 0.0) & (th < math.pi)) | self._singular(th)
-
-    def check_rows(self, points):
-        """A colatitude near a pole of the chart, on either side, is
-        singular; one beyond that, or NaN, is outside (0, pi)."""
-        bad = self.row_faults(points).ravel()
-        if bad.any():
-            th = float(np.asarray(points)[..., 0].ravel()[np.argmax(bad)])
-            if self._singular(th):
-                raise SingularChartError(
-                    f"chart singular near the poles (theta={th!r})")
-            raise OutOfDomainError(f"colatitude {th!r} outside (0, pi)")
+        return (~((th > 0.0) & (th < math.pi))
+                | (np.sin(th) ** 2 * self.radius ** 4 < DET_EPS))
 
     def check_point(self, p):
-        # check_rows on floats
+        """A colatitude near a pole of the chart, on either side, is
+        singular; one beyond that, or NaN, is outside (0, pi)."""
         th = float(p[0])
         if math.sin(th) ** 2 * self.radius ** 4 < DET_EPS:
             raise SingularChartError(
@@ -868,9 +864,14 @@ class SphereModel(SpaceFormModel):
         On the unit sphere in R^3 the start P and the direction W give the
         end Y = P cos(k length) + W sin(k length) and the tangent there
         T = W cos(k length) - P sin(k length), read back in Y's chart. Each
-        end's longitude continues from the row before (`np.unwrap`), the
-        first from start's, so a tractrix more than pi of longitude from
-        its tractor stays on its own sheet.
+        end's coordinates continue from the row before, the first from
+        start's. Its longitude is unwrapped (`np.unwrap`), so a tractrix
+        more than pi of longitude from its tractor stays on its own sheet.
+        An end whose chart step from the row before is shorter through a
+        pole than around it has crossed that pole, and reads as the chart
+        continues there: (-theta, phi -+ pi) at the north pole, (2 pi -
+        theta, phi -+ pi) at the south pole, outside (0, pi), where
+        `row_faults` refuses it.
         """
         th, ph = points[:, 0], points[:, 1]
         st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
@@ -880,10 +881,21 @@ class SphereModel(SpaceFormModel):
         Y = [c * x + s * w for x, w in zip(P, W)]
         T = [c * w - s * x for x, w in zip(P, W)]
         rho = np.hypot(Y[0], Y[1])
-        ends = np.stack([np.arctan2(rho, Y[2]), np.unwrap(
-            np.append(start[1], np.arctan2(Y[1], Y[0])))[1:]], axis=1)
+        th = np.arctan2(rho, Y[2])
+        ph = np.unwrap(np.append(start[1], np.arctan2(Y[1], Y[0])))
+        before, turn = np.append(start[0], th[:-1]), np.diff(ph)
+        north = th + before < math.pi
+        across = np.where(north, th + before, math.tau - th - before)
+        crossed = (across ** 2 + (math.pi - np.abs(turn)) ** 2
+                   < (th - before) ** 2 + turn ** 2)
+        ends = np.stack([np.where(crossed, np.where(north, -th,
+                                                    math.tau - th), th),
+                         ph[1:] - np.where(crossed, math.pi * np.sign(turn),
+                                           0.0)], axis=1)
         radial = (Y[0] * T[0] + Y[1] * T[1]) / rho
-        return ends, np.stack([Y[2] * radial - rho * T[2],
+        # the continued chart's d_theta is minus the standard one there
+        return ends, np.stack([np.where(crossed, -1.0, 1.0)
+                               * (Y[2] * radial - rho * T[2]),
                                (Y[0] * T[1] - Y[1] * T[0]) / (rho * rho)],
                               axis=1) / self.radius
 
@@ -937,15 +949,7 @@ class HyperbolicModel(SpaceFormModel):
         points = np.asarray(points, dtype=float)
         return ~(points[..., 0] ** 2 + points[..., 1] ** 2 < 1.0)
 
-    def check_rows(self, points):
-        bad = self.row_faults(points).ravel()
-        if bad.any():
-            x, y = np.reshape(points, (-1, 2))[np.argmax(bad)].tolist()
-            raise OutOfDomainError(
-                f"point |z|^2={x * x + y * y!r} outside the unit disk")
-
     def check_point(self, p):
-        # check_rows on floats
         x, y = float(p[0]), float(p[1])
         r2 = x * x + y * y
         if not r2 < 1.0:

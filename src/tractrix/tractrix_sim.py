@@ -486,20 +486,22 @@ def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
     last one carries to the next block. Each record of the block reads
     gamma = exp_eta(-ell X), the pole direction at gamma and the signed
     speed <eta', X> at its time (`pole_rows`), its chart coordinates
-    continuing from the record before, the first from gamma0's. The
-    arclength is Simpson's rule on |<eta', X>| over each sub-step: the
-    start reads eta' where the sub-step takes its k1, the midpoint X comes
-    from a half-step map, and the end reads eta' at the end itself, or
-    just inside it where it is a break, which gives the left limit of a
-    kink.
+    continuing from the record before, the first from gamma0's; a step
+    split into more sub-steps than a block holds leaves blocks with no
+    record, which pass the last gamma on. The arclength is Simpson's rule
+    on |<eta', X>| over each sub-step: the start reads eta' where the
+    sub-step takes its k1, the midpoint X comes from a half-step map, and
+    the end reads eta' at the end itself, or just inside it where it is a
+    break, which gives the left limit of a kink.
 
     Every map and product is computed with NumPy's floating-point warnings
     off, and the block is then checked (`_block_fault`): every tractor row
-    and every gamma must pass the model's domain check (`check_rows`), a
-    map must be finite and each record's drift |dist(eta, gamma) - ell|,
-    which is rounding by construction, must stay within
-    _POLE_DRIFT_LIMIT. The earliest failure in time is raised, the records
-    before it having passed.
+    and every gamma must pass the model's domain check (`row_faults`; on
+    the sphere a gamma that crossed a chart pole since the record before
+    fails it, `SphereModel._exp_rows`), a map must be finite and each
+    record's drift |dist(eta, gamma) - ell|, which is rounding by
+    construction, must stay within _POLE_DRIFT_LIMIT. The earliest
+    failure in time is raised, the records before it having passed.
     """
     u1, u2, start = state
     ta, opens = sched.ta, sched.opens
@@ -552,7 +554,9 @@ def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
                        & np.isfinite(ds[i:j])))
         columns.append((eta, gamma, X, speed, drift,
                         model.norm_rows(eta, vel[9 * m:])))
-        u1, u2, start = e1[-1], e2[-1], gamma[-1]
+        u1, u2 = e1[-1], e2[-1]
+        if len(rec):
+            start = gamma[-1]
     eta, gamma, X, speed, drift, eta_speed = (np.concatenate(c)
                                               for c in zip(*columns))
     m = len(t_grid)
@@ -566,37 +570,34 @@ def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
 def _block_fault(model, t_grid, at, i, pts, rec, gamma, drift, broken):
     """Raise the earliest failure of a `_propagate_monodromy` block.
 
-    Failures are ordered by the sub-step k they occur in, a record's
-    (rows `rec`, its gamma outside the domain, or a drift above
-    _POLE_DRIFT_LIMIT) before one inside the step it opens (a tractor row
-    outside the domain, or a map that is not finite, `broken`). The
-    tractor rows are the block's nine node groups of its m sub-steps, then
-    the records.
+    Failures are ordered by the sub-step k they occur in, a record's (at
+    the sub-steps `rec`: its tractor row or its gamma outside the domain,
+    then a drift above _POLE_DRIFT_LIMIT) before one inside the step it
+    opens (one of the step's tractor rows outside the domain, then a map
+    that is not finite, `broken`). The tractor rows are the block's nine
+    node groups of its m sub-steps, then the records.
     """
     m = len(broken)
-    row_key = np.append(np.tile(2 * np.arange(i, i + m) + 1, 9), 2 * rec)
-    faults = [(row_key, model.row_faults(pts)),
-              (2 * rec, model.row_faults(gamma)),
-              (2 * rec, ~(drift <= _POLE_DRIFT_LIMIT)),
-              (2 * np.arange(i, i + m) + 1, broken)]
-    firsts = [key[bad].min() if bad.any() else math.inf
-              for key, bad in faults]
-    first = min(firsts)
-    if first == math.inf:
+    steps = pts[:9 * m].reshape(9, m, -1)
+    # record k's faults at 2 (k - i), sub-step k's at 2 (k - i) + 1
+    bad = np.zeros(2 * m + 2, dtype=bool)
+    bad[1:2 * m:2] = model.row_faults(steps).any(axis=0) | broken
+    bad[2 * (rec - i)] = (model.row_faults(pts[9 * m:])
+                          | model.row_faults(gamma)
+                          | ~(drift <= _POLE_DRIFT_LIMIT))
+    if not bad.any():
         return
-    kind = firsts.index(first)
-    t = float(t_grid[np.searchsorted(at, first // 2, side="right") - 1])
-    if kind == 0:
-        model.check_rows(pts[row_key == first])
-    elif kind == 1:
-        model.check_rows(gamma[rec == first // 2])
-    elif kind == 2:
-        raise PoleLengthDriftError(
-            f"pole drift {float(drift[rec == first // 2][0]):.3e} exceeds "
-            f"{_POLE_DRIFT_LIMIT} at t={t!r}")
-    else:
+    k, inside = divmod(int(np.argmax(bad)), 2)
+    t = float(t_grid[np.searchsorted(at, i + k, side="right") - 1])
+    if inside:
+        model.check_rows(steps[:, k])
         raise PoleLengthDriftError(
             f"the pole monodromy is not finite in the step from t={t!r}")
+    r = int(np.searchsorted(rec, i + k))
+    model.check_rows(pts[9 * m + r])
+    model.check_rows(gamma[r])
+    raise PoleLengthDriftError(f"pole drift {float(drift[r]):.3e} exceeds "
+                               f"{_POLE_DRIFT_LIMIT} at t={t!r}")
 
 
 def _bracket(x, y):

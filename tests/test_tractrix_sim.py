@@ -407,6 +407,21 @@ def test_flat_polyline_matches_the_closed_form(name, steps):
     assert sum(c.sign_flip for c in tr.cusps) >= 2
 
 
+def test_step_longer_than_a_block_of_sub_steps():
+    # one step over a polyline of 3,000 vertices splits into more sub-steps
+    # than a block of maps holds, so the blocks after the first hold no
+    # record; the run still follows the closed form to rounding
+    ts = np.linspace(0.0, 30.0, 3000)
+    points = np.stack([ts / 10.0, 0.2 * np.sin(ts)], axis=1)
+    tractor = polyline_tractor(points)
+    assert len(tractor.breaks) > 2 * tractrix_sim._MONODROMY_BLOCK
+    gamma0 = points[0] - 0.8 * np.array([math.cos(0.9), math.sin(0.9)])
+    tr = simulate(FLAT2, tractor, gamma0, 0.8, SimParams(dt=tractor.span))
+    exact = polyline_tractrix(points, gamma0, 0.8, tr.t)
+    assert len(tr.t) == 2
+    assert np.max(np.abs(tr.gamma - exact)) <= 1e-12
+
+
 def test_line_tractor_matches_the_classical_tractrix_through_its_cusp():
     # A is constant on a line, so even at dt = 0.04 the run is the closed
     # form to rounding through the cusp at t = 0
@@ -672,21 +687,47 @@ def test_earliest_failure_ends_the_run():
     # the tractor reaches the north pole at t = 0.5, a Simpson node
     ({"kind": "chart_line", "start": [0.5, 0.3], "direction": [-1.0, 0.0],
       "t1": 1.0}, [0.9, 0.3], 0.4, SingularChartError, r"theta=0\.0\)"),
-    # the tractor passes the south pole
+    # the tractor passes the south pole between two records: a node of
+    # the step between them reads it (the later record, 3.149)
     ({"kind": "chart_line", "start": [2.0, 0.3], "direction": [1.0, 0.3],
-      "t1": 1.5}, [1.6, 0.3], 0.4, OutOfDomainError, r"colatitude 3\.14"),
+      "t1": 1.5}, [1.6, 0.3], 0.4, OutOfDomainError,
+     r"^colatitude 3\.144\d* outside"),
     # a push in the meridian plane: gamma lands on the north pole at the
     # record t = 0.5, before the tractor passes it between two rows
     ({"kind": "chart_line", "start": [1.0037, 0.0], "direction": [-1.0, 0.0],
       "t1": 1.3}, [0.5, 0.0], 0.5037, SingularChartError,
      r"theta=0\.0\)"),
-], ids=["tractor-at-pole", "tractor-past-pole", "gamma-at-pole"])
+    # the same push with t1 = 0.8: gamma crosses the north pole between
+    # the records t = 0.49 and 0.5, and the chart continued through it
+    # reads the second at a negative colatitude
+    ({"kind": "chart_line", "start": [1.0037, 0.0], "direction": [-1.0, 0.0],
+      "t1": 0.8}, [0.5037, 0.0], 0.5, OutOfDomainError,
+     r"^colatitude -0\.0062\d* outside"),
+    # its mirror image crosses the south pole, beyond pi
+    ({"kind": "chart_line", "start": [math.pi - 1.0037, 0.0],
+      "direction": [1.0, 0.0], "t1": 0.8}, [math.pi - 0.5037, 0.0], 0.5,
+     OutOfDomainError, r"^colatitude 3\.14\d* outside"),
+], ids=["tractor-at-pole", "tractor-past-pole", "gamma-at-pole",
+        "gamma-past-north-pole", "gamma-past-south-pole"])
 def test_sphere_rows_pass_the_domain_check(spec, gamma0, ell, error, what):
     # every tractor row and every gamma meets `check_rows`, with the
     # typed errors of the stage that solved each pole before
     with pytest.raises(error, match=what):
         simulate(SPHERE, tractor_from_config(SPHERE, spec),
                  np.array(gamma0), ell, SimParams(dt=0.01))
+
+
+def test_gamma_near_a_pole_keeps_its_chart():
+    # the push above with a longitude slope of 0.1: gamma passes the north
+    # pole 0.024 away, more than twice its step of 0.0099, and stays in the
+    # chart, its longitude turning by at most 0.42 a record
+    tractor = tractor_from_config(SPHERE, {
+        "kind": "chart_line", "start": [1.0037, 0.0],
+        "direction": [-1.0, 0.1], "t1": 0.8})
+    tr = simulate(SPHERE, tractor, np.array([0.5037, 0.0]), 0.5,
+                  SimParams(dt=0.01))
+    assert 0.02 < np.min(tr.gamma[:, 0]) < 0.03
+    assert 0.4 < np.max(np.abs(np.diff(tr.gamma[:, 1]))) < 0.45
 
 
 def test_far_geodesic_disk_tractor_is_refused_before_its_distances():
