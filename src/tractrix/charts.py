@@ -27,17 +27,25 @@ its constants written in), then the class's formulas. From that text each
 instance gets its `spray` method, on floats and rows, the `_height` or
 `profile` method that shares the derivative lines, and `spray_text`, the
 float spray of one RK4 stage that `manifold` writes inline into its shot
-kernel, so a float shot on such a chart makes no call per stage. Every
-text runs through `compiled`, which executes each distinct text once per
-process. Only the `repr` of validated floats enters the text, and a
-graph's sums round as a term-by-term loop does. Every spray tests the
-domain against `box` inline, not through `contains`, and a derivative
-that overflows a float raises SingularChartError naming the point.
+kernel and tractrix stage, so a float shot on such a chart makes no call
+per stage. A graph chart also gets `jet_text`, its float jet, which the
+tractrix stage writes in at the tractor point. Every text runs through
+`compiled`, which executes each distinct text once per process. Only the
+`repr` of validated floats enters the text, and a graph's sums round as a
+term-by-term loop does. The text is folded exactly, so that CPython's
+constant folding does at compile time what the same IEEE arithmetic
+would do at run time: a graph slope that does not depend on the point is
+written into the formulas and the jet as its literal, one equal to an
+earlier slope as that slope's name (`_fold`), and a profile's scale of 1
+or -1 as nothing or a negation (`_scaled`). Every spray tests the domain
+against `box` inline, not through `contains`, and a derivative that
+overflows a float raises SingularChartError naming the point.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 import types
 from functools import lru_cache
@@ -113,7 +121,10 @@ def compiled(source):
 
 
 def _guarded(lines, at):
-    """lines in a try whose overflow raises SingularChartError at `at`."""
+    """lines in a try whose overflow raises SingularChartError at `at`;
+    no lines need no try."""
+    if not lines:
+        return []
     return ["try:", *_indent(lines, 1), "except (OverflowError, ValueError):",
             f"    raise _overflow(self, {at}) from None"]
 
@@ -139,6 +150,11 @@ class SurfaceChart:
     # {A}, {B}, {K} for the names it sets; None where the kernel calls
     # `spray` instead
     spray_text = None
+    # the float jet as text, for the tractrix stage of `manifold`: (lines
+    # with {u} and {v} for the point, run after the `spray_text` setup,
+    # the jet's 5 x 3 entries as expressions in the names they set); None
+    # where the stage calls `jet` instead
+    jet_text = None
     # a closed-form spray's formulas after the derivative lines, with
     # _SINGULAR where the metric determinant `det` can be singular
     _FORMULAS = ()
@@ -219,22 +235,23 @@ class SurfaceChart:
         K = (L * N - M * M) / (det * det)
         return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
 
-    def _compile(self, setup, derivs, extra):
+    def _compile(self, setup, derivs, extra, formulas):
         """Generate the closed-form spray from the derivative lines: bind
         `spray`, set `spray_text`, and return the functions of `extra`, the
         source of further methods, each bound to the chart.
 
         setup binds names once per call from `xp`; derivs, with {u} and
-        {v} for the point, set the names that the class's formulas read.
-        On floats the spray tests the domain, then forms the derivatives
-        and the formulas; on rows it leaves the tests to its caller and
-        returns `det` as a fourth entry.
+        {v} for the point, set the names that `formulas`, the class's
+        `_FORMULAS` as the chart writes them, read. On floats the spray
+        tests the domain, then forms the derivatives and the formulas; on
+        rows it leaves the tests to its caller and returns `det` as a
+        fourth entry.
         """
         stage = ["if not (ulo <= {u} <= uhi and vlo <= {v} <= vhi):",
                  "    raise self._exit({u}, {v})",
-                 *_guarded(derivs, "{u}, {v}"), *self._FORMULAS]
+                 *_guarded(derivs, "{u}, {v}"), *formulas]
         rows = [*_guarded(derivs, "{u}, {v}"),
-                *(line for line in self._FORMULAS if line != _SINGULAR)]
+                *(line for line in formulas if line != _SINGULAR)]
         spray = "\n".join([
             "def spray(self, u, v, a, b, xp=math):", *_indent(setup, 1),
             "    if xp is math:", "        ulo, uhi, vlo, vhi = self.box",
@@ -282,7 +299,18 @@ class RevolutionChart(SurfaceChart):
             "def profile(self, u, xp=math):", *_indent(setup, 1),
             *_indent(_guarded(derivs, "u"), 1),
             "    return r, r1, r2, z1, z2", ""]).format(u="u")
-        self.profile = self._compile(setup, derivs, profile)["profile"]
+        self.profile = self._compile(setup, derivs, profile,
+                                     self._FORMULAS)["profile"]
+
+
+def _scaled(factor, expr):
+    """The text of factor * expr, a profile's scale written in: nothing
+    for 1.0 and a negation for -1.0, which round as the product does."""
+    if factor == 1.0:
+        return expr
+    if factor == -1.0:
+        return f"-{expr}"
+    return f"{factor!r} * {expr}"
 
 
 class EllipsoidChart(RevolutionChart):
@@ -302,9 +330,9 @@ class EllipsoidChart(RevolutionChart):
         if self.a == self.b:
             a, c = self.a, self.c
             self._revolve(["sin, cos = xp.sin, xp.cos"], [
-                "su = sin({u})", "cu = cos({u})", f"r = {a!r} * su",
-                f"r1 = {a!r} * cu", f"r2 = {-a!r} * su", f"z1 = {-c!r} * su",
-                f"z2 = {-c!r} * cu"])
+                "su = sin({u})", "cu = cos({u})", f"r = {_scaled(a, 'su')}",
+                f"r1 = {_scaled(a, 'cu')}", f"r2 = {_scaled(-a, 'su')}",
+                f"z1 = {_scaled(-c, 'su')}", f"z2 = {_scaled(-c, 'cu')}"])
 
     def point(self, u, v):
         return (self.a * math.sin(u) * math.cos(v),
@@ -349,9 +377,11 @@ class PseudosphereChart(RevolutionChart):
         self.name = f"pseudosphere(a={a:g})"
         self.domain = ((0.0, None), (None, None))
         self._revolve(["cosh, tanh = xp.cosh, xp.tanh"], [
-            "se = 1.0 / cosh({u})", "ta = tanh({u})", f"r = {a!r} * se",
-            f"r1 = {-a!r} * se * ta", f"r2 = {a!r} * se * (ta * ta - se * se)",
-            f"z1 = {a!r} * ta * ta", f"z2 = 2.0 * {a!r} * ta * se * se"])
+            "se = 1.0 / cosh({u})", "ta = tanh({u})",
+            f"r = {_scaled(a, 'se')}", f"r1 = {_scaled(-a, 'se * ta')}",
+            f"r2 = {_scaled(a, 'se * (ta * ta - se * se)')}",
+            f"z1 = {_scaled(a, 'ta * ta')}",
+            f"z2 = 2.0 * {_scaled(a, 'ta * se * se')}"])
 
     def _sech(self, u, v, xp):
         try:
@@ -450,6 +480,38 @@ def _graph_source(poly, sinsin):
     return setup, angles, [" + ".join(terms) for terms in sums]
 
 
+# the names that a graph's slope lines set, one per derivative order after
+# the height's
+_SLOPES = ("fu", "fv", "fuu", "fuv", "fvv")
+_SLOPE_NAME = re.compile(rf"\b(?:{'|'.join(_SLOPES)})\b")
+
+
+def _fold(sums):
+    """(lines, refs) of a graph's slope sums, one per name in _SLOPES:
+    refs maps each name to what the formulas write in its place.
+
+    A sum that does not depend on the point is written as the literal of
+    its value, so that CPython folds the formulas' products of constants,
+    with the same IEEE arithmetic as at run time. A sum equal to an
+    earlier one is written as that one's name. Any other sum is a line
+    that sets its name.
+    """
+    lines, refs, named = [], {}, {}
+    for name, total in zip(_SLOPES, sums):
+        value = (eval(total, {"__builtins__": {}})
+                 if not compile(total, "<slope>", "eval").co_names
+                 else math.nan)
+        if math.isfinite(value):
+            refs[name] = (repr(value) if math.copysign(1.0, value) > 0.0
+                          else f"({value!r})")
+        elif total in named:
+            refs[name] = named[total]
+        else:
+            named[total] = refs[name] = name
+            lines.append(f"{name} = {total}")
+    return lines, refs
+
+
 class GraphChart(SurfaceChart):
     """Graph surface z = f(u, v) built from coefficient tables.
 
@@ -486,9 +548,17 @@ class GraphChart(SurfaceChart):
             "def _height(self, u, v, xp):", *_indent(setup, 1),
             *_indent(_guarded([*angles, f"return ({', '.join(sums)})"],
                               "u, v"), 1), ""]).format(u="u", v="v")
-        slopes = [*angles, *(f"{name} = {total}" for name, total in zip(
-            ("fu", "fv", "fuu", "fuv", "fvv"), sums[1:]))]
-        self._height = self._compile(setup, slopes, height)["_height"]
+        slopes, refs = _fold(sums[1:])
+        formulas = [_SLOPE_NAME.sub(lambda m: refs[m[0]], line)
+                    for line in self._FORMULAS]
+        self._height = self._compile(setup, [*angles, *slopes], height,
+                                     formulas)["_height"]
+        # the jet computes f as `_height` does, unused but for its overflow
+        self.jet_text = (
+            "\n".join(_guarded([*angles, f"f = {sums[0]}", *slopes],
+                               "{u}, {v}")),
+            (("1.0", "0.0", refs["fu"]), ("0.0", "1.0", refs["fv"]),
+             *(("0.0", "0.0", refs[name]) for name in ("fuu", "fuv", "fvv"))))
         self.domain = domain
 
     def point(self, u, v):

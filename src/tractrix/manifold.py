@@ -7,8 +7,9 @@ it); two-point geodesics (`connect`, `distance`); parallel transport
 along chart segments; the distance to a geodesic; a domain check on rows
 (`check_rows`); the tractrix, either as its pole's generator on rows
 (`generator_rows`, space forms) or as its start, one stage and one RK4
-sub-step (`tractrix_start`, `tractrix_stage`, `tractrix_step`, surfaces,
-on Python floats); and a polyline's edge lengths and discrete geodesic
+sub-step (`tractrix_start`, and the compiled `tractrix_stage` and
+`tractrix_step` of each surface, on Python floats); and a polyline's edge
+lengths and discrete geodesic
 accelerations (`edge_lengths`, `acceleration_norms`). The `*_rows`
 methods, transport and the polyline measures take (n, dim) rows, so a
 post-pass is one call.
@@ -18,24 +19,31 @@ in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
 riding along. The chart supplies that right-hand side, the acceleration
 and K (`SurfaceChart.spray`: closed forms on graph charts and surfaces of
-revolution, from the jet on the others). The shot kernel is one source
-template, `_KERNEL`: `_kernel` writes a chart's `spray_text`, its
-closed-form spray on floats, into every RK4 stage and compiles the result
-once per text, so a float shot makes no call per stage. A chart without
-spray text, the row shots (on `_geo_rows`) and any other right-hand side
-take the same template with a call line (`_rk4_rhs`). Every surface shot
-enters through `SurfaceModel._rk4_geodesic`, which adds the shot's spray
-evaluations, 4 per step and row, to the model's `sprays` counter. A
-tractrix record's shot also keeps the least and greatest K of its
-stages: the curvature window of its pole, which the comparison checks
-certify. The metric and Christoffel symbols at given points are derived
-here from the chart jet. A Newton solve gets its Jacobian from the shots
-it makes: `connect` is damped Newton with one shot per iteration, the
-direction column being s(L) times the end tangent turned by +pi/2
-(`quarter_turn`), and the attachment (`tractrix_sim.orthogonal_attachment`)
-makes no `connect` call: it is one damped Newton solve of its own, an
-offset shot and a pole shot per iteration, with both columns Jacobi
-fields of theirs.
+revolution, from the jet on the others). One RK4 step with the spray
+written in at each stage, `_STEP`, is the body of every shot loop. The
+shot kernel, `_KERNEL`, is that loop: `_kernel` writes a chart's
+`spray_text`, its closed-form spray on floats, into every RK4 stage and
+compiles the result once per text, so a float shot makes no call per
+stage. A chart without spray text, the row shots (on `_geo_rows`) and any
+other right-hand side take the same template with a call line
+(`_rk4_rhs`). A shot whose unit speed is checked keeps only the samples
+that the check reads (`_drift_stride`). Every surface shot but a tractrix
+stage's enters through `SurfaceModel._rk4_geodesic`, which adds the
+shot's spray evaluations, 4 per step and row, to the model's `sprays`
+counter. The tractrix stage and RK4 sub-step are compiled per chart from
+templates around the same step, `_STAGE` and `_SUBSTEP` (`_tractrix`):
+each writes the chart's jet (`jet_text`, or a call of `jet`) and its
+arithmetic at the tractor point, and its pole shots, inline, and counts
+their sprays the same way. A tractrix record's shot also keeps the
+least and greatest K of its stages: the curvature window of its pole,
+which the comparison checks certify. The metric and Christoffel symbols
+at given points are derived here from the chart jet. A Newton solve gets
+its Jacobian from the shots it makes: `connect` is damped Newton with one
+shot per iteration, the direction column being s(L) times the end tangent
+turned by +pi/2 (`quarter_turn`), and the attachment
+(`tractrix_sim.orthogonal_attachment`) makes no `connect` call: it is one
+damped Newton solve of its own, an offset shot and a pole shot per
+iteration, with both columns Jacobi fields of theirs.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
 rows in lockstep. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
@@ -200,7 +208,8 @@ class ManifoldModel:
 
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """One RK4 shot of n_steps from the point x0 along the velocity v0,
-        on floats or on rows (`_kernel`); raises on bad points."""
+        on floats or on rows, keeping the samples that collect asks for
+        (`_kernel`); raises on bad points."""
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
@@ -312,17 +321,18 @@ class ManifoldModel:
         Jacobi field along the shot: the one with J(0) = a N(0) and
         J'(0) = b N(0), N the parallel unit normal, ends at (a c + b s) N.
         A unit-speed drift above _DRIFT_TOL at evenly spaced samples of the
-        shot, its end point included, raises StepTooLargeError. Length 0
-        returns (p, v, 1, 0).
+        shot, its end point included, raises StepTooLargeError; the kernel
+        keeps only those samples (`_drift_stride`). Length 0 returns
+        (p, v, 1, 0).
         """
         if length == 0.0:
             return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
                     1.0, 0.0)
-        pts, tans, cs, ss = self._rk4_geodesic(
+        pts, tans, c, s = self._rk4_geodesic(
             (float(p[0]), float(p[1])), (float(v[0]), float(v[1])), length,
-            n_steps, collect=True)
+            n_steps, collect=_drift_stride(n_steps))
         self._check_drift(pts[..., None], tans[..., None])
-        return pts[-1], tans[-1], cs[-1], ss[-1]
+        return pts[-1], tans[-1], c, s
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         """`shoot` for (n, dim) rows p, v and n lengths, as rows, every row
@@ -433,29 +443,6 @@ class ManifoldModel:
             k4 = rhs(a + (t0 + h) * seg, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return w[0] if single else w
-
-    def tractrix_step(self, state, k1, q1, mid, end, hh, half, h6, ell,
-                      n_pole):
-        """(state, ds): one classical RK4 sub-step of `tractrix_sim.simulate`.
-
-        k1 and q1 are the first stage's rate and tractrix speed; mid and
-        end are the (eta, eta') of the sub-step's midpoint and end; hh is
-        its length, half and h6 its half and sixth. Stages 2 to 4 are
-        `tractrix_stage` calls, and the state and the arclength ds move by
-        the RK4 combination, written out on floats for a state of two
-        entries.
-        """
-        stage = self.tractrix_stage
-        y0, y1 = state
-        k2, q2, _ = stage(*mid, (y0 + half * k1[0], y1 + half * k1[1]),
-                          ell, n_pole)
-        k3, q3, _ = stage(*mid, (y0 + half * k2[0], y1 + half * k2[1]),
-                          ell, n_pole)
-        k4, q4, _ = stage(*end, (y0 + hh * k3[0], y1 + hh * k3[1]), ell,
-                          n_pole)
-        return ((y0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-                 y1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])),
-                h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
 
     def edge_length(self, a, b):
         """Length of a polyline edge: the metric chord at its midpoint."""
@@ -1142,7 +1129,11 @@ def _christoffel(jet, E, F, G, det):
 
 
 class SurfaceModel(ManifoldModel):
-    """Embedded surface F(u, v) in R^3; geometry from the chart derivatives."""
+    """Embedded surface F(u, v) in R^3; geometry from the chart derivatives.
+
+    `tractrix_stage` and `tractrix_step` are the functions that
+    `_tractrix` compiles for the chart, bound to the model.
+    """
 
     def __init__(self, chart: SurfaceChart):
         self.chart = chart
@@ -1153,6 +1144,10 @@ class SurfaceModel(ManifoldModel):
         self._float_shot, self._spray = (
             (_kernel(chart.spray_text), chart) if chart.spray_text
             else (_rk4_rhs, chart.spray))
+        # the tractrix's stage and RK4 sub-step, with the chart's jet and
+        # spray written in where it has them as text (`_tractrix`)
+        self.tractrix_stage, self.tractrix_step = _tractrix(
+            chart.spray_text, chart.jet_text)(self, chart)
 
     def check_point(self, p):
         self.chart.check_domain(float(p[0]), float(p[1]))
@@ -1211,8 +1206,10 @@ class SurfaceModel(ManifoldModel):
     def _check_drift(self, pts, tans):
         """Raise StepTooLargeError when the unit speed |T|_g, from the
         chart's E, F, G, drifts at evenly spaced samples of n shots in rows,
-        (m, 2, n), the end point included; the first bad row is named."""
-        stride = max(1, (len(pts) - 1) // 16)
+        (m, 2, n), the end point included; the first bad row is named. The
+        samples are every `_drift_stride`-th row and the last, which are
+        all the rows of a shot that kept only its drift samples."""
+        stride = _drift_stride(len(pts) - 1)
         idx = [*range(0, len(pts) - 1, stride), len(pts) - 1]
         (u, v), (p, q) = pts[idx].swapaxes(0, 1), tans[idx].swapaxes(0, 1)
         _, E, F, G, _ = self._checked_rows(u, v)
@@ -1250,14 +1247,16 @@ class SurfaceModel(ManifoldModel):
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         # one RK4 integration on arrays, every row in lockstep
-        pts, tans, cs, ss = self._rk4_geodesic(
-            np.transpose(p), np.transpose(v), length,
-            shot_steps(np.max(length, initial=0.0), pole_step), collect=True)
+        n_steps = shot_steps(np.max(length, initial=0.0), pole_step)
+        pts, tans, c, s = self._rk4_geodesic(
+            np.transpose(p), np.transpose(v), length, n_steps,
+            collect=_drift_stride(n_steps))
         self._check_drift(pts, tans)
-        return pts[-1].T, tans[-1].T, cs[-1], ss[-1]
+        return pts[-1].T, tans[-1].T, c, s
 
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
-        """The entry of every shot on the surface: `_kernel` on floats,
+        """The entry of every shot on the surface but a tractrix stage's,
+        which runs its shot inline (`_tractrix`): `_kernel` on floats,
         with the chart's spray written in, or called where the chart has
         no spray text, and on rows, x0 and v0 being (2, n) arrays, the
         kernel that calls `_geo_rows`. Adds the shot's spray evaluations,
@@ -1292,80 +1291,13 @@ class SurfaceModel(ManifoldModel):
         X, L, _ = self.connect(eta, gamma, L_guess=ell, pole_step=pole_step)
         return X.tolist(), L
 
-    def tractrix_stage(self, eta, eta_prime, X, ell, n_pole, record=False):
-        """One stage: (rate of the state, tractrix speed |ds/dt|, record).
-
-        The tractrix is gamma = exp_eta(ell X). Its velocity is the Jacobi
-        field J along the pole with J(0) = eta' and J'(0) = D_t X, taken at
-        gamma. J has no normal part there, so gamma moves along the pole
-        with speed <eta', X>, and
-
-            D_t X = -(c(ell) / s(ell)) (eta' - <eta', X> X),
-
-        with c and s the cosine and sine solutions of j'' + K j = 0 along
-        the pole. One RK4 shot of n_pole steps from eta along X carries them.
-        The chart rate is D_t X - Gamma(eta', X), extended to |X| != 1
-        homogeneously, so |X| is a first integral and the direction needs
-        no renormalizing.
-
-        Everything runs on Python floats: eta, eta_prime and X are float
-        sequences, the rate comes back as a tuple, and one chart jet at eta
-        (`_forms`) gives E, F, G and the Christoffel symbols, from which
-        |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X) are written out.
-        The record is None unless asked for; it is (gamma, pole_dir at
-        gamma, signed speed, J(ell), the samples of J, conjugate flag,
-        drift, |eta'|_g, K_lo, K_hi), its vectors and the samples as lists.
-        [K_lo, K_hi] is the least and greatest K that the shot's RK4 stages
-        evaluated, the curvature window of the pole. J is the
-        Jacobi field from gamma along the pole, j(u) = s(ell) c(ell - u) -
-        c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell); it is
-        sampled on floats at the n_pole + 1 points of the shot, which
-        `simulate` integrates for every record in one Simpson pass
-        (`simpson`). The flag says whether a sample after the first is
-        at most _CONJ_TOL. The drift is the shot's unit-speed error
-        |T(ell)|_g - 1 at gamma, with the metric there from a second jet.
-        """
-        u, w = eta
-        a, b = eta_prime
-        x, y = X
-        self.check_point(eta)
-        forms = self._forms(u, w)
-        _, E, F, G, _ = forms
-        (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(*forms)
-        # the products in the order of the row-vector forms X g X, eta' g X
-        size = math.sqrt((x * E + y * F) * x + (x * F + y * G) * y)
-        ux, uy = x / size, y / size
-        if record:
-            end, tangent, c, s, K_lo, K_hi = self._rk4_geodesic(
-                (u, w), (ux, uy), ell, n_pole, collect="jacobi")
-            c_ell, s_ell = c[-1], s[-1]
-        else:
-            end, tangent, c_ell, s_ell = self._rk4_geodesic(
-                (u, w), (ux, uy), ell, n_pole, collect=False)
-        if s_ell <= _CONJ_TOL:
-            raise NoConvergenceError(
-                f"the pole of length {ell!r} from {list(eta)} reaches a "
-                f"conjugate point (s(ell) = {s_ell:.3e})")
-        along = (a * E + b * F) * ux + (a * F + b * G) * uy
-        ratio = c_ell / s_ell
-        rate = (ratio * (along * x - size * a)
-                - ((g1uu * x + g1uv * y) * a + (g1uv * x + g1vv * y) * b),
-                ratio * (along * y - size * b)
-                - ((g2uu * x + g2uv * y) * a + (g2uv * x + g2vv * y) * b))
-        if not record:
-            return rate, abs(along), None
-        (gu, gv), (p, q) = end, tangent
-        self.check_point(end)
-        _, Eg, Fg, Gg, _ = self._forms(gu, gv)
-        speed = math.sqrt(max((p * Eg + q * Fg) * p + (p * Fg + q * Gg) * q,
-                              0.0))
-        eta_speed = math.sqrt(max((a * E + b * F) * a + (a * F + b * G) * b,
-                                  0.0))
-        jac = [s_ell * cu - c_ell * su for cu, su in zip(c[::-1], s[::-1])]
-        return rate, abs(along), (
-            [gu, gv], [-p / speed, -q / speed], -along, s_ell, jac,
-            any(j <= _CONJ_TOL for j in jac[1:]), abs(speed - 1.0),
-            eta_speed, K_lo, K_hi)
+    @staticmethod
+    def _conjugate_point(eta, ell, s):
+        """The error of a tractrix stage whose pole of length ell from eta
+        has s(ell) = s at most _CONJ_TOL."""
+        return NoConvergenceError(
+            f"the pole of length {ell!r} from {list(eta)} reaches a "
+            f"conjugate point (s(ell) = {s:.3e})")
 
 
 def surface_model(chart):
@@ -1403,8 +1335,74 @@ def model_from_config(spec):
 # Geodesic integration
 
 
-# One RK4 shot on (x, v, c, c', s, s') with the spray of each stage written
-# in at {stage1} .. {stage4}; see `_kernel`
+# One RK4 step of (x, v, c, c', s, s') with the spray of each stage written
+# in at {stage1} .. {stage4}: the body of every shot loop, in `_KERNEL` and
+# in the tractrix's `_SHOT`
+_STEP = """\
+{stage1}
+x2 = x + hh * p
+y2 = y + hh * q
+p2 = p + hh * a1
+q2 = q + hh * b1
+{stage2}
+x3 = x + hh * p2
+y3 = y + hh * q2
+p3 = p + hh * a2
+q3 = q + hh * b2
+{stage3}
+x4 = x + h * p3
+y4 = y + h * q3
+p4 = p + h * a3
+q4 = q + h * b3
+{stage4}
+# x and y read the old p and q, so they are stepped first
+x = x + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
+y = y + h6 * (q + 2.0 * q2 + 2.0 * q3 + q4)
+p = p + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+q = q + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+# j'' = -K j for j = c and j = s, with the same stage values
+c1p = -K1 * c
+s1p = -K1 * s
+c2 = cp + hh * c1p
+c2p = -K2 * (c + hh * cp)
+s2 = sp + hh * s1p
+s2p = -K2 * (s + hh * sp)
+c3 = cp + hh * c2p
+c3p = -K3 * (c + hh * c2)
+s3 = sp + hh * s2p
+s3p = -K3 * (s + hh * s2)
+c4 = cp + h * c3p
+c4p = -K4 * (c + h * c3)
+s4 = sp + h * s3p
+s4p = -K4 * (s + h * s3)
+c = c + h6 * (cp + 2.0 * c2 + 2.0 * c3 + c4)
+cp = cp + h6 * (c1p + 2.0 * c2p + 2.0 * c3p + c4p)
+s = s + h6 * (sp + 2.0 * s2 + 2.0 * s3 + s4)
+sp = sp + h6 * (s1p + 2.0 * s2p + 2.0 * s3p + s4p)"""
+# the names of each stage's point, velocity and spray outputs in _STEP
+_STAGES = tuple(dict(zip("uvabABK", names)) for names in (
+    ("x", "y", "p", "q", "a1", "b1", "K1"),
+    ("x2", "y2", "p2", "q2", "a2", "b2", "K2"),
+    ("x3", "y3", "p3", "q3", "a3", "b3", "K3"),
+    ("x4", "y4", "p4", "q4", "a4", "b4", "K4")))
+# the spray text of a kernel that calls its first argument per stage
+_CALL = ("", "{A}, {B}, {K} = self({u}, {v}, {a}, {b})")
+
+
+def _lines(text, depth, **names):
+    """text with `names` written in, indented by `depth` levels."""
+    return "\n".join(" " * (4 * depth) + line
+                     for line in text.format(**names).splitlines())
+
+
+def _step(stage, depth):
+    """_STEP with the spray text `stage` at each of its stages."""
+    return _lines(_STEP, depth, **{
+        f"stage{n}": _lines(stage, 0, **names)
+        for n, names in enumerate(_STAGES, 1)})
+
+
+# One RK4 shot: _STEP in a loop, and the drift samples; see `_kernel`
 _KERNEL = """\
 def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
     xp = math
@@ -1415,74 +1413,19 @@ def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
     x, y = x0
     p, q = v0
     c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
-    sampled = collect is True
     if collect:
-        xs, vs, cs, ss = [(x, y)], [(p, q)], [c], [s]
-        K_lo, K_hi = math.inf, -math.inf
-    for _ in range(n_steps):
-{stage1}
-        x2 = x + hh * p
-        y2 = y + hh * q
-        p2 = p + hh * a1
-        q2 = q + hh * b1
-{stage2}
-        x3 = x + hh * p2
-        y3 = y + hh * q2
-        p3 = p + hh * a2
-        q3 = q + hh * b2
-{stage3}
-        x4 = x + h * p3
-        y4 = y + h * q3
-        p4 = p + h * a3
-        q4 = q + h * b3
-{stage4}
-        # x and y read the old p and q, so they are stepped first
-        x = x + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
-        y = y + h6 * (q + 2.0 * q2 + 2.0 * q3 + q4)
-        p = p + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        q = q + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        # j'' = -K j for j = c and j = s, with the same stage values
-        c1p = -K1 * c
-        s1p = -K1 * s
-        c2 = cp + hh * c1p
-        c2p = -K2 * (c + hh * cp)
-        s2 = sp + hh * s1p
-        s2p = -K2 * (s + hh * sp)
-        c3 = cp + hh * c2p
-        c3p = -K3 * (c + hh * c2)
-        s3 = sp + hh * s2p
-        s3p = -K3 * (s + hh * s2)
-        c4 = cp + h * c3p
-        c4p = -K4 * (c + h * c3)
-        s4 = sp + h * s3p
-        s4p = -K4 * (s + h * s3)
-        c = c + h6 * (cp + 2.0 * c2 + 2.0 * c3 + c4)
-        cp = cp + h6 * (c1p + 2.0 * c2p + 2.0 * c3p + c4p)
-        s = s + h6 * (sp + 2.0 * s2 + 2.0 * s3 + s4)
-        sp = sp + h6 * (s1p + 2.0 * s2p + 2.0 * s3p + s4p)
-        if collect:
-            cs.append(c)
-            ss.append(s)
-            if sampled:
-                xs.append((x, y))
-                vs.append((p, q))
-            else:
-                K_lo = min(K_lo, K1, K2, K3, K4)
-                K_hi = max(K_hi, K1, K2, K3, K4)
-    if sampled:
-        return np.array(xs), np.array(vs), cs, ss
+        xs, vs = [], []
+    for k in range(n_steps):
+        if collect and not k % collect:
+            xs.append((x, y))
+            vs.append((p, q))
+{step}
     if collect:
-        return (x, y), (p, q), cs, ss, K_lo, K_hi
+        xs.append((x, y))
+        vs.append((p, q))
+        return np.array(xs), np.array(vs), c, s
     return (x, y), (p, q), c, s
 """
-# the names of each stage's point, velocity and spray outputs in _KERNEL
-_STAGES = tuple(dict(zip("uvabABK", names)) for names in (
-    ("x", "y", "p", "q", "a1", "b1", "K1"),
-    ("x2", "y2", "p2", "q2", "a2", "b2", "K2"),
-    ("x3", "y3", "p3", "q3", "a3", "b3", "K3"),
-    ("x4", "y4", "p4", "q4", "a4", "b4", "K4")))
-# the spray text of a kernel that calls its first argument per stage
-_CALL = ("", "{A}, {B}, {K} = self({u}, {v}, {a}, {b})")
 
 
 def _kernel(spray_text):
@@ -1510,21 +1453,261 @@ def _kernel(spray_text):
     kernel with one tuple per stage and int weights that calls the spray,
     so the bits are its bits (a test checks this against such a kernel).
 
-    The result is (x, v, c, s). With collect True, every step's sample:
-    the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
-    as lists. With collect "jacobi", for a tractrix record, the final point
-    and velocity as 2-tuples, every step's c and s as lists, and then the
-    least and greatest K of all the stages, floats. With collect False, the
-    final point and velocity as 2-tuples and the final c and s.
+    The result is (x, v, c, s), the final point and velocity and the
+    final c and s. With collect False, x and v are 2-tuples. With collect a
+    stride k (True is 1), they are the drift samples that `_check_drift`
+    reads, as (m, 2[, n]) arrays: the state before every k-th step and the
+    end.
     """
     setup, stage = spray_text
-    return compiled(_KERNEL.format(
-        setup="\n".join(f"    {line}" for line in setup.splitlines()),
-        **{f"stage{n}": "\n".join(f"        {line}" for line in
-                                  stage.format(**names).splitlines())
-           for n, names in enumerate(_STAGES, 1)}))["_rk4_geodesic"]
+    return compiled(_KERNEL.format(setup=_lines(setup, 1),
+                                   step=_step(stage, 2)))["_rk4_geodesic"]
 
 
 # the kernel on any right-hand side rhs(u, v, a, b) -> (a_u, a_v, K):
 # `_rk4_rhs(rhs, x0, v0, length, n_steps, collect)`
 _rk4_rhs = _kernel(_CALL)
+
+
+def _drift_stride(n_steps):
+    """The stride of an n_steps shot's drift samples (`_check_drift`):
+    every step of a shot of under 32 steps, and about 16 samples of a
+    longer one."""
+    return max(1, n_steps // 16)
+
+
+# The tractrix stage and RK4 sub-step on a surface, one pole shot per stage
+# inline: see `_tractrix`. Each function is compiled on its own, inside
+# _BIND, so that the compiler holds only one at a time. What outlives a
+# shot is the parameters, eta, the record's lists and K window, and names
+# that end in _, which no chart text sets
+_BIND = """\
+def _bind(model, self):
+    # 4 sprays per step, one per RK4 stage: the int stays out of the
+    # function below, whose arithmetic is all on floats
+    stages = 4
+
+{function}
+    return {name}
+"""
+_STAGE = """\
+def tractrix_stage(eta, eta_prime, X, ell, n_pole, record=False):
+{head}
+    u_, w_ = eta
+    a_, b_ = eta_prime
+    X0_, X1_ = X
+{geometry}
+    if record:
+        cs, ss = [], []
+        K_lo, K_hi = math.inf, -math.inf
+{shot}
+    if not record:
+        return (r0_, r1_), abs(along_), None
+    if not (ulo <= x <= uhi and vlo <= y <= vhi):
+        self.check_domain(float(x), float(y))
+{end_form}
+    speed_ = sqrt(max((p * Eg_ + q * Fg_) * p + (p * Fg_ + q * Gg_) * q, 0.0))
+    eta_speed_ = sqrt(max((a_ * E_ + b_ * F_) * a_ + (a_ * F_ + b_ * G_) * b_,
+                          0.0))
+    # the samples of J after the one at gamma, s c - c s; the comprehension
+    # reads c_ and s_, so that c and s stay plain locals
+    c_, s_ = c, s
+    tail = [s_ * cu - c_ * su for cu, su in zip(reversed(cs), reversed(ss))]
+    return (r0_, r1_), abs(along_), (
+        [x, y], [-p / speed_, -q / speed_], -along_, s,
+        [s * c - c * s, *tail], any(j <= {conj} for j in tail),
+        abs(speed_ - 1.0), eta_speed_, K_lo, K_hi)
+"""
+_SUBSTEP = """\
+def tractrix_step(state, k1, q1, mid, end, dt, half, dt6, ell, n_pole):
+{head}
+    y0_, y1_ = state
+    r0_, r1_ = k1
+    # the RK4 sums, k1 + 2 k2 + 2 k3 + k4 and its speeds', left to right;
+    # k3 reuses the midpoint's geometry
+    sum0_, sum1_, sumq_ = r0_, r1_, q1
+    for at_, scale_, weight_ in ((mid, half, 2.0), (None, half, 2.0),
+                                 (end, dt, 1.0)):
+        if at_ is not None:
+            eta, eta_prime = at_
+            u_, w_ = eta
+            a_, b_ = eta_prime
+{geometry}
+        X0_ = y0_ + scale_ * r0_
+        X1_ = y1_ + scale_ * r1_
+{shot}
+        sum0_ = sum0_ + weight_ * r0_
+        sum1_ = sum1_ + weight_ * r1_
+        sumq_ = sumq_ + weight_ * abs(along_)
+    return (y0_ + dt6 * sum0_, y1_ + dt6 * sum1_), dt6 * sumq_
+"""
+# the set-up of both functions, after the chart's
+_HEAD = """\
+sqrt = math.sqrt
+h = ell / n_pole if n_pole else 0.0
+hh, h6 = 0.5 * h, h / 6.0"""
+# one pole shot from (u_, w_) along X_ / |X_|, of n_pole steps of _STEP,
+# and the rate (r0_, r1_) of the stage: {top} and {bottom} run in each
+# step
+_SHOT = """\
+size_ = sqrt((X0_ * E_ + X1_ * F_) * X0_ + (X0_ * F_ + X1_ * G_) * X1_)
+ux_ = X0_ / size_
+uy_ = X1_ / size_
+model.sprays += stages * n_pole
+x = u_
+y = w_
+p = ux_
+q = uy_
+c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
+for _ in range(n_pole):
+{top}
+{step}
+{bottom}
+if s <= {conj}:
+    raise model._conjugate_point(eta, ell, s)
+along_ = (a_ * E_ + b_ * F_) * ux_ + (a_ * F_ + b_ * G_) * uy_
+ratio_ = c / s
+r0_ = (ratio_ * (along_ * X0_ - size_ * a_)
+       - ((g1uu_ * X0_ + g1uv_ * X1_) * a_
+          + (g1uv_ * X0_ + g1vv_ * X1_) * b_))
+r1_ = (ratio_ * (along_ * X1_ - size_ * b_)
+       - ((g2uu_ * X0_ + g2uv_ * X1_) * a_
+          + (g2uv_ * X0_ + g2vv_ * X1_) * b_))"""
+# the geometry at the tractor point (u_, w_): the domain test, the jet and
+# E_, F_, G_, det_ and the Christoffel symbols
+_GEOMETRY = """\
+if not (ulo <= u_ <= uhi and vlo <= w_ <= vhi):
+    self.check_domain(float(u_), float(w_))
+{jet}
+{first_form}
+{christoffel}"""
+# what the record stage's shot keeps: c and s before every step, and the
+# least and greatest K of its stages, by comparisons that keep what
+# min(K_lo, K1, ..., K4) and max(...) keep, ties and NaN included
+_RECORD_TOP = """\
+if record:
+    cs.append(c)
+    ss.append(s)"""
+_RECORD_BOTTOM = """\
+if record:
+    if K1 < K_lo: K_lo = K1
+    if K2 < K_lo: K_lo = K2
+    if K3 < K_lo: K_lo = K3
+    if K4 < K_lo: K_lo = K4
+    if K1 > K_hi: K_hi = K1
+    if K2 > K_hi: K_hi = K2
+    if K3 > K_hi: K_hi = K3
+    if K4 > K_hi: K_hi = K4"""
+# the spray text of a stage on a chart without one, by a call
+_SPRAY_CALL = ("ulo, uhi, vlo, vhi = self.box",
+               "{A}, {B}, {K} = self.spray({u}, {v}, {a}, {b})")
+# the jet of a chart without jet text, by a call, and its entries' names
+_JET_CALL = ("(xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv), "
+             "(xvv, yvv, zvv) = self.jet({u}, {v})",
+             (("xu", "yu", "zu"), ("xv", "yv", "zv"), ("xuu", "yuu", "zuu"),
+              ("xuv", "yuv", "zuv"), ("xvv", "yvv", "zvv")))
+
+
+def _first_form_lines(jet, tag, at):
+    """`_first_form`'s arithmetic on the jet entries `jet`, setting E, F, G
+    and det with the suffix tag, and `_forms`' singular-metric test."""
+    (xu, yu, zu), (xv, yv, zv) = jet[:2]
+    return "\n".join([
+        f"E{tag} = {xu} * {xu} + {yu} * {yu} + {zu} * {zu}",
+        f"F{tag} = {xu} * {xv} + {yu} * {yv} + {zu} * {zv}",
+        f"G{tag} = {xv} * {xv} + {yv} * {yv} + {zv} * {zv}",
+        f"det{tag} = E{tag} * G{tag} - F{tag} * F{tag}",
+        f"if det{tag} < DET_EPS: raise singular_metric(self, {at})"])
+
+
+def _christoffel_lines(jet):
+    """`_christoffel`'s arithmetic on the jet entries `jet`, after
+    `_first_form_lines` with the suffix _, setting g1ij_ and g2ij_."""
+    (xu, yu, zu), (xv, yv, zv) = jet[:2]
+    lines = ["iuu_ = G_ / det_", "iuv_ = -F_ / det_", "ivv_ = E_ / det_"]
+    for ij, (x, y, z) in zip(("uu", "uv", "vv"), jet[2:]):
+        lines += [f"d1_ = {x} * {xu} + {y} * {yu} + {z} * {zu}",
+                  f"d2_ = {x} * {xv} + {y} * {yv} + {z} * {zv}",
+                  f"g1{ij}_ = iuu_ * d1_ + iuv_ * d2_",
+                  f"g2{ij}_ = iuv_ * d1_ + ivv_ * d2_"]
+    return "\n".join(lines)
+
+
+def _tractrix(spray_text, jet_text):
+    """`bind(model, chart)` -> (tractrix_stage, tractrix_step), the
+    functions of a model's tractrix on the chart, compiled once per text
+    (`compiled`) from `_STAGE` and `_SUBSTEP`.
+
+    A stage is tractrix_stage(eta, eta_prime, X, ell, n_pole, record=False)
+    -> (rate of the state, tractrix speed |ds/dt|, record or None). The
+    tractrix is gamma = exp_eta(ell X). Its velocity is the Jacobi field J
+    along the pole with J(0) = eta' and J'(0) = D_t X, taken at gamma. J
+    has no normal part there, so gamma moves along the pole with speed
+    <eta', X>, and
+
+        D_t X = -(c(ell) / s(ell)) (eta' - <eta', X> X),
+
+    with c and s the cosine and sine solutions of j'' + K j = 0 along the
+    pole. One RK4 shot of n_pole steps from eta along X carries them. The
+    chart rate is D_t X - Gamma(eta', X), extended to |X| != 1
+    homogeneously, so |X| is a first integral and the direction needs no
+    renormalizing. A sub-step is tractrix_step(state, k1, q1, mid, end, dt,
+    half, dt6, ell, n_pole) -> (state, ds): k1 and q1 are the first stage's
+    rate and tractrix speed, mid and end the (eta, eta') of the sub-step's
+    midpoint and end, dt its length and half and dt6 its half and sixth.
+    It runs stages 2 to 4, k2 and k3 on the midpoint's one geometry, and
+    moves the state and the arclength ds by the classical RK4 combination.
+
+    Everything runs on Python floats, with no call per stage where the
+    chart has text. At eta a stage tests the domain (OutOfDomainError, as
+    `check_point`), runs the chart's jet lines (`jet_text`, or a call of
+    `jet`) and writes out `_first_form`'s and `_christoffel`'s arithmetic
+    on the entries, in their order, with the singular-metric test of
+    `_forms`; a graph chart's constant entries are literals, whose
+    products CPython folds with the same IEEE arithmetic. From E, F, G and
+    Gamma it forms |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X). Its
+    shot is _STEP with the chart's spray text (or a call of `spray`)
+    written in, and it adds 4 sprays a step to the model's `sprays`. A
+    shot whose s(ell) is at most _CONJ_TOL raises NoConvergenceError
+    (`_conjugate_point`).
+
+    The record is (gamma, pole_dir at gamma, signed speed, J(ell), the
+    samples of J, conjugate flag, drift, |eta'|_g, K_lo, K_hi), its vectors
+    and the samples as lists. [K_lo, K_hi] is the least and greatest K
+    that the shot's RK4 stages evaluated, the curvature window of the
+    pole. J is the Jacobi field from gamma along the pole, j(u) = s(ell)
+    c(ell - u) - c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell);
+    it is sampled at the n_pole + 1 points of the shot, which `simulate`
+    integrates for every record in one Simpson pass (`simpson`). The flag
+    says whether a sample after the first is at most _CONJ_TOL. The drift
+    is the shot's unit-speed error |T(ell)|_g - 1 at gamma, with the
+    domain tested and the metric formed there as at eta.
+    """
+    setup, stage = spray_text or _SPRAY_CALL
+    jet_lines, jet = jet_text or _JET_CALL
+    conj = repr(_CONJ_TOL)
+    step = _step(stage, 1)
+
+    def geometry(depth):
+        return _lines(_GEOMETRY, depth, jet=jet_lines.format(u="u_", v="w_"),
+                      first_form=_first_form_lines(jet, "_", "u_, w_"),
+                      christoffel=_christoffel_lines(jet))
+
+    def shot(depth, top="", bottom=""):
+        return _lines(_SHOT, depth, top=top, bottom=bottom, step=step,
+                      conj=conj)
+
+    def bind(template, name, **parts):
+        return compiled(_BIND.format(name=name, function=_lines(
+            template, 1, head=head, conj=conj, **parts)))["_bind"]
+
+    head = _lines("\n".join(["xp = math", setup, _HEAD]), 1)
+    stage = bind(_STAGE, "tractrix_stage", geometry=geometry(1),
+                 shot=shot(1, _lines(_RECORD_TOP, 1),
+                           _lines(_RECORD_BOTTOM, 1)),
+                 end_form=_lines("\n".join([
+                     jet_lines.format(u="x", v="y"),
+                     _first_form_lines(jet, "g_", "x, y")]), 1))
+    substep = bind(_SUBSTEP, "tractrix_step", geometry=geometry(3),
+                   shot=shot(2))
+    return lambda model, chart: (stage(model, chart), substep(model, chart))

@@ -20,11 +20,12 @@ spinor, so each sub-step is one 2x2 map from a sixth-order Magnus step,
 NumPy multiplies them out by a log-depth prefix product, and each record
 reads gamma off X in closed form (`_propagate_monodromy`). Surfaces use
 an RK4 loop on X, which moves by an explicit Jacobi-field ODE, each stage
-one geodesic shot from eta (`_propagate_rk4`,
-`SurfaceModel.tractrix_stage`). The loop takes each record's stage and
-each sub-step from the model (`tractrix_stage`, `tractrix_step`), on
-tuples of Python floats, and the tractor's row evaluator, `rows`, samples
-its stage times in blocks of NumPy rows. The post-passes (signs, cusps,
+one geodesic shot from eta (`_propagate_rk4`). The loop takes each
+record's stage and each sub-step from the model (`tractrix_stage`,
+`tractrix_step`, which `manifold` compiles per chart with the chart's
+jet, spray and pole shots written in), on tuples of Python floats, and
+the tractor's row evaluator, `rows`, samples its stage times in blocks of
+NumPy rows. The post-passes (signs, cusps,
 foot distance, curvature) work on the record arrays, with one parallel
 transport call per side over all records.
 """
@@ -415,8 +416,9 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
     points and velocities go to the model as lists, the rates and states
     coming back as tuples. Per sub-step it makes one `tractrix_step`
     call, which takes the first stage's rate and returns the next state
-    and the arclength gained: the classical RK4 stages 2 to 4 and their
-    combination. The stage times are, per sub-step, its start where it
+    and the arclength gained: the classical RK4 stages 2 to 4, with no
+    call per stage, and their combination. The stage times are, per
+    sub-step, its start where it
     opens a record, its k1 time where it takes its own k1, its midpoint
     (k2 and k3 share it) and a point just inside its end (a kink there
     gives its left limit), then the last record's. Each record is read

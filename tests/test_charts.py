@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -166,6 +167,49 @@ def test_compiled_spray_matches_handwritten_spray_bitwise(poly, sinsin, u, v,
     assert len(got) == len(want) == 4
     for x, y in zip(got, want):
         assert _bits(x, us.shape) == _bits(y, us.shape)
+
+
+FOLDED = {
+    "paraboloid": (ParaboloidChart(), ["fu", "fv"]),
+    "hills": (HillyChart(0.05, 2.0), ["fu", "fv", "fuu", "fuv"]),
+    "plane": (PlaneChart(), []),
+    "mixed": (GraphChart(poly=[(2, 0, 1.0), (1, 1, -0.5), (0, 2, 1.0)],
+                         sinsin=[(0.5, 1.0, 0.0, 1.0, 0.0)]),
+              ["fu", "fv", "fuu", "fuv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_slopes_keep_the_handwritten_spray_bits(name):
+    # a slope that does not depend on the point is a literal in the spray
+    # text (the paraboloid's f_uu, f_uv and f_vv, all of the plane's) and a
+    # repeated one its first name (the hills' f_vv is f_uu), so only the
+    # others have lines; the spray keeps the handwritten spray's bits,
+    # signed zeros included
+    chart, lines = FOLDED[name]
+    stage = chart.spray_text[1]
+    assert [s for s in ("fu", "fv", "fuu", "fuv", "fvv")
+            if f"    {s} = " in stage] == lines
+    values = [-0.0, 0.0, 0.3, -1.2]
+    for u, v, a, b in itertools.product(values, repeat=4):
+        got, want = chart.spray(u, v, a, b), graph_spray(chart, u, v, a, b)
+        assert _bits(got, 3) == _bits(want, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([-0.0, 0.0, math.pi]) | st.floats(0.0, math.pi))
+def test_unit_profiles_fold_their_scale_exactly(u):
+    # a profile's scale of 1 is written as nothing and -1 as a negation,
+    # which round as the products by 1.0 and -1.0 that they replace
+    su, cu = math.sin(u), math.cos(u)
+    for chart in (SphereChart(1.0), EllipsoidChart(1.0, 1.0, 1.0)):
+        assert _bits(chart.profile(u), 5) == _bits(
+            (1.0 * su, 1.0 * cu, -1.0 * su, -1.0 * su, -1.0 * cu), 5)
+    se, ta = 1.0 / math.cosh(u), math.tanh(u)
+    one = 1.0
+    assert _bits(PseudosphereChart(1.0).profile(u), 5) == _bits(
+        (one * se, -one * se * ta, one * se * (ta * ta - se * se),
+         one * ta * ta, 2.0 * one * ta * se * se), 5)
 
 
 def test_height_overflow_is_a_typed_error():

@@ -54,3 +54,17 @@ def test_shortening_run_imports_no_numpy_ma(tmp_path):
             "                 '--out', 'out'])\n"
             "print(code, 'numpy.ma' in sys.modules)")
     assert fresh_python(code, cwd=tmp_path).split()[-2:] == ["0", "False"]
+
+
+def test_import_compiles_only_the_call_line_kernel():
+    # the setup that the benchmark times is the import and the scenario
+    # loads: they compile one text, the call-line shot kernel, and leave
+    # every chart's spray, kernel, stage and sub-step to the model that
+    # needs it
+    code = ("import tractrix.cli\n"
+            "from tractrix.charts import compiled\n"
+            "from tractrix.config import bundled_names, bundled_scenario\n"
+            "for name in bundled_names():\n"
+            "    bundled_scenario(name)\n"
+            "print(compiled.cache_info().currsize)")
+    assert fresh_python(code).strip() == "1"

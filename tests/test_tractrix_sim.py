@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from rk4_reference import _rk4_geodesic as reference_rk4
 from scipy.integrate import simpson
 from scipy.optimize import brentq, minimize_scalar
 
@@ -794,8 +795,8 @@ def test_surface_profile_matches_a_shot_from_gamma(surface_pull):
     n_pole = shot_steps(tr.ell, SimParams().pole_step)
     u = np.linspace(0.0, tr.ell, n_pole + 1)
     for i in np.linspace(0, len(tr.t) - 1, 6).astype(int):
-        points, _, _, s = model._rk4_geodesic(tr.gamma[i], tr.pole_dir[i],
-                                              tr.ell, n_pole, collect=True)
+        points, _, _, s = reference_rk4(model.chart.spray, tr.gamma[i],
+                                        tr.pole_dir[i], tr.ell, n_pole, True)
         assert abs(s[-1] - tr.jacobi_ell[i]) < 1e-8
         assert abs(simpson(s, x=u) - tr.jacobi_int[i]) < 1e-8
         assert points[-1] == pytest.approx(tr.eta[i], abs=1e-6)
@@ -975,19 +976,31 @@ def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
 
 
 def logged_shots(monkeypatch, name, pole_step, span=None):
-    """{phase: [(steps, length)]} of every RK4 shot of a bundled scenario's
-    attachment, simulation at pole_step and `check_invariants`. The phases
-    are "attach", "simulate", "foot" (the foot solve) and "check"; a shot
+    """({phase: [(steps, length)]}, (stage shots, their sprays)) of a
+    bundled scenario's attachment, simulation at pole_step and
+    `check_invariants`.
+
+    The log holds every shot through `_rk4_geodesic`. The phases are
+    "attach", "simulate", "foot" (the foot solve) and "check"; a shot
     inside `connect` is logged with the starting length that sized the
-    solve."""
+    solve. The tractrix stages run their pole shots inline, so those are
+    counted apart: the shots of the run's `tractrix_stage` and
+    `tractrix_step` calls (one and three) and the sprays that the model's
+    counter gained in the run beyond those of the logged shots.
+    """
     log, where = {}, {"phase": None, "start": None}
+    logged_sprays = [0]
     rk4 = SurfaceModel._rk4_geodesic
 
     def logged(self, x0, v0, length, n_steps, collect):
         start = where["start"]
         log.setdefault(where["phase"], []).append(
             (n_steps, float(np.max(length)) if start is None else start))
-        return rk4(self, x0, v0, length, n_steps, collect)
+        before = self.sprays
+        try:
+            return rk4(self, x0, v0, length, n_steps, collect)
+        finally:
+            logged_sprays[0] += self.sprays - before
 
     connect = SurfaceModel.connect
 
@@ -1020,22 +1033,39 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     where["phase"] = "attach"
     g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     where["phase"] = "simulate"
+    stage_shots = [0]
+
+    def counted(fn, shots):
+        def call(*args, **kw):
+            stage_shots[0] += shots
+            return fn(*args, **kw)
+        return call
+
+    model.tractrix_stage = counted(model.tractrix_stage, 1)
+    model.tractrix_step = counted(model.tractrix_step, 3)
+    before, logged_sprays[0] = model.sprays, 0
     trace = simulate(model, tractor, g0, cfg.ell,
                      SimParams(**dict(cfg.sim, pole_step=pole_step)))
+    stages = stage_shots[0], model.sprays - before - logged_sprays[0]
     where["phase"] = "check"
     trace.check_invariants()
     monkeypatch.undo()
-    return log
+    return log, stages
 
 
 def test_every_shot_follows_the_step_rule(monkeypatch):
     # hilly_pull and ellipsoid_equator at the bench's spans: every shot
     # takes shot_steps(length, step), the attachment's at _INPUT_STEP and
-    # the run's, check_invariants' included, at its pole_step
-    runs = {(name, h): logged_shots(monkeypatch, name, h, span)
-            for name, span in (("hilly_pull", None),
-                               ("ellipsoid_equator", 0.2))
-            for h in (POLE_STEP, 0.025, 0.0125)}
+    # the run's, check_invariants' included, at its pole_step; a stage's
+    # inline pole shot shows as its 4 sprays a step on the model's counter
+    runs, stages = {}, {}
+    for name, span in (("hilly_pull", None), ("ellipsoid_equator", 0.2)):
+        for h in (POLE_STEP, 0.025, 0.0125):
+            runs[name, h], stages[name, h] = logged_shots(monkeypatch, name,
+                                                          h, span)
+    for (name, h), (shots, sprays) in stages.items():
+        ell = bundled_scenario(name).ell
+        assert shots > 0 and sprays == 4 * shot_steps(ell, h) * shots
     for (name, h), log in runs.items():
         assert set(log) == ({"attach", "simulate", "foot", "check"}
                             if name == "ellipsoid_equator"
