@@ -1,43 +1,48 @@
 """Embedded-surface chart catalog.
 
-A chart is an immersion F(u, v) -> R^3 given by two evaluators: `point`,
-the position, and `jet`, its first and second partial derivatives in one
-call, plus its geodesic spray: `spray` gives the acceleration
--Gamma(x', x') and the Gauss curvature K at a point, the right-hand side of
-every geodesic shot, on floats and on rows. The base spray derives both
-from the jet, through E, F, G and the second fundamental form; graph
-charts z = f(u, v) override it with the closed forms in f's derivatives,
-and surfaces of revolution (the sphere, the spheroid, the pseudosphere)
-with the closed forms in their profile curve's. The spray is the only
-source of K: a tractrix record's pole shot keeps the least and greatest
-value it returns, the curvature window that the comparison checks use.
-The manifold layer derives everything else (the metric and Christoffel
-symbols at given points, transport) from the jet. Evaluators return
-plain tuples because they sit inside integrator loops.
+A chart is an immersion F(u, v) -> R^3 with an evaluator `point`, the
+position, and its geometry written once, as text: the lines that give its
+derivatives at a point, and its jet, the first and second partial
+derivatives (F_u, F_v, F_uu, F_uv, F_vv), as names that those lines set
+or as literals. A graph chart z = f(u, v) writes f's slopes, from its
+coefficient tables (`_graph_source`); a surface of revolution (the
+sphere, the spheroid, the pseudosphere) writes its profile curve, with
+its constants written in, and the jet in the profile's derivatives; a
+triaxial ellipsoid writes its jet. From that text (`SurfaceChart._compile`)
+each instance gets
 
-`jet` and `spray` are written once against a math namespace `xp`: `math`,
-the default, for floats, `numpy` for arrays u, v of one shape, whose
-entries are then arrays, or floats that broadcast where they do not depend
-on the point.
+- `jet`, the jet at a point, in one call;
+- `spray`, the geodesic acceleration -Gamma(x', x') and the Gauss
+  curvature K at a point, the right-hand side of every geodesic shot.
+  Graph charts and surfaces of revolution write it in closed form in
+  their slopes or profile (`_FORMULAS`); any other chart takes the
+  generic formulas on its jet (`_jet_formulas`): the first form, the
+  Christoffel contractions and K from the second fundamental form. The
+  spray is the only source of K: a tractrix record's pole shot keeps the
+  least and greatest value it returns, the curvature window that the
+  comparison checks use;
+- `spray_text` and `jet_text`, the float spray of one RK4 stage and the
+  float jet, which `manifold` writes inline into its shot kernel and its
+  tractrix stage, so that a float shot makes no call per stage.
 
-A closed-form spray is written once, as text: the lines that give a
-chart's derivatives at a point (a graph chart's five slopes, from its
-coefficient tables by `_graph_source`; a surface of revolution's profile,
-its constants written in), then the class's formulas. From that text each
-instance gets its `spray` method, on floats and rows, the `_height` or
-`profile` method that shares the derivative lines, and `spray_text`, the
-float spray of one RK4 stage that `manifold` writes inline into its shot
-kernel and tractrix stage, so a float shot on such a chart makes no call
-per stage. A graph chart also gets `jet_text`, its float jet, which the
-tractrix stage writes in at the tractor point. Every text runs through
-`compiled`, which executes each distinct text once per process. Only the
-`repr` of validated floats enters the text, and a graph's sums round as a
-term-by-term loop does. The text is folded exactly, so that CPython's
-constant folding does at compile time what the same IEEE arithmetic
-would do at run time: a graph slope that does not depend on the point is
-written into the formulas and the jet as its literal, one equal to an
-earlier slope as that slope's name (`_fold`), and a profile's scale of 1
-or -1 as nothing or a negation (`_scaled`). Every spray tests the domain
+The manifold layer derives the metric and Christoffel symbols at given
+points from the jet, with the arithmetic that `_first_form_lines` and
+`_christoffel_lines` write out. Evaluators return plain tuples because
+they sit inside integrator loops.
+
+`jet` and `spray` run against a math namespace `xp`: `math`, the default,
+for floats, `numpy` for arrays u, v of one shape, whose entries are then
+arrays, or floats that broadcast where they do not depend on the point.
+
+Every text runs through `compiled`, which executes each distinct text
+once per process. Only the `repr` of validated floats enters the text,
+and a graph's sums round as a term-by-term loop does. The text is folded
+exactly, so that CPython's constant folding does at compile time what the
+same IEEE arithmetic would do at run time: a graph slope that does not
+depend on the point is written into the formulas and the jet as its
+literal, one equal to an earlier slope as that slope's name (`_fold`), a
+jet entry that is 0 as the literal 0.0, and a profile's scale of 1 or -1
+as nothing or a negation (`_scaled`). Every spray tests the domain
 against `box` inline, not through `contains`, and a derivative that
 overflows a float raises SingularChartError naming the point.
 """
@@ -133,28 +138,71 @@ def _indent(lines, depth):
     return [" " * (4 * depth) + line for line in lines]
 
 
-# the singular-metric test of a float spray, left out on rows
-_SINGULAR = "if det < DET_EPS: raise singular_metric(self, {u}, {v})"
+# the singular-metric test of det with the suffix {tag} at the point {at}
+_SINGULAR_AT = "if det{tag} < DET_EPS: raise singular_metric(self, {at})"
+# a float spray's, left out on rows
+_SINGULAR = _SINGULAR_AT.format(tag="", at="{u}, {v}")
+
+
+def _first_form_lines(jet, tag, at):
+    """Lines that set E, F, G and det = E G - F^2, each with the suffix
+    tag, from the jet entries `jet`, then test det at the point `at`
+    (_SINGULAR_AT): the arithmetic of `manifold._first_form`, in its
+    order."""
+    (xu, yu, zu), (xv, yv, zv) = jet[:2]
+    return [f"E{tag} = {xu} * {xu} + {yu} * {yu} + {zu} * {zu}",
+            f"F{tag} = {xu} * {xv} + {yu} * {yv} + {zu} * {zv}",
+            f"G{tag} = {xv} * {xv} + {yv} * {yv} + {zv} * {zv}",
+            f"det{tag} = E{tag} * G{tag} - F{tag} * F{tag}",
+            _SINGULAR_AT.format(tag=tag, at=at)]
+
+
+def _christoffel_lines(jet, tag):
+    """Lines after `_first_form_lines` that set Gamma^u_ij and Gamma^v_ij
+    as g1ij and g2ij (ij = uu, uv, vv), each with the suffix tag: the
+    arithmetic of `manifold._christoffel`, in its order."""
+    (xu, yu, zu), (xv, yv, zv) = jet[:2]
+    lines = [f"iuu{tag} = G{tag} / det{tag}", f"iuv{tag} = -F{tag} / det{tag}",
+             f"ivv{tag} = E{tag} / det{tag}"]
+    for ij, (x, y, z) in zip(("uu", "uv", "vv"), jet[2:]):
+        lines += [f"d1{tag} = {x} * {xu} + {y} * {yu} + {z} * {zu}",
+                  f"d2{tag} = {x} * {xv} + {y} * {yv} + {z} * {zv}",
+                  f"g1{ij}{tag} = iuu{tag} * d1{tag} + iuv{tag} * d2{tag}",
+                  f"g2{ij}{tag} = iuv{tag} * d1{tag} + ivv{tag} * d2{tag}"]
+    return lines
+
+
+def _jet_formulas(jet):
+    """The generic spray's formulas on the jet entries `jet`: the first
+    form, the Christoffel contractions, the acceleration -Gamma(x', x'),
+    and K = (L N - M^2) / det^2 from the second fundamental form against
+    the unnormalized normal n = F_u x F_v, whose |n|^2 is det, so that no
+    square root is needed."""
+    ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
+     (xvv, yvv, zvv)) = jet
+    return [
+        *_first_form_lines(jet, "", "{u}, {v}"), *_christoffel_lines(jet, ""),
+        "{A} = -(g1uu * {a} * {a} + 2.0 * g1uv * {a} * {b}"
+        " + g1vv * {b} * {b})",
+        "{B} = -(g2uu * {a} * {a} + 2.0 * g2uv * {a} * {b}"
+        " + g2vv * {b} * {b})",
+        f"nx = {yu} * {zv} - {zu} * {yv}", f"ny = {zu} * {xv} - {xu} * {zv}",
+        f"nz = {xu} * {yv} - {yu} * {xv}",
+        f"L = {xuu} * nx + {yuu} * ny + {zuu} * nz",
+        f"M = {xuv} * nx + {yuv} * ny + {zuv} * nz",
+        f"N = {xvv} * nx + {yvv} * ny + {zvv} * nz",
+        "{K} = (L * N - M * M) / (det * det)"]
 
 
 class SurfaceChart:
-    """Base immersion. Subclasses fill in `point` and `jet`."""
+    """Base immersion. A subclass fills in `point` and writes its geometry
+    as text (`_compile`), from which the instance gets `jet`, `spray`,
+    `jet_text` and `spray_text`."""
 
     name = "chart"
     _domain = ((None, None), (None, None))
     # the domain as (umin, umax, vmin, vmax), unbounded sides at -+_FAR
     box = (-_FAR, _FAR, -_FAR, _FAR)
-    # the float spray of one RK4 stage as text, for the shot kernel of
-    # `manifold`: (lines run once per shot, lines run per stage), the
-    # latter with {u}, {v}, {a}, {b} for the stage's point and velocity and
-    # {A}, {B}, {K} for the names it sets; None where the kernel calls
-    # `spray` instead
-    spray_text = None
-    # the float jet as text, for the tractrix stage of `manifold`: (lines
-    # with {u} and {v} for the point, run after the `spray_text` setup,
-    # the jet's 5 x 3 entries as expressions in the names they set); None
-    # where the stage calls `jet` instead
-    jet_text = None
     # a closed-form spray's formulas after the derivative lines, with
     # _SINGULAR where the metric determinant `det` can be singular
     _FORMULAS = ()
@@ -175,11 +223,6 @@ class SurfaceChart:
         """F(u, v) as a 3-tuple."""
         raise NotImplementedError
 
-    def jet(self, u, v, xp=math):
-        """(F_u, F_v, F_uu, F_uv, F_vv) at (u, v), each a 3-tuple; xp is
-        `math` for floats and `numpy` for arrays (module docstring)."""
-        raise NotImplementedError
-
     def check_domain(self, u, v):
         if not self.contains(u, v):
             raise OutOfDomainError(f"{self.name}: ({u!r}, {v!r}) outside "
@@ -193,60 +236,34 @@ class SurfaceChart:
         return DomainExitError(f"{self.name}: geodesic left the chart domain",
                                point=(u, v))
 
-    def spray(self, u, v, a, b, xp=math):
-        """(acc_u, acc_v, K): the geodesic acceleration -Gamma(x', x') for
-        the velocity x' = (a, b) at (u, v), and the Gauss curvature there,
-        from one jet. On floats it raises DomainExitError outside the
-        domain and SingularChartError where the metric is singular, before
-        any division. On rows (xp numpy) it checks nothing and returns the
-        metric determinant as a fourth entry, for the caller to check every
-        row against DET_EPS."""
-        if xp is math:
-            ulo, uhi, vlo, vhi = self.box
-            if not (ulo <= u <= uhi and vlo <= v <= vhi):
-                raise self._exit(u, v)
-        # unpacked once: indexing the tuples term by term costs more
-        ((xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv),
-         (xvv, yvv, zvv)) = self.jet(u, v, xp)
-        E = xu * xu + yu * yu + zu * zu
-        F = xu * xv + yu * yv + zu * zv
-        G = xv * xv + yv * yv + zv * zv
-        det = E * G - F * F
-        if xp is math and det < DET_EPS:
-            raise singular_metric(self, u, v)
-        iuu, iuv, ivv = G / det, -F / det, E / det
-        cu1 = xuu * xu + yuu * yu + zuu * zu
-        cu2 = xuu * xv + yuu * yv + zuu * zv
-        cm1 = xuv * xu + yuv * yu + zuv * zu
-        cm2 = xuv * xv + yuv * yv + zuv * zv
-        cv1 = xvv * xu + yvv * yu + zvv * zu
-        cv2 = xvv * xv + yvv * yv + zvv * zv
-        g1uu, g2uu = iuu * cu1 + iuv * cu2, iuv * cu1 + ivv * cu2
-        g1uv, g2uv = iuu * cm1 + iuv * cm2, iuv * cm1 + ivv * cm2
-        g1vv, g2vv = iuu * cv1 + iuv * cv2, iuv * cv1 + ivv * cv2
-        acc_u = -(g1uu * a * a + 2.0 * g1uv * a * b + g1vv * b * b)
-        acc_v = -(g2uu * a * a + 2.0 * g2uv * a * b + g2vv * b * b)
-        # K = (L N - M^2) / det against the unit normal; the unnormalized
-        # n = F_u x F_v has |n|^2 = det, so no square root is needed
-        nx, ny, nz = yu * zv - zu * yv, zu * xv - xu * zv, xu * yv - yu * xv
-        L = xuu * nx + yuu * ny + zuu * nz
-        M = xuv * nx + yuv * ny + zuv * nz
-        N = xvv * nx + yvv * ny + zvv * nz
-        K = (L * N - M * M) / (det * det)
-        return (acc_u, acc_v, K) if xp is math else (acc_u, acc_v, K, det)
+    def _compile(self, setup, derivs, jet, formulas, extra=""):
+        """Generate the chart's evaluators from its text: bind `jet`,
+        `spray` and the functions of `extra`, the source of further
+        methods, to the chart, and set `jet_text` and `spray_text`.
 
-    def _compile(self, setup, derivs, extra, formulas):
-        """Generate the closed-form spray from the derivative lines: bind
-        `spray`, set `spray_text`, and return the functions of `extra`, the
-        source of further methods, each bound to the chart.
+        setup binds names once per call from `xp`. derivs, with {u} and {v}
+        for the point, set the names that `formulas`, the spray's formulas
+        as the chart writes them, read. jet is (lines, entries): lines
+        that run after derivs, and the jet's 5 x 3 entries, each a name
+        that derivs or those lines set, or a literal. An entry is never an
+        expression, whose products in `_first_form_lines` would associate
+        differently from the same products of its value.
 
-        setup binds names once per call from `xp`; derivs, with {u} and
-        {v} for the point, set the names that `formulas`, the class's
-        `_FORMULAS` as the chart writes them, read. On floats the spray
-        tests the domain, then forms the derivatives and the formulas; on
-        rows it leaves the tests to its caller and returns `det` as a
-        fourth entry.
+        `jet(u, v, xp=math)` returns the jet as five 3-tuples.
+        `spray(u, v, a, b, xp=math)` returns (acc_u, acc_v, K) for the
+        velocity (a, b) at (u, v). On floats it raises DomainExitError
+        outside the domain and SingularChartError where the metric is
+        singular, before any division. On rows it checks nothing and
+        returns the metric determinant `det` as a fourth entry, for the
+        caller to check every row against DET_EPS.
+
+        `spray_text` is (lines run once per shot, lines run per stage), the
+        latter with {u}, {v}, {a}, {b} for the stage's point and velocity
+        and {A}, {B}, {K} for the names it sets. `jet_text` is (lines with
+        {u} and {v} for the point, run after the `spray_text` setup, the
+        jet's entries).
         """
+        lines, entries = jet
         stage = ["if not (ulo <= {u} <= uhi and vlo <= {v} <= vhi):",
                  "    raise self._exit({u}, {v})",
                  *_guarded(derivs, "{u}, {v}"), *formulas]
@@ -257,20 +274,26 @@ class SurfaceChart:
             "    if xp is math:", "        ulo, uhi, vlo, vhi = self.box",
             *_indent(stage, 2), "        return acc_u, acc_v, K",
             *_indent(rows, 1), "    return acc_u, acc_v, K, det", ""])
+        jet_lines = _guarded([*derivs, *lines], "{u}, {v}")
+        values = ", ".join(f"({', '.join(entry)})" for entry in entries)
+        jet = "\n".join(["def jet(self, u, v, xp=math):", *_indent(setup, 1),
+                         *_indent(jet_lines, 1), f"    return ({values})",
+                         ""])
         names = compiled(spray.format(u="u", v="v", a="a", b="b", A="acc_u",
-                                      B="acc_v", K="K") + extra)
+                                      B="acc_v", K="K")
+                         + jet.format(u="u", v="v") + extra)
         self.spray_text = ("\n".join(["ulo, uhi, vlo, vhi = self.box",
                                       *setup]), "\n".join(stage))
-        self.spray = types.MethodType(names["spray"], self)
-        return {name: types.MethodType(fn, self)
-                for name, fn in names.items() if name != "spray"}
+        self.jet_text = "\n".join(jet_lines), entries
+        for name, fn in names.items():
+            setattr(self, name, types.MethodType(fn, self))
 
 
 class RevolutionChart(SurfaceChart):
     """Surface of revolution F(u, v) = (r(u) cos v, r(u) sin v, z(u)).
 
     A subclass writes its profile as text (`_revolve`), from which the
-    instance gets `profile` and the spray.
+    instance gets `profile`, the jet and the spray.
     """
 
     # what an overflow of the derivative lines names
@@ -279,7 +302,7 @@ class RevolutionChart(SurfaceChart):
     # (r' r'' + z' z'') / E, Gamma^u_vv = -r r' / E, Gamma^v_uv = r' / r,
     # the others 0, and K = z' (r' z'' - r'' z') / (r E^2). The metric
     # determinant E r^2 guards every division, as E G - F^2 does in the
-    # base spray
+    # generic spray
     _FORMULAS = (
         "E = r1 * r1 + z1 * z1",
         "det = E * r * r",
@@ -287,20 +310,26 @@ class RevolutionChart(SurfaceChart):
         "{A} = (r * r1 * {b} * {b} - (r1 * r2 + z1 * z2) * {a} * {a}) / E",
         "{B} = -2.0 * r1 * {a} * {b} / r",
         "{K} = z1 * (r1 * z2 - r2 * z1) / (r * E * E)")
-
-    def profile(self, u, xp=math):
-        """(r, r', r'', z', z'') of the profile curve at u."""
-        raise NotImplementedError
+    # the jet in the profile's r, r1, r2, z1 and z2, after the lines that
+    # set them: F_u = (r' cos v, r' sin v, z'), F_v = (-r sin v, r cos v,
+    # 0), F_uu = (r'' cos v, r'' sin v, z''), F_uv = (-r' sin v, r' cos v,
+    # 0) and F_vv = (-r cos v, -r sin v, 0)
+    _JET = (["sv = sin({v})", "cv = cos({v})",
+             "xu = r1 * cv", "yu = r1 * sv", "xv = -r * sv", "yv = r * cv",
+             "xuu = r2 * cv", "yuu = r2 * sv", "xuv = -r1 * sv",
+             "yuv = r1 * cv", "xvv = -r * cv", "yvv = -r * sv"],
+            (("xu", "yu", "z1"), ("xv", "yv", "0.0"), ("xuu", "yuu", "z2"),
+             ("xuv", "yuv", "0.0"), ("xvv", "yvv", "0.0")))
 
     def _revolve(self, setup, derivs):
-        """Bind `profile` and the spray generated from the profile's lines,
-        which set r, r1, r2, z1 and z2 at {u}."""
+        """Bind `profile`, u -> (r, r', r'', z', z''), and the jet and the
+        spray generated from the profile's lines, which set r, r1, r2, z1
+        and z2 at {u}; setup binds sin and cos among its names."""
         profile = "\n".join([
             "def profile(self, u, xp=math):", *_indent(setup, 1),
             *_indent(_guarded(derivs, "u"), 1),
             "    return r, r1, r2, z1, z2", ""]).format(u="u")
-        self.profile = self._compile(setup, derivs, profile,
-                                     self._FORMULAS)["profile"]
+        self._compile(setup, derivs, self._JET, self._FORMULAS, profile)
 
 
 def _scaled(factor, expr):
@@ -317,36 +346,42 @@ class EllipsoidChart(RevolutionChart):
     """Ellipsoid with semi-axes (a, b, c), angular parameters as the sphere's.
 
     A spheroid (a == b) is a surface of revolution with the profile
-    r = a sin u, z = c cos u; a triaxial ellipsoid has no profile and takes
-    the base spray, from the jet.
+    r = a sin u, z = c cos u; a triaxial ellipsoid writes its jet, and its
+    spray is the generic one on that jet (`_jet_formulas`).
     """
 
     def __init__(self, a=1.0, b=1.0, c=1.0):
         if min(a, b, c) <= 0:
             raise ConfigError("ellipsoid semi-axes must be positive")
-        self.a, self.b, self.c = float(a), float(b), float(c)
+        self.a, self.b, self.c = a, b, c = float(a), float(b), float(c)
         self.name = f"ellipsoid({a:g},{b:g},{c:g})"
         self.domain = ((0.0, math.pi), (None, None))
-        if self.a == self.b:
-            a, c = self.a, self.c
-            self._revolve(["sin, cos = xp.sin, xp.cos"], [
+        setup = ["sin, cos = xp.sin, xp.cos"]
+        if a == b:
+            self._revolve(setup, [
                 "su = sin({u})", "cu = cos({u})", f"r = {_scaled(a, 'su')}",
                 f"r1 = {_scaled(a, 'cu')}", f"r2 = {_scaled(-a, 'su')}",
                 f"z1 = {_scaled(-c, 'su')}", f"z2 = {_scaled(-c, 'cu')}"])
+            return
+        # what an overflow of the jet's lines names
+        self._derived = "jet"
+        # F_vv is F_uu without its z entry
+        jet = (("xu", "yu", "zu"), ("xv", "yv", "0.0"), ("xuu", "yuu", "zuu"),
+               ("xuv", "yuv", "0.0"), ("xuu", "yuu", "0.0"))
+        self._compile(setup, [
+            "su = sin({u})", "cu = cos({u})", "sv = sin({v})", "cv = cos({v})",
+            f"xu = {_scaled(a, 'cu * cv')}", f"yu = {_scaled(b, 'cu * sv')}",
+            f"zu = {_scaled(-c, 'su')}", f"xv = {_scaled(-a, 'su * sv')}",
+            f"yv = {_scaled(b, 'su * cv')}", f"xuu = {_scaled(-a, 'su * cv')}",
+            f"yuu = {_scaled(-b, 'su * sv')}", f"zuu = {_scaled(-c, 'cu')}",
+            f"xuv = {_scaled(-a, 'cu * sv')}",
+            f"yuv = {_scaled(b, 'cu * cv')}"],
+            ([], jet), _jet_formulas(jet))
 
     def point(self, u, v):
         return (self.a * math.sin(u) * math.cos(v),
                 self.b * math.sin(u) * math.sin(v),
                 self.c * math.cos(u))
-
-    def jet(self, u, v, xp=math):
-        a, b, c = self.a, self.b, self.c
-        su, cu, sv, cv = xp.sin(u), xp.cos(u), xp.sin(v), xp.cos(v)
-        return ((a * cu * cv, b * cu * sv, -c * su),
-                (-a * su * sv, b * su * cv, 0.0),
-                (-a * su * cv, -b * su * sv, -c * cu),
-                (-a * cu * sv, b * cu * cv, 0.0),
-                (-a * su * cv, -b * su * sv, 0.0))
 
 
 class SphereChart(EllipsoidChart):
@@ -376,35 +411,22 @@ class PseudosphereChart(RevolutionChart):
         self.a = a = float(a)
         self.name = f"pseudosphere(a={a:g})"
         self.domain = ((0.0, None), (None, None))
-        self._revolve(["cosh, tanh = xp.cosh, xp.tanh"], [
-            "se = 1.0 / cosh({u})", "ta = tanh({u})",
-            f"r = {_scaled(a, 'se')}", f"r1 = {_scaled(-a, 'se * ta')}",
-            f"r2 = {_scaled(a, 'se * (ta * ta - se * se)')}",
-            f"z1 = {_scaled(a, 'ta * ta')}",
-            f"z2 = 2.0 * {_scaled(a, 'ta * se * se')}"])
-
-    def _sech(self, u, v, xp):
-        try:
-            return 1.0 / xp.cosh(u)
-        except (OverflowError, ValueError):
-            raise _overflow(self, u, v) from None
+        self._revolve(
+            ["sin, cos, cosh, tanh = xp.sin, xp.cos, xp.cosh, xp.tanh"], [
+                "se = 1.0 / cosh({u})", "ta = tanh({u})",
+                f"r = {_scaled(a, 'se')}", f"r1 = {_scaled(-a, 'se * ta')}",
+                f"r2 = {_scaled(a, 'se * (ta * ta - se * se)')}",
+                f"z1 = {_scaled(a, 'ta * ta')}",
+                f"z2 = 2.0 * {_scaled(a, 'ta * se * se')}"])
 
     def point(self, u, v):
         a = self.a
-        se = self._sech(u, v, math)
+        try:
+            se = 1.0 / math.cosh(u)
+        except (OverflowError, ValueError):
+            raise _overflow(self, u, v) from None
         return (a * se * math.cos(v), a * se * math.sin(v),
                 a * (u - math.tanh(u)))
-
-    def jet(self, u, v, xp=math):
-        a = self.a
-        se, ta = self._sech(u, v, xp), xp.tanh(u)
-        sv, cv = xp.sin(v), xp.cos(v)
-        c = se * (ta * ta - se * se)
-        return ((-a * se * ta * cv, -a * se * ta * sv, a * ta * ta),
-                (-a * se * sv, a * se * cv, 0.0),
-                (a * c * cv, a * c * sv, 2.0 * a * ta * se * se),
-                (a * se * ta * sv, -a * se * ta * cv, 0.0),
-                (-a * se * cv, -a * se * sv, 0.0))
 
 
 # Derivative orders (du, dv) of the graph height: the value, then the jet.
@@ -518,8 +540,8 @@ class GraphChart(SurfaceChart):
     poly terms: (i, j, c) contributing c * u^i * v^j;
     sinsin terms: (A, wu, pu, wv, pv) contributing A sin(wu*u+pu) sin(wv*v+pv).
     Both tables are written once as lines (`_graph_source`), from which the
-    instance gets `_height`, f and its slopes of every order in _ORDERS for
-    `point` and `jet`, and the spray.
+    instance gets `_height`, f and its slopes of every order in _ORDERS,
+    for `point`, and the jet and the spray.
     """
 
     name = "graph"
@@ -551,23 +573,15 @@ class GraphChart(SurfaceChart):
         slopes, refs = _fold(sums[1:])
         formulas = [_SLOPE_NAME.sub(lambda m: refs[m[0]], line)
                     for line in self._FORMULAS]
-        self._height = self._compile(setup, [*angles, *slopes], height,
-                                     formulas)["_height"]
         # the jet computes f as `_height` does, unused but for its overflow
-        self.jet_text = (
-            "\n".join(_guarded([*angles, f"f = {sums[0]}", *slopes],
-                               "{u}, {v}")),
-            (("1.0", "0.0", refs["fu"]), ("0.0", "1.0", refs["fv"]),
-             *(("0.0", "0.0", refs[name]) for name in ("fuu", "fuv", "fvv"))))
+        self._compile(setup, [*angles, *slopes], ([f"f = {sums[0]}"], (
+            ("1.0", "0.0", refs["fu"]), ("0.0", "1.0", refs["fv"]),
+            *(("0.0", "0.0", refs[name]) for name in ("fuu", "fuv", "fvv")))),
+            formulas, height)
         self.domain = domain
 
     def point(self, u, v):
         return (u, v, self._height(u, v, math)[0])
-
-    def jet(self, u, v, xp=math):
-        _, zu, zv, zuu, zuv, zvv = self._height(u, v, xp)
-        return ((1.0, 0.0, zu), (0.0, 1.0, zv), (0.0, 0.0, zuu),
-                (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
 
 class PlaneChart(GraphChart):

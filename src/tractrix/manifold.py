@@ -18,21 +18,20 @@ The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
 riding along. The chart supplies that right-hand side, the acceleration
-and K (`SurfaceChart.spray`: closed forms on graph charts and surfaces of
-revolution, from the jet on the others). One RK4 step with the spray
-written in at each stage, `_STEP`, is the body of every shot loop. The
-shot kernel, `_KERNEL`, is that loop: `_kernel` writes a chart's
-`spray_text`, its closed-form spray on floats, into every RK4 stage and
-compiles the result once per text, so a float shot makes no call per
-stage. A chart without spray text, the row shots (on `_geo_rows`) and any
-other right-hand side take the same template with a call line
+and K, as text (`SurfaceChart.spray_text`: closed forms on graph charts
+and surfaces of revolution, the generic formulas on the jet of the
+others). One RK4 step with the spray written in at each stage, `_STEP`,
+is the body of every shot loop. The shot kernel, `_KERNEL`, is that loop:
+`_kernel` writes a chart's spray text into every RK4 stage and compiles
+the result once per text, so a float shot makes no call per stage. The
+row shots take the same template with a call line, on `_geo_rows`
 (`_rk4_rhs`). A shot whose unit speed is checked keeps only the samples
 that the check reads (`_drift_stride`). Every surface shot but a tractrix
 stage's enters through `SurfaceModel._rk4_geodesic`, which adds the
 shot's spray evaluations, 4 per step and row, to the model's `sprays`
 counter. The tractrix stage and RK4 sub-step are compiled per chart from
 templates around the same step, `_STAGE` and `_SUBSTEP` (`_tractrix`):
-each writes the chart's jet (`jet_text`, or a call of `jet`) and its
+each writes the chart's jet text and its first form and Christoffel
 arithmetic at the tractor point, and its pole shots, inline, and counts
 their sprays the same way. A tractrix record's shot also keeps the
 least and greatest K of its stages: the curvature window of its pole,
@@ -77,7 +76,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charts import DET_EPS, SurfaceChart, compiled, singular_metric
+from .charts import (
+    DET_EPS,
+    SurfaceChart,
+    _christoffel_lines,
+    _first_form_lines,
+    compiled,
+    singular_metric,
+)
 from .errors import (
     ConfigError,
     DomainExitError,
@@ -611,9 +617,6 @@ class FlatModel(SpaceFormModel):
     def christoffel_at(self, p):
         return np.zeros((self.dim,) * 3)
 
-    def _geo_rhs(self, u, w, a, b):
-        return 0.0, 0.0, 0.0
-
     def inner(self, p, a, b):
         # identical to a @ I @ b, without building I
         return float(np.dot(a, b))
@@ -754,13 +757,6 @@ class SphereModel(SpaceFormModel):
         G[0, 1, 1] = -math.sin(th) * math.cos(th)
         G[1, 0, 1] = G[1, 1, 0] = 1.0 / math.tan(th)
         return G
-
-    def _geo_rhs(self, th, ph, a, b):
-        s, c = math.sin(th), math.cos(th)
-        if abs(s) < 1e-9:
-            raise SingularChartError(
-                f"geodesic hit chart pole (theta={float(th)!r})")
-        return s * c * b * b, -2.0 * (c / s) * a * b, self.K
 
     # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
 
@@ -964,16 +960,6 @@ class HyperbolicModel(SpaceFormModel):
         G[1, 1, 1] = py
         return G
 
-    def _geo_rhs(self, x, y, a, b):
-        f = 1.0 - x * x - y * y
-        if f <= 0.0:
-            raise DomainExitError("geodesic left the Poincare disk",
-                                  point=np.array((x, y)))
-        px, py = 2.0 * x / f, 2.0 * y / f
-        a1 = -(px * a * a + 2.0 * py * a * b - px * b * b)
-        a2 = -(-py * a * a + 2.0 * px * a * b + py * b * b)
-        return a1, a2, self.K
-
     def _exp(self, p, v, length, pole_step=None):
         z = complex(p[0], p[1])
         vc = complex(v[0], v[1])
@@ -1139,13 +1125,10 @@ class SurfaceModel(ManifoldModel):
         self.chart = chart
         # the spray evaluations of the model's shots so far (`_rk4_geodesic`)
         self.sprays = 0
-        # the float shot kernel and what it takes first: the chart, whose
-        # spray text it inlines, or else the chart's spray, which it calls
-        self._float_shot, self._spray = (
-            (_kernel(chart.spray_text), chart) if chart.spray_text
-            else (_rk4_rhs, chart.spray))
+        # the float shot kernel, with the chart's spray text written in
+        self._float_shot = _kernel(chart.spray_text)
         # the tractrix's stage and RK4 sub-step, with the chart's jet and
-        # spray written in where it has them as text (`_tractrix`)
+        # spray texts written in (`_tractrix`)
         self.tractrix_stage, self.tractrix_step = _tractrix(
             chart.spray_text, chart.jet_text)(self, chart)
 
@@ -1257,15 +1240,15 @@ class SurfaceModel(ManifoldModel):
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """The entry of every shot on the surface but a tractrix stage's,
         which runs its shot inline (`_tractrix`): `_kernel` on floats,
-        with the chart's spray written in, or called where the chart has
-        no spray text, and on rows, x0 and v0 being (2, n) arrays, the
-        kernel that calls `_geo_rows`. Adds the shot's spray evaluations,
-        4 per step and row, to `sprays`; a shot that raises counts whole."""
+        with the chart's spray written in, and on rows, x0 and v0 being
+        (2, n) arrays, the kernel that calls `_geo_rows`. Adds the shot's
+        spray evaluations, 4 per step and row, to `sprays`; a shot that
+        raises counts whole."""
         if isinstance(x0, np.ndarray) and x0.ndim == 2:
             self.sprays += 4 * n_steps * x0.shape[1]
             return _rk4_rhs(self._geo_rows, x0, v0, length, n_steps, collect)
         self.sprays += 4 * n_steps
-        return self._float_shot(self._spray, x0, v0, length, n_steps,
+        return self._float_shot(self.chart, x0, v0, length, n_steps,
                                 collect)
 
     def _geo_rows(self, u, w, a, b):
@@ -1438,8 +1421,9 @@ def _kernel(spray_text):
     (p, q) for the velocity, floats, or arrays of shots in lockstep for
     the row spray. Each RK4 stage sets (a_x, a_y, K) from (x, y, p, q):
     inline from a chart's spray text, so that a float shot makes no call
-    per stage, or by the call line `_CALL`, `A, B, K = self(u, v, a, b)`,
-    for any right-hand side passed as self (`_rk4_rhs`). Only surfaces
+    per stage, or, in the row kernel, by the call line `_CALL`,
+    `A, B, K = self(u, v, a, b)`, with `_geo_rows` as self (`_rk4_rhs`),
+    which takes any right-hand side on floats too. Only surfaces
     reach this integrator, because the space forms, the only models that
     can be three-dimensional, override each of its callers with closed
     forms. The cosine and sine solutions of j'' + K j = 0 ride along, c(0)
@@ -1464,8 +1448,8 @@ def _kernel(spray_text):
                                    step=_step(stage, 2)))["_rk4_geodesic"]
 
 
-# the kernel on any right-hand side rhs(u, v, a, b) -> (a_u, a_v, K):
-# `_rk4_rhs(rhs, x0, v0, length, n_steps, collect)`
+# the kernel on any right-hand side rhs(u, v, a, b) -> (a_u, a_v, K), the
+# row shots' `_geo_rows`: `_rk4_rhs(rhs, x0, v0, length, n_steps, collect)`
 _rk4_rhs = _kernel(_CALL)
 
 
@@ -1573,14 +1557,13 @@ r0_ = (ratio_ * (along_ * X0_ - size_ * a_)
 r1_ = (ratio_ * (along_ * X1_ - size_ * b_)
        - ((g2uu_ * X0_ + g2uv_ * X1_) * a_
           + (g2uv_ * X0_ + g2vv_ * X1_) * b_))"""
-# the geometry at the tractor point (u_, w_): the domain test, the jet and
-# E_, F_, G_, det_ and the Christoffel symbols
+# the geometry at the tractor point (u_, w_): the domain test, the jet, and
+# {forms}, E_, F_, G_, det_ and the Christoffel symbols
 _GEOMETRY = """\
 if not (ulo <= u_ <= uhi and vlo <= w_ <= vhi):
     self.check_domain(float(u_), float(w_))
 {jet}
-{first_form}
-{christoffel}"""
+{forms}"""
 # what the record stage's shot keeps: c and s before every step, and the
 # least and greatest K of its stages, by comparisons that keep what
 # min(K_lo, K1, ..., K4) and max(...) keep, ties and NaN included
@@ -1598,39 +1581,6 @@ if record:
     if K2 > K_hi: K_hi = K2
     if K3 > K_hi: K_hi = K3
     if K4 > K_hi: K_hi = K4"""
-# the spray text of a stage on a chart without one, by a call
-_SPRAY_CALL = ("ulo, uhi, vlo, vhi = self.box",
-               "{A}, {B}, {K} = self.spray({u}, {v}, {a}, {b})")
-# the jet of a chart without jet text, by a call, and its entries' names
-_JET_CALL = ("(xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv), "
-             "(xvv, yvv, zvv) = self.jet({u}, {v})",
-             (("xu", "yu", "zu"), ("xv", "yv", "zv"), ("xuu", "yuu", "zuu"),
-              ("xuv", "yuv", "zuv"), ("xvv", "yvv", "zvv")))
-
-
-def _first_form_lines(jet, tag, at):
-    """`_first_form`'s arithmetic on the jet entries `jet`, setting E, F, G
-    and det with the suffix tag, and `_forms`' singular-metric test."""
-    (xu, yu, zu), (xv, yv, zv) = jet[:2]
-    return "\n".join([
-        f"E{tag} = {xu} * {xu} + {yu} * {yu} + {zu} * {zu}",
-        f"F{tag} = {xu} * {xv} + {yu} * {yv} + {zu} * {zv}",
-        f"G{tag} = {xv} * {xv} + {yv} * {yv} + {zv} * {zv}",
-        f"det{tag} = E{tag} * G{tag} - F{tag} * F{tag}",
-        f"if det{tag} < DET_EPS: raise singular_metric(self, {at})"])
-
-
-def _christoffel_lines(jet):
-    """`_christoffel`'s arithmetic on the jet entries `jet`, after
-    `_first_form_lines` with the suffix _, setting g1ij_ and g2ij_."""
-    (xu, yu, zu), (xv, yv, zv) = jet[:2]
-    lines = ["iuu_ = G_ / det_", "iuv_ = -F_ / det_", "ivv_ = E_ / det_"]
-    for ij, (x, y, z) in zip(("uu", "uv", "vv"), jet[2:]):
-        lines += [f"d1_ = {x} * {xu} + {y} * {yu} + {z} * {zu}",
-                  f"d2_ = {x} * {xv} + {y} * {yv} + {z} * {zv}",
-                  f"g1{ij}_ = iuu_ * d1_ + iuv_ * d2_",
-                  f"g2{ij}_ = iuv_ * d1_ + ivv_ * d2_"]
-    return "\n".join(lines)
 
 
 def _tractrix(spray_text, jet_text):
@@ -1658,18 +1608,17 @@ def _tractrix(spray_text, jet_text):
     It runs stages 2 to 4, k2 and k3 on the midpoint's one geometry, and
     moves the state and the arclength ds by the classical RK4 combination.
 
-    Everything runs on Python floats, with no call per stage where the
-    chart has text. At eta a stage tests the domain (OutOfDomainError, as
-    `check_point`), runs the chart's jet lines (`jet_text`, or a call of
-    `jet`) and writes out `_first_form`'s and `_christoffel`'s arithmetic
-    on the entries, in their order, with the singular-metric test of
-    `_forms`; a graph chart's constant entries are literals, whose
-    products CPython folds with the same IEEE arithmetic. From E, F, G and
-    Gamma it forms |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X). Its
-    shot is _STEP with the chart's spray text (or a call of `spray`)
-    written in, and it adds 4 sprays a step to the model's `sprays`. A
-    shot whose s(ell) is at most _CONJ_TOL raises NoConvergenceError
-    (`_conjugate_point`).
+    Everything runs on Python floats, with no call per stage. At eta a
+    stage tests the domain (OutOfDomainError, as `check_point`), runs the
+    chart's jet lines (`jet_text`) and writes out `_first_form`'s and
+    `_christoffel`'s arithmetic on the entries, in their order, with the
+    singular-metric test of `_forms` (`charts._first_form_lines` and
+    `charts._christoffel_lines`); a jet's constant entries are literals,
+    whose products CPython folds with the same IEEE arithmetic. From E, F,
+    G and Gamma it forms |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X).
+    Its shot is _STEP with the chart's spray text written in, and it adds
+    4 sprays a step to the model's `sprays`. A shot whose s(ell) is at most
+    _CONJ_TOL raises NoConvergenceError (`_conjugate_point`).
 
     The record is (gamma, pole_dir at gamma, signed speed, J(ell), the
     samples of J, conjugate flag, drift, |eta'|_g, K_lo, K_hi), its vectors
@@ -1683,15 +1632,16 @@ def _tractrix(spray_text, jet_text):
     is the shot's unit-speed error |T(ell)|_g - 1 at gamma, with the
     domain tested and the metric formed there as at eta.
     """
-    setup, stage = spray_text or _SPRAY_CALL
-    jet_lines, jet = jet_text or _JET_CALL
+    setup, stage = spray_text
+    jet_lines, jet = jet_text
     conj = repr(_CONJ_TOL)
     step = _step(stage, 1)
 
     def geometry(depth):
         return _lines(_GEOMETRY, depth, jet=jet_lines.format(u="u_", v="w_"),
-                      first_form=_first_form_lines(jet, "_", "u_, w_"),
-                      christoffel=_christoffel_lines(jet))
+                      forms="\n".join([
+                          *_first_form_lines(jet, "_", "u_, w_"),
+                          *_christoffel_lines(jet, "_")]))
 
     def shot(depth, top="", bottom=""):
         return _lines(_SHOT, depth, top=top, bottom=bottom, step=step,
@@ -1707,7 +1657,7 @@ def _tractrix(spray_text, jet_text):
                            _lines(_RECORD_BOTTOM, 1)),
                  end_form=_lines("\n".join([
                      jet_lines.format(u="x", v="y"),
-                     _first_form_lines(jet, "g_", "x, y")]), 1))
+                     *_first_form_lines(jet, "g_", "x, y")]), 1))
     substep = bind(_SUBSTEP, "tractrix_step", geometry=geometry(3),
                    shot=shot(2))
     return lambda model, chart: (stage(model, chart), substep(model, chart))

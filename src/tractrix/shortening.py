@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotClosedError, PoleTooLongError
+from .errors import (
+    ConfigError,
+    NotClosedError,
+    OutOfDomainError,
+    PoleTooLongError,
+    SingularChartError,
+)
 from .functionals import polyline_length
 from .manifold import POLE_STEP, FlatModel, space_form
 from .tractrix_sim import SimParams, polyline_tractor, simulate
@@ -233,6 +239,11 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
     pts = np.asarray(initial, dtype=float)
     if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] != model.dim:
         raise ConfigError("initial curve must be a (m >= 2, dim) polyline")
+    for field, points in (("P", P), ("Q", Q), ("initial", pts)):
+        try:
+            model.check_rows(points)
+        except (OutOfDomainError, SingularChartError) as err:
+            raise ConfigError(f"shorten.{field}: {err}") from None
     if (np.linalg.norm(pts[0] - P) > _ENDPOINT_TOL
             or np.linalg.norm(pts[-1] - Q) > _ENDPOINT_TOL):
         raise ConfigError("initial curve must connect P to Q")

@@ -463,9 +463,11 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
                              half, h6, ell, n_pole)
             s = s + ds
         take_record(state, s)
-    except ValueError as err:
+    except (ArithmeticError, ValueError) as err:
         # a stage's float arithmetic failed in the step from the last
-        # record, or at the first record
+        # record, or at the first record: a domain error, or a division by
+        # a zero speed at gamma once the state's norm has overflowed (a
+        # step far too long for its pole)
         raise _pole_failure(t_grid, max(len(records) - 1, 0), err) from err
 
     columns = [np.array(column) for column in zip(*records)]
@@ -1203,9 +1205,12 @@ def tractor_from_config(model, spec):
         k = model.k
 
         def rows(ts, u=u, k=k):
-            c = np.cosh(0.5 * k * ts)
-            return (np.tanh(0.5 * k * ts)[:, None] * u,
-                    (0.5 * k / (c * c))[:, None] * u)
+            # far out cosh overflows, and the speed reads 0 at the rim
+            # tanh has reached, where the domain check refuses the point
+            with np.errstate(over="ignore"):
+                c = np.cosh(0.5 * k * ts)
+                return (np.tanh(0.5 * k * ts)[:, None] * u,
+                        (0.5 * k / (c * c))[:, None] * u)
 
         return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=True)
     elif kind == "helix":

@@ -1,5 +1,8 @@
+import ast
+import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from tractrix.charts import (
     PlaneChart,
     PseudosphereChart,
     SphereChart,
-    SurfaceChart,
     _CATALOG,
+    _jet_formulas,
     chart_from_config,
 )
 from tractrix.errors import ConfigError, OutOfDomainError, SingularChartError
@@ -102,18 +105,29 @@ def test_graph_jet_matches_finite_differences(poly, sinsin, u, v):
         assert np.allclose(an, num, atol=atol, rtol=1e-6)
 
 
+def generic_spray(chart):
+    """The spray that the generic formulas (`_jet_formulas`) derive from
+    the chart's jet text, generated as a triaxial ellipsoid's is, on a
+    copy of the chart."""
+    twin = copy.copy(chart)
+    lines, entries = chart.jet_text
+    twin._compile(chart.spray_text[0].splitlines(), lines.splitlines(),
+                  ([], entries), _jet_formulas(entries))
+    return twin.spray
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), coefficient),
                 max_size=3),
        sinsin_terms, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_graph_spray_matches_generic_spray(poly, sinsin, u, v, a, b):
-    # the closed forms in f's derivatives against the base spray, which
+    # the closed forms in f's derivatives against the generic spray, which
     # derives the same from the jet through E, F, G, the Christoffel
     # contractions and the second fundamental form
     chart = GraphChart(poly=poly, sinsin=sinsin)
     spray = chart.spray(u, v, a, b)
-    reference = SurfaceChart.spray(chart, u, v, a, b)
+    reference = generic_spray(chart)(u, v, a, b)
     for x, y in zip(spray, reference):
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
 
@@ -250,10 +264,10 @@ revolution_charts = st.one_of(
        st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0),
        st.floats(-2.0, 2.0))
 def test_revolution_spray_matches_generic_spray(chart, u, v, a, b):
-    # the closed forms in the profile's derivatives against the base spray
-    # from the jet
+    # the closed forms in the profile's derivatives against the generic
+    # spray from the jet
     spray = chart.spray(u, v, a, b)
-    reference = SurfaceChart.spray(chart, u, v, a, b)
+    reference = generic_spray(chart)(u, v, a, b)
     for x, y in zip(spray, reference):
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-13)
 
@@ -278,17 +292,43 @@ def test_spray_curvature_matches_the_closed_forms(chart, u, v):
                         abs_tol=1e-13)
 
 
-def test_only_a_triaxial_ellipsoid_keeps_the_generic_spray():
-    # a spheroid's spray and spray text are generated from its profile; a
-    # triaxial ellipsoid has neither and keeps the base spray, from the jet
-    spheroid = EllipsoidChart(1.5, 1.5, 0.7)
-    triaxial = EllipsoidChart(1.5, 0.8, 1.1)
-    assert spheroid.spray.__func__ is not SurfaceChart.spray
-    assert spheroid.spray_text is not None
-    assert triaxial.spray.__func__ is SurfaceChart.spray
-    assert triaxial.spray_text is None
-    with pytest.raises(NotImplementedError):
-        triaxial.profile(1.0)
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+       st.floats(0.05, math.pi - 0.05), st.floats(-math.pi, math.pi))
+def test_triaxial_curvature_matches_the_closed_form(a, b, c, u, v):
+    # the generic spray's K on an ellipsoid's jet against
+    # K = 1 / (a b c)^2 (x^2 / a^4 + y^2 / b^4 + z^2 / c^4)^-2 at F(u, v);
+    # a spheroid's closed-form spray agrees too
+    chart = EllipsoidChart(a, b, c)
+    x, y, z = chart.point(u, v)
+    K = 1.0 / ((a * b * c) ** 2 * (x * x / a ** 4 + y * y / b ** 4
+                                   + z * z / c ** 4) ** 2)
+    assert math.isclose(chart.spray(u, v, 0.0, 0.0)[2], K, rel_tol=1e-12)
+
+
+def _float_literal(text):
+    try:
+        return isinstance(ast.literal_eval(text), float)
+    except (SyntaxError, ValueError):
+        return False
+
+
+def test_every_chart_writes_its_spray_and_jet_as_text():
+    # every catalog chart and a triaxial ellipsoid carry the texts that
+    # the shot kernel and the tractrix stage write in, and their jet and
+    # spray are the functions compiled from the same lines
+    charts = [make() for make in _CATALOG.values()]
+    for chart in [*charts, EllipsoidChart(1.5, 0.8, 1.1)]:
+        setup, stage = chart.spray_text
+        lines, entries = chart.jet_text
+        assert "self.box" in setup and "{A}" in stage and "{K}" in stage
+        assert len(entries) == 5 and all(len(e) == 3 for e in entries)
+        for entry in itertools.chain(*entries):
+            # a name that the lines set, or a float literal
+            assert (re.search(rf"^ *{re.escape(entry)} = ", lines, re.M)
+                    or _float_literal(entry)), (chart.name, entry)
+        for fn in (chart.jet, chart.spray):
+            assert fn.__func__.__code__.co_filename == "<string>"
 
 
 # every catalog chart, the graph with polynomial terms of degree 3 and more
@@ -337,7 +377,7 @@ def test_row_jet_equals_float_jet(name):
                       <= 4 * np.spacing(np.abs(floats)))
 
 
-# the row charts and a triaxial ellipsoid, which keeps the base spray
+# the row charts and a triaxial ellipsoid, whose spray is the generic one
 SPRAY_CHARTS = dict(ROW_CHARTS, triaxial=EllipsoidChart(1.5, 0.8, 1.1))
 
 

@@ -469,6 +469,62 @@ def test_far_pseudosphere_point_exits_two(tmp_path, capsys):
         "(800.0, 0.0)\n")
 
 
+def bundled(name):
+    """The bundled scenario `name` as a mapping."""
+    with open(os.path.join(bundled_dir(), f"{name}.yaml")) as f:
+        return yaml.safe_load(f)
+
+
+def test_ellipsoid_equator_with_a_tiny_pole_exits_two(tmp_path, capsys):
+    # a pole of 5e-7 from gamma0 on the tractor, where dt / ell is 10^4:
+    # the pole direction grows until the record stage divides by a speed
+    # of 0, a typed pole failure, not a ZeroDivisionError
+    raw = bundled("ellipsoid_equator")
+    raw["ell"], raw["gamma0"]["d0"] = 5e-7, 0.0
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: the pole solve failed in the step from t=0.065: "
+        "float division by zero\n")
+
+
+@pytest.mark.parametrize("field, vertex", [("Q", 40), ("initial", 20)])
+def test_shorten_flat_in_the_disk_exits_one(tmp_path, capsys, field,
+                                            vertex):
+    # shorten_flat's points with K = -1 leave the Poincare disk: a config
+    # error naming the first field with a point outside, before any
+    # distance is measured. Scaled into the disk, only the middle vertex,
+    # moved out, is outside
+    raw = bundled("shorten_flat")
+    raw["model"]["K"] = -1.0
+    if field == "initial":
+        points = [[0.05 * x, 0.05 * y]
+                  for x, y in raw["shorten"]["initial"]["points"]]
+        points[vertex] = [0.25, -1.5]
+        raw["shorten"].update(P=points[0], Q=points[-1],
+                              initial={"points": points})
+    config = write_config(tmp_path, raw)
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: shorten.{field}: point |z|^2=")
+
+
+@pytest.mark.parametrize("key, value", [("ell", 1e6), ("t1", 6e6)])
+def test_hyperbolic_pull_far_out_exits_two(tmp_path, capsys, key, value):
+    # far out along the disk ray cosh overflows: the tractor has reached
+    # the rim, which the domain check refuses, with no RuntimeWarning
+    # (warnings are errors here)
+    raw = bundled("hyperbolic_pull")
+    (raw["tractor"] if key == "t1" else raw)[key] = value
+    config = write_config(tmp_path, raw)
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: point |z|^2=1.0 outside the unit disk\n")
+
+
 def test_surface_pull_gallery_spray_count(tmp_path, monkeypatch):
     # the spray evaluations of the two surface pulls, read off the models
     # their traces carry: 66,960 over 402 records, 166.567 a record, the

@@ -14,6 +14,7 @@ from tractrix.charts import (
     HillyChart,
     ParaboloidChart,
     PseudosphereChart,
+    SphereChart,
     SurfaceChart,
 )
 from tractrix.errors import (
@@ -148,8 +149,6 @@ def test_pseudosphere_constant_negative_curvature():
 
 
 def test_embedded_sphere_matches_spaceform_curvature():
-    from tractrix.charts import SphereChart
-
     emb = surface_model(SphereChart(2.0))
     assert spray_K(emb, [1.2, 0.7]) == pytest.approx(0.25, rel=1e-12)
 
@@ -194,28 +193,27 @@ def test_exp_map_sphere_meridian_and_equator():
     assert np.allclose(end, [math.pi / 2, 1.3], atol=1e-9)
 
 
-# space forms shoot in closed form; their _geo_rhs, through the kernel's
-# call line, is the reference that checks the RK4 integrator itself
+# space forms shoot in closed form, and that closed form checks the RK4
+# integrator itself: the surface sphere uses the sphere model's chart,
+# and the pseudosphere has K = -1, so its c and s are cosh and sinh
 
 
 def test_exp_map_sphere_matches_closed_form():
     p = np.array([1.1, 0.4])
     v = SPHERE.unit(p, [0.3, 0.8])
-    end, end_tangent, _, _ = _rk4_rhs(SPHERE._geo_rhs, p, v, 1.0, 200,
-                                      collect=False)
+    end, end_tangent, c, s = surface_model(SphereChart(1.0))._shot(
+        p, v, 1.0, 200)
     q, t = SPHERE.exp_point(p, v, 1.0)
     assert np.allclose(end, q, atol=1e-8)
     assert np.allclose(end_tangent, t, atol=1e-8)
+    assert np.allclose((c, s), (math.cos(1.0), math.sin(1.0)), atol=1e-8)
 
 
 def test_exp_map_hyperbolic_matches_closed_form():
-    p = np.array([0.2, -0.1])
-    v = HYP.unit(p, [1.0, 0.5])
-    end, end_tangent, _, _ = _rk4_rhs(HYP._geo_rhs, p, v, 1.5, 200,
-                                      collect=False)
-    q, t = HYP.exp_point(p, v, 1.5)
-    assert np.allclose(end, q, atol=1e-8)
-    assert np.allclose(end_tangent, t, atol=1e-8)
+    p = np.array([1.2, 0.3])
+    v = PSEUDO.unit(p, [1.0, 0.5])
+    _, _, c, s = PSEUDO._shot(p, v, 1.5, 200)
+    assert np.allclose((c, s), (math.cosh(1.5), math.sinh(1.5)), atol=1e-8)
 
 
 def test_exp_map_unit_speed_drift():
@@ -428,8 +426,9 @@ def test_shot_gates_unit_speed_drift():
 def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
                                             pole_step):
     # one spray per RK4 stage: a k-step float shot counts 4k sprays on the
-    # model, and a row shot 4k a row; on rows, as on a chart without
-    # spray text, they are the calls the kernel makes
+    # model, and a row shot 4k a row; on rows they are the calls the
+    # kernel makes. A float shot on any chart, a triaxial ellipsoid's
+    # included, writes the spray in and makes none
     calls = []
     rows_rhs = SurfaceModel._geo_rows
     monkeypatch.setattr(SurfaceModel, "_geo_rows", lambda self, *x: (
@@ -452,7 +451,7 @@ def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
     calls.clear()
     p = np.array([1.2, 0.3])
     triaxial.shoot(p, triaxial.unit(p, [1.0, -0.4]), length, pole_step)
-    assert (triaxial.sprays, len(calls)) == (4 * k, 4 * k)
+    assert (triaxial.sprays, len(calls)) == (4 * k, 0)
 
 
 @pytest.mark.parametrize("model", [PARAB, HILLY], ids=["paraboloid",
@@ -474,7 +473,7 @@ def test_graph_shot_makes_no_call_below_the_rhs(monkeypatch, model):
     monkeypatch.setattr(model.chart, "_height", lambda *x: (
         calls.append("_height"), height(*x))[1])
     model.check_point(p)
-    model.chart.jet(*p)
+    model.chart.point(*p)
     assert calls == ["contains", "_height"]
     calls.clear()
     sprays = model.sprays

@@ -4,12 +4,11 @@ compiled functions contain.
 
 Every surface shot but a tractrix stage's enters through
 `SurfaceModel._rk4_geodesic`: on floats the kernel with the chart's spray
-text written in (or calling the spray, for the triaxial ellipsoid), on
-rows the kernel that calls `_geo_rows`. The reference calls `chart.spray`,
-or `_geo_rows` on rows. A tractrix stage runs its pole shot inline
-(`manifold._tractrix`); its reference is the stage and sub-step of
-`stage_reference`, whose shot is the reference kernel in its record
-("jacobi") mode.
+text written in, on rows the kernel that calls `_geo_rows`. The reference
+calls `chart.spray`, or `_geo_rows` on rows. A tractrix stage runs its
+pole shot inline (`manifold._tractrix`); its reference is the stage and
+sub-step of `stage_reference`, whose shot is the reference kernel in its
+record ("jacobi") mode.
 """
 
 import math
@@ -28,6 +27,7 @@ from tractrix.charts import (
     PlaneChart,
     PseudosphereChart,
     SphereChart,
+    _CATALOG,
 )
 from tractrix.errors import (
     DomainExitError,
@@ -59,8 +59,6 @@ CHARTS = {
     "triaxial": (EllipsoidChart(1.3, 0.8, 1.1), (0.3, 2.8, -3.0, 3.0)),
 }
 MODELS = {name: surface_model(chart) for name, (chart, _) in CHARTS.items()}
-# the charts whose spray is written into their kernel
-INLINE = sorted(set(CHARTS) - {"triaxial"})
 # (collect, rows): every mode on floats and on rows: the end only, the
 # record mode, and the samples of every step or of every third. The record
 # mode is the record stage's pole shot, which runs on floats: on rows,
@@ -260,25 +258,17 @@ def test_kernel_has_no_int_constant():
 
 
 def test_inline_kernels_make_no_call_into_the_chart():
-    # a graph or revolution chart's kernel, stage and sub-step write the
-    # spray in: they name none of the chart's evaluators, and a graph
-    # chart's stage and sub-step write its jet in too. Only the triaxial
-    # ellipsoid's kernel is the call-line kernel, and its stage and
-    # sub-step call the chart's jet and spray
-    kernels = compiled_kernels()
-    for name in INLINE:
-        for fn in ("", " stage", " step"):
-            names = set(kernels[name + fn].__code__.co_names)
-            assert not names & {"spray", "profile", "_height", "_geo_rhs"}, \
-                name + fn
-            assert ("jet" in names) is (fn != "" and CHARTS[name][0].jet_text
-                                        is None), name + fn
-        assert kernels[name] is not _rk4_rhs
-    assert kernels["triaxial"] is _rk4_rhs
-    assert MODELS["triaxial"]._spray == CHARTS["triaxial"][0].spray
-    for fn in (" stage", " step"):
-        assert {"jet", "spray"} <= set(kernels["triaxial" + fn]
-                                       .__code__.co_names)
+    # every chart writes its spray and jet as text, and its kernel, stage
+    # and sub-step write them in: they name none of the chart's
+    # evaluators, and no chart's kernel is the call-line kernel
+    models = {**MODELS, **{name: surface_model(make())
+                           for name, make in _CATALOG.items()}}
+    for name, model in models.items():
+        assert model._float_shot is not _rk4_rhs, name
+        for fn in ("_float_shot", "tractrix_stage", "tractrix_step"):
+            names = set(getattr(model, fn).__code__.co_names)
+            assert not names & {"jet", "spray", "profile", "_height",
+                                "_geo_rhs"}, f"{name} {fn}"
 
 
 # -- the tractrix stage and sub-step ---------------------------------------
@@ -393,9 +383,14 @@ K_SCRIPTS = {
 def test_record_window_keeps_what_min_and_max_keep(monkeypatch, script):
     # a spray whose K runs through the script, from every place in it: the
     # record stage's comparisons keep the K window that a min and a max
-    # over each step keep, and so does the reference stage
-    model = surface_model(EllipsoidChart(1.3, 0.8, 1.1))
-    spray = model.chart.spray
+    # over each step keep, and so does the reference stage. The chart's
+    # spray text is a call of its spray, so that the script reaches the
+    # compiled stage
+    chart = EllipsoidChart(1.3, 0.8, 1.1)
+    chart.spray_text = (chart.spray_text[0],
+                        "{A}, {B}, {K} = self.spray({u}, {v}, {a}, {b})")
+    model = surface_model(chart)
+    spray = chart.spray
     Ks = []
 
     def scripted(u, v, a, b):
