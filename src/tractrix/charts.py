@@ -30,9 +30,10 @@ points from the jet, with the arithmetic that `_first_form_lines` and
 `_christoffel_lines` write out. Evaluators return plain tuples because
 they sit inside integrator loops.
 
-`jet` and `spray` run against a math namespace `xp`: `math`, the default,
-for floats, `numpy` for arrays u, v of one shape, whose entries are then
+`jet` runs against a math namespace `xp`: `math`, the default, for
+floats, `numpy` for arrays u, v of one shape, whose entries are then
 arrays, or floats that broadcast where they do not depend on the point.
+`spray` runs on floats.
 
 Every text runs through `compiled`, which executes each distinct text
 once per process. Only the `repr` of validated floats enters the text,
@@ -140,7 +141,7 @@ def _indent(lines, depth):
 
 # the singular-metric test of det with the suffix {tag} at the point {at}
 _SINGULAR_AT = "if det{tag} < DET_EPS: raise singular_metric(self, {at})"
-# a float spray's, left out on rows
+# a spray's, at its point
 _SINGULAR = _SINGULAR_AT.format(tag="", at="{u}, {v}")
 
 
@@ -241,21 +242,20 @@ class SurfaceChart:
         `spray` and the functions of `extra`, the source of further
         methods, to the chart, and set `jet_text` and `spray_text`.
 
-        setup binds names once per call from `xp`. derivs, with {u} and {v}
-        for the point, set the names that `formulas`, the spray's formulas
-        as the chart writes them, read. jet is (lines, entries): lines
-        that run after derivs, and the jet's 5 x 3 entries, each a name
-        that derivs or those lines set, or a literal. An entry is never an
-        expression, whose products in `_first_form_lines` would associate
-        differently from the same products of its value.
+        setup binds names once per call from `xp`, which the spray binds
+        to math. derivs, with {u} and {v} for the point, set the names that
+        `formulas`, the spray's formulas as the chart writes them, read.
+        jet is (lines, entries): lines that run after derivs, and the jet's
+        5 x 3 entries, each a name that derivs or those lines set, or a
+        literal. An entry is never an expression, whose products in
+        `_first_form_lines` would associate differently from the same
+        products of its value.
 
         `jet(u, v, xp=math)` returns the jet as five 3-tuples.
-        `spray(u, v, a, b, xp=math)` returns (acc_u, acc_v, K) for the
-        velocity (a, b) at (u, v). On floats it raises DomainExitError
-        outside the domain and SingularChartError where the metric is
-        singular, before any division. On rows it checks nothing and
-        returns the metric determinant `det` as a fourth entry, for the
-        caller to check every row against DET_EPS.
+        `spray(u, v, a, b)` returns (acc_u, acc_v, K) for the velocity
+        (a, b) at (u, v), floats. It raises DomainExitError outside the
+        domain and SingularChartError where the metric is singular, before
+        any division.
 
         `spray_text` is (lines run once per shot, lines run per stage), the
         latter with {u}, {v}, {a}, {b} for the stage's point and velocity
@@ -267,13 +267,11 @@ class SurfaceChart:
         stage = ["if not (ulo <= {u} <= uhi and vlo <= {v} <= vhi):",
                  "    raise self._exit({u}, {v})",
                  *_guarded(derivs, "{u}, {v}"), *formulas]
-        rows = [*_guarded(derivs, "{u}, {v}"),
-                *(line for line in formulas if line != _SINGULAR)]
+        setup_lines = ["ulo, uhi, vlo, vhi = self.box", *setup]
         spray = "\n".join([
-            "def spray(self, u, v, a, b, xp=math):", *_indent(setup, 1),
-            "    if xp is math:", "        ulo, uhi, vlo, vhi = self.box",
-            *_indent(stage, 2), "        return acc_u, acc_v, K",
-            *_indent(rows, 1), "    return acc_u, acc_v, K, det", ""])
+            "def spray(self, u, v, a, b):", "    xp = math",
+            *_indent([*setup_lines, *stage], 1), "    return acc_u, acc_v, K",
+            ""])
         jet_lines = _guarded([*derivs, *lines], "{u}, {v}")
         values = ", ".join(f"({', '.join(entry)})" for entry in entries)
         jet = "\n".join(["def jet(self, u, v, xp=math):", *_indent(setup, 1),
@@ -282,8 +280,7 @@ class SurfaceChart:
         names = compiled(spray.format(u="u", v="v", a="a", b="b", A="acc_u",
                                       B="acc_v", K="K")
                          + jet.format(u="u", v="v") + extra)
-        self.spray_text = ("\n".join(["ulo, uhi, vlo, vhi = self.box",
-                                      *setup]), "\n".join(stage))
+        self.spray_text = "\n".join(setup_lines), "\n".join(stage)
         self.jet_text = "\n".join(jet_lines), entries
         for name, fn in names.items():
             setattr(self, name, types.MethodType(fn, self))

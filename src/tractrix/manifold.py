@@ -23,12 +23,11 @@ and surfaces of revolution, the generic formulas on the jet of the
 others). One RK4 step with the spray written in at each stage, `_STEP`,
 is the body of every shot loop. The shot kernel, `_KERNEL`, is that loop:
 `_kernel` writes a chart's spray text into every RK4 stage and compiles
-the result once per text, so a float shot makes no call per stage. The
-row shots take the same template with a call line, on `_geo_rows`
-(`_rk4_rhs`). A shot whose unit speed is checked keeps only the samples
-that the check reads (`_drift_stride`). Every surface shot but a tractrix
-stage's enters through `SurfaceModel._rk4_geodesic`, which adds the
-shot's spray evaluations, 4 per step and row, to the model's `sprays`
+the result once per text, so a shot makes no call per stage. A row shot
+is one such shot per row. A shot whose unit speed is checked keeps only
+the samples that the check reads (`_drift_stride`). Every surface shot
+but a tractrix stage's enters through `SurfaceModel._rk4_geodesic`, which
+adds the shot's spray evaluations, 4 per step, to the model's `sprays`
 counter. The tractrix stage and RK4 sub-step are compiled per chart from
 templates around the same step, `_STAGE` and `_SUBSTEP` (`_tractrix`):
 each writes the chart's jet text and its first form and Christoffel
@@ -214,8 +213,8 @@ class ManifoldModel:
 
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """One RK4 shot of n_steps from the point x0 along the velocity v0,
-        on floats or on rows, keeping the samples that collect asks for
-        (`_kernel`); raises on bad points."""
+        on floats, keeping the samples that collect asks for (`_kernel`);
+        raises on bad points."""
         raise NotImplementedError
 
     def _check_drift(self, pts, tans):
@@ -1229,38 +1228,36 @@ class SurfaceModel(ManifoldModel):
         return np.stack(gam, axis=-1).reshape(-1, 2, 2, 2)
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
-        # one RK4 integration on arrays, every row in lockstep
-        n_steps = shot_steps(np.max(length, initial=0.0), pole_step)
-        pts, tans, c, s = self._rk4_geodesic(
-            np.transpose(p), np.transpose(v), length, n_steps,
-            collect=_drift_stride(n_steps))
+        """`shoot` of (n, 2) rows, one float shot a row, each of the steps
+        of the longest: a row that leaves the domain or meets a singular
+        metric raises its shot's error, naming the row, and one drift check
+        reads the samples of every row."""
+        if not len(length):
+            return (np.empty((0, 2)),) * 2 + (np.empty(0),) * 2
+        n_steps = shot_steps(np.max(length), pole_step)
+        stride = _drift_stride(n_steps)
+        shots = []
+        for row, (x0, v0, L) in enumerate(zip(
+                np.asarray(p, dtype=float).tolist(),
+                np.asarray(v, dtype=float).tolist(),
+                np.asarray(length, dtype=float).tolist())):
+            try:
+                shots.append(self._rk4_geodesic(x0, v0, L, n_steps, stride))
+            except (DomainExitError, SingularChartError) as exc:
+                exc.args = (f"{exc} in row {row}",)
+                raise
+        pts, tans, c, s = (np.stack(x, axis=-1) for x in zip(*shots))
         self._check_drift(pts, tans)
         return pts[-1].T, tans[-1].T, c, s
 
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """The entry of every shot on the surface but a tractrix stage's,
-        which runs its shot inline (`_tractrix`): `_kernel` on floats,
-        with the chart's spray written in, and on rows, x0 and v0 being
-        (2, n) arrays, the kernel that calls `_geo_rows`. Adds the shot's
-        spray evaluations, 4 per step and row, to `sprays`; a shot that
-        raises counts whole."""
-        if isinstance(x0, np.ndarray) and x0.ndim == 2:
-            self.sprays += 4 * n_steps * x0.shape[1]
-            return _rk4_rhs(self._geo_rows, x0, v0, length, n_steps, collect)
+        which runs its shot inline (`_tractrix`): `_kernel`, with the
+        chart's spray written in. Adds the shot's spray evaluations, 4 per
+        step, to `sprays`; a shot that raises counts whole."""
         self.sprays += 4 * n_steps
         return self._float_shot(self.chart, x0, v0, length, n_steps,
                                 collect)
-
-    def _geo_rows(self, u, w, a, b):
-        """(a_u, a_v, K) on rows: u, w, a and b are arrays. The chart's
-        spray runs on every row, and then the first row outside the domain
-        or at a singular metric, by the spray's own determinant, raises."""
-        # a bad row may divide by zero or overflow; it raises before its
-        # values are used
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            acc_u, acc_v, K, det = self.chart.spray(u, w, a, b, np)
-        self._check_rows(u, w, det)
-        return acc_u, acc_v, K
 
     # -- tractrix propagation ---------------------------------------------
 
@@ -1368,8 +1365,6 @@ _STAGES = tuple(dict(zip("uvabABK", names)) for names in (
     ("x2", "y2", "p2", "q2", "a2", "b2", "K2"),
     ("x3", "y3", "p3", "q3", "a3", "b3", "K3"),
     ("x4", "y4", "p4", "q4", "a4", "b4", "K4")))
-# the spray text of a kernel that calls its first argument per stage
-_CALL = ("", "{A}, {B}, {K} = self({u}, {v}, {a}, {b})")
 
 
 def _lines(text, depth, **names):
@@ -1417,18 +1412,15 @@ def _kernel(spray_text):
     collect)`, self being what the text reads, compiled once per text
     (`compiled`).
 
-    The state is two-dimensional and held in locals: (x, y) for the point,
-    (p, q) for the velocity, floats, or arrays of shots in lockstep for
-    the row spray. Each RK4 stage sets (a_x, a_y, K) from (x, y, p, q):
-    inline from a chart's spray text, so that a float shot makes no call
-    per stage, or, in the row kernel, by the call line `_CALL`,
-    `A, B, K = self(u, v, a, b)`, with `_geo_rows` as self (`_rk4_rhs`),
-    which takes any right-hand side on floats too. Only surfaces
-    reach this integrator, because the space forms, the only models that
-    can be three-dimensional, override each of its callers with closed
-    forms. The cosine and sine solutions of j'' + K j = 0 ride along, c(0)
-    = 1, c'(0) = 0 and s(0) = 0, s'(0) = 1, their RK4 steps written out
-    with K from the same stages as the acceleration.
+    The state is two-dimensional and held in locals, floats: (x, y) for
+    the point, (p, q) for the velocity. Each RK4 stage sets (a_x, a_y, K)
+    from (x, y, p, q) inline, from the chart's spray text, so that a shot
+    makes no call per stage. Only surfaces reach this integrator, because
+    the space forms, the only models that can be three-dimensional,
+    override each of its callers with closed forms. The cosine and sine
+    solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and s(0) =
+    0, s'(0) = 1, their RK4 steps written out with K from the same stages
+    as the acceleration.
 
     The step loop gives every value its own name, with no tuple built per
     stage, and makes every literal operand a float (2.0, not 2), because
@@ -1440,17 +1432,11 @@ def _kernel(spray_text):
     The result is (x, v, c, s), the final point and velocity and the
     final c and s. With collect False, x and v are 2-tuples. With collect a
     stride k (True is 1), they are the drift samples that `_check_drift`
-    reads, as (m, 2[, n]) arrays: the state before every k-th step and the
-    end.
+    reads, as (m, 2) arrays: the state before every k-th step and the end.
     """
     setup, stage = spray_text
     return compiled(_KERNEL.format(setup=_lines(setup, 1),
                                    step=_step(stage, 2)))["_rk4_geodesic"]
-
-
-# the kernel on any right-hand side rhs(u, v, a, b) -> (a_u, a_v, K), the
-# row shots' `_geo_rows`: `_rk4_rhs(rhs, x0, v0, length, n_steps, collect)`
-_rk4_rhs = _kernel(_CALL)
 
 
 def _drift_stride(n_steps):

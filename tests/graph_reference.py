@@ -13,20 +13,19 @@ import math
 from tractrix.charts import _ORDERS, _poly_term, _sinsin_term
 
 
-def graph_spray(chart, u, v, a, b, xp=math):
+def graph_spray(chart, u, v, a, b):
     """`GraphChart.spray` as it was written by hand, on the chart's
     compiled height: the compiled spray must agree with it bit for bit."""
     # with W = 1 + f_u^2 + f_v^2, the metric's det: Gamma^k_ij =
     # f_k f_ij / W and K = (f_uu f_vv - f_uv^2) / W^2. W >= 1, so the
     # metric is never singular
-    if xp is math and not chart.contains(u, v):
+    if not chart.contains(u, v):
         raise chart._exit(u, v)
-    _, fu, fv, fuu, fuv, fvv = chart._height(u, v, xp)
+    _, fu, fv, fuu, fuv, fvv = chart._height(u, v, math)
     w = 1.0 + fu * fu + fv * fv
     hess = (fuu * a * a + 2.0 * fuv * a * b + fvv * b * b) / w
     K = (fuu * fvv - fuv * fuv) / (w * w)
-    return (-fu * hess, -fv * hess, K) if xp is math else (
-        -fu * hess, -fv * hess, K, w)
+    return -fu * hess, -fv * hess, K
 
 
 class LoopGraph:

@@ -3,10 +3,9 @@ stage and int weights, calling its right-hand side at every stage, kept
 as the reference for the shot kernels that `manifold._kernel` compiles.
 
 Those kernels give every value its own name and every literal operand a
-float, and most write the chart's spray in instead of calling it. None of
-this touches a floating-point operation, so a kernel and this reference on
-the chart's spray must agree bit for bit on floats and on rows, in every
-`collect` mode.
+float, and write the chart's spray in instead of calling it. None of this
+touches a floating-point operation, so a kernel and this reference on the
+chart's spray must agree bit for bit, in every `collect` mode.
 """
 
 import math
@@ -17,10 +16,9 @@ import numpy as np
 def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     """Fixed-step RK4 on (x, v, c, c', s, s'); final state or samples.
 
-    The state is two-dimensional and held in locals: (x, y) for the point,
-    (p, q) for the velocity, floats for rhs `chart.spray` and arrays of
-    shots in lockstep for `SurfaceModel._geo_rows` (the same spray on
-    rows). Each RK4 stage is one call rhs(x, y, p, q) -> (a_x, a_y, K).
+    The state is two-dimensional and held in locals, floats: (x, y) for
+    the point, (p, q) for the velocity. Each RK4 stage is one call
+    rhs(x, y, p, q) -> (a_x, a_y, K), `chart.spray` or any other.
     Only surfaces reach this integrator, because the space forms, the only
     models that can be three-dimensional, override each of its callers
     with closed forms. The cosine and sine solutions of j'' + K j = 0 ride
@@ -28,7 +26,7 @@ def _rk4_geodesic(rhs, x0, v0, length, n_steps, collect):
     written out with K from the same calls as the acceleration.
 
     The result is (x, v, c, s). With collect True, every step's sample:
-    the points and velocities as (n_steps + 1, 2[, n]) arrays, and c and s
+    the points and velocities as (n_steps + 1, 2) arrays, and c and s
     as lists. With collect "jacobi", for a tractrix record, the final point
     and velocity as 2-tuples, every step's c and s as lists, and then the
     least and greatest K of all the stages, floats. With collect False, the

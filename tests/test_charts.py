@@ -22,7 +22,6 @@ from tractrix.charts import (
     chart_from_config,
 )
 from tractrix.errors import ConfigError, OutOfDomainError, SingularChartError
-from tractrix.manifold import SurfaceModel
 
 from closed_forms import gauss_range
 from graph_reference import LoopGraph, graph_spray
@@ -166,21 +165,13 @@ def test_compiled_height_matches_loop_reference_bitwise(poly, sinsin, u, v):
 def test_compiled_spray_matches_handwritten_spray_bitwise(poly, sinsin, u, v,
                                                           velocity):
     # the spray compiled with the height against the handwritten one it
-    # replaced, on floats and on rows, with -0.0 among the coordinates and
-    # the velocity
+    # replaced, with -0.0 among the coordinates and the velocity
     chart = GraphChart(poly=poly, sinsin=sinsin)
     a, b = velocity
     got, want = chart.spray(u, v, a, b), graph_spray(chart, u, v, a, b)
     assert len(got) == len(want) == 3
     for x, y in zip(got, want):
         assert _bits(x) == _bits(y)
-    us, vs = np.array([u, -0.0, u, 0.0]), np.array([v, v, -0.0, -0.0])
-    as_, bs = np.array([a, a, -0.0, 0.0]), np.array([b, -0.0, b, 0.0])
-    got = chart.spray(us, vs, as_, bs, np)
-    want = graph_spray(chart, us, vs, as_, bs, np)
-    assert len(got) == len(want) == 4
-    for x, y in zip(got, want):
-        assert _bits(x, us.shape) == _bits(y, us.shape)
 
 
 FOLDED = {
@@ -375,40 +366,6 @@ def test_row_jet_equals_float_jet(name):
     else:
         assert np.all(np.abs(rows - floats)
                       <= 4 * np.spacing(np.abs(floats)))
-
-
-# the row charts and a triaxial ellipsoid, whose spray is the generic one
-SPRAY_CHARTS = dict(ROW_CHARTS, triaxial=EllipsoidChart(1.5, 0.8, 1.1))
-
-
-@pytest.mark.parametrize("name", sorted(SPRAY_CHARTS))
-def test_row_spray_equals_float_spray(name):
-    # one spray serves floats and rows, and on rows its fourth entry is
-    # the metric determinant; the bounds are those of the row jet
-    chart = SPRAY_CHARTS[name]
-    rng = np.random.default_rng(5)
-    u, v, a, b = rng.uniform(0.1, 3.0, (4, 2000))
-    a, b = a - 1.5, b - 1.5
-    floats = np.array([chart.spray(*x) for x in zip(
-        u.tolist(), v.tolist(), a.tolist(), b.tolist())])
-
-    def rows(xp):
-        *out, det = chart.spray(u, v, a, b, xp)
-        return np.stack(np.broadcast_arrays(*out, u)[:3], axis=-1), det
-
-    got, det = rows(np)
-    if name in ("sphere", "ellipsoid", "hilly", "plane", "paraboloid",
-                "triaxial"):
-        assert np.array_equal(got, floats)
-    else:
-        # numpy's tanh, cosh and powers: in units of the row's largest entry
-        scale = np.abs(floats).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - floats) <= 16 * np.spacing(scale))
-    if name == "pseudosphere":
-        assert np.array_equal(rows(_MathRows())[0], floats)
-    # E G - F^2 cancels on steep graphs, so the bound is in units of E G
-    E, F, G = SurfaceModel(chart).metric_rows(np.stack([u, v], axis=-1))
-    assert np.all(np.abs(det - (E * G - F * F)) <= 1e-13 * E * G)
 
 
 def test_sphere_domain_check():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from rk4_reference import _rk4_geodesic as reference_rk4
 
 from tractrix.comparison import (
     Check,
@@ -23,7 +24,6 @@ from tractrix.errors import (
 )
 from tractrix.functionals import sweep_result
 from tractrix.manifold import (
-    _rk4_rhs,
     model_from_config,
     shot_steps,
     space_form,
@@ -105,7 +105,7 @@ def stage_curvatures(model, p, v, length, n_steps):
         Ks.append(out[2])
         return out
 
-    _rk4_rhs(rhs, tuple(p), tuple(v), length, n_steps, collect=False)
+    reference_rk4(rhs, tuple(p), tuple(v), length, n_steps, collect=False)
     return np.array(points), np.array(Ks)
 
 

@@ -31,7 +31,6 @@ from tractrix.manifold import (
     SurfaceModel,
     _has_conjugate,
     _reference_pole,
-    _rk4_rhs,
     jacobi_reference,
     jacobi_reference_integral,
     shot_steps,
@@ -425,33 +424,24 @@ def test_shot_gates_unit_speed_drift():
 @pytest.mark.parametrize("length, pole_step", [(0.5, 0.05), (0.3, 0.1)])
 def test_shot_makes_four_rhs_calls_per_step(monkeypatch, length,
                                             pole_step):
-    # one spray per RK4 stage: a k-step float shot counts 4k sprays on the
-    # model, and a row shot 4k a row; on rows they are the calls the
-    # kernel makes. A float shot on any chart, a triaxial ellipsoid's
-    # included, writes the spray in and makes none
+    # one spray per RK4 stage: a k-step shot counts 4k sprays on the
+    # model, and a row shot 4k a row. A shot on any chart, a triaxial
+    # ellipsoid's included, and so every row of a row shot, writes the
+    # spray in and makes no spray call
     calls = []
-    rows_rhs = SurfaceModel._geo_rows
-    monkeypatch.setattr(SurfaceModel, "_geo_rows", lambda self, *x: (
-        calls.append(None), rows_rhs(self, *x))[1])
     k = shot_steps(length, pole_step)
-    model = surface_model(ParaboloidChart())
-    p = np.array([0.4, 0.2])
-    model.shoot(p, model.unit(p, [1.0, -0.4]), length, pole_step)
-    assert (model.sprays, calls) == (4 * k, [])
-    rows = np.array([[0.4, 0.2], [0.1, -0.3], [-0.2, 0.5]])
-    tangents = np.array([model.unit(x, [1.0, 0.5]) for x in rows])
-    model.shoot_rows(rows, tangents, np.array([length, 0.5 * length, 0.0]),
-                     pole_step)
-    assert (model.sprays, len(calls)) == (4 * k + 3 * 4 * k, 4 * k)
-    chart = EllipsoidChart(1.3, 0.8, 1.1)
-    spray = chart.spray
-    monkeypatch.setattr(chart, "spray", lambda *x: (
-        calls.append(None), spray(*x))[1])
-    triaxial = surface_model(chart)
-    calls.clear()
-    p = np.array([1.2, 0.3])
-    triaxial.shoot(p, triaxial.unit(p, [1.0, -0.4]), length, pole_step)
-    assert (triaxial.sprays, len(calls)) == (4 * k, 0)
+    for chart, p in ((ParaboloidChart(), [0.4, 0.2]),
+                     (EllipsoidChart(1.3, 0.8, 1.1), [1.2, 0.3])):
+        monkeypatch.setattr(chart, "spray", lambda *x: calls.append(x))
+        model = surface_model(chart)
+        p = np.array(p)
+        model.shoot(p, model.unit(p, [1.0, -0.4]), length, pole_step)
+        assert (model.sprays, calls) == (4 * k, [])
+        rows = p + np.array([[0.0, 0.0], [-0.3, -0.5], [0.2, 0.3]])
+        tangents = np.array([model.unit(x, [1.0, 0.5]) for x in rows])
+        model.shoot_rows(rows, tangents,
+                         np.array([length, 0.5 * length, 0.0]), pole_step)
+        assert (model.sprays, calls) == (4 * k + 3 * 4 * k, [])
 
 
 @pytest.mark.parametrize("model", [PARAB, HILLY], ids=["paraboloid",
@@ -538,7 +528,7 @@ def test_row_shot_matches_one_shot_per_row(model):
     one = [np.array(x) for x in zip(*(model._shot(a, b, n, steps)
                                       for a, b, n in zip(p, v, L)))]
     for a, b in zip(rows, one):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-14)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_shot_steps_rule():
@@ -795,12 +785,12 @@ def test_row_overflow_is_the_float_paths_error(chart, u, what):
     # cosh 800 and 40 ** 200 overflow a float inside the domain: a float
     # shot raises the chart's overflow error, and the row paths raise it
     # too, naming the row, where they warned and then read a singular
-    # metric (a RuntimeWarning fails the suite)
+    # metric (a RuntimeWarning fails the suite). Row 0's shot stays finite
     model = SurfaceModel(chart)
     at = rf"^{what} overflows a float at \({u!r}, 0\.0\)"
     with pytest.raises(SingularChartError, match=at + "$"):
         model.shoot([u, 0.0], [1.0, 0.0], 0.5)
-    points = np.array([[1.0, 0.0], [u, 0.0]])
+    points = np.array([[0.5, 0.0], [u, 0.0]])
     for call in (lambda: model.metric_rows(points),
                  lambda: model.shoot_rows(points, np.array([[1.0, 0.0]] * 2),
                                           np.array([0.5, 0.5]))):
@@ -836,7 +826,7 @@ def test_shots_that_leave_a_bounded_graph_raise():
     model.shoot([0.5, 0.0], unit, 0.2)
     with pytest.raises(DomainExitError):
         model.shoot([0.5, 0.0], unit, 2.0)
-    # in lockstep, row 0 stays inside and row 1 leaves
+    # on rows, row 0 stays inside and row 1 leaves
     with pytest.raises(DomainExitError, match="row 1"):
         model.shoot_rows(np.array([[0.0, 0.0], [0.5, 0.0]]),
                          np.array([[1.0, 0.0], unit]), np.array([0.1, 2.0]))
@@ -907,7 +897,7 @@ def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
         Ks.append(out[2])
         return out
 
-    _rk4_rhs(rhs, eta, unit, ell, n_pole, collect=False)
+    reference_rk4(rhs, eta, unit, ell, n_pole, collect=False)
     return rate, abs(along), (
         gamma, -tangent / speed, -along, s_ell, simpson(jac, grid),
         _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime),

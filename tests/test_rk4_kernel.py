@@ -1,14 +1,15 @@
-"""The RK4 shot kernels and the compiled tractrix stage and sub-step
-against the hand-written references, bit for bit, and guards on what the
-compiled functions contain.
+"""The RK4 shot kernel, row shots and the compiled tractrix stage and
+sub-step against the hand-written references, bit for bit, and guards on
+what the compiled functions contain.
 
 Every surface shot but a tractrix stage's enters through
-`SurfaceModel._rk4_geodesic`: on floats the kernel with the chart's spray
-text written in, on rows the kernel that calls `_geo_rows`. The reference
-calls `chart.spray`, or `_geo_rows` on rows. A tractrix stage runs its
-pole shot inline (`manifold._tractrix`); its reference is the stage and
-sub-step of `stage_reference`, whose shot is the reference kernel in its
-record ("jacobi") mode.
+`SurfaceModel._rk4_geodesic`, the kernel with the chart's spray text
+written in; the reference calls `chart.spray`. A row shot
+(`SurfaceModel.shoot_rows`) is one such shot a row, against one reference
+shot a row. A tractrix stage runs its pole shot inline
+(`manifold._tractrix`); its reference is the stage and sub-step of
+`stage_reference`, whose shot is the reference kernel in its record
+("jacobi") mode.
 """
 
 import math
@@ -35,12 +36,7 @@ from tractrix.errors import (
     OutOfDomainError,
     SingularChartError,
 )
-from tractrix.manifold import (
-    _drift_stride,
-    _rk4_rhs,
-    shot_steps,
-    surface_model,
-)
+from tractrix.manifold import _drift_stride, shot_steps, surface_model
 
 # each chart with the box (umin, umax, vmin, vmax) its shots start in; the
 # bounded domains, the poles and the pseudosphere's rim are all reachable
@@ -59,10 +55,11 @@ CHARTS = {
     "triaxial": (EllipsoidChart(1.3, 0.8, 1.1), (0.3, 2.8, -3.0, 3.0)),
 }
 MODELS = {name: surface_model(chart) for name, (chart, _) in CHARTS.items()}
-# (collect, rows): every mode on floats and on rows: the end only, the
-# record mode, and the samples of every step or of every third. The record
-# mode is the record stage's pole shot, which runs on floats: on rows,
-# each row is one stage
+# (collect, rows): every mode on floats: the end only, the record mode,
+# and the samples of every step or of every third. The record mode is the
+# record stage's pole shot, which runs on floats: on rows, each row is one
+# stage. Every other mode on rows is a row shot (`shoot_rows`), which has
+# one mode
 MODES = [(collect, rows) for rows in (False, True)
          for collect in (False, "jacobi", True, 3)]
 
@@ -100,7 +97,7 @@ def record_stages(name, x0, v0, length, n_steps):
     compiled and as the reference writes it, one stage a row on rows; eta'
     is v0 turned by a right angle in the chart."""
     model = MODELS[name]
-    starts = (list(zip(*x0)), list(zip(*v0)), length) if np.ndim(x0) == 2 \
+    starts = (x0, v0, length) if np.ndim(x0) == 2 \
         else ([x0], [v0], [length])
     new, ref = [], []
     for eta, X, ell in zip(*starts):
@@ -112,14 +109,38 @@ def record_stages(name, x0, v0, length, n_steps):
     return (new[0], ref[0]) if np.ndim(x0) == 1 else (new, ref)
 
 
+def reference_rows(model, p, v, length, pole_step):
+    """`shoot_rows` on the reference: one shot a row on the chart's spray,
+    each of the steps of the longest, whose error names its row, and one
+    drift check over the drift samples of every row."""
+    n_steps = shot_steps(np.max(length), pole_step)
+    shots = []
+    for row, args in enumerate(zip(p.tolist(), v.tolist(), length.tolist())):
+        try:
+            every = reference_rk4(model.chart.spray, *args, n_steps, True)
+        except (DomainExitError, SingularChartError) as exc:
+            exc.args = (f"{exc} in row {row}",)
+            raise
+        shots.append(samples(every, _drift_stride(n_steps)))
+    pts, tans, c, s = (np.stack(x, axis=-1) for x in zip(*shots))
+    model._check_drift(pts, tans)
+    return pts[-1].T, tans[-1].T, c, s
+
+
 def both(name, rows, x0, v0, length, n_steps, collect):
     """The outcomes of one shot through the model's entry and through the
-    reference on the chart's spray (`_geo_rows` on rows); in the record
-    mode, of the record stage (`record_stages`)."""
+    reference on the chart's spray; on rows, of `shoot_rows` and
+    `reference_rows` at the pole step that gives the longest row n_steps
+    steps (8 at the least); in the record mode, of the record stage
+    (`record_stages`)."""
     if collect == "jacobi":
         return record_stages(name, x0, v0, length, n_steps)
     model = MODELS[name]
-    rhs = model._geo_rows if rows else model.chart.spray
+    if rows:
+        step = max(np.max(length), 1e-3) / max(n_steps, 1)
+        return (outcome(lambda: model.shoot_rows(x0, v0, length, step)),
+                outcome(lambda: reference_rows(model, x0, v0, length, step)))
+    rhs = model.chart.spray
     args = (x0, v0, length, n_steps)
     return (outcome(lambda: model._rk4_geodesic(*args, collect)),
             outcome(lambda: samples(reference_rk4(rhs, *args, True), collect)
@@ -127,8 +148,10 @@ def both(name, rows, x0, v0, length, n_steps, collect):
 
 
 def shot_inputs(name, rows, starts):
-    """x0, v0 and length for one shot (floats) or four (rows) from the
-    starts' (fu, fv, angle, speed, length)."""
+    """x0, v0 and length for one shot (floats) or four (rows, (4, 2)
+    arrays) from the starts' (fu, fv, angle, speed, length). Rows take unit
+    tangents, as `shoot_rows` does, so that their drift check passes where
+    the steps are short enough."""
     ulo, uhi, vlo, vhi = CHARTS[name][1]
     points = [(ulo + fu * (uhi - ulo), vlo + fv * (vhi - vlo))
               for fu, fv, _, _, _ in starts]
@@ -136,8 +159,9 @@ def shot_inputs(name, rows, starts):
                   for _, _, t, speed, _ in starts]
     lengths = [L for *_, L in starts]
     if rows:
-        return (np.transpose(points), np.transpose(velocities),
-                np.array(lengths))
+        points, velocities = np.array(points), np.array(velocities)
+        velocities /= MODELS[name].norm_rows(points, velocities)[:, None]
+        return points, velocities, np.array(lengths)
     return points[0], velocities[0], lengths[0]
 
 
@@ -209,8 +233,9 @@ def test_kernel_raises_the_reference_error_at_a_singular_metric(name, rows):
     hh = 0.5 * (length / shot_steps(length, 0.05))
     args = ((hh, 0.3), (p, 0.0), length, shot_steps(length, 0.05), False)
     if rows:
-        args = (np.array([[1.2, hh], [0.3, 0.3]]),
-                np.array([[0.0, p], [1.0, 0.0]]), *args[2:])
+        args = (np.array([[1.2, 0.3], [hh, 0.3]]),
+                np.array([[0.0, 1.0], [p, 0.0]]), np.array([length] * 2),
+                *args[3:])
     new, ref = both(name, rows, *args)
     assert new == ref and new[0] is SingularChartError
 
@@ -232,10 +257,9 @@ def test_drift_samples_are_the_rows_the_check_reads():
 
 
 def compiled_kernels():
-    """Every chart's float kernel, the call-line kernel, and every model's
-    tractrix stage and sub-step."""
+    """Every chart's float kernel, and every model's tractrix stage and
+    sub-step."""
     return {**{name: model._float_shot for name, model in MODELS.items()},
-            "call": _rk4_rhs,
             **{f"{name} {fn}": getattr(model, f"tractrix_{fn}")
                for name, model in MODELS.items() for fn in ("stage", "step")}}
 
@@ -259,12 +283,10 @@ def test_kernel_has_no_int_constant():
 
 def test_inline_kernels_make_no_call_into_the_chart():
     # every chart writes its spray and jet as text, and its kernel, stage
-    # and sub-step write them in: they name none of the chart's
-    # evaluators, and no chart's kernel is the call-line kernel
+    # and sub-step write them in: they name none of the chart's evaluators
     models = {**MODELS, **{name: surface_model(make())
                            for name, make in _CATALOG.items()}}
     for name, model in models.items():
-        assert model._float_shot is not _rk4_rhs, name
         for fn in ("_float_shot", "tractrix_stage", "tractrix_step"):
             names = set(getattr(model, fn).__code__.co_names)
             assert not names & {"jet", "spray", "profile", "_height",

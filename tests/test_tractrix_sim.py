@@ -983,7 +983,7 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     The log holds every shot through `_rk4_geodesic`. The phases are
     "attach", "simulate", "foot" (the foot solve) and "check"; a shot
     inside `connect` is logged with the starting length that sized the
-    solve. The tractrix stages run their pole shots inline, so those are
+    solve, and a row of `shoot_rows` with the length of its longest row. The tractrix stages run their pole shots inline, so those are
     counted apart: the shots of the run's `tractrix_stage` and
     `tractrix_step` calls (one and three) and the sprays that the model's
     counter gained in the run beyond those of the logged shots.
@@ -995,7 +995,7 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     def logged(self, x0, v0, length, n_steps, collect):
         start = where["start"]
         log.setdefault(where["phase"], []).append(
-            (n_steps, float(np.max(length)) if start is None else start))
+            (n_steps, length if start is None else start))
         before = self.sprays
         try:
             return rk4(self, x0, v0, length, n_steps, collect)
@@ -1012,6 +1012,15 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
         finally:
             where["start"] = None
 
+    shoot_rows = SurfaceModel.shoot_rows
+
+    def logged_rows(self, p, v, length, pole_step):
+        where["start"] = float(np.max(length))
+        try:
+            return shoot_rows(self, p, v, length, pole_step)
+        finally:
+            where["start"] = None
+
     foot_newton = tractrix_sim._foot_newton
 
     def logged_foot(trace, step):
@@ -1023,6 +1032,7 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
 
     monkeypatch.setattr(SurfaceModel, "_rk4_geodesic", logged)
     monkeypatch.setattr(SurfaceModel, "connect", logged_connect)
+    monkeypatch.setattr(SurfaceModel, "shoot_rows", logged_rows)
     monkeypatch.setattr(tractrix_sim, "_foot_newton", logged_foot)
     cfg = bundled_scenario(name)
     model = model_from_config(cfg.model)
