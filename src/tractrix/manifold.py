@@ -804,15 +804,19 @@ class SphereModel(SpaceFormModel):
         return self._tangent_chart(Y, T3, ref_phi=float(p[1]))
 
     def log_map(self, p, q):
+        # the angle from both of its legs, not by acos, which loses half
+        # the digits of a short one: W = Y - (X.Y) X is sin(psi) times the
+        # unit direction, whose norm is 1 to rounding at any separation
         X, Y = self._embed(p), self._embed(q)
-        c = min(1.0, max(-1.0, float(X @ Y)))
-        psi = math.acos(c)
+        c = float(X @ Y)
+        W = Y - X * c
+        w = float(np.linalg.norm(W))
+        psi = math.atan2(w, c)
         if psi < 1e-14:
             raise ValueError("log map undefined for coincident points")
         if math.pi - psi < 1e-12:
             raise ValueError("log map undefined for antipodal points")
-        W = (Y - X * c) / math.sin(psi)
-        _, v = self._tangent_chart(X, W, ref_phi=float(p[1]))
+        _, v = self._tangent_chart(X, W / w, ref_phi=float(p[1]))
         # _tangent_chart normalizes against radius; W is unit in R^3 here
         return v, psi * self.radius
 

@@ -489,6 +489,17 @@ def test_ellipsoid_equator_with_a_tiny_pole_exits_two(tmp_path, capsys):
         "float division by zero\n")
 
 
+def test_shorten_sphere_with_a_tiny_pole_exits_zero(tmp_path):
+    # at a pole of 7e-7 the log map that starts each spliced head gives a
+    # unit direction to rounding, which exp_point accepts; by acos it was
+    # 2.8e-4 from unit, and the ValueError escaped
+    raw = bundled("shorten_sphere")
+    raw["ell"] = 7e-7
+    config = write_config(tmp_path, raw)
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("field, vertex", [("Q", 40), ("initial", 20)])
 def test_shorten_flat_in_the_disk_exits_one(tmp_path, capsys, field,
                                             vertex):

@@ -766,6 +766,22 @@ def test_closed_form_stage_rejects_bad_poles(model, eta, gamma, error):
                           [False, *(_refused(model, p) for p in rows[1:])])
 
 
+@pytest.mark.parametrize("separation", [1e-9, 1e-7, 7e-7, 1e-5, 1e-3, 0.1,
+                                        1.0, 3.0])
+def test_sphere_log_map_is_unit_at_every_separation(separation):
+    # the log map inverts exp_point to rounding from 1e-9 to near the
+    # antipode: a unit direction, the separation as its length, and the
+    # start direction to 2e-14 of arc at the end. An angle by acos of
+    # X . Y loses half its digits: |v|_g - 1 was -2.8e-4 at 7e-7
+    p = np.array([1.2, 0.4])
+    for heading in (0.3, 2.0, 4.0):
+        v0 = SPHERE.unit(p, [math.cos(heading), math.sin(heading)])
+        v, L = SPHERE.log_map(p, SPHERE.exp_point(p, v0, separation)[0])
+        assert abs(SPHERE.norm(p, v) - 1.0) <= 3e-14
+        assert abs(L - separation) <= 1e-15
+        assert SPHERE.norm(p, v - v0) * separation <= 2e-14
+
+
 def _refused(model, p):
     try:
         model.check_point(p)
