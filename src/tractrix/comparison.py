@@ -134,7 +134,8 @@ def rauch_length_area_check(trace, sweep, bounds):
     An upper curvature bound forces the tractor track to be long and the
     swept area large; a lower bound caps both. All four sides re-evaluate
     from the sweep functionals; a reference profile that closes up before
-    the pole end (sqrt(K)*ell >= pi) demotes that side to skipped.
+    the pole end (sqrt(K)*ell >= pi), or that overflows a float there
+    (K_lo << 0, `_reference_pair`), demotes that side to skipped.
     """
     L_g, L_e = sweep.L_gamma, sweep.L_eta
     A, ell = sweep.area, sweep.ell
@@ -178,13 +179,29 @@ def rauch_length_area_check(trace, sweep, bounds):
         reason = (f"sqrt(K_lo)*ell = "
                   f"{math.sqrt(bounds.K_lo) * ell:.6g} >= pi")
         checks += [_skip(*lo_len, reason), _skip(*lo_area, reason)]
+    elif (lower := _reference_pair(bounds.K_lo, ell)) is None:
+        reason = (f"sqrt(-K_lo)*ell = {math.sqrt(-bounds.K_lo) * ell:.6g}: "
+                  "J_lo(ell) or its integral overflows a float")
+        checks += [_skip(*lo_len, reason), _skip(*lo_area, reason)]
     else:
-        J_lo = jacobi_reference(bounds.K_lo, ell)
-        I_lo = jacobi_reference_integral(bounds.K_lo, ell)
+        J_lo, I_lo = lower
         checks.append(_check(*lo_len, lhs=L_e, rhs=L_g + J_lo * KT))
         checks.append(_check(*lo_area, lhs=A, rhs=KT * I_lo))
 
     return ComparisonReport(tuple(checks))
+
+
+def _reference_pair(K, ell):
+    """J^K(ell) and its integral over [0, ell], or None where either
+    overflows a float: sinh and cosh of sqrt(-K)*ell past about 710, or
+    their quotients by a small sqrt(-K) or -K a little short of that."""
+    try:
+        with np.errstate(over="ignore"):
+            pair = (jacobi_reference(K, ell),
+                    jacobi_reference_integral(K, ell))
+    except OverflowError:
+        return None
+    return pair if all(math.isfinite(x) for x in pair) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import copy
 import filecmp
 import math
 import os
+import tempfile
 import time
+import warnings
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractrix import cli
 from tractrix.comparison import Check, ComparisonReport
-from tractrix.config import bundled_dir
+from tractrix.config import bundled_dir, bundled_names
 
 FLAT_GEODESIC = os.path.join(bundled_dir(), "flat_geodesic.yaml")
 SHORTEN_SPHERE = os.path.join(bundled_dir(), "shorten_sphere.yaml")
@@ -500,6 +505,32 @@ def test_shorten_sphere_with_a_tiny_pole_exits_zero(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
 
 
+def test_halfk_pull_with_a_huge_widen_exits_one(tmp_path, capsys):
+    # a widening of 1e10 puts K_lo at -1e10, whose Rauch references
+    # overflow a float: those checks are skipped, where an OverflowError
+    # escaped, and the sandwich then refuses K_hi = 1e10 as a config error
+    raw = bundled("halfk_pull")
+    raw["comparison"]["widen"] = 1e10
+    config = write_config(tmp_path, raw)
+    assert cli.main(["verify", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: k*ell = 100000.0000025 must stay below pi\n")
+
+
+def test_flat_geodesic_with_a_long_pole_skips_the_lower_rauch_side(tmp_path):
+    # widen (708 / 9000)^2 puts sqrt(-K_lo)*ell at 708: sinh 708 is finite,
+    # but J_lo(ell) = sinh(708) / 0.0787 overflows a float, where a
+    # RuntimeWarning escaped; the lower side is skipped
+    raw = bundled("flat_geodesic")
+    raw["ell"], raw["comparison"]["widen"] = 9000.0, (708 / 9000) ** 2
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+    assert (out / "report.txt").read_text().count(
+        "J_lo(ell) or its integral overflows a float") == 2
+
+
 @pytest.mark.parametrize("field, vertex", [("Q", 40), ("initial", 20)])
 def test_shorten_flat_in_the_disk_exits_one(tmp_path, capsys, field,
                                             vertex):
@@ -597,3 +628,64 @@ def test_gallery_matches_verify_and_shorten(tmp_path, capsys):
         "cusps.txt", "report.txt", "sweep.txt", "trace.csv"]
     assert_same_files(gallery / "flat_geodesic", tmp_path / "verify")
     assert_same_files(gallery / "shorten_sphere", tmp_path / "shorten")
+
+
+# -- the CLI contract under mutated bundled configs ---------------------------
+
+
+def number_paths(node, path=()):
+    """The key paths of every number in a loaded config, bools aside."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from number_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from number_paths(value, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+FACTORS = st.floats(0.2, 3.0) | st.sampled_from([0.0, -1.0, 1e-6, 1e6])
+BUNDLED = {name: bundled(name) for name in bundled_names()}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled config with one to three of its numbers scaled by a
+    factor in FACTORS, each drawn from its parameters or, as often, from
+    its polyline vertices; an integer stays an integer. A simulated run
+    is capped at 3,000 records."""
+    raw = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    paths = list(number_paths(raw))
+    pools = [[p for p in paths if "points" not in p],
+             [p for p in paths if "points" in p]]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(draw(st.sampled_from(
+            [pool for pool in pools if pool]))))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        value, factor = node[path[-1]], draw(FACTORS)
+        node[path[-1]] = (round(value * factor) if isinstance(value, int)
+                          else value * factor)
+    if "shorten" not in raw:
+        raw.setdefault("sim", {})["max_records"] = 3000
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_bundled_configs_keep_the_exit_code_contract(raw):
+    # every run ends in an exit code of the contract, 0 to 3: no
+    # exception escapes main and no warning is raised. The record cap and
+    # a shot's own cap on its steps keep the 200 examples to about 5 s of
+    # the 10 s this test may take
+    command = "shorten" if "shorten" in raw else "verify"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = os.path.join(tmp, "scenario.yaml")
+        with open(config, "w") as f:
+            yaml.safe_dump(raw, f, sort_keys=False)
+        code = cli.main([command, "--config", config,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)

@@ -243,6 +243,24 @@ def test_rauch_skips_closed_reference_profile(flat_trace):
     assert rep.passed
 
 
+@pytest.mark.parametrize("K_lo, skipped", [(-1.2e5, False),
+                                            (-1.3e5, True)])
+def test_rauch_skips_a_lower_reference_past_a_float(flat_trace, K_lo,
+                                                    skipped):
+    # with ell = 2, sqrt(-K_lo) * ell is 693 and 721: sinh and cosh
+    # overflow a float past 710, where J_lo(ell) and its integral left a
+    # RuntimeWarning and an OverflowError; the lower side is skipped
+    # there, and checked, against a huge cap, below it
+    rep = rauch_length_area_check(flat_trace, sweep_result(flat_trace),
+                                  CurvatureBounds(K_lo, 0.5, "constant"))
+    states = {c.name: c.skipped for c in rep.checks}
+    assert states == {"length_floor_upper_K": False,
+                      "area_floor_upper_K": False,
+                      "length_cap_lower_K": skipped,
+                      "area_cap_lower_K": skipped}
+    assert rep.passed
+
+
 def test_rauch_conjugate_flag_demotes_to_skipped(sphere_trace):
     sw = sweep_result(sphere_trace)
     flagged = dataclasses.replace(

@@ -983,10 +983,11 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     The log holds every shot through `_rk4_geodesic`. The phases are
     "attach", "simulate", "foot" (the foot solve) and "check"; a shot
     inside `connect` is logged with the starting length that sized the
-    solve, and a row of `shoot_rows` with the length of its longest row. The tractrix stages run their pole shots inline, so those are
-    counted apart: the shots of the run's `tractrix_stage` and
-    `tractrix_step` calls (one and three) and the sprays that the model's
-    counter gained in the run beyond those of the logged shots.
+    solve, and a row of `shoot_rows` with the length of its longest row.
+    The tractrix stages run their pole shots inline, so those are counted
+    apart: the shots of the run's `tractrix_stage` and `tractrix_step`
+    calls (one and three) and the sprays that the model's counter gained
+    in the run beyond those of the logged shots.
     """
     log, where = {}, {"phase": None, "start": None}
     logged_sprays = [0]
