@@ -9,10 +9,11 @@ along chart segments; the distance to a geodesic; a domain check on rows
 (`generator_rows`, space forms) or as its start, one stage and one RK4
 sub-step (`tractrix_start`, and the compiled `tractrix_stage` and
 `tractrix_step` of each surface, on Python floats); and a polyline's edge
-lengths and discrete geodesic
-accelerations (`edge_lengths`, `acceleration_norms`). The `*_rows`
-methods, transport and the polyline measures take (n, dim) rows, so a
-post-pass is one call.
+lengths and discrete geodesic accelerations (`edge_lengths`,
+`acceleration_norms`). The `*_rows` methods, transport and the polyline
+measures take (n, dim) rows, so a post-pass is one call; each polyline
+measure is one NumPy pass over the rows, with no Python loop per edge or
+vertex.
 
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
@@ -48,7 +49,13 @@ tractor, so a stage is one shot. The space forms, in standard charts
 (colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
 K < 0), override all of this with closed forms: their shot ignores its
 step count, and transport and the distance to a geodesic are one array
-expression over all rows. Each gives the pole direction's generator on
+expression over all rows. Each quantity has one closed form, written on
+rows: the log map and the distance (`log_rows`, `distance_rows`), of
+which `log_map`, `distance` and `connect` take one row and the polyline
+measures one pass, and the exp (`_exp_rows`). Only the exp has a float
+twin, `_exp`, the same arithmetic on Python floats, because the
+attachment's Newton loop calls it and a one-row NumPy call costs several
+times as much. Each model gives the pole direction's generator on
 rows, a traceless 2x2 matrix linear in the tractor velocity, so that
 `tractrix_sim.simulate` multiplies the tractrix out as a product of
 Moebius maps, the bicycle monodromy, and reads gamma off the pole
@@ -449,33 +456,25 @@ class ManifoldModel:
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return w[0] if single else w
 
-    def edge_length(self, a, b):
-        """Length of a polyline edge: the metric chord at its midpoint."""
-        return self.norm(0.5 * (a + b), b - a)
-
     def edge_lengths(self, points):
-        """The `edge_length` of each edge of (m, dim) rows, as one array."""
-        return np.array([self.edge_length(a, b)
-                         for a, b in zip(points[:-1], points[1:])])
-
-    def discrete_acceleration(self, prev, x, nxt, h_prev, h_next):
-        """Covariant acceleration at polyline vertex x taken as unit speed.
-
-        h_prev and h_next are the metric lengths of the adjacent edges.
-        """
-        vm = (x - prev) / h_prev
-        vp = (nxt - x) / h_next
-        vbar = 0.5 * (vm + vp)
-        return ((vp - vm) / (0.5 * (h_prev + h_next))
-                + np.einsum("kij,i,j->k", self.christoffel_at(x), vbar, vbar))
+        """The length of each edge of (m, dim) rows, as one array: the
+        metric chord at the edge's midpoint (`norm_rows`)."""
+        return self.norm_rows(0.5 * (points[:-1] + points[1:]),
+                              np.diff(points, axis=0))
 
     def acceleration_norms(self, points, h):
-        """|`discrete_acceleration`|_g at each interior vertex of (m, dim)
-        rows, h the m - 1 edge lengths, as one array."""
-        return np.array([
-            self.norm(x, self.discrete_acceleration(a, x, b, hm, hp))
-            for a, x, b, hm, hp in zip(points[:-2], points[1:-1], points[2:],
-                                       h[:-1], h[1:])])
+        """|a|_g at each interior vertex x of (m, dim) rows, h the m - 1
+        edge lengths, as one array: a is the covariant acceleration of the
+        polyline taken at unit speed, (v+ - v-) / mean(h) + Gamma(w, w),
+        v- and v+ the chart edges into and out of x over their lengths and
+        w their mean."""
+        unit = np.diff(points, axis=0) / h[:, None]
+        mean = 0.5 * (unit[:-1] + unit[1:])
+        x = points[1:-1]
+        acc = ((unit[1:] - unit[:-1]) / (0.5 * (h[:-1] + h[1:]))[:, None]
+               + np.einsum("nkij,ni,nj->nk", self.christoffel_rows(x), mean,
+                           mean))
+        return self.norm_rows(x, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +494,11 @@ class SpaceFormModel(ManifoldModel):
     psi' = E (q cos psi - p sin psi) - omega. That is a Riccati equation
     for z = tan(psi / 2) = u1 / u2, linear in the spinor u: u' = A u with
     A = (1/2) [[-E p, E q - omega], [E q + omega, E p]]. A model supplies
-    (p, q, omega) (`_frame_rows`), its exp on rows from a frame direction
-    (`_exp_rows`), its distance on rows (`distance_rows`) and its domain
-    check on rows (`row_faults`, whose refused rows `check_point` names).
+    (p, q, omega) (`_frame_rows`); its exp on rows from a frame direction
+    (`_exp_rows`) and the same arithmetic on floats from a chart vector
+    (`_exp`); its log map and distance on rows (`log_rows`,
+    `distance_rows`); its norm on rows (`norm_rows`); and its domain check
+    on rows (`row_faults`, whose refused rows `check_point` names).
     """
 
     def __init__(self, K, dim=2, periods=None):
@@ -505,9 +506,45 @@ class SpaceFormModel(ManifoldModel):
         self.dim = int(dim)
         self.periods = periods
 
-    def log_map(self, p, q):
-        """(unit v at p, length) of the minimizing geodesic from p to q."""
+    def log_rows(self, a, b):
+        """(unit v at a, length) of the minimizing geodesics from (n, dim)
+        rows a to rows b, as an (n, dim) and an (n,) array. A row whose
+        direction is undefined, coincident or antipodal points, has a NaN
+        direction."""
         raise NotImplementedError
+
+    def log_map(self, p, q):
+        """(unit v at p, length) of the minimizing geodesic from p to q,
+        one row of `log_rows`; ValueError where the direction is
+        undefined."""
+        v, L = self.log_rows(np.array([p], dtype=float),
+                             np.array([q], dtype=float))
+        if np.isnan(v).any():
+            far = (self.conjugate_scale is not None
+                   and L[0] > 0.5 * self.conjugate_scale)
+            raise ValueError("log map undefined for "
+                             f"{'antipodal' if far else 'coincident'} points")
+        return v[0], float(L[0])
+
+    def distance(self, p, q, **_):
+        """One row of `distance_rows`; the Newton hints and settings do not
+        apply."""
+        return float(self.distance_rows(np.array([p], dtype=float),
+                                        np.array([q], dtype=float))[0])
+
+    def edge_lengths(self, points):
+        """The distance along each edge of (m, dim) rows, as one array."""
+        return self.distance_rows(points[:-1], points[1:])
+
+    def acceleration_norms(self, points, h):
+        """|a|_g at each interior vertex x of (m, dim) rows, h the m - 1
+        edge lengths, as one array: a is the sum of the log map's unit
+        vectors from x to its two neighbours over the mean of h, the
+        covariant acceleration of the polyline taken at unit speed."""
+        x = points[1:-1]
+        turn = self.log_rows(x, points[2:])[0] + self.log_rows(
+            x, points[:-2])[0]
+        return self.norm_rows(x, turn / (0.5 * (h[:-1] + h[1:]))[:, None])
 
     def row_faults(self, points):
         """The rows of (..., dim) points that `check_point` refuses, as a
@@ -575,23 +612,14 @@ class SpaceFormModel(ManifoldModel):
         gamma, tangent = self._exp_rows(points, -cos, -sin, ell, start)
         return gamma, -tangent, self.pole_speeds(points, velocities, u1, u2)
 
-    def edge_length(self, a, b):
-        return self.distance(a, b)
-
-    def discrete_acceleration(self, prev, x, nxt, h_prev, h_next):
-        v_out, _ = self.log_map(x, nxt)
-        v_in, _ = self.log_map(x, prev)
-        return (v_out + v_in) / (0.5 * (h_prev + h_next))
-
 
 class FlatModel(SpaceFormModel):
     """Euclidean plane or 3-space; optional periodic identifications in 2D.
 
     Geodesics are chart lines, so the pole is a straight segment and
     transport is the identity. The pole direction moves by a Moebius map
-    (`generator_rows`, `spinor`, `pole_rows`), and the polyline measures
-    (`edge_lengths`, `acceleration_norms`) are one NumPy pass over the
-    rows, bit for bit the per-edge and per-vertex loops.
+    (`generator_rows`, `spinor`, `pole_rows`). A distance is the square
+    root of `np.vecdot`, the dot kernel of d @ d.
     """
 
     def __init__(self, dim=2, periods=None):
@@ -626,22 +654,15 @@ class FlatModel(SpaceFormModel):
         q = p + length * v
         return q, v.copy()
 
-    def log_map(self, p, q):
-        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        # the same sqrt(d . d) that np.linalg.norm computes, without its
-        # dispatch
-        L = math.sqrt(float(d @ d))
-        if L < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        return d / L, L
-
-    def distance(self, p, q, **_):
-        # the sqrt(d . d) of log_map, equal to np.linalg.norm
-        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        return math.sqrt(float(d @ d))
+    def log_rows(self, a, b):
+        d = b - a
+        L = self.distance_rows(a, b)
+        # dividing by NaN raises no warning
+        return d / np.where(L < 1e-300, np.nan, L)[:, None], L
 
     def distance_rows(self, a, b):
-        return np.linalg.norm(b - a, axis=1)
+        d = b - a
+        return np.sqrt(np.vecdot(d, d))
 
     def generator_rows(self, points, velocities, ell):
         """(a, b, c), complex arrays: the generator A = [[a, b], [c, -a]] of
@@ -688,20 +709,6 @@ class FlatModel(SpaceFormModel):
         (`generator_rows`) and gamma = eta - ell X; start does not enter."""
         X = self._directions(u1, u2)
         return points - ell * X, X, np.vecdot(velocities, X)
-
-    def edge_lengths(self, points):
-        # one vecdot over the edges: the dot kernel of distance's d @ d
-        d = np.diff(points, axis=0)
-        return np.sqrt(np.vecdot(d, d))
-
-    def acceleration_norms(self, points, h):
-        # SpaceFormModel.discrete_acceleration on rows: the log map's unit
-        # vectors are the edges over their lengths, and the one into a
-        # vertex is minus its edge's
-        d = np.diff(points, axis=0)
-        acc = ((d[1:] / h[1:, None] - d[:-1] / h[:-1, None])
-               / (0.5 * (h[:-1] + h[1:]))[:, None])
-        return np.sqrt(np.vecdot(acc, acc))
 
     def norm_rows(self, points, vectors):
         return np.linalg.norm(vectors, axis=1)
@@ -757,83 +764,70 @@ class SphereModel(SpaceFormModel):
         G[1, 0, 1] = G[1, 1, 0] = 1.0 / math.tan(th)
         return G
 
-    # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
-
-    @staticmethod
-    def _embed(p):
-        th, ph = float(p[0]), float(p[1])
-        return np.array([math.sin(th) * math.cos(ph),
-                         math.sin(th) * math.sin(ph),
-                         math.cos(th)])
-
-    @staticmethod
-    def _frame3(p):
-        th, ph = float(p[0]), float(p[1])
-        e_th = np.array([math.cos(th) * math.cos(ph),
-                         math.cos(th) * math.sin(ph),
-                         -math.sin(th)])
-        e_ph = np.array([-math.sin(ph), math.cos(ph), 0.0])
-        return e_th, e_ph
-
-    def _tangent3(self, p, v):
-        # chart tangent (unit g-norm) -> unit tangent of the unit sphere
-        e_th, e_ph = self._frame3(p)
-        w = v[0] * e_th + v[1] * math.sin(float(p[0])) * e_ph
-        return w * self.radius
-
-    def _tangent_chart(self, p3, t3, ref_phi):
-        th = math.acos(min(1.0, max(-1.0, float(p3[2]))))
-        ph = math.atan2(float(p3[1]), float(p3[0]))
-        # keep longitude continuous relative to the caller's reference
-        ph = ref_phi + math.remainder(ph - ref_phi, math.tau)
-        p = np.array([th, ph])
-        e_th, e_ph = self._frame3(p)
-        s = math.sin(th)
-        if s < 1e-12:
-            raise SingularChartError("endpoint at chart pole")
-        a = float(t3 @ e_th) / self.radius
-        b = float(t3 @ e_ph) / (s * self.radius)
-        return p, np.array([a, b])
-
     def _exp(self, p, v, length, pole_step=None):
-        X = self._embed(p)
-        W = self._tangent3(p, np.asarray(v, dtype=float))
-        psi = self.k * length
-        Y = X * math.cos(psi) + W * math.sin(psi)
-        T3 = -X * math.sin(psi) + W * math.cos(psi)
-        return self._tangent_chart(Y, T3, ref_phi=float(p[1]))
+        """`_exp_rows` on floats, from p along the chart vector v: the end's
+        theta by atan2, its phi continued from p's. An end at a chart pole
+        is SingularChartError."""
+        th, ph = float(p[0]), float(p[1])
+        st, ct, sp, cp = (math.sin(th), math.cos(th), math.sin(ph),
+                          math.cos(ph))
+        # the frame components of `_frame_rows`
+        d1, d2 = self.radius * float(v[0]), self.radius * st * float(v[1])
+        P = (st * cp, st * sp, ct)
+        W = (d1 * ct * cp - d2 * sp, d1 * ct * sp + d2 * cp, -d1 * st)
+        c, s = math.cos(self.k * length), math.sin(self.k * length)
+        Y = [c * x + s * w for x, w in zip(P, W)]
+        T = [c * w - s * x for x, w in zip(P, W)]
+        rho = math.hypot(Y[0], Y[1])
+        if rho < 1e-12:
+            raise SingularChartError("endpoint at chart pole")
+        radial = (Y[0] * T[0] + Y[1] * T[1]) / rho
+        return (np.array([math.atan2(rho, Y[2]), ph + math.remainder(
+                    math.atan2(Y[1], Y[0]) - ph, math.tau)]),
+                np.array([Y[2] * radial - rho * T[2],
+                          (Y[0] * T[1] - Y[1] * T[0]) / (rho * rho)])
+                / self.radius)
 
-    def log_map(self, p, q):
-        # the angle from both of its legs, not by acos, which loses half
-        # the digits of a short one: W = Y - (X.Y) X is sin(psi) times the
-        # unit direction, whose norm is 1 to rounding at any separation
-        X, Y = self._embed(p), self._embed(q)
-        c = float(X @ Y)
-        W = Y - X * c
-        w = float(np.linalg.norm(W))
-        psi = math.atan2(w, c)
-        if psi < 1e-14:
-            raise ValueError("log map undefined for coincident points")
-        if math.pi - psi < 1e-12:
-            raise ValueError("log map undefined for antipodal points")
-        _, v = self._tangent_chart(X, W / w, ref_phi=float(p[1]))
-        # _tangent_chart normalizes against radius; W is unit in R^3 here
-        return v, psi * self.radius
-
-    def distance(self, p, q, **_):
-        c = min(1.0, max(-1.0, float(self._embed(p) @ self._embed(q))))
-        return math.acos(c) * self.radius
+    def log_rows(self, a, b):
+        """The angle psi from both of its legs, not by acos, which loses
+        half the digits of a short one: W = Y - (X.Y) X is sin(psi) times
+        the unit direction at X, whose norm is 1 to rounding at any
+        separation; below 1e-14 of arc, or within 1e-12 of the antipode,
+        the direction is undefined."""
+        X, Y = self._embed_rows(a), self._embed_rows(b)
+        c = np.vecdot(X, Y)
+        W = Y - X * c[:, None]
+        w = np.linalg.norm(W, axis=1)
+        psi = np.arctan2(w, c)
+        # dividing by NaN raises no warning
+        w = self.radius * np.where((psi < 1e-14) | (math.pi - psi < 1e-12),
+                                   np.nan, w)
+        e_th, e_ph = self._frame3_rows(a)
+        return (np.stack([np.vecdot(W, e_th) / w, np.vecdot(W, e_ph)
+                          / (np.sin(a[:, 0]) * w)], axis=1),
+                psi * self.radius)
 
     def distance_rows(self, a, b):
         A, B = self._embed_rows(a), self._embed_rows(b)
         return self.radius * np.arctan2(
             np.linalg.norm(np.cross(A, B), axis=1), np.vecdot(A, B))
 
+    # chart <-> R^3 embedding on the unit sphere (lengths scaled by radius)
+
     @staticmethod
     def _embed_rows(points):
         st = np.sin(points[:, 0])
         return np.stack([st * np.cos(points[:, 1]), st * np.sin(points[:, 1]),
                          np.cos(points[:, 0])], axis=1)
+
+    @staticmethod
+    def _frame3_rows(points):
+        """(e_theta, e_phi), the unit frame of the unit sphere at (n, 2)
+        rows of points, as (n, 3) arrays."""
+        th, ph = points[:, 0], points[:, 1]
+        ct, sp, cp = np.cos(th), np.sin(ph), np.cos(ph)
+        return (np.stack([ct * cp, ct * sp, -np.sin(th)], axis=1),
+                np.stack([-sp, cp, np.zeros_like(sp)], axis=1))
 
     def _frame_rows(self, points, vectors):
         """(p, q, omega) of (n, 2) rows of chart vectors: their components
@@ -911,12 +905,15 @@ class SphereModel(SpaceFormModel):
                         axis=-1)
 
     def distance_to_geodesic(self, a, v, points):
-        # the great circle through a along v is the unit normal n's equator
-        n = np.cross(self._embed(a), self._tangent3(a, v))
+        # the great circle through a along v is the equator of the unit
+        # normal n = A x W, W = p e_theta + q e_phi in the frame components
+        # (p, q) of v (`_frame_rows`): n = p e_phi - q e_theta
+        a = np.array([a], dtype=float)
+        (p,), (q,), _ = self._frame_rows(a, np.array([v], dtype=float))
+        (e_th,), (e_ph,) = self._frame3_rows(a)
+        n = p * e_ph - q * e_th
         n = n / np.linalg.norm(n)
-        th, ph = points[:, 0], points[:, 1]
-        st = np.sin(th)
-        X = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
+        X = self._embed_rows(points)
         h = X @ n
         return (np.arctan2(np.abs(h), np.linalg.norm(X - np.outer(h, n),
                                                       axis=1)) / self.k)
@@ -964,46 +961,36 @@ class HyperbolicModel(SpaceFormModel):
         return G
 
     def _exp(self, p, v, length, pole_step=None):
+        """`_exp_rows` on floats, from p along the chart vector v. An end
+        on or past the rim, where tanh has rounded to 1, is
+        OutOfDomainError."""
         z = complex(p[0], p[1])
-        vc = complex(v[0], v[1])
-        r2 = 1.0 - abs(z) ** 2
-        v0 = vc / r2
-        u = v0 / abs(v0)
-        rho = math.tanh(0.5 * self.k * length)
-        zeta = u * rho
+        # the frame is conformal: its unit direction is v's in the chart
+        u = complex(v[0], v[1])
+        u = u / abs(u)
+        zeta = math.tanh(0.5 * self.k * length) * u
         den = 1.0 + z.conjugate() * zeta
         w = (zeta + z) / den
-        # velocity of the unit-speed geodesic at the endpoint
-        dzeta = u * 0.5 * self.k / math.cosh(0.5 * self.k * length) ** 2
-        dw = (1.0 - abs(z) ** 2) / den ** 2 * dzeta
-        lam_w = (2.0 / self.k) / (1.0 - abs(w) ** 2)
-        t = dw / (lam_w * abs(dw)) if abs(dw) > 0 else dw
-        return (np.array([w.real, w.imag]),
-                np.array([t.real, t.imag]) if abs(dw) > 0 else
-                np.array([0.0, 0.0]))
+        self.check_point((w.real, w.imag))
+        turned = den.conjugate() / abs(den)
+        t = u * turned * turned * (0.5 * self.k) * (1.0 - abs(w) ** 2)
+        return np.array([w.real, w.imag]), np.array([t.real, t.imag])
 
-    def log_map(self, p, q):
-        z = complex(p[0], p[1])
-        w = complex(q[0], q[1])
-        zeta = (w - z) / (1.0 - z.conjugate() * w)
-        az = abs(zeta)
-        if az < 1e-300:
-            raise ValueError("log map undefined for coincident points")
-        L = (2.0 / self.k) * math.atanh(az)
-        vc = (zeta / az) * (1.0 - abs(z) ** 2) * (self.k / 2.0)
-        return np.array([vc.real, vc.imag]), L
-
-    def distance(self, p, q, **_):
-        z = complex(p[0], p[1])
-        w = complex(q[0], q[1])
-        num = 2.0 * abs(z - w) ** 2
-        den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
-        return math.acosh(1.0 + num / den) / self.k
+    def log_rows(self, a, b):
+        """The Moebius map that sends a to 0 sends b to zeta, a point of the
+        diameter along the direction at a; zeta = 0 has none."""
+        z, w = a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+        zeta = (w - z) / (1.0 - z.conj() * w)
+        az = np.abs(zeta)
+        # a quotient per part, where a complex one would multiply by the
+        # reciprocal; dividing by NaN raises no warning
+        v = (np.stack([zeta.real, zeta.imag], axis=1)
+             / np.where(az < 1e-300, np.nan, az)[:, None]
+             * (1.0 - np.abs(z) ** 2)[:, None] * (0.5 * self.k))
+        return v, (2.0 / self.k) * np.arctanh(az)
 
     def distance_rows(self, a, b):
-        z, w = a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
-        return (2.0 / self.k) * np.arctanh(np.abs((w - z)
-                                                  / (1.0 - z.conj() * w)))
+        return self.log_rows(a, b)[1]
 
     def _frame_rows(self, points, vectors):
         """(p, q, omega) of (n, 2) rows of chart vectors: their components

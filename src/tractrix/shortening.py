@@ -80,8 +80,11 @@ def geodesic_residual(model, points, closed=False):
     zero edge. `closed` prepends the neighbor before the seam, shifted by
     the winding displacement D = end - start, so a lifted periodic loop
     measures each of its vertices once, the seam included. The model
-    measures every edge and every vertex in one call each
-    (`edge_lengths`, `acceleration_norms`).
+    measures every edge and every vertex in one NumPy pass each
+    (`edge_lengths`, `acceleration_norms`): on a space form from the
+    closed-form distances and log maps, which keep their digits at any
+    separation, on a surface from midpoint chords and the Christoffel
+    symbols at the vertices.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 3:
@@ -129,13 +132,15 @@ def _geodesic_points(model, a, b, pole_step, samples=_POLE_SAMPLES):
 
 def _arclength_point(model, pts, target):
     """Chart point at metric arclength `target`, with its vertex cut."""
-    acc = 0.0
-    for i, hi in enumerate(model.edge_lengths(pts).tolist()):
-        if acc + hi >= target - 1e-12:
-            f = 0.0 if hi < 1e-12 else (target - acc) / hi
-            return pts[i] + min(max(f, 0.0), 1.0) * (pts[i + 1] - pts[i]), i
-        acc += hi
-    return pts[-1].copy(), len(pts) - 2
+    h = model.edge_lengths(pts)
+    # the arclength at each edge's end, summed left to right
+    ends = np.cumsum(h)
+    i = int(np.searchsorted(ends, target - 1e-12))
+    if i == len(h):
+        return pts[-1].copy(), len(pts) - 2
+    before = ends[i - 1] if i else 0.0
+    f = 0.0 if h[i] < 1e-12 else (target - before) / h[i]
+    return pts[i] + min(max(f, 0.0), 1.0) * (pts[i + 1] - pts[i]), i
 
 
 def _splice_head(model, wagon, pts, ell, pole_step, reach=None):

@@ -1,5 +1,7 @@
 import contextlib
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from tractrix.errors import (
     SingularChartError,
     StepTooLargeError,
 )
+from tractrix.functionals import polyline_length
 from tractrix.manifold import (
     ManifoldModel,
     SphereModel,
@@ -38,6 +41,7 @@ from tractrix.manifold import (
     surface_model,
 )
 from tractrix.quadrature import simpson
+from tractrix.shortening import geodesic_residual
 from tractrix.tractrix_sim import _require_pole
 
 SPHERE = space_form(1.0)
@@ -563,6 +567,86 @@ def test_distance_helpers():
     assert space_form(-4.0).distance([0.0, 0.0], [0.5, 0.0]) == pytest.approx(
         0.54930614433405485, rel=1e-12)
     assert FLAT3.distance([0, 0, 0], [1, 2, 2]) == pytest.approx(3.0)
+
+
+SEPARATIONS = np.geomspace(1e-9, 0.5, 25).tolist()
+
+
+def meridian_pairs():
+    """(model, a, b, separation, exact length): two points on a sphere
+    meridian, from theta = 1 and 2 and from 1e-3 off either pole, and on a
+    disk diameter, from 0, 0.3, -0.5 and +-0.999 along either axis, at
+    each separation. The exact length is the difference of the colatitudes
+    times the radius on the sphere, and (1/k) log of the cross ratio on
+    the disk, both from the float inputs in exact or 60-digit
+    arithmetic."""
+    for K in (1.0, 4.0):
+        model, radius = space_form(K), Fraction(1, int(math.sqrt(K)))
+        for th, sign in ((1.0, 1), (2.0, -1), (1e-3, 1),
+                         (math.pi - 1e-3, -1)):
+            for sep in SEPARATIONS:
+                a, b = [th, 0.4], [th + sign * sep, 0.4]
+                yield model, a, b, sep, float(
+                    abs(Fraction(b[0]) - Fraction(a[0])) * radius)
+    for K in (-1.0, -4.0):
+        model, k = space_form(K), int(math.sqrt(-K))
+        for x, sign in ((0.0, 1), (0.3, 1), (-0.5, -1), (0.999, -1),
+                        (-0.999, 1)):
+            for sep in SEPARATIONS:
+                if abs(x + sign * sep) > 0.999:
+                    continue
+                lo, hi = sorted((Decimal(x), Decimal(x + sign * sep)))
+                with localcontext() as digits:
+                    digits.prec = 60
+                    exact = float(((1 + hi) * (1 - lo)
+                                   / ((1 - hi) * (1 + lo))).ln() / k)
+                for axis in (0, 1):
+                    a, b = [0.0, 0.0], [0.0, 0.0]
+                    a[axis], b[axis] = x, x + sign * sep
+                    yield model, a, b, sep, exact
+
+
+def test_short_lengths_keep_their_digits():
+    # distance, the log map's length and the polyline length of the pair
+    # are one closed form, which keeps its digits at any separation: acos
+    # and acosh(1 + x) lose half of them, and read a disk pair 1e-9 apart
+    # as 0
+    misses = []
+    for model, a, b, sep, exact in meridian_pairs():
+        for got in (model.distance(a, b), model.log_map(a, b)[1],
+                    polyline_length(model, [a, b])):
+            if abs(got - exact) > (1e-15 + 2.2e-16 / sep) * exact:
+                misses.append((model.K, a, b, got, exact))
+    assert not misses
+
+
+@pytest.mark.parametrize("K", [1.0, 4.0])
+@pytest.mark.parametrize("start", [1.0, 2.5])
+def test_sphere_exp_lands_near_the_pole(K, start):
+    # down a meridian to theta = 1e-7: the end's theta by atan2, where
+    # acos of its z was 1% off
+    sphere = space_form(K)
+    length = (start - 1e-7) * sphere.radius
+    end, _ = sphere.exp_point([start, 0.4], [-1.0 / sphere.radius, 0.0],
+                              length)
+    exact = float(Fraction(start) - Fraction(length) / Fraction(
+        sphere.radius))
+    assert abs(end[0] - exact) <= 1e-9 * exact
+
+
+def test_disk_exp_past_the_rim_is_out_of_domain():
+    # tanh(1000) rounds to 1, so the end is on the rim; cosh(1000) would
+    # overflow a float
+    with pytest.raises(OutOfDomainError):
+        HYP.exp_point((0.0, 0.0), (0.5, 0.0), 2000.0)
+
+
+def test_disk_residual_of_close_points_is_finite():
+    # three points 1e-9 apart have edges of positive length, so the
+    # residual divides by no zero and warns of nothing
+    pts = [[0.2, 0.1], [0.2 + 1e-9, 0.1], [0.2 + 2e-9, 0.1 + 1e-9]]
+    assert polyline_length(HYP, pts) > 0.0
+    assert math.isfinite(geodesic_residual(HYP, pts))
 
 
 # -- parallel transport -------------------------------------------------------

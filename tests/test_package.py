@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import tractrix
+from tractrix.manifold import FlatModel, HyperbolicModel, SphereModel
 
 MODULES = ["tractrix"] + [f"tractrix.{info.name}"
                           for info in pkgutil.iter_modules(tractrix.__path__)]
@@ -67,3 +68,15 @@ def test_import_compiles_no_text():
             "    bundled_scenario(name)\n"
             "print(compiled.cache_info().currsize)")
     assert fresh_python(code).strip() == "0"
+
+
+@pytest.mark.parametrize("model", [FlatModel, SphereModel, HyperbolicModel],
+                         ids=lambda m: m.__name__)
+def test_space_forms_keep_one_closed_form_per_quantity(model):
+    # a space form computes its distance and log map on rows only
+    # (`distance_rows`, `log_rows`), and the scalar calls take one row of
+    # them; the per-edge and per-vertex polyline methods are gone
+    twins = {"distance", "log_map", "edge_length", "discrete_acceleration"}
+    assert not twins & set(vars(model))
+    assert not any(hasattr(model, name)
+                   for name in ("edge_length", "discrete_acceleration"))

@@ -58,10 +58,9 @@ MODELS = {name: surface_model(chart) for name, (chart, _) in CHARTS.items()}
 # (collect, rows): every mode on floats: the end only, the record mode,
 # and the samples of every step or of every third. The record mode is the
 # record stage's pole shot, which runs on floats: on rows, each row is one
-# stage. Every other mode on rows is a row shot (`shoot_rows`), which has
-# one mode
-MODES = [(collect, rows) for rows in (False, True)
-         for collect in (False, "jacobi", True, 3)]
+# stage. A row shot (`shoot_rows`) has one mode, (False, True)
+MODES = [(collect, False) for collect in (False, "jacobi", True, 3)] + [
+    ("jacobi", True), (False, True)]
 
 
 def bits(value):

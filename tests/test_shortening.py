@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tractrix.errors import ConfigError, NotClosedError, PoleTooLongError
 from tractrix.functionals import polyline_length
-from tractrix.manifold import ManifoldModel, space_form, surface_model
+from tractrix.manifold import space_form, surface_model
 from tractrix.shortening import (
     geodesic_residual,
     loop_repeated,
@@ -73,9 +74,14 @@ def test_residual_detects_sphere_detour():
 
 
 def test_repeated_vertex_keeps_its_corner():
-    # a repeated vertex is collapsed, so the corner behind it still counts
+    # a repeated vertex is collapsed, so the corner behind it still counts;
+    # a turn of pi/4 over edges 1 and sqrt(2) reads 2 sqrt(2 - sqrt(2)) /
+    # (1 + sqrt(2)), correctly rounded
     corner = geodesic_residual(FLAT, [[0, 0], [1, 0], [2, 1]])
-    assert corner == 0.6340506711244289
+    with localcontext() as digits:
+        digits.prec = 40
+        root = Decimal(2).sqrt()
+        assert corner == float(2 * (2 - root).sqrt() / (1 + root))
     assert geodesic_residual(FLAT, [[0, 0], [1, 0], [1, 0], [2, 1]]) == corner
     assert geodesic_residual(FLAT, [[0, 0], [1, 0], [1, 1e-13], [2, 1]]) \
         == corner
@@ -89,20 +95,6 @@ def test_repeated_vertex_keeps_its_corner():
     assert run.final.length == pytest.approx(math.sqrt(5.0), abs=1e-5)
 
 
-def residual_loop(model, pts, closed):
-    """The per-vertex `discrete_acceleration` + `norm` loop over a polyline
-    with no repeated vertex, its edges measured one `distance` each."""
-    if closed:
-        pts = np.vstack([pts[-2] - (pts[-1] - pts[0]), pts])
-    h = [model.distance(a, b) for a, b in zip(pts[:-1], pts[1:])]
-    worst = 0.0
-    for i in range(1, len(pts) - 1):
-        acc = model.discrete_acceleration(pts[i - 1], pts[i], pts[i + 1],
-                                          h[i - 1], h[i])
-        worst = max(worst, model.norm(pts[i], acc))
-    return worst
-
-
 signed_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
 
 
@@ -112,36 +104,60 @@ signed_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
        st.lists(st.lists(signed_entry, min_size=3, max_size=3), min_size=2,
                 max_size=12),
        st.lists(st.integers(0, 12), max_size=3))
-def test_flat_rows_match_the_loops(model, start, moves, repeats):
-    # the flat rows are the loops' arithmetic, bit for bit; each move is
-    # at least 0.01 long, and repeated vertices leave the residual as is
+def test_flat_rows_are_the_per_edge_distance(model, start, moves, repeats):
+    # the edge lengths and the polyline length are each edge's distance,
+    # summed left to right; each move is at least 0.01 long, and repeated
+    # vertices leave the residual as is
     moves = [[math.copysign(abs(m[0]) + 0.01, m[0])] + m[1:model.dim]
              for m in moves]
     pts = np.cumsum([start[:model.dim]] + moves, axis=0)
     edges = [model.distance(a, b) for a, b in zip(pts[:-1], pts[1:])]
     assert model.edge_lengths(pts).tolist() == edges
-    assert ManifoldModel.edge_lengths(model, pts).tolist() == edges
     assert polyline_length(model, pts) == sum(edges)
     loop = np.vstack([pts, pts[:1]])
     assert polyline_length(model, pts, closed=True) == sum(
         model.distance(a, b) for a, b in zip(loop[:-1], loop[1:]))
-    h = model.edge_lengths(pts)
-    assert (model.acceleration_norms(pts, h).tolist()
-            == ManifoldModel.acceleration_norms(model, pts, h).tolist())
     doubled = np.insert(pts, [min(i, len(pts)) for i in repeats],
                         pts[[min(i, len(pts) - 1) for i in repeats]], axis=0)
     for closed in (False, True):
-        want = residual_loop(model, pts, closed)
-        assert geodesic_residual(model, pts, closed=closed) == want
-        assert geodesic_residual(model, doubled, closed=closed) == want
+        assert geodesic_residual(model, doubled, closed=closed) == \
+            geodesic_residual(model, pts, closed=closed)
+
+
+def test_flat_measures_are_exact_on_integer_edges():
+    # a 3-4-5 edge in the plane and a 2-3-6-7 one in space; the closed
+    # square's sqrt(2) and the corner are pinned in the residual tests
+    # above
+    pts = np.array([[1.0, 1.0], [4.0, 5.0], [4.0, 5.0 + 0.25]])
+    assert FLAT.edge_lengths(pts).tolist() == [5.0, 0.25]
+    assert polyline_length(FLAT, pts) == 5.25
+    v, L = FLAT.log_map(pts[0], pts[1])
+    assert (v.tolist(), L) == ([0.6, 0.8], 5.0)
+    assert FLAT3.distance([1.0, 0.0, -1.0], [3.0, 3.0, 5.0]) == 7.0
+
+
+def test_latitude_measures_on_a_surface_and_a_space_form():
+    # a latitude arc of the unit sphere: the surface's midpoint chords
+    # are its exact length sin(theta) dphi, and both models read its
+    # geodesic curvature cot(theta) from the acceleration norms
+    theta = 1.0
+    pts = np.column_stack([np.full(401, theta), np.linspace(0.0, 1.0, 401)])
+    chart = surface_model("sphere")
+    assert polyline_length(chart, pts) == pytest.approx(math.sin(theta),
+                                                        rel=1e-14)
+    for model in (chart, SPHERE):
+        h = model.edge_lengths(pts)
+        norms = model.acceleration_norms(pts, h)
+        assert np.max(np.abs(norms - 1.0 / math.tan(theta))) <= 1e-5
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
                 min_size=1, max_size=20), st.sampled_from([2, 3]))
 def test_vecdot_is_the_dot_kernel(rows, dim):
-    # the flat rows square edges with np.vecdot where the loops take
-    # float(d @ d); a NumPy whose kernels differ fails here
+    # the flat distances square edges with np.vecdot, the dot kernel of
+    # float(d @ d), which the 3-D attachment takes; a NumPy whose kernels
+    # differ fails here
     d = np.array([r[:dim] for r in rows])
     assert np.vecdot(d, d).tolist() == [float(r @ r) for r in d]
 
