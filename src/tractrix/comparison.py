@@ -164,25 +164,18 @@ def rauch_length_area_check(trace, sweep, bounds):
             _skip(n, q, reason)
             for n, q in (up_len, up_area, lo_len, lo_area)))
 
-    if bounds.K_hi > 0 and math.sqrt(bounds.K_hi) * ell >= math.pi:
-        reason = (f"sqrt(K_hi)*ell = "
-                  f"{math.sqrt(bounds.K_hi) * ell:.6g} >= pi")
-        checks += [_skip(*up_len, reason), _skip(*up_area, reason)]
+    upper = _reference_pair(bounds.K_hi, ell, "hi")
+    if isinstance(upper, str):
+        checks += [_skip(*up_len, upper), _skip(*up_area, upper)]
     else:
-        J_hi = jacobi_reference(bounds.K_hi, ell)
-        I_hi = jacobi_reference_integral(bounds.K_hi, ell)
+        J_hi, I_hi = upper
         floor = math.sqrt(L_g ** 2 + (J_hi * KT) ** 2)
         checks.append(_check(*up_len, lhs=floor, rhs=L_e))
         checks.append(_check(*up_area, lhs=KT * I_hi, rhs=A))
 
-    if bounds.K_lo > 0 and math.sqrt(bounds.K_lo) * ell >= math.pi:
-        reason = (f"sqrt(K_lo)*ell = "
-                  f"{math.sqrt(bounds.K_lo) * ell:.6g} >= pi")
-        checks += [_skip(*lo_len, reason), _skip(*lo_area, reason)]
-    elif (lower := _reference_pair(bounds.K_lo, ell)) is None:
-        reason = (f"sqrt(-K_lo)*ell = {math.sqrt(-bounds.K_lo) * ell:.6g}: "
-                  "J_lo(ell) or its integral overflows a float")
-        checks += [_skip(*lo_len, reason), _skip(*lo_area, reason)]
+    lower = _reference_pair(bounds.K_lo, ell, "lo")
+    if isinstance(lower, str):
+        checks += [_skip(*lo_len, lower), _skip(*lo_area, lower)]
     else:
         J_lo, I_lo = lower
         checks.append(_check(*lo_len, lhs=L_e, rhs=L_g + J_lo * KT))
@@ -191,17 +184,26 @@ def rauch_length_area_check(trace, sweep, bounds):
     return ComparisonReport(tuple(checks))
 
 
-def _reference_pair(K, ell):
-    """J^K(ell) and its integral over [0, ell], or None where either
-    overflows a float: sinh and cosh of sqrt(-K)*ell past about 710, or
-    their quotients by a small sqrt(-K) or -K a little short of that."""
+def _reference_pair(K, ell, side):
+    """J^K(ell) and its integral over [0, ell], the references of the Rauch
+    side `side` ("hi" or "lo"), or the reason to skip that side: J^K
+    closes up before ell (sqrt(K)*ell >= pi), or either value overflows a
+    float (sinh of sqrt(-K)*ell past about 710, or its quotient by a small
+    sqrt(-K) a little short of that)."""
+    root = math.sqrt(abs(K)) * ell
+    if K > 0 and root >= math.pi:
+        return (f"sqrt(K_{side})*ell = {root:.6g} >= pi: J_{side} closes up "
+                f"before ell")
     try:
         with np.errstate(over="ignore"):
             pair = (jacobi_reference(K, ell),
                     jacobi_reference_integral(K, ell))
     except OverflowError:
-        return None
-    return pair if all(math.isfinite(x) for x in pair) else None
+        pair = (math.inf,)
+    if all(math.isfinite(x) for x in pair):
+        return pair
+    return (f"sqrt(|K_{side}|)*ell = {root:.6g}: J_{side}(ell) or its "
+            f"integral overflows a float")
 
 
 # ---------------------------------------------------------------------------

@@ -132,39 +132,49 @@ _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def jacobi_reference(K, u):
-    """Normalized Jacobi solution J^K(u) of j'' + K j = 0, j(0)=0, j'(0)=1."""
-    u = np.asarray(u, dtype=float)
-    if K > 0:
-        k = math.sqrt(K)
-        out = np.sin(k * u) / k
-    elif K < 0:
-        k = math.sqrt(-K)
-        out = np.sinh(k * u) / k
-    else:
-        out = u.copy()
+    """Normalized Jacobi solution J^K(u) of j'' + K j = 0, j(0)=0, j'(0)=1:
+    sn(u) of `_jacobi_pair`, through numpy."""
+    out = _jacobi_pair(K, np.asarray(u, dtype=float))[1]
     return out if out.ndim else float(out)
 
 
 def jacobi_reference_integral(K, ell):
-    """Integral of J^K over [0, ell]."""
-    if K > 0:
-        k = math.sqrt(K)
-        return (1.0 - math.cos(k * ell)) / K
-    if K < 0:
-        k = math.sqrt(-K)
-        return (math.cosh(k * ell) - 1.0) / (-K)
-    return 0.5 * ell * ell
+    """Integral of J^K over [0, ell], 2 sn(ell / 2)^2: the half-angle form
+    of (1 - cn(ell)) / K, which keeps its digits where K ell^2 is small."""
+    return 2.0 * _jacobi_pair(K, 0.5 * ell)[1] ** 2
 
 
-def _jacobi_pair(K, length):
-    """(c, s) at length: the cosine and sine solutions of j'' + K j = 0."""
+def _jacobi_pair(K, u):
+    """(cn, sn) at u: the cosine and sine solutions of j'' + K j = 0. With
+    k = sqrt(|K|) they are cos(k u) and sin(k u) / k for K > 0, cosh(k u)
+    and sinh(k u) / k for K < 0, 1 and u for K = 0. A float goes through
+    math, which raises OverflowError past a float, and an array through
+    numpy. This pair and its inverse `_asn` are the one place that
+    chooses a formula by the sign of K: every constant-curvature closed
+    form is written in them."""
+    xp = np if isinstance(u, np.ndarray) else math
     if K > 0:
         k = math.sqrt(K)
-        return math.cos(k * length), math.sin(k * length) / k
+        return xp.cos(k * u), xp.sin(k * u) / k
     if K < 0:
         k = math.sqrt(-K)
-        return math.cosh(k * length), math.sinh(k * length) / k
-    return 1.0, float(length)
+        return xp.cosh(k * u), xp.sinh(k * u) / k
+    if xp is math:
+        return 1.0, float(u)
+    return np.ones_like(u), u.copy()
+
+
+def _asn(K, y):
+    """The inverse of sn (`_jacobi_pair`) on its first rising branch, on
+    floats or arrays: arcsin(k y) / k, its argument clamped at sn's first
+    maximum 1 / k, for K > 0, arcsinh(k y) / k for K < 0, y for K = 0."""
+    if K > 0:
+        k = math.sqrt(K)
+        return np.arcsin(np.minimum(k * y, 1.0)) / k
+    if K < 0:
+        k = math.sqrt(-K)
+        return np.arcsinh(k * y) / k
+    return y
 
 
 def shot_steps(length, pole_step):

@@ -2,9 +2,19 @@
 
 For a geodesic tractor with pole length ell on the space form of curvature
 K, the orthogonal distance d(s) and the tractrix geodesic curvature
-kappa(s) have explicit exponential profiles. Conventions: k = sqrt(|K|),
-E = k*cot(k*ell) (K > 0), 1/ell (K = 0), k*coth(k*ell) (K < 0); the
-leading exponent of every decaying quantity is -E.
+kappa(s) have explicit exponential profiles. Every one is written once,
+for every K, in the generalized cosine and sine cn, sn of K and the
+inverse asn of sn (`manifold._jacobi_pair`, `manifold._asn`). The rate
+is E = cn(ell) / sn(ell) and the leading exponent of every decaying
+quantity is -E. With C = sn(d0) / sn(ell) and x(s) = C e^(-E s),
+
+    d(s) = asn(sn(ell) x(s)),    kappa(s) = x / (sn(ell) sqrt(1 - x^2)),
+
+and kappa from a distance d is the same with x = sn(d) / sn(ell). The sign
+of cn(ell) sets the mode: cn(ell) < 0 is the long pole, whose d grows to
+the cusp x = 1 ahead, at s_hi = log(C) / E; 0 <= cn(ell) <= _PARALLEL_EPS
+is the parallel circle, E = 0 and x = C, so d and kappa stay constant;
+any other value decays, from the cusp d = ell behind, at s_lo = log(C) / E.
 
 All evaluators accept scalars or numpy arrays for s.
 """
@@ -17,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError
+from .manifold import _asn, _jacobi_pair
 
 __all__ = [
     "SpaceFormSolution",
@@ -37,70 +48,67 @@ class SpaceFormSolution:
     K: float
     ell: float
     d0: float
-    rate: float          # E in the exponential profiles; Le = -E
-    C_d: float           # d-profile constant (log form), nan for parallel mode
-    C_kappa: float       # sin/sinh ratio constant in the kappa profile
+    rate: float          # E = cn(ell) / sn(ell), 0 on the parallel circle
+    C_kappa: float       # C = sn(d0) / sn(ell), x(0) of both profiles
     kappa0: float        # kappa(0); inf marks the classical (d0 = ell) limit
     s_lo: float          # cusp behind the start (d -> ell), -inf if none
     s_hi: float          # cusp ahead (long-pole mode), +inf if none
     long_pole: bool = False
     parallel_circle: bool = False
 
-    @property
-    def k(self):
-        return math.sqrt(abs(self.K))
+
+def _pole(K, ell):
+    """(cn(ell), sn(ell)) of a pole the profiles accept: ell positive,
+    k*ell below pi, and sn(ell) and the rate cn(ell) / sn(ell) floats."""
+    if not ell > 0:
+        raise DomainViolationError("pole length must be positive")
+    if K > 0 and math.sqrt(K) * ell >= math.pi:
+        raise DomainViolationError(
+            f"k*ell = {math.sqrt(K) * ell!r} must stay below pi")
+    try:
+        cn, sn = _jacobi_pair(K, ell)
+    except OverflowError:
+        cn, sn = 1.0, math.inf
+    if not (0.0 < sn < math.inf and math.isfinite(cn / sn)):
+        raise DomainViolationError(
+            f"sn(ell) of K = {K!r} and ell = {ell!r} leaves the float range")
+    return cn, sn
+
+
+def _kappa(sn_ell, x):
+    """kappa = x / (sn(ell) sqrt(1 - x^2)); inf at and past the cusp
+    x = 1."""
+    rad = 1.0 - x * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x / (sn_ell * np.sqrt(np.maximum(rad, 0.0)))
+    return np.where(rad <= 0, np.inf, out)
+
+
+def _cusp_distance(K, ell, cn):
+    """The d of the cusp, where sn(d) = sn(ell) on sn's rising branch:
+    ell, or on a long pole (cn(ell) < 0) its mirror image in sn's first
+    maximum, at asn of anything past it."""
+    return 2.0 * float(_asn(K, math.inf)) - ell if cn < 0 else ell
 
 
 def leading_exponent(K, ell):
     """Le = lim (1/s) ln f(s) for the decaying profiles; monotone in K."""
-    if ell <= 0:
-        raise DomainViolationError("pole length must be positive")
-    if K > 0:
-        k = math.sqrt(K)
-        if k * ell >= math.pi:
-            raise DomainViolationError(
-                f"k*ell = {k * ell!r} leaves the validity range (0, pi)")
-        return -k / math.tan(k * ell)
-    if K < 0:
-        k = math.sqrt(-K)
-        return -k / math.tanh(k * ell)
-    return -1.0 / ell
+    cn, sn = _pole(K, ell)
+    return -cn / sn
 
 
 def kappa_from_dist(K, ell, d):
     """Tractrix curvature from its tractor distance (same K and ell)."""
+    cn, S = _pole(K, ell)
     d = np.asarray(d, dtype=float)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
     if np.any(d < 0):
         raise DomainViolationError("distance must be nonnegative")
-    if K > 0:
-        k = math.sqrt(K)
-        lim = min(ell, math.pi / k - ell)
-        if np.any(d > lim + 1e-12):
-            raise DomainViolationError(
-                f"distance beyond the cusp bound {lim!r}")
-        rad = np.cos(k * d) ** 2 - math.cos(k * ell) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = k * np.sin(k * d) / (math.sin(k * ell)
-                                       * np.sqrt(np.maximum(rad, 0.0)))
-        out = np.where(rad <= 0, np.inf, out)
-    elif K < 0:
-        k = math.sqrt(-K)
-        if np.any(d > ell + 1e-12):
-            raise DomainViolationError("distance exceeds the pole length")
-        rad = math.cosh(k * ell) ** 2 - np.cosh(k * d) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = k * np.sinh(k * d) / (math.sinh(k * ell)
-                                        * np.sqrt(np.maximum(rad, 0.0)))
-        out = np.where(rad <= 0, np.inf, out)
-    else:
-        if np.any(d > ell + 1e-12):
-            raise DomainViolationError("distance exceeds the pole length")
-        rad = ell ** 2 - d ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = d / (ell * np.sqrt(np.maximum(rad, 0.0)))
-        out = np.where(rad <= 0, np.inf, out)
+    lim = _cusp_distance(K, ell, cn)
+    if np.any(d > lim + 1e-12):
+        raise DomainViolationError(f"distance beyond the cusp bound {lim!r}")
+    out = _kappa(S, _jacobi_pair(K, d)[1] / S)
     return float(out[0]) if scalar else out
 
 
@@ -114,110 +122,54 @@ def solve_from_d0(K, ell, d0):
     parallel circle, d and kappa constant. d0 = ell is the classical limit
     and sets kappa(0) = inf. `long_pole` on the result records the mode.
     """
-    if ell <= 0:
-        raise DomainViolationError("pole length must be positive")
-    if d0 <= 0:
+    cn, S = _pole(K, ell)
+    if not d0 > 0:
         raise DomainViolationError("initial distance must be positive")
-    k = math.sqrt(abs(K))
-    long_pole = K > 0 and k * ell > math.pi / 2
-    if long_pole:
-        if k * ell >= math.pi:
-            raise DomainViolationError(
-                f"k*ell = {k * ell!r} must stay below pi")
-        d_cusp = math.pi / k - ell
-        if d0 >= d_cusp:
-            raise DomainViolationError(
-                f"d0 = {d0!r} must stay below the cusp distance {d_cusp!r}")
-    elif d0 > ell + 1e-12:
+    long_pole = cn < 0
+    d_cusp = _cusp_distance(K, ell, cn)
+    if long_pole and d0 >= d_cusp:
+        raise DomainViolationError(
+            f"d0 = {d0!r} must stay below the cusp distance {d_cusp!r}")
+    if d0 > ell + 1e-12:
         raise DomainViolationError("d0 exceeds the pole length")
-    if K > 0:
-        kl = k * ell
-        if not long_pole and math.pi / 2 - kl <= _PARALLEL_EPS:
-            # cot vanishes: parallel-circle solution, d and kappa constant
-            kap = k * math.tan(k * min(d0, ell))
-            return SpaceFormSolution(
-                K=float(K), ell=float(ell), d0=float(d0), rate=0.0,
-                C_d=math.nan, C_kappa=math.sin(k * d0),
-                kappa0=kap, s_lo=-math.inf, s_hi=math.inf,
-                parallel_circle=True)
-        E = k / math.tan(kl)
-        C_d = -math.log(math.sin(k * d0)) / E
-        C_k = math.sin(k * d0) / math.sin(kl)
-        if long_pole:
-            s_hi = math.log(math.sin(kl) / math.sin(k * d0)) / (-E)
-            s_lo = -math.inf
-        else:
-            s_hi = math.inf
-            s_lo = -math.log(math.sin(kl) / math.sin(k * d0)) / E
-    elif K < 0:
-        E = k / math.tanh(k * ell)
-        C_d = -math.log(math.sinh(k * d0)) / E
-        C_k = math.sinh(k * d0) / math.sinh(k * ell)
-        s_hi = math.inf
-        s_lo = -math.log(math.sinh(k * ell) / math.sinh(k * d0)) / E
-    else:
-        E = 1.0 / ell
-        C_d = -math.log(d0) / E
-        C_k = d0 / ell
-        s_hi = math.inf
-        s_lo = -ell * math.log(ell / d0)
-    kap0 = kappa_from_dist(K, ell, min(d0, ell))
+    # a d0 past ell by the tolerance starts on the cusp, x = 1
+    C = min(_jacobi_pair(K, d0)[1] / S, 1.0)
+    if not C >= np.finfo(float).tiny:
+        raise DomainViolationError(
+            f"sn(d0) / sn(ell) of d0 = {d0!r} underflows a float")
+    parallel = not long_pole and cn <= _PARALLEL_EPS
+    E = 0.0 if parallel else cn / S
+    cusp = math.log(C) / E if E else -math.inf
     return SpaceFormSolution(
-        K=float(K), ell=float(ell), d0=float(d0), rate=E, C_d=C_d,
-        C_kappa=C_k, kappa0=float(kap0), s_lo=s_lo, s_hi=s_hi,
-        long_pole=bool(long_pole))
+        K=float(K), ell=float(ell), d0=float(d0), rate=E, C_kappa=C,
+        kappa0=float(_kappa(S, C)),
+        s_lo=-math.inf if long_pole else cusp,
+        s_hi=cusp if long_pole else math.inf,
+        long_pole=bool(long_pole), parallel_circle=bool(parallel))
 
 
-def _check_window(sol, s):
+def _profile_x(sol, s):
+    """(x(s), scalar flag) on the validity window: x = C e^(-E s)."""
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
     if np.any(s < sol.s_lo - 1e-12) or np.any(s > sol.s_hi + 1e-12):
         raise DomainViolationError(
             f"s outside validity interval [{sol.s_lo!r}, {sol.s_hi!r}]")
+    # an exponent past a float is a decay to x = 0
+    with np.errstate(over="ignore"):
+        return sol.C_kappa * np.exp(-sol.rate * s), scalar
 
 
 def dist_at(sol, s):
     """Orthogonal tractor distance d(s) of the closed-form solution."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    _check_window(sol, s)
-    if sol.parallel_circle:
-        out = np.full(s.shape, sol.d0)
-    elif sol.K > 0:
-        # rate = k*cot(k*ell); the arcsin argument is sin(k d0) e^{-rate s}
-        k = sol.k
-        arg = np.minimum(np.exp(-sol.rate * (sol.C_d + s)), 1.0)
-        out = np.arcsin(arg) / k
-    elif sol.K < 0:
-        k = sol.k
-        out = np.arcsinh(np.exp(-sol.rate * (sol.C_d + s))) / k
-    else:
-        out = sol.d0 * np.exp(-s / sol.ell)
+    x, scalar = _profile_x(sol, s)
+    out = _asn(sol.K, _jacobi_pair(sol.K, sol.ell)[1] * x)
     return float(out[0]) if scalar else out
 
 
 def kappa_at(sol, s):
     """Tractrix geodesic curvature kappa(s); inf at a cusp boundary."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    _check_window(sol, s)
-    if sol.parallel_circle:
-        out = np.full(s.shape, sol.kappa0)
-    else:
-        X = np.exp(-sol.rate * s)
-        CX = sol.C_kappa * X
-        k = sol.k
-        if sol.K > 0:
-            S = math.sin(k * sol.ell)
-            num = k * CX
-        elif sol.K < 0:
-            S = math.sinh(k * sol.ell)
-            num = k * CX
-        else:
-            S = sol.ell
-            num = CX
-        rad = 1.0 - CX * CX
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / (S * np.sqrt(np.maximum(rad, 0.0)))
-        out = np.where(rad <= 0, np.inf, out)
+    x, scalar = _profile_x(sol, s)
+    out = _kappa(_jacobi_pair(sol.K, sol.ell)[1], x)
     return float(out[0]) if scalar else out

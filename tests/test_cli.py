@@ -6,6 +6,7 @@ import tempfile
 import time
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -139,6 +140,48 @@ def test_analytic_long_pole_flag_is_a_usage_error(tmp_path, capsys):
                      "--long-pole", "--out", str(out)]) == 1
     assert "unrecognized arguments: --long-pole" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analytic_K_minus_1_ell_800_exits_one(tmp_path, capsys):
+    # sinh(800) is past a float: a typed error, where an OverflowError
+    # escaped solve_from_d0
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--K=-1", "--ell=800", "--d0=0.5",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sn(ell) of K = -1.0 and ell = 800.0 leaves the float "
+        "range\n")
+    assert not out.exists()
+
+
+def test_analytic_K_minus_1_ell_700_runs(tmp_path):
+    # sinh(700) is a float and its square is not, which raised an
+    # OverflowError from kappa_from_dist: E = coth(700) = 1, and kappa,
+    # below sinh(0.5) / sinh(700)^2 ~ 1e-608, rounds to 0
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--K=-1", "--ell=700", "--d0=0.5",
+                     "--out", str(out)]) == 0
+    rows = (out / "analytic.csv").read_text().splitlines()[1:]
+    s, d, kappa = np.array([row.split(",") for row in rows], dtype=float).T
+    assert np.allclose(d, np.arcsinh(math.sinh(0.5) * np.exp(-s)),
+                       rtol=1e-14, atol=0.0)
+    assert not kappa.any()
+    assert (out / "le.txt").read_text() == (
+        "{K: -1.0, ell: 700.0, Le: -1.0}\n")
+
+
+def test_analytic_K_minus_1_ell_600_at_the_cusp_runs(tmp_path):
+    # d0 = ell starts on the cusp: sinh(600.4893)^2 - sinh(d)^2 is past a
+    # float, which raised an OverflowError, and on the grid's rows a
+    # RuntimeWarning; the profile is written in x = sinh(d) / sinh(ell)
+    # instead. kappa(0) is inf, an empty cell, and by the next row, at
+    # s = 4167, d and kappa have decayed below a float
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--K=-1", "--ell=600.4893",
+                     "--d0=600.4893", "--s-max=1e6", "--out", str(out)]) == 0
+    rows = (out / "analytic.csv").read_text().splitlines()
+    assert rows[1] == "0.0,600.4893,"
+    assert all(row.endswith(",0.0,0.0") for row in rows[2:])
 
 
 def test_ragged_polyline_file_exits_one(tmp_path, capsys):
@@ -689,3 +732,35 @@ def test_mutated_bundled_configs_keep_the_exit_code_contract(raw):
         code = cli.main([command, "--config", config,
                          "--out", os.path.join(tmp, "out")])
     assert code in (0, 1, 2, 3)
+
+
+# (K, ell, d0, s-max) of every bundled space-form pull from a distance d0:
+# the closed-form profile that `analytic` writes for its run
+ANALYTIC = sorted({(raw["model"]["K"], raw["ell"], raw["gamma0"]["d0"],
+                    raw["tractor"]["t1"])
+                   for raw in BUNDLED.values()
+                   if raw["model"]["kind"] == "spaceform"
+                   and isinstance(raw.get("gamma0"), dict)})
+
+
+@st.composite
+def mutated_analytic_flags(draw):
+    """The flags of `analytic` for a bundled (K, ell, d0, s-max), each
+    scaled by a factor in FACTORS."""
+    values = draw(st.sampled_from(ANALYTIC))
+    return [f"--{flag}={value * draw(FACTORS)!r}"
+            for flag, value in zip(("K", "ell", "d0", "s-max"), values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_analytic_flags())
+def test_mutated_analytic_flags_keep_the_exit_code_contract(flags):
+    # the closed forms either write their profile or refuse the flags
+    # with a typed error: exit 0 or 1, no exception escapes main and no
+    # warning is raised. The 300 examples take about 1 s of the 3 s this
+    # test may take
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["analytic", *flags,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1)

@@ -261,6 +261,24 @@ def test_rauch_skips_a_lower_reference_past_a_float(flat_trace, K_lo,
     assert rep.passed
 
 
+def test_rauch_skips_an_upper_reference_past_a_float(geodesic_trace):
+    # flat_geodesic's run, ell = 1.5: sqrt(-K) * ell is 1423 and 1500 on
+    # the window (-1e6, -9e5), so J_hi(ell) overflows a float as J_lo(ell)
+    # does, where a RuntimeWarning escaped the upper side; both sides are
+    # skipped by the one guard
+    rep = rauch_length_area_check(geodesic_trace,
+                                  sweep_result(geodesic_trace),
+                                  CurvatureBounds(-1e6, -9e5, "constant"))
+    assert all(c.skipped for c in rep.checks)
+    assert [c.name for c in rep.checks] == [
+        "length_floor_upper_K", "area_floor_upper_K",
+        "length_cap_lower_K", "area_cap_lower_K"]
+    assert [c.reason.split(": ")[1] for c in rep.checks] == 2 * [
+        "J_hi(ell) or its integral overflows a float"] + 2 * [
+        "J_lo(ell) or its integral overflows a float"]
+    assert rep.passed
+
+
 def test_rauch_conjugate_flag_demotes_to_skipped(sphere_trace):
     sw = sweep_result(sphere_trace)
     flagged = dataclasses.replace(

@@ -264,6 +264,17 @@ def test_jacobi_reference_values():
         math.cosh(1.0) - 1)
 
 
+@pytest.mark.parametrize("K", [1.0, -1.0, 4.0, -4.0])
+@pytest.mark.parametrize("k_ell", [1e-5, 1e-4, 1e-3])
+def test_jacobi_reference_integral_keeps_its_digits(K, k_ell):
+    # the Taylor series of (1 - cn(ell)) / K, whose next term is
+    # (k ell)^6 / 20160 of the first: (1 - cos k ell) / K lost up to 8e-8
+    ell = k_ell / math.sqrt(abs(K))
+    series = ell ** 2 / 2 - K * ell ** 4 / 24 + K ** 2 * ell ** 6 / 720
+    assert jacobi_reference_integral(K, ell) == pytest.approx(
+        series, rel=1e-15, abs=0.0)
+
+
 def test_jacobi_scalar_sphere_closed_form():
     # the pole stops 1e-13 short of the conjugate scale, inside the flag's
     # threshold

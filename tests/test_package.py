@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -80,3 +81,19 @@ def test_space_forms_keep_one_closed_form_per_quantity(model):
     assert not twins & set(vars(model))
     assert not any(hasattr(model, name)
                    for name in ("edge_length", "discrete_acceleration"))
+
+
+def test_spaceform_writes_its_closed_forms_in_the_jacobi_pair():
+    # the profiles take every trigonometric and hyperbolic function from
+    # the generalized cosine and sine of K and its inverse
+    # (`manifold._jacobi_pair`, `manifold._asn`), the one place that
+    # chooses a formula by the sign of K; no branch per sign comes back
+    banned = {"sin", "cos", "tan", "sinh", "cosh", "tanh", "arcsin",
+              "arcsinh", "asin", "asinh"}
+    path = os.path.join(os.path.dirname(tractrix.__file__), "spaceform.py")
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    called = {node.func.attr if isinstance(node.func, ast.Attribute)
+              else getattr(node.func, "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not banned & called

@@ -47,6 +47,14 @@ def test_kappa_from_dist_frozen_values():
         0.42094952576013484, rel=1e-14)
 
 
+@pytest.mark.parametrize("K", [1e-12, -1e-12])
+def test_kappa_from_dist_keeps_its_digits_near_flat(K):
+    # the flat value d / (ell sqrt(ell^2 - d^2)) = 1 / (2 sqrt 3), off by
+    # K ell^2 ~ 4e-12 at most; cos^2(kd) - cos^2(k ell) left 3e-5 of it
+    assert kappa_from_dist(K, 2.0, 1.0) == pytest.approx(
+        1.0 / (2.0 * math.sqrt(3.0)), rel=1e-11)
+
+
 def test_kappa_from_dist_classical_limit_is_infinite():
     assert kappa_from_dist(0.0, 2.0, 2.0) == math.inf
     assert kappa_from_dist(-1.0, 1.0, 1.0) == math.inf
@@ -66,6 +74,35 @@ def test_solve_preconditions():
         solve_from_d0(1.0, 0.6 * math.pi, 0.45 * math.pi)  # beyond the cusp
     with pytest.raises(DomainViolationError):
         solve_from_d0(1.0, math.pi, 0.1)  # k*ell reaches pi
+
+
+def test_d0_past_a_tiny_pole_starts_on_the_cusp():
+    # d0 = 1.78e-19 is within the 1e-12 tolerance of ell = 1e-300, and
+    # sn(d0) / sn(ell) = 1.78e281 squared past a float, a RuntimeWarning:
+    # the profile starts on the cusp, x = 1
+    sol = solve_from_d0(0.45, 1e-300, 1.78e-19)
+    assert sol.kappa0 == math.inf and kappa_at(sol, 0.0) == math.inf
+    assert dist_at(sol, 0.0) == pytest.approx(1e-300, rel=1e-15)
+
+
+def test_d0_below_a_float_against_the_pole_is_a_domain_error():
+    # sn(5e-324) rounds to 0 at k = 0.5, where math.log raised ValueError
+    with pytest.raises(DomainViolationError, match="underflows a float"):
+        solve_from_d0(0.25, 1.0, 5e-324)
+
+
+def test_near_parallel_long_pole_keeps_its_cusp_distance():
+    # sn is flat at its maximum, so asn(sn(ell)) would miss pi - ell by
+    # 1e-8 at k*ell = pi/2 + 1e-8: the cusp is ell's mirror image in the
+    # maximum instead, exact
+    ell = math.pi / 2 + 1e-8
+    cusp = math.pi - ell
+    assert solve_from_d0(1.0, ell, cusp - 1e-11).long_pole
+    with pytest.raises(DomainViolationError, match="cusp distance"):
+        solve_from_d0(1.0, ell, cusp)
+    assert kappa_from_dist(1.0, ell, cusp - 1e-11) > 0
+    with pytest.raises(DomainViolationError, match="cusp bound"):
+        kappa_from_dist(1.0, ell, cusp + 1e-11)
 
 
 def test_long_pole_mode_follows_from_K_and_ell():
@@ -92,8 +129,6 @@ def test_kappa_at_equals_kappa_from_dist_randomized():
     checked = 0
     while checked < 100:
         K = rng.uniform(-2.0, 2.0)
-        if abs(K) < 1e-3:
-            K = 0.0
         if K > 0:
             ell = rng.uniform(0.2, 0.95 * math.pi / 2 / math.sqrt(K))
         else:
