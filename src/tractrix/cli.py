@@ -17,6 +17,7 @@ fixed config.
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +218,10 @@ def cmd_gallery(args):
     return worst
 
 
+@cache
 def build_parser():
+    """The CLI's parser, built at the first call and shared by every
+    later one in the process."""
     parser = _Parser(prog="tractrix",
                      description="Pursuit-curve simulation and verification "
                                  "on surfaces and space forms.")

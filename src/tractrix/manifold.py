@@ -44,7 +44,8 @@ turned by +pi/2 (`quarter_turn`), and the attachment
 damped Newton solve of its own, an offset shot and a pole shot per
 iteration, with both columns Jacobi fields of theirs.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
-rows in lockstep. A surface's tractrix state is the pole direction at the
+rows in lockstep, with the Christoffel symbols once at each of the five
+points where its stages meet. A surface's tractrix state is the pole direction at the
 tractor, so a stage is one shot. The space forms, in standard charts
 (colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
 K < 0), override all of this with closed forms: their shot ignores its
@@ -443,26 +444,28 @@ class ManifoldModel:
         """Transport w from a to b along the chart segment between them.
 
         dw/dt = -Gamma(b - a, w) is integrated with two RK4 substeps over
-        the (n, dim) rows a, b and w in lockstep, each stage's Christoffel
-        symbols from one `christoffel_rows` call. A single point is one
-        row.
+        the (n, dim) rows a, b and w in lockstep. The stages meet at five
+        points of the segment, t = 0, 1/4, 1/2, 3/4 and 1: k2 and k3 share
+        theirs, and so do the first substep's k4 and the second's k1. Each
+        point's Christoffel symbols come from one `christoffel_rows` call.
+        A single point is one row.
         """
         a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
         single = a.ndim == 1
         a, b, w = np.atleast_2d(a, b, w)
         seg = b - a
+        gam = [self.christoffel_rows(a + t * seg)
+               for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
-        def rhs(x, wv):
-            return -np.einsum("nkij,ni,nj->nk", self.christoffel_rows(x),
-                              seg, wv)
+        def rhs(at, wv):
+            return -np.einsum("nkij,ni,nj->nk", at, seg, wv)
 
         h = 0.5
-        for m in range(2):
-            t0 = m * h
-            k1 = rhs(a + t0 * seg, w)
-            k2 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k1)
-            k3 = rhs(a + (t0 + h / 2) * seg, w + 0.5 * h * k2)
-            k4 = rhs(a + (t0 + h) * seg, w + h * k3)
+        for start, mid, end in (gam[:3], gam[2:]):
+            k1 = rhs(start, w)
+            k2 = rhs(mid, w + 0.5 * h * k1)
+            k3 = rhs(mid, w + 0.5 * h * k2)
+            k4 = rhs(end, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return w[0] if single else w
 
@@ -1407,11 +1410,12 @@ def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
 """
 
 
+@lru_cache(maxsize=128)
 def _kernel(spray_text):
     """The RK4 shot kernel with `spray_text` (`SurfaceChart.spray_text`)
     written in at every stage: `kernel(self, x0, v0, length, n_steps,
-    collect)`, self being what the text reads, compiled once per text
-    (`compiled`).
+    collect)`, self being what the text reads, generated and compiled
+    once per text in a process.
 
     The state is two-dimensional and held in locals, floats: (x, y) for
     the point, (p, q) for the velocity. Each RK4 stage sets (a_x, a_y, K)
@@ -1570,10 +1574,11 @@ if record:
     if K4 > K_hi: K_hi = K4"""
 
 
+@lru_cache(maxsize=128)
 def _tractrix(spray_text, jet_text):
     """`bind(model, chart)` -> (tractrix_stage, tractrix_step), the
-    functions of a model's tractrix on the chart, compiled once per text
-    (`compiled`) from `_STAGE` and `_SUBSTEP`.
+    functions of a model's tractrix on the chart, generated from `_STAGE`
+    and `_SUBSTEP` and compiled once per pair of texts in a process.
 
     A stage is tractrix_stage(eta, eta_prime, X, ell, n_pole, record=False)
     -> (rate of the state, tractrix speed |ds/dt|, record or None). The

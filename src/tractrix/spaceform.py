@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _PARALLEL_EPS = 1e-12
+# how far a value may pass its bound, as a share of the bound's size: the
+# rounding of the two, the same at every scale
+_PAST_TOL = 1e-12
 
 
 @dataclass
@@ -75,6 +78,12 @@ def _pole(K, ell):
     return cn, sn
 
 
+def _past(x, bound):
+    """Whether x is above bound by more than _PAST_TOL of |bound|, on
+    scalars or arrays; an infinite bound is never passed."""
+    return x > bound + _PAST_TOL * abs(bound)
+
+
 def _kappa(sn_ell, x):
     """kappa = x / (sn(ell) sqrt(1 - x^2)); inf at and past the cusp
     x = 1."""
@@ -106,7 +115,7 @@ def kappa_from_dist(K, ell, d):
     if np.any(d < 0):
         raise DomainViolationError("distance must be nonnegative")
     lim = _cusp_distance(K, ell, cn)
-    if np.any(d > lim + 1e-12):
+    if np.any(_past(d, lim)):
         raise DomainViolationError(f"distance beyond the cusp bound {lim!r}")
     out = _kappa(S, _jacobi_pair(K, d)[1] / S)
     return float(out[0]) if scalar else out
@@ -130,9 +139,9 @@ def solve_from_d0(K, ell, d0):
     if long_pole and d0 >= d_cusp:
         raise DomainViolationError(
             f"d0 = {d0!r} must stay below the cusp distance {d_cusp!r}")
-    if d0 > ell + 1e-12:
+    if _past(d0, ell):
         raise DomainViolationError("d0 exceeds the pole length")
-    # a d0 past ell by the tolerance starts on the cusp, x = 1
+    # a d0 past ell within the tolerance starts on the cusp, x = 1
     C = min(_jacobi_pair(K, d0)[1] / S, 1.0)
     if not C >= np.finfo(float).tiny:
         raise DomainViolationError(
@@ -153,7 +162,7 @@ def _profile_x(sol, s):
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    if np.any(s < sol.s_lo - 1e-12) or np.any(s > sol.s_hi + 1e-12):
+    if np.any(_past(-s, -sol.s_lo)) or np.any(_past(s, sol.s_hi)):
         raise DomainViolationError(
             f"s outside validity interval [{sol.s_lo!r}, {sol.s_hi!r}]")
     # an exponent past a float is a decay to x = 0

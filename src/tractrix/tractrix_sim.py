@@ -791,13 +791,14 @@ def _fill_curvature(trace, params):
         masked |= np.abs(trace.d - trace.ell) < _CUSP_DIST_BAND
 
     # central differences at the unmasked interior records whose
-    # neighbours are apart in s, both sides transported in one call each
+    # neighbours are apart in s, both neighbours transported in one call
+    # on stacked rows
     tangents = trace.sigma[:, None] * trace.pole_dir
     gamma, s = trace.gamma, trace.s
     i = np.flatnonzero(~masked[1:-1] & (s[2:] - s[:-2] >= 1e-10)) + 1
-    w_plus = model.parallel_transport(gamma[i + 1], gamma[i], tangents[i + 1])
-    w_minus = model.parallel_transport(gamma[i - 1], gamma[i],
-                                       tangents[i - 1])
+    sides = np.concatenate([i + 1, i - 1])
+    w_plus, w_minus = np.split(model.parallel_transport(
+        gamma[sides], gamma[np.tile(i, 2)], tangents[sides]), 2)
     dv = (w_plus - w_minus) / (s[i + 1] - s[i - 1])[:, None]
     trace.kappa[i] = model.norm_rows(gamma[i], dv)
 

@@ -1,7 +1,10 @@
 import copy
 import filecmp
+import functools
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -671,6 +674,35 @@ def test_gallery_matches_verify_and_shorten(tmp_path, capsys):
         "cusps.txt", "report.txt", "sweep.txt", "trace.csv"]
     assert_same_files(gallery / "flat_geodesic", tmp_path / "verify")
     assert_same_files(gallery / "shorten_sphere", tmp_path / "shorten")
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    # the parser is built at the first call of a process and reused by
+    # every later one: a usage error leaves nothing behind, and a valid
+    # call after it writes what a fresh process writes
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(cli, "build_parser",
+                        functools.cache(cli.build_parser.__wrapped__))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert cli.main(["gallery", "--only", "flat_geodesic", "--jobs", "2",
+                     "--out", str(out)]) == 1
+    assert cli.main(["simulate", "--out", str(out)]) == 1
+    assert cli.main(["gallery", "--only", "flat_geodesic",
+                     "--out", str(out)]) == 0
+    assert built.count("tractrix") == 1
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    subprocess.run([sys.executable, "-m", "tractrix.cli", "gallery",
+                    "--only", "flat_geodesic", "--out", str(fresh)],
+                   env=dict(os.environ, PYTHONPATH=root), check=True,
+                   capture_output=True)
+    assert_same_files(out / "flat_geodesic", fresh / "flat_geodesic")
 
 
 # -- the CLI contract under mutated bundled configs ---------------------------

@@ -764,7 +764,9 @@ def test_transport_holonomy_latitude_circle():
                          ids=["sphere", "sphere-r2", "disk", "flat2",
                               "flat3", "paraboloid"])
 def test_transport_and_norm_rows_match_single_calls(model):
-    # the curvature pass transports and measures all records in one call
+    # the curvature pass transports and measures all records in one call,
+    # both neighbours of each record stacked: the rows do not mix, so a
+    # row gives the bits of its single call
     rng = np.random.default_rng(11)
     a = np.array([random_point(SPHERE if isinstance(model, SphereModel)
                                else model, rng) for _ in range(40)])
@@ -773,12 +775,32 @@ def test_transport_and_norm_rows_match_single_calls(model):
     rows = model.parallel_transport(a, b, w)
     single = np.array([model.parallel_transport(p, q, x)
                        for p, q, x in zip(a, b, w)])
-    np.testing.assert_allclose(rows, single, rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(rows, single)
     np.testing.assert_allclose(model.norm_rows(a, w),
                                [model.norm(p, x) for p, x in zip(a, w)],
                                rtol=1e-14)
     empty = np.empty((0, model.dim))
     assert model.parallel_transport(empty, empty, empty).shape == empty.shape
+
+
+def test_surface_transport_evaluates_christoffel_once_per_stage_point(
+        monkeypatch):
+    # the RK4 stages of the two substeps meet at t = 0, 1/4, 1/2, 3/4 and
+    # 1 along the segment: one christoffel_rows call at each, in order
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-0.5, 0.5, (2, 7, 2))
+    seen = []
+    rows = SurfaceModel.christoffel_rows
+
+    def counted(self, points):
+        seen.append(points.copy())
+        return rows(self, points)
+
+    monkeypatch.setattr(SurfaceModel, "christoffel_rows", counted)
+    PARAB.parallel_transport(a, b, rng.standard_normal(a.shape))
+    assert len(seen) == 5
+    for points, t in zip(seen, (0.0, 0.25, 0.5, 0.75, 1.0)):
+        np.testing.assert_array_equal(points, a + t * (b - a))
 
 
 # -- the closed-form tractrix record ------------------------------------------

@@ -60,15 +60,18 @@ def test_shortening_run_imports_no_numpy_ma(tmp_path):
 
 def test_import_compiles_no_text():
     # the setup that the benchmark times is the import and the scenario
-    # loads: they compile no text, and leave every chart's spray, kernel,
-    # stage and sub-step to the model that needs it
+    # loads: they compile no text, generate no kernel, stage or sub-step
+    # text, and build no CLI parser, and leave each to its first use
     code = ("import tractrix.cli\n"
+            "from tractrix import cli, manifold\n"
             "from tractrix.charts import compiled\n"
             "from tractrix.config import bundled_names, bundled_scenario\n"
             "for name in bundled_names():\n"
             "    bundled_scenario(name)\n"
-            "print(compiled.cache_info().currsize)")
-    assert fresh_python(code).strip() == "0"
+            "print(*(f.cache_info().currsize for f in (\n"
+            "    compiled, manifold._kernel, manifold._tractrix,\n"
+            "    cli.build_parser)))")
+    assert fresh_python(code).split() == ["0"] * 4
 
 
 @pytest.mark.parametrize("model", [FlatModel, SphereModel, HyperbolicModel],

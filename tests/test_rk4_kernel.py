@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from rk4_reference import _rk4_geodesic as reference_rk4
 
+from tractrix import manifold
 from tractrix.charts import (
     EllipsoidChart,
     GraphChart,
@@ -316,6 +317,33 @@ def steps(name, *args):
     model = MODELS[name]
     return (outcome(lambda: model.tractrix_step(*args)),
             outcome(lambda: stage_reference.tractrix_step(model, *args)))
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_second_model_on_a_chart_generates_no_text(monkeypatch, name):
+    # the kernel, stage and sub-step texts are generated and compiled once
+    # per chart text in a process: a second model on a chart already seen
+    # binds the same functions to itself, and they give the first model's
+    # bits and count the second model's sprays
+    def generated(*_, **__):
+        raise AssertionError("a model generated text")
+
+    for fn in ("_lines", "_step", "compiled"):
+        monkeypatch.setattr(manifold, fn, generated)
+    first = MODELS[name]
+    second = surface_model(CHARTS[name][0])
+    eta, mid, end = (chart_point(name, *f)
+                     for f in ((0.4, 0.5), (0.45, 0.5), (0.5, 0.55)))
+    stage = (eta, [0.3, 1.0], [1.0, 0.2], 0.5, 6)
+    k1, q1, _ = first.tractrix_stage(*stage)
+    step = ([1.0, 0.2], k1, q1, (mid, [0.3, 1.0]), (end, [0.2, 1.0]), 0.05,
+            0.025, 0.05 / 6.0, 0.5, 6)
+    for run in (lambda model: model.tractrix_stage(*stage),
+                lambda model: model.tractrix_stage(*stage, record=True),
+                lambda model: model.tractrix_step(*step)):
+        before = first.sprays, second.sprays
+        assert outcome(lambda: run(second)) == outcome(lambda: run(first))
+        assert first.sprays - before[0] == second.sprays - before[1] > 0
 
 
 POINT = st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1))

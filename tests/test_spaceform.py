@@ -77,12 +77,53 @@ def test_solve_preconditions():
 
 
 def test_d0_past_a_tiny_pole_starts_on_the_cusp():
-    # d0 = 1.78e-19 is within the 1e-12 tolerance of ell = 1e-300, and
-    # sn(d0) / sn(ell) = 1.78e281 squared past a float, a RuntimeWarning:
-    # the profile starts on the cusp, x = 1
-    sol = solve_from_d0(0.45, 1e-300, 1.78e-19)
+    # one ulp past ell = 1e-300 is within the tolerance, which is relative
+    # to ell: the profile starts on the cusp, x = 1
+    sol = solve_from_d0(0.45, 1e-300, math.nextafter(1e-300, math.inf))
     assert sol.kappa0 == math.inf and kappa_at(sol, 0.0) == math.inf
     assert dist_at(sol, 0.0) == pytest.approx(1e-300, rel=1e-15)
+
+
+def test_d0_far_past_a_tiny_pole_is_a_domain_error():
+    # d0 = 1.78e-19 is 1.78e281 times ell = 1e-300; an absolute 1e-12
+    # tolerance took it for ell and started the profile on the cusp
+    with pytest.raises(DomainViolationError, match="exceeds the pole length"):
+        solve_from_d0(0.45, 1e-300, 1.78e-19)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0 ** 14, 2.0 ** 30])
+def test_one_ulp_past_a_bound_passes_at_every_scale(r):
+    # the tolerances are relative to the bound, so a space form scaled by
+    # r admits the same rounding; an absolute 1e-12 is below half an ulp
+    # of the bound from 2^13 up, and refused one ulp past it there
+    ell = r
+    up = math.nextafter(ell, math.inf)
+    assert solve_from_d0(0.0, ell, up).kappa0 == math.inf
+    assert kappa_from_dist(0.0, ell, up) == math.inf
+    # the window of d0 = ell / 2 starts at s_lo = -ell ln 2
+    sol = solve_from_d0(0.0, ell, 0.5 * ell)
+    assert dist_at(sol, math.nextafter(sol.s_lo, -math.inf)) == \
+        pytest.approx(ell, rel=1e-14)
+    # a long pole on the sphere of radius r ends at the cusp d = pi r / 4
+    sol = solve_from_d0(r ** -2, 0.75 * math.pi * r, 0.1 * r)
+    assert dist_at(sol, math.nextafter(sol.s_hi, math.inf)) == \
+        pytest.approx(0.25 * math.pi * r, rel=1e-14)
+
+
+def test_a_small_bound_admits_no_absolute_slack():
+    # at the scale r = 1e-6 an absolute 1e-12 is a millionth of each
+    # bound, which let these values a billionth past it through
+    r, past = 1e-6, 1.0 + 1e-9
+    with pytest.raises(DomainViolationError, match="exceeds the pole length"):
+        solve_from_d0(0.0, r, r * past)
+    with pytest.raises(DomainViolationError, match="cusp bound"):
+        kappa_from_dist(0.0, r, r * past)
+    sol = solve_from_d0(0.0, r, 0.5 * r)
+    with pytest.raises(DomainViolationError, match="validity interval"):
+        dist_at(sol, sol.s_lo * past)
+    sol = solve_from_d0(r ** -2, 0.75 * math.pi * r, 0.1 * r)
+    with pytest.raises(DomainViolationError, match="validity interval"):
+        kappa_at(sol, sol.s_hi * past)
 
 
 def test_d0_below_a_float_against_the_pole_is_a_domain_error():

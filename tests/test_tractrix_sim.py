@@ -1142,8 +1142,10 @@ def plane_cusp_run():
 @pytest.mark.parametrize("case", ["paraboloid_pull", "plane_cusp"])
 def test_surface_post_passes_transport_in_rows(monkeypatch, case):
     # the cusp and curvature passes transport all their records in row
-    # calls: no scalar christoffel_at, and one two-substep RK4 (8 row
-    # evaluations) per transport call, however many records it carries
+    # calls: no scalar christoffel_at, one transport call per stall window
+    # and one for both neighbours of every curvature record, and one
+    # two-substep RK4 per call, however many records it carries, whose
+    # stages meet at 5 points (5 row evaluations)
     if case == "plane_cusp":
         model, tr, params = plane_cusp_run()
         assert len(tr.stall_windows) == 1
@@ -1165,8 +1167,8 @@ def test_surface_post_passes_transport_in_rows(monkeypatch, case):
     _detect_cusps(again, params)
     _fill_curvature(again, params)
     assert calls["christoffel_at"] == 0
-    assert calls["parallel_transport"] == 2 + len(tr.stall_windows)
-    assert calls["christoffel_rows"] == 8 * calls["parallel_transport"]
+    assert calls["parallel_transport"] == 1 + len(tr.stall_windows)
+    assert calls["christoffel_rows"] == 5 * calls["parallel_transport"]
     assert again.stall_windows == tr.stall_windows
     np.testing.assert_array_equal(again.kappa, tr.kappa)
     assert np.count_nonzero(np.isfinite(tr.kappa)) > len(tr.t) // 2
