@@ -82,7 +82,7 @@ def _simulate(cfg):
     """Trace of a simulation scenario."""
     model = model_from_config(cfg.model)
     tractor_spec = dict(cfg.tractor)
-    if tractor_spec.get("kind") == "polyline" and "file" in tractor_spec:
+    if "file" in tractor_spec:  # a polyline's
         pts = cfg.resolve_polyline({"file": tractor_spec.pop("file")})
         tractor_spec["points"] = pts.tolist()
     tractor = tractor_from_config(model, tractor_spec)

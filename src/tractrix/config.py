@@ -5,6 +5,11 @@ A scenario is a single YAML mapping describing either a simulation run
 section). Validation reports the offending field path so configs can be
 fixed without reading tracebacks; parse -> serialize -> parse is the
 identity on the normalized mapping.
+
+`_TRACTOR_FIELDS` is the one place that lists what each tractor kind
+reads, of which type and with which default. `normalize_tractor` checks a
+tractor section against it at load, and `tractrix_sim.tractor_from_config`
+runs the same pass before it builds the curve.
 """
 
 import math
@@ -69,19 +74,19 @@ def _as_int(value, path, minimum=None):
     return value
 
 
-def _as_point(value, path, dim=None):
+def _as_point(value, path, dim):
     if not isinstance(value, (list, tuple)) or not value:
         _fail(path, "expected a list of coordinates")
     out = [_as_float(c, f"{path}[{i}]") for i, c in enumerate(value)]
-    if dim is not None and len(out) != dim:
+    if len(out) != dim:
         _fail(path, f"expected {dim} coordinates, got {len(out)}")
     return out
 
 
-def _check_keys(section, allowed, path):
+def _check_keys(section, allowed, path, why="unknown field"):
     for key in section:
         if key not in allowed:
-            _fail(f"{path}.{key}", "unknown field")
+            _fail(f"{path}.{key}", why)
 
 
 def _normalize_model(raw):
@@ -109,42 +114,137 @@ def _normalize_model(raw):
         chart = raw.get("chart")
         if isinstance(chart, str):
             chart = {"name": chart}
-        if not isinstance(chart, dict) or "name" not in chart:
+        if not (isinstance(chart, dict)
+                and isinstance(chart.get("name"), str)):
             _fail("model.chart", "expected a chart name or mapping")
         for key, value in chart.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                _fail(f"model.chart.{key}", "expected a finite number")
+            # a list is a chart's table of terms, which the chart checks
+            if key != "name" and not isinstance(value, list):
+                try:
+                    _as_float(value, f"model.chart.{key}")
+                except ConfigError as exc:
+                    raise ConfigError(f"{exc} (chart {chart['name']!r})")
         return {"kind": "surface", "chart": dict(chart)}
     _fail("model.kind", f"unknown kind {kind!r}")
 
 
-def _normalize_polyline(raw, path, base_dir):
+def _normalize_polyline(raw, path, base_dir, dim):
     if not isinstance(raw, dict):
         _fail(path, "expected a mapping with 'points' or 'file'")
     if ("points" in raw) == ("file" in raw):
         _fail(path, "give exactly one of 'points' or 'file'")
     if "file" in raw:
-        target = os.path.join(base_dir, raw["file"])
-        if not os.path.isfile(target):
-            _fail(f"{path}.file", f"no such file {raw['file']!r}")
-        return {"file": raw["file"]}
+        name = raw["file"]
+        if not (isinstance(name, str)
+                and os.path.isfile(os.path.join(base_dir, name))):
+            _fail(f"{path}.file", f"no such file {name!r}")
+        return {"file": name}
     pts = raw["points"]
     if not isinstance(pts, (list, tuple)) or len(pts) < 2:
         _fail(f"{path}.points", "expected at least two points")
-    return {"points": [_as_point(p, f"{path}.points[{i}]")
+    return {"points": [_as_point(p, f"{path}.points[{i}]", dim)
                        for i, p in enumerate(pts)]}
 
 
-def _normalize_gamma0(raw, path):
+_REQUIRED = object()
+_SPAN = {"t0": ("number", 0.0), "t1": ("number", 1.0)}
+_LINE = {"start": ("point", _REQUIRED), "direction": ("direction", _REQUIRED)}
+_CIRCLE = {"center": ("point", _REQUIRED), "radius": ("positive", _REQUIRED)}
+_FLAGS = {"closed": ("flag", False), "geodesic": ("flag", False)}
+# What each tractor kind reads besides 'kind': field -> (type, default), a
+# field without a default marked _REQUIRED. A callable default is worked
+# out from the fields before it. At the top level of a loaded scenario a
+# polyline may name a 'file' that holds its 'points'.
+_TRACTOR_FIELDS = {
+    "line": {**_LINE, "geodesic": ("flag", True), **_SPAN},
+    "chart_line": {**_LINE, "geodesic": ("flag", False), **_SPAN},
+    "circle": {**_CIRCLE, **_FLAGS, **_SPAN},
+    "chart_circle": {**_CIRCLE, "rate": ("nonzero", 1.0), **_FLAGS, **_SPAN},
+    "latitude": {"colatitude": ("colatitude", _REQUIRED),
+                 "phi0": ("number", 0.0),
+                 "geodesic": ("flag", lambda f: abs(
+                     f["colatitude"] - math.pi / 2) < 1e-12), **_SPAN},
+    "disk_ray": {"angle": ("number", 0.0), **_SPAN},
+    "helix": {"radius": ("number", _REQUIRED),
+              "pitch": ("number", _REQUIRED), **_SPAN},
+    "circle3d": {"radius": ("positive", _REQUIRED)},
+    "wiggly_circle": {"radius": ("number", _REQUIRED),
+                      "amplitude": ("number", _REQUIRED),
+                      "lobes": ("whole", _REQUIRED)},
+    "polyline": {"points": ("polyline", _REQUIRED), **_FLAGS},
+    "tractrix_of": {"curve": ("curve", _REQUIRED),
+                    "ell": ("number", _REQUIRED), "sign": ("sign", 1.0)},
+}
+
+
+def _tractor_field(type_, value, path, dim):
+    """The value of a tractor field of the type `type_`, checked and typed."""
+    if type_ == "flag":
+        if not isinstance(value, bool):
+            _fail(path, f"expected true or false, got {value!r}")
+        return value
+    if type_ == "curve":
+        return normalize_tractor(value, dim, path=path)
+    if type_ in ("point", "direction"):
+        out = _as_point(value, path, dim)
+        if type_ == "direction" and math.hypot(*out) < 1e-14:
+            _fail(path, "must be nonzero")
+        return out
+    out = _as_float(value, path, positive=type_ == "positive")
+    if type_ == "nonzero" and out == 0.0:
+        _fail(path, "must be nonzero")
+    elif type_ == "colatitude" and not 0.0 < out < math.pi:
+        _fail(path, "must lie in (0, pi)")
+    elif type_ == "sign" and out not in (1.0, -1.0):
+        _fail(path, f"expected +1 or -1, got {out!r}")
+    elif type_ == "whole" and not out.is_integer():
+        _fail(path, f"expected a whole number, got {value!r}")
+    return int(out) if type_ == "whole" else out
+
+
+def normalize_tractor(raw, dim, base_dir=None, path="tractor"):
+    """The tractor mapping `raw` for a model of dimension `dim`, each field
+    its kind reads typed, and filled in with its default where it is not
+    given (`_TRACTOR_FIELDS`). Idempotent on its own output. A polyline may
+    give a 'file' only where `base_dir` is given."""
+    if not isinstance(raw, dict) or "kind" not in raw:
+        _fail(path, "expected a mapping with a 'kind' field")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _TRACTOR_FIELDS:
+        _fail(f"{path}.kind", f"unknown kind {kind!r}")
+    fields = _TRACTOR_FIELDS[kind]
+    file_ok = kind == "polyline" and base_dir is not None
+    allowed = ("kind", *fields) + (("file",) if file_ok else ())
+    _check_keys(raw, allowed, path, f"not read by kind {kind!r}")
+    if kind in ("circle", "chart_circle") and dim != 2:
+        _fail(f"{path}.kind", f"{kind!r} needs a 2-D model")
+    out = {"kind": kind}
+    for key, (type_, default) in fields.items():
+        if type_ == "polyline":
+            out.update(_normalize_polyline(raw, path, base_dir, dim))
+        elif key in raw:
+            out[key] = _tractor_field(type_, raw[key], f"{path}.{key}", dim)
+        elif default is _REQUIRED:
+            _fail(f"{path}.{key}", f"required for kind {kind!r}")
+        else:
+            out[key] = default(out) if callable(default) else default
+    if "t1" in out and out["t1"] <= out["t0"]:
+        _fail(f"{path}.t1", "must exceed t0")
+    if kind == "helix" and out["radius"] == 0.0 == out["pitch"]:
+        _fail(f"{path}.radius", "radius and pitch must not both be zero")
+    return out
+
+
+def _normalize_gamma0(raw, path, dim):
     if isinstance(raw, (list, tuple)):
-        return _as_point(raw, path)
+        return _as_point(raw, path, dim)
     if isinstance(raw, dict):
         _check_keys(raw, ("d0", "side", "mode"), path)
         out = {"d0": _as_float(raw.get("d0", 0.0), f"{path}.d0")}
         if out["d0"] < 0:
             _fail(f"{path}.d0", "must be nonnegative")
         side = raw.get("side", 1)
-        if side not in (1, -1):
+        if isinstance(side, bool) or side not in (1, -1):
             _fail(f"{path}.side", "must be 1 or -1")
         out["side"] = side
         mode = raw.get("mode", "behind")
@@ -155,7 +255,7 @@ def _normalize_gamma0(raw, path):
     _fail(path, "expected a point or an attachment mapping")
 
 
-def _normalize_shorten(raw, base_dir):
+def _normalize_shorten(raw, base_dir, dim):
     if not isinstance(raw, dict):
         _fail("shorten", "expected a mapping")
     mode = raw.get("mode")
@@ -176,17 +276,17 @@ def _normalize_shorten(raw, base_dir):
         for key in ("P", "Q", "initial"):
             if key not in raw:
                 _fail(f"shorten.{key}", "required for mode 'self'")
-        out["P"] = _as_point(raw["P"], "shorten.P")
-        out["Q"] = _as_point(raw["Q"], "shorten.Q")
+        out["P"] = _as_point(raw["P"], "shorten.P", dim)
+        out["Q"] = _as_point(raw["Q"], "shorten.Q", dim)
         out["initial"] = _normalize_polyline(raw["initial"],
-                                             "shorten.initial", base_dir)
+                                             "shorten.initial", base_dir, dim)
     else:
         _check_keys(raw, ("mode", "tol", "max_iter", "steps_per_round",
                           "loop"), "shorten")
         if "loop" not in raw:
             _fail("shorten.loop", "required for mode 'loop'")
         out["loop"] = _normalize_polyline(raw["loop"], "shorten.loop",
-                                          base_dir)
+                                          base_dir, dim)
     return out
 
 
@@ -208,23 +308,16 @@ def _normalize(raw, name, base_dir):
         raise ConfigError(
             "scenario: give exactly one of a 'tractor' (simulation) or a "
             "'shorten' section")
+    dim = out["model"].get("dim", 2)
     if has_tractor:
-        tractor = raw["tractor"]
-        if not isinstance(tractor, dict) or "kind" not in tractor:
-            _fail("tractor", "expected a mapping with a 'kind' field")
-        tractor = dict(tractor)
-        if tractor["kind"] == "polyline" and "file" in tractor:
-            target = os.path.join(base_dir, tractor["file"])
-            if not os.path.isfile(target):
-                _fail("tractor.file", f"no such file {tractor['file']!r}")
-        out["tractor"] = tractor
+        out["tractor"] = normalize_tractor(raw["tractor"], dim, base_dir)
         if "gamma0" not in raw:
             _fail("gamma0", "required for simulation scenarios")
-        out["gamma0"] = _normalize_gamma0(raw["gamma0"], "gamma0")
+        out["gamma0"] = _normalize_gamma0(raw["gamma0"], "gamma0", dim)
         if isinstance(out["gamma0"], dict) and out["gamma0"]["d0"] >= out["ell"]:
             _fail("gamma0.d0", "must stay below ell for an attachment")
     else:
-        out["shorten"] = _normalize_shorten(raw["shorten"], base_dir)
+        out["shorten"] = _normalize_shorten(raw["shorten"], base_dir, dim)
 
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):

@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import normalize_tractor
 from .errors import (
     ConfigError,
     NoConvergenceError,
@@ -770,7 +771,8 @@ def _detect_cusps(trace, params):
                 t_c = ts[i] + (ts[i + 1] - ts[i]) * sp[i] / (
                     sp[i] - sp[i + 1])
                 break
-        trace.cusps.append(CuspRecord(t=float(t_c), s=float(trace.s[b]),
+        s_c = np.interp(t_c, trace.t, trace.s)
+        trace.cusps.append(CuspRecord(t=float(t_c), s=float(s_c),
                                       turning_angle=float(turning),
                                       sign_flip=bool(flip)))
 
@@ -1072,106 +1074,53 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
 # Named tractor catalog (used by scenario configs)
 
 
-def _req(spec, key, kind):
-    try:
-        return spec[key]
-    except KeyError:
-        raise ConfigError(f"tractor.{key}: required for kind {kind!r}")
-
-
-def _num(spec, key, kind, default=None):
-    """A finite number field; required unless a default is given."""
-    value = _req(spec, key, kind) if default is None else spec.get(key,
-                                                                   default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"tractor.{key}: expected a number, got {value!r}")
-    if not math.isfinite(out):
-        raise ConfigError(f"tractor.{key}: expected a finite number, got "
-                          f"{value!r}")
-    return out
-
-
-def _req_points(spec, key, kind, dim, single=True):
-    """Coordinates of a required field: one point, or a list of points."""
-    try:
-        pts = np.asarray(_req(spec, key, kind), dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"tractor.{key}: expected numeric coordinates")
-    if not np.all(np.isfinite(pts)):
-        raise ConfigError(f"tractor.{key}: expected finite coordinates")
-    if pts.ndim != (1 if single else 2) or pts.shape[-1] != dim:
-        raise ConfigError(f"tractor.{key}: expected points with {dim} "
-                          f"coordinates for this model")
-    return pts
-
-
-# the keys each kind reads besides 'kind'; any other key is an error
-_KIND_KEYS = {
-    "line": "start direction geodesic t0 t1",
-    "chart_line": "start direction geodesic t0 t1",
-    "circle": "center radius closed geodesic t0 t1",
-    "chart_circle": "center radius rate closed geodesic t0 t1",
-    "latitude": "colatitude phi0 geodesic t0 t1",
-    "disk_ray": "angle t0 t1",
-    "helix": "radius pitch t0 t1",
-    "circle3d": "radius",
-    "wiggly_circle": "radius amplitude lobes",
-    "polyline": "points closed geodesic",
-    "tractrix_of": "curve ell sign",
+# the model a tractor kind needs, where it needs one: (model class, its
+# dimension or None for any, what to say)
+_MODEL_NEEDS = {
+    "line": (FlatModel, None, "a flat model; use 'chart_line' on surfaces"),
+    "circle": (FlatModel, None,
+               "a flat model; use 'chart_circle' on surfaces"),
+    "latitude": (SphereModel, None, "a sphere model"),
+    "disk_ray": (HyperbolicModel, None, "a hyperbolic model"),
+    **dict.fromkeys(("helix", "circle3d", "wiggly_circle"),
+                    (FlatModel, 3, "flat dimension 3")),
 }
 
 
 def tractor_from_config(model, spec):
-    """Build a TractorCurve from a scenario mapping."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("tractor: mapping with a 'kind' field expected")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
-        raise ConfigError(f"tractor.kind: unknown kind {kind!r}")
-    for key in spec:
-        if key not in ("kind", *_KIND_KEYS[kind].split()):
-            raise ConfigError(f"tractor.{key}: not read by kind {kind!r}")
-    t0 = _num(spec, "t0", kind, 0.0)
-    t1 = _num(spec, "t1", kind, 1.0)
-    if t1 <= t0:
-        raise ConfigError("tractor.t1: must exceed t0")
+    """Build a TractorCurve from a scenario's tractor mapping.
 
+    `config.normalize_tractor` validates the mapping first, as at load (a
+    no-op on its own output). Left here are the checks that need the model
+    object: `_MODEL_NEEDS`, and a closed circle's whole number of turns."""
+    spec = normalize_tractor(spec, model.dim)
+    kind = spec["kind"]
+    if kind == "polyline":
+        return polyline_tractor(spec["points"], closed=spec["closed"],
+                                is_geodesic=spec["geodesic"])
+    if kind == "tractrix_of":
+        base = tractor_from_config(model, spec["curve"])
+        return tractor_from_tractrix(model, base, spec["ell"],
+                                     int(spec["sign"]))
+    t0, t1 = spec.get("t0"), spec.get("t1")
+    closed = spec.get("closed", False)
+    geodesic = spec.get("geodesic", kind == "disk_ray")
+    cls, dim, need = _MODEL_NEEDS.get(kind, (object, None, ""))
+    if not isinstance(model, cls) or dim not in (None, model.dim):
+        raise ConfigError(f"tractor.kind: {kind!r} needs {need}")
     if kind in ("line", "chart_line"):
-        start = _req_points(spec, "start", kind, model.dim)
-        direction = _req_points(spec, "direction", kind, model.dim)
-        nn = float(np.linalg.norm(direction))
-        if nn < 1e-14:
-            raise ConfigError("tractor.direction: must be nonzero")
-        direction = direction / nn
-        if kind == "line" and not isinstance(model, FlatModel):
-            raise ConfigError("tractor.kind: 'line' needs a flat model; "
-                              "use 'chart_line' on surfaces")
+        start = np.array(spec["start"])
+        direction = np.array(spec["direction"])
+        direction = direction / float(np.linalg.norm(direction))
 
         def rows(ts):
             return (start + ts[:, None] * direction,
                     np.tile(direction, (len(ts), 1)))
 
-        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=bool(
-            spec.get("geodesic", kind == "line")))
     elif kind in ("circle", "chart_circle"):
-        if model.dim != 2:
-            raise ConfigError(f"tractor.kind: {kind!r} needs a 2-D model")
-        center = _req_points(spec, "center", kind, 2)
-        radius = _num(spec, "radius", kind)
-        if radius <= 0:
-            raise ConfigError("tractor.radius: must be positive")
-        if kind == "circle":
-            if not isinstance(model, FlatModel):
-                raise ConfigError("tractor.kind: 'circle' needs a flat "
-                                  "model; use 'chart_circle' on surfaces")
-            rate = 1.0 / radius  # arclength parameter
-        else:
-            rate = _num(spec, "rate", kind, 1.0)
-            if rate == 0.0:
-                raise ConfigError("tractor.rate: must be nonzero")
-        closed = bool(spec.get("closed", False))
+        center, radius = np.array(spec["center"]), spec["radius"]
+        # a flat circle takes the arclength parameter
+        rate = 1.0 / radius if kind == "circle" else spec["rate"]
         if closed and abs(math.remainder((t1 - t0) * rate, math.tau)) > 1e-9:
             raise NotClosedError("circle span is not a whole number of turns")
 
@@ -1180,32 +1129,19 @@ def tractor_from_config(model, spec):
             return (c + R * np.stack([cos, sin], axis=1),
                     R * w * np.stack([-sin, cos], axis=1))
 
-        return TractorCurve(rows=rows, t0=t0, t1=t1, closed=closed,
-                            is_geodesic=bool(spec.get("geodesic", False)))
     elif kind == "latitude":
-        if not isinstance(model, SphereModel):
-            raise ConfigError("tractor.kind: 'latitude' needs a sphere model")
-        th = _num(spec, "colatitude", kind)
-        if not 0.0 < th < math.pi:
-            raise ConfigError("tractor.colatitude: must lie in (0, pi)")
-        phi0 = _num(spec, "phi0", kind, 0.0)
+        th, phi0 = spec["colatitude"], spec["phi0"]
         rate = 1.0 / (model.radius * math.sin(th))  # arclength parameter
-        geo = bool(spec.get("geodesic", abs(th - math.pi / 2) < 1e-12))
 
         def rows(ts, th=th, phi0=phi0, w=rate):
             return (np.stack([np.full_like(ts, th), phi0 + w * ts], axis=1),
                     np.tile((0.0, w), (len(ts), 1)))
 
-        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=geo)
     elif kind == "disk_ray":
-        if not isinstance(model, HyperbolicModel):
-            raise ConfigError(
-                "tractor.kind: 'disk_ray' needs a hyperbolic model")
-        ang = _num(spec, "angle", kind, 0.0)
+        ang = spec["angle"]
         u = np.array([math.cos(ang), math.sin(ang)])
-        k = model.k
 
-        def rows(ts, u=u, k=k):
+        def rows(ts, u=u, k=model.k):
             # far out cosh overflows, and the speed reads 0 at the rim
             # tanh has reached, where the domain check refuses the point
             with np.errstate(over="ignore"):
@@ -1213,64 +1149,34 @@ def tractor_from_config(model, spec):
                 return (np.tanh(0.5 * k * ts)[:, None] * u,
                         (0.5 * k / (c * c))[:, None] * u)
 
-        return TractorCurve(rows=rows, t0=t0, t1=t1, is_geodesic=True)
     elif kind == "helix":
-        if not (isinstance(model, FlatModel) and model.dim == 3):
-            raise ConfigError("tractor.kind: 'helix' needs flat dimension 3")
-        radius = _num(spec, "radius", kind)
-        pitch = _num(spec, "pitch", kind)
-        if radius == 0.0 and pitch == 0.0:
-            raise ConfigError("tractor.radius: radius and pitch must not "
-                              "both be zero")
-        w = 1.0 / math.hypot(radius, pitch)  # arclength parameter
+        R, p = spec["radius"], spec["pitch"]
+        w = 1.0 / math.hypot(R, p)  # arclength parameter
 
-        def rows(ts, R=radius, p=pitch, w=w):
+        def rows(ts, R=R, p=p, w=w):
             cos, sin = np.cos(w * ts), np.sin(w * ts)
             return (np.stack([R * cos, R * sin, p * w * ts], axis=1),
                     np.stack([-R * w * sin, R * w * cos,
                               np.full_like(ts, p * w)], axis=1))
 
-        return TractorCurve(rows=rows, t0=t0, t1=t1)
     elif kind == "circle3d":
-        if not (isinstance(model, FlatModel) and model.dim == 3):
-            raise ConfigError(
-                "tractor.kind: 'circle3d' needs flat dimension 3")
-        radius = _num(spec, "radius", kind)
-        if radius <= 0:
-            raise ConfigError("tractor.radius: must be positive")
+        R = spec["radius"]
+        t0, t1, closed = 0.0, math.tau * R, True
 
-        def rows(ts, R=radius):
+        def rows(ts, R=R):
             cos, sin, zero = np.cos(ts / R), np.sin(ts / R), np.zeros_like(ts)
             return (np.stack([R * cos, R * sin, zero], axis=1),
                     np.stack([-sin, cos, zero], axis=1))
 
-        return TractorCurve(rows=rows, t0=0.0, t1=math.tau * radius,
-                            closed=True)
-    elif kind == "wiggly_circle":
-        if not (isinstance(model, FlatModel) and model.dim == 3):
-            raise ConfigError(
-                "tractor.kind: 'wiggly_circle' needs flat dimension 3")
-        radius = _num(spec, "radius", kind)
-        amp = _num(spec, "amplitude", kind)
-        lobes = _num(spec, "lobes", kind)
-        if not lobes.is_integer():
-            raise ConfigError(f"tractor.lobes: expected a whole number, got "
-                              f"{spec['lobes']!r}")
+    else:  # wiggly_circle
+        R, A, m = spec["radius"], spec["amplitude"], spec["lobes"]
+        t0, t1, closed = 0.0, math.tau, True
 
-        def rows(ts, R=radius, A=amp, m=int(lobes)):
+        def rows(ts, R=R, A=A, m=m):
             cos, sin = np.cos(ts), np.sin(ts)
             return (np.stack([R * cos, R * sin, A * np.sin(m * ts)], axis=1),
                     np.stack([-R * sin, R * cos, A * m * np.cos(m * ts)],
                              axis=1))
 
-        return TractorCurve(rows=rows, t0=0.0, t1=math.tau, closed=True)
-    elif kind == "polyline":
-        pts = _req_points(spec, "points", kind, model.dim, single=False)
-        return polyline_tractor(pts, closed=bool(spec.get("closed", False)),
-                                is_geodesic=bool(spec.get("geodesic", False)))
-    base = tractor_from_config(model, _req(spec, "curve", kind))  # tractrix_of
-    sign = _num(spec, "sign", kind, 1.0)
-    if sign not in (1.0, -1.0):
-        raise ConfigError(f"tractor.sign: expected +1 or -1, got {sign!r}")
-    return tractor_from_tractrix(model, base, _num(spec, "ell", kind),
-                                 int(sign))
+    return TractorCurve(rows=rows, t0=t0, t1=t1, closed=closed,
+                        is_geodesic=geodesic)

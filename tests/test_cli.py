@@ -84,7 +84,7 @@ def test_unknown_field_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("keys, value, field", [
     (("sim", "dt"), math.nan, "sim.dt"),
     (("gamma0",), [math.nan, 1.0], "gamma0[0]"),
-    (("tractor", "start"), [math.nan, 0.0], "tractor.start"),
+    (("tractor", "start"), [math.nan, 0.0], "tractor.start[0]"),
     (("ell",), math.inf, "ell"),
     (("model", "K"), math.nan, "model.K"),
 ], ids=["dt", "gamma0", "tractor.start", "ell", "K"])
@@ -195,6 +195,25 @@ def test_ragged_polyline_file_exits_one(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "ragged.txt: line 2 has 3 coordinates" in err
+
+
+@pytest.mark.parametrize("mode, field", [("self", "initial"),
+                                         ("loop", "loop")])
+def test_ragged_shorten_points_exit_one(tmp_path, capsys, mode, field):
+    # a point of three coordinates among points of two used to pass the
+    # load and end in a ValueError traceback
+    curve = {"points": [[0.0, 0.0], [2.5, 1.0, 3.0], [5.0, 0.0]]}
+    shorten = ({"mode": "self", "P": [0.0, 0.0], "Q": [5.0, 0.0],
+                "initial": curve} if mode == "self"
+               else {"mode": "loop", "loop": curve})
+    config = write_config(tmp_path, {
+        "model": {"kind": "spaceform", "K": 0.0, "dim": 2}, "ell": 1.0,
+        "shorten": shorten})
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: shorten.{field}.points[1]: expected 2 "
+        f"coordinates, got 3\n")
 
 
 @pytest.mark.parametrize("periods", [[1.0], [1.0, 1.0, 1.0]],
@@ -340,8 +359,8 @@ def test_tractor_key_the_kind_does_not_read_exits_one(tmp_path, capsys, model,
     config = write_config(tmp_path, raw)
     assert cli.main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {field}: not read by kind")
+    assert capsys.readouterr().err == (
+        f"error: {config}: {field}: not read by kind {tractor['kind']!r}\n")
 
 
 @pytest.mark.parametrize("chart, named", [
@@ -353,8 +372,10 @@ def test_tractor_key_the_kind_does_not_read_exits_one(tmp_path, capsys, model,
     ({"name": "graph", "sinsin": [[0.1, 1.0, 0.0, math.inf, 0.0]]},
      "[0.1, 1.0, 0.0, inf, 0.0]"),
     ({"name": "hilly", "amplitude": "abc"}, "'hilly'"),
+    ({"name": []}, "model.chart: expected a chart name or mapping"),
 ], ids=["negative-exponent", "fractional-exponent", "nan-coefficient",
-        "short-poly-term", "infinite-sinsin", "non-numeric-parameter"])
+        "short-poly-term", "infinite-sinsin", "non-numeric-parameter",
+        "list-name"])
 def test_bad_chart_parameters_exit_one(tmp_path, capsys, chart, named):
     raw = {"model": {"kind": "surface", "chart": chart},
            "tractor": {"kind": "chart_line", "start": [0.6, 0.0],

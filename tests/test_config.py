@@ -1,3 +1,7 @@
+import copy
+import math
+import os
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -14,8 +18,6 @@ from tractrix.errors import ConfigError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
-point = st.lists(finite, min_size=2, max_size=3)
-points = st.lists(point, min_size=2, max_size=5)
 
 models = st.one_of(
     st.fixed_dictionaries(
@@ -31,28 +33,105 @@ models = st.one_of(
                                    optional={"a": positive, "c": positive}))}),
 )
 
-tractors = st.fixed_dictionaries(
-    {"kind": st.sampled_from(["line", "chart_line", "circle", "polyline"])},
-    optional={"start": point, "direction": point, "points": points,
-              "t0": finite, "t1": finite, "geodesic": st.booleans()})
+
+def coords(dim):
+    return st.lists(finite, min_size=dim, max_size=dim)
+
+
+# t0 < t1, either one left to its default (0 and 1), or both
+spans = st.one_of(
+    st.just({}),
+    st.tuples(finite, finite).filter(lambda p: p[0] < p[1]).map(
+        lambda p: {"t0": p[0], "t1": p[1]}),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(
+        lambda t: {"t1": t}),
+    st.floats(max_value=1.0, exclude_max=True, allow_infinity=False).map(
+        lambda t: {"t0": t}))
+# the fields each kind must be given
+REQUIRED = {"line": ("start", "direction"),
+            "chart_line": ("start", "direction"),
+            "circle": ("center", "radius"),
+            "chart_circle": ("center", "radius"), "latitude": ("colatitude",),
+            "disk_ray": (), "helix": ("radius", "pitch"),
+            "circle3d": ("radius",),
+            "wiggly_circle": ("radius", "amplitude", "lobes"),
+            "polyline": ("points",), "tractrix_of": ("curve", "ell")}
+SPAN_KINDS = ("line", "chart_line", "circle", "chart_circle", "latitude",
+              "disk_ray", "helix")
+
+
+def tractor(kind, required, optional=None):
+    fields = st.fixed_dictionaries({"kind": st.just(kind), **required},
+                                   optional=optional or {})
+    if kind not in SPAN_KINDS:
+        return fields
+    return st.tuples(fields, spans).map(lambda p: {**p[0], **p[1]})
+
+
+def valid_tractors(dim, nested=False):
+    """Tractor sections of every kind that a model of dimension `dim` can
+    load; the top level also draws a tractrix_of over one of them."""
+    flag = st.booleans()
+    direction = coords(dim).filter(lambda v: math.hypot(*v) >= 1e-14)
+    kinds = [
+        tractor("line", {"start": coords(dim), "direction": direction},
+                {"geodesic": flag}),
+        tractor("chart_line", {"start": coords(dim), "direction": direction},
+                {"geodesic": flag}),
+        tractor("latitude",
+                {"colatitude": st.floats(0.0, math.pi, exclude_min=True,
+                                         exclude_max=True)},
+                {"phi0": finite, "geodesic": flag}),
+        tractor("disk_ray", {}, {"angle": finite}),
+        tractor("helix", {"radius": finite, "pitch": finite}).filter(
+            lambda t: t["radius"] != 0.0 or t["pitch"] != 0.0),
+        tractor("circle3d", {"radius": positive}),
+        tractor("wiggly_circle",
+                {"radius": finite, "amplitude": finite,
+                 "lobes": st.integers(-50, 50)
+                 | st.integers(-50, 50).map(float)}),
+        tractor("polyline",
+                {"points": st.lists(coords(dim), min_size=2, max_size=5)},
+                {"closed": flag, "geodesic": flag}),
+    ]
+    if dim == 2:
+        circle = {"center": coords(2), "radius": positive}
+        kinds += [
+            tractor("circle", circle, {"closed": flag, "geodesic": flag}),
+            tractor("chart_circle", circle,
+                    {"rate": finite.filter(bool), "closed": flag,
+                     "geodesic": flag})]
+    if not nested:
+        kinds.append(tractor(
+            "tractrix_of",
+            {"curve": valid_tractors(dim, nested=True), "ell": finite},
+            {"sign": st.sampled_from([1, -1, 1.0, -1.0])}))
+    return st.one_of(kinds)
+
+
+TRACTORS = {dim: valid_tractors(dim) for dim in (2, 3)}
 
 attachments = st.fixed_dictionaries(
     {}, optional={"d0": st.floats(0.0, 0.9),
                   "side": st.sampled_from([1, -1]),
                   "mode": st.sampled_from(["behind", "ahead"])})
 
-polylines = st.fixed_dictionaries({"points": points})
 
-shorten_sections = st.one_of(
-    st.fixed_dictionaries({"mode": st.just("self"), "P": point, "Q": point,
-                           "initial": polylines},
-                          optional={"tol": positive,
-                                    "max_iter": st.integers(1, 10**6),
-                                    "steps_per_round": st.integers(8, 10**6)}),
-    st.fixed_dictionaries({"mode": st.just("loop"), "loop": polylines},
-                          optional={"tol": positive,
-                                    "max_iter": st.integers(1, 10**6)}),
-)
+def shorten_sections(dim):
+    polyline = st.fixed_dictionaries(
+        {"points": st.lists(coords(dim), min_size=2, max_size=5)})
+    return st.one_of(
+        st.fixed_dictionaries(
+            {"mode": st.just("self"), "P": coords(dim), "Q": coords(dim),
+             "initial": polyline},
+            optional={"tol": positive, "max_iter": st.integers(1, 10**6),
+                      "steps_per_round": st.integers(8, 10**6)}),
+        st.fixed_dictionaries({"mode": st.just("loop"), "loop": polyline},
+                              optional={"tol": positive,
+                                        "max_iter": st.integers(1, 10**6)}))
+
+
+SHORTEN_SECTIONS = {dim: shorten_sections(dim) for dim in (2, 3)}
 
 common = {
     "name": st.text(max_size=12),
@@ -67,16 +146,18 @@ common = {
     "out": st.text(max_size=12),
 }
 
+simulations = models.flatmap(lambda model: st.fixed_dictionaries(
+    {"model": st.just(model), "tractor": TRACTORS[model.get("dim", 2)],
+     "gamma0": st.one_of(coords(model.get("dim", 2)), attachments),
+     "ell": st.floats(1.0, 1e3)},
+    optional=common))
+
 scenarios = st.one_of(
-    st.fixed_dictionaries(
-        {"model": models, "tractor": tractors,
-         "gamma0": st.one_of(point, attachments),
-         "ell": st.floats(1.0, 1e3)},
-        optional=common),
-    st.fixed_dictionaries(
-        {"model": models, "shorten": shorten_sections,
-         "ell": positive},
-        optional=common),
+    simulations,
+    models.flatmap(lambda model: st.fixed_dictionaries(
+        {"model": st.just(model),
+         "shorten": SHORTEN_SECTIONS[model.get("dim", 2)], "ell": positive},
+        optional=common)),
 )
 
 
@@ -91,6 +172,53 @@ def assert_round_trip(cfg):
 @given(scenarios)
 def test_parse_serialize_parse_is_identity(raw):
     assert_round_trip(scenario_from_dict(raw))
+
+
+@st.composite
+def invalid_simulations(draw):
+    """A valid simulation whose tractor section is then broken one way:
+    an unknown kind, a field no kind reads, a field of no valid type, a
+    required field left out, t1 not past t0, or a point of one coordinate
+    too many."""
+    raw = draw(simulations)
+    tr = raw["tractor"]
+    kind = tr["kind"]
+    ways = ["kind", "unread"]
+    given = sorted(key for key in tr if key != "kind")
+    if given:
+        ways.append("type")
+    if REQUIRED[kind]:
+        ways.append("missing")
+    if kind in SPAN_KINDS:
+        ways.append("span")
+    if kind in ("line", "chart_line", "circle", "chart_circle", "polyline"):
+        ways.append("dim")
+    way = draw(st.sampled_from(ways))
+    if way == "kind":
+        tr["kind"] = "spiral"
+    elif way == "unread":
+        tr["colour"] = "red"
+    elif way == "type":
+        tr[draw(st.sampled_from(given))] = draw(
+            st.sampled_from([None, "1.0", [], {}]))
+    elif way == "missing":
+        del tr[draw(st.sampled_from(REQUIRED[kind]))]
+    elif way == "span":
+        tr["t0"] = draw(finite)
+        tr["t1"] = draw(st.floats(max_value=tr["t0"]))
+    else:
+        key = "points" if kind == "polyline" else (
+            "start" if "start" in tr else "center")
+        point = tr[key][0] if kind == "polyline" else tr[key]
+        point.append(0.0)
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(invalid_simulations())
+def test_a_broken_tractor_is_refused_at_load(raw):
+    with pytest.raises(ConfigError, match=r"^tractor"):
+        scenario_from_dict(raw)
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -113,3 +241,100 @@ def test_cusp_speed_eps_outside_the_unit_interval_names_file_and_field(
         load_scenario(str(path))
     assert str(info.value) == (f"{path}: sim.cusp_speed_eps: must lie in "
                                f"(0, 1)")
+
+
+def bundled_raw(name):
+    with open(os.path.join(bundled_dir(), f"{name}.yaml")) as fh:
+        return yaml.safe_load(fh)
+
+
+def typed_numbers(node, path=()):
+    """The key paths of the numbers under tractor, gamma0 and model.chart
+    in a loaded config, bools aside."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from typed_numbers(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from typed_numbers(value, (*path, i))
+    elif (isinstance(node, (int, float)) and not isinstance(node, bool)
+          and (path[0] in ("tractor", "gamma0")
+               or path[:2] == ("model", "chart"))):
+        yield path
+
+
+def field_path(path):
+    """('tractor', 'start', 0) as 'tractor.start[0]'."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+def load_raw(tmp_path, raw):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return load_scenario(str(config))
+
+
+@pytest.mark.parametrize("name", [name for name in bundled_names()
+                                  if "tractor" in bundled_raw(name)])
+def test_a_quoted_or_boolean_number_is_refused_at_load(tmp_path, name):
+    # each number under tractor, gamma0 and model.chart, given as its
+    # quoted text or as true, is refused by name before a model is built
+    raw = bundled_raw(name)
+    paths = list(typed_numbers(raw))
+    assert paths
+    for path in paths:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        for bad in (str(node[path[-1]]), True):
+            mutated = copy.deepcopy(raw)
+            target = mutated
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = bad
+            with pytest.raises(ConfigError) as info:
+                load_raw(tmp_path, mutated)
+            assert f": {field_path(path)}: " in str(info.value)
+
+
+@pytest.mark.parametrize("tractor, message", [
+    ({"kind": "polyline", "points": [[0.0, 0.0], [1.0, 0.0]],
+      "file": "eta.txt"}, "tractor: give exactly one of 'points' or 'file'"),
+    ({"kind": "polyline", "file": 3}, "tractor.file: no such file 3"),
+    ({"kind": "circle", "center": [0.0, 0.0], "radius": 1.0,
+      "t1": math.tau, "closed": "false"},
+     "tractor.closed: expected true or false, got 'false'"),
+    ({"kind": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0],
+      "geodesic": 0.3}, "tractor.geodesic: expected true or false, got 0.3"),
+    ({"kind": "tractrix_of", "ell": 0.5,
+      "curve": {"kind": "polyline", "file": "eta.txt"}},
+     "tractor.curve.file: not read by kind 'polyline'"),
+], ids=["points-and-file", "file-not-a-name", "quoted-closed",
+        "numeric-geodesic", "nested-file"])
+def test_a_bad_tractor_is_refused_at_load_by_field(tmp_path, tractor,
+                                                   message):
+    (tmp_path / "eta.txt").write_text("0 0\n1 0\n")
+    raw = {"model": {"kind": "spaceform", "K": 0.0}, "tractor": tractor,
+           "gamma0": [0.0, 1.0], "ell": 0.5}
+    with pytest.raises(ConfigError) as info:
+        load_raw(tmp_path, raw)
+    assert str(info.value) == f"{tmp_path / 'scenario.yaml'}: {message}"
+
+
+@pytest.mark.parametrize("name, keys, message", [
+    ("sphere_pull", ("gamma0", "side"), "gamma0.side: must be 1 or -1"),
+    ("ellipsoid_equator", ("model", "chart", "c"),
+     "model.chart.c: expected a number, got True (chart 'ellipsoid')"),
+], ids=["gamma0.side", "model.chart"])
+def test_true_for_an_integer_or_chart_parameter_is_refused_at_load(
+        tmp_path, name, keys, message):
+    # True == 1 once passed the side check, and a chart read it as 1.0
+    raw = bundled_raw(name)
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = True
+    with pytest.raises(ConfigError) as info:
+        load_raw(tmp_path, raw)
+    assert str(info.value) == f"{tmp_path / 'scenario.yaml'}: {message}"

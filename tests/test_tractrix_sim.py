@@ -577,6 +577,15 @@ def test_long_pole_cusp_when_pole_reaches_antipodal_band(long_pole_pull):
     assert flips[0].s == pytest.approx(1.7944251295201716, abs=0.01)
 
 
+def test_sphere_longpole_cusp_sits_at_the_closed_form_arclength():
+    # the cusp's s is read at its interpolated t: the stall window's last
+    # record, which it used to take, is 1.0e-3 past the closed-form cusp
+    _, tr, _ = bundled_run("sphere_longpole")
+    s_hi = solve_from_d0(1.0, 3.0 * math.pi / 4.0, 0.5).s_hi
+    assert len(tr.cusps) == 1
+    assert abs(tr.cusps[0].s - s_hi) < 1e-6
+
+
 def test_long_pole_duality_with_antipodal_push(long_pole_pull):
     pull, g0 = long_pole_pull
     eq = equator(6.0)
