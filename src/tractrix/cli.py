@@ -81,11 +81,7 @@ def _exit_code(exc):
 def _simulate(cfg):
     """Trace of a simulation scenario."""
     model = model_from_config(cfg.model)
-    tractor_spec = dict(cfg.tractor)
-    if "file" in tractor_spec:  # a polyline's
-        pts = cfg.resolve_polyline({"file": tractor_spec.pop("file")})
-        tractor_spec["points"] = pts.tolist()
-    tractor = tractor_from_config(model, tractor_spec)
+    tractor = tractor_from_config(model, cfg.tractor)
     if isinstance(cfg.gamma0, dict):
         gamma0, _ = orthogonal_attachment(
             model, tractor, cfg.ell, cfg.gamma0["d0"],
@@ -102,20 +98,17 @@ def _shorten(cfg):
     if "steps_per_round" in spec:
         kw["steps_per_round"] = spec["steps_per_round"]
     if spec["mode"] == "self":
-        return self_repeated(model, np.asarray(spec["P"], dtype=float),
-                             np.asarray(spec["Q"], dtype=float),
-                             cfg.resolve_polyline(spec["initial"]),
-                             cfg.ell, pole_step=cfg.sim["pole_step"], **kw)
-    return loop_repeated(model, cfg.resolve_polyline(spec["loop"]),
-                         cfg.ell, **kw)
+        return self_repeated(model, spec["P"], spec["Q"],
+                             spec["initial"]["points"], cfg.ell,
+                             pole_step=cfg.sim["pole_step"], **kw)
+    return loop_repeated(model, spec["loop"]["points"], cfg.ell, **kw)
 
 
 def _report(cfg, trace, sweep):
-    """Comparison checks of a simulation; Rauch alone without a section."""
-    comp = cfg.comparison or {"checks": ["rauch"]}
-    bounds = certify_bounds(trace, widen=comp.get("widen", 1e-3))
+    """The comparison checks of a simulation."""
+    bounds = certify_bounds(trace, widen=cfg.comparison["widen"])
     reports = []
-    for check in comp["checks"]:
+    for check in cfg.comparison["checks"]:
         if check == "rauch":
             reports.append(rauch_length_area_check(trace, sweep, bounds))
         elif check == "toponogov":

@@ -6,24 +6,34 @@ section). Validation reports the offending field path so configs can be
 fixed without reading tracebacks; parse -> serialize -> parse is the
 identity on the normalized mapping.
 
-`_TRACTOR_FIELDS` is the one place that lists what each tractor kind
-reads, of which type and with which default. `normalize_tractor` checks a
-tractor section against it at load, and `tractrix_sim.tractor_from_config`
-runs the same pass before it builds the curve.
+This module is the one place that checks a scenario field: one pass per
+section, against a table of what each kind reads, of which type and with
+which default where there is one (`_TRACTOR_FIELDS`, `_SIM_FIELDS`). A key
+that a kind never reads is refused, and a polyline `file` is read into its
+`points`. The objects built from a scenario run the same passes, so a
+fault gives one message there and at load.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError
 from .manifold import POLE_STEP
 
 _CHECKS = ("rauch", "toponogov", "le")
-_SIM_KEYS = ("dt", "pole_step", "cusp_speed_eps", "max_records")
+# The sim section: field -> (type, default, the kinds that read it). A
+# shortening reads its mode's: 'self' the pole_step of its shots, 'loop'
+# none, because its shots take POLE_STEP.
+_SIM_FIELDS = {
+    "dt": ("positive", 0.01, ("simulate",)),
+    "pole_step": ("positive", POLE_STEP, ("simulate", "self")),
+    "cusp_speed_eps": ("fraction", 0.05, ("simulate",)),
+    "max_records": ("cap", 200_000, ("simulate",)),
+}
 _TOP_KEYS = ("name", "model", "tractor", "gamma0", "ell", "sim",
              "comparison", "shorten", "out")
 
@@ -33,7 +43,7 @@ def _fail(path, message):
 
 
 def _as_float(value, path, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(path, f"expected a number, got {value!r}" + _float_hint(value))
     out = float(value)
     if not math.isfinite(out):
@@ -67,7 +77,7 @@ def _float_hint(value):
 
 
 def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be at least {minimum}")
@@ -89,7 +99,8 @@ def _check_keys(section, allowed, path, why="unknown field"):
             _fail(f"{path}.{key}", why)
 
 
-def _normalize_model(raw):
+def normalize_model(raw):
+    """The model mapping `raw`, checked, with its defaults filled in."""
     if not isinstance(raw, dict) or "kind" not in raw:
         _fail("model", "expected a mapping with a 'kind' field")
     kind = raw["kind"]
@@ -128,22 +139,49 @@ def _normalize_model(raw):
     _fail("model.kind", f"unknown kind {kind!r}")
 
 
+def _read_polyline(name, path, base_dir):
+    """(label, point) of each line of the polyline file `name`: coordinates
+    split by commas or blanks; blank lines, '#' comments and text lines
+    before the first point are skipped."""
+    full = os.path.join(base_dir, name) if isinstance(name, str) else ""
+    if not os.path.isfile(full):
+        _fail(path, f"no such file {name!r}")
+    rows = []
+    with open(full, errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = [float(c) for c in line.replace(",", " ").split()]
+            except ValueError:
+                if rows:
+                    _fail(path, f"{name}: non-numeric row {line!r}")
+                continue
+            if rows and len(row) != len(rows[0][1]):
+                _fail(path, f"{name}: line {lineno} has {len(row)} coordinates"
+                            f", the first point has {len(rows[0][1])}")
+            rows.append((f"{path}: {name}: line {lineno}", row))
+    return rows
+
+
 def _normalize_polyline(raw, path, base_dir, dim):
+    """{'points': ...} of a polyline of 'points' or, under `base_dir`, of a
+    'file' of them, each point checked at dimension `dim`."""
     if not isinstance(raw, dict):
         _fail(path, "expected a mapping with 'points' or 'file'")
     if ("points" in raw) == ("file" in raw):
         _fail(path, "give exactly one of 'points' or 'file'")
     if "file" in raw:
-        name = raw["file"]
-        if not (isinstance(name, str)
-                and os.path.isfile(os.path.join(base_dir, name))):
-            _fail(f"{path}.file", f"no such file {name!r}")
-        return {"file": name}
-    pts = raw["points"]
-    if not isinstance(pts, (list, tuple)) or len(pts) < 2:
-        _fail(f"{path}.points", "expected at least two points")
-    return {"points": [_as_point(p, f"{path}.points[{i}]", dim)
-                       for i, p in enumerate(pts)]}
+        where = f"{path}.file"
+        rows = _read_polyline(raw["file"], where, base_dir)
+    else:
+        where, pts = f"{path}.points", raw["points"]
+        rows = ([(f"{where}[{i}]", p) for i, p in enumerate(pts)]
+                if isinstance(pts, (list, tuple)) else ())
+    if len(rows) < 2:
+        _fail(where, "expected at least two points")
+    return {"points": [_as_point(p, label, dim) for label, p in rows]}
 
 
 _REQUIRED = object()
@@ -177,8 +215,11 @@ _TRACTOR_FIELDS = {
 }
 
 
-def _tractor_field(type_, value, path, dim):
-    """The value of a tractor field of the type `type_`, checked and typed."""
+def _field(type_, value, path, dim=None):
+    """The value of a tractor or sim field of the type `type_`, checked and
+    typed."""
+    if type_ == "cap":
+        return _as_int(value, path, minimum=2)
     if type_ == "flag":
         if not isinstance(value, bool):
             _fail(path, f"expected true or false, got {value!r}")
@@ -199,6 +240,8 @@ def _tractor_field(type_, value, path, dim):
         _fail(path, f"expected +1 or -1, got {out!r}")
     elif type_ == "whole" and not out.is_integer():
         _fail(path, f"expected a whole number, got {value!r}")
+    elif type_ == "fraction" and not 0.0 < out < 1.0:
+        _fail(path, "must lie in (0, 1)")
     return int(out) if type_ == "whole" else out
 
 
@@ -206,7 +249,7 @@ def normalize_tractor(raw, dim, base_dir=None, path="tractor"):
     """The tractor mapping `raw` for a model of dimension `dim`, each field
     its kind reads typed, and filled in with its default where it is not
     given (`_TRACTOR_FIELDS`). Idempotent on its own output. A polyline may
-    give a 'file' only where `base_dir` is given."""
+    give a 'file', read into its points, only where `base_dir` is given."""
     if not isinstance(raw, dict) or "kind" not in raw:
         _fail(path, "expected a mapping with a 'kind' field")
     kind = raw["kind"]
@@ -223,7 +266,7 @@ def normalize_tractor(raw, dim, base_dir=None, path="tractor"):
         if type_ == "polyline":
             out.update(_normalize_polyline(raw, path, base_dir, dim))
         elif key in raw:
-            out[key] = _tractor_field(type_, raw[key], f"{path}.{key}", dim)
+            out[key] = _field(type_, raw[key], f"{path}.{key}", dim)
         elif default is _REQUIRED:
             _fail(f"{path}.{key}", f"required for kind {kind!r}")
         else:
@@ -235,24 +278,37 @@ def normalize_tractor(raw, dim, base_dir=None, path="tractor"):
     return out
 
 
-def _normalize_gamma0(raw, path, dim):
-    if isinstance(raw, (list, tuple)):
-        return _as_point(raw, path, dim)
-    if isinstance(raw, dict):
-        _check_keys(raw, ("d0", "side", "mode"), path)
-        out = {"d0": _as_float(raw.get("d0", 0.0), f"{path}.d0")}
-        if out["d0"] < 0:
-            _fail(f"{path}.d0", "must be nonnegative")
-        side = raw.get("side", 1)
-        if isinstance(side, bool) or side not in (1, -1):
-            _fail(f"{path}.side", "must be 1 or -1")
-        out["side"] = side
-        mode = raw.get("mode", "behind")
-        if mode not in ("behind", "ahead"):
-            _fail(f"{path}.mode", "must be 'behind' or 'ahead'")
-        out["mode"] = mode
-        return out
-    _fail(path, "expected a point or an attachment mapping")
+def normalize_attachment(raw, ell, path="gamma0"):
+    """The attachment mapping `raw` of a pole of length `ell`, checked and
+    filled in with its defaults: an offset 0 <= d0 < ell (0), a side +1 or
+    -1 (+1) and a mode 'behind' or 'ahead' ('behind')."""
+    _check_keys(raw, ("d0", "side", "mode"), path)
+    d0 = _as_float(raw.get("d0", 0.0), f"{path}.d0")
+    if d0 < 0:
+        _fail(f"{path}.d0", "must be nonnegative")
+    if d0 >= ell:
+        _fail(f"{path}.d0", "must stay below ell for an attachment")
+    side = raw.get("side", 1)
+    if isinstance(side, bool) or side not in (1, -1):
+        _fail(f"{path}.side", "must be 1 or -1")
+    mode = raw.get("mode", "behind")
+    if mode not in ("behind", "ahead"):
+        _fail(f"{path}.mode", "must be 'behind' or 'ahead'")
+    return {"d0": d0, "side": side, "mode": mode}
+
+
+def normalize_sim(raw, reader="simulate"):
+    """The sim mapping `raw` of a `reader`, 'simulate' or the shorten mode
+    'self' or 'loop': each field it reads checked and typed, or given its
+    default, and any other field refused (`_SIM_FIELDS`)."""
+    if not isinstance(raw, dict):
+        _fail("sim", "expected a mapping")
+    _check_keys(raw, _SIM_FIELDS, "sim")
+    read = {key: field for key, field in _SIM_FIELDS.items()
+            if reader in field[2]}
+    _check_keys(raw, read, "sim", f"not read by shorten mode {reader!r}")
+    return {key: _field(type_, raw.get(key, default), f"sim.{key}")
+            for key, (type_, default, _) in read.items()}
 
 
 def _normalize_shorten(raw, base_dir, dim):
@@ -270,9 +326,10 @@ def _normalize_shorten(raw, base_dir, dim):
         out["steps_per_round"] = _as_int(raw["steps_per_round"],
                                          "shorten.steps_per_round",
                                          minimum=8)
+    unread = f"not read by shorten mode {mode!r}"
     if mode == "self":
         _check_keys(raw, ("mode", "tol", "max_iter", "steps_per_round",
-                          "P", "Q", "initial"), "shorten")
+                          "P", "Q", "initial"), "shorten", unread)
         for key in ("P", "Q", "initial"):
             if key not in raw:
                 _fail(f"shorten.{key}", "required for mode 'self'")
@@ -282,7 +339,7 @@ def _normalize_shorten(raw, base_dir, dim):
                                              "shorten.initial", base_dir, dim)
     else:
         _check_keys(raw, ("mode", "tol", "max_iter", "steps_per_round",
-                          "loop"), "shorten")
+                          "loop"), "shorten", unread)
         if "loop" not in raw:
             _fail("shorten.loop", "required for mode 'loop'")
         out["loop"] = _normalize_polyline(raw["loop"], "shorten.loop",
@@ -297,7 +354,7 @@ def _normalize(raw, name, base_dir):
     out = {"name": str(raw.get("name", name))}
     if "model" not in raw:
         _fail("model", "required")
-    out["model"] = _normalize_model(raw["model"])
+    out["model"] = normalize_model(raw["model"])
     if "ell" not in raw:
         _fail("ell", "required")
     out["ell"] = _as_float(raw["ell"], "ell", positive=True)
@@ -313,32 +370,24 @@ def _normalize(raw, name, base_dir):
         out["tractor"] = normalize_tractor(raw["tractor"], dim, base_dir)
         if "gamma0" not in raw:
             _fail("gamma0", "required for simulation scenarios")
-        out["gamma0"] = _normalize_gamma0(raw["gamma0"], "gamma0", dim)
-        if isinstance(out["gamma0"], dict) and out["gamma0"]["d0"] >= out["ell"]:
-            _fail("gamma0.d0", "must stay below ell for an attachment")
+        gamma0 = raw["gamma0"]
+        if isinstance(gamma0, (list, tuple)):
+            out["gamma0"] = _as_point(gamma0, "gamma0", dim)
+        elif isinstance(gamma0, dict):
+            out["gamma0"] = normalize_attachment(gamma0, out["ell"])
+        else:
+            _fail("gamma0", "expected a point or an attachment mapping")
+        reader = "simulate"
     else:
+        for key in ("gamma0", "comparison"):
+            if key in raw:
+                _fail(key, "not read by a shortening scenario")
         out["shorten"] = _normalize_shorten(raw["shorten"], base_dir, dim)
+        reader = out["shorten"]["mode"]
+    out["sim"] = normalize_sim(raw.get("sim", {}), reader)
 
-    sim = raw.get("sim", {})
-    if not isinstance(sim, dict):
-        _fail("sim", "expected a mapping")
-    _check_keys(sim, _SIM_KEYS, "sim")
-    out["sim"] = {
-        "dt": _as_float(sim.get("dt", 0.01), "sim.dt", positive=True),
-        "pole_step": _as_float(sim.get("pole_step", POLE_STEP),
-                               "sim.pole_step", positive=True),
-    }
-    if "cusp_speed_eps" in sim:
-        eps = _as_float(sim["cusp_speed_eps"], "sim.cusp_speed_eps")
-        if not 0.0 < eps < 1.0:
-            _fail("sim.cusp_speed_eps", "must lie in (0, 1)")
-        out["sim"]["cusp_speed_eps"] = eps
-    if "max_records" in sim:
-        out["sim"]["max_records"] = _as_int(sim["max_records"],
-                                            "sim.max_records", minimum=2)
-
-    if raw.get("comparison") is not None:
-        comp = raw["comparison"]
+    if has_tractor:
+        comp = {} if raw.get("comparison") is None else raw["comparison"]
         if not isinstance(comp, dict):
             _fail("comparison", "expected a mapping")
         _check_keys(comp, ("widen", "checks"), "comparison")
@@ -348,10 +397,8 @@ def _normalize(raw, name, base_dir):
         for c in checks:
             if c not in _CHECKS:
                 _fail("comparison.checks", f"unknown check {c!r}")
-        out["comparison"] = {"checks": list(checks)}
-        if "widen" in comp:
-            out["comparison"]["widen"] = _as_float(
-                comp["widen"], "comparison.widen", positive=True)
+        out["comparison"] = {"checks": list(checks), "widen": _as_float(
+            comp.get("widen", 1e-3), "comparison.widen", positive=True)}
 
     if raw.get("out") is not None:
         if not isinstance(raw["out"], str):
@@ -412,37 +459,6 @@ class ScenarioConfig:
     def to_yaml(self):
         return yaml.safe_dump(self.data, sort_keys=False,
                               default_flow_style=None)
-
-    def resolve_polyline(self, section):
-        """Points array for a {'points': ...} or {'file': ...} mapping."""
-        if "points" in section:
-            return np.asarray(section["points"], dtype=float)
-        path = os.path.join(self.base_dir, section["file"])
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.replace(",", " ").split()
-                try:
-                    row = [float(c) for c in cells]
-                except ValueError:
-                    if rows:
-                        raise ConfigError(
-                            f"{path}: non-numeric row {line!r}")
-                    continue
-                if rows and len(row) != len(rows[0]):
-                    raise ConfigError(
-                        f"{path}: line {lineno} has {len(row)} coordinates, "
-                        f"the first point has {len(rows[0])}")
-                rows.append(row)
-        if len(rows) < 2:
-            raise ConfigError(f"{path}: expected at least two points")
-        pts = np.asarray(rows, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise ConfigError(f"{path}: non-finite coordinate")
-        return pts
 
 
 def scenario_from_dict(raw, name="scenario", base_dir="."):

@@ -165,17 +165,18 @@ def _jacobi_pair(K, u):
     return np.ones_like(u), u.copy()
 
 
-def _asn(K, y):
-    """The inverse of sn (`_jacobi_pair`) on its first rising branch, on
-    floats or arrays: arcsin(k y) / k, its argument clamped at sn's first
-    maximum 1 / k, for K > 0, arcsinh(k y) / k for K < 0, y for K = 0."""
+def _asn(K, sn, cn):
+    """The inverse of the pair (`_jacobi_pair`): the u >= 0, below pi / k
+    for K > 0, at which it is (cn, sn), on floats or arrays. arctan2(k sn,
+    cn) / k for K > 0, which keeps its digits next to sn's maximum,
+    arcsinh(k sn) / k for K < 0, sn for K = 0."""
     if K > 0:
         k = math.sqrt(K)
-        return np.arcsin(np.minimum(k * y, 1.0)) / k
+        return np.arctan2(k * sn, cn) / k
     if K < 0:
         k = math.sqrt(-K)
-        return np.arcsinh(k * y) / k
-    return y
+        return np.arcsinh(k * sn) / k
+    return sn
 
 
 def shot_steps(length, pole_step):
@@ -674,8 +675,9 @@ class FlatModel(SpaceFormModel):
         return d / np.where(L < 1e-300, np.nan, L)[:, None], L
 
     def distance_rows(self, a, b):
-        d = b - a
-        return np.sqrt(np.vecdot(d, d))
+        with np.errstate(over="ignore"):  # past 1e154 the distance is inf
+            d = b - a
+            return np.sqrt(np.vecdot(d, d))
 
     def generator_rows(self, points, velocities, ell):
         """(a, b, c), complex arrays: the generator A = [[a, b], [c, -a]] of
@@ -1295,24 +1297,16 @@ def surface_model(chart):
 
 
 def model_from_config(spec):
-    """Build a model from a config mapping."""
-    from .charts import chart_from_config
+    """Build a model from a config mapping, after the pass a scenario's
+    model takes at load (`config.normalize_model`)."""
+    from .config import normalize_model
 
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("model spec needs a 'kind' field")
-    kind = spec["kind"]
-    if kind == "spaceform":
-        periods = spec.get("periods")
-        if periods is not None:
-            periods = tuple(periods)
-        return space_form(float(spec.get("K", 0.0)),
-                          dim=int(spec.get("dim", 2)),
-                          periods=periods)
-    if kind == "surface":
-        if "chart" not in spec:
-            raise ConfigError("surface model spec needs a 'chart' section")
-        return surface_model(chart_from_config(spec["chart"]))
-    raise ConfigError(f"unknown model kind {kind!r}")
+    spec = normalize_model(spec)
+    if spec["kind"] == "surface":
+        return surface_model(spec["chart"])
+    periods = spec.get("periods")
+    return space_form(spec["K"], dim=spec["dim"],
+                      periods=None if periods is None else tuple(periods))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 For a geodesic tractor with pole length ell on the space form of curvature
 K, the orthogonal distance d(s) and the tractrix geodesic curvature
 kappa(s) have explicit exponential profiles. Every one is written once,
-for every K, in the generalized cosine and sine cn, sn of K and the
-inverse asn of sn (`manifold._jacobi_pair`, `manifold._asn`). The rate
+for every K, in the generalized cosine and sine cn, sn of K and their
+inverse asn (`manifold._jacobi_pair`, `manifold._asn`). The rate
 is E = cn(ell) / sn(ell) and the leading exponent of every decaying
 quantity is -E. With C = sn(d0) / sn(ell) and x(s) = C e^(-E s),
 
@@ -96,8 +96,8 @@ def _kappa(sn_ell, x):
 def _cusp_distance(K, ell, cn):
     """The d of the cusp, where sn(d) = sn(ell) on sn's rising branch:
     ell, or on a long pole (cn(ell) < 0) its mirror image in sn's first
-    maximum, at asn of anything past it."""
-    return 2.0 * float(_asn(K, math.inf)) - ell if cn < 0 else ell
+    maximum, where cn = 0."""
+    return 2.0 * float(_asn(K, 1.0, 0.0)) - ell if cn < 0 else ell
 
 
 def leading_exponent(K, ell):
@@ -171,9 +171,15 @@ def _profile_x(sol, s):
 
 
 def dist_at(sol, s):
-    """Orthogonal tractor distance d(s) of the closed-form solution."""
+    """Orthogonal tractor distance d(s) of the closed-form solution, read
+    off sn(d) = sn(ell) x and cn(d) = sqrt(cn(ell)^2 x^2 + (1 - x)(1 + x))
+    (a hypot), so that it keeps its digits at the cusp x = 1 of a
+    near-parallel long pole, next to sn's maximum."""
     x, scalar = _profile_x(sol, s)
-    out = _asn(sol.K, _jacobi_pair(sol.K, sol.ell)[1] * x)
+    x = np.minimum(x, 1.0)
+    cn, sn = _jacobi_pair(sol.K, sol.ell)
+    out = _asn(sol.K, sn * x,
+               np.hypot(cn * x, np.sqrt((1.0 - x) * (1.0 + x))))
     return float(out[0]) if scalar else out
 
 

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import normalize_tractor
+from .config import (_SIM_FIELDS, _as_float, normalize_attachment,
+                     normalize_sim, normalize_tractor)
 from .errors import (
     ConfigError,
     NoConvergenceError,
@@ -113,7 +113,7 @@ class TractorCurve:
     def __post_init__(self):
         if self.closed:
             ends = self.rows(np.array([self.t1, self.t0]))[0]
-            gap = np.linalg.norm(ends[0] - ends[1])
+            gap = math.hypot(*(ends[0] - ends[1]))  # overflows no square
             if gap > 1e-8:
                 raise NotClosedError(
                     f"closed tractor has endpoint gap {gap:.3e}")
@@ -189,26 +189,16 @@ class SimParams:
     O(pole_step^4) error sets the outputs' error, and the foot solve and
     the shortening rounds shoot alike, while the inputs' shots take
     _INPUT_STEP); cusp_speed_eps, the speed below which a record stalls;
-    max_records, an integer cap or inf."""
+    max_records, an integer cap. Defaults and checks are a config's sim
+    section's (`config._SIM_FIELDS`), with the same ConfigError."""
 
-    dt: float = 0.01
-    pole_step: float = POLE_STEP
-    cusp_speed_eps: float = 0.05
-    max_records: int = 200_000
+    dt: float = _SIM_FIELDS["dt"][1]
+    pole_step: float = _SIM_FIELDS["pole_step"][1]
+    cusp_speed_eps: float = _SIM_FIELDS["cusp_speed_eps"][1]
+    max_records: int = _SIM_FIELDS["max_records"][1]
 
     def __post_init__(self):
-        for name in ("dt", "pole_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite positive "
-                                  f"number, got {value!r}")
-        if not 0 < self.cusp_speed_eps < 1:
-            raise ConfigError("cusp_speed_eps must lie in (0, 1)")
-        cap = self.max_records
-        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral)
-                                         or cap == math.inf) or cap < 2:
-            raise ConfigError(f"max_records must be an integer of at least "
-                              f"2, or inf, got {cap!r}")
+        normalize_sim(vars(self))
 
 
 @dataclass(frozen=True)
@@ -290,10 +280,9 @@ class Schedule(NamedTuple):
 
 
 def _require_pole(model, ell):
-    """Reject a pole length the propagation cannot use."""
-    if not (math.isfinite(ell) and ell > 0):
-        raise ConfigError(f"pole length ell must be a finite positive "
-                          f"number, got {ell!r}")
+    """Reject a pole length the propagation cannot use: one that a config
+    refuses, or one that reaches the model's conjugate scale."""
+    _as_float(ell, "ell", positive=True)
     if model.conjugate_scale is not None and ell >= model.conjugate_scale:
         raise ConfigError(f"pole length ell = {ell!r} reaches the conjugate "
                           f"scale {model.conjugate_scale!r}")
@@ -1032,12 +1021,7 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     NoConvergenceError.
     """
     _require_pole(model, ell)
-    if not 0.0 <= d0 < ell:
-        raise ConfigError("need 0 <= d0 < ell for an orthogonal attachment")
-    if mode not in ("behind", "ahead"):
-        raise ConfigError("mode must be 'behind' or 'ahead'")
-    if side not in (1, -1):
-        raise ConfigError(f"side must be +1 or -1, got {side!r}")
+    normalize_attachment({"d0": d0, "side": side, "mode": mode}, ell)
     t0 = tractor.t0
     eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
     ahead = 1.0 if mode == "ahead" else -1.0
@@ -1090,9 +1074,10 @@ _MODEL_NEEDS = {
 def tractor_from_config(model, spec):
     """Build a TractorCurve from a scenario's tractor mapping.
 
-    `config.normalize_tractor` validates the mapping first, as at load (a
-    no-op on its own output). Left here are the checks that need the model
-    object: `_MODEL_NEEDS`, and a closed circle's whole number of turns."""
+    `config.normalize_tractor`, the tractor's pass at load, checks every
+    field first (a no-op on its own output); this function then only
+    builds, with the checks that need the model object: `_MODEL_NEEDS`,
+    and a closed circle's whole number of turns."""
     spec = normalize_tractor(spec, model.dim)
     kind = spec["kind"]
     if kind == "polyline":

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from tractrix import cli
 from tractrix.comparison import Check, ComparisonReport
-from tractrix.config import bundled_dir, bundled_names
+from tractrix.config import bundled_dir, bundled_names, load_scenario
+from tractrix.errors import ConfigError
 
 FLAT_GEODESIC = os.path.join(bundled_dir(), "flat_geodesic.yaml")
 SHORTEN_SPHERE = os.path.join(bundled_dir(), "shorten_sphere.yaml")
@@ -214,6 +215,124 @@ def test_ragged_shorten_points_exit_one(tmp_path, capsys, mode, field):
     assert capsys.readouterr().err == (
         f"error: {config}: shorten.{field}.points[1]: expected 2 "
         f"coordinates, got 3\n")
+
+
+SELF = "not read by shorten mode 'self'"
+LOOP = "not read by shorten mode 'loop'"
+# (bundled shortening, section, its value, the field refused and why)
+UNREAD = [
+    ("shorten_flat", "sim", {"dt": 0.9}, "sim.dt", SELF),
+    ("shorten_flat", "sim", {"cusp_speed_eps": 0.9}, "sim.cusp_speed_eps",
+     SELF),
+    ("shorten_flat", "sim", {"max_records": 2}, "sim.max_records", SELF),
+    ("shorten_torus", "sim", {"pole_step": 0.001}, "sim.pole_step", LOOP),
+    ("shorten_torus", "sim", {"dt": 0.9}, "sim.dt", LOOP),
+    ("shorten_torus", "comparison", {"checks": ["toponogov"], "widen": 5.0},
+     "comparison", "not read by a shortening scenario"),
+    ("shorten_flat", "gamma0", {"d0": 0.5}, "gamma0",
+     "not read by a shortening scenario"),
+]
+
+
+@pytest.mark.parametrize("name, section, value, field, reason", UNREAD,
+                         ids=[f"{n}-{f}" for n, _, _, f, _ in UNREAD])
+def test_a_key_a_shortening_never_reads_exits_one(tmp_path, capsys, name,
+                                                  section, value, field,
+                                                  reason):
+    # each of these used to load, and the run's outputs were the bundled
+    # run's
+    raw = bundled(name)
+    raw[section] = value
+    config = write_config(tmp_path, raw)
+    assert cli.main(["shorten", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {field}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_self_shortening_reads_its_pole_step(tmp_path, monkeypatch):
+    raw = bundled("shorten_flat")
+    raw["sim"] = {"pole_step": 0.125}
+    cfg = load_scenario(write_config(tmp_path, raw))
+    assert cfg.sim == {"pole_step": 0.125}
+    monkeypatch.setattr(cli, "self_repeated", lambda *args, **kw: kw)
+    assert cli._shorten(cfg)["pole_step"] == 0.125
+
+
+@pytest.mark.parametrize("section", ["tractor", "shorten.initial",
+                                     "shorten.loop"])
+def test_a_polyline_file_of_the_wrong_width_exits_one_at_load(
+        tmp_path, capsys, section):
+    # a file of 3-D points for a 2-D model passed the load and stopped
+    # the run with one of three messages, none naming the config
+    (tmp_path / "wide.txt").write_text("x y z\n0 0 0\n1 0 0\n2 1 0\n")
+    model = {"kind": "spaceform", "K": 0.0, "dim": 2}
+    curve = {"file": "wide.txt"}
+    if section == "tractor":
+        raw, command = flat_line(tractor={"kind": "polyline", **curve}), \
+            "simulate"
+    elif section == "shorten.initial":
+        raw = {"model": model, "ell": 1.0,
+               "shorten": {"mode": "self", "P": [0.0, 0.0], "Q": [2.0, 1.0],
+                           "initial": curve}}
+        command = "shorten"
+    else:
+        raw = {"model": model, "ell": 0.2,
+               "shorten": {"mode": "loop", "loop": curve}}
+        command = "shorten"
+    config = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError):
+        load_scenario(config)
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: {section}.file: wide.txt: line 2: expected 2 "
+        f"coordinates, got 3\n")
+
+
+def test_a_file_polyline_tractor_runs_as_its_points_inline(tmp_path):
+    points = [[0.0, 0.0], [1.0, 0.25], [2.0, 0.0], [3.0, 0.5]]
+    (tmp_path / "eta.txt").write_text(
+        "".join(f"{x!r}, {y!r}\n" for x, y in points))
+    for name, curve in (("inline", {"points": points}),
+                        ("file", {"file": "eta.txt"})):
+        config = write_config(tmp_path, flat_line(
+            tractor={"kind": "polyline", **curve}, gamma0=[0.0, 1.0]), name)
+        assert cli.main(["simulate", "--config", config,
+                         "--out", str(tmp_path / name)]) == 0
+    assert_same_files(tmp_path / "inline", tmp_path / "file")
+
+
+def test_circle3d_of_radius_1e170_is_not_closed(tmp_path, capsys):
+    # the end gap, 2.4e154, squared past a float in a norm, and with
+    # warnings as errors its overflow warning escaped main
+    raw = bundled("circle3d")
+    raw["tractor"]["radius"] = 1.0e170
+    config = write_config(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", "--config", config,
+                         "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: closed tractor has endpoint gap ")
+
+
+def test_circle3d_with_gamma0_at_1e160_is_a_pole_length_drift(tmp_path,
+                                                              capsys):
+    # the log map's distance squared past a float, and with warnings as
+    # errors its overflow warning escaped main
+    raw = bundled("circle3d")
+    raw["gamma0"][0] = 1.0e160
+    config = write_config(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", "--config", config,
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numeric error: initial attachment distance inf does not match "
+        "ell 0.5\n")
 
 
 @pytest.mark.parametrize("periods", [[1.0], [1.0, 1.0, 1.0]],

@@ -1,6 +1,8 @@
 import copy
 import math
 import os
+import re
+import tempfile
 
 import pytest
 import yaml
@@ -15,6 +17,13 @@ from tractrix.config import (
     scenario_from_dict,
 )
 from tractrix.errors import ConfigError
+from tractrix.manifold import space_form
+from tractrix.tractrix_sim import (
+    SimParams,
+    orthogonal_attachment,
+    polyline_tractor,
+    simulate,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -133,32 +142,41 @@ def shorten_sections(dim):
 
 SHORTEN_SECTIONS = {dim: shorten_sections(dim) for dim in (2, 3)}
 
-common = {
-    "name": st.text(max_size=12),
-    "sim": st.fixed_dictionaries(
-        {}, optional={"dt": positive, "pole_step": positive,
-                      "cusp_speed_eps": st.floats(1e-6, 0.999),
-                      "max_records": st.integers(2, 10**7)}),
-    "comparison": st.fixed_dictionaries(
-        {}, optional={"widen": positive,
-                      "checks": st.lists(st.sampled_from(
-                          ["rauch", "toponogov", "le"]), min_size=1)}),
-    "out": st.text(max_size=12),
-}
+SIM_FIELDS = {"dt": positive, "pole_step": positive,
+              "cusp_speed_eps": st.floats(1e-6, 0.999),
+              "max_records": st.integers(2, 10**7)}
+# the sim fields each scenario kind reads: a simulation all, a shortening
+# those of its mode
+SIM_READ = {"simulate": tuple(SIM_FIELDS), "self": ("pole_step",),
+            "loop": ()}
+
+
+def sims(reader):
+    return st.fixed_dictionaries(
+        {}, optional={key: SIM_FIELDS[key] for key in SIM_READ[reader]})
+
+
+common = {"name": st.text(max_size=12), "out": st.text(max_size=12)}
 
 simulations = models.flatmap(lambda model: st.fixed_dictionaries(
     {"model": st.just(model), "tractor": TRACTORS[model.get("dim", 2)],
      "gamma0": st.one_of(coords(model.get("dim", 2)), attachments),
      "ell": st.floats(1.0, 1e3)},
-    optional=common))
+    optional={**common, "sim": sims("simulate"),
+              "comparison": st.fixed_dictionaries(
+                  {}, optional={"widen": positive,
+                                "checks": st.lists(st.sampled_from(
+                                    ["rauch", "toponogov", "le"]),
+                                    min_size=1)})}))
 
-scenarios = st.one_of(
-    simulations,
-    models.flatmap(lambda model: st.fixed_dictionaries(
-        {"model": st.just(model),
-         "shorten": SHORTEN_SECTIONS[model.get("dim", 2)], "ell": positive},
-        optional=common)),
-)
+shortenings = models.flatmap(
+    lambda model: SHORTEN_SECTIONS[model.get("dim", 2)].flatmap(
+        lambda section: st.fixed_dictionaries(
+            {"model": st.just(model), "shorten": st.just(section),
+             "ell": positive},
+            optional={**common, "sim": sims(section["mode"])})))
+
+scenarios = st.one_of(simulations, shortenings)
 
 
 def assert_round_trip(cfg):
@@ -219,6 +237,103 @@ def invalid_simulations(draw):
 def test_a_broken_tractor_is_refused_at_load(raw):
     with pytest.raises(ConfigError, match=r"^tractor"):
         scenario_from_dict(raw)
+
+
+# values of no valid type for a number, an integer or a point
+BAD_TYPES = [None, "1.0", [], {}, True]
+# values of a valid type outside their bounds, by field
+OUT_OF_BOUNDS = {"dt": [0.0, -1.0], "pole_step": [0.0, -0.5],
+                 "cusp_speed_eps": [0.0, 1.0, 1.5], "max_records": [1, -3],
+                 "tol": [0.0, -1e-6], "max_iter": [0, -1],
+                 "steps_per_round": [7, 0], "side": [0, 2, -1.5],
+                 "mode": ["sideways"]}
+
+
+@st.composite
+def broken_sections(draw):
+    """A valid scenario whose sim, gamma0 or shorten section is then
+    broken one way: a key its kind does not read, a value of no valid
+    type, a value out of its bounds, or a polyline (the tractor or the
+    shorten curve) given as a file one coordinate too wide. Returns the
+    mapping, the field path its refusal must name and the file's text."""
+    raw = draw(st.one_of(simulations, shortenings))
+    dim = raw["model"].get("dim", 2)
+    reader = raw["shorten"]["mode"] if "shorten" in raw else "simulate"
+    section = draw(st.sampled_from(
+        ["sim", "shorten"] if "shorten" in raw else ["sim", "gamma0"]))
+    way = draw(st.sampled_from(["unread", "type", "bound", "file"]))
+    if way == "file":
+        rows = draw(st.lists(coords(dim + 1), min_size=2, max_size=4))
+        text = "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+        if reader == "simulate":
+            raw["tractor"] = {"kind": "polyline", "file": "wide.txt"}
+            return raw, "tractor.file", text
+        curve = "initial" if reader == "self" else "loop"
+        raw["shorten"][curve] = {"file": "wide.txt"}
+        return raw, f"shorten.{curve}.file", text
+    if section == "sim":
+        sim = raw.setdefault("sim", {})
+        read = SIM_READ[reader]
+        if way == "unread" or not read:
+            key = draw(st.sampled_from(
+                [k for k in (*SIM_FIELDS, "colour") if k not in read]))
+            sim[key] = 1
+        else:
+            key = draw(st.sampled_from(read))
+            sim[key] = draw(st.sampled_from(
+                BAD_TYPES if way == "type" else OUT_OF_BOUNDS[key]))
+        return raw, f"sim.{key}", None
+    if section == "gamma0":
+        if way == "type" and isinstance(raw["gamma0"], list):
+            i = draw(st.integers(0, dim - 1))
+            raw["gamma0"][i] = draw(st.sampled_from(BAD_TYPES))
+            return raw, f"gamma0[{i}]", None
+        att = raw["gamma0"] = (raw["gamma0"] if isinstance(raw["gamma0"], dict)
+                               else {})
+        if way == "unread":
+            att["colour"] = 1
+            return raw, "gamma0.colour", None
+        key = draw(st.sampled_from(["d0", "side", "mode"]))
+        if way == "type":
+            att[key] = draw(st.sampled_from(BAD_TYPES))
+        elif key == "d0":
+            att[key] = draw(st.sampled_from([-0.1, raw["ell"],
+                                             2.0 * raw["ell"]]))
+        else:
+            att[key] = draw(st.sampled_from(OUT_OF_BOUNDS[key]))
+        return raw, f"gamma0.{key}", None
+    shorten = raw["shorten"]
+    if way == "unread":
+        key = draw(st.sampled_from(
+            ["colour", "loop"] if reader == "self"
+            else ["colour", "P", "Q", "initial"]))
+        shorten[key] = 1
+    elif way == "type":
+        key = draw(st.sampled_from(
+            ["tol", "max_iter"] + (["P", "Q"] if reader == "self" else [])))
+        shorten[key] = draw(st.sampled_from(BAD_TYPES))
+    else:
+        key = draw(st.sampled_from(["tol", "max_iter", "steps_per_round",
+                                    "mode"]))
+        shorten[key] = draw(st.sampled_from(OUT_OF_BOUNDS[key]))
+    return raw, f"shorten.{key}", None
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_sections())
+def test_a_broken_section_is_refused_at_load(case):
+    raw, path, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            with open(os.path.join(tmp, "wide.txt"), "w") as fh:
+                fh.write(text)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(raw, base_dir=tmp)
+    assert re.match(rf"{re.escape(path)}[:\[]", str(info.value))
+    if text is not None:
+        dim = raw["model"].get("dim", 2)
+        assert (f"{path}: wide.txt: line 1: expected {dim} coordinates, "
+                f"got {dim + 1}") == str(info.value)
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -338,3 +453,60 @@ def test_true_for_an_integer_or_chart_parameter_is_refused_at_load(
     with pytest.raises(ConfigError) as info:
         load_raw(tmp_path, raw)
     assert str(info.value) == f"{tmp_path / 'scenario.yaml'}: {message}"
+
+
+# (section, field, value): a fault of the sim section, of ell or of the
+# attachment
+FAULTS = [
+    ("sim", "dt", 0.0), ("sim", "dt", math.nan), ("sim", "dt", "1e-3"),
+    ("sim", "pole_step", -0.5), ("sim", "cusp_speed_eps", 1.5),
+    ("sim", "cusp_speed_eps", 0.0), ("sim", "max_records", 1),
+    ("sim", "max_records", 2.5), ("sim", "max_records", True),
+    ("ell", None, math.nan), ("ell", None, 0.0), ("ell", None, "1e-3"),
+    ("ell", None, True),
+    ("gamma0", "d0", -0.1), ("gamma0", "d0", 1.0), ("gamma0", "d0", "0.5"),
+    ("gamma0", "side", 0), ("gamma0", "side", 0.5), ("gamma0", "side", True),
+    ("gamma0", "mode", "sideways"), ("gamma0", "mode", None),
+]
+
+
+def api_messages(section, field, value):
+    """The ConfigError texts of the API calls that take the fault."""
+    flat = space_form(0.0)
+    line = polyline_tractor([[0.0, 0.0], [4.0, 0.0]])
+    attachment = {"d0": 0.5, "side": 1, "mode": "behind"}
+    if section == "sim":
+        calls = [lambda: SimParams(**{field: value})]
+    elif section == "ell":
+        calls = [lambda: simulate(flat, line, [0.0, 1.0], value),
+                 lambda: orthogonal_attachment(flat, line, value, 0.5)]
+    else:
+        calls = [lambda: orthogonal_attachment(
+            flat, line, 1.0, **{**attachment, field: value})]
+    out = []
+    for call in calls:
+        with pytest.raises(ConfigError) as info:
+            call()
+        out.append(str(info.value))
+    return out
+
+
+@pytest.mark.parametrize("section, field, value", FAULTS,
+                         ids=[f"{s}.{f}={v!r}" if f else f"{s}={v!r}"
+                              for s, f, v in FAULTS])
+def test_a_fault_gives_one_message_at_load_and_through_the_api(
+        tmp_path, section, field, value):
+    raw = {"model": {"kind": "spaceform", "K": 0.0},
+           "tractor": {"kind": "polyline", "points": [[0.0, 0.0], [4.0, 0.0]]},
+           "gamma0": {"d0": 0.5}, "ell": 1.0}
+    if field is None:
+        raw[section] = value
+    else:
+        raw.setdefault(section, {})[field] = value
+    with pytest.raises(ConfigError) as info:
+        load_raw(tmp_path, raw)
+    prefix = f"{tmp_path / 'scenario.yaml'}: "
+    loaded = str(info.value)
+    assert loaded.startswith(prefix + section)
+    for message in api_messages(section, field, value):
+        assert prefix + message == loaded

@@ -110,6 +110,18 @@ def test_one_ulp_past_a_bound_passes_at_every_scale(r):
         pytest.approx(0.25 * math.pi * r, rel=1e-14)
 
 
+@pytest.mark.parametrize("ell, d0", [(math.pi / 2 + 1e-9, 0.1),
+                                     (0.75 * math.pi, 0.5)],
+                         ids=["near-parallel", "sphere_longpole"])
+def test_dist_at_s_hi_is_the_cusp_distance(ell, d0):
+    # the cusp of a long pole on the unit sphere is at d = pi - ell; near
+    # the parallel circle sn(ell) rounds to 1, and arcsin of sn(ell) x
+    # clamped there at pi / 2, a billionth past the cusp
+    sol = solve_from_d0(1.0, ell, d0)
+    for s in (sol.s_hi, math.nextafter(sol.s_hi, math.inf)):
+        assert dist_at(sol, s) == pytest.approx(math.pi - ell, abs=4e-16)
+
+
 def test_a_small_bound_admits_no_absolute_slack():
     # at the scale r = 1e-6 an absolute 1e-12 is a millionth of each
     # bound, which let these values a billionth past it through
