@@ -94,9 +94,7 @@ def _simulate(cfg):
 def _shorten(cfg):
     model = model_from_config(cfg.model)
     spec = cfg.shorten
-    kw = {"tol": spec["tol"], "max_iter": spec["max_iter"]}
-    if "steps_per_round" in spec:
-        kw["steps_per_round"] = spec["steps_per_round"]
+    kw = {key: spec[key] for key in ("tol", "max_iter", "steps_per_round")}
     if spec["mode"] == "self":
         return self_repeated(model, spec["P"], spec["Q"],
                              spec["initial"]["points"], cfg.ell,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaceform
+from .config import _KNOB_FIELDS
 from .errors import (DomainViolationError, HypothesisViolatedError,
                      LowConfidenceFitError, UncertifiedBoundsError)
 from .functionals import leading_exponent_estimate
@@ -105,7 +106,7 @@ def _skip(name, inequality, reason):
 # Bound certification
 
 
-def certify_bounds(trace, widen=1e-3):
+def certify_bounds(trace, widen=_KNOB_FIELDS["comparison"]["widen"][1]):
     """Certified Gauss-curvature window along the poles of a run.
 
     A run on a space form (`trace.model`) gives a constant window widened

@@ -34,6 +34,17 @@ _SIM_FIELDS = {
     "cusp_speed_eps": ("fraction", 0.05, ("simulate",)),
     "max_records": ("cap", 200_000, ("simulate",)),
 }
+# The shorten section's knobs and the comparison's widening: section ->
+# field -> (type, default). The API defaults read them too
+# (`shortening.self_repeated`, `loop_repeated`,
+# `comparison.certify_bounds`).
+_KNOB_FIELDS = {
+    "shorten": {"tol": ("positive", 1e-6), "max_iter": ("iterations", 500),
+                "steps_per_round": ("steps", 400)},
+    "comparison": {"widen": ("positive", 1e-3)},
+}
+# the least value of each integer field type
+_INT_MINIMA = {"cap": 2, "iterations": 1, "steps": 8}
 _TOP_KEYS = ("name", "model", "tractor", "gamma0", "ell", "sim",
              "comparison", "shorten", "out")
 
@@ -218,8 +229,8 @@ _TRACTOR_FIELDS = {
 def _field(type_, value, path, dim=None):
     """The value of a tractor or sim field of the type `type_`, checked and
     typed."""
-    if type_ == "cap":
-        return _as_int(value, path, minimum=2)
+    if type_ in _INT_MINIMA:
+        return _as_int(value, path, minimum=_INT_MINIMA[type_])
     if type_ == "flag":
         if not isinstance(value, bool):
             _fail(path, f"expected true or false, got {value!r}")
@@ -317,19 +328,13 @@ def _normalize_shorten(raw, base_dir, dim):
     mode = raw.get("mode")
     if mode not in ("self", "loop"):
         _fail("shorten.mode", "must be 'self' or 'loop'")
-    out = {"mode": mode,
-           "tol": _as_float(raw.get("tol", 1e-6), "shorten.tol",
-                            positive=True),
-           "max_iter": _as_int(raw.get("max_iter", 500),
-                               "shorten.max_iter", minimum=1)}
-    if "steps_per_round" in raw:
-        out["steps_per_round"] = _as_int(raw["steps_per_round"],
-                                         "shorten.steps_per_round",
-                                         minimum=8)
+    out = {"mode": mode}
+    for key, (type_, default) in _KNOB_FIELDS["shorten"].items():
+        out[key] = _field(type_, raw.get(key, default), f"shorten.{key}")
     unread = f"not read by shorten mode {mode!r}"
     if mode == "self":
-        _check_keys(raw, ("mode", "tol", "max_iter", "steps_per_round",
-                          "P", "Q", "initial"), "shorten", unread)
+        _check_keys(raw, ("mode", *_KNOB_FIELDS["shorten"], "P", "Q",
+                          "initial"), "shorten", unread)
         for key in ("P", "Q", "initial"):
             if key not in raw:
                 _fail(f"shorten.{key}", "required for mode 'self'")
@@ -338,8 +343,8 @@ def _normalize_shorten(raw, base_dir, dim):
         out["initial"] = _normalize_polyline(raw["initial"],
                                              "shorten.initial", base_dir, dim)
     else:
-        _check_keys(raw, ("mode", "tol", "max_iter", "steps_per_round",
-                          "loop"), "shorten", unread)
+        _check_keys(raw, ("mode", *_KNOB_FIELDS["shorten"], "loop"),
+                    "shorten", unread)
         if "loop" not in raw:
             _fail("shorten.loop", "required for mode 'loop'")
         out["loop"] = _normalize_polyline(raw["loop"], "shorten.loop",
@@ -397,8 +402,9 @@ def _normalize(raw, name, base_dir):
         for c in checks:
             if c not in _CHECKS:
                 _fail("comparison.checks", f"unknown check {c!r}")
-        out["comparison"] = {"checks": list(checks), "widen": _as_float(
-            comp.get("widen", 1e-3), "comparison.widen", positive=True)}
+        type_, default = _KNOB_FIELDS["comparison"]["widen"]
+        out["comparison"] = {"checks": list(checks), "widen": _field(
+            type_, comp.get("widen", default), "comparison.widen")}
 
     if raw.get("out") is not None:
         if not isinstance(raw["out"], str):

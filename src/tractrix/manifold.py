@@ -36,13 +36,15 @@ arithmetic at the tractor point, and its pole shots, inline, and counts
 their sprays the same way. A tractrix record's shot also keeps the
 least and greatest K of its stages: the curvature window of its pole,
 which the comparison checks certify. The metric and Christoffel symbols
-at given points are derived here from the chart jet. A Newton solve gets
-its Jacobian from the shots it makes: `connect` is damped Newton with one
-shot per iteration, the direction column being s(L) times the end tangent
-turned by +pi/2 (`quarter_turn`), and the attachment
-(`tractrix_sim.orthogonal_attachment`) makes no `connect` call: it is one
-damped Newton solve of its own, an offset shot and a pole shot per
-iteration, with both columns Jacobi fields of theirs.
+at given points are derived here from the chart jet. Every Newton solve
+is a call of `damped_newton`, which steps rows in lockstep by Cramer's
+rule and holds the damping, the iteration cap and the failure messages.
+A solve gets its Jacobian from the shots it makes: `connect` is one row,
+one shot per evaluation, the direction column being s(L) times the end
+tangent turned by +pi/2 (`quarter_turn`); the attachment
+(`tractrix_sim.orthogonal_attachment`) is one row, an offset shot and a
+pole shot per evaluation with both columns Jacobi fields of theirs; the
+foot solve (`tractrix_sim._foot_newton`) is a row per record.
 Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
 rows in lockstep, with the Christoffel symbols once at each of the five
 points where its stages meet. A surface's tractrix state is the pole direction at the
@@ -55,7 +57,7 @@ rows: the log map and the distance (`log_rows`, `distance_rows`), of
 which `log_map`, `distance` and `connect` take one row and the polyline
 measures one pass, and the exp (`_exp_rows`). Only the exp has a float
 twin, `_exp`, the same arithmetic on Python floats, because the
-attachment's Newton loop calls it and a one-row NumPy call costs several
+attachment's Newton solve calls it and a one-row NumPy call costs several
 times as much. Each model gives the pole direction's generator on
 rows, a traceless 2x2 matrix linear in the tractor velocity, so that
 `tractrix_sim.simulate` multiplies the tractrix out as a product of
@@ -121,15 +123,75 @@ _DRIFT_TOL = 1e-6
 # positive threshold rather than an exact sign change.
 _CONJ_TOL = 1e-12
 _SHOOT_MAX_ITER = 50
-# `connect` stops once its end misses q by less than this, relative to
-# max(1, |q - p|) in the chart
-_CONNECT_TOL = 1e-11
 # the default step length of a shot, and of a run's pole shots
 POLE_STEP = 0.05
 # the most RK4 steps one shot may take
 _MAX_SHOT_STEPS = 10 ** 6
 # E with E @ g @ w normal to w, turned by +pi/2 (chart orientation)
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def cramer_step(J, F):
+    """The solution of J step = -F on (n, k) rows F and (n, k, k) rows J,
+    k = 1 or 2, by Cramer's rule, and the mask of the singular rows: a
+    determinant or a step that is not finite (a zero determinant gives
+    such a step)."""
+    with np.errstate(all="ignore"):
+        if F.shape[1] == 1:
+            det, num = J[:, 0, 0], -F
+        else:
+            (a, b), (c, d) = J[:, 0].T, J[:, 1].T
+            f, g = F.T
+            det = a * d - b * c
+            num = np.stack([b * g - d * f, c * f - a * g], axis=1)
+        step = num / det[:, None]
+    return step, ~np.isfinite(det) | ~np.isfinite(step).all(axis=1)
+
+
+def damped_newton(start, evaluate, tol, name, project=None):
+    """Damped Newton for F(x) = 0, every row of x in lockstep; returns the
+    final (x, F, J, *extra).
+
+    `start` is the evaluated (x, F, J, *extra): (n, k) rows x and F,
+    k = 1 or 2, (n, k, k) Jacobians J and rows of whatever else the
+    caller keeps. `evaluate(x, rows)` gives (F, J, *extra) at the rows x
+    of the indices `rows`. Each of at most _SHOOT_MAX_ITER passes steps
+    the rows whose |F| is not below `tol` by J step = -F (`cramer_step`);
+    `project(new, old)` moves a proposed row before it is evaluated. A
+    row whose |F| grows halves its own step and is evaluated again, until
+    |F| does not grow or the damping falls below 1e-6 (Deuflhard, Newton
+    Methods for Nonlinear Problems, ch. 3). A singular Jacobian, or a row
+    still at `tol` or above after the last pass, raises NoConvergenceError
+    naming the row by `name(i)`.
+    """
+    state = [np.array(a, dtype=float) for a in start]
+    x, F, J = state[:3]
+    rn = np.sqrt((F * F).sum(axis=1))
+    live = np.flatnonzero(~(rn < tol))
+    for _ in range(_SHOOT_MAX_ITER):
+        if live.size == 0:
+            break
+        step, singular = cramer_step(J[live], F[live])
+        if singular.any():
+            raise NoConvergenceError(
+                f"{name(live[singular.argmax()])}: singular Jacobian")
+        base, base_rn = x[live], rn[live]
+        damp = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            rows = live[todo]
+            new = base[todo] + damp[todo, None] * step[todo]
+            x[rows] = new if project is None else project(new, base[todo])
+            for out, value in zip(state[1:], evaluate(x[rows], rows)):
+                out[rows] = value
+            rn[rows] = np.sqrt((F[rows] * F[rows]).sum(axis=1))
+            todo = todo[~((rn[rows] <= base_rn[todo]) | (damp[todo] < 1e-6))]
+            damp[todo] *= 0.5
+        live = np.flatnonzero(~(rn < tol))
+    if live.size:
+        raise NoConvergenceError(f"{name(live[0])}: did not converge "
+                                 f"(residual {rn[live[0]]:.3e})")
+    return state
 
 
 def jacobi_reference(K, u):
@@ -371,16 +433,16 @@ class ManifoldModel:
     def connect(self, p, q, v_guess=None, L_guess=None, pole_step=POLE_STEP):
         """Two-point geodesic: returns (unit v at p, length, unit tangent at q).
 
-        Solves for (direction angle, length) jointly by damped Newton on the
-        fixed-step endpoint map, one shot (`_shot`) per iteration, each of
-        the steps that the starting length takes at `pole_step`. The
+        Solves for the row (direction angle, length) by `damped_newton` on
+        the fixed-step endpoint map, one shot (`_shot`) per evaluation, each
+        of the steps that the starting length takes at `pole_step`. The
         Jacobian comes with the shot: the length column is the end tangent
         T(L), and the angle column is the Jacobi field with J(0) = 0 and
         J'(0) the start direction turned by +pi/2, which ends at s(L) times
         T(L) turned by +pi/2 (`quarter_turn`). The start is v_guess, else
-        the chart chord, and L_guess, else the chord's length. At most
-        _SHOOT_MAX_ITER Newton steps may bring the residual below
-        _CONNECT_TOL.
+        the chart chord, and L_guess, else the chord's length; a step keeps
+        L >= 1e-12. The solve stops once the end misses q by less than
+        1e-11 max(1, |q - p|) in the chart.
         """
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
@@ -395,41 +457,22 @@ class ManifoldModel:
         L = float(L_guess) if L_guess else chord
         n_steps = shot_steps(L, pole_step)
 
-        def endpoint(a, ell):
-            v = self.tangent_from_angle(p, a, frame)
-            end, t_end, _, s = self._shot(p, v, ell, n_steps)
-            return end, t_end, s
+        def evaluate(x, rows):
+            a, ell = map(float, x[0])
+            end, t_end, _, s = self._shot(
+                p, self.tangent_from_angle(p, a, frame), ell, n_steps)
+            return ((end - q)[None], np.column_stack(
+                [s * self.quarter_turn(end, t_end), t_end])[None], t_end[None])
 
-        end, t_end, s = endpoint(alpha, L)
-        r = end - q
-        rn = float(np.linalg.norm(r))
-        scale = max(1.0, float(np.linalg.norm(q - p)))
-        for _ in range(_SHOOT_MAX_ITER):
-            if rn < _CONNECT_TOL * scale:
-                break
-            J = np.column_stack([s * self.quarter_turn(end, t_end), t_end])
-            try:
-                delta = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"connect Jacobian singular: {exc}")
-            damp = 1.0
-            while True:
-                a_new = alpha + damp * delta[0]
-                L_new = max(L + damp * delta[1], 1e-12)
-                end_new, t_new, s_new = endpoint(a_new, L_new)
-                r_new = end_new - q
-                rn_new = float(np.linalg.norm(r_new))
-                if rn_new <= rn or damp < 1e-6:
-                    break
-                damp *= 0.5
-            alpha, L, end, t_end, s, r, rn = (a_new, L_new, end_new, t_new,
-                                              s_new, r_new, rn_new)
-        if rn >= max(_CONNECT_TOL * scale, 1e-9):
-            raise NoConvergenceError(
-                f"connect stalled at residual {rn:.3e} between {p} and {q}")
+        x = np.array([[alpha, L]])
+        (alpha, L), _, _, t_end = (row[0] for row in damped_newton(
+            (x, *evaluate(x, None)), evaluate,
+            1e-11 * max(1.0, float(np.linalg.norm(d))),
+            lambda _: f"connect from {p.tolist()} to {q.tolist()}",
+            lambda new, _: np.maximum(new, [-np.inf, 1e-12])))
         v = self.tangent_from_angle(p, alpha, frame)
         t_end = t_end / max(self.norm(q, t_end), 1e-300)
-        return v, L, t_end
+        return v, float(L), t_end
 
     def distance(self, p, q, **kw):
         """Geodesic distance; `connect`'s guesses warm-start the Newton

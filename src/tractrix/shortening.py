@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _KNOB_FIELDS
 from .errors import (
     ConfigError,
     NotClosedError,
@@ -28,7 +29,9 @@ from .manifold import POLE_STEP, FlatModel, space_form
 from .tractrix_sim import SimParams, polyline_tractor, simulate
 
 _TARGET_KNOTS = 200
-_STEPS_PER_ROUND = 400
+# the defaults of the shorten section's knobs
+_TOL, _MAX_ITER, _STEPS = (_KNOB_FIELDS["shorten"][key][1]
+                           for key in ("tol", "max_iter", "steps_per_round"))
 _POLE_SAMPLES = 16
 _ENDPOINT_TOL = 1e-6
 
@@ -221,8 +224,8 @@ def _shorten(model, pts, wagon, ell, tol, max_iter, steps, pole_step, closed,
 # Fixed-endpoint process
 
 
-def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
-                  steps_per_round=_STEPS_PER_ROUND, pole_step=POLE_STEP):
+def self_repeated(model, P, Q, initial, ell, tol=_TOL, max_iter=_MAX_ITER,
+                  steps_per_round=_STEPS, pole_step=POLE_STEP):
     """Shorten a curve between fixed P and Q toward a geodesic.
 
     Each round pulls the wagon from one endpoint while the current curve,
@@ -272,8 +275,8 @@ def self_repeated(model, P, Q, initial, ell, tol=1e-6, max_iter=500,
 # Free-loop process
 
 
-def loop_repeated(model, loop, ell, tol=1e-6, max_iter=500,
-                  steps_per_round=_STEPS_PER_ROUND):
+def loop_repeated(model, loop, ell, tol=_TOL, max_iter=_MAX_ITER,
+                  steps_per_round=_STEPS):
     """Shorten a closed loop toward the geodesic of its free class.
 
     Supported on flat models with periodic identifications: the loop is

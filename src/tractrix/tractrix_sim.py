@@ -43,18 +43,18 @@ from .config import (_SIM_FIELDS, _as_float, normalize_attachment,
                      normalize_sim, normalize_tractor)
 from .errors import (
     ConfigError,
-    NoConvergenceError,
     NotClosedError,
     PoleLengthDriftError,
     RecordOverflowError,
 )
 from .manifold import (
-    _SHOOT_MAX_ITER,
     POLE_STEP,
     FlatModel,
     HyperbolicModel,
     SphereModel,
     _reference_pole,
+    cramer_step,
+    damped_newton,
     shot_steps,
 )
 from .quadrature import simpson
@@ -119,24 +119,31 @@ class TractorCurve:
                     f"closed tractor has endpoint gap {gap:.3e}")
 
 
+def _edges(pts):
+    """The edges of the (m, dim) points and their lengths: the norm, or
+    hypot where the norm's sum of squares overflows a float."""
+    with np.errstate(over="ignore"):
+        seg = np.diff(pts, axis=0)
+        lens = np.linalg.norm(seg, axis=1)
+        return seg, np.where(np.isinf(lens), np.hypot.reduce(seg, 1), lens)
+
+
 def polyline_tractor(points, closed=False, *, is_geodesic=False):
     """Piecewise-linear tractor over the cumulative chart-chord parameter."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 2:
         raise ConfigError("polyline needs at least two points")
-    if closed and np.linalg.norm(pts[-1] - pts[0]) > 1e-8:
+    if closed and _edges(pts[[0, -1]])[1][0] > 1e-8:
         raise NotClosedError("closed polyline endpoints do not match")
-    seg = np.diff(pts, axis=0)
-    lens = np.linalg.norm(seg, axis=1)
-    keep = lens > 1e-14
-    if not np.all(keep):
-        pts = np.vstack([pts[0], pts[1:][keep]])
-        seg = np.diff(pts, axis=0)
-        lens = np.linalg.norm(seg, axis=1)
+    pts = np.vstack([pts[0], pts[1:][_edges(pts)[1] > 1e-14]])
+    seg, lens = _edges(pts)
     if len(pts) < 2:
         raise ConfigError("polyline is degenerate")
-    knots = np.concatenate([[0.0], np.cumsum(lens)])
+    with np.errstate(over="ignore"):
+        knots = np.concatenate([[0.0], np.cumsum(lens)])
     total = float(knots[-1])
+    if not math.isfinite(total):
+        raise ConfigError("polyline is longer than a float holds")
     dirs = seg / lens[:, None]
 
     def rows(ts):
@@ -843,57 +850,31 @@ def _foot_newton(trace, pole_step):
 
     (tau, d) are the Fermi coordinates of gamma relative to the tractor
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
-    normal to eta'(tau).  Damped Newton solves F(tau, d) = gamma for all
-    records in lockstep: each pass is one row shot (`_fermi_shot`) of the
-    records not yet within the tolerance, and both Jacobian columns come
-    with it.  A record whose residual grows
-    halves its own step and is shot again.  Each record starts from the
-    chord gamma - eta(t) split in the metric at eta(t): tau = t + along /
-    |eta'|, d = across, exact in the plane.  F is regular at d = 0, where
-    the shot has length 0 and end tangent N, so a tractrix lying on its
-    tractor needs no special case and reads d = 0 exactly.
+    normal to eta'(tau).  `damped_newton` solves F(tau, d) = gamma to
+    1e-11 max(1, ell), a row per record, each evaluation one row shot
+    (`_fermi_shot`) that gives both Jacobian columns.  A record starts
+    from the chord gamma - eta(t) split in the metric at eta(t): tau = t
+    + along / |eta'|, d = across, exact in the plane.  F is regular at
+    d = 0, where the shot has length 0 and end tangent N, so a tractrix
+    lying on its tractor needs no special case and reads d = 0 exactly.
     """
     model, tractor, gamma = trace.model, trace.tractor, trace.gamma
-    tol = 1e-11 * max(1.0, trace.ell)
     vel = tractor.rows(trace.t)[1]
     speed, normal = _turn(model, trace.eta, vel)
     # gamma - eta = along T + across N in the g-orthonormal T, N at eta
-    along, across = np.linalg.solve(
-        np.stack([vel, normal], axis=2) / speed[:, None, None],
-        (gamma - trace.eta)[:, :, None])[:, :, 0].T
-    tau, d = trace.t + along / speed, across
-    end, tau_col, d_col = _fermi_shot(model, tractor, tau, d, pole_step)
-    rn = np.linalg.norm(end - gamma, axis=1)
-    for _ in range(_SHOOT_MAX_ITER):
-        live = np.flatnonzero(~(rn < tol))
-        if live.size == 0:
-            break
-        J = np.stack([tau_col[live], d_col[live]], axis=2)
-        try:
-            step = np.linalg.solve(
-                J, (gamma[live] - end[live])[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            i = live[np.argmin(np.abs(np.linalg.det(J)))]
-            raise NoConvergenceError(
-                f"foot solve at record {i}: singular Jacobian") from exc
-        base = tau[live], d[live], rn[live]
-        damp = np.ones(live.size)
-        todo = np.arange(live.size)
-        while todo.size:
-            rows = live[todo]
-            tau[rows] = base[0][todo] + damp[todo] * step[todo, 0]
-            d[rows] = base[1][todo] + damp[todo] * step[todo, 1]
-            end[rows], tau_col[rows], d_col[rows] = _fermi_shot(
-                model, tractor, tau[rows], d[rows], pole_step)
-            rn[rows] = np.linalg.norm(end[rows] - gamma[rows], axis=1)
-            todo = todo[~((rn[rows] <= base[2][todo]) | (damp[todo] < 1e-6))]
-            damp[todo] *= 0.5
-    stalled = np.flatnonzero(~(rn < tol))
-    if stalled.size:
-        i = stalled[0]
-        raise NoConvergenceError(
-            f"foot solve at record {i} stalled at residual {rn[i]:.3e}")
-    return np.abs(d)
+    along, across = cramer_step(np.stack([vel, normal], axis=2)
+                                / speed[:, None, None], trace.eta - gamma)[0].T
+
+    def evaluate(x, rows):
+        end, tau_col, d_col = _fermi_shot(model, tractor, x[:, 0], x[:, 1],
+                                          pole_step)
+        return end - gamma[rows], np.stack([tau_col, d_col], axis=2)
+
+    x = np.stack([trace.t + along / speed, across], axis=1)
+    x = damped_newton((x, *evaluate(x, slice(None))), evaluate,
+                      1e-11 * max(1.0, trace.ell),
+                      lambda i: f"foot solve at record {i}")[0]
+    return np.abs(x[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -982,24 +963,6 @@ def _attachment_map(model, tractor, ell, d0, side):
     return start, evaluate
 
 
-def _newton_step(J, F):
-    """The solution of J step = -F for a 1x1 or 2x2 J, by Cramer's rule
-    on floats, as an array; None where the determinant is zero or not
-    finite, or the step is not finite."""
-    if len(F) == 1:
-        (det,), = J
-        num = [-F[0]]
-    else:
-        (a, b), (c, d) = J
-        f, g = F
-        det = a * d - b * c
-        num = [b * g - d * f, c * f - a * g]
-    if det == 0.0 or not math.isfinite(det):
-        return None
-    step = [x / det for x in num]
-    return np.array(step) if all(map(math.isfinite, step)) else None
-
-
 def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     """Place gamma0 at orthogonal offset d0 from the tractor so that
     dist(gamma0, eta(t0)) = ell.
@@ -1009,16 +972,12 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     whether the foot lies behind or ahead of the tractor start (pull or
     push attachment).
 
-    One damped Newton solve of `_attachment_map`: on 2-D models for the
-    foot parameter tau and the pole angle theta at eta(t0), two shots at
-    _INPUT_STEP per iteration; on the 3-D flat model for tau alone. tau
-    starts at the flat estimate t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|. A
-    step that leaves the side of t0 that `mode` selects puts tau at the
-    midpoint of tau and t0, and one that does not lower |F| is halved.
-    Each step solves its 2x2 (1x1) system by Cramer's rule on floats
-    (`_newton_step`). The solve stops at |F| < 1e-12 max(1, ell); a
-    singular Jacobian, or _SHOOT_MAX_ITER iterations, raise
-    NoConvergenceError.
+    One row of `damped_newton` on `_attachment_map`: on 2-D models for
+    the foot parameter tau and the pole angle theta at eta(t0), two shots
+    at _INPUT_STEP per evaluation; on the 3-D flat model for tau alone.
+    tau starts at the flat estimate t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|.
+    A step that leaves the side of t0 that `mode` selects puts tau at the
+    midpoint of tau and t0. The solve stops at |F| < 1e-12 max(1, ell).
     """
     _require_pole(model, ell)
     normalize_attachment({"d0": d0, "side": side, "mode": mode}, ell)
@@ -1026,32 +985,21 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
     ahead = 1.0 if mode == "ahead" else -1.0
     speed0 = max(model.norm(eta0, vel0), 1e-6)
-    reach = math.sqrt(ell * ell - d0 * d0)
+    tau = float(t0 + ahead * math.sqrt(ell * ell - d0 * d0) / speed0)
     start, evaluate = _attachment_map(model, tractor, ell, d0, side)
-    x, F, J, gamma0 = start(t0 + ahead * reach / speed0)
-    rn = float(np.linalg.norm(F))
-    tol = 1e-12 * max(1.0, ell)
-    for _ in range(_SHOOT_MAX_ITER):
-        if rn < tol:
-            return gamma0, float(x[0])
-        step = _newton_step(J.tolist(), F.tolist())
-        if step is None:
-            raise NoConvergenceError(
-                f"attachment: singular Jacobian at tau = {x[0]!r}")
-        damp = 1.0
-        while True:
-            x_new = x + damp * step
-            if ahead * (x_new[0] - t0) <= 0.0:
-                x_new[0] = 0.5 * (x[0] + t0)
-            F_new, J_new, gamma_new = evaluate(x_new)
-            rn_new = float(np.linalg.norm(F_new))
-            if rn_new <= rn or damp < 1e-6:
-                break
-            damp *= 0.5
-        x, F, J, gamma0, rn = x_new, F_new, J_new, gamma_new, rn_new
-    raise NoConvergenceError(
-        f"attachment did not converge near tau = {x[0]!r} (residual "
-        f"{rn:.3e})")
+
+    def project(new, old):
+        new[:, 0] = np.where(ahead * (new[:, 0] - t0) <= 0.0,
+                             0.5 * (old[:, 0] + t0), new[:, 0])
+        return new
+
+    x, _, _, gamma0 = damped_newton(
+        [row[None] for row in start(tau)],
+        lambda x, _: [row[None] for row in evaluate(x[0])],
+        1e-12 * max(1.0, ell),
+        lambda _: f"attachment at d0 = {float(d0)!r} from tau = {tau!r}",
+        project)
+    return gamma0[0], float(x[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,34 @@ def test_far_pseudosphere_point_exits_two(tmp_path, capsys):
         "(800.0, 0.0)\n")
 
 
+# the repro's polyline, and one whose edges outgrow a float
+HUGE = [[0.0, 0.0], [2.0e+154, 0.0], [2.0e+154, 2.0e+154]]
+HUGER = [[-1.5e+308, 0.0], [1.5e+308, 0.0], [1.5e+308, 1.5e+308]]
+
+
+@pytest.mark.parametrize("points, closed, code, err", [
+    (HUGE, False, 2,
+     "numeric error: pole drift 1.000e+00 exceeds 1e-06 at t=1e+153"),
+    (HUGER, False, 1, "error: polyline is longer than a float holds"),
+    (HUGER, True, 1, "error: closed polyline endpoints do not match")],
+    ids=["segment", "total", "closed"])
+def test_huge_polyline_tractor_ends_in_a_typed_error(tmp_path, capsys,
+                                                     points, closed, code,
+                                                     err):
+    # a segment of 2e154 squares past a float, so its length is taken by
+    # hypot, with no warning; the pole then drifts off its length at the
+    # first step of 1e153. Edges and a total length past a float are
+    # refused
+    config = write_config(tmp_path, flat_line(
+        tractor={"kind": "polyline", "closed": closed, "points": points},
+        sim={"dt": 1.0e+153}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", config,
+                         "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == err + "\n"
+
+
 def bundled(name):
     """The bundled scenario `name` as a mapping."""
     with open(os.path.join(bundled_dir(), f"{name}.yaml")) as f:

@@ -34,6 +34,7 @@ from tractrix.manifold import (
     SurfaceModel,
     _has_conjugate,
     _reference_pole,
+    damped_newton,
     jacobi_reference,
     jacobi_reference_integral,
     shot_steps,
@@ -42,7 +43,14 @@ from tractrix.manifold import (
 )
 from tractrix.quadrature import simpson
 from tractrix.shortening import geodesic_residual
-from tractrix.tractrix_sim import _require_pole
+from tractrix.tractrix_sim import (
+    SimParams,
+    _foot_newton,
+    _require_pole,
+    orthogonal_attachment,
+    simulate,
+    tractor_from_config,
+)
 
 SPHERE = space_form(1.0)
 HYP = space_form(-1.0)
@@ -316,10 +324,96 @@ def test_shoot_flat_direct(monkeypatch):
     v, L, _ = FLAT2.connect([0.0, 0.0], [3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8])
     assert L == 5.0
-    # a Newton connect that may not iterate cannot meet its tolerance
+    # the three Newton solves, the connect, the attachment and the foot
+    # solve of a geodesic tractor (a meridian, where the chord start is
+    # not exact), cannot meet their tolerances when they may not iterate
+    line = tractor_from_config(PARAB, {
+        "kind": "chart_line", "start": [0.0, 0.0], "direction": [0.6, 0.8],
+        "t1": 1.0, "geodesic": True})
+    g0, _ = orthogonal_attachment(PARAB, line, 0.8, 0.4)
+    trace = simulate(PARAB, line, g0, 0.8, SimParams(dt=0.1))
     monkeypatch.setattr(manifold, "_SHOOT_MAX_ITER", 0)
-    with pytest.raises(NoConvergenceError):
-        PARAB.connect([0.3, -0.1], [0.9, 0.4])
+    for solve, name in (
+            (lambda: PARAB.connect([0.3, -0.1], [0.9, 0.4]), "connect"),
+            (lambda: orthogonal_attachment(PARAB, line, 0.8, 0.4),
+             "attachment"),
+            (lambda: _foot_newton(trace, manifold.POLE_STEP),
+             "foot solve")):
+        with pytest.raises(NoConvergenceError,
+                           match=rf"^{name} .*: did not converge"):
+            solve()
+
+
+def arctan_rows(calls):
+    """`damped_newton`'s evaluate of F(x) = arctan(x) on every row, which
+    logs each call's rows and x in `calls`."""
+    def evaluate(x, rows):
+        calls.append((rows.tolist(), x[:, 0].tolist()))
+        return np.arctan(x), (1.0 / (1.0 + x * x))[:, :, None]
+    return evaluate
+
+
+def test_newton_halves_only_the_step_of_a_row_whose_residual_grows():
+    # from x = 0.5 a full step of arctan lowers |F|; from x = 3 it
+    # overshoots to -9.49 and to -3.25, where |F| grows, and a quarter
+    # step is taken. The first row is not shot again meanwhile
+    calls = []
+    evaluate = arctan_rows(calls)
+    x = np.array([[0.5], [3.0]])
+    step = -np.arctan(x[:, 0]) * (1.0 + x[:, 0] ** 2)
+    x, F, _ = damped_newton((x, *evaluate(x, np.arange(2))), evaluate,
+                            1e-12, lambda i: f"row {i}")
+    assert np.all(np.abs(F) < 1e-12) and np.all(np.abs(x) < 1e-12)
+    assert calls[1] == ([0, 1], [0.5 + step[0], 3.0 + step[1]])
+    assert calls[2] == ([1], [3.0 + 0.5 * step[1]])
+    assert calls[3] == ([1], [3.0 + 0.25 * step[1]])
+    assert calls[4][0] == [0, 1]
+
+
+def test_newton_start_within_tolerance_makes_no_evaluation():
+    def evaluate(x, rows):
+        raise AssertionError("evaluated")
+    start = (np.array([[1.0, 2.0]]), np.array([[1e-13, 0.0]]),
+             np.eye(2)[None], np.array([[7.0]]))
+    out = damped_newton(start, evaluate, 1e-12, str)
+    assert all(np.array_equal(a, b) for a, b in zip(out, start))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cramer_step_matches_a_linear_solve(k):
+    # well-conditioned rows: the identity plus a perturbation of norm
+    # at most 0.6
+    rng = np.random.default_rng(5)
+    J = np.eye(k) + rng.uniform(-0.3, 0.3, (200, k, k))
+    F = rng.uniform(-10.0, 10.0, (200, k))
+    step, singular = manifold.cramer_step(J, F)
+    assert not singular.any()
+    exact = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+    assert np.all(np.abs(step - exact) <= 1e-12 * np.abs(exact).max(axis=1,
+                  keepdims=True))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_newton_names_the_singular_row(bad):
+    # row 1's Jacobian has a zero, infinite or NaN determinant
+    J = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    J[1, 1, 1] = 4.0 if bad == 0.0 else bad
+    start = (np.zeros((2, 2)), np.ones((2, 2)), J)
+    with pytest.raises(NoConvergenceError,
+                       match=r"^record 1: singular Jacobian$"):
+        damped_newton(start, None, 1e-12, lambda i: f"record {i}")
+
+
+def test_newton_that_cannot_lower_its_residual_reports_it():
+    # |F| = hypot(x, 1e-3) never falls below 1e-3
+    def evaluate(x, rows):
+        r = np.hypot(x, 1e-3)
+        return r, (x / r)[:, :, None]
+    x = np.array([[0.5]])
+    with pytest.raises(NoConvergenceError, match=r"^row 0: did not "
+                       r"converge \(residual 1\.000e-03\)$"):
+        damped_newton((x, *evaluate(x, None)), evaluate, 1e-12,
+                      lambda i: f"row {i}")
 
 
 def test_shoot_sphere_quarter_circle():

@@ -100,3 +100,30 @@ def test_spaceform_writes_its_closed_forms_in_the_jacobi_pair():
               else getattr(node.func, "id", None)
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not banned & called
+
+
+def test_every_newton_solve_shares_one_solver():
+    # connect, the attachment and the foot solve all step by
+    # `manifold.damped_newton`, whose linear solve is Cramer's rule on rows
+    # (`manifold.cramer_step`): no module solves by LAPACK or catches its
+    # LinAlgError, and only manifold reads the iteration cap
+    root = os.path.dirname(tractrix.__file__)
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as f:
+            tree = ast.parse(f.read())
+        nodes = list(ast.walk(tree))
+        lapack = {node.attr for node in nodes
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "linalg"}
+        names = ({node.id for node in nodes if isinstance(node, ast.Name)}
+                 | {node.attr for node in nodes
+                    if isinstance(node, ast.Attribute)}
+                 | {alias.name for node in nodes
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names})
+        assert not {"solve", "det"} & lapack, name
+        assert "LinAlgError" not in names, name
+        assert name == "manifold.py" or "_SHOOT_MAX_ITER" not in names, name
