@@ -18,51 +18,51 @@ vertex.
 The defaults on ManifoldModel are numerical, and embedded surfaces F(u, v)
 in R^3 (SurfaceModel) use them. A shot integrates x'' + Gamma(x', x') = 0
 by classical RK4 with the cosine and sine solutions c, s of j'' + K j = 0
-riding along. The chart supplies that right-hand side, the acceleration
-and K, as text (`SurfaceChart.spray_text`: closed forms on graph charts
-and surfaces of revolution, the generic formulas on the jet of the
-others). One RK4 step with the spray written in at each stage, `_STEP`,
-is the body of every shot loop. The shot kernel, `_KERNEL`, is that loop:
-`_kernel` writes a chart's spray text into every RK4 stage and compiles
-the result once per text, so a shot makes no call per stage. A row shot
-is one such shot per row. A shot whose unit speed is checked keeps only
-the samples that the check reads (`_drift_stride`). Every surface shot
+riding along. The chart supplies that right-hand side, the acceleration and
+K, as text (`SurfaceChart.spray_text`: closed forms on graph charts and
+surfaces of revolution, the generic formulas on the jet of the others). RK4
+is written once, as its Butcher tableau (`_RK4_A`), and every RK4 step is
+emitted from it: the shot step (`_step`), with the spray written in at each
+stage, is the body of every shot loop. The shot kernel, `_KERNEL`, is that
+loop: `_kernel` writes a chart's spray text into every RK4 stage and
+compiles the result once per text, so a shot makes no call per stage. A row
+shot is one such shot per row. A shot whose unit speed is checked keeps
+only the samples that the check reads (`_drift_stride`). Every surface shot
 but a tractrix stage's enters through `SurfaceModel._rk4_geodesic`, which
-adds the shot's spray evaluations, 4 per step, to the model's `sprays`
+adds the shot's spray evaluations, one per stage, to the model's `sprays`
 counter. The tractrix stage and RK4 sub-step are compiled per chart from
-templates around the same step, `_STAGE` and `_SUBSTEP` (`_tractrix`):
-each writes the chart's jet text and its first form and Christoffel
-arithmetic at the tractor point, and its pole shots, inline, and counts
-their sprays the same way. A tractrix record's shot also keeps the
-least and greatest K of its stages: the curvature window of its pole,
-which the comparison checks certify. The metric and Christoffel symbols
-at given points are derived here from the chart jet. Every Newton solve
-is a call of `damped_newton`, which steps rows in lockstep by Cramer's
-rule and holds the damping, the iteration cap and the failure messages.
-A solve gets its Jacobian from the shots it makes: `connect` is one row,
-one shot per evaluation, the direction column being s(L) times the end
-tangent turned by +pi/2 (`quarter_turn`); the attachment
+templates around the same step, `_STAGE` and `_SUBSTEP` (`_tractrix`): each
+writes the chart's jet text and its first form and Christoffel arithmetic
+at the tractor point, and its pole shots, inline, and counts their sprays
+the same way. A tractrix record's shot also keeps the least and greatest K
+of its stages: the curvature window of its pole, which the comparison
+checks certify. The metric and Christoffel symbols at given points are
+derived here from the chart jet. Every Newton solve is a call of
+`damped_newton`, which steps rows in lockstep by Cramer's rule and holds
+the damping, the iteration cap and the failure messages. A solve gets its
+Jacobian from the shots it makes: `connect` is one row, one shot per
+evaluation, the direction column being s(L) times the end tangent turned by
++pi/2 (`quarter_turn`); the attachment
 (`tractrix_sim.orthogonal_attachment`) is one row, an offset shot and a
 pole shot per evaluation with both columns Jacobi fields of theirs; the
-foot solve (`tractrix_sim._foot_newton`) is a row per record.
-Transport integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all
-rows in lockstep, with the Christoffel symbols once at each of the five
-points where its stages meet. A surface's tractrix state is the pole direction at the
-tractor, so a stage is one shot. The space forms, in standard charts
-(colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for
-K < 0), override all of this with closed forms: their shot ignores its
-step count, and transport and the distance to a geodesic are one array
+foot solve (`tractrix_sim._foot_newton`) is a row per record. Transport
+integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all rows in
+lockstep, with the Christoffel symbols once at each of the five points
+where its stages meet. A surface's tractrix state is the pole direction at
+the tractor, so a stage is one shot. The space forms, in standard charts
+(colatitude/longitude for K > 0, Cartesian for K = 0, Poincare disk for K <
+0), override all of this with closed forms: their shot ignores its step
+count, and transport and the distance to a geodesic are one array
 expression over all rows. Each quantity has one closed form, written on
-rows: the log map and the distance (`log_rows`, `distance_rows`), of
-which `log_map`, `distance` and `connect` take one row and the polyline
-measures one pass, and the exp (`_exp_rows`). Only the exp has a float
-twin, `_exp`, the same arithmetic on Python floats, because the
-attachment's Newton solve calls it and a one-row NumPy call costs several
-times as much. Each model gives the pole direction's generator on
-rows, a traceless 2x2 matrix linear in the tractor velocity, so that
-`tractrix_sim.simulate` multiplies the tractrix out as a product of
-Moebius maps, the bicycle monodromy, and reads gamma off the pole
-direction by its closed-form exp on rows (`pole_rows`).
+rows: the log map and the distance (`log_rows`, `distance_rows`), of which
+`log_map`, `distance` and `connect` take one row and the polyline measures
+one pass, and the exp (`_exp_rows`). Only the exp has a float twin, `_exp`,
+the same arithmetic on Python floats, because the attachment's Newton solve
+calls it and a one-row NumPy call costs several times as much. Each model
+gives the pole direction's generator on rows, a traceless 2x2 matrix linear
+in the tractor velocity, so that `tractrix_sim.simulate` multiplies the
+tractrix out as a product of Moebius maps, the bicycle monodromy, and reads
+gamma off the pole direction by its closed-form exp on rows (`pole_rows`).
 
 One rule sizes every shot: a shot of length L takes `shot_steps(L,
 pole_step)` = max(8, ceil(L / pole_step)) steps, a row shot as many as its
@@ -292,16 +292,6 @@ class ManifoldModel:
         for p in np.reshape(points, (-1, self.dim)):
             self.check_point(p)
 
-    def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
-        """One RK4 shot of n_steps from the point x0 along the velocity v0,
-        on floats, keeping the samples that collect asks for (`_kernel`);
-        raises on bad points."""
-        raise NotImplementedError
-
-    def _check_drift(self, pts, tans):
-        """Raise StepTooLargeError when a shot's sampled unit speed drifts."""
-        raise NotImplementedError
-
     def metric_rows(self, points):
         """(E, F, G), the metric at (n, 2) rows of points, as three arrays."""
         g = np.array([self.metric_at(p) for p in points])
@@ -395,30 +385,8 @@ class ManifoldModel:
 
     def shoot(self, p, v, length, pole_step=POLE_STEP):
         """One shot: (end point, end tangent, c(length), s(length)), in
-        `shot_steps(length, pole_step)` RK4 steps (`_shot`)."""
+        `shot_steps(length, pole_step)` RK4 steps (each model's `_shot`)."""
         return self._shot(p, v, length, shot_steps(length, pole_step))
-
-    def _shot(self, p, v, length, n_steps):
-        """`shoot` of the unit-speed geodesic from p along the unit v in
-        n_steps RK4 steps.
-
-        The cosine and sine solutions of j'' + K j = 0 ride along (c(0) = 1,
-        c'(0) = 0; s(0) = 0, s'(0) = 1). In two dimensions they give every
-        Jacobi field along the shot: the one with J(0) = a N(0) and
-        J'(0) = b N(0), N the parallel unit normal, ends at (a c + b s) N.
-        A unit-speed drift above _DRIFT_TOL at evenly spaced samples of the
-        shot, its end point included, raises StepTooLargeError; the kernel
-        keeps only those samples (`_drift_stride`). Length 0 returns
-        (p, v, 1, 0).
-        """
-        if length == 0.0:
-            return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
-                    1.0, 0.0)
-        pts, tans, c, s = self._rk4_geodesic(
-            (float(p[0]), float(p[1])), (float(v[0]), float(v[1])), length,
-            n_steps, collect=_drift_stride(n_steps))
-        self._check_drift(pts[..., None], tans[..., None])
-        return pts[-1], tans[-1], c, s
 
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         """`shoot` for (n, dim) rows p, v and n lengths, as rows, every row
@@ -505,12 +473,13 @@ class ManifoldModel:
             return -np.einsum("nkij,ni,nj->nk", at, seg, wv)
 
         h = 0.5
-        for start, mid, end in (gam[:3], gam[2:]):
-            k1 = rhs(start, w)
-            k2 = rhs(mid, w + 0.5 * h * k1)
-            k3 = rhs(mid, w + 0.5 * h * k2)
-            k4 = rhs(end, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in (0, 2):
+            k = total = rhs(gam[i], w)
+            for c, f, weight in _RK4_STAGES:
+                k = rhs(gam[i + 2 * c // _RK4_DENOM],
+                        w + f / _RK4_DENOM * h * k)
+                total = total + weight * k
+            w = w + h / _RK4_DENOM * total
         return w[0] if single else w
 
     def edge_lengths(self, points):
@@ -1276,6 +1245,28 @@ class SurfaceModel(ManifoldModel):
                                       g2uu, g2uv, g2uv, g2vv, u)
         return np.stack(gam, axis=-1).reshape(-1, 2, 2, 2)
 
+    def _shot(self, p, v, length, n_steps):
+        """`shoot` of the unit-speed geodesic from p along the unit v in
+        n_steps RK4 steps.
+
+        The cosine and sine solutions of j'' + K j = 0 ride along (c(0) = 1,
+        c'(0) = 0; s(0) = 0, s'(0) = 1). In two dimensions they give every
+        Jacobi field along the shot: the one with J(0) = a N(0) and
+        J'(0) = b N(0), N the parallel unit normal, ends at (a c + b s) N.
+        A unit-speed drift above _DRIFT_TOL at evenly spaced samples of the
+        shot, its end point included, raises StepTooLargeError; the kernel
+        keeps only those samples (`_drift_stride`). Length 0 returns
+        (p, v, 1, 0).
+        """
+        if length == 0.0:
+            return (np.asarray(p, dtype=float), np.asarray(v, dtype=float),
+                    1.0, 0.0)
+        pts, tans, c, s = self._rk4_geodesic(
+            (float(p[0]), float(p[1])), (float(v[0]), float(v[1])), length,
+            n_steps, collect=_drift_stride(n_steps))
+        self._check_drift(pts[..., None], tans[..., None])
+        return pts[-1], tans[-1], c, s
+
     def shoot_rows(self, p, v, length, pole_step=POLE_STEP):
         """`shoot` of (n, 2) rows, one float shot a row, each of the steps
         of the longest: a row that leaves the domain or meets a singular
@@ -1302,9 +1293,9 @@ class SurfaceModel(ManifoldModel):
     def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
         """The entry of every shot on the surface but a tractrix stage's,
         which runs its shot inline (`_tractrix`): `_kernel`, with the
-        chart's spray written in. Adds the shot's spray evaluations, 4 per
-        step, to `sprays`; a shot that raises counts whole."""
-        self.sprays += 4 * n_steps
+        chart's spray written in. Adds the shot's spray evaluations, one per
+        RK4 stage, to `sprays`; a shot that raises counts whole."""
+        self.sprays += len(_RK4_B) * n_steps
         return self._float_shot(self.chart, x0, v0, length, n_steps,
                                 collect)
 
@@ -1356,56 +1347,29 @@ def model_from_config(spec):
 # Geodesic integration
 
 
-# One RK4 step of (x, v, c, c', s, s') with the spray of each stage written
-# in at {stage1} .. {stage4}: the body of every shot loop, in `_KERNEL` and
-# in the tractrix's `_SHOT`
-_STEP = """\
-{stage1}
-x2 = x + hh * p
-y2 = y + hh * q
-p2 = p + hh * a1
-q2 = q + hh * b1
-{stage2}
-x3 = x + hh * p2
-y3 = y + hh * q2
-p3 = p + hh * a2
-q3 = q + hh * b2
-{stage3}
-x4 = x + h * p3
-y4 = y + h * q3
-p4 = p + h * a3
-q4 = q + h * b3
-{stage4}
-# x and y read the old p and q, so they are stepped first
-x = x + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
-y = y + h6 * (q + 2.0 * q2 + 2.0 * q3 + q4)
-p = p + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-q = q + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-# j'' = -K j for j = c and j = s, with the same stage values
-c1p = -K1 * c
-s1p = -K1 * s
-c2 = cp + hh * c1p
-c2p = -K2 * (c + hh * cp)
-s2 = sp + hh * s1p
-s2p = -K2 * (s + hh * sp)
-c3 = cp + hh * c2p
-c3p = -K3 * (c + hh * c2)
-s3 = sp + hh * s2p
-s3p = -K3 * (s + hh * s2)
-c4 = cp + h * c3p
-c4p = -K4 * (c + h * c3)
-s4 = sp + h * s3p
-s4p = -K4 * (s + h * s3)
-c = c + h6 * (cp + 2.0 * c2 + 2.0 * c3 + c4)
-cp = cp + h6 * (c1p + 2.0 * c2p + 2.0 * c3p + c4p)
-s = s + h6 * (sp + 2.0 * s2 + 2.0 * s3 + s4)
-sp = sp + h6 * (s1p + 2.0 * s2p + 2.0 * s3p + s4p)"""
-# the names of each stage's point, velocity and spray outputs in _STEP
-_STAGES = tuple(dict(zip("uvabABK", names)) for names in (
-    ("x", "y", "p", "q", "a1", "b1", "K1"),
-    ("x2", "y2", "p2", "q2", "a2", "b2", "K2"),
-    ("x3", "y3", "p3", "q3", "a3", "b3", "K3"),
-    ("x4", "y4", "p4", "q4", "a4", "b4", "K4")))
+# Classical RK4 (Hairer, Norsett and Wanner, Solving ODEs I, II.1), the
+# package's one RK4, as its Butcher tableau: the rows of A and the weights
+# b, integer numerators over _RK4_DENOM
+_RK4_A = ((), (3,), (0, 3), (0, 0, 6))
+_RK4_B = (1, 2, 2, 1)
+_RK4_DENOM = 6
+# the locals of n / _RK4_DENOM times the step in a shot and in the
+# sub-step, and the sub-step's tractor point at that node
+_RK4_NAMES = {3: ("hh", "half", "mid"), 6: ("h", "dt", "end")}
+# the stages after the first, (node, fraction along the rate of the one
+# before, weight): a row of A has one entry but zeros, its last
+_RK4_STAGES = [(sum(row), row[-1], b)
+               for row, b in zip(_RK4_A[1:], _RK4_B[1:])]
+_RK4_NODES = sorted({c for c, _, _ in _RK4_STAGES})
+_RK4_FRACTIONS = sorted({a for _, a, _ in _RK4_STAGES}, reverse=True)
+
+
+def rk4_substep(h):
+    """(nodes, sizes) for tractrix sub-steps of lengths h: the later
+    stages' nodes, where `tractrix_step` reads the tractor, and the sizes
+    it takes, h times each step fraction, the whole first, then h / 6."""
+    return ([c / _RK4_DENOM for c in _RK4_NODES],
+            [a / _RK4_DENOM * h for a in _RK4_FRACTIONS] + [h / _RK4_DENOM])
 
 
 def _lines(text, depth, **names):
@@ -1415,20 +1379,59 @@ def _lines(text, depth, **names):
 
 
 def _step(stage, depth):
-    """_STEP with the spray text `stage` at each of its stages."""
-    return _lines(_STEP, depth, **{
-        f"stage{n}": _lines(stage, 0, **names)
-        for n, names in enumerate(_STAGES, 1)})
+    """(hoist, step) from the tableau: one RK4 step of (x, v, c, c', s, s')
+    with the spray text `stage` at each stage, indented by `depth` levels,
+    and the line that sets its fractions of h, hh = 0.5 * h and h6 = h /
+    6.0, before the loop. The geodesic (x, y; p, q) and the Jacobi pairs
+    (c, c'; s, s') of j'' = -K j take the same stages. As f * h * k parses
+    as (f * h) * k, the bits are those of RK4 with int weights."""
+    n = len(_RK4_B)
+    at = ["", *map(str, range(2, n + 1))]
+
+    def ahead(i, base, rates):
+        return " + ".join([base, *(f"{_RK4_NAMES[m][0]} * {k}"
+                                   for m, k in zip(_RK4_A[i], rates) if m)])
+
+    def total(base, rates):
+        terms = (k if w == 1 else f"{float(w)!r} * {k}"
+                 for w, k in zip(_RK4_B, rates))
+        return f"{base} = {base} + h{_RK4_DENOM} * ({' + '.join(terms)})"
+
+    x, y, p, q = ([v + i for i in at] for v in "xypq")
+    a, b, K = ([f"{v}{i}" for i in range(1, n + 1)] for v in "abK")
+    # x and y read the old p and q, so they are stepped first
+    pairs = ((x, p), (y, q), (p, a), (q, b))
+    lines = []
+    for i in range(n):
+        lines += [f"{z[i]} = {ahead(i, z[0], r)}" for z, r in pairs if i]
+        lines.append(_lines(stage, 0, u=x[i], v=y[i], a=p[i], b=q[i],
+                            A=a[i], B=b[i], K=K[i]))
+    lines += [total(z[0], r) for z, r in pairs]
+    jacobi = [(j, [j + (i or "p") for i in at],
+               [f"{j}{i}p" for i in range(1, n + 1)]) for j in "cs"]
+    for i in range(n):
+        for j, rates, forces in jacobi:
+            if i:
+                lines.append(f"{rates[i]} = {ahead(i, rates[0], forces)}")
+            value = ahead(i, j, rates)
+            lines.append(f"{forces[i]} = -{K[i]} * "
+                         + (f"({value})" if i else value))
+    lines += [total(z, r) for j, rates, forces in jacobi
+              for z, r in ((j, rates), (rates[0], forces))]
+    hoist = {_RK4_NAMES[m][0]: f"{m / _RK4_DENOM!r} * h"
+             for m in _RK4_FRACTIONS if m != _RK4_DENOM}
+    hoist[f"h{_RK4_DENOM}"] = f"h / {float(_RK4_DENOM)!r}"
+    return (f"{', '.join(hoist)} = {', '.join(hoist.values())}",
+            _lines("{step}", depth, step="\n".join(lines)))
 
 
-# One RK4 shot: _STEP in a loop, and the drift samples; see `_kernel`
+# One RK4 shot: `_step` in a loop, and the drift samples; see `_kernel`
 _KERNEL = """\
 def _rk4_geodesic(self, x0, v0, length, n_steps, collect):
     xp = math
 {setup}
     h = length / n_steps if n_steps else 0.0
-    # 0.5 * h * k parses as (0.5 * h) * k: hoisting hh and h6 keeps every bit
-    hh, h6 = 0.5 * h, h / 6.0
+    {hoist}
     x, y = x0
     p, q = v0
     c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
@@ -1461,15 +1464,10 @@ def _kernel(spray_text):
     the space forms, the only models that can be three-dimensional,
     override each of its callers with closed forms. The cosine and sine
     solutions of j'' + K j = 0 ride along, c(0) = 1, c'(0) = 0 and s(0) =
-    0, s'(0) = 1, their RK4 steps written out with K from the same stages
-    as the acceleration.
-
-    The step loop gives every value its own name, with no tuple built per
-    stage, and makes every literal operand a float (2.0, not 2), because
-    tuple packing and int-times-float arithmetic take CPython's slow path.
-    The floating-point operations are the same, in the same order, as in a
-    kernel with one tuple per stage and int weights that calls the spray,
-    so the bits are its bits (a test checks this against such a kernel).
+    0, s'(0) = 1, with K from the same stages as the acceleration. The
+    loop's body is `_step`, written from the RK4 tableau: no tuple per
+    stage and no int operand, whose CPython paths are slow, and the bits
+    of a kernel with both that calls the spray (a test checks this).
 
     The result is (x, v, c, s), the final point and velocity and the
     final c and s. With collect False, x and v are 2-tuples. With collect a
@@ -1477,8 +1475,9 @@ def _kernel(spray_text):
     reads, as (m, 2) arrays: the state before every k-th step and the end.
     """
     setup, stage = spray_text
-    return compiled(_KERNEL.format(setup=_lines(setup, 1),
-                                   step=_step(stage, 2)))["_rk4_geodesic"]
+    hoist, step = _step(stage, 2)
+    return compiled(_KERNEL.format(setup=_lines(setup, 1), hoist=hoist,
+                                   step=step))["_rk4_geodesic"]
 
 
 def _drift_stride(n_steps):
@@ -1495,9 +1494,9 @@ def _drift_stride(n_steps):
 # that end in _, which no chart text sets
 _BIND = """\
 def _bind(model, self):
-    # 4 sprays per step, one per RK4 stage: the int stays out of the
-    # function below, whose arithmetic is all on floats
-    stages = 4
+    # a spray per RK4 stage: the int stays out of the function below,
+    # whose arithmetic is all on floats
+    stages = {n_stages}
 
 {function}
     return {name}
@@ -1528,18 +1527,17 @@ def tractrix_stage(eta, eta_prime, X, ell, n_pole, record=False):
     return (r0_, r1_), abs(along_), (
         [x, y], [-p / speed_, -q / speed_], -along_, s,
         [s * c - c * s, *tail], any(j <= {conj} for j in tail),
-        abs(speed_ - 1.0), eta_speed_, K_lo, K_hi)
+        abs(speed_ - 1.0), eta_speed_, K_lo, K_hi, size_)
 """
 _SUBSTEP = """\
-def tractrix_step(state, k1, q1, mid, end, dt, half, dt6, ell, n_pole):
+def tractrix_step(state, k1, q1, {points}, {fractions}, ell, n_pole):
 {head}
     y0_, y1_ = state
     r0_, r1_ = k1
-    # the RK4 sums, k1 + 2 k2 + 2 k3 + k4 and its speeds', left to right;
-    # k3 reuses the midpoint's geometry
+    # the RK4 sums, k1 + b2 k2 + b3 k3 + b4 k4 and its speeds', left to
+    # right; a stage with no point reuses the geometry of the one before
     sum0_, sum1_, sumq_ = r0_, r1_, q1
-    for at_, scale_, weight_ in ((mid, half, 2.0), (None, half, 2.0),
-                                 (end, dt, 1.0)):
+    for at_, scale_, weight_ in {stages}:
         if at_ is not None:
             eta, eta_prime = at_
             u_, w_ = eta
@@ -1551,14 +1549,13 @@ def tractrix_step(state, k1, q1, mid, end, dt, half, dt6, ell, n_pole):
         sum0_ = sum0_ + weight_ * r0_
         sum1_ = sum1_ + weight_ * r1_
         sumq_ = sumq_ + weight_ * abs(along_)
-    return (y0_ + dt6 * sum0_, y1_ + dt6 * sum1_), dt6 * sumq_
+    return (y0_ + {factor} * sum0_, y1_ + {factor} * sum1_), {factor} * sumq_
 """
 # the set-up of both functions, after the chart's
 _HEAD = """\
 sqrt = math.sqrt
-h = ell / n_pole if n_pole else 0.0
-hh, h6 = 0.5 * h, h / 6.0"""
-# one pole shot from (u_, w_) along X_ / |X_|, of n_pole steps of _STEP,
+h = ell / n_pole if n_pole else 0.0"""
+# one pole shot from (u_, w_) along X_ / |X_|, of n_pole steps of `_step`,
 # and the rate (r0_, r1_) of the stage: {top} and {bottom} run in each
 # step
 _SHOT = """\
@@ -1599,16 +1596,9 @@ _RECORD_TOP = """\
 if record:
     cs.append(c)
     ss.append(s)"""
-_RECORD_BOTTOM = """\
-if record:
-    if K1 < K_lo: K_lo = K1
-    if K2 < K_lo: K_lo = K2
-    if K3 < K_lo: K_lo = K3
-    if K4 < K_lo: K_lo = K4
-    if K1 > K_hi: K_hi = K1
-    if K2 > K_hi: K_hi = K2
-    if K3 > K_hi: K_hi = K3
-    if K4 > K_hi: K_hi = K4"""
+_RECORD_BOTTOM = "\n".join(["if record:"] + [
+    f"    if K{i} {op} K_{end}: K_{end} = K{i}" for op, end in (
+        ("<", "lo"), (">", "hi")) for i in range(1, len(_RK4_B) + 1)])
 
 
 @lru_cache(maxsize=128)
@@ -1634,8 +1624,8 @@ def _tractrix(spray_text, jet_text):
     half, dt6, ell, n_pole) -> (state, ds): k1 and q1 are the first stage's
     rate and tractrix speed, mid and end the (eta, eta') of the sub-step's
     midpoint and end, dt its length and half and dt6 its half and sixth.
-    It runs stages 2 to 4, k2 and k3 on the midpoint's one geometry, and
-    moves the state and the arclength ds by the classical RK4 combination.
+    These and its stages 2 to 4, k3 on k2's geometry, are written from the
+    RK4 tableau; it moves the state and the arclength ds by the RK4 sums.
 
     Everything runs on Python floats, with no call per stage. At eta a
     stage tests the domain (OutOfDomainError, as `check_point`), runs the
@@ -1645,13 +1635,14 @@ def _tractrix(spray_text, jet_text):
     `charts._christoffel_lines`); a jet's constant entries are literals,
     whose products CPython folds with the same IEEE arithmetic. From E, F,
     G and Gamma it forms |X|_g, <eta', X>_g, |eta'|_g and Gamma(eta', X).
-    Its shot is _STEP with the chart's spray text written in, and it adds
+    Its shot is `_step` with the chart's spray text written in, and it adds
     4 sprays a step to the model's `sprays`. A shot whose s(ell) is at most
     _CONJ_TOL raises NoConvergenceError (`_conjugate_point`).
 
     The record is (gamma, pole_dir at gamma, signed speed, J(ell), the
-    samples of J, conjugate flag, drift, |eta'|_g, K_lo, K_hi), its vectors
-    and the samples as lists. [K_lo, K_hi] is the least and greatest K
+    samples of J, conjugate flag, drift, |eta'|_g, K_lo, K_hi, |X|_g), its
+    vectors and the samples as lists; |X|_g, the first integral, is 1 up to
+    the sub-steps' error. [K_lo, K_hi] is the least and greatest K
     that the shot's RK4 stages evaluated, the curvature window of the
     pole. J is the Jacobi field from gamma along the pole, j(u) = s(ell)
     c(ell - u) - c(ell) s(ell - u) by the Wronskian, so J(ell) = s(ell);
@@ -1664,7 +1655,7 @@ def _tractrix(spray_text, jet_text):
     setup, stage = spray_text
     jet_lines, jet = jet_text
     conj = repr(_CONJ_TOL)
-    step = _step(stage, 1)
+    hoist, step = _step(stage, 1)
 
     def geometry(depth):
         return _lines(_GEOMETRY, depth, jet=jet_lines.format(u="u_", v="w_"),
@@ -1677,16 +1668,26 @@ def _tractrix(spray_text, jet_text):
                       conj=conj)
 
     def bind(template, name, **parts):
-        return compiled(_BIND.format(name=name, function=_lines(
-            template, 1, head=head, conj=conj, **parts)))["_bind"]
+        return compiled(_BIND.format(
+            name=name, n_stages=len(_RK4_B), function=_lines(
+                template, 1, head=head, conj=conj, **parts)))["_bind"]
 
-    head = _lines("\n".join(["xp = math", setup, _HEAD]), 1)
+    head = _lines("\n".join(["xp = math", setup, _HEAD, hoist]), 1)
     stage = bind(_STAGE, "tractrix_stage", geometry=geometry(1),
                  shot=shot(1, _lines(_RECORD_TOP, 1),
                            _lines(_RECORD_BOTTOM, 1)),
                  end_form=_lines("\n".join([
                      jet_lines.format(u="x", v="y"),
                      *_first_form_lines(jet, "g_", "x, y")]), 1))
-    substep = bind(_SUBSTEP, "tractrix_step", geometry=geometry(3),
-                   shot=shot(2))
+    factor = f"dt{_RK4_DENOM}"
+    stages = ", ".join(
+        f"({_RK4_NAMES[c][2] if c != before else None}, {_RK4_NAMES[a][1]}, "
+        f"{float(b)!r})" for before, (c, a, b) in zip(
+            [0] + [c for c, _, _ in _RK4_STAGES], _RK4_STAGES))
+    substep = bind(
+        _SUBSTEP, "tractrix_step", geometry=geometry(3), shot=shot(2),
+        points=", ".join(_RK4_NAMES[c][2] for c in _RK4_NODES),
+        fractions=", ".join([*(_RK4_NAMES[n][1] for n in _RK4_FRACTIONS),
+                             factor]),
+        stages=f"({stages})", factor=factor)
     return lambda model, chart: (stage(model, chart), substep(model, chart))

@@ -55,11 +55,15 @@ from .manifold import (
     _reference_pole,
     cramer_step,
     damped_newton,
+    rk4_substep,
     shot_steps,
 )
 from .quadrature import simpson
 
 _POLE_DRIFT_LIMIT = 1e-6
+# a surface record's |X|_g - 1: O(dt^4) (2.5e-6 at dt 0.1), where a step
+# far longer than its pole gives 3e-4, then grows it without bound
+_POLE_NORM_LIMIT = 1e-4
 # kappa is masked where the pole comes this close to lying along a geodesic
 # tractor (d -> ell means the projected speed vanishes).
 _CUSP_DIST_BAND = 1e-4
@@ -247,8 +251,8 @@ class TractrixTrace:
     pole_step: float = POLE_STEP  # the run's, which sizes every shot
 
     def check_invariants(self):
-        """Raise if a trace invariant is violated (used by the test suite);
-        the pole lengths are measured with shots at the run's pole_step."""
+        """Raise if a trace invariant is violated (the tests and the bench
+        call it); the pole lengths are measured at the run's pole_step."""
         for i in range(len(self.t)):
             L = self.model.distance(self.gamma[i], self.eta[i],
                                     v_guess=self.pole_dir[i],
@@ -413,24 +417,25 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
     points and velocities go to the model as lists, the rates and states
     coming back as tuples. Per sub-step it makes one `tractrix_step`
     call, which takes the first stage's rate and returns the next state
-    and the arclength gained: the classical RK4 stages 2 to 4, with no
-    call per stage, and their combination. The stage times are, per
-    sub-step, its start where it
-    opens a record, its k1 time where it takes its own k1, its midpoint
-    (k2 and k3 share it) and a point just inside its end (a kink there
-    gives its left limit), then the last record's. Each record is read
-    off its own stage, which also gives the tractor speed |eta'|_g and
-    carries J's samples along the pole; one Simpson pass (`simpson`) over
-    the (records, n_pole + 1) array of them gives every integral of J.
+    and the arclength gained: the later RK4 stages and their sums. The
+    stage times are, per sub-step, its start where it opens a record, its
+    k1 time where it takes its own k1, and the nodes of the RK4 tableau
+    (`rk4_substep`), the end just inside (a kink there gives its left
+    limit), then the last record's. Each record is read off its own stage,
+    which also gives the tractor speed |eta'|_g, |X|_g, a first integral,
+    and J's samples along the pole; one Simpson pass (`simpson`) over the
+    (records, n_pole + 1) array of them gives every integral of J.
     """
-    hh = sched.tb - sched.ta
-    every = np.ones((2, len(hh)), bool)
+    h = sched.tb - sched.ta
+    nodes, sizes = rk4_substep(h)
+    every = np.ones((len(nodes), len(h)), bool)
     stage_times = np.append(np.stack(
-        [sched.ta, sched.k1_at, sched.ta + hh / 2, sched.tb - 1e-9 * hh],
+        [sched.ta, sched.k1_at, *(sched.ta + c * h if c < 1
+                                  else sched.tb - 1e-9 * h for c in nodes)],
         axis=1)[np.stack([sched.opens, sched.own_k1, *every], axis=1)],
         t_grid[-1])
-    steps = zip(hh.tolist(), (hh / 2).tolist(), (hh / 6.0).tolist(),
-                sched.opens.tolist(), sched.own_k1.tolist())
+    steps = zip(*(x.tolist() for x in sizes), sched.opens.tolist(),
+                sched.own_k1.tolist())
     blocks = (tractor.rows(stage_times[i:i + _ROW_BLOCK])
               for i in range(0, len(stage_times), _ROW_BLOCK))
     samples = itertools.chain.from_iterable(
@@ -441,30 +446,33 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
 
     def take_record(state, s):
         eta, etap = next(samples)
-        rate, sdot, rec = stage(eta, etap, state, ell, n_pole, record=True)
-        if rec[6] > _POLE_DRIFT_LIMIT:
-            raise PoleLengthDriftError(
-                f"pole drift {rec[6]:.3e} exceeds {_POLE_DRIFT_LIMIT} at "
-                f"t={float(t_grid[len(records)])!r}")
-        records.append((eta,) + rec)
+        rate, sdot, (*rec, size) = stage(eta, etap, state, ell, n_pole,
+                                         record=True)
+        for what, drift, limit in (
+                ("pole direction drift", abs(size - 1.0), _POLE_NORM_LIMIT),
+                ("pole drift", rec[6], _POLE_DRIFT_LIMIT)):
+            if not drift <= limit:  # a NaN fails
+                raise PoleLengthDriftError(
+                    f"{what} {drift:.3e} exceeds {limit} at "
+                    f"t={float(t_grid[len(records)])!r}")
+        records.append((eta, *rec))
         s_list.append(s)
         return rate, sdot
 
     try:
-        for hh, half, h6, opens, own_k1 in steps:
+        for *sizes, opens, own_k1 in steps:
             if opens:
                 k1, q1 = take_record(state, s)
             if own_k1:
                 k1, q1, _ = stage(*next(samples), state, ell, n_pole)
-            state, ds = step(state, k1, q1, next(samples), next(samples), hh,
-                             half, h6, ell, n_pole)
+            state, ds = step(state, k1, q1, *[next(samples) for _ in nodes],
+                             *sizes, ell, n_pole)
             s = s + ds
         take_record(state, s)
     except (ArithmeticError, ValueError) as err:
         # a stage's float arithmetic failed in the step from the last
         # record, or at the first record: a domain error, or a division by
-        # a zero speed at gamma once the state's norm has overflowed (a
-        # step far too long for its pole)
+        # a zero speed at gamma once the state's norm has overflowed
         raise _pole_failure(t_grid, max(len(records) - 1, 0), err) from err
 
     columns = [np.array(column) for column in zip(*records)]

@@ -61,7 +61,7 @@ def tractrix_stage(model, eta, eta_prime, X, ell, n_pole, record=False):
     return rate, abs(along), (
         [gu, gv], [-p / speed, -q / speed], -along, s_ell, jac,
         any(j <= _CONJ_TOL for j in jac[1:]), abs(speed - 1.0),
-        eta_speed, K_lo, K_hi)
+        eta_speed, K_lo, K_hi, size)
 
 
 def tractrix_step(model, state, k1, q1, mid, end, hh, half, h6, ell,

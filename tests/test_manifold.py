@@ -1128,7 +1128,7 @@ def surface_stage_oracle(model, eta, eta_prime, X, ell, n_pole):
     return rate, abs(along), (
         gamma, -tangent / speed, -along, s_ell, simpson(jac, grid),
         _has_conjugate(jac), abs(speed - 1.0), model.norm(eta, eta_prime),
-        min(Ks), max(Ks))
+        min(Ks), max(Ks), size)
 
 
 SURFACE_STAGE_MODELS = [PARAB, HILLY,

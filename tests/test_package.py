@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -127,3 +128,29 @@ def test_every_newton_solve_shares_one_solver():
         assert not {"solve", "det"} & lapack, name
         assert "LinAlgError" not in names, name
         assert name == "manifold.py" or "_SHOOT_MAX_ITER" not in names, name
+
+
+# what RK4 written by hand looks like: its weights 1, 2, 2, 1 summed, the
+# locals h6 and dt6 for the sixth of a step, a half or a sixth of a step
+# taken by hand, and the tractrix sub-step's stage list
+HAND_WRITTEN_RK4 = re.compile(r"\+ 2(\.0)? \* \w+ \+ 2(\.0)? \* "
+                              r"|\b(h|dt)6\b"
+                              r"|\b(h|hh|dt) / [26]"
+                              r"|\b0\.5 \* h\b"
+                              r"|\(\w+, half, ")
+
+
+def test_rk4_is_written_once_from_its_tableau():
+    # the shot step, the tractrix sub-step, its stage times and parallel
+    # transport are all written from manifold's RK4 tableau: no code or
+    # template text in the modules that step by RK4 writes its weights or
+    # its half step out. Docstrings and comments are prose, not read
+    root = os.path.dirname(tractrix.__file__)
+    for name in ("manifold.py", "tractrix_sim.py"):
+        with open(os.path.join(root, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                    and ast.get_docstring(node) is not None:
+                node.body[0].value.value = ""
+        assert not HAND_WRITTEN_RK4.search(ast.unparse(tree)), name

@@ -1,6 +1,7 @@
 """The RK4 shot kernel, row shots and the compiled tractrix stage and
-sub-step against the hand-written references, bit for bit, and guards on
-what the compiled functions contain.
+sub-step against the hand-written references, bit for bit, guards on
+what the compiled functions contain, and the order conditions of the RK4
+tableau that they are written from.
 
 Every surface shot but a tractrix stage's enters through
 `SurfaceModel._rk4_geodesic`, the kernel with the chart's spray text
@@ -14,6 +15,7 @@ shot a row. A tractrix stage runs its pole shot inline
 
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -456,8 +458,42 @@ def test_record_window_keeps_what_min_and_max_keep(monkeypatch, script):
         for n in range(0, len(Ks), 4):
             lo, hi = min(lo, *Ks[n:n + 4]), max(hi, *Ks[n:n + 4])
         assert len(Ks) == 24
-        assert bits(rec[-2:]) == bits((lo, hi))
+        assert bits(rec[-3:-1]) == bits((lo, hi))
         Ks.clear()
         reference = stage_reference.tractrix_stage(model, *args,
                                                    record=True)[2]
-        assert bits(reference[-2:]) == bits((lo, hi))
+        assert bits(reference[-3:-1]) == bits((lo, hi))
+
+
+def order_conditions(A, b, denom):
+    """The eight order conditions of a Runge-Kutta tableau through order 4
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.2), as the list of
+    (sum, the value it must take), exactly in Fractions: A's rows and the
+    weights b are integer numerators over denom, and c_i = sum_j a_ij."""
+    n = len(b)
+    a = [[Fraction(x, denom) for x in row] + [Fraction(0)] * (n - len(row))
+         for row in A]
+    b = [Fraction(x, denom) for x in b]
+    c = [sum(row) for row in a]
+
+    def times_a(v):
+        return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+    ac = times_a(c)
+    terms = ([1] * n, c, [x * x for x in c], ac, [x ** 3 for x in c],
+             [x * y for x, y in zip(c, ac)], times_a([x * x for x in c]),
+             times_a(ac))
+    sums = [sum(w * t for w, t in zip(b, term)) for term in terms]
+    return list(zip(sums, [Fraction(1, k)
+                           for k in (1, 2, 3, 6, 4, 8, 12, 24)]))
+
+
+def test_rk4_tableau_meets_the_order_conditions_exactly():
+    tableau = manifold._RK4_A, manifold._RK4_B, manifold._RK4_DENOM
+    assert all(got == want for got, want in order_conditions(*tableau))
+    # moving weight from k3 to k2, which share their node, keeps every
+    # quadrature condition, sum b c^k, and fails three of those with A
+    A, _, denom = tableau
+    conditions = order_conditions(A, (1, 3, 1, 1), denom)
+    assert [got == want for got, want in conditions] == [
+        True, True, True, False, True, False, False, True]
