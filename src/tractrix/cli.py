@@ -82,13 +82,15 @@ def _simulate(cfg):
     """Trace of a simulation scenario."""
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
+    pole = None
     if isinstance(cfg.gamma0, dict):
-        gamma0, _ = orthogonal_attachment(
+        gamma0, _, pole = orthogonal_attachment(
             model, tractor, cfg.ell, cfg.gamma0["d0"],
             side=cfg.gamma0["side"], mode=cfg.gamma0["mode"])
     else:
         gamma0 = np.asarray(cfg.gamma0, dtype=float)
-    return simulate(model, tractor, gamma0, cfg.ell, SimParams(**cfg.sim))
+    return simulate(model, tractor, gamma0, cfg.ell, SimParams(**cfg.sim),
+                    pole)
 
 
 def _shorten(cfg):

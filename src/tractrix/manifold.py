@@ -45,7 +45,12 @@ evaluation, the direction column being s(L) times the end tangent turned by
 +pi/2 (`quarter_turn`); the attachment
 (`tractrix_sim.orthogonal_attachment`) is one row, an offset shot and a
 pole shot per evaluation with both columns Jacobi fields of theirs; the
-foot solve (`tractrix_sim._foot_newton`) is a row per record. Transport
+foot solve (`tractrix_sim._foot_newton`) is a row per record. The
+attachment and the foot solve start from the geodesic right triangle of
+constant curvature K at their vertex, K the model's or the chart's
+(`curvature_rows`), which is their solution on a space form
+(`triangle_at_leg`, `triangle_legs`); a run's first pole `connect`
+(`tractrix_start`) starts along the attachment's pole. Transport
 integrates dw/dt = -Gamma(b - a, w) in two RK4 substeps over all rows in
 lockstep, with the Christoffel symbols once at each of the five points
 where its stages meet. A surface's tractrix state is the pole direction at
@@ -239,6 +244,49 @@ def _asn(K, sn, cn):
         k = math.sqrt(-K)
         return np.arcsinh(k * sn) / k
     return sn
+
+
+def triangle_legs(K, hyp, cos_phi, sin_phi):
+    """(a, b): the legs of the geodesic right triangle of constant
+    curvature K with hypotenuse `hyp` and angle phi at one of its ends, a
+    the leg at phi and b the leg across from it, signed as cos phi and
+    sin phi, on floats: sn(b) = sn(hyp) sin phi, cn(a) = cn(hyp) / cn(b)
+    and sn(a) = sn(hyp) cos phi / cn(b), in the pair of `_jacobi_pair` and
+    back through `_asn`. Where that triangle is undefined (sn(hyp) <= 0,
+    cn(b)^2 = 1 - K sn(b)^2 <= 0, or a value that is not finite or does
+    not fit a float) they are the K = 0 triangle's, (hyp cos phi,
+    hyp sin phi)."""
+    try:
+        cn, sn = _jacobi_pair(K, hyp)
+        sn_b = sn * sin_phi
+        cn_b = math.sqrt(1.0 - K * sn_b * sn_b)
+        if sn > 0.0 and cn_b > 0.0:
+            a = float(_asn(K, sn * cos_phi / cn_b, cn / cn_b))
+            b = float(_asn(K, sn_b, cn_b))
+            if math.isfinite(a) and math.isfinite(b):
+                return a, b
+    except (ArithmeticError, ValueError):
+        pass
+    return hyp * cos_phi, hyp * sin_phi
+
+
+def triangle_at_leg(K, hyp, b):
+    """(a, cos phi, sin phi) of the geodesic right triangle of constant
+    curvature K with hypotenuse `hyp` and the leg b, 0 <= b <= hyp, across
+    from its angle phi: sin phi = sn(b) / sn(hyp), and a the other leg,
+    cn(a) = cn(hyp) / cn(b) (`triangle_legs`). Where that triangle is
+    undefined (cn(b) <= 0, sn(b) > sn(hyp), or a value that is not finite
+    or does not fit a float) they are the K = 0 triangle's."""
+    try:
+        (cn_b, sn_b), sn = _jacobi_pair(K, b), _jacobi_pair(K, hyp)[1]
+    except (ArithmeticError, ValueError):
+        cn_b = sn_b = sn = math.nan
+    # written so that a NaN fails it
+    if not (cn_b > 0.0 and sn > 0.0 and 0.0 <= sn_b <= sn):
+        K, sn_b, sn = 0.0, b, hyp
+    sin_phi = sn_b / sn
+    cos_phi = math.sqrt(1.0 - sin_phi * sin_phi)
+    return triangle_legs(K, hyp, cos_phi, sin_phi)[0], cos_phi, sin_phi
 
 
 def shot_steps(length, pole_step):
@@ -531,6 +579,11 @@ class SpaceFormModel(ManifoldModel):
         self.K = float(K)
         self.dim = int(dim)
         self.periods = periods
+
+    def curvature_rows(self, points):
+        """The Gauss curvature at (n, dim) rows of points, as one array:
+        the constant K."""
+        return np.full(len(points), self.K)
 
     def log_rows(self, a, b):
         """(unit v at a, length) of the minimizing geodesics from (n, dim)
@@ -1230,6 +1283,13 @@ class SurfaceModel(ManifoldModel):
         u, v = np.transpose(points)
         return np.broadcast_arrays(*self._checked_rows(u, v)[1:4], u)[:3]
 
+    def curvature_rows(self, points):
+        """K at (n, 2) rows of points, from the chart's spray, the one
+        source of K, at a point each."""
+        spray = self.chart.spray
+        return np.array([spray(u, v, 0.0, 0.0)[2] for u, v in
+                         np.asarray(points, dtype=float).tolist()])
+
     def christoffel_at(self, p):
         self.check_point(p)
         (g1uu, g2uu), (g1uv, g2uv), (g1vv, g2vv) = _christoffel(
@@ -1301,14 +1361,17 @@ class SurfaceModel(ManifoldModel):
 
     # -- tractrix propagation ---------------------------------------------
 
-    def tractrix_start(self, eta, gamma, ell, pole_step):
+    def tractrix_start(self, eta, gamma, ell, pole_step, pole=None):
         """(state, L): the propagated state of a tractrix at gamma, and L,
         the distance from eta to gamma that it was solved at.
 
         The state is the unit pole direction X at the tractor point eta,
-        as a list of floats, from one `connect` started at length ell.
+        as a list of floats, from one `connect` started at length ell and
+        along `pole`, a direction at eta towards gamma (the one that the
+        attachment solved for), else along the chart chord.
         """
-        X, L, _ = self.connect(eta, gamma, L_guess=ell, pole_step=pole_step)
+        X, L, _ = self.connect(eta, gamma, v_guess=pole, L_guess=ell,
+                               pole_step=pole_step)
         return X.tolist(), L
 
     @staticmethod

@@ -57,6 +57,8 @@ from .manifold import (
     damped_newton,
     rk4_substep,
     shot_steps,
+    triangle_at_leg,
+    triangle_legs,
 )
 from .quadrature import simpson
 
@@ -249,6 +251,9 @@ class TractrixTrace:
     stall_windows: list[tuple[int, int, float, bool]] = field(
         default_factory=list)
     pole_step: float = POLE_STEP  # the run's, which sizes every shot
+    # the RK4 loop's state at each record, the pole direction X at eta
+    # towards gamma, not normalized (surfaces; None on space forms)
+    pole_state: np.ndarray | None = None
 
     def check_invariants(self):
         """Raise if a trace invariant is violated (the tests and the bench
@@ -318,7 +323,7 @@ def _require_geodesic(model, tractor, ell):
             f"{np.max(off):.3e} off the geodesic through its start")
 
 
-def simulate(model, tractor, gamma0, ell, params=None):
+def simulate(model, tractor, gamma0, ell, params=None, pole=None):
     """Propagate the tractrix for `tractor` with a pole of length `ell`.
 
     The records sit at dt steps over the tractor's span, and the sub-steps
@@ -329,14 +334,17 @@ def simulate(model, tractor, gamma0, ell, params=None):
     coincident (or antipodal) points there are a PoleLengthDriftError
     naming t0. On a surface an RK4 loop steps the unit pole direction at
     the tractor by its Jacobi-field ODE, one geodesic shot per stage
-    (`_propagate_rk4`); a run whose pole shots together would take more
-    RK4 steps than one shot may (`shot_steps`) is a ConfigError before the
-    first stage. Either way a distance from eta(t0) to gamma0 more than
-    _POLE_DRIFT_LIMIT off ell, or a record's, is a PoleLengthDriftError,
-    and both paths fill the record columns of `TractrixTrace` before the
-    post-passes (signs, cusps, foot distance, curvature). The pull or push
-    character is emergent from the attachment geometry and recorded per
-    record as sigma.
+    (`_propagate_rk4`), from the `connect` of `tractrix_start`, which
+    starts along `pole` where it is given: the direction at eta(t0)
+    towards gamma0 that `orthogonal_attachment` returns with it. A run
+    whose pole shots together would take more RK4 steps than one shot may
+    (`shot_steps`) is a ConfigError before the first stage. Either way a
+    distance from eta(t0) to gamma0 more than _POLE_DRIFT_LIMIT off ell,
+    or a record's, is a PoleLengthDriftError, and both paths fill the
+    record columns of `TractrixTrace` before the post-passes (signs,
+    cusps, foot distance, curvature). The pull or push character is
+    emergent from the attachment geometry and recorded per record as
+    sigma.
     """
     if params is None:
         params = SimParams()
@@ -367,7 +375,8 @@ def simulate(model, tractor, gamma0, ell, params=None):
         # each of a sub-step's four stages shoots the pole
         shot_steps(4 * len(sched.ta) * ell, params.pole_step)
         propagate = _propagate_rk4
-        state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step)
+        state, L0 = model.tractrix_start(eta0, gamma0, ell, params.pole_step,
+                                         pole)
     else:
         propagate = _propagate_monodromy
         model.check_point(eta0)
@@ -380,8 +389,8 @@ def simulate(model, tractor, gamma0, ell, params=None):
         raise PoleLengthDriftError(
             f"initial attachment distance {L0!r} does not match ell {ell!r}")
     (eta_pts, gam, pole_dir, speeds, jac_ell, jac_int, conj, drifts,
-     eta_speeds, K_lo, K_hi), s = propagate(model, tractor, sched, t_grid,
-                                            state, ell, n_pole)
+     eta_speeds, K_lo, K_hi, states), s = propagate(
+         model, tractor, sched, t_grid, state, ell, n_pole)
     n = len(t_grid)
     sigma = _fill_signs(speeds, params.cusp_speed_eps)
     trace = TractrixTrace(
@@ -390,7 +399,8 @@ def simulate(model, tractor, gamma0, ell, params=None):
         eta_speed=eta_speeds, sigma=sigma, d=np.full(n, np.nan),
         kappa=np.full(n, np.nan), jacobi_ell=jac_ell, jacobi_int=jac_int,
         pole_conjugate=conj, pole_K_lo=K_lo, pole_K_hi=K_hi,
-        max_drift=max(0.0, *drifts.tolist()), pole_step=params.pole_step)
+        max_drift=max(0.0, *drifts.tolist()), pole_step=params.pole_step,
+        pole_state=states)
 
     _detect_cusps(trace, params)
     if tractor.is_geodesic:
@@ -423,8 +433,9 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
     (`rk4_substep`), the end just inside (a kink there gives its left
     limit), then the last record's. Each record is read off its own stage,
     which also gives the tractor speed |eta'|_g, |X|_g, a first integral,
-    and J's samples along the pole; one Simpson pass (`simpson`) over the
-    (records, n_pole + 1) array of them gives every integral of J.
+    and J's samples along the pole, and keeps its state X; one Simpson
+    pass (`simpson`) over the (records, n_pole + 1) array of J's samples
+    gives every integral of J.
     """
     h = sched.tb - sched.ta
     nodes, sizes = rk4_substep(h)
@@ -455,7 +466,7 @@ def _propagate_rk4(model, tractor, sched, t_grid, state, ell, n_pole):
                 raise PoleLengthDriftError(
                     f"{what} {drift:.3e} exceeds {limit} at "
                     f"t={float(t_grid[len(records)])!r}")
-        records.append((eta, *rec))
+        records.append((eta, *rec, state))
         s_list.append(s)
         return rate, sdot
 
@@ -510,7 +521,9 @@ def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
     fails it, `SphereModel._exp_rows`), a map must be finite and each
     record's drift |dist(eta, gamma) - ell|, which is rounding by
     construction, must stay within _POLE_DRIFT_LIMIT. The earliest
-    failure in time is raised, the records before it having passed.
+    failure in time is raised, the records before it having passed. The
+    records keep no state column (None): the foot distance on a space form
+    is in closed form.
     """
     u1, u2, start = state
     ta, opens = sched.ta, sched.opens
@@ -572,7 +585,7 @@ def _propagate_monodromy(model, tractor, sched, t_grid, state, ell,
     J_ell, J_int, conj = _reference_pole(model.K, ell, n_pole)
     return ([eta, gamma, X, speed, np.full(m, J_ell), np.full(m, J_int),
              np.full(m, conj), drift, eta_speed, np.full(m, model.K),
-             np.full(m, model.K)],
+             np.full(m, model.K), None],
             np.append(0.0, np.cumsum(ds))[at])
 
 
@@ -860,25 +873,37 @@ def _foot_newton(trace, pole_step):
     eta: gamma = F(tau, d) = exp_{eta(tau)}(d N(tau)), with N the unit
     normal to eta'(tau).  `damped_newton` solves F(tau, d) = gamma to
     1e-11 max(1, ell), a row per record, each evaluation one row shot
-    (`_fermi_shot`) that gives both Jacobian columns.  A record starts
-    from the chord gamma - eta(t) split in the metric at eta(t): tau = t
-    + along / |eta'|, d = across, exact in the plane.  F is regular at
-    d = 0, where the shot has length 0 and end tangent N, so a tractrix
-    lying on its tractor needs no special case and reads d = 0 exactly.
+    (`_fermi_shot`) that gives both Jacobian columns.  A record at t
+    starts from the right triangle of constant curvature K(eta(t)) with
+    the pole as its hypotenuse (`triangle_legs`): phi is the angle from
+    eta'(t) to the pole direction X at eta(t), the run's state, or on a
+    space form the log map's, and the legs a along the tractor and d
+    across give tau = t + a / |eta'|; exact on a space form, the K = 0
+    triangle where the triangle is undefined.  F is regular at d = 0,
+    where the shot has length 0 and end tangent N, so a tractrix lying on
+    its tractor needs no special case and reads d = 0 exactly.
     """
     model, tractor, gamma = trace.model, trace.tractor, trace.gamma
     vel = tractor.rows(trace.t)[1]
     speed, normal = _turn(model, trace.eta, vel)
-    # gamma - eta = along T + across N in the g-orthonormal T, N at eta
+    X = trace.pole_state
+    if X is None:  # a space form's run keeps no state: its log map's X
+        X = model.log_rows(trace.eta, gamma)[0]
+    # X = |X|_g (cos phi T + sin phi N) in the g-orthonormal T, N at eta
     along, across = cramer_step(np.stack([vel, normal], axis=2)
-                                / speed[:, None, None], trace.eta - gamma)[0].T
+                                / speed[:, None, None], -X)[0].T
+    size = np.hypot(along, across)
+    a, d = np.array([triangle_legs(K, trace.ell, p / r, q / r) for K, p, q, r
+                     in zip(model.curvature_rows(trace.eta).tolist(),
+                            along.tolist(), across.tolist(),
+                            size.tolist())]).T
 
     def evaluate(x, rows):
         end, tau_col, d_col = _fermi_shot(model, tractor, x[:, 0], x[:, 1],
                                           pole_step)
         return end - gamma[rows], np.stack([tau_col, d_col], axis=2)
 
-    x = np.stack([trace.t + along / speed, across], axis=1)
+    x = np.stack([trace.t + a / speed, d], axis=1)
     x = damped_newton((x, *evaluate(x, slice(None))), evaluate,
                       1e-11 * max(1.0, trace.ell),
                       lambda i: f"foot solve at record {i}")[0]
@@ -889,7 +914,7 @@ def _foot_newton(trace, pole_step):
 # Attachment
 
 
-def _attachment_map(model, tractor, ell, d0, side):
+def _attachment_map(model, tractor, ell, d0, side, mode):
     """(start, evaluate) of the residual F of `orthogonal_attachment`.
 
     gamma0(tau) = exp_{eta(tau)}(d0 N), N = side times the unit eta'(tau)
@@ -913,10 +938,23 @@ def _attachment_map(model, tractor, ell, d0, side):
     (tau,), F = |gamma0(tau) - eta(t0)| - ell, and dgamma0/dtau is a
     central difference.
 
-    start(tau) returns (x, F, Jacobian, gamma0), theta the chart chord's
-    angle from eta(t0) to gamma0(tau); evaluate(x) returns the last three.
+    evaluate(x) returns (F, Jacobian, gamma0), and start() returns (x, F,
+    Jacobian, gamma0) at the right triangle of constant curvature K at
+    eta(t0), the model's K or the chart's there, with hypotenuse ell and
+    the leg d0 across from its angle phi at eta(t0) (`triangle_at_leg`):
+    sin phi = sn(d0) / sn(ell), and the other leg a, cn(a) = cn(ell) /
+    cn(d0), lies along the tractor, behind or ahead as `mode` says. So tau
+    = t0 -+ a / |eta'(t0)|, and the pole leaves eta(t0) at phi from
+    -+eta'(t0), turned towards `side`. On a space form that is the
+    solution; at K = 0, and where the triangle is undefined, tau is t0 -+
+    sqrt(ell^2 - d0^2) / |eta'(t0)|.
     """
-    eta0 = tractor.point(tractor.t0)
+    t0 = tractor.t0
+    eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
+    ahead = 1.0 if mode == "ahead" else -1.0
+    a, cos_phi, sin_phi = triangle_at_leg(
+        float(model.curvature_rows(eta0[None])[0]), ell, d0)
+    tau = float(t0 + ahead * a / max(model.norm(eta0, vel0), 1e-6))
     h = 1e-6
 
     def offset(tau):
@@ -947,11 +985,11 @@ def _attachment_map(model, tractor, ell, d0, side):
             return (np.array([dist - ell]),
                     np.array([[float(r @ column) / dist]]), gamma0)
 
-        def start(tau):
-            x = np.array([tau])
-            return (x, *assemble(x, *offset(tau)))
+        x0 = np.array([tau])
     else:
         frame = model.frame_at(eta0)
+        x0 = np.array([tau, model.angle_of(eta0, vel0, frame) + math.atan2(
+            side * sin_phi, ahead * cos_phi)])
 
         def assemble(x, gamma0, column):
             end, tangent, _, s = model.shoot(
@@ -960,41 +998,39 @@ def _attachment_map(model, tractor, ell, d0, side):
             return (gamma0 - end, np.column_stack(
                 [column, -s * model.quarter_turn(end, tangent)]), gamma0)
 
-        def start(tau):
-            gamma0, column = offset(tau)
-            x = np.array([tau, model.angle_of(eta0, gamma0 - eta0, frame)])
-            return (x, *assemble(x, gamma0, column))
-
     def evaluate(x):
         return assemble(x, *offset(x[0]))
 
-    return start, evaluate
+    return lambda: (x0, *evaluate(x0)), evaluate
 
 
 def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
     """Place gamma0 at orthogonal offset d0 from the tractor so that
     dist(gamma0, eta(t0)) = ell.
 
-    Returns (gamma0, foot_parameter).  `side` picks the normal direction
-    (+1 is the tangent turned by +pi/2, -1 the other way), `mode` decides
-    whether the foot lies behind or ahead of the tractor start (pull or
-    push attachment).
+    Returns (gamma0, foot_parameter, pole), pole the unit direction at
+    eta(t0) of the pole to gamma0 that the solve ends at, from which
+    `simulate` starts its first pole solve on a surface (None on the 3-D
+    flat model).  `side` picks the normal direction (+1 is the tangent
+    turned by +pi/2, -1 the other way), `mode` decides whether the foot
+    lies behind or ahead of the tractor start (pull or push attachment).
 
     One row of `damped_newton` on `_attachment_map`: on 2-D models for
     the foot parameter tau and the pole angle theta at eta(t0), two shots
     at _INPUT_STEP per evaluation; on the 3-D flat model for tau alone.
-    tau starts at the flat estimate t0 -+ sqrt(ell^2 - d0^2) / |eta'(t0)|.
-    A step that leaves the side of t0 that `mode` selects puts tau at the
-    midpoint of tau and t0. The solve stops at |F| < 1e-12 max(1, ell).
+    (tau, theta) starts at the right triangle of constant curvature K at
+    eta(t0) with hypotenuse ell and legs d0 and the tractor's, exact on a
+    space form. A step that leaves the side of t0 that `mode` selects
+    puts tau at the midpoint of tau and t0. The solve stops at |F| <
+    1e-12 max(1, ell).
     """
     _require_pole(model, ell)
     normalize_attachment({"d0": d0, "side": side, "mode": mode}, ell)
     t0 = tractor.t0
-    eta0, vel0 = (x[0] for x in tractor.rows(np.array([float(t0)])))
     ahead = 1.0 if mode == "ahead" else -1.0
-    speed0 = max(model.norm(eta0, vel0), 1e-6)
-    tau = float(t0 + ahead * math.sqrt(ell * ell - d0 * d0) / speed0)
-    start, evaluate = _attachment_map(model, tractor, ell, d0, side)
+    start, evaluate = _attachment_map(model, tractor, ell, d0, side, mode)
+    first = [row[None] for row in start()]
+    tau = float(first[0][0, 0])
 
     def project(new, old):
         new[:, 0] = np.where(ahead * (new[:, 0] - t0) <= 0.0,
@@ -1002,12 +1038,13 @@ def orthogonal_attachment(model, tractor, ell, d0, side=1, mode="behind"):
         return new
 
     x, _, _, gamma0 = damped_newton(
-        [row[None] for row in start(tau)],
-        lambda x, _: [row[None] for row in evaluate(x[0])],
+        first, lambda x, _: [row[None] for row in evaluate(x[0])],
         1e-12 * max(1.0, ell),
         lambda _: f"attachment at d0 = {float(d0)!r} from tau = {tau!r}",
         project)
-    return gamma0[0], float(x[0, 0])
+    pole = (model.tangent_from_angle(tractor.point(t0), x[0, 1])
+            if model.dim == 2 else None)
+    return gamma0[0], float(x[0, 0]), pole
 
 
 # ---------------------------------------------------------------------------

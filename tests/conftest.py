@@ -26,7 +26,7 @@ def ellipsoid_setup():
                                           "direction": [0.0, 1.0],
                                           "geodesic": True,
                                           "t0": 0.0, "t1": 2.5})
-    g0, _ = orthogonal_attachment(model, equator, 0.5, 0.25, side=-1,
-                                  mode="behind")
+    g0, _, _ = orthogonal_attachment(model, equator, 0.5, 0.25, side=-1,
+                                     mode="behind")
     trace = simulate(model, equator, g0, 0.5, SimParams(dt=0.005))
     return model, trace

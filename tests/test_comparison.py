@@ -48,7 +48,7 @@ def flat_trace():
     line = tractor_from_config(FLAT2, {"kind": "line", "start": [0.0, 0.0],
                                        "direction": [1.0, 0.0],
                                        "t0": 0.0, "t1": 8.0})
-    g0, _ = orthogonal_attachment(FLAT2, line, 2.0, 1.0, mode="behind")
+    g0, _, _ = orthogonal_attachment(FLAT2, line, 2.0, 1.0, mode="behind")
     return simulate(FLAT2, line, g0, 2.0, SimParams(dt=0.005))
 
 
@@ -66,8 +66,8 @@ def sphere_trace():
     eq = tractor_from_config(SPHERE, {"kind": "latitude",
                                       "colatitude": math.pi / 2,
                                       "t0": 0.0, "t1": 5.0})
-    g0, _ = orthogonal_attachment(SPHERE, eq, 1.0, 0.5, side=-1,
-                                  mode="behind")
+    g0, _, _ = orthogonal_attachment(SPHERE, eq, 1.0, 0.5, side=-1,
+                                     mode="behind")
     return simulate(SPHERE, eq, g0, 1.0, SimParams(dt=0.005))
 
 
@@ -120,7 +120,7 @@ def test_pole_window_contains_k_along_finer_shots(name):
     cfg = bundled_scenario(name)
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
-    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    g0, _, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     trace = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
     cb = certify_bounds(trace)
     assert cb.certified == "poles"
@@ -320,7 +320,7 @@ def test_sandwich_rejects_non_geodesic_tractor():
     ring = tractor_from_config(FLAT2, {"kind": "circle",
                                        "center": [0.0, 0.0], "radius": 3.0,
                                        "t0": 0.0, "t1": 0.3})
-    g0, _ = orthogonal_attachment(FLAT2, ring, 1.0, 0.5, mode="behind")
+    g0, _, _ = orthogonal_attachment(FLAT2, ring, 1.0, 0.5, mode="behind")
     trace = simulate(FLAT2, ring, g0, 1.0, SimParams(dt=0.01))
     with pytest.raises(HypothesisViolatedError, match="geodesic"):
         toponogov_sandwich_check(trace,

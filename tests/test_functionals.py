@@ -54,8 +54,8 @@ def sphere_trace():
     eq = tractor_from_config(SPHERE, {"kind": "latitude",
                                       "colatitude": math.pi / 2,
                                       "t0": 0.0, "t1": 5.0})
-    g0, _ = orthogonal_attachment(SPHERE, eq, 1.0, 0.5, side=-1,
-                                  mode="behind")
+    g0, _, _ = orthogonal_attachment(SPHERE, eq, 1.0, 0.5, side=-1,
+                                     mode="behind")
     return simulate(SPHERE, eq, g0, 1.0, SimParams(dt=0.01))
 
 
@@ -63,7 +63,7 @@ def sphere_trace():
 def hyperbolic_trace():
     ray = tractor_from_config(HYP, {"kind": "disk_ray", "angle": 0.0,
                                     "t0": 0.0, "t1": 6.0})
-    g0, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5, side=1, mode="behind")
+    g0, _, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5, side=1, mode="behind")
     return simulate(HYP, ray, g0, 1.0, SimParams(dt=0.01))
 
 
@@ -93,8 +93,8 @@ def test_parallel_circle_lengths_on_sphere():
     eq = tractor_from_config(SPHERE, {"kind": "latitude",
                                       "colatitude": math.pi / 2,
                                       "t0": 0.0, "t1": math.tau})
-    g0, _ = orthogonal_attachment(SPHERE, eq, math.pi / 2, math.pi / 6,
-                                  side=-1, mode="behind")
+    g0, _, _ = orthogonal_attachment(SPHERE, eq, math.pi / 2, math.pi / 6,
+                                     side=-1, mode="behind")
     tr = simulate(SPHERE, eq, g0, math.pi / 2, SimParams(dt=0.01))
     L = tractor_length(tr)
     pl = polyline_length(SPHERE, tr.eta)

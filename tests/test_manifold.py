@@ -325,12 +325,12 @@ def test_shoot_flat_direct(monkeypatch):
     assert np.allclose(v, [0.6, 0.8])
     assert L == 5.0
     # the three Newton solves, the connect, the attachment and the foot
-    # solve of a geodesic tractor (a meridian, where the chord start is
+    # solve of a geodesic tractor (a meridian, where the triangle start is
     # not exact), cannot meet their tolerances when they may not iterate
     line = tractor_from_config(PARAB, {
         "kind": "chart_line", "start": [0.0, 0.0], "direction": [0.6, 0.8],
         "t1": 1.0, "geodesic": True})
-    g0, _ = orthogonal_attachment(PARAB, line, 0.8, 0.4)
+    g0, _, _ = orthogonal_attachment(PARAB, line, 0.8, 0.4)
     trace = simulate(PARAB, line, g0, 0.8, SimParams(dt=0.1))
     monkeypatch.setattr(manifold, "_SHOOT_MAX_ITER", 0)
     for solve, name in (

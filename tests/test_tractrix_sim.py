@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from tractrix.errors import (
     SingularChartError,
 )
 from tractrix import tractrix_sim
-from tractrix.charts import SphereChart
+from tractrix.charts import PseudosphereChart, SphereChart
 from tractrix.config import bundled_scenario
 from tractrix.manifold import (
     POLE_STEP,
@@ -169,7 +170,7 @@ def test_tractor_evaluated_once_per_stage_time(model, spec, ell):
     # plus the start and the last record, in `rows` calls of at most one
     # block each
     tractor = tractor_from_config(model, spec)
-    gamma0, _ = orthogonal_attachment(model, tractor, ell, 0.5 * ell)
+    gamma0, _, _ = orthogonal_attachment(model, tractor, ell, 0.5 * ell)
     calls = []
 
     def rows(ts):
@@ -206,7 +207,7 @@ def test_tractor_evaluated_once_per_stage_time_across_breaks(
     tractor = polyline_tractor([[0.0, 0.0], [knot, 0.0],
                                 [knot, 1.0 - knot]])
     parab = surface_model("paraboloid")
-    gamma0, _ = orthogonal_attachment(parab, tractor, 0.3, 0.15)
+    gamma0, _, _ = orthogonal_attachment(parab, tractor, 0.3, 0.15)
     calls = []
 
     def rows(ts):
@@ -525,8 +526,8 @@ def test_geodesic_aligned_start_stays_on_track():
 
 def test_sphere_short_pole_matches_scalar_solution():
     eq = equator(6.0)
-    g0, _ = orthogonal_attachment(SPHERE, eq, 0.8, 0.4, side=-1,
-                                  mode="behind")
+    g0, _, _ = orthogonal_attachment(SPHERE, eq, 0.8, 0.4, side=-1,
+                                     mode="behind")
     tr = simulate(SPHERE, eq, g0, 0.8, SimParams(dt=0.01))
     tr.check_invariants()
     sol = solve_from_d0(1.0, 0.8, 0.4)
@@ -539,7 +540,7 @@ def test_sphere_short_pole_matches_scalar_solution():
 def test_hyperbolic_short_pole_matches_scalar_solution():
     ray = tractor_from_config(HYP, {"kind": "disk_ray", "angle": 0.0,
                                     "t0": 0.0, "t1": 6.0})
-    g0, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5, side=1, mode="behind")
+    g0, _, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5, side=1, mode="behind")
     tr = simulate(HYP, ray, g0, 1.0, SimParams(dt=0.01))
     tr.check_invariants()
     sol = solve_from_d0(-1.0, 1.0, 0.5)
@@ -553,8 +554,8 @@ def test_hyperbolic_short_pole_matches_scalar_solution():
 def long_pole_pull():
     eq = equator(6.0)
     ell = 3.0 * math.pi / 4.0
-    g0, _ = orthogonal_attachment(SPHERE, eq, ell, 3.0 * math.pi / 80.0,
-                                  side=-1, mode="behind")
+    g0, _, _ = orthogonal_attachment(SPHERE, eq, ell, 3.0 * math.pi / 80.0,
+                                     side=-1, mode="behind")
     return simulate(SPHERE, eq, g0, ell, SimParams(dt=0.01)), g0
 
 
@@ -602,8 +603,8 @@ def test_long_pole_duality_with_antipodal_push(long_pole_pull):
 def test_quarter_circumference_pole_keeps_distance():
     eq = equator(5.0)
     for d0 in (0.3, 0.8, 1.3):
-        g0, _ = orthogonal_attachment(SPHERE, eq, math.pi / 2, d0, side=-1,
-                                      mode="behind")
+        g0, _, _ = orthogonal_attachment(SPHERE, eq, math.pi / 2, d0, side=-1,
+                                         mode="behind")
         tr = simulate(SPHERE, eq, g0, math.pi / 2, SimParams(dt=0.02))
         assert np.ptp(tr.d) < 1e-10
 
@@ -631,7 +632,7 @@ def test_geodesic_tractor_matches_the_closed_form(model, tractor, ell, d0,
     # map exact: the pole angle from eta' follows tan(theta / 2) =
     # tan(theta0 / 2) exp(-E t) to rounding, through the cusp of a push
     # and of a pole longer than a quarter circle (E < 0)
-    gamma0, _ = orthogonal_attachment(model, tractor, ell, d0, mode=mode)
+    gamma0, _, _ = orthogonal_attachment(model, tractor, ell, d0, mode=mode)
     tr = simulate(model, tractor, gamma0, ell, SimParams(dt=0.05))
     theta = []
     for eta, gamma, t in zip(tr.eta, tr.gamma, tr.t):
@@ -664,7 +665,7 @@ def test_turning_frame_runs_match_the_fine_loop(name):
     # disk's chart circle lambda varies and the maps are sixth order
     model, spec, ell, d0, end = TURNING_FRAMES[name]
     tractor = tractor_from_config(model, spec)
-    gamma0, _ = orthogonal_attachment(model, tractor, ell, d0)
+    gamma0, _, _ = orthogonal_attachment(model, tractor, ell, d0)
     ends = [simulate(model, tractor, gamma0, ell,
                      SimParams(dt=dt)).gamma[-1] for dt in (0.04, 0.02, 0.01)]
     assert np.max(np.abs(ends[-1] - end)) <= 1e-10
@@ -677,7 +678,7 @@ def test_far_disk_ray_trips_the_drift_gate():
     # far out on a diameter, gamma = exp_eta(-ell X) is rounding away from
     # the pole length: the record whose drift passes the limit ends the
     # run, as the RK4 loop's gate did (there at t = 23.25)
-    gamma0, _ = orthogonal_attachment(HYP, disk_ray(30.0), 1.0, 0.5)
+    gamma0, _, _ = orthogonal_attachment(HYP, disk_ray(30.0), 1.0, 0.5)
     with pytest.raises(PoleLengthDriftError,
                        match=r"^pole drift 1\.1\d*e-06 exceeds 1e-06 at "
                              r"t=23\.\d+$"):
@@ -689,7 +690,7 @@ def test_earliest_failure_ends_the_run():
     # and tractor points that round onto |z| = 1 from t ~ 37: the earlier
     # one is raised
     ray = dataclasses.replace(disk_ray(40.0), is_geodesic=False)
-    gamma0, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5)
+    gamma0, _, _ = orthogonal_attachment(HYP, ray, 1.0, 0.5)
     with pytest.raises(PoleLengthDriftError, match=r"at t=2[34]\.\d+$"):
         simulate(HYP, ray, gamma0, 1.0, SimParams(dt=0.05))
 
@@ -745,7 +746,7 @@ def test_far_geodesic_disk_tractor_is_refused_before_its_distances():
     # at t1 = 40 tanh(20) rounds to 1: the tractor's end is outside the
     # disk, and the geodesic check says so before measuring from it (a
     # RuntimeWarning fails the suite)
-    gamma0, _ = orthogonal_attachment(HYP, disk_ray(40.0), 1.0, 0.5)
+    gamma0, _, _ = orthogonal_attachment(HYP, disk_ray(40.0), 1.0, 0.5)
     with pytest.raises(OutOfDomainError,
                        match=r"^point \|z\|\^2=1\.0 outside the unit disk$"):
         simulate(HYP, disk_ray(40.0), gamma0, 1.0)
@@ -761,8 +762,8 @@ def test_paraboloid_ring_pull():
                                        "center": [0.0, 0.0], "radius": 1.5,
                                        "rate": 1.0, "t0": 0.0,
                                        "t1": math.pi})
-    g0, _ = orthogonal_attachment(parab, ring, 0.9, 0.45, side=1,
-                                  mode="behind")
+    g0, _, _ = orthogonal_attachment(parab, ring, 0.9, 0.45, side=1,
+                                     mode="behind")
     tr = simulate(parab, ring, g0, 0.9, SimParams(dt=0.02))
     tr.check_invariants()
     assert tr.max_drift < 1e-6
@@ -785,7 +786,7 @@ def bundled_run(name, span=None, dt=None):
         spec["t1"] = spec.get("t0", 0.0) + span
     tractor = tractor_from_config(model, spec)
     if isinstance(cfg.gamma0, dict):
-        g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+        g0, _, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     else:
         g0 = np.asarray(cfg.gamma0, dtype=float)
     sim = dict(cfg.sim, **({} if dt is None else {"dt": dt}))
@@ -844,7 +845,7 @@ def sphere_chart_d_error(start, direction, pole_step):
     line = tractor_from_config(model, {
         "kind": "chart_line", "start": start, "direction": direction,
         "geodesic": True, "t1": 1.0})
-    g0, _ = orthogonal_attachment(model, line, 0.8, 0.25)
+    g0, _, _ = orthogonal_attachment(model, line, 0.8, 0.25)
     tr = simulate(model, line, g0, 0.8,
                   SimParams(dt=0.01, pole_step=pole_step))
     return np.max(np.abs(tr.d - dist_at(solve_from_d0(1.0, 0.8, 0.25),
@@ -866,6 +867,32 @@ def test_sphere_chart_meridian_matches_the_closed_form():
     # where d is 5.0e-8 off at pole_step 0.05; a swapped index in
     # `charts._christoffel_lines` fails this
     assert sphere_chart_d_error([1.4, 0.0], [1.0, 0.0], 0.05) <= 1e-7
+
+
+def pseudosphere_d_error(pole_step):
+    """max |d - dist_at| of a meridian of PseudosphereChart(1) from u = 2,
+    pulling a pole of 0.5 attached at offset 0.2, against the closed form
+    at K = -1."""
+    model = surface_model(PseudosphereChart(1.0))
+    line = tractor_from_config(model, {
+        "kind": "chart_line", "start": [2.0, 0.0], "direction": [1.0, 0.0],
+        "geodesic": True, "t1": 1.0})
+    g0, _, pole = orthogonal_attachment(model, line, 0.5, 0.2)
+    tr = simulate(model, line, g0, 0.5,
+                  SimParams(dt=0.01, pole_step=pole_step), pole)
+    return np.max(np.abs(tr.d - dist_at(solve_from_d0(-1.0, 0.5, 0.2),
+                                        tr.s)))
+
+
+def test_pseudosphere_chart_meridian_converges_to_the_closed_form():
+    # every surface layer on a chart of K = -1, the foot solve's and the
+    # attachment's starts on the asinh side of `_asn`: 1.83e-8, 2.22e-9
+    # and 1.14e-10 at pole_step 0.05, 0.025 and 0.0125, order 3.0 and 4.3
+    # (order 3.7 over the range); at 0.00625 the error stays at 8e-11, the
+    # floor of the inputs' _INPUT_STEP shots
+    errors = [pseudosphere_d_error(step) for step in (0.05, 0.025, 0.0125)]
+    assert errors[0] > errors[1] > errors[2]
+    assert math.log2(errors[0] / errors[2]) / 2 >= 3.5, errors
 
 
 def test_helix_pull_crosses_one_cusp():
@@ -941,14 +968,14 @@ def test_foot_distance_to_a_line_in_three_dimensions():
 
 def test_singular_foot_jacobian_raises_no_convergence(monkeypatch):
     # space forms measure d in closed form; the Newton foot solve is the
-    # surfaces' path. A meridian of the paraboloid, where the chord start
-    # is not exact, so Newton steps are taken
+    # surfaces' path. A meridian of the paraboloid, where the triangle
+    # start is not exact, so Newton steps are taken
     model = surface_model("paraboloid")
     line = tractor_from_config(model, {"kind": "chart_line",
                                        "start": [0.0, 0.0],
                                        "direction": [0.6, 0.8], "t1": 1.0,
                                        "geodesic": True})
-    g0, _ = orthogonal_attachment(model, line, 0.8, 0.4)
+    g0, _, _ = orthogonal_attachment(model, line, 0.8, 0.4)
     # c = 0 makes the foot solve's tau column zero
     shoot_rows = model.shoot_rows
     monkeypatch.setattr(model, "shoot_rows", lambda *a, **kw: (
@@ -988,18 +1015,74 @@ def test_foot_tau_column_matches_central_difference(chart, start, direction):
                   <= 1e-6 * np.linalg.norm(fd, axis=1))
 
 
-def test_foot_solve_makes_few_shots_per_record(monkeypatch):
-    # the chord start, then two lockstep Newton passes: about 3 rows per
-    # record in at most 4 row shots
-    model, tr, _ = bundled_run("ellipsoid_equator", span=0.2)
+def foot_rows(monkeypatch, model, trace, pole_step):
+    """(d, the rows of each row shot) of `_foot_newton` on trace."""
     rows = []
     shoot_rows = model.shoot_rows
-    monkeypatch.setattr(model, "shoot_rows", lambda p, *a, **kw: (
-        rows.append(len(p)), shoot_rows(p, *a, **kw))[1])
-    d = _foot_newton(tr, SimParams().pole_step)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "shoot_rows", lambda p, *a, **kw: (
+            rows.append(len(p)), shoot_rows(p, *a, **kw))[1])
+        return _foot_newton(trace, pole_step), rows
+
+
+def test_foot_solve_makes_few_shots_per_record(monkeypatch):
+    # the bench span: every record starts from the right triangle of
+    # constant K at eta(t) and converges after one lockstep Newton pass,
+    # 2 rows a record (the chart chord's start took 3)
+    model, tr, _ = bundled_run("ellipsoid_equator", span=0.2)
+    d, rows = foot_rows(monkeypatch, model, tr, SimParams().pole_step)
     assert np.array_equal(d, tr.d)
-    assert len(rows) <= 4
-    assert sum(rows) <= 3.5 * len(tr.t)
+    assert rows == [len(tr.t)] * 2
+
+
+@pytest.mark.parametrize("start, direction", [
+    ([math.pi / 2, 0.0], [0.0, 1.0]), ([1.4, 0.0], [1.0, 0.0])],
+    ids=["equator", "meridian"])
+def test_sphere_chart_foot_rows_take_one_newton_step(monkeypatch, start,
+                                                     direction):
+    # ROADMAP item 16's setup on SphereChart(1): the triangle start is
+    # exact up to the error of the pole shots that placed gamma, so every
+    # row converges after one step. The chart chord took 4 passes and 412
+    # rows on the meridian, and none on the equator, where the Fermi map
+    # is linear in the chart and the chord is exact
+    model = surface_model(SphereChart(1.0))
+    line = tractor_from_config(model, {
+        "kind": "chart_line", "start": start, "direction": direction,
+        "geodesic": True, "t1": 1.0})
+    g0, _, pole = orthogonal_attachment(model, line, 0.8, 0.25)
+    tr = simulate(model, line, g0, 0.8, SimParams(dt=0.01), pole)
+    assert foot_rows(monkeypatch, model, tr, POLE_STEP)[1] == [101, 101]
+
+
+def test_undefined_triangles_start_from_the_flat_one(monkeypatch):
+    # a chart K at which the triangle is undefined: NaN, past a float's
+    # cosh (-1e6, at ell = 0.8), infinite (no cos); at eta(t0) and at
+    # three records in four. The attachment and the foot solve start from
+    # the K = 0 triangle there, take more steps, and end within their
+    # tolerances (1e-12 and 1e-11 max(1, ell)) of the unpatched solves,
+    # with no RuntimeWarning
+    model = surface_model(SphereChart(1.0))
+    line = tractor_from_config(model, {
+        "kind": "chart_line", "start": [math.pi / 2, 0.0],
+        "direction": [0.0, 1.0], "geodesic": True, "t1": 1.0})
+    (g0, tau, pole), attach = counted_attachment(monkeypatch, model, line,
+                                                 0.8, 0.25)
+    tr = simulate(model, line, g0, 0.8, SimParams(dt=0.01), pole)
+    spray = model.chart.spray
+
+    def undefined(u, v, a, b):
+        acc_u, acc_v, K = spray(u, v, a, b)
+        return acc_u, acc_v, (math.nan, K, -1e6, math.inf)[round(v / 0.01) % 4]
+
+    monkeypatch.setattr(model.chart, "spray", undefined)
+    (g0_flat, tau_flat, pole_flat), attach_flat = counted_attachment(
+        monkeypatch, model, line, 0.8, 0.25)
+    d, rows = foot_rows(monkeypatch, model, tr, POLE_STEP)
+    assert attach_flat > attach and sum(rows) > 2 * len(tr.t)
+    assert np.max(np.abs(g0_flat - g0)) < 1e-12
+    assert abs(tau_flat - tau) < 1e-12
+    assert np.max(np.abs(pole_flat - pole)) < 1e-12
+    assert np.max(np.abs(d - tr.d)) < 2e-11
 
 
 def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
@@ -1009,7 +1092,7 @@ def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
     equator = tractor_from_config(chart_model, {
         "kind": "chart_line", "start": [math.pi / 2, 0.0],
         "direction": [0.0, 1.0], "t1": 1.5, "geodesic": True})
-    g0, _ = orthogonal_attachment(chart_model, equator, 0.8, 0.5)
+    g0, _, _ = orthogonal_attachment(chart_model, equator, 0.8, 0.5)
     tr = simulate(chart_model, equator, g0, 0.8, SimParams(dt=0.01))
     closed = SPHERE.distance_to_geodesic(
         np.array([math.pi / 2, 0.0]), np.array([0.0, 1.0]), tr.gamma)
@@ -1019,8 +1102,8 @@ def test_foot_solve_on_the_sphere_chart_matches_the_closed_form():
 
 def logged_shots(monkeypatch, name, pole_step, span=None):
     """({phase: [(steps, length)]}, (stage shots, their sprays)) of a
-    bundled scenario's attachment, simulation at pole_step and
-    `check_invariants`.
+    bundled scenario's attachment, simulation at pole_step, started from
+    the attachment's pole as the CLI starts it, and `check_invariants`.
 
     The log holds every shot through `_rk4_geodesic`. The phases are
     "attach", "simulate", "foot" (the foot solve) and "check"; a shot
@@ -1084,7 +1167,8 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
         spec["t1"] = spec.get("t0", 0.0) + span
     tractor = tractor_from_config(model, spec)
     where["phase"] = "attach"
-    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    g0, _, pole = orthogonal_attachment(model, tractor, cfg.ell,
+                                        **cfg.gamma0)
     where["phase"] = "simulate"
     stage_shots = [0]
 
@@ -1098,7 +1182,7 @@ def logged_shots(monkeypatch, name, pole_step, span=None):
     model.tractrix_step = counted(model.tractrix_step, 3)
     before, logged_sprays[0] = model.sprays, 0
     trace = simulate(model, tractor, g0, cfg.ell,
-                     SimParams(**dict(cfg.sim, pole_step=pole_step)))
+                     SimParams(**dict(cfg.sim, pole_step=pole_step)), pole)
     stages = stage_shots[0], model.sprays - before - logged_sprays[0]
     where["phase"] = "check"
     trace.check_invariants()
@@ -1140,6 +1224,18 @@ def test_every_shot_follows_the_step_rule(monkeypatch):
         assert 2 * n - 1 <= m <= 2 * n
 
 
+def test_ellipsoid_equator_solve_counts(monkeypatch):
+    # the bench span, each solve started from the right triangle of
+    # constant K at its vertex: the attachment makes 3 evaluations of two
+    # shots (4 from the flat estimate), the first pole's connect, started
+    # along the attachment's pole, 2 shots (4 from the chart chord), and
+    # the foot solve 2 rows a record (3 from the chart chord)
+    log, _ = logged_shots(monkeypatch, "ellipsoid_equator", POLE_STEP, 0.2)
+    assert len(log["attach"]) == 2 * 3
+    assert len(log["simulate"]) == 2
+    assert len(log["foot"]) == 2 * 41
+
+
 def test_foot_solve_converges_at_fourth_order_in_pole_step():
     # the hills diagonal at amplitude 0.5: the foot distances of one set
     # of gamma, solved with shots at h, h/2 and h/4
@@ -1148,7 +1244,7 @@ def test_foot_solve_converges_at_fourth_order_in_pole_step():
     tractor = tractor_from_config(model, {
         "kind": "chart_line", "start": [0.0, 0.0], "direction": [1.0, 1.0],
         "t1": 1.0, "geodesic": True})
-    g0, _ = orthogonal_attachment(model, tractor, 0.8, 0.6)
+    g0, _, _ = orthogonal_attachment(model, tractor, 0.8, 0.6)
     tr = simulate(model, tractor, g0, 0.8, SimParams(dt=0.05))
     d = [_foot_newton(tr, POLE_STEP / 2 ** k) for k in range(3)]
     coarse, fine = (np.max(np.abs(a - b)) for a, b in zip(d, d[1:]))
@@ -1163,7 +1259,7 @@ def test_paraboloid_propagation_rhs_count():
     cfg = bundled_scenario("paraboloid_pull")
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
-    g0, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
+    g0, _, _ = orthogonal_attachment(model, tractor, cfg.ell, **cfg.gamma0)
     before = model.sprays
     tr = simulate(model, tractor, g0, cfg.ell, SimParams(**cfg.sim))
     assert (len(tr.t), model.sprays - before) == (251, 40240)
@@ -1502,8 +1598,8 @@ def test_simulate_matches_the_scalar_loop(name):
 
 def test_orthogonal_attachment_behind():
     line = x_line(0.0, 6.0)
-    g0, t_star = orthogonal_attachment(FLAT2, line, 2.0, 1.2, side=1,
-                                       mode="behind")
+    g0, t_star, _ = orthogonal_attachment(FLAT2, line, 2.0, 1.2, side=1,
+                                          mode="behind")
     assert t_star < 0.0
     assert np.linalg.norm(g0 - line.point(0.0)) == pytest.approx(2.0,
                                                                  abs=1e-9)
@@ -1513,8 +1609,8 @@ def test_orthogonal_attachment_behind():
 
 def test_orthogonal_attachment_ahead():
     line = x_line(0.0, 6.0)
-    g0, t_star = orthogonal_attachment(FLAT2, line, 2.0, 1.2, side=-1,
-                                       mode="ahead")
+    g0, t_star, _ = orthogonal_attachment(FLAT2, line, 2.0, 1.2, side=-1,
+                                          mode="ahead")
     assert t_star > 0.0
     assert g0[1] == pytest.approx(-1.2, abs=1e-9)
     assert g0[0] == pytest.approx(math.sqrt(4.0 - 1.44), abs=1e-9)
@@ -1552,8 +1648,8 @@ def test_surface_attachment_meets_pole_length_and_offset(name, mode):
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
     d0, side = cfg.gamma0["d0"], cfg.gamma0["side"]
-    g0, tau = orthogonal_attachment(model, tractor, cfg.ell, d0, side=side,
-                                    mode=mode)
+    g0, tau, _ = orthogonal_attachment(model, tractor, cfg.ell, d0, side=side,
+                                       mode=mode)
     t0 = tractor.t0
     assert (tau - t0 > 0.0) == (mode == "ahead")
     assert abs(model.distance(g0, tractor.point(t0), L_guess=cfg.ell,
@@ -1566,14 +1662,14 @@ def test_surface_attachment_meets_pole_length_and_offset(name, mode):
 
 def test_attachment_stays_on_the_side_mode_selects():
     # the line x = sinh(5t) / 5 (x = t ahead of t0) speeds up behind t0,
-    # so the flat estimate lies far too far back and the first step
-    # overshoots past t0, where a second root waits
+    # so the start, the flat triangle at t0, lies far too far back and the
+    # first step overshoots past t0, where a second root waits
     line = analytic_tractor(
         lambda t: np.array([math.sinh(5 * t) / 5 if t < 0 else t, 0.0]),
         lambda t: np.array([math.cosh(5 * t) if t < 0 else 1.0, 0.0]),
         0.0, 1.0)
-    g0, t_star = orthogonal_attachment(FLAT2, line, 1.0, 0.6, side=1,
-                                       mode="behind")
+    g0, t_star, _ = orthogonal_attachment(FLAT2, line, 1.0, 0.6, side=1,
+                                          mode="behind")
     assert t_star == pytest.approx(math.asinh(-4.0) / 5, abs=1e-12)
     assert g0 == pytest.approx([-0.8, 0.6], abs=1e-12)
 
@@ -1612,16 +1708,29 @@ def test_attachment_jacobian_columns_match_central_differences(name, side,
     cfg = bundled_scenario(name)
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
-    _, tau = orthogonal_attachment(model, tractor, cfg.ell, cfg.gamma0["d0"],
-                                   side=side, mode=mode)
     start, evaluate = _attachment_map(model, tractor, cfg.ell,
-                                      cfg.gamma0["d0"], side)
-    x, _, jac, _ = start(tau)
+                                      cfg.gamma0["d0"], side, mode)
+    x, _, jac, _ = start()
     h = 1e-5
     for k in range(2):
         e = h * np.eye(2)[k]
         fd = (evaluate(x + e)[0] - evaluate(x - e)[0]) / (2.0 * h)
         assert np.linalg.norm(jac[:, k] - fd) <= 1e-8 * np.linalg.norm(fd)
+
+
+def counted_attachment(monkeypatch, model, tractor, ell, d0, **kw):
+    """(gamma0, tau, pole) of `orthogonal_attachment` and the evaluations
+    of its residual, the start's included."""
+    calls = [None]
+    attachment_map = tractrix_sim._attachment_map
+
+    def counted(*args):
+        start, evaluate = attachment_map(*args)
+        return start, lambda x: (calls.append(x), evaluate(x))[1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tractrix_sim, "_attachment_map", counted)
+        return orthogonal_attachment(model, tractor, ell, d0, **kw), len(calls)
 
 
 @pytest.mark.parametrize("mode", ["behind", "ahead"])
@@ -1634,24 +1743,55 @@ def test_surface_attachment_takes_few_newton_iterations(monkeypatch, name,
     cfg = bundled_scenario(name)
     model = model_from_config(cfg.model)
     tractor = tractor_from_config(model, cfg.tractor)
-    calls = []
-    attachment_map = tractrix_sim._attachment_map
+    _, evaluations = counted_attachment(
+        monkeypatch, model, tractor, cfg.ell, cfg.gamma0["d0"],
+        side=cfg.gamma0["side"], mode=mode)
+    # the start's evaluation and 1 to 4 iterations
+    assert 2 <= evaluations <= 5
 
-    def counted(*args):
-        start, evaluate = attachment_map(*args)
-        return start, lambda x: (calls.append(x), evaluate(x))[1]
 
-    monkeypatch.setattr(tractrix_sim, "_attachment_map", counted)
-    orthogonal_attachment(model, tractor, cfg.ell, cfg.gamma0["d0"],
-                          side=cfg.gamma0["side"], mode=mode)
-    assert 1 <= len(calls) <= 4
+@pytest.mark.parametrize("model, tractor", [
+    (SPHERE, equator(6.0)), (HYP, disk_ray(6.0)), (FLAT2, x_line(0.0, 6.0))],
+    ids=["sphere", "disk", "plane"])
+def test_space_form_attachment_starts_at_its_solution(monkeypatch, model,
+                                                      tractor):
+    # on a geodesic tractor of a space form the right triangle of constant
+    # K at eta(t0) is the attachment itself: the start's evaluation meets
+    # the tolerance, and no Newton step is taken
+    eta0 = tractor.point(tractor.t0)
+    for ell, share, side, mode in itertools.product(
+            (0.4, 1.0, 1.5), (0.0, 0.5, 0.95), (1, -1), ("behind", "ahead")):
+        (g0, tau, pole), evaluations = counted_attachment(
+            monkeypatch, model, tractor, ell, share * ell, side=side,
+            mode=mode)
+        assert evaluations == 1, (ell, share, side, mode)
+        assert (tau - tractor.t0) * (1 if mode == "ahead" else -1) > 0
+        np.testing.assert_allclose(model.exp_point(eta0, pole, ell)[0], g0,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, evaluations", [
+    ("sphere_pull", 1), ("halfk_pull", 1), ("hyperbolic_pull", 1),
+    ("sphere_longpole", 1), ("ellipsoid_equator", 3), ("paraboloid_pull", 5),
+    ("hilly_pull", 3)])
+def test_bundled_attachment_evaluations(monkeypatch, name, evaluations):
+    # the start from the constant-curvature triangle: exact on the space
+    # forms (4, 4, 4 and 5 evaluations from the flat estimate and the
+    # chart chord), one evaluation fewer on the spheroid's equator (4), and
+    # as many as before where the tractor is no geodesic (5 and 3)
+    cfg = bundled_scenario(name)
+    model = model_from_config(cfg.model)
+    tractor = tractor_from_config(model, cfg.tractor)
+    _, count = counted_attachment(monkeypatch, model, tractor, cfg.ell,
+                                  **cfg.gamma0)
+    assert count == evaluations
 
 
 @pytest.mark.parametrize("fault, match", [
     ("singular", "singular Jacobian"), ("offset", "did not converge")])
 def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
                                                        match):
-    # on a circle in 2-D and 3-D, where the flat estimate misses: a
+    # on a circle in 2-D and 3-D, where the triangle start misses: a
     # Jacobian with a zero column (the whole 1x1 Jacobian in 3-D), and a
     # residual that no step can lower below 1e-3, end the solve with
     # NoConvergenceError, never a ZeroDivisionError
@@ -1667,8 +1807,8 @@ def test_attachment_failures_are_no_convergence_errors(monkeypatch, fault,
                 return F, J, gamma0
             return np.hypot(F, 1e-3), J, gamma0
 
-        def spoiled_start(tau):
-            x, *rest = start(tau)
+        def spoiled_start():
+            x, *rest = start()
             return (x, *spoil(*rest))
 
         return spoiled_start, lambda x: spoil(*evaluate(x))
@@ -1702,8 +1842,8 @@ def test_flat3_attachment_offsets_in_the_xy_plane(spec, ell, d0, side, mode,
     # (along +-y for the z axis), |gamma0 - eta(0)| = ell; the values are
     # those of the earlier secant solve
     tractor = tractor_from_config(FLAT3, spec)
-    g0, t = orthogonal_attachment(FLAT3, tractor, ell, d0, side=side,
-                                  mode=mode)
+    g0, t, _ = orthogonal_attachment(FLAT3, tractor, ell, d0, side=side,
+                                     mode=mode)
     assert g0 == pytest.approx(gamma0, abs=1e-12)
     assert t == pytest.approx(tau, abs=1e-12)
     assert np.linalg.norm(g0 - tractor.point(0.0)) == pytest.approx(
